@@ -26,7 +26,7 @@ import numpy as np
 
 from . import budget, fidelity, magnus, trotter
 from .params import GateParams, validate, validate_with_pulse
-from .pulses import PulseShape, rectangular, sin_squared
+from .pulses import PulseShape, rectangular, sin_squared, validate_shape
 
 PROPAGATOR_NAMES = ("U2", "U3", "U4", "U5", "Unum")
 CSV_COLUMNS = ("axis", "omega_T", "infid_U2", "infid_U3", "infid_U4",
@@ -119,8 +119,15 @@ def pulse_from_config(cfg: dict[str, str]) -> PulseShape:
             parts = item.split(":")
             if len(parts) != 3:
                 raise ConfigError(f"bad pulse_coeffs entry {item!r}")
-            triples.append((int(parts[0]), float(parts[1]), float(parts[2])))
-        return PulseShape.from_triples(triples)
+            try:
+                triples.append((int(parts[0]), float(parts[1]), float(parts[2])))
+            except ValueError:
+                raise ConfigError(f"bad pulse_coeffs entry {item!r}") from None
+        shape = PulseShape.from_triples(triples)
+        rep = validate_shape(shape)
+        if not rep.ok:
+            raise ConfigError(f"pulse_coeffs must satisfy c_-M = conj(c_M): {rep.summary()}")
+        return shape
     raise ConfigError(f"unknown pulse {name!r}")
 
 
@@ -130,9 +137,14 @@ def _parse_grid(text: str) -> list[float]:
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(f"grid range must be start:stop:num, got {text!r}")
-        start, stop, num = float(parts[0]), float(parts[1]), int(parts[2])
-        return list(np.linspace(start, stop, num))
-    return [float(v) for v in text.split(",")]
+        try:
+            return list(np.linspace(float(parts[0]), float(parts[1]), int(parts[2])))
+        except ValueError:
+            raise ConfigError(f"grid range must be start:stop:num, got {text!r}") from None
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"grid values must be numbers, got {text!r}") from None
 
 
 def sweep_from_config(cfg: dict[str, str]) -> SweepSpec:

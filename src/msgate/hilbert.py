@@ -11,6 +11,7 @@ levels n >= n_dim - m_max.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -18,12 +19,14 @@ import numpy as np
 import scipy.linalg
 
 from .params import GateParams, beat_note
-from .pulses import PulseShape
+from .pulses import PulseShape, envelope_at
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
+# A batched Hamiltonian: maps a vector of tau to one stack Q_b^H H(tau) Q_b per block.
+HamiltonianBuilder = Callable[[np.ndarray], list[np.ndarray]]
 
 
 def destroy(n_dim: int) -> np.ndarray:
@@ -189,32 +192,66 @@ def hamiltonian_terms(params: GateParams, pulse: PulseShape) -> list[Hamiltonian
     return terms
 
 
-def hamiltonian_at(tau: float, params: GateParams, pulse: PulseShape,
-                   terms: list[HamiltonianTerm] | None = None) -> np.ndarray:
+def symmetry_blocks(n_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Isometries Q_b (4*n_dim x d_b) onto the Pi = +1 and Pi = -1 blocks of H.
+
+    H commutes with qubit exchange and with Pi = exp(i pi Jx) (x) (-1)^{a+a}.
+    Every J annihilates the exchange singlet, so H vanishes on the n_dim
+    singlet states, which neither block holds.
+    """
+    s = math.sqrt(0.5)
+    # exchange-symmetric qubit states with exp(i pi Jx) = -sigma_x (x) sigma_x = +1, -1
+    qubits = ([(s, 0, 0, -s)], [(s, 0, 0, s), (0, s, s, 0)])
+    return tuple(np.array([np.kron(q, np.eye(n_dim)[n]) for n in range(n_dim)
+                           for q in qubits[(n + parity) % 2]], dtype=complex).T
+                 for parity in (0, 1))
+
+
+def sideband_hamiltonian(params: GateParams, pulse: PulseShape, blocks: tuple) -> HamiltonianBuilder:
+    """Batched sideband-series Hamiltonian on the isometries ``blocks`` (see
+    symmetry_blocks).  The term operators are projected once here, so each
+    call is one GEMM per block.
+    """
+    terms = hamiltonian_terms(params, pulse)
+    coeffs = np.array([t.coeff for t in terms])
+    freqs = np.array([t.N for t in terms])
+    stacked = params.omega_T * np.stack([t.op for t in terms])
+    ops = [Q.conj().T @ stacked @ Q for Q in blocks]
+
+    def build(taus: np.ndarray) -> list[np.ndarray]:
+        phases = coeffs * np.exp(2j * np.pi * np.outer(taus, freqs))
+        return [np.tensordot(phases, op, axes=1) for op in ops]
+
+    return build
+
+
+def displacement_hamiltonian(params: GateParams, pulse: PulseShape, blocks: tuple) -> HamiltonianBuilder:
+    """Like ``sideband_hamiltonian``, with the displacement exponential built exactly
+    instead of the m_max-truncated series: the cross-check for the truncation."""
+    J = collective_spins()
+    a = destroy(params.n_dim)
+
+    def build(taus: np.ndarray) -> list[np.ndarray]:
+        phase = np.exp(-2j * np.pi * params.K * taus)[:, None, None]
+        # Hermitian generator eta*(a e^{-i 2 pi K tau} + a+ e^{+i 2 pi K tau})
+        gw, gv = np.linalg.eigh(params.eta * (phase * a + phase.conj() * a.conj().T))
+        disp = (gv * np.exp(1j * gw)[:, None, :]) @ gv.conj().transpose(0, 2, 1)
+        env = np.array([envelope_at(pulse, t) for t in taus])
+        amp = (params.omega_T * env * np.cos(2 * np.pi * params.L * taus))[:, None, None]
+        h = amp * (np.kron(J.Jplus, disp) + np.kron(J.Jminus, disp.conj().transpose(0, 2, 1)))
+        return [Q.conj().T @ h @ Q for Q in blocks]
+
+    return build
+
+
+def hamiltonian_at(tau: float, params: GateParams, pulse: PulseShape) -> np.ndarray:
     """Dimensionless interaction Hamiltonian T*H(tau*T)/hbar at one instant."""
-    if terms is None:
-        terms = hamiltonian_terms(params, pulse)
-    out = np.zeros((params.dim, params.dim), dtype=complex)
-    for t in terms:
-        out += (t.coeff * np.exp(2j * np.pi * t.N * tau)) * t.op
-    return params.omega_T * out
+    return sideband_hamiltonian(params, pulse, (np.eye(params.dim),))(np.array([tau]))[0][0]
 
 
 def displacement_hamiltonian_at(tau: float, params: GateParams, pulse: PulseShape) -> np.ndarray:
-    """Same Hamiltonian built from the full displacement exponential instead of
-    the sideband-truncated series; the cross-check for the m_max truncation."""
-    from .pulses import envelope_at
-
-    J = collective_spins()
-    a = destroy(params.n_dim)
-    phase = np.exp(-2j * np.pi * params.K * tau)
-    gen = 1j * params.eta * (a * phase + a.conj().T * np.conj(phase))
-    disp = matrix_exp(gen, kind="antihermitian")
-    env = envelope_at(pulse, tau)
-    carrier = np.cos(2 * np.pi * params.L * tau)
-    return params.omega_T * env * carrier * (
-        np.kron(J.Jplus, disp) + np.kron(J.Jminus, disp.conj().T)
-    )
+    """The exact-displacement Hamiltonian at one instant."""
+    return displacement_hamiltonian(params, pulse, (np.eye(params.dim),))(np.array([tau]))[0][0]
 
 
 def guard_band_indices(params: GateParams) -> np.ndarray:
@@ -231,7 +268,8 @@ def guard_block(A: np.ndarray, params: GateParams) -> np.ndarray:
 
 
 def hermiticity_defect(A: np.ndarray) -> float:
-    return float(np.abs(A - A.conj().T).max())
+    """Largest entry of A - A^H; A may be a stack of matrices."""
+    return float(np.abs(A - np.swapaxes(A, -1, -2).conj()).max())
 
 
 def unitarity_defect(A: np.ndarray) -> float:

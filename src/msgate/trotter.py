@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -9,7 +10,7 @@ import numpy as np
 
 from . import hilbert
 from .params import GateParams
-from .pulses import PulseShape, envelope_at, rectangular
+from .pulses import PulseShape, rectangular
 
 _CHUNK = 1024  # batched-eigh chunk size
 
@@ -46,48 +47,39 @@ class TrotterConfig:
         return self.steps_override
 
 
-def _step_taus(n_steps: int, midpoint: bool) -> np.ndarray:
-    if midpoint:
-        return (np.arange(n_steps) + 0.5) / n_steps
-    return np.arange(n_steps) / n_steps
-
-
-def _ordered_product(u_steps: np.ndarray) -> np.ndarray:
-    """Time-ordered product, latest factor leftmost."""
-    out = np.eye(u_steps.shape[1], dtype=complex)
-    for k in range(u_steps.shape[0]):
-        out = u_steps[k] @ out
-    return out
-
-
-def propagate_numeric(params: GateParams, pulse: PulseShape | None = None,
-                      config: TrotterConfig | None = None) -> np.ndarray:
-    """Product of exp(-i H(tau_n) dtau) using the sideband-truncated Hamiltonian.
-
-    Deterministic for identical inputs (fixed evaluation order).
+def _propagate(builder, params: GateParams, pulse: PulseShape | None,
+               config: TrotterConfig | None) -> np.ndarray:
+    """Product of exp(-i H(tau_n) dtau), latest factor leftmost, for a batched
+    Hamiltonian ``builder`` of ``hilbert``, run inside the symmetry blocks:
+    U = 1 + sum_b Q_b (U_b - 1) Q_b^H is the identity on the exchange singlets,
+    where H vanishes.  Deterministic for identical inputs (fixed order).
     """
     pulse = pulse if pulse is not None else rectangular()
     config = config if config is not None else TrotterConfig()
     n_steps = config.num_steps(params, pulse)
-    dtau = 1.0 / n_steps
-    taus = _step_taus(n_steps, config.midpoint)
-
-    terms = hilbert.hamiltonian_terms(params, pulse)
-    ops = np.stack([t.op for t in terms])
-    coeffs = np.array([t.coeff for t in terms])
-    freqs = np.array([t.N for t in terms])
-
-    dim = params.dim
-    total = np.eye(dim, dtype=complex)
+    taus = (np.arange(n_steps) + (0.5 if config.midpoint else 0.0)) / n_steps
+    blocks = hilbert.symmetry_blocks(params.n_dim)
+    build = builder(params, pulse, blocks)
+    totals = [np.eye(Q.shape[1], dtype=complex) for Q in blocks]
     for lo in range(0, n_steps, _CHUNK):
-        chunk = taus[lo:lo + _CHUNK]
-        phases = coeffs[None, :] * np.exp(2j * np.pi * np.outer(chunk, freqs))
-        h_batch = params.omega_T * np.einsum("sj,jab->sab", phases, ops)
-        w, v = np.linalg.eigh(h_batch)
-        exp_w = np.exp(-1j * w * dtau)
-        u_batch = np.einsum("sab,sb,scb->sac", v, exp_w, v.conj())
-        total = _ordered_product(u_batch) @ total
-    return total
+        h_blocks = build(taus[lo:lo + _CHUNK])
+        if lo == 0:  # eigh reads one triangle, so a non-Hermitian H would pass silently
+            scale = max(float(np.abs(h).max()) for h in h_blocks)
+            defect = max(hilbert.hermiticity_defect(h) for h in h_blocks)
+            if defect > 1e-12 * scale:
+                raise ValueError(f"Hamiltonian not Hermitian: defect {defect:.3e}, max|H| {scale:.3e}")
+        for b, h in enumerate(h_blocks):
+            w, v = np.linalg.eigh(h)
+            u_steps = (v * np.exp(-1j * w / n_steps)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+            totals[b] = functools.reduce(lambda acc, u: u @ acc, u_steps, totals[b])
+    return np.eye(params.dim) + sum(Q @ (total - np.eye(Q.shape[1])) @ Q.conj().T
+                                    for Q, total in zip(blocks, totals))
+
+
+def propagate_numeric(params: GateParams, pulse: PulseShape | None = None,
+                      config: TrotterConfig | None = None) -> np.ndarray:
+    """Product of exp(-i H(tau_n) dtau) using the sideband-truncated Hamiltonian."""
+    return _propagate(hilbert.sideband_hamiltonian, params, pulse, config)
 
 
 def propagate_numeric_exact_displacement(params: GateParams,
@@ -99,34 +91,4 @@ def propagate_numeric_exact_displacement(params: GateParams,
     Quantifies how much of any discrepancy is sideband truncation rather
     than time discretization.
     """
-    pulse = pulse if pulse is not None else rectangular()
-    config = config if config is not None else TrotterConfig()
-    n_steps = config.num_steps(params, pulse)
-    dtau = 1.0 / n_steps
-    taus = _step_taus(n_steps, config.midpoint)
-
-    J = hilbert.collective_spins()
-    a = hilbert.destroy(params.n_dim)
-    ad = a.conj().T
-    dim = params.dim
-    total = np.eye(dim, dtype=complex)
-    for lo in range(0, n_steps, _CHUNK):
-        chunk = taus[lo:lo + _CHUNK]
-        phase = np.exp(-2j * np.pi * params.K * chunk)
-        # Hermitian generator eta*(a e^{-i 2 pi K tau} + a+ e^{+i 2 pi K tau})
-        gen = params.eta * (phase[:, None, None] * a
-                            + np.conj(phase)[:, None, None] * ad)
-        gw, gv = np.linalg.eigh(gen)
-        disp = np.einsum("sab,sb,scb->sac", gv, np.exp(1j * gw), gv.conj())
-        env = np.array([envelope_at(pulse, t) for t in chunk])
-        carrier = np.cos(2 * np.pi * params.L * chunk)
-        amp = params.omega_T * env * carrier
-        h_batch = amp[:, None, None] * (
-            np.einsum("ab,scd->sacbd", J.Jplus, disp)
-            + np.einsum("ab,scd->sacbd", J.Jminus, disp.conj().transpose(0, 2, 1))
-        ).reshape(-1, dim, dim)
-        w, v = np.linalg.eigh(h_batch)
-        exp_w = np.exp(-1j * w * dtau)
-        u_batch = np.einsum("sab,sb,scb->sac", v, exp_w, v.conj())
-        total = _ordered_product(u_batch) @ total
-    return total
+    return _propagate(hilbert.displacement_hamiltonian, params, pulse, config)

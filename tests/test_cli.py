@@ -211,3 +211,31 @@ def test_figure_presets_parse():
     for name in names:
         spec = sweep_from_config(parse_config(str(cfg_dir / name)))
         assert spec.grid
+
+
+@pytest.mark.parametrize("lines", [
+    "pulse = custom\npulse_coeffs = 1:0.5:0\ngrid = 1,2\n",  # no conjugate partner
+    "pulse = custom\npulse_coeffs = x:1:0\ngrid = 1,2\n",    # non-integer M
+    "pulse = rect\ngrid = a,b\n",                            # non-numeric grid
+])
+def test_malformed_input_is_config_error(tmp_path, capsys, lines):
+    path = _write(tmp_path, "bad.cfg", CHECK_OK + "trap_freq = 1.0e6\naxis = omega\n"
+                  "propagators = U2\n" + lines)
+    with pytest.raises(ConfigError):
+        sweep_from_config(parse_config(path))
+    assert cli.main(["sweep", path]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_unum_csv_identical_across_runs_and_workers(tmp_path):
+    spec = sweep_from_config(parse_config(_write(
+        tmp_path, "s.cfg", MINI_SWEEP.replace("28.0:32.0:5", "28.0:32.0:3"))))
+    spec.propagators = ("Unum",)
+    serial = rows_to_csv(run_sweep(spec))
+    assert rows_to_csv(run_sweep(spec)) == serial
+    spec.workers = 2
+    assert rows_to_csv(run_sweep(spec)) == serial
+    rows = [dict(zip(serial.splitlines()[0].split(","), line.split(",")))
+            for line in serial.splitlines()[1:]]
+    assert len(rows) == 3
+    assert all(r["status"] == "ok" and float(r["infid_Unum"]) > 0 for r in rows)

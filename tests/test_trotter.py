@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from msgate import fidelity, hilbert, trotter
+from msgate.pulses import PulseShape, rectangular, sin_squared
 from msgate.trotter import TrotterConfig
 
 
@@ -80,3 +82,36 @@ def test_exact_displacement_vs_truncated(params_omega2, rect, weights, unum_omeg
     p1 = params_omega2.replace(m_max=1)
     i_m1 = 1 - fidelity.average_fidelity(trotter.propagate_numeric(p1, rect), weights)
     assert abs(i_m1 - i_exact) > abs(i_trunc - i_exact)
+
+
+def _dense_reference(hamiltonian_at, params, pulse, n_steps):
+    """Midpoint product of full-space matrix exponentials, one expm per step."""
+    U = np.eye(params.dim, dtype=complex)
+    for n in range(n_steps):
+        H = hamiltonian_at((n + 0.5) / n_steps, params, pulse)
+        U = scipy.linalg.expm(-1j * H / n_steps) @ U
+    return U
+
+
+@pytest.mark.parametrize("pulse", [rectangular(), sin_squared()], ids=["rect", "sin2"])
+@pytest.mark.parametrize("route, hamiltonian_at", [
+    (trotter.propagate_numeric, hilbert.hamiltonian_at),
+    (trotter.propagate_numeric_exact_displacement, hilbert.displacement_hamiltonian_at),
+], ids=["series", "exact_displacement"])
+def test_blocked_kernel_matches_dense_reference(monkeypatch, params_omega2, pulse,
+                                                route, hamiltonian_at):
+    # small chunks so the 400 steps cross chunk boundaries, the last one partial
+    monkeypatch.setattr(trotter, "_CHUNK", 128)
+    n_steps = 400
+    U = route(params_omega2, pulse, TrotterConfig(steps_override=n_steps, allow_understep=True))
+    ref = _dense_reference(hamiltonian_at, params_omega2, pulse, n_steps)
+    assert np.abs(U - ref).max() <= 1e-12
+    assert hilbert.unitarity_defect(U) <= 1e-12
+
+
+def test_non_hermitian_hamiltonian_rejected(base_params):
+    # c_1 without its conjugate partner c_-1 makes H(tau) non-Hermitian
+    bad = PulseShape.from_dict("bad", {1: 0.5})
+    cfg = TrotterConfig(steps_override=200, allow_understep=True)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        trotter.propagate_numeric(base_params.replace(omega_T=10.0), bad, cfg)
