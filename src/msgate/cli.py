@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import math
 import sys
 from dataclasses import dataclass
 
@@ -124,6 +125,8 @@ def pulse_from_config(cfg: dict[str, str]) -> PulseShape:
             except ValueError:
                 raise ConfigError(f"bad pulse_coeffs entry {item!r}") from None
         shape = PulseShape.from_triples(triples)
+        if not shape.support:
+            raise ConfigError("pulse_coeffs has no nonzero coefficient")
         rep = validate_shape(shape)
         if not rep.ok:
             raise ConfigError(f"pulse_coeffs must satisfy c_-M = conj(c_M): {rep.summary()}")
@@ -147,6 +150,24 @@ def _parse_grid(text: str) -> list[float]:
         raise ConfigError(f"grid values must be numbers, got {text!r}") from None
 
 
+def _number(cfg: dict[str, str], key: str, default: float | None = None) -> float | None:
+    """float(cfg[key]), or ``default`` when the key is absent."""
+    if key not in cfg:
+        return default
+    try:
+        return float(cfg[key])
+    except ValueError:
+        raise ConfigError(f"{key} must be a number, got {cfg[key]!r}") from None
+
+
+def _safety(cfg: dict[str, str]) -> float:
+    """The step-density factor of TrotterConfig; zero or less would take no steps."""
+    safety = _number(cfg, "safety", 10.0)
+    if not 0 < safety < math.inf:
+        raise ConfigError(f"safety must be a positive finite number, got {cfg['safety']!r}")
+    return safety
+
+
 def sweep_from_config(cfg: dict[str, str]) -> SweepSpec:
     params = params_from_config(cfg)
     pulse = pulse_from_config(cfg)
@@ -158,11 +179,20 @@ def sweep_from_config(cfg: dict[str, str]) -> SweepSpec:
     if grid_text.startswith("auto"):
         if axis != "omega":
             raise ConfigError("grid = auto:<n> is only defined for the omega axis")
-        npts = int(grid_text.split(":")[1]) if ":" in grid_text else 61
+        try:
+            npts = int(grid_text.split(":", 1)[1]) if ":" in grid_text else 61
+        except ValueError:
+            npts = 0
+        if npts < 1:
+            raise ConfigError(f"grid = auto:<n> needs a positive integer n, got {grid_text!r}")
         amps = budget.amplitude_set(params)
         lo_f, hi_f = 0.7, 1.3
         if "omega_span" in cfg:
-            lo_f, hi_f = (float(v) for v in cfg["omega_span"].split(","))
+            try:
+                lo_f, hi_f = (float(v) for v in cfg["omega_span"].split(","))
+            except ValueError:
+                raise ConfigError(f"omega_span must be two numbers lo,hi, got "
+                                  f"{cfg['omega_span']!r}") from None
         lo = lo_f * (amps.omega_4 if amps.omega_4_valid else amps.omega_2)
         hi = hi_f * amps.omega_2
         grid = list(np.linspace(lo, hi, npts))
@@ -183,7 +213,7 @@ def sweep_from_config(cfg: dict[str, str]) -> SweepSpec:
     omega_mode = cfg.get("omega_mode", "omega2" if axis != "omega" else "fixed_T")
     if omega_mode not in ("omega2", "omega4", "fixed_T", "fixed_phys"):
         raise ConfigError(f"unknown omega_mode {omega_mode!r}")
-    omega_phys = float(cfg["omega_phys"]) if "omega_phys" in cfg else None
+    omega_phys = _number(cfg, "omega_phys")
     if omega_mode == "fixed_phys" and omega_phys is None:
         raise ConfigError("omega_mode = fixed_phys requires omega_phys (rad/s)")
 
@@ -196,7 +226,7 @@ def sweep_from_config(cfg: dict[str, str]) -> SweepSpec:
     return SweepSpec(
         axis=axis, grid=grid, fixed=params, pulse=pulse, propagators=props,
         metric=metric, omega_mode=omega_mode, omega_phys=omega_phys,
-        delta_KL=params.K - params.L, safety=float(cfg.get("safety", 10.0)),
+        delta_KL=params.K - params.L, safety=_safety(cfg),
     )
 
 
@@ -405,11 +435,10 @@ def _cmd_propagate(args) -> int:
         print(f"invalid parameters: {rep.summary()}", file=sys.stderr)
         return 2
     if "omega_phys" in cfg and params.omega_T == 0:
-        params = params.replace(omega_T=params.omega_T_from_physical(float(cfg["omega_phys"])))
+        params = params.replace(omega_T=params.omega_T_from_physical(_number(cfg, "omega_phys")))
     which = cfg.get("propagator", "Unum")
     if which == "Unum":
-        U = trotter.propagate_numeric(params, pulse,
-                                      trotter.TrotterConfig(safety=float(cfg.get("safety", 10.0))))
+        U = trotter.propagate_numeric(params, pulse, trotter.TrotterConfig(safety=_safety(cfg)))
     elif which in ("U2", "U3", "U4", "U5"):
         U = magnus.propagator(params, pulse, order=int(which[1])).matrix
     else:

@@ -217,6 +217,15 @@ def test_figure_presets_parse():
     "pulse = custom\npulse_coeffs = 1:0.5:0\ngrid = 1,2\n",  # no conjugate partner
     "pulse = custom\npulse_coeffs = x:1:0\ngrid = 1,2\n",    # non-integer M
     "pulse = rect\ngrid = a,b\n",                            # non-numeric grid
+    "pulse = rect\ngrid = auto:x\n",                         # non-integer point count
+    "pulse = rect\ngrid = auto:-3\n",                        # negative point count
+    "pulse = rect\ngrid = auto\nomega_span = 0.7\n",         # one span value
+    "pulse = rect\ngrid = auto\nomega_span = a,b\n",         # non-numeric span
+    "pulse = rect\ngrid = 1,2\nomega_phys = fast\n",         # non-numeric amplitude
+    "pulse = rect\ngrid = 1,2\nsafety = ten\n",              # non-numeric step density
+    "pulse = rect\ngrid = 1,2\nsafety = 0\n",                # zero steps: U would be 1
+    "pulse = rect\ngrid = 1,2\nsafety = -3\n",
+    "pulse = custom\npulse_coeffs = 0:0:0\ngrid = 1,2\n",    # pulse with empty support
 ])
 def test_malformed_input_is_config_error(tmp_path, capsys, lines):
     path = _write(tmp_path, "bad.cfg", CHECK_OK + "trap_freq = 1.0e6\naxis = omega\n"

@@ -25,6 +25,18 @@ def test_understep_rejected(base_params, rect):
     assert cfg.num_steps(base_params, rect) == 100
 
 
+@pytest.mark.parametrize("cfg", [
+    TrotterConfig(safety=0.0), TrotterConfig(safety=-3.0),
+    TrotterConfig(steps_override=0, allow_understep=True),
+], ids=["safety-0", "safety-negative", "override-0"])
+def test_no_steps_rejected(base_params, rect, cfg):
+    # zero steps would return the identity as the propagator
+    with pytest.raises(ValueError, match="step count"):
+        cfg.num_steps(base_params, rect)
+    with pytest.raises(ValueError, match="step count"):
+        trotter.propagate_numeric(base_params.replace(omega_T=10.0), rect, cfg)
+
+
 def test_zero_drive_is_identity(base_params, rect):
     p = base_params.replace(omega_T=0.0)
     cfg = TrotterConfig(steps_override=200, allow_understep=True)
@@ -84,27 +96,35 @@ def test_exact_displacement_vs_truncated(params_omega2, rect, weights, unum_omeg
     assert abs(i_m1 - i_exact) > abs(i_trunc - i_exact)
 
 
-def _dense_reference(hamiltonian_at, params, pulse, n_steps):
+def _dense_reference(builder, params, pulse, n_steps):
     """Midpoint product of full-space matrix exponentials, one expm per step."""
     U = np.eye(params.dim, dtype=complex)
-    for n in range(n_steps):
-        H = hamiltonian_at((n + 0.5) / n_steps, params, pulse)
+    hs = builder(params, pulse, (np.eye(params.dim),))((np.arange(n_steps) + 0.5) / n_steps)[0]
+    for H in hs:
         U = scipy.linalg.expm(-1j * H / n_steps) @ U
     return U
 
 
-@pytest.mark.parametrize("pulse", [rectangular(), sin_squared()], ids=["rect", "sin2"])
-@pytest.mark.parametrize("route, hamiltonian_at", [
-    (trotter.propagate_numeric, hilbert.hamiltonian_at),
-    (trotter.propagate_numeric_exact_displacement, hilbert.displacement_hamiltonian_at),
+# conjugate-symmetric but complex: a real drive without the time-reversal fold
+SKEW = PulseShape.from_dict("skew", {0: 0.5, 1: 0.25j, -1: -0.25j})
+
+
+# step norms ||H_b dtau|| at these parameters: 0.26 at 400 steps (around the
+# 1/4 squaring threshold chunk by chunk), 0.053 at 2000, 1.7 at 60 (3 squarings)
+@pytest.mark.parametrize("pulse, n_steps", [
+    (rectangular(), 400), (sin_squared(), 400), (rectangular(), 401), (SKEW, 400),
+    (sin_squared(), 60), (rectangular(), 2000),
+], ids=["rect", "sin2", "rect-401-odd", "skew-unfolded", "sin2-60-squared", "rect-2000-unscaled"])
+@pytest.mark.parametrize("route, builder", [
+    (trotter.propagate_numeric, hilbert.sideband_hamiltonian),
+    (trotter.propagate_numeric_exact_displacement, hilbert.displacement_hamiltonian),
 ], ids=["series", "exact_displacement"])
-def test_blocked_kernel_matches_dense_reference(monkeypatch, params_omega2, pulse,
-                                                route, hamiltonian_at):
-    # small chunks so the 400 steps cross chunk boundaries, the last one partial
+def test_blocked_kernel_matches_dense_reference(monkeypatch, params_omega2, pulse, n_steps,
+                                                route, builder):
+    # small chunks so the steps cross chunk boundaries, the last one partial
     monkeypatch.setattr(trotter, "_CHUNK", 128)
-    n_steps = 400
     U = route(params_omega2, pulse, TrotterConfig(steps_override=n_steps, allow_understep=True))
-    ref = _dense_reference(hamiltonian_at, params_omega2, pulse, n_steps)
+    ref = _dense_reference(builder, params_omega2, pulse, n_steps)
     assert np.abs(U - ref).max() <= 1e-12
     assert hilbert.unitarity_defect(U) <= 1e-12
 
@@ -115,3 +135,10 @@ def test_non_hermitian_hamiltonian_rejected(base_params):
     cfg = TrotterConfig(steps_override=200, allow_understep=True)
     with pytest.raises(ValueError, match="not Hermitian"):
         trotter.propagate_numeric(base_params.replace(omega_T=10.0), bad, cfg)
+
+
+@pytest.mark.parametrize("omega_T", [float("nan"), float("inf")])
+def test_non_finite_hamiltonian_rejected(base_params, rect, omega_T):
+    cfg = TrotterConfig(steps_override=200, allow_understep=True)
+    with pytest.raises(ValueError, match="not finite"):
+        trotter.propagate_numeric(base_params.replace(omega_T=omega_T), rect, cfg)
