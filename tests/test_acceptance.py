@@ -2,7 +2,10 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 report.  The heavyweight sweeps reuse the shipped figure presets in
-``configs/`` (restricted to the propagators each criterion needs).
+``configs/`` (restricted to the propagators each criterion needs).  Each
+preset runs once per module, and ``test_golden_rows`` compares its rows with
+``tests/golden/<preset>.csv``, the ``rows_to_csv`` output of the same sweep
+captured before the sweep path was refactored.
 """
 
 import itertools
@@ -13,10 +16,14 @@ import numpy as np
 import pytest
 
 from msgate import budget, fidelity, hilbert, magnus, resint, trotter
-from msgate.cli import parse_config, run_sweep, sweep_from_config
+from msgate.cli import parse_config, rows_to_csv, run_sweep, sweep_from_config
 from msgate.params import GateParams
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
+# preset -> propagators its criteria need (None: the preset's own list)
+SWEEPS = {"fig2": None, "fig3c": ("U2", "Unum"), "fig3a": ("Unum",),
+          "fig3b": ("Unum",), "fig4b": ("Unum",), "fig4a": ("Unum",)}
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -32,6 +39,33 @@ def _preset(name: str, propagators=None):
 
 def _column(rows, key):
     return np.array([r[key] for r in rows if r["status"] == "ok"])
+
+
+@pytest.fixture(scope="module")
+def sweep_rows():
+    """rows(preset): the rows of one SWEEPS entry, each run at most once."""
+    done = {}
+
+    def rows(name):
+        if name not in done:
+            done[name] = run_sweep(_preset(f"{name}.cfg", propagators=SWEEPS[name]))
+        return done[name]
+    return rows
+
+
+@pytest.mark.parametrize("name", SWEEPS)
+def test_golden_rows(sweep_rows, name):
+    """axis and status cells exact; numbers within 1e-9 relative + 1e-12."""
+    got = [line.split(",") for line in rows_to_csv(sweep_rows(name)).splitlines()]
+    want = [line.split(",") for line in (GOLDEN_DIR / f"{name}.csv").read_text().splitlines()]
+    assert got[0] == want[0] and len(got) == len(want)
+    for g_row, w_row in zip(got[1:], want[1:]):
+        for col, g, w in zip(want[0], g_row, w_row):
+            if col in ("axis", "status") or not g or not w:
+                assert g == w, (name, col, w_row[0])
+            else:
+                assert float(g) == pytest.approx(float(w), rel=1e-9, abs=1e-12,
+                                                 nan_ok=True), (name, col, w_row[0])
 
 
 # ---------------------------------------------------------------------------
@@ -78,12 +112,8 @@ def test_criterion_1_point_infidelities(base_params, rect, weights,
 # Criterion 2: drive-amplitude sweep structure.
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(scope="session")
-def fig2_rows():
-    return run_sweep(_preset("fig2.cfg"))
-
-
-def test_criterion_2_amplitude_sweep(base_params, fig2_rows):
+def test_criterion_2_amplitude_sweep(base_params, sweep_rows):
+    fig2_rows = sweep_rows("fig2")
     w2 = budget.omega_2(base_params)
     w4 = budget.omega_4(base_params)
     grid = _column(fig2_rows, "axis")
@@ -135,8 +165,8 @@ def test_criterion_2_amplitude_sweep(base_params, fig2_rows):
 # Criterion 3: coupling-strength sweep structure.
 # ---------------------------------------------------------------------------
 
-def test_criterion_3_eta_sweep():
-    rows = run_sweep(_preset("fig3c.cfg", propagators=("U2", "Unum")))
+def test_criterion_3_eta_sweep(sweep_rows):
+    rows = sweep_rows("fig3c")
     etas = _column(rows, "axis")
     inum = _column(rows, "infid_Unum")
     i2 = _column(rows, "infid_U2")
@@ -154,8 +184,8 @@ def test_criterion_3_eta_sweep():
 # Criterion 4: thermal-occupation sweep is affine.
 # ---------------------------------------------------------------------------
 
-def test_criterion_4_nbar_sweep():
-    rows = run_sweep(_preset("fig3a.cfg", propagators=("Unum",)))
+def test_criterion_4_nbar_sweep(sweep_rows):
+    rows = sweep_rows("fig3a")
     x = _column(rows, "axis")
     y = _column(rows, "infid_Unum")
     slope, intercept = np.polyfit(x, y, 1)
@@ -171,9 +201,9 @@ def test_criterion_4_nbar_sweep():
 # Criterion 5: pulse-shape comparison.
 # ---------------------------------------------------------------------------
 
-def test_criterion_5_shaped_pulse(fig2_rows):
-    rect_k = run_sweep(_preset("fig3b.cfg", propagators=("Unum",)))
-    sin2_k = run_sweep(_preset("fig4b.cfg", propagators=("Unum",)))
+def test_criterion_5_shaped_pulse(sweep_rows):
+    rect_k = sweep_rows("fig3b")
+    sin2_k = sweep_rows("fig4b")
     ks = _column(rect_k, "axis")
     assert np.array_equal(ks, _column(sin2_k, "axis"))
     ir = _column(rect_k, "infid_Unum")
@@ -183,9 +213,8 @@ def test_criterion_5_shaped_pulse(fig2_rows):
     crossover = bool(np.all(isin[high] < ir[high])) and bool(
         np.all(isin[:2] > ir[:2]))
 
-    sin2_omega = run_sweep(_preset("fig4a.cfg", propagators=("Unum",)))
-    sin2_min = float(_column(sin2_omega, "infid_Unum").min())
-    rect_min = float(_column(fig2_rows, "infid_Unum").min())
+    sin2_min = float(_column(sweep_rows("fig4a"), "infid_Unum").min())
+    rect_min = float(_column(sweep_rows("fig2"), "infid_Unum").min())
     sharper = sin2_min < rect_min
 
     ok = crossover and sharper
