@@ -1,7 +1,7 @@
 """Simulation and calibration toolkit for strongly driven two-qubit
 entangling gates on a shared motional mode."""
 
-from .params import BeatNote, GateParams, ValidationReport, beat_note, validate
+from .params import GateParams, ValidationReport, beat_note, validate
 from .pulses import PulseShape, envelope_at, rectangular, sin_squared, validate_shape
 from .hilbert import (
     collective_spin,
@@ -12,7 +12,7 @@ from .hilbert import (
     sideband_operator,
 )
 from .resint import is_resonant, quadrature_integral, resonance_integral
-from .magnus import MagnusTerm, TruncatedPropagator, dyson_term, magnus_terms, propagator
+from .magnus import dyson_term, magnus_terms, propagators_upto
 from .trotter import TrotterConfig, propagate_numeric, propagate_numeric_exact_displacement
 from .fidelity import FidelityResult, ThermalWeights, average_fidelity, bell_fidelity, closed_form_bell
 from .budget import AmplitudeSet, BudgetRow, amplitude_set, omega_2, omega_4, omega_ld, sin2_forms, table_rows

@@ -345,7 +345,7 @@ def calibrate_omega(params: GateParams, pulse: PulseShape, order: int = 4,
     weights = fidelity.ThermalWeights(params.nbar, params.n_dim)
 
     def infid(w: float) -> float:
-        U = magnus.propagator(params.replace(omega_T=w), pulse, order=order).matrix
+        U = magnus.propagators_upto(params.replace(omega_T=w), pulse, max_order=order)[order]
         return 1.0 - fidelity.average_fidelity(U, weights)
 
     lo, hi = bracket

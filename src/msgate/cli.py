@@ -6,9 +6,10 @@ Subcommands:
     check <config>      resonance-exclusion validity report
     propagate <config>  dump propagator matrices as CSV of complex entries
 
-Config files are plain ``key = value`` lines (``#`` comments).  The gate
-fields use the exact names eta, K, L, omega_T, nbar, n_dim, m_max, k_max,
-trap_freq.  Exit codes: 0 success, 2 validation failure, 1 config error.
+Config files are plain ``key = value`` lines (``#`` comments); a key outside
+CONFIG_KEYS is a config error.  The gate fields use the exact names eta, K,
+L, omega_T, nbar, n_dim, m_max, k_max, trap_freq.  Exit codes: 0 success,
+2 validation failure, 1 config error.
 
 Unit conventions at this boundary: trap_freq is the physical nu/(2*pi) in
 Hz; omega_phys is the drive amplitude Omega in rad/s, converted through the
@@ -26,13 +27,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import budget, fidelity, magnus, trotter
-from .params import GateParams, validate, validate_with_pulse
+from .params import RULES, GateParams, validate, validate_with_pulse
 from .pulses import PulseShape, rectangular, sin_squared, validate_shape
 
 PROPAGATOR_NAMES = ("U2", "U3", "U4", "U5", "Unum")
 CSV_COLUMNS = ("axis", "omega_T", "infid_U2", "infid_U3", "infid_U4",
                "infid_U5", "infid_Unum", "omega_LD", "omega_2", "omega_4",
                "tail_mass", "status")
+# every key a subcommand reads: gate fields, pulse, sweep, then propagate
+CONFIG_KEYS = frozenset((
+    "eta", "K", "L", "omega_T", "nbar", "n_dim", "m_max", "k_max", "trap_freq",
+    "pulse", "pulse_coeffs",
+    "axis", "grid", "omega_span", "propagators", "metric", "omega_mode", "omega_phys", "safety",
+    "propagator"))
 
 
 class ConfigError(Exception):
@@ -72,6 +79,9 @@ def parse_config(path: str) -> dict[str, str]:
                 raw[key.strip()] = val.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    unknown = sorted(raw.keys() - CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"{path}: unknown key(s) {', '.join(unknown)}")
     return raw
 
 
@@ -136,7 +146,7 @@ def pulse_from_config(cfg: dict[str, str]) -> PulseShape:
 
 def _parse_grid(text: str) -> list[float]:
     text = text.strip()
-    if ":" in text and not text.startswith("auto"):
+    if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(f"grid range must be start:stop:num, got {text!r}")
@@ -176,7 +186,7 @@ def sweep_from_config(cfg: dict[str, str]) -> SweepSpec:
         raise ConfigError(f"axis must be omega|K|eta|nbar, got {axis!r}")
 
     grid_text = cfg.get("grid", "")
-    if grid_text.startswith("auto"):
+    if grid_text == "auto" or grid_text.startswith("auto:"):
         if axis != "omega":
             raise ConfigError("grid = auto:<n> is only defined for the omega axis")
         try:
@@ -267,67 +277,48 @@ def _fill_infidelity(row: dict, name: str, U: np.ndarray,
         row[f"bell_{name}"] = 1.0 - fidelity.bell_fidelity(U, weights)
 
 
-def _evaluate_point(spec: SweepSpec, value: float) -> dict:
-    p = _point_params(spec, value)
-    rep = validate_with_pulse(p, spec.pulse)
-    if not rep.ok:
-        return {"axis": value, "status": "skip:" + ";".join(rep.rules())}
-    weights = fidelity.ThermalWeights(p.nbar, p.n_dim)
-    row: dict = {"axis": value, "omega_T": p.omega_T, "status": "ok",
-                 "tail_mass": weights.tail_mass}
-    if spec.axis != "omega":
-        amps = budget.amplitude_set(p)
-        row["omega_LD"] = amps.omega_ld
-        row["omega_2"] = amps.omega_2
-        row["omega_4"] = amps.omega_4 if amps.omega_4_valid else float("nan")
+def _propagators(spec: SweepSpec, p: GateParams) -> dict[str, np.ndarray]:
+    """The requested U2..U5 / Unum matrices of one point."""
+    mats = {}
     orders = [int(name[1]) for name in spec.propagators if name != "Unum"]
     if orders:
         props = magnus.propagators_upto(p, spec.pulse, max_order=max(orders))
-        for n in orders:
-            _fill_infidelity(row, f"U{n}", props[n], weights, spec.metric)
+        mats.update((f"U{n}", props[n]) for n in orders)
     if "Unum" in spec.propagators:
-        cfg = trotter.TrotterConfig(safety=spec.safety)
-        U = trotter.propagate_numeric(p, spec.pulse, cfg)
-        _fill_infidelity(row, "Unum", U, weights, spec.metric)
-    return row
+        mats["Unum"] = trotter.propagate_numeric(p, spec.pulse,
+                                                 trotter.TrotterConfig(safety=spec.safety))
+    return mats
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
     """Evaluate every grid point; rows come back in grid order regardless of
-    worker scheduling, and invalid points carry a skip marker."""
-    if spec.axis == "nbar":
-        # propagators are independent of nbar; evaluate once and reweight
-        return _run_nbar_sweep(spec)
+    worker scheduling, and invalid points carry a skip marker.
+
+    The propagators do not depend on nbar, so they are computed once per
+    distinct valid p.replace(nbar=0) and reweighted per point."""
+    points = [_point_params(spec, v) for v in spec.grid]
+    reports = [validate_with_pulse(p, spec.pulse) for p in points]
+    keys = [p.replace(nbar=0.0) if rep.ok else None for p, rep in zip(points, reports)]
+    todo = list(dict.fromkeys(k for k in keys if k is not None))
     if spec.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            futures = [pool.submit(_evaluate_point, spec, v) for v in spec.grid]
-            return [f.result() for f in futures]
-    return [_evaluate_point(spec, v) for v in spec.grid]
-
-
-def _run_nbar_sweep(spec: SweepSpec) -> list[dict]:
-    base = _point_params(spec, spec.grid[0])
-    rep = validate_with_pulse(base, spec.pulse)
-    if not rep.ok:
-        return [{"axis": v, "status": "skip:" + ";".join(rep.rules())} for v in spec.grid]
-    orders = [int(name[1]) for name in spec.propagators if name != "Unum"]
-    mats: dict[str, np.ndarray] = {}
-    if orders:
-        props = magnus.propagators_upto(base, spec.pulse, max_order=max(orders))
-        for n in orders:
-            mats[f"U{n}"] = props[n]
-    if "Unum" in spec.propagators:
-        mats["Unum"] = trotter.propagate_numeric(base, spec.pulse,
-                                                 trotter.TrotterConfig(safety=spec.safety))
-    amps = budget.amplitude_set(base)
+            mats = dict(zip(todo, pool.map(_propagators, [spec] * len(todo), todo)))
+    else:
+        mats = {k: _propagators(spec, k) for k in todo}
     rows = []
-    for v in spec.grid:
-        weights = fidelity.ThermalWeights(float(v), base.n_dim)
-        row: dict = {"axis": v, "omega_T": base.omega_T, "status": "ok",
-                     "tail_mass": weights.tail_mass,
-                     "omega_LD": amps.omega_ld, "omega_2": amps.omega_2,
-                     "omega_4": amps.omega_4 if amps.omega_4_valid else float("nan")}
-        for name, U in mats.items():
+    for value, p, rep, key in zip(spec.grid, points, reports, keys):
+        if key is None:
+            rows.append({"axis": value, "status": "skip:" + ";".join(rep.rules())})
+            continue
+        weights = fidelity.ThermalWeights(p.nbar, p.n_dim)
+        row: dict = {"axis": value, "omega_T": p.omega_T, "status": "ok",
+                     "tail_mass": weights.tail_mass}
+        if spec.axis != "omega":
+            amps = budget.amplitude_set(p)
+            row["omega_LD"] = amps.omega_ld
+            row["omega_2"] = amps.omega_2
+            row["omega_4"] = amps.omega_4 if amps.omega_4_valid else float("nan")
+        for name, U in mats[key].items():
             _fill_infidelity(row, name, U, weights, spec.metric)
         rows.append(row)
     return rows
@@ -358,6 +349,15 @@ def rows_to_csv(rows: list[dict], metric: str = "average") -> str:
 # Subcommands.
 # ---------------------------------------------------------------------------
 
+def _write(text: str, out: str | None) -> None:
+    """Write a subcommand's output to the --out path, or to stdout."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _apply_overrides(params: GateParams, args) -> GateParams:
     if args.ndim is not None:
         params = params.replace(n_dim=args.ndim)
@@ -372,13 +372,7 @@ def _cmd_sweep(args) -> int:
     spec = sweep_from_config(parse_config(args.config))
     spec.fixed = _apply_overrides(spec.fixed, args)
     spec.workers = args.workers
-    rows = run_sweep(spec)
-    text = rows_to_csv(rows, spec.metric)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(rows_to_csv(run_sweep(spec), spec.metric), args.out)
     return 0
 
 
@@ -396,11 +390,7 @@ def _cmd_budget(args) -> int:
         text = budget.rows_to_csv(rows)
     else:
         text = budget.render_table(rows, amps, combined) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out)
     return 0
 
 
@@ -409,20 +399,13 @@ def _cmd_check(args) -> int:
     params = _apply_overrides(params_from_config(cfg), args)
     pulse = pulse_from_config(cfg)
     rep = validate_with_pulse(params, pulse)
-    checks = ["K,L integer", "K>L>=1", "K=2L", "jK=lL", "eta range",
-              "n_dim guard", "k_max range", "N=0"]
     failed = set(rep.rules())
     lines = []
-    for rule in checks:
+    for rule in RULES:
         status = "FAIL" if rule in failed else "pass"
         details = "; ".join(v.detail for v in rep if v.rule == rule)
         lines.append(f"{status}  {rule}" + (f"  ({details})" if details else ""))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0 if rep.ok else 2
 
 
@@ -440,7 +423,8 @@ def _cmd_propagate(args) -> int:
     if which == "Unum":
         U = trotter.propagate_numeric(params, pulse, trotter.TrotterConfig(safety=_safety(cfg)))
     elif which in ("U2", "U3", "U4", "U5"):
-        U = magnus.propagator(params, pulse, order=int(which[1])).matrix
+        n = int(which[1])
+        U = magnus.propagators_upto(params, pulse, max_order=n)[n]
     else:
         raise ConfigError(f"unknown propagator {which!r}")
     lines = [f"# propagator {which}, dim {U.shape[0]}"]
@@ -448,12 +432,7 @@ def _cmd_propagate(args) -> int:
         # + 0.0 normalizes signed zeros for deterministic output
         lines.append(",".join(f"{U[r, c].real + 0.0:.12g}{U[r, c].imag + 0.0:+.12g}j"
                               for c in range(U.shape[1])))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 

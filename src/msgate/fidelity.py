@@ -55,7 +55,7 @@ class FidelityResult:
 def target_unitary(angle: float = np.pi / 2) -> np.ndarray:
     """Qubit-space target exp(i * angle * Jy^2)."""
     J = hilbert.collective_spins()
-    return hilbert.matrix_exp(1j * angle * J.Jy2, kind="general")
+    return hilbert.matrix_exp(1j * angle * J.Jy2)
 
 
 def bell_fidelity(U: np.ndarray, weights: ThermalWeights,

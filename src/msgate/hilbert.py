@@ -133,32 +133,12 @@ def sideband_element_closed_form(m: int, eta: float, n: int) -> complex:
     )
 
 
-def matrix_exp(A: np.ndarray, kind: str = "auto") -> np.ndarray:
-    """Matrix exponential exp(A).
-
-    kind: 'hermitian' / 'antihermitian' use an eigendecomposition, 'general'
-    uses scaling-and-squaring (Pade), 'auto' detects (anti-)Hermiticity.
-    """
+def matrix_exp(A: np.ndarray) -> np.ndarray:
+    """Matrix exponential exp(A) by scaling and squaring (Pade)."""
     A = np.asarray(A, dtype=complex)
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix_exp requires finite entries")
-    scale = max(1.0, float(np.abs(A).max()))
-    if kind == "auto":
-        if np.abs(A - A.conj().T).max() <= 1e-13 * scale:
-            kind = "hermitian"
-        elif np.abs(A + A.conj().T).max() <= 1e-13 * scale:
-            kind = "antihermitian"
-        else:
-            kind = "general"
-    if kind == "hermitian":
-        w, v = np.linalg.eigh(A)
-        return (v * np.exp(w)) @ v.conj().T
-    if kind == "antihermitian":
-        w, v = np.linalg.eigh(-1j * A)  # A = i H with H Hermitian
-        return (v * np.exp(1j * w)) @ v.conj().T
-    if kind == "general":
-        return scipy.linalg.expm(A)
-    raise ValueError(f"unknown kind {kind!r}")
+    return scipy.linalg.expm(A)
 
 
 @dataclass(frozen=True)

@@ -24,25 +24,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import hilbert, resint
 from .params import GateParams
 from .pulses import PulseShape, rectangular
-
-
-@dataclass(frozen=True)
-class MagnusTerm:
-    order: int
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
-class TruncatedPropagator:
-    order: int
-    matrix: np.ndarray
 
 
 def _assembly_key(params: GateParams, pulse: PulseShape, up_to: int) -> tuple:
@@ -159,8 +146,8 @@ def dyson_term(k: int, params: GateParams, pulse: PulseShape | None = None,
 
 
 def magnus_terms(params: GateParams, pulse: PulseShape | None = None,
-                 up_to: int | None = None) -> list[MagnusTerm]:
-    """Effective-Hamiltonian orders [Z_2, ..., Z_up_to]."""
+                 up_to: int | None = None) -> dict[int, np.ndarray]:
+    """Effective-Hamiltonian orders {k: Z_k} for k = 2..up_to."""
     pulse = pulse if pulse is not None else rectangular()
     up_to = up_to if up_to is not None else params.k_max
     if not 2 <= up_to <= 5:
@@ -168,14 +155,14 @@ def magnus_terms(params: GateParams, pulse: PulseShape | None = None,
     p_hat = dyson_hat_terms(params, pulse, up_to)
     w = params.omega_T
     P = [None] + [(w ** (i + 1)) * p_hat[i] for i in range(up_to)]
-    out = [MagnusTerm(2, 1j * P[2])]
+    Z = {2: 1j * P[2]}
     if up_to >= 3:
-        out.append(MagnusTerm(3, 1j * P[3]))
+        Z[3] = 1j * P[3]
     if up_to >= 4:
-        out.append(MagnusTerm(4, 1j * (P[4] - 0.5 * (P[2] @ P[2]))))
+        Z[4] = 1j * (P[4] - 0.5 * (P[2] @ P[2]))
     if up_to >= 5:
-        out.append(MagnusTerm(5, 1j * (P[5] - 0.5 * (P[2] @ P[3] + P[3] @ P[2]))))
-    return out
+        Z[5] = 1j * (P[5] - 0.5 * (P[2] @ P[3] + P[3] @ P[2]))
+    return Z
 
 
 def first_order_term(params: GateParams, pulse: PulseShape | None = None) -> np.ndarray:
@@ -185,27 +172,15 @@ def first_order_term(params: GateParams, pulse: PulseShape | None = None) -> np.
     return 1j * dyson_term(1, params, pulse)
 
 
-def propagator(params: GateParams, pulse: PulseShape | None = None,
-               order: int = 4) -> TruncatedPropagator:
-    """Truncated propagator U_n = exp(-i sum_{k=2}^n Z_k)."""
-    if not 2 <= order <= 5:
-        raise ValueError(f"order={order} outside [2, 5]")
-    terms = magnus_terms(params, pulse, up_to=order)
-    gen = np.zeros((params.dim, params.dim), dtype=complex)
-    for t in terms:
-        gen += t.matrix
-    return TruncatedPropagator(order, hilbert.matrix_exp(-1j * gen, kind="general"))
-
-
 def propagators_upto(params: GateParams, pulse: PulseShape | None = None,
                      max_order: int = 4) -> dict[int, np.ndarray]:
-    """All U_n for n = 2..max_order from a single assembly."""
-    terms = magnus_terms(params, pulse, up_to=max_order)
+    """Truncated propagators {n: U_n = exp(-i sum_{k=2}^n Z_k)} for
+    n = 2..max_order, from a single assembly."""
     out = {}
     gen = np.zeros((params.dim, params.dim), dtype=complex)
-    for t in terms:
-        gen = gen + t.matrix
-        out[t.order] = hilbert.matrix_exp(-1j * gen, kind="general")
+    for n, Z in magnus_terms(params, pulse, up_to=max_order).items():
+        gen = gen + Z
+        out[n] = hilbert.matrix_exp(-1j * gen)
     return out
 
 

@@ -57,19 +57,9 @@ class GateParams:
         return omega * self.gate_time
 
 
-@dataclass(frozen=True)
-class BeatNote:
-    """Beat-note index N = M + m*K + mu*L of one Hamiltonian term."""
-
-    M: int
-    m: int
-    mu: int
-    K: int
-    L: int
-
-    @property
-    def value(self) -> int:
-        return self.M + self.m * self.K + self.mu * self.L
+# Every rule validate_with_pulse can report, in report order.
+RULES = ("K,L integer", "K>L>=1", "K=2L", "jK=lL", "eta range", "n_dim guard",
+         "k_max range", "m_max range", "omega_T sign", "nbar sign", "N=0")
 
 
 @dataclass(frozen=True)
@@ -143,10 +133,11 @@ def validate(params: GateParams) -> ValidationReport:
         rep.add("k_max range", f"k_max={params.k_max} not in [2, 5]")
     if params.m_max < 1:
         rep.add("m_max range", f"m_max={params.m_max} < 1")
-    if params.omega_T < 0:
-        rep.add("omega_T sign", f"omega_T={params.omega_T} < 0")
-    if params.nbar < 0:
-        rep.add("nbar sign", f"nbar={params.nbar} < 0")
+    # written so that NaN fails them too
+    if not params.omega_T >= 0:
+        rep.add("omega_T sign", f"omega_T={params.omega_T} is not >= 0")
+    if not params.nbar >= 0:
+        rep.add("nbar sign", f"nbar={params.nbar} is not >= 0")
     return rep
 
 

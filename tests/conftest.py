@@ -40,7 +40,7 @@ def params_omega4(base_params):
 
 @pytest.fixture(scope="session")
 def magnus_terms_omega2(params_omega2, rect):
-    return {t.order: t.matrix for t in magnus.magnus_terms(params_omega2, rect, up_to=5)}
+    return magnus.magnus_terms(params_omega2, rect, up_to=5)
 
 
 @pytest.fixture(scope="session")

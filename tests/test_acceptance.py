@@ -315,7 +315,7 @@ def _criterion_8_ratios(eta, pulse):
     """
     p = GateParams(eta=eta, K=100, L=97, n_dim=8, m_max=3)
     p = p.replace(omega_T=budget.omega_ld(p))
-    terms = {t.order: t.matrix for t in magnus.magnus_terms(p, pulse, up_to=4)}
+    terms = magnus.magnus_terms(p, pulse, up_to=4)
     J = hilbert.collective_spins()
     W = p.omega_T
 

@@ -39,7 +39,7 @@ def test_omega_ld_eta_scaling(base_params):
 def test_omega_ld_rotation(base_params, rect):
     # the assembled Jy^2 angle at omega_LD is -pi/2 up to eta^2 corrections
     p = base_params.replace(omega_T=omega_ld(base_params))
-    Z2 = magnus.magnus_terms(p, rect, up_to=2)[0].matrix
+    Z2 = magnus.magnus_terms(p, rect, up_to=2)[2]
     dy = magnus.fock_diagonal_coeff(Z2, p, 0, "jy2").real
     assert dy == pytest.approx(-math.pi / 2, rel=0.05)
 
@@ -147,7 +147,7 @@ def test_sin2_z2_matches_assembly_at_wide_gap():
     large); at K - L = 3 the offset bookkeeping costs ~20%."""
     p = GateParams(eta=0.05, K=100, L=90, omega_T=1.0)
     zy, _zx = sin2_z2_coeffs(p, 1.0, 0)
-    Z2 = magnus.magnus_terms(p, sin_squared(), up_to=2)[0].matrix
+    Z2 = magnus.magnus_terms(p, sin_squared(), up_to=2)[2]
     got = magnus.fock_diagonal_coeff(Z2, p, 0, "jy2").real
     # printed composite carries the opposite overall sign convention
     assert abs(got) / abs(zy) == pytest.approx(1.0, abs=0.1)
@@ -158,7 +158,7 @@ def test_sin2_z3_matches_assembly_at_wide_gap():
     p = GateParams(eta=0.05, K=100, L=90, omega_T=10.0)
     import msgate.hilbert as hilbert
 
-    Z3 = magnus.magnus_terms(p, sin_squared(), up_to=3)[1].matrix
+    Z3 = magnus.magnus_terms(p, sin_squared(), up_to=3)[3]
     got = magnus.ladder_block_coeff(Z3, p, 0, 1, hilbert.collective_spins().Jy).real
     printed = budget.sin2_z3_coeff(p, 10.0)
     assert abs(got) / abs(printed) == pytest.approx(1.0, abs=0.1)

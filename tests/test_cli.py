@@ -144,6 +144,56 @@ propagators = U2
     assert infs[0] < infs[1] < infs[2]
 
 
+NBAR_SWEEP = """
+eta = 0.18
+K = 28
+L = 25
+trap_freq = 1.0e6
+pulse = rect
+axis = nbar
+omega_mode = omega2
+propagators = U2,Unum
+"""
+
+
+def test_nbar_sweep_validates_every_point(tmp_path):
+    def csv_lines(grid):
+        path = _write(tmp_path, "n.cfg", NBAR_SWEEP + f"grid = {grid}\n")
+        return rows_to_csv(run_sweep(sweep_from_config(parse_config(path)))).splitlines()
+
+    lines = csv_lines("-0.5,0.1,0.2")
+    assert lines[1].endswith(",skip:nbar sign")
+    assert lines[2:] == csv_lines("0.1,0.2")[1:]
+    assert all(line.endswith(",ok") for line in lines[2:])
+
+
+def test_nan_gate_fields_give_skip_rows(tmp_path):
+    rows = run_sweep(sweep_from_config(parse_config(
+        _write(tmp_path, "n.cfg", NBAR_SWEEP + "grid = 0.1,nan\n"))))
+    assert [r["status"] for r in rows] == ["ok", "skip:nbar sign"]
+    rows = run_sweep(sweep_from_config(parse_config(_write(
+        tmp_path, "w.cfg", NBAR_SWEEP.replace("omega2", "fixed_T").replace("nbar\n", "K\n")
+        + "omega_T = nan\ngrid = 28\n"))))
+    assert [r["status"] for r in rows] == ["skip:omega_T sign"]
+
+
+def test_main_check_lists_every_rule(tmp_path, capsys):
+    path = _write(tmp_path, "c.cfg", CHECK_OK + "nbar = -1\nm_max = 0\n")
+    assert cli.main(["check", path]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL  nbar sign" in out and "FAIL  m_max range" in out
+
+
+def test_benchmark_configs_parse():
+    import pathlib
+
+    cfg_dir = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+    names = sorted(cfg_dir.glob("*.cfg"))
+    assert names
+    for path in names:
+        assert parse_config(str(path))
+
+
 def test_main_check_exit_codes(tmp_path, capsys):
     ok = _write(tmp_path, "ok.cfg", CHECK_OK)
     bad = _write(tmp_path, "bad.cfg", CHECK_BAD)
@@ -226,6 +276,9 @@ def test_figure_presets_parse():
     "pulse = rect\ngrid = 1,2\nsafety = 0\n",                # zero steps: U would be 1
     "pulse = rect\ngrid = 1,2\nsafety = -3\n",
     "pulse = custom\npulse_coeffs = 0:0:0\ngrid = 1,2\n",    # pulse with empty support
+    "pulse = rect\ngrid = 1,2\nomgea_mode = fixed_T\n",     # misspelled key
+    "pulse = rect\ngrid = 1,2\nworkres = 2\n",              # key no subcommand reads
+    "pulse = rect\ngrid = auto5\n",                         # neither auto nor auto:<n>
 ])
 def test_malformed_input_is_config_error(tmp_path, capsys, lines):
     path = _write(tmp_path, "bad.cfg", CHECK_OK + "trap_freq = 1.0e6\naxis = omega\n"

@@ -36,7 +36,7 @@ def test_bell_fidelity_perfect_gate():
     # exp(-i * (-pi/2) * Jy^2) maps |00> onto the phase -pi/2 Bell state
     n_dim = 8
     J = hilbert.collective_spins()
-    U = _embed(hilbert.matrix_exp(1j * (np.pi / 2) * J.Jy2, kind="general"), n_dim)
+    U = _embed(hilbert.matrix_exp(1j * (np.pi / 2) * J.Jy2), n_dim)
     w = ThermalWeights(0.02, n_dim)
     assert bell_fidelity(U, w) == pytest.approx(1.0, abs=1e-12)
 
@@ -85,8 +85,7 @@ def test_closed_form_matches_operator_fidelity(rng):
         dy = rng.uniform(-2.0, 0.5, n_dim)
         U = np.zeros((4 * n_dim, 4 * n_dim), dtype=complex)
         for n in range(n_dim):
-            block = hilbert.matrix_exp(-1j * (dx[n] * J.Jx2 + dy[n] * J.Jy2),
-                                       kind="general")
+            block = hilbert.matrix_exp(-1j * (dx[n] * J.Jx2 + dy[n] * J.Jy2))
             for a in range(4):
                 for b in range(4):
                     U[a * n_dim + n, b * n_dim + n] = block[a, b]

@@ -105,13 +105,6 @@ def test_matrix_exp_random_antihermitian_is_unitary(rng):
     assert hilbert.unitarity_defect(U) < 1e-10
 
 
-def test_matrix_exp_paths_agree(rng):
-    X = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-    H = X + X.conj().T
-    assert np.allclose(matrix_exp(H, kind="hermitian"), matrix_exp(H, kind="general"),
-                       rtol=1e-11, atol=1e-11)
-
-
 def test_matrix_exp_rejects_nonfinite():
     A = np.zeros((2, 2), dtype=complex)
     A[0, 0] = np.nan

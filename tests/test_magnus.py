@@ -75,7 +75,7 @@ def test_z4_vanishes_without_coupling(rect):
     # with eta = 0 the Hamiltonian commutes with itself at all times, so
     # every order beyond the (vanishing) first must cancel
     p = GateParams(eta=0.0, K=28, L=25, omega_T=1.0)
-    terms = {t.order: t.matrix for t in magnus.magnus_terms(p, rect, up_to=4)}
+    terms = magnus.magnus_terms(p, rect, up_to=4)
     assert np.abs(terms[2]).max() < 1e-14
     assert np.abs(terms[4]).max() < 1e-12
 
@@ -102,7 +102,7 @@ def test_two_photon_selection_sin2(base_params):
 
 def test_fifth_order_smaller_than_fourth(base_params, rect):
     p = base_params.replace(omega_T=budget.omega_ld(base_params))
-    terms = {t.order: t.matrix for t in magnus.magnus_terms(p, rect, up_to=5)}
+    terms = magnus.magnus_terms(p, rect, up_to=5)
     n4 = np.linalg.norm(hilbert.guard_block(terms[4], p), 2)
     n5 = np.linalg.norm(hilbert.guard_block(terms[5], p), 2)
     assert n5 < n4
@@ -115,7 +115,7 @@ def test_leading_error_rows_at_small_eta(rect):
     by the assembly's floating-point floor, not by the expansion."""
     eta = 1e-3
     p = GateParams(eta=eta, K=28, L=25, omega_T=1.0)
-    Z2 = magnus.magnus_terms(p, rect, up_to=2)[0].matrix
+    Z2 = magnus.magnus_terms(p, rect, up_to=2)[2]
     for n in (0, 1):
         dy = magnus.fock_diagonal_coeff(Z2, p, n, "jy2").real
         dx = magnus.fock_diagonal_coeff(Z2, p, n, "jx2").real
@@ -127,13 +127,13 @@ def test_leading_error_rows_at_small_eta(rect):
 
 
 def test_propagator_zero_drive(base_params, rect):
-    U = magnus.propagator(base_params.replace(omega_T=0.0), rect, order=4).matrix
+    U = magnus.propagators_upto(base_params.replace(omega_T=0.0), rect, max_order=4)[4]
     assert np.allclose(U, np.eye(base_params.dim))
 
 
 def test_propagator_rejects_bad_order(base_params, rect):
     with pytest.raises(ValueError):
-        magnus.propagator(base_params, rect, order=1)
+        magnus.propagators_upto(base_params, rect, max_order=1)
 
 
 def test_propagators_unitary(params_omega2, rect):

@@ -1,7 +1,9 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
-from msgate.params import GateParams, beat_note, validate, validate_with_pulse
+from msgate.params import RULES, GateParams, beat_note, validate, validate_with_pulse
 from msgate.pulses import sin_squared
 
 
@@ -37,6 +39,20 @@ def test_field_range_rules():
     assert "eta range" in validate(GateParams(eta=0.0, K=28, L=25)).rules()
     assert "n_dim guard" in validate(GateParams(eta=0.2, K=28, L=25, n_dim=4, m_max=3)).rules()
     assert "k_max range" in validate(GateParams(eta=0.2, K=28, L=25, k_max=6)).rules()
+
+
+def test_nan_gate_fields_rejected():
+    assert "nbar sign" in validate(GateParams(eta=0.2, K=28, L=25, nbar=math.nan)).rules()
+    assert "omega_T sign" in validate(GateParams(eta=0.2, K=28, L=25, omega_T=math.nan)).rules()
+
+
+def test_rules_lists_every_reported_rule():
+    bad = [GateParams(eta=0.2, K=28.5, L=25), GateParams(eta=0.2, K=5, L=7),
+           GateParams(eta=1.5, K=28, L=14, n_dim=1, k_max=6, m_max=0, omega_T=-1, nbar=-1),
+           GateParams(eta=0.2, K=2, L=1, k_max=2)]
+    seen = {rule for p in bad for rule in validate(p).rules()}
+    seen |= set(validate_with_pulse(GateParams(eta=0.18, K=26, L=25), sin_squared()).rules())
+    assert seen == set(RULES)
 
 
 def test_beat_note_examples(base_params):
