@@ -228,10 +228,9 @@ def sweep_from_config(cfg: dict[str, str]) -> SweepSpec:
         raise ConfigError("omega_mode = fixed_phys requires omega_phys (rad/s)")
 
     if axis == "K":
-        grid_int = [int(round(v)) for v in grid]
-        if any(abs(v - i) > 1e-9 for v, i in zip(grid, grid_int)):
-            raise ConfigError("K grid values must be integers")
-        grid = [float(v) for v in grid_int]
+        if not all(math.isfinite(v) and abs(v - round(v)) <= 1e-9 for v in grid):
+            raise ConfigError("K grid values must be finite integers")
+        grid = [float(round(v)) for v in grid]
 
     return SweepSpec(
         axis=axis, grid=grid, fixed=params, pulse=pulse, propagators=props,

@@ -159,6 +159,8 @@ def hamiltonian_terms(params: GateParams, pulse: PulseShape) -> list[Hamiltonian
     The operators are J_m (x) A_m on the composite space; the drive strength
     omega_T is *not* included so callers can rescale.
     """
+    if not pulse.support:
+        raise ValueError("the pulse has no nonzero Fourier coefficient")
     terms = []
     for m in range(-params.m_max, params.m_max + 1):
         jm = collective_spin(m)
@@ -258,12 +260,7 @@ def unitarity_defect(A: np.ndarray) -> float:
 
 def fock_block(A: np.ndarray, n_dim: int, row: int, col: int) -> np.ndarray:
     """4x4 qubit block <row|A|col> of a composite operator, indexed by Fock level."""
-    d = A.shape[0] // n_dim
-    out = np.empty((d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            out[i, j] = A[i * n_dim + row, j * n_dim + col]
-    return out
+    return A[row::n_dim, col::n_dim].copy()
 
 
 def partial_trace_motion(rho: np.ndarray, n_dim: int) -> np.ndarray:

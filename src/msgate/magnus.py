@@ -12,18 +12,19 @@ from the Dyson ones as Z_2 = i P_2, Z_3 = i P_3, Z_4 = i(P_4 - P_2^2/2),
 Z_5 = i(P_5 - (P_2 P_3 + P_3 P_2)/2).
 
 Two assembly routes are provided.  The default ("transfer") performs the
-nested integration once with matrix-valued coefficients, tracking terms
-tau^p * e^{i 2 pi nu tau} keyed by integer frequency; its cost grows with the
-number of distinct partial beat-note sums instead of the raw tuple count
-(which exceeds 1e8 at order 5 for a three-harmonic pulse).  The "tuples"
-route enumerates label tuples against the exact integral engine and is kept
-as a cross-check for low orders.
+nested integration once with matrix-valued coefficients of the terms
+tau^p * e^{i 2 pi nu tau}, kept as sorted integer key arrays in the two
+exchange/parity blocks; its cost grows with the number of distinct partial
+beat-note sums instead of the raw tuple count (which exceeds 1e8 at order 5
+for a three-harmonic pulse).  The "tuples" route enumerates label tuples
+against the exact integral engine and is kept as a cross-check.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,68 +33,87 @@ from .params import GateParams
 from .pulses import PulseShape, rectangular
 
 
-def _assembly_key(params: GateParams, pulse: PulseShape, up_to: int) -> tuple:
-    return (params.eta, params.K, params.L, params.n_dim, params.m_max,
-            pulse.cache_key(), up_to)
-
-
-_DYSON_CACHE: dict[tuple, list[np.ndarray]] = {}
+# The transfer pass keys tau^p e^{i 2 pi nu tau} as nu * _POWERS + p (p <= 5).
+_POWERS = 8
 
 
 def dyson_hat_terms(params: GateParams, pulse: PulseShape, up_to: int) -> list[np.ndarray]:
-    """P_k / (Omega*T)^k for k = 1..up_to, from one transfer pass (cached)."""
-    key = _assembly_key(params, pulse, up_to)
-    cached = _DYSON_CACHE.get(key)
-    if cached is None:
-        cached = _transfer_dyson(params, pulse, up_to)
-        _DYSON_CACHE[key] = cached
-    return cached
+    """P_k / (Omega*T)^k for k = 1..up_to, from one transfer pass; the last 8 are
+    cached, keyed by what they depend on (not omega_T, nbar or k_max)."""
+    return _transfer_dyson(params.eta, params.K, params.L, params.n_dim, params.m_max,
+                           pulse.cache_key(), up_to)
 
 
-def _transfer_dyson(params: GateParams, pulse: PulseShape, up_to: int) -> list[np.ndarray]:
-    terms = hilbert.hamiltonian_terms(params, pulse)
-    labels = [(t.N, t.coeff, t.op) for t in terms]
-    dim = params.dim
-    # state: (power, freq) -> matrix coefficient of tau^p e^{i 2 pi freq tau}
-    state: dict[tuple[int, int], np.ndarray] = {(0, 0): np.eye(dim, dtype=complex)}
+@lru_cache(maxsize=8)
+def _transfer_dyson(eta, K, L, n_dim, m_max, coeffs, up_to) -> list[np.ndarray]:
+    """The transfer pass inside the blocks of ``hilbert.symmetry_blocks``: every
+    term operator commutes with both symmetries and annihilates the exchange
+    singlets, so P_k = sum_b Q_b P_b Q_b^H.  The state is a sorted key array
+    with one row per key, the key's block matrices flattened side by side.
+    """
+    terms = hilbert.hamiltonian_terms(GateParams(eta=eta, K=K, L=L, n_dim=n_dim, m_max=m_max),
+                                      PulseShape("", coeffs))
+    # H = g(tau) sum_m e^{i 2 pi m K tau} J_m (x) A_m; the taps of the scalar
+    # drive g = f(tau) 2 cos(2 pi L tau) are the beat notes of the m = 0 terms
+    ms = np.arange(-m_max, m_max + 1)
+    drive = [t for t in terms if t.m == 0]
+    tap_shift, tap_c = _POWERS * np.array([t.N for t in drive]), np.array([t.coeff for t in drive])
+    blocks = hilbert.symmetry_blocks(n_dim)
+    ops_full = np.stack([next(t.op for t in terms if t.m == m) for m in ms])
+    ops = [Q.conj().T @ ops_full @ Q for Q in blocks]
+    dims = [Q.shape[1] for Q in blocks]
+    cols = [slice(a, a + d * d) for a, d in zip(np.cumsum([0] + [d * d for d in dims]), dims)]
+    keys = np.zeros(1, dtype=np.int64)
+    rows = np.concatenate([np.eye(d, dtype=complex).ravel() for d in dims])[None]
     p_hats = []
     for order in range(1, up_to + 1):
-        keys = list(state.keys())
-        stack = np.stack([state[k] for k in keys])
-        integrand: dict[tuple[int, int], np.ndarray] = {}
-        for N, coeff, op in labels:
-            shifted = coeff * np.matmul(op, stack)
-            for idx, (p, nu) in enumerate(keys):
-                key2 = (p, nu + N)
-                acc = integrand.get(key2)
-                if acc is None:
-                    integrand[key2] = shifted[idx].copy()
-                else:
-                    acc += shifted[idx]
-        state = {}
-
-        def _acc(key, mat):
-            cur = state.get(key)
-            if cur is None:
-                state[key] = mat
-            else:
-                cur += mat
-
-        for (p, nu), mat in integrand.items():
-            if nu == 0:
-                _acc((p + 1, 0), mat / (p + 1))
-                continue
-            iw = 1j * 2 * np.pi * nu
-            for j in range(p, -1, -1):
-                cj = ((-1) ** (p - j)) * (math.factorial(p) / math.factorial(j)) * iw ** (j - p - 1)
-                _acc((j, nu), cj * mat)
-                if j == 0:
-                    _acc((0, 0), -cj * mat)
-        total = np.zeros((dim, dim), dtype=complex)
-        for mat in state.values():
-            total += mat  # tau = 1, integer freqs: every phase factor is 1
-        p_hats.append((-1j) ** order * total)
+        # op_m @ rows[k] lands on key keys[k] + m K, and tap g moves it on by N_g
+        skeys, sinv = np.unique(keys + _POWERS * K * ms[:, None], return_inverse=True)
+        ikeys, tinv = np.unique(skeys + tap_shift[:, None], return_inverse=True)
+        sinv, tinv = sinv.reshape(len(ms), -1), tinv.reshape(len(drive), -1)
+        new_keys, parts, boundary, at_one = _antiderivative(ikeys)
+        # P_k: the integrand's antiderivative at tau = 1, weighted back onto the state
+        summed = (tap_c @ at_one[tinv])[sinv] @ rows
+        p_hats.append((-1j) ** order * sum(
+            Q @ (op @ summed[:, col].reshape(-1, d, d)).sum(0) @ Q.conj().T
+            for Q, op, col, d in zip(blocks, ops, cols, dims)))
+        if order == up_to:
+            break
+        sidebands = np.zeros((len(skeys), rows.shape[1]), dtype=complex)
+        for op, col, d in zip(ops, cols, dims):
+            prod = op[:, None] @ rows[:, col].reshape(-1, d, d)
+            for m in range(len(ms)):
+                sidebands[sinv[m], col] += prod[m].reshape(-1, d * d)
+        integrand = np.zeros((len(ikeys), rows.shape[1]), dtype=complex)
+        for g, c in enumerate(tap_c):
+            integrand[tinv[g]] += c * sidebands
+        rows = np.zeros((len(new_keys), rows.shape[1]), dtype=complex)
+        for dst, src, c in parts:
+            rows[dst] += c[:, None] * integrand[src]
+        rows[np.searchsorted(new_keys, 0)] += boundary @ integrand
+        keys = new_keys
     return p_hats
+
+
+def _antiderivative(keys: np.ndarray) -> tuple:
+    """Integration by parts from 0 of sum_i X_i tau^p_i e^{i 2 pi nu_i tau} as a linear
+    map of the rows X_i: the new keys, groups (dst, src, c) meaning rows[dst] +=
+    c * X[src] with distinct dst, the s = 0 boundary (rows[key 0] += boundary @ X)
+    and the value at tau = 1 per source key (every phase is 1 there)."""
+    nu, p = np.divmod(keys, _POWERS)
+    flat = np.flatnonzero(nu == 0)
+    groups = [(keys[flat] + 1, flat, 1.0 / (p[flat] + 1))]
+    boundary = np.zeros(len(keys), dtype=complex)
+    for power in range(int(p.max()) + 1):
+        src = np.flatnonzero((nu != 0) & (p == power))
+        for j, q, a in resint.parts_table(power):
+            groups.append((nu[src] * _POWERS + j, src, a / (2j * np.pi * nu[src]) ** q))
+        boundary[src] = -groups[-1][2]  # the table ends with j = 0
+    new_keys = np.unique(np.concatenate([[0]] + [dst for dst, _, _ in groups]))
+    at_one = boundary.copy()
+    for _, src, c in groups:
+        at_one[src] += c
+    return new_keys, [(np.searchsorted(new_keys, d), s, c) for d, s, c in groups], boundary, at_one
 
 
 def _tuple_dyson(params: GateParams, pulse: PulseShape, k: int) -> np.ndarray:
@@ -254,11 +274,5 @@ def ladder_block_coeff(Z: np.ndarray, params: GateParams, n: int, dn: int,
 
 def fock_offdiagonal_max(Z: np.ndarray, params: GateParams) -> float:
     """Largest entry with a Fock-index change, on the guard-banded block."""
-    keep = params.n_dim - params.m_max
-    worst = 0.0
-    for r in range(keep):
-        for c in range(keep):
-            if r == c:
-                continue
-            worst = max(worst, float(np.abs(hilbert.fock_block(Z, params.n_dim, r, c)).max()))
-    return worst
+    n = hilbert.guard_band_indices(params) % params.n_dim
+    return float(np.abs(hilbert.guard_block(Z, params)[n[:, None] != n]).max(initial=0.0))

@@ -9,6 +9,7 @@ units appear only at the CLI boundary via ``trap_freq``.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 
@@ -133,11 +134,11 @@ def validate(params: GateParams) -> ValidationReport:
         rep.add("k_max range", f"k_max={params.k_max} not in [2, 5]")
     if params.m_max < 1:
         rep.add("m_max range", f"m_max={params.m_max} < 1")
-    # written so that NaN fails them too
-    if not params.omega_T >= 0:
-        rep.add("omega_T sign", f"omega_T={params.omega_T} is not >= 0")
-    if not params.nbar >= 0:
-        rep.add("nbar sign", f"nbar={params.nbar} is not >= 0")
+    # written so that NaN and inf fail them too
+    if not 0 <= params.omega_T < math.inf:
+        rep.add("omega_T sign", f"omega_T={params.omega_T} is not finite and >= 0")
+    if not 0 <= params.nbar < math.inf:
+        rep.add("nbar sign", f"nbar={params.nbar} is not finite and >= 0")
     return rep
 
 

@@ -118,12 +118,21 @@ class ExactComplex:
         return self.as_complex()
 
 
+@lru_cache(maxsize=None)
+def parts_table(p: int) -> tuple[tuple[int, int, int], ...]:
+    """Integration by parts, shared with magnus's float transfer pass: for w != 0
+    int_0^tau s^p e^{iws} ds = sum_j a_j (iw)^-q_j tau^j e^{iw tau} - a_0 (iw)^-q_0,
+    as triples (j, q_j, a_j) = (j, p - j + 1, (-1)^(p-j) p!/j!) for j = p..0."""
+    return tuple((j, p - j + 1, (-1) ** (p - j) * math.factorial(p) // math.factorial(j))
+                 for j in range(p, -1, -1))
+
+
 def integrate_step(f: OscSum, N: int) -> OscSum:
     """Exact antiderivative G(tau) = int_0^tau e^{i 2 pi N s} f(s) ds.
 
     A term whose shifted frequency vanishes has its power raised; otherwise
-    integration by parts produces polynomial-times-exponential terms plus the
-    boundary constant at s = 0.
+    integration by parts (``parts_table``) produces polynomial-times-exponential
+    terms plus the boundary constant at s = 0.
     """
     out = OscSum()
     for (p, nu, g), (re, im) in f.terms.items():
@@ -131,11 +140,9 @@ def integrate_step(f: OscSum, N: int) -> OscSum:
         if nu2 == 0:
             out._add(p + 1, 0, g, re / (p + 1), im / (p + 1))
             continue
-        # c_j = coeff * (-1)^(p-j) * p!/j! * (i 2 pi nu2)^-(p-j+1)
-        for j in range(p, -1, -1):
-            q = p - j + 1
-            scale = Fraction(math.factorial(p), math.factorial(j))
-            scale *= Fraction((-1) ** (p - j), (2 * nu2) ** q)
+        # a_j / (i 2 pi nu2)^q = a_j / (2 nu2)^q * (-i)^q / pi^q
+        for j, q, a in parts_table(p):
+            scale = Fraction(a, (2 * nu2) ** q)
             cre, cim = _rot_minus_i(re * scale, im * scale, q)
             out._add(j, nu2, g + q, cre, cim)
             if j == 0:

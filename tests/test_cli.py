@@ -177,6 +177,22 @@ def test_nan_gate_fields_give_skip_rows(tmp_path):
     assert [r["status"] for r in rows] == ["skip:omega_T sign"]
 
 
+def test_infinite_gate_fields_give_skip_rows(tmp_path, capsys):
+    rows = run_sweep(sweep_from_config(parse_config(
+        _write(tmp_path, "n.cfg", NBAR_SWEEP + "grid = 0.1,inf\n"))))
+    assert [r["status"] for r in rows] == ["ok", "skip:nbar sign"]
+    path = _write(tmp_path, "w.cfg", MINI_SWEEP.replace("28.0:32.0:5", "28,inf"))
+    assert cli.main(["sweep", path]) == 0
+    assert capsys.readouterr().out.splitlines()[2] == "inf" + "," * 11 + "skip:omega_T sign"
+    rows = run_sweep(sweep_from_config(parse_config(_write(
+        tmp_path, "e.cfg", NBAR_SWEEP.replace("nbar\n", "eta\n") + "grid = 0.1,inf\n"))))
+    assert [r["status"] for r in rows] == ["ok", "skip:eta range"]
+    path = _write(tmp_path, "c.cfg", CHECK_OK + "omega_T = inf\nnbar = inf\n")
+    assert cli.main(["check", path]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL  omega_T sign" in out and "FAIL  nbar sign" in out
+
+
 def test_main_check_lists_every_rule(tmp_path, capsys):
     path = _write(tmp_path, "c.cfg", CHECK_OK + "nbar = -1\nm_max = 0\n")
     assert cli.main(["check", path]) == 2
@@ -279,6 +295,8 @@ def test_figure_presets_parse():
     "pulse = rect\ngrid = 1,2\nomgea_mode = fixed_T\n",     # misspelled key
     "pulse = rect\ngrid = 1,2\nworkres = 2\n",              # key no subcommand reads
     "pulse = rect\ngrid = auto5\n",                         # neither auto nor auto:<n>
+    "pulse = rect\naxis = K\ngrid = 28,nan\n",               # non-finite K
+    "pulse = rect\naxis = K\ngrid = 28,inf\n",
 ])
 def test_malformed_input_is_config_error(tmp_path, capsys, lines):
     path = _write(tmp_path, "bad.cfg", CHECK_OK + "trap_freq = 1.0e6\naxis = omega\n"

@@ -1,10 +1,13 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from msgate import budget, fidelity, hilbert, magnus, resint
-from msgate.params import GateParams, beat_note
+from msgate.params import GateParams, beat_note, validate_with_pulse
+from msgate.pulses import PulseShape, rectangular, sin_squared
 
 
 def test_first_order_vanishes(base_params, rect):
@@ -27,6 +30,13 @@ def test_dyson_rejects_bad_order(base_params, rect):
         magnus.dyson_term(0, base_params, rect)
     with pytest.raises(ValueError):
         magnus.dyson_term(6, base_params, rect)
+
+
+def test_pulse_without_coefficients_rejected(base_params):
+    empty = PulseShape.from_dict("empty", {0: 0})
+    for method in ("transfer", "tuples"):
+        with pytest.raises(ValueError, match="no nonzero"):
+            magnus.dyson_term(2, base_params, empty, method=method)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -151,7 +161,107 @@ def test_fifth_order_propagator_changes_little(params_omega2, rect, weights):
     assert abs(i5 - i4) < 1e-4
 
 
-def test_dyson_cache_reuse(base_params, rect):
+def test_dyson_cache_reuse(base_params, rect, monkeypatch):
+    magnus._transfer_dyson.cache_clear()
     a = magnus.dyson_hat_terms(base_params, rect, 4)
     b = magnus.dyson_hat_terms(base_params, rect, 4)
     assert a is b
+    # one Hamiltonian build per miss and none per hit; omega_T and nbar do not miss
+    builds = []
+    build = hilbert.hamiltonian_terms
+    monkeypatch.setattr(hilbert, "hamiltonian_terms",
+                        lambda *args: builds.append(args) or build(*args))
+    assert magnus.dyson_hat_terms(base_params.replace(omega_T=30.0, nbar=0.5), rect, 4) is a
+    assert builds == []
+    # the cache is bounded: as many other assemblies as it holds evict the first
+    size = magnus._transfer_dyson.cache_info().maxsize
+    for i in range(size):
+        magnus.dyson_hat_terms(base_params.replace(eta=0.01 * (i + 1)), rect, 2)
+    assert len(builds) == size
+    assert magnus._transfer_dyson.cache_info().currsize == size
+    again = magnus.dyson_hat_terms(base_params, rect, 4)
+    assert again is not a and len(builds) == size + 1
+    assert all(np.array_equal(x, y) for x, y in zip(again, a))
+
+
+def _accumulate(acc, key, mat):
+    if key in acc:
+        acc[key] += mat
+    else:
+        acc[key] = mat.copy()
+
+
+def _full_space_transfer(params, pulse, up_to):
+    """Oracle: the transfer pass on the full space, with its state kept as a
+    (power, freq) -> matrix dict (the assembly before the symmetry blocks)."""
+    terms = hilbert.hamiltonian_terms(params, pulse)
+    state = {(0, 0): np.eye(params.dim, dtype=complex)}
+    p_hats = []
+    for order in range(1, up_to + 1):
+        stack = np.stack(list(state.values()))
+        prods = {m: np.matmul(op, stack) for m, op in {t.m: t.op for t in terms}.items()}
+        integrand = {}
+        for t in terms:
+            for (p, nu), mat in zip(state, t.coeff * prods[t.m]):
+                _accumulate(integrand, (p, nu + t.N), mat)
+        state = {}
+        for (p, nu), mat in integrand.items():
+            if nu == 0:
+                parts = [((p + 1, 0), mat / (p + 1))]
+            else:
+                parts = []
+                for j in range(p, -1, -1):
+                    c = ((-1) ** (p - j) * math.factorial(p) / math.factorial(j)
+                         * (2j * np.pi * nu) ** (j - p - 1))
+                    parts.append(((j, nu), c * mat))
+                    if j == 0:
+                        parts.append(((0, 0), -c * mat))
+            for key, part in parts:
+                _accumulate(state, key, part)
+        p_hats.append((-1j) ** order * sum(state.values()))
+    return p_hats
+
+
+@pytest.mark.parametrize("shape", ["rect", "sin2"])
+@pytest.mark.parametrize("eta,K,L,n_dim,m_max", [
+    (0.05, 28, 25, 8, 3), (0.3, 28, 25, 7, 3),   # narrow gap K - L = 3
+    (0.05, 31, 20, 6, 2), (0.3, 31, 20, 7, 2),   # wide gap K - L = 11
+])
+def test_blocked_transfer_matches_full_space_reference(shape, eta, K, L, n_dim, m_max):
+    pulse = {"rect": rectangular(), "sin2": sin_squared()}[shape]
+    p = GateParams(eta=eta, K=K, L=L, n_dim=n_dim, m_max=m_max)
+    assert validate_with_pulse(p, pulse).ok
+    got = magnus.dyson_hat_terms(p, pulse, 5)
+    want = _full_space_transfer(p, pulse, 5)
+    singlets = np.kron(np.array([[0], [1], [-1], [0]]) / np.sqrt(2), np.eye(n_dim))
+    for k in range(2, 6):
+        scale = np.abs(want[k - 1]).max()
+        assert np.abs(got[k - 1] - want[k - 1]).max() <= 1e-13 * scale, f"P{k}"
+        assert np.abs(got[k - 1] @ singlets).max() <= 1e-14 * scale, f"P{k}"
+        assert np.abs(singlets.T @ got[k - 1]).max() <= 1e-14 * scale, f"P{k}"
+
+
+@settings(max_examples=5, deadline=None)
+@given(eta=st.floats(0.05, 0.3), K=st.integers(12, 40), gap=st.integers(2, 6),
+       shaped=st.booleans())
+def test_transfer_matches_tuples_over_gate_points(eta, K, gap, shaped):
+    pulse = sin_squared() if shaped else rectangular()
+    p = GateParams(eta=eta, K=K, L=K - gap, omega_T=1.0)
+    assume(validate_with_pulse(p, pulse).ok)
+    for k in (2, 3):
+        via_transfer = magnus.dyson_term(k, p, pulse, method="transfer")
+        via_tuples = magnus.dyson_term(k, p, pulse, method="tuples")
+        assert np.abs(via_transfer - via_tuples).max() < 1e-12 * np.abs(via_transfer).max()
+
+
+@settings(max_examples=10, deadline=None)
+@given(eta=st.floats(0.05, 0.3), K=st.integers(12, 40), gap=st.integers(2, 6),
+       drive=st.floats(0.5, 1.5), shaped=st.booleans())
+def test_truncated_propagators_unitary(eta, K, gap, drive, shaped):
+    pulse = sin_squared() if shaped else rectangular()
+    p = GateParams(eta=eta, K=K, L=K - gap)
+    assume(validate_with_pulse(p, pulse).ok)
+    props = magnus.propagators_upto(p.replace(omega_T=drive * budget.omega_2(p)), pulse, 5)
+    assert sorted(props) == [2, 3, 4, 5]
+    for n, U in props.items():
+        assert hilbert.unitarity_defect(U) <= 1e-12, f"U{n}"

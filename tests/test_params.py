@@ -46,6 +46,13 @@ def test_nan_gate_fields_rejected():
     assert "omega_T sign" in validate(GateParams(eta=0.2, K=28, L=25, omega_T=math.nan)).rules()
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_infinite_gate_fields_rejected(value):
+    assert "nbar sign" in validate(GateParams(eta=0.2, K=28, L=25, nbar=value)).rules()
+    assert "omega_T sign" in validate(GateParams(eta=0.2, K=28, L=25, omega_T=value)).rules()
+    assert "eta range" in validate(GateParams(eta=value, K=28, L=25)).rules()
+
+
 def test_rules_lists_every_reported_rule():
     bad = [GateParams(eta=0.2, K=28.5, L=25), GateParams(eta=0.2, K=5, L=7),
            GateParams(eta=1.5, K=28, L=14, n_dim=1, k_max=6, m_max=0, omega_T=-1, nbar=-1),
