@@ -42,11 +42,11 @@ def omega_ld(params: GateParams) -> float:
 
 
 def omega_2(params: GateParams) -> float:
-    """Amplitude correcting the next Lamb-Dicke and second-sideband terms."""
+    """Amplitude correcting the next Lamb-Dicke and second-sideband terms (NaN if not real)."""
     K, L, eta = params.K, params.L, params.eta
     num = (K * K - L * L) * (4 * K * K - L * L)
     den = 2 * K * (eta * eta * (2 * L * L - 5 * K * K) + 4 * K * K - L * L)
-    return (math.pi / eta) * math.sqrt(num / den)
+    return (math.pi / eta) * math.sqrt(num / den) if num / den >= 0 else math.nan
 
 
 def omega_4(params: GateParams, s: float | None = None) -> float:

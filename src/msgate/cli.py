@@ -7,9 +7,10 @@ Subcommands:
     propagate <config>  dump propagator matrices as CSV of complex entries
 
 Config files are plain ``key = value`` lines (``#`` comments); a key outside
-CONFIG_KEYS is a config error.  The gate fields use the exact names eta, K,
-L, omega_T, nbar, n_dim, m_max, k_max, trap_freq.  Exit codes: 0 success,
-2 validation failure, 1 config error.
+CONFIG_KEYS, or a value its parser there rejects, is a config error.  The
+gate fields use the exact names eta, K, L, omega_T, nbar, n_dim, m_max,
+k_max, trap_freq.  Exit codes: 0 success, 2 validation failure, 1 config
+error.
 
 Unit conventions at this boundary: trap_freq is the physical nu/(2*pi) in
 Hz; omega_phys is the drive amplitude Omega in rad/s, converted through the
@@ -20,9 +21,10 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
+import functools
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,22 +33,15 @@ from .params import RULES, GateParams, validate, validate_with_pulse
 from .pulses import PulseShape, rectangular, sin_squared, validate_shape
 
 PROPAGATOR_NAMES = ("U2", "U3", "U4", "U5", "Unum")
-CSV_COLUMNS = ("axis", "omega_T", "infid_U2", "infid_U3", "infid_U4",
-               "infid_U5", "infid_Unum", "omega_LD", "omega_2", "omega_4",
-               "tail_mass", "status")
-# every key a subcommand reads: gate fields, pulse, sweep, then propagate
-CONFIG_KEYS = frozenset((
-    "eta", "K", "L", "omega_T", "nbar", "n_dim", "m_max", "k_max", "trap_freq",
-    "pulse", "pulse_coeffs",
-    "axis", "grid", "omega_span", "propagators", "metric", "omega_mode", "omega_phys", "safety",
-    "propagator"))
+CSV_COLUMNS = ("axis", "omega_T", *(f"infid_{n}" for n in PROPAGATOR_NAMES),
+               "omega_LD", "omega_2", "omega_4", "tail_mass", "status")
 
 
 class ConfigError(Exception):
     pass
 
 
-@dataclass
+@dataclasses.dataclass
 class SweepSpec:
     axis: str                      # omega | K | eta | nbar
     grid: list[float]
@@ -54,18 +49,106 @@ class SweepSpec:
     pulse: PulseShape
     propagators: tuple[str, ...] = ("U2", "U3", "U4", "Unum")
     metric: str = "average"        # average | bell | both
-    omega_mode: str = "omega2"     # omega2 | omega4 | fixed_T | fixed_phys
+    omega_mode: str = "omega2"     # omega2 | omega4 | fixed_T | fixed_phys (unused on omega axis)
     omega_phys: float | None = None
     delta_KL: int = 3
-    safety: float = 10.0
+    safety: float = trotter.TrotterConfig.safety
     workers: int = 1
 
 
 # ---------------------------------------------------------------------------
-# Config parsing.
+# Config parsing: one parser per key, which raises ValueError on bad input.
 # ---------------------------------------------------------------------------
 
+def _choice(*allowed: str):
+    def parse(text: str) -> str:
+        if text not in allowed:
+            raise ValueError(f"not one of {'|'.join(allowed)}")
+        return text
+    return parse
+
+
+def _positive(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise ValueError("not a positive finite number")
+    return value
+
+
+def _grid(text: str) -> list[float] | int:
+    """start:stop:num or a comma list, nonempty and strictly increasing; for
+    grid = auto / auto:<n>, the point count n, which sweep_from_config spans
+    from the calibrated amplitudes."""
+    if text == "auto" or text.startswith("auto:"):
+        npts = int(text[5:]) if text != "auto" else 61
+        if npts < 1:
+            raise ValueError("auto:<n> needs a positive integer n")
+        return npts
+    if ":" in text:
+        start, stop, num = text.split(":")
+        grid = list(np.linspace(float(start), float(stop), int(num)))
+    else:
+        grid = [float(v) for v in text.split(",")]
+    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("grid must be nonempty and strictly increasing")
+    return grid
+
+
+def _span(text: str) -> tuple[float, float]:
+    lo, hi = (float(v) for v in text.split(","))
+    return lo, hi
+
+
+def _pulse_coeffs(text: str) -> PulseShape:
+    """M:re:im;... with integer M, a nonzero c_M and c_-M = conj(c_M)."""
+    shape = PulseShape.from_triples([(int(M), float(re), float(im)) for M, re, im
+                                     in (item.split(":") for item in text.split(";"))])
+    if not shape.support:
+        raise ValueError("no nonzero coefficient")
+    rep = validate_shape(shape)
+    if not rep.ok:
+        raise ValueError(f"must satisfy c_-M = conj(c_M): {rep.summary()}")
+    return shape
+
+
+# every key a subcommand reads: gate fields, pulse, sweep, then propagate
+CONFIG_KEYS = {
+    "eta": float, "K": int, "L": int, "omega_T": float, "nbar": float,
+    "n_dim": int, "m_max": int, "k_max": int, "trap_freq": _positive,
+    "pulse": _choice("rect", "sin2", "custom"), "pulse_coeffs": _pulse_coeffs,
+    "axis": _choice("omega", "K", "eta", "nbar"), "grid": _grid, "omega_span": _span,
+    "propagators": lambda text: tuple(CONFIG_KEYS["propagator"](name.strip())
+                                      for name in text.split(",")),
+    "metric": _choice("average", "bell", "both"),
+    "omega_mode": _choice("omega2", "omega4", "fixed_T", "fixed_phys"),
+    "omega_phys": float, "safety": _positive,
+    "propagator": _choice(*PROPAGATOR_NAMES),
+}
+
+
+def _value(cfg: dict[str, str], key: str, default=None):
+    """cfg[key] through its parser, or ``default`` when the key is absent; a
+    ValueError from the parser is a config error naming the key and value."""
+    if key not in cfg:
+        return default
+    try:
+        return CONFIG_KEYS[key](cfg[key])
+    except ValueError as exc:
+        raise ConfigError(f"{key} = {cfg[key]!r}: {exc}") from None
+
+
+def _build(cls, cfg: dict[str, str], **given):
+    """cls from ``given`` and the parsed keys of cfg that name its other
+    fields; the absent ones take their dataclass defaults."""
+    fields = [f for f in dataclasses.fields(cls) if f.name not in given]
+    missing = [f.name for f in fields if f.name not in cfg and f.default is dataclasses.MISSING]
+    if missing:
+        raise ConfigError(f"missing required key(s) {', '.join(missing)}")
+    return cls(**given, **{f.name: _value(cfg, f.name) for f in fields if f.name in cfg})
+
+
 def parse_config(path: str) -> dict[str, str]:
+    """The raw ``key = value`` pairs of a config file, each checked by its parser."""
     raw: dict[str, str] = {}
     try:
         with open(path) as fh:
@@ -79,164 +162,53 @@ def parse_config(path: str) -> dict[str, str]:
                 raw[key.strip()] = val.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    unknown = sorted(raw.keys() - CONFIG_KEYS)
+    unknown = sorted(raw.keys() - CONFIG_KEYS.keys())
     if unknown:
         raise ConfigError(f"{path}: unknown key(s) {', '.join(unknown)}")
+    for key in raw:
+        _value(raw, key)
+    if "omega_phys" in raw and "trap_freq" not in raw:
+        raise ConfigError("omega_phys (rad/s) needs trap_freq (Hz) for the gate time")
     return raw
 
 
 def params_from_config(cfg: dict[str, str]) -> GateParams:
-    def geti(key, default=None):
-        if key in cfg:
-            return int(cfg[key])
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-
-    def getf(key, default=None):
-        if key in cfg:
-            return float(cfg[key])
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-
-    try:
-        return GateParams(
-            eta=getf("eta"),
-            K=geti("K"),
-            L=geti("L"),
-            omega_T=getf("omega_T", 0.0),
-            nbar=getf("nbar", 0.0),
-            n_dim=geti("n_dim", 8),
-            m_max=geti("m_max", 3),
-            k_max=geti("k_max", 4),
-            trap_freq=float(cfg["trap_freq"]) if "trap_freq" in cfg else None,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad parameter value: {exc}") from exc
+    return _build(GateParams, cfg)
 
 
 def pulse_from_config(cfg: dict[str, str]) -> PulseShape:
-    name = cfg.get("pulse", "rect")
-    if name == "rect":
-        return rectangular()
-    if name == "sin2":
-        return sin_squared()
+    name = _value(cfg, "pulse", "rect")
     if name == "custom":
         if "pulse_coeffs" not in cfg:
             raise ConfigError("pulse = custom requires pulse_coeffs = M:re:im;...")
-        triples = []
-        for item in cfg["pulse_coeffs"].split(";"):
-            parts = item.split(":")
-            if len(parts) != 3:
-                raise ConfigError(f"bad pulse_coeffs entry {item!r}")
-            try:
-                triples.append((int(parts[0]), float(parts[1]), float(parts[2])))
-            except ValueError:
-                raise ConfigError(f"bad pulse_coeffs entry {item!r}") from None
-        shape = PulseShape.from_triples(triples)
-        if not shape.support:
-            raise ConfigError("pulse_coeffs has no nonzero coefficient")
-        rep = validate_shape(shape)
-        if not rep.ok:
-            raise ConfigError(f"pulse_coeffs must satisfy c_-M = conj(c_M): {rep.summary()}")
-        return shape
-    raise ConfigError(f"unknown pulse {name!r}")
-
-
-def _parse_grid(text: str) -> list[float]:
-    text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"grid range must be start:stop:num, got {text!r}")
-        try:
-            return list(np.linspace(float(parts[0]), float(parts[1]), int(parts[2])))
-        except ValueError:
-            raise ConfigError(f"grid range must be start:stop:num, got {text!r}") from None
-    try:
-        return [float(v) for v in text.split(",")]
-    except ValueError:
-        raise ConfigError(f"grid values must be numbers, got {text!r}") from None
-
-
-def _number(cfg: dict[str, str], key: str, default: float | None = None) -> float | None:
-    """float(cfg[key]), or ``default`` when the key is absent."""
-    if key not in cfg:
-        return default
-    try:
-        return float(cfg[key])
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {cfg[key]!r}") from None
-
-
-def _safety(cfg: dict[str, str]) -> float:
-    """The step-density factor of TrotterConfig; zero or less would take no steps."""
-    safety = _number(cfg, "safety", 10.0)
-    if not 0 < safety < math.inf:
-        raise ConfigError(f"safety must be a positive finite number, got {cfg['safety']!r}")
-    return safety
+        return _value(cfg, "pulse_coeffs")
+    return rectangular() if name == "rect" else sin_squared()
 
 
 def sweep_from_config(cfg: dict[str, str]) -> SweepSpec:
     params = params_from_config(cfg)
-    pulse = pulse_from_config(cfg)
-    axis = cfg.get("axis")
-    if axis not in ("omega", "K", "eta", "nbar"):
-        raise ConfigError(f"axis must be omega|K|eta|nbar, got {axis!r}")
-
-    grid_text = cfg.get("grid", "")
-    if grid_text == "auto" or grid_text.startswith("auto:"):
-        if axis != "omega":
+    spec = _build(SweepSpec, cfg, fixed=params, pulse=pulse_from_config(cfg),
+                  delta_KL=params.K - params.L)
+    if isinstance(spec.grid, int):  # grid = auto:<n>
+        if spec.axis != "omega":
             raise ConfigError("grid = auto:<n> is only defined for the omega axis")
-        try:
-            npts = int(grid_text.split(":", 1)[1]) if ":" in grid_text else 61
-        except ValueError:
-            npts = 0
-        if npts < 1:
-            raise ConfigError(f"grid = auto:<n> needs a positive integer n, got {grid_text!r}")
+        rep = validate(params)
+        if not rep.ok:
+            raise ConfigError(f"grid = auto needs valid base parameters: {rep.summary()}")
         amps = budget.amplitude_set(params)
-        lo_f, hi_f = 0.7, 1.3
-        if "omega_span" in cfg:
-            try:
-                lo_f, hi_f = (float(v) for v in cfg["omega_span"].split(","))
-            except ValueError:
-                raise ConfigError(f"omega_span must be two numbers lo,hi, got "
-                                  f"{cfg['omega_span']!r}") from None
+        lo_f, hi_f = _value(cfg, "omega_span", (0.7, 1.3))
         lo = lo_f * (amps.omega_4 if amps.omega_4_valid else amps.omega_2)
         hi = hi_f * amps.omega_2
-        grid = list(np.linspace(lo, hi, npts))
-    elif grid_text:
-        grid = _parse_grid(grid_text)
-    else:
-        raise ConfigError("missing grid")
-    if len(grid) == 0 or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError("grid must be nonempty and strictly increasing")
-
-    props = tuple(p.strip() for p in cfg.get("propagators", "U2,U3,U4,Unum").split(","))
-    for p in props:
-        if p not in PROPAGATOR_NAMES:
-            raise ConfigError(f"unknown propagator {p!r}")
-    metric = cfg.get("metric", "average")
-    if metric not in ("average", "bell", "both"):
-        raise ConfigError(f"unknown metric {metric!r}")
-    omega_mode = cfg.get("omega_mode", "omega2" if axis != "omega" else "fixed_T")
-    if omega_mode not in ("omega2", "omega4", "fixed_T", "fixed_phys"):
-        raise ConfigError(f"unknown omega_mode {omega_mode!r}")
-    omega_phys = _number(cfg, "omega_phys")
-    if omega_mode == "fixed_phys" and omega_phys is None:
-        raise ConfigError("omega_mode = fixed_phys requires omega_phys (rad/s)")
-
-    if axis == "K":
-        if not all(math.isfinite(v) and abs(v - round(v)) <= 1e-9 for v in grid):
+        if not lo < hi:
+            raise ConfigError(f"grid = auto spans no range: [{lo}, {hi}]")
+        spec.grid = list(np.linspace(lo, hi, spec.grid))
+    elif spec.axis == "K":
+        if not all(math.isfinite(v) and abs(v - round(v)) <= 1e-9 for v in spec.grid):
             raise ConfigError("K grid values must be finite integers")
-        grid = [float(round(v)) for v in grid]
-
-    return SweepSpec(
-        axis=axis, grid=grid, fixed=params, pulse=pulse, propagators=props,
-        metric=metric, omega_mode=omega_mode, omega_phys=omega_phys,
-        delta_KL=params.K - params.L, safety=_safety(cfg),
-    )
+        spec.grid = [float(round(v)) for v in spec.grid]
+    if spec.omega_mode == "fixed_phys" and spec.omega_phys is None:
+        raise ConfigError("omega_mode = fixed_phys requires omega_phys (rad/s)")
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +227,15 @@ def _point_params(spec: SweepSpec, value: float) -> GateParams:
     # drive strength
     if spec.axis == "omega":
         p = p.replace(omega_T=float(value))
-    elif spec.omega_mode == "omega2":
-        p = p.replace(omega_T=budget.omega_2(p))
-    elif spec.omega_mode == "omega4":
-        p = p.replace(omega_T=budget.omega_4(p))
     elif spec.omega_mode == "fixed_phys":
         # converted once at the base parameters: a fixed physical amplitude
         # means a fixed dimensionless omega_T anchored at the base gate time
         p = p.replace(omega_T=spec.fixed.omega_T_from_physical(spec.omega_phys))
+    elif spec.omega_mode != "fixed_T" and validate(p).ok:
+        # the closed forms need a valid point; an amplitude with no real value
+        # is NaN, which fails the omega_T sign rule
+        amps = budget.amplitude_set(p)
+        p = p.replace(omega_T=amps.omega_2 if spec.omega_mode == "omega2" else amps.omega_4)
     return p
 
 
@@ -276,16 +249,16 @@ def _fill_infidelity(row: dict, name: str, U: np.ndarray,
         row[f"bell_{name}"] = 1.0 - fidelity.bell_fidelity(U, weights)
 
 
-def _propagators(spec: SweepSpec, p: GateParams) -> dict[str, np.ndarray]:
-    """The requested U2..U5 / Unum matrices of one point."""
+def _propagators(names: tuple[str, ...], p: GateParams, pulse: PulseShape,
+                 safety: float) -> dict[str, np.ndarray]:
+    """The named U2..U5 / Unum matrices at p."""
     mats = {}
-    orders = [int(name[1]) for name in spec.propagators if name != "Unum"]
+    orders = [int(name[1]) for name in names if name != "Unum"]
     if orders:
-        props = magnus.propagators_upto(p, spec.pulse, max_order=max(orders))
+        props = magnus.propagators_upto(p, pulse, max_order=max(orders))
         mats.update((f"U{n}", props[n]) for n in orders)
-    if "Unum" in spec.propagators:
-        mats["Unum"] = trotter.propagate_numeric(p, spec.pulse,
-                                                 trotter.TrotterConfig(safety=spec.safety))
+    if "Unum" in names:
+        mats["Unum"] = trotter.propagate_numeric(p, pulse, trotter.TrotterConfig(safety=safety))
     return mats
 
 
@@ -299,11 +272,13 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     reports = [validate_with_pulse(p, spec.pulse) for p in points]
     keys = [p.replace(nbar=0.0) if rep.ok else None for p, rep in zip(points, reports)]
     todo = list(dict.fromkeys(k for k in keys if k is not None))
+    evaluate = functools.partial(_propagators, spec.propagators, pulse=spec.pulse,
+                                 safety=spec.safety)
     if spec.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            mats = dict(zip(todo, pool.map(_propagators, [spec] * len(todo), todo)))
+            mats = dict(zip(todo, pool.map(evaluate, todo)))
     else:
-        mats = {k: _propagators(spec, k) for k in todo}
+        mats = dict(zip(todo, map(evaluate, todo)))
     rows = []
     for value, p, rep, key in zip(spec.grid, points, reports, keys):
         if key is None:
@@ -314,9 +289,7 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
                      "tail_mass": weights.tail_mass}
         if spec.axis != "omega":
             amps = budget.amplitude_set(p)
-            row["omega_LD"] = amps.omega_ld
-            row["omega_2"] = amps.omega_2
-            row["omega_4"] = amps.omega_4 if amps.omega_4_valid else float("nan")
+            row.update(omega_LD=amps.omega_ld, omega_2=amps.omega_2, omega_4=amps.omega_4)
         for name, U in mats[key].items():
             _fill_infidelity(row, name, U, weights, spec.metric)
         rows.append(row)
@@ -327,8 +300,7 @@ def rows_to_csv(rows: list[dict], metric: str = "average") -> str:
     """Deterministic CSV (12 significant digits, fixed column order)."""
     columns = list(CSV_COLUMNS)
     if metric == "both":
-        extra = [f"bell_{n}" for n in ("U2", "U3", "U4", "U5", "Unum")]
-        columns = columns[:-1] + extra + [columns[-1]]
+        columns = columns[:-1] + [f"bell_{n}" for n in PROPAGATOR_NAMES] + [columns[-1]]
     lines = [",".join(columns)]
     for row in rows:
         cells = []
@@ -357,27 +329,23 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _apply_overrides(params: GateParams, args) -> GateParams:
-    if args.ndim is not None:
-        params = params.replace(n_dim=args.ndim)
-    if args.mmax is not None:
-        params = params.replace(m_max=args.mmax)
-    if args.order is not None:
-        params = params.replace(k_max=args.order)
-    return params
+def _load(args) -> dict[str, str]:
+    """The subcommand's config, with each flag whose dest is a config key
+    (--ndim, --mmax, --order) written over that key."""
+    cfg = parse_config(args.config)
+    cfg.update((key, str(v)) for key, v in vars(args).items() if key in CONFIG_KEYS and v is not None)
+    return cfg
 
 
 def _cmd_sweep(args) -> int:
-    spec = sweep_from_config(parse_config(args.config))
-    spec.fixed = _apply_overrides(spec.fixed, args)
+    spec = sweep_from_config(_load(args))
     spec.workers = args.workers
     _write(rows_to_csv(run_sweep(spec), spec.metric), args.out)
     return 0
 
 
 def _cmd_budget(args) -> int:
-    cfg = parse_config(args.config)
-    params = _apply_overrides(params_from_config(cfg), args)
+    params = params_from_config(_load(args))
     rep = validate(params)
     if not rep.ok:
         print(f"invalid parameters: {rep.summary()}", file=sys.stderr)
@@ -394,10 +362,8 @@ def _cmd_budget(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    cfg = parse_config(args.config)
-    params = _apply_overrides(params_from_config(cfg), args)
-    pulse = pulse_from_config(cfg)
-    rep = validate_with_pulse(params, pulse)
+    cfg = _load(args)
+    rep = validate_with_pulse(params_from_config(cfg), pulse_from_config(cfg))
     failed = set(rep.rules())
     lines = []
     for rule in RULES:
@@ -409,23 +375,17 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_propagate(args) -> int:
-    cfg = parse_config(args.config)
-    params = _apply_overrides(params_from_config(cfg), args)
-    pulse = pulse_from_config(cfg)
+    cfg = _load(args)
+    params, pulse = params_from_config(cfg), pulse_from_config(cfg)
     rep = validate_with_pulse(params, pulse)
     if not rep.ok:
         print(f"invalid parameters: {rep.summary()}", file=sys.stderr)
         return 2
     if "omega_phys" in cfg and params.omega_T == 0:
-        params = params.replace(omega_T=params.omega_T_from_physical(_number(cfg, "omega_phys")))
-    which = cfg.get("propagator", "Unum")
-    if which == "Unum":
-        U = trotter.propagate_numeric(params, pulse, trotter.TrotterConfig(safety=_safety(cfg)))
-    elif which in ("U2", "U3", "U4", "U5"):
-        n = int(which[1])
-        U = magnus.propagators_upto(params, pulse, max_order=n)[n]
-    else:
-        raise ConfigError(f"unknown propagator {which!r}")
+        params = params.replace(omega_T=params.omega_T_from_physical(_value(cfg, "omega_phys")))
+    which = _value(cfg, "propagator", "Unum")
+    U = _propagators((which,), params, pulse,
+                     _value(cfg, "safety", trotter.TrotterConfig.safety))[which]
     lines = [f"# propagator {which}, dim {U.shape[0]}"]
     for r in range(U.shape[0]):
         # + 0.0 normalizes signed zeros for deterministic output
@@ -446,10 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("config")
         p.add_argument("--out", default=None)
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--ndim", type=int, default=None)
-        p.add_argument("--mmax", type=int, default=None)
-        p.add_argument("--order", type=int, default=None)
+        for flag, key in (("--ndim", "n_dim"), ("--mmax", "m_max"), ("--order", "k_max")):
+            p.add_argument(flag, dest=key, type=int)
+        if name == "sweep":
+            p.add_argument("--workers", type=int, default=1)
         if name == "budget":
             p.add_argument("--csv", action="store_true")
         p.set_defaults(func=fn)

@@ -297,6 +297,10 @@ def test_figure_presets_parse():
     "pulse = rect\ngrid = auto5\n",                         # neither auto nor auto:<n>
     "pulse = rect\naxis = K\ngrid = 28,nan\n",               # non-finite K
     "pulse = rect\naxis = K\ngrid = 28,inf\n",
+    "pulse = rect\ngrid = 1,2\ntrap_freq = inf\n",           # no gate time in seconds
+    "pulse = rect\naxis = K\ngrid = 28\nomega_mode = fixed_phys\nomega_phys = 1e5\ntrap_freq = 0\n",
+    "pulse = rect\ngrid = auto\neta = 0\n",                 # auto grid from invalid parameters
+    "pulse = rect\ngrid = auto\neta = 0.99\n",              # auto grid with no real omega_2
 ])
 def test_malformed_input_is_config_error(tmp_path, capsys, lines):
     path = _write(tmp_path, "bad.cfg", CHECK_OK + "trap_freq = 1.0e6\naxis = omega\n"
@@ -305,6 +309,48 @@ def test_malformed_input_is_config_error(tmp_path, capsys, lines):
         sweep_from_config(parse_config(path))
     assert cli.main(["sweep", path]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep", "check", "budget", "propagate"])
+@pytest.mark.parametrize("lines", [
+    "safety = ten\n",
+    "metric = foo\n",
+    "propagator = U6\n",
+    "grid = a,b\n",
+    "trap_freq = 0\n",
+    "omega_phys = 1e5\n",                  # no trap_freq to convert it
+    "omega_phys = 1e5\ntrap_freq = 0\n",
+])
+def test_every_subcommand_rejects_malformed_values(tmp_path, capsys, command, lines):
+    path = _write(tmp_path, "bad.cfg", CHECK_OK + "axis = K\ngrid = 28\npropagators = U2\n" + lines)
+    assert cli.main([command, path]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lines, statuses", [
+    ("axis = eta\ngrid = 0,0.1\n", ["skip:eta range", "ok"]),
+    ("axis = eta\ngrid = 0.1,1.5\n", ["ok", "skip:eta range"]),
+    ("axis = eta\nomega_mode = omega4\ngrid = 0.05,0.2\n", ["skip:omega_T sign", "ok"]),
+    ("axis = eta\nomega_mode = omega2\ngrid = 0.2,0.99\n", ["ok", "skip:omega_T sign"]),
+])
+def test_points_without_real_amplitude_give_skip_rows(tmp_path, lines, statuses):
+    path = _write(tmp_path, "s.cfg", CHECK_OK + "pulse = rect\npropagators = U2\n" + lines)
+    assert [r["status"] for r in run_sweep(sweep_from_config(parse_config(path)))] == statuses
+
+
+def test_main_budget_without_real_omega_2(tmp_path, capsys):
+    assert cli.main(["budget", _write(tmp_path, "b.cfg", CHECK_OK + "eta = 0.99\n")]) == 0
+    assert "omega_2*T  = nan" in capsys.readouterr().out
+
+
+def test_readme_documents_every_config_key():
+    import pathlib
+    import re
+
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]*)`", section))))
+    assert sorted(set(cli.CONFIG_KEYS) - documented) == []
 
 
 def test_unum_csv_identical_across_runs_and_workers(tmp_path):
