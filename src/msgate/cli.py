@@ -167,8 +167,15 @@ def parse_config(path: str) -> dict[str, str]:
         raise ConfigError(f"{path}: unknown key(s) {', '.join(unknown)}")
     for key in raw:
         _value(raw, key)
+    # cross-key rules, here so that every subcommand rejects the same configs
     if "omega_phys" in raw and "trap_freq" not in raw:
         raise ConfigError("omega_phys (rad/s) needs trap_freq (Hz) for the gate time")
+    if raw.get("omega_mode") == "fixed_phys" and "omega_phys" not in raw:
+        raise ConfigError("omega_mode = fixed_phys requires omega_phys (rad/s)")
+    if raw.get("pulse") == "custom" and "pulse_coeffs" not in raw:
+        raise ConfigError("pulse = custom requires pulse_coeffs = M:re:im;...")
+    if isinstance(_value(raw, "grid"), int) and raw.get("axis", "omega") != "omega":
+        raise ConfigError("grid = auto:<n> is only defined for the omega axis")
     return raw
 
 
@@ -179,8 +186,6 @@ def params_from_config(cfg: dict[str, str]) -> GateParams:
 def pulse_from_config(cfg: dict[str, str]) -> PulseShape:
     name = _value(cfg, "pulse", "rect")
     if name == "custom":
-        if "pulse_coeffs" not in cfg:
-            raise ConfigError("pulse = custom requires pulse_coeffs = M:re:im;...")
         return _value(cfg, "pulse_coeffs")
     return rectangular() if name == "rect" else sin_squared()
 
@@ -189,9 +194,7 @@ def sweep_from_config(cfg: dict[str, str]) -> SweepSpec:
     params = params_from_config(cfg)
     spec = _build(SweepSpec, cfg, fixed=params, pulse=pulse_from_config(cfg),
                   delta_KL=params.K - params.L)
-    if isinstance(spec.grid, int):  # grid = auto:<n>
-        if spec.axis != "omega":
-            raise ConfigError("grid = auto:<n> is only defined for the omega axis")
+    if isinstance(spec.grid, int):  # grid = auto:<n>, on the omega axis
         rep = validate(params)
         if not rep.ok:
             raise ConfigError(f"grid = auto needs valid base parameters: {rep.summary()}")
@@ -206,8 +209,6 @@ def sweep_from_config(cfg: dict[str, str]) -> SweepSpec:
         if not all(math.isfinite(v) and abs(v - round(v)) <= 1e-9 for v in spec.grid):
             raise ConfigError("K grid values must be finite integers")
         spec.grid = [float(round(v)) for v in spec.grid]
-    if spec.omega_mode == "fixed_phys" and spec.omega_phys is None:
-        raise ConfigError("omega_mode = fixed_phys requires omega_phys (rad/s)")
     return spec
 
 

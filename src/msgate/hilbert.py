@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .params import GateParams, beat_note
-from .pulses import PulseShape, envelope_at
+from .pulses import PulseShape
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -141,37 +141,24 @@ def matrix_exp(A: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(A)
 
 
-@dataclass(frozen=True)
-class HamiltonianTerm:
-    """One factored term c_M * exp(i*2*pi*N*tau) * J_m (x) A_m at unit drive."""
-
-    N: int
-    M: int
-    m: int
-    mu: int
-    coeff: complex
-    op: np.ndarray
-
-
-def hamiltonian_terms(params: GateParams, pulse: PulseShape) -> list[HamiltonianTerm]:
-    """All factored Hamiltonian terms for |m| <= m_max and the pulse support.
-
-    The operators are J_m (x) A_m on the composite space; the drive strength
-    omega_T is *not* included so callers can rescale.
-    """
+def drive_taps(params: GateParams, pulse: PulseShape) -> tuple[np.ndarray, np.ndarray]:
+    """Beat notes N_g = M -/+ L and weights c_g = c_M of the scalar drive
+    g(tau) = f(tau) 2 cos(2 pi L tau) = sum_g c_g exp(i 2 pi N_g tau), by M, then mu."""
     if not pulse.support:
         raise ValueError("the pulse has no nonzero Fourier coefficient")
-    terms = []
-    for m in range(-params.m_max, params.m_max + 1):
-        jm = collective_spin(m)
-        am = sideband_operator(m, params.eta, params.n_dim)
-        op = np.kron(jm, am)
-        for M in pulse.support:
-            cM = pulse.c(M)
-            for mu in (-1, 1):
-                N = beat_note(M, m, mu, params)
-                terms.append(HamiltonianTerm(N=N, M=M, m=m, mu=mu, coeff=cM, op=op))
-    return terms
+    N, c = zip(*[(beat_note(M, 0, mu, params), pulse.c(M)) for M in pulse.support for mu in (-1, 1)])
+    return np.array(N), np.array(c)
+
+
+def hamiltonian_terms(params: GateParams, pulse: PulseShape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The factored Hamiltonian H(tau) = g(tau) sum_m exp(i 2 pi m K tau) J_m (x) A_m
+    at unit drive: the taps (N_g, c_g) of ``drive_taps`` and the stack of the
+    operators J_m (x) A_m for m = -m_max..m_max.  The drive strength omega_T
+    is *not* included so callers can rescale.
+    """
+    return (*drive_taps(params, pulse),
+            np.stack([np.kron(collective_spin(m), sideband_operator(m, params.eta, params.n_dim))
+                      for m in range(-params.m_max, params.m_max + 1)]))
 
 
 def symmetry_blocks(n_dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -191,17 +178,16 @@ def symmetry_blocks(n_dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 def sideband_hamiltonian(params: GateParams, pulse: PulseShape, blocks: tuple) -> HamiltonianBuilder:
     """Batched sideband-series Hamiltonian on the isometries ``blocks`` (see
-    symmetry_blocks).  The term operators are projected once here, so each
-    call is one GEMM per block.
+    symmetry_blocks).  The 2 m_max + 1 operators are projected once here, so
+    each call is one GEMM per block with the phases g(tau) exp(i 2 pi m K tau).
     """
-    terms = hamiltonian_terms(params, pulse)
-    coeffs = np.array([t.coeff for t in terms])
-    freqs = np.array([t.N for t in terms])
-    stacked = params.omega_T * np.stack([t.op for t in terms])
-    ops = [Q.conj().T @ stacked @ Q for Q in blocks]
+    taps, coeffs, stacked = hamiltonian_terms(params, pulse)
+    sidebands = params.K * np.arange(-params.m_max, params.m_max + 1)
+    ops = [Q.conj().T @ (params.omega_T * stacked) @ Q for Q in blocks]
 
     def build(taus: np.ndarray) -> list[np.ndarray]:
-        phases = coeffs * np.exp(2j * np.pi * np.outer(taus, freqs))
+        drive = np.exp(2j * np.pi * np.outer(taus, taps)) @ coeffs
+        phases = drive[:, None] * np.exp(2j * np.pi * np.outer(taus, sidebands))
         return [np.tensordot(phases, op, axes=1) for op in ops]
 
     return build
@@ -209,18 +195,22 @@ def sideband_hamiltonian(params: GateParams, pulse: PulseShape, blocks: tuple) -
 
 def displacement_hamiltonian(params: GateParams, pulse: PulseShape, blocks: tuple) -> HamiltonianBuilder:
     """Like ``sideband_hamiltonian``, with the displacement exponential built exactly
-    instead of the m_max-truncated series: the cross-check for the truncation."""
+    instead of the m_max-truncated series: the cross-check for the truncation.
+    H = g(tau) (J+ (x) D + J- (x) D^H) / 2, where D(tau) = exp(i eta (a e^{-i theta}
+    + a+ e^{i theta})) = e^{i theta a+a} D_0 e^{-i theta a+a}, theta = 2 pi K tau, is
+    D_0 = exp(i eta (a + a+)) with entry (j, k) rotated by e^{i theta (j - k)}.
+    """
     J = collective_spins()
+    taps, coeffs = drive_taps(params, pulse)
     a = destroy(params.n_dim)
+    d0 = matrix_exp(1j * params.eta * (a + a.conj().T))
+    n = np.arange(params.n_dim)
+    shift = params.K * (n[:, None] - n)
 
     def build(taus: np.ndarray) -> list[np.ndarray]:
-        phase = np.exp(-2j * np.pi * params.K * taus)[:, None, None]
-        # Hermitian generator eta*(a e^{-i 2 pi K tau} + a+ e^{+i 2 pi K tau})
-        gw, gv = np.linalg.eigh(params.eta * (phase * a + phase.conj() * a.conj().T))
-        disp = (gv * np.exp(1j * gw)[:, None, :]) @ gv.conj().transpose(0, 2, 1)
-        env = np.array([envelope_at(pulse, t) for t in taus])
-        amp = (params.omega_T * env * np.cos(2 * np.pi * params.L * taus))[:, None, None]
-        h = amp * (np.kron(J.Jplus, disp) + np.kron(J.Jminus, disp.conj().transpose(0, 2, 1)))
+        disp = d0 * np.exp(2j * np.pi * taus[:, None, None] * shift)
+        amp = 0.5 * params.omega_T * np.exp(2j * np.pi * np.outer(taus, taps)) @ coeffs
+        h = amp[:, None, None] * (np.kron(J.Jplus, disp) + np.kron(J.Jminus, disp.conj().transpose(0, 2, 1)))
         return [Q.conj().T @ h @ Q for Q in blocks]
 
     return build

@@ -51,15 +51,11 @@ def _transfer_dyson(eta, K, L, n_dim, m_max, coeffs, up_to) -> list[np.ndarray]:
     singlets, so P_k = sum_b Q_b P_b Q_b^H.  The state is a sorted key array
     with one row per key, the key's block matrices flattened side by side.
     """
-    terms = hilbert.hamiltonian_terms(GateParams(eta=eta, K=K, L=L, n_dim=n_dim, m_max=m_max),
-                                      PulseShape("", coeffs))
-    # H = g(tau) sum_m e^{i 2 pi m K tau} J_m (x) A_m; the taps of the scalar
-    # drive g = f(tau) 2 cos(2 pi L tau) are the beat notes of the m = 0 terms
+    # H = g(tau) sum_m e^{i 2 pi m K tau} J_m (x) A_m: the taps (N_g, c_g) of g, the J_m (x) A_m
+    taps, tap_c, ops_full = hilbert.hamiltonian_terms(
+        GateParams(eta=eta, K=K, L=L, n_dim=n_dim, m_max=m_max), PulseShape("", coeffs))
     ms = np.arange(-m_max, m_max + 1)
-    drive = [t for t in terms if t.m == 0]
-    tap_shift, tap_c = _POWERS * np.array([t.N for t in drive]), np.array([t.coeff for t in drive])
     blocks = hilbert.symmetry_blocks(n_dim)
-    ops_full = np.stack([next(t.op for t in terms if t.m == m) for m in ms])
     ops = [Q.conj().T @ ops_full @ Q for Q in blocks]
     dims = [Q.shape[1] for Q in blocks]
     cols = [slice(a, a + d * d) for a, d in zip(np.cumsum([0] + [d * d for d in dims]), dims)]
@@ -69,8 +65,8 @@ def _transfer_dyson(eta, K, L, n_dim, m_max, coeffs, up_to) -> list[np.ndarray]:
     for order in range(1, up_to + 1):
         # op_m @ rows[k] lands on key keys[k] + m K, and tap g moves it on by N_g
         skeys, sinv = np.unique(keys + _POWERS * K * ms[:, None], return_inverse=True)
-        ikeys, tinv = np.unique(skeys + tap_shift[:, None], return_inverse=True)
-        sinv, tinv = sinv.reshape(len(ms), -1), tinv.reshape(len(drive), -1)
+        ikeys, tinv = np.unique(skeys + _POWERS * taps[:, None], return_inverse=True)
+        sinv, tinv = sinv.reshape(len(ms), -1), tinv.reshape(len(taps), -1)
         new_keys, parts, boundary, at_one = _antiderivative(ikeys)
         # P_k: the integrand's antiderivative at tau = 1, weighted back onto the state
         summed = (tap_c @ at_one[tinv])[sinv] @ rows
@@ -122,8 +118,10 @@ def _tuple_dyson(params: GateParams, pulse: PulseShape, k: int) -> np.ndarray:
     Viable for low orders / narrow pulses only; the transfer route is the
     production path.
     """
-    terms = hilbert.hamiltonian_terms(params, pulse)
-    labels = [(t.N, t.coeff, t.op) for t in terms]
+    taps, tap_c, ops = hilbert.hamiltonian_terms(params, pulse)
+    # one label (N_g + m K, c_g, J_m (x) A_m) per sideband m and drive tap g
+    labels = [(int(N) + m * params.K, c, op)
+              for m, op in zip(range(-params.m_max, params.m_max + 1), ops) for N, c in zip(taps, tap_c)]
     dim = params.dim
     total = np.zeros((dim, dim), dtype=complex)
     prod_cache: dict[tuple[int, ...], np.ndarray] = {}
@@ -227,6 +225,7 @@ def form_factor(params: GateParams, n: int, parity: str,
         sign = -1.0
     else:
         raise ValueError("parity must be 'even' or 'odd'")
+    taps = list(zip(*(x.tolist() for x in hilbert.drive_taps(params, pulse))))
     acc = 0.0
     for m in ms:
         lo = min(n, n - m)
@@ -236,10 +235,8 @@ def form_factor(params: GateParams, n: int, parity: str,
         weight = ((-eta2) ** abs(m)
                   * hilbert.laguerre(lo, abs(m), eta2) ** 2
                   * math.factorial(lo) / math.factorial(hi))
-        for M in pulse.support:
-            cM2 = abs(pulse.c(M)) ** 2
-            for mu in (-1, 1):
-                acc += cM2 * weight / (M + m * params.K + mu * params.L)
+        for N, c in taps:
+            acc += abs(c) ** 2 * weight / (N + m * params.K)
     return sign * params.omega_T ** 2 / (2 * np.pi) * math.exp(-eta2) * acc
 
 

@@ -320,6 +320,9 @@ def test_malformed_input_is_config_error(tmp_path, capsys, lines):
     "trap_freq = 0\n",
     "omega_phys = 1e5\n",                  # no trap_freq to convert it
     "omega_phys = 1e5\ntrap_freq = 0\n",
+    "pulse = custom\n",                    # no pulse_coeffs
+    "grid = auto\n",                       # auto grid off the omega axis (axis = K)
+    "omega_mode = fixed_phys\n",           # no omega_phys
 ])
 def test_every_subcommand_rejects_malformed_values(tmp_path, capsys, command, lines):
     path = _write(tmp_path, "bad.cfg", CHECK_OK + "axis = K\ngrid = 28\npropagators = U2\n" + lines)

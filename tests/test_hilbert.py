@@ -12,7 +12,8 @@ from msgate.hilbert import (
     matrix_exp,
     sideband_operator,
 )
-from msgate.params import GateParams
+from msgate.params import GateParams, beat_note
+from msgate.pulses import PulseShape, envelope_at, rectangular, sin_squared
 
 
 def laguerre_series(a, b, x):
@@ -143,6 +144,45 @@ def test_hamiltonian_vs_displacement_oracle(base_params, rect):
     diff = np.abs(hilbert.guard_block(H_series - H_exact, p)).max()
     assert diff < 5 * p.eta ** (p.m_max + 1)
     assert diff > 0  # the truncation is real, the bound is not vacuous
+
+
+SHAPES = [rectangular(), sin_squared(),
+          # conjugate-symmetric with complex coefficients: f(1 - tau) != f(tau)
+          PulseShape.from_dict("skew", {0: 0.5, 1: 0.25j, -1: -0.25j})]
+
+
+def _explicit_term_sum(p, pulse, tau):
+    """sum_{M,m,mu} omega_T c_M e^{i 2 pi N tau} J_m (x) A_m, term by term."""
+    return sum(p.omega_T * pulse.c(M) * np.exp(2j * np.pi * beat_note(M, m, mu, p) * tau)
+               * np.kron(collective_spin(m), sideband_operator(m, p.eta, p.n_dim))
+               for M in pulse.support for m in range(-p.m_max, p.m_max + 1) for mu in (-1, 1))
+
+
+def _per_tau_displacement(p, pulse, tau):
+    """omega_T f(tau) cos(2 pi L tau) (J+ (x) D + J- (x) D^H), with D(tau) from one
+    eigh of the generator eta (a e^{-i 2 pi K tau} + a+ e^{i 2 pi K tau})."""
+    J = collective_spins()
+    a = hilbert.destroy(p.n_dim)
+    phase = np.exp(-2j * np.pi * p.K * tau)
+    gw, gv = np.linalg.eigh(p.eta * (phase * a + np.conj(phase) * a.conj().T))
+    disp = (gv * np.exp(1j * gw)) @ gv.conj().T
+    amp = p.omega_T * envelope_at(pulse, tau) * np.cos(2 * np.pi * p.L * tau)
+    return amp * (np.kron(J.Jplus, disp) + np.kron(J.Jminus, disp.conj().T))
+
+
+@pytest.mark.parametrize("pulse", SHAPES, ids=lambda s: s.name)
+@pytest.mark.parametrize("tau", [0.0, 0.37, 1.0])
+@pytest.mark.parametrize("hamiltonian, oracle", [
+    (hamiltonian_at, _explicit_term_sum),
+    (hilbert.displacement_hamiltonian_at, _per_tau_displacement),
+], ids=["series", "exact_displacement"])
+def test_hamiltonian_matches_oracle(base_params, hamiltonian, oracle, pulse, tau):
+    # every phase is 1 at tau = 0 and 1, so tau = 0.37 carries the check; L = 22 keeps
+    # it off a carrier node.  max|H| is taken at tau = 1/2, where every shape here
+    # peaks and |cos(2 pi L tau)| = 1 (the sin^2 envelope vanishes at 0 and 1)
+    p = base_params.replace(L=22, omega_T=29.93)
+    scale = np.abs(oracle(p, pulse, 0.5)).max()
+    assert np.abs(hamiltonian(tau, p, pulse) - oracle(p, pulse, tau)).max() <= 1e-13 * scale
 
 
 def test_guard_band_indices(base_params):

@@ -194,16 +194,18 @@ def _accumulate(acc, key, mat):
 def _full_space_transfer(params, pulse, up_to):
     """Oracle: the transfer pass on the full space, with its state kept as a
     (power, freq) -> matrix dict (the assembly before the symmetry blocks)."""
-    terms = hilbert.hamiltonian_terms(params, pulse)
+    taps, tap_c, ops = hilbert.hamiltonian_terms(params, pulse)
+    ms = range(-params.m_max, params.m_max + 1)
     state = {(0, 0): np.eye(params.dim, dtype=complex)}
     p_hats = []
     for order in range(1, up_to + 1):
         stack = np.stack(list(state.values()))
-        prods = {m: np.matmul(op, stack) for m, op in {t.m: t.op for t in terms}.items()}
+        prods = {m: np.matmul(op, stack) for m, op in zip(ms, ops)}
         integrand = {}
-        for t in terms:
-            for (p, nu), mat in zip(state, t.coeff * prods[t.m]):
-                _accumulate(integrand, (p, nu + t.N), mat)
+        for m in ms:
+            for N, c in zip(taps, tap_c):
+                for (p, nu), mat in zip(state, c * prods[m]):
+                    _accumulate(integrand, (p, nu + int(N) + m * params.K), mat)
         state = {}
         for (p, nu), mat in integrand.items():
             if nu == 0:
