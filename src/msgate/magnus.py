@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import hilbert, resint
-from .params import GateParams
+from .params import GateParams, beat_note
 from .pulses import PulseShape, rectangular
 
 
@@ -115,27 +115,19 @@ def _antiderivative(keys: np.ndarray) -> tuple:
 def _tuple_dyson(params: GateParams, pulse: PulseShape, k: int) -> np.ndarray:
     """Direct tuple enumeration against the exact integral engine.
 
-    Viable for low orders / narrow pulses only; the transfer route is the
-    production path.
+    Its memory is one chain of k operator products, but its time grows with
+    the tuple count (labels^k), so it serves low orders and narrow pulses as a
+    cross-check; the transfer route is the production path.
     """
     taps, tap_c, ops = hilbert.hamiltonian_terms(params, pulse)
     # one label (N_g + m K, c_g, J_m (x) A_m) per sideband m and drive tap g
     labels = [(int(N) + m * params.K, c, op)
               for m, op in zip(range(-params.m_max, params.m_max + 1), ops) for N, c in zip(taps, tap_c)]
-    dim = params.dim
-    total = np.zeros((dim, dim), dtype=complex)
-    prod_cache: dict[tuple[int, ...], np.ndarray] = {}
-
-    def product(idx: tuple[int, ...]) -> np.ndarray:
-        mat = prod_cache.get(idx)
-        if mat is None:
-            if len(idx) == 1:
-                mat = labels[idx[0]][2]
-            else:
-                mat = product(idx[:-1]) @ labels[idx[-1]][2]
-            prod_cache[idx] = mat
-        return mat
-
+    total = np.zeros((params.dim, params.dim), dtype=complex)
+    # itertools.product yields the combos sharing a prefix in a row: chain[j] is the
+    # product of the first j + 1 operators of the last combo used
+    chain: list[np.ndarray] = []
+    last: tuple[int, ...] = ()
     for combo in itertools.product(range(len(labels)), repeat=k):
         Ns = tuple(labels[i][0] for i in combo)
         if not resint.may_be_resonant(Ns):
@@ -143,8 +135,13 @@ def _tuple_dyson(params: GateParams, pulse: PulseShape, k: int) -> np.ndarray:
         val = resint.resonance_integral(Ns)
         if val.is_zero:
             continue
+        keep = next((j for j, (a, b) in enumerate(zip(last, combo)) if a != b), len(chain))
+        del chain[keep:]
+        for i in combo[keep:]:
+            chain.append(chain[-1] @ labels[i][2] if chain else labels[i][2])
+        last = combo
         coeff = np.prod([labels[i][1] for i in combo]) * val.as_complex()
-        total += coeff * product(combo)
+        total += coeff * chain[-1]
     return (-1j) ** k * total
 
 
@@ -225,7 +222,6 @@ def form_factor(params: GateParams, n: int, parity: str,
         sign = -1.0
     else:
         raise ValueError("parity must be 'even' or 'odd'")
-    taps = list(zip(*(x.tolist() for x in hilbert.drive_taps(params, pulse))))
     acc = 0.0
     for m in ms:
         lo = min(n, n - m)
@@ -235,8 +231,11 @@ def form_factor(params: GateParams, n: int, parity: str,
         weight = ((-eta2) ** abs(m)
                   * hilbert.laguerre(lo, abs(m), eta2) ** 2
                   * math.factorial(lo) / math.factorial(hi))
-        for N, c in taps:
-            acc += abs(c) ** 2 * weight / (N + m * params.K)
+        for M, mu in itertools.product(pulse.support, (-1, 1)):
+            N = beat_note(M, m, mu, params)
+            if N == 0:
+                raise ValueError(f"beat note N=0 at M={M}, m={m}, mu={mu}")
+            acc += abs(pulse.c(M)) ** 2 * weight / N
     return sign * params.omega_T ** 2 / (2 * np.pi) * math.exp(-eta2) * acc
 
 

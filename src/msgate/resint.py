@@ -8,8 +8,8 @@ The object computed here is, for an integer tuple (N_1, ..., N_k),
 
 i.e. N_1 rides the *outermost* (latest) time variable.  Repeated integration
 by parts keeps every intermediate function an exact sum of terms
-c * tau^p * e^{i 2 pi nu tau} with c a complex rational divided by an integer
-power of pi, so orders 4 and 5 do not suffer the catastrophic cancellation a
+r / (i pi)^g * tau^p * e^{i 2 pi nu tau} with r one rational and g an integer,
+so orders 4 and 5 do not suffer the catastrophic cancellation a
 naive floating-point evaluation would.  A spectral quadrature oracle provides
 an independent numerical cross-check.
 """
@@ -20,102 +20,51 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-_ZERO = Fraction(0)
-
-
-class OscTerm(NamedTuple):
-    """One term re_im / pi^pi_pow * tau^power * exp(i 2 pi freq tau)."""
-
-    re: Fraction
-    im: Fraction
-    pi_pow: int
-    power: int
-    freq: int
-
-
-def _rot_minus_i(re: Fraction, im: Fraction, q: int) -> tuple[Fraction, Fraction]:
-    """Multiply the complex rational (re + i im) by (-i)^q."""
-    q %= 4
-    if q == 0:
-        return re, im
-    if q == 1:
-        return im, -re
-    if q == 2:
-        return -re, -im
-    return -im, re
-
-
 @dataclass
 class OscSum:
-    """Canonical sum of oscillatory terms, keyed by (power, freq, pi_pow)."""
+    """Canonical sum of terms r / (i pi)^g * tau^p * exp(i 2 pi nu tau), one
+    rational r per key (p, nu, g).  A constant sum (keys (0, 0, g)) is an exact
+    complex number, zero iff it has no terms since pi is transcendental.
+    """
 
-    terms: dict[tuple[int, int, int], tuple[Fraction, Fraction]] = field(default_factory=dict)
+    terms: dict[tuple[int, int, int], Fraction] = field(default_factory=dict)
 
     @staticmethod
     def unit() -> "OscSum":
-        return OscSum({(0, 0, 0): (Fraction(1), _ZERO)})
+        return OscSum({(0, 0, 0): Fraction(1)})
 
-    def _add(self, power: int, freq: int, pi_pow: int, re: Fraction, im: Fraction) -> None:
+    def _add(self, power: int, freq: int, pi_pow: int, r: Fraction) -> None:
         key = (power, freq, pi_pow)
-        old = self.terms.get(key)
-        if old is not None:
-            re, im = old[0] + re, old[1] + im
-        if re == 0 and im == 0:
+        r += self.terms.get(key, 0)
+        if r == 0:
             self.terms.pop(key, None)
         else:
-            self.terms[key] = (re, im)
+            self.terms[key] = r
 
-    def canonical_terms(self) -> list[OscTerm]:
-        out = [
-            OscTerm(re, im, g, p, nu)
-            for (p, nu, g), (re, im) in self.terms.items()
-        ]
-        out.sort(key=lambda t: (t.freq, t.power, t.pi_pow))
-        return out
-
-    def at_one(self) -> "ExactComplex":
+    def at_one(self) -> "OscSum":
         """Evaluate at tau = 1; freqs are integers so every phase is 1."""
-        val = ExactComplex()
-        for (_p, _nu, g), (re, im) in self.terms.items():
-            val._add(g, re, im)
+        val = OscSum()
+        for (_p, _nu, g), r in self.terms.items():
+            val._add(0, 0, g, r)
         return val
-
-
-@dataclass
-class ExactComplex:
-    """Exact complex number sum_g (a_g + i b_g) / pi^g.
-
-    pi is transcendental, so the number is zero iff every coefficient is.
-    """
-
-    parts: dict[int, tuple[Fraction, Fraction]] = field(default_factory=dict)
-
-    def _add(self, g: int, re: Fraction, im: Fraction) -> None:
-        old = self.parts.get(g)
-        if old is not None:
-            re, im = old[0] + re, old[1] + im
-        if re == 0 and im == 0:
-            self.parts.pop(g, None)
-        else:
-            self.parts[g] = (re, im)
 
     @property
     def is_zero(self) -> bool:
-        return not self.parts
+        return not self.terms
 
     def as_complex(self) -> complex:
         out = 0j
-        for g, (re, im) in self.parts.items():
+        for (_p, _nu, g), r in self.terms.items():  # r / (i pi)^g = r (-i)^g / pi^g
+            re, im = ((r, 0), (0, -r), (-r, 0), (0, r))[g % 4]
             out += complex(re, im) / math.pi ** g
         return out
 
-    def __complex__(self) -> complex:
-        return self.as_complex()
+    __complex__ = as_complex
 
 
 @lru_cache(maxsize=None)
@@ -135,35 +84,42 @@ def integrate_step(f: OscSum, N: int) -> OscSum:
     terms plus the boundary constant at s = 0.
     """
     out = OscSum()
-    for (p, nu, g), (re, im) in f.terms.items():
+    for (p, nu, g), r in f.terms.items():
         nu2 = nu + N
         if nu2 == 0:
-            out._add(p + 1, 0, g, re / (p + 1), im / (p + 1))
+            out._add(p + 1, 0, g, r / (p + 1))
             continue
-        # a_j / (i 2 pi nu2)^q = a_j / (2 nu2)^q * (-i)^q / pi^q
+        # a_j / (i 2 pi nu2)^q = a_j / (2 nu2)^q / (i pi)^q
         for j, q, a in parts_table(p):
-            scale = Fraction(a, (2 * nu2) ** q)
-            cre, cim = _rot_minus_i(re * scale, im * scale, q)
-            out._add(j, nu2, g + q, cre, cim)
+            c = r * Fraction(a, (2 * nu2) ** q)
+            out._add(j, nu2, g + q, c)
             if j == 0:
-                out._add(0, 0, g + q, -cre, -cim)
+                out._add(0, 0, g + q, -c)
     return out
 
 
+def _integer_tuple(Ns: Iterable[int]) -> tuple[int, ...]:
+    """The beat notes as ints; a non-integer raises instead of being truncated."""
+    Ns = tuple(Ns)
+    if not all(float(N).is_integer() for N in Ns):
+        raise ValueError(f"beat notes must be integers, got {Ns}")
+    return tuple(int(N) for N in Ns)
+
+
 @lru_cache(maxsize=200_000)
-def _resonance_integral_cached(Ns: tuple[int, ...]) -> ExactComplex:
+def _resonance_integral_cached(Ns: tuple[int, ...]) -> OscSum:
     f = OscSum.unit()
     for N in reversed(Ns):
         f = integrate_step(f, N)
     return f.at_one()
 
 
-def resonance_integral(Ns: Iterable[int]) -> ExactComplex:
+def resonance_integral(Ns: Iterable[int]) -> OscSum:
     """Exact value of the nested integral for an integer beat-note tuple.
 
     Dimensionless (T = 1); a physical result carries the extra factor T^k.
     """
-    Ns = tuple(int(N) for N in Ns)
+    Ns = _integer_tuple(Ns)
     if len(Ns) > 5:
         raise ValueError("orders above 5 are out of scope")
     return _resonance_integral_cached(Ns)
@@ -184,7 +140,7 @@ def may_be_resonant(Ns: Iterable[int]) -> bool:
 
 def is_resonant(Ns: Iterable[int]) -> bool:
     """True iff the exact integral is nonzero; used to prune tuples."""
-    Ns = tuple(int(N) for N in Ns)
+    Ns = _integer_tuple(Ns)
     if all(N != 0 for N in Ns) and not may_be_resonant(Ns):
         return False
     return not resonance_integral(Ns).is_zero
@@ -256,7 +212,7 @@ def _cheb_values(coeffs: np.ndarray) -> np.ndarray:
 def quadrature_integral(Ns: Iterable[int], n: int = 2048) -> complex:
     """Numerical value of the nested integral via spectral cumulative
     quadrature on a Chebyshev grid; independent of the symbolic path."""
-    Ns = tuple(int(N) for N in Ns)
+    Ns = _integer_tuple(Ns)
     tau = _cheb_nodes_tau(n)
     vals = np.ones(n + 1, dtype=complex)
     for N in reversed(Ns):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,7 +44,14 @@ def test_pulse_without_coefficients_rejected(base_params):
 def test_transfer_matches_tuple_enumeration(base_params, rect, k):
     p = base_params.replace(omega_T=1.0)
     via_transfer = magnus.dyson_term(k, p, rect, method="transfer")
-    via_tuples = magnus.dyson_term(k, p, rect, method="tuples")
+    if k == 3:  # the route holds one chain of k products, not one per tuple prefix
+        tracemalloc.start()
+    try:
+        via_tuples = magnus.dyson_term(k, p, rect, method="tuples")
+        peak = tracemalloc.get_traced_memory()[1]  # 0 when not tracing
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
     scale = np.abs(via_transfer).max()
     assert np.abs(via_transfer - via_tuples).max() < 1e-12 * scale
 
@@ -68,6 +76,14 @@ def test_z2_matches_laguerre_form_factors(params_omega2, magnus_terms_omega2):
         got_x = magnus.fock_diagonal_coeff(Z2, p, n, "jx2").real
         assert got_y == pytest.approx(dy, rel=1e-6)
         assert got_x == pytest.approx(dx, rel=1e-6)
+
+
+def test_form_factor_rejects_beat_note_on_resonance(base_params):
+    # at K = 28, L = 25: M + m K + mu L = 3 - 28 + 25 = 0 (and its mirror -3 + 28 - 25)
+    pulse = PulseShape.from_dict("wide", {0: 0.5, 3: 0.25, -3: 0.25})
+    assert not validate_with_pulse(base_params, pulse).ok
+    with pytest.raises(ValueError, match="N=0 at M=3, m=-1, mu=1"):
+        magnus.form_factor(base_params, 0, "odd", pulse)
 
 
 def test_z2_fock_diagonal(params_omega2, magnus_terms_omega2):
@@ -245,9 +261,11 @@ def test_blocked_transfer_matches_full_space_reference(shape, eta, K, L, n_dim, 
 
 @settings(max_examples=5, deadline=None)
 @given(eta=st.floats(0.05, 0.3), K=st.integers(12, 40), gap=st.integers(2, 6),
-       shaped=st.booleans())
-def test_transfer_matches_tuples_over_gate_points(eta, K, gap, shaped):
-    pulse = sin_squared() if shaped else rectangular()
+       shape=st.sampled_from(["rect", "sin2", "skew"]))
+def test_transfer_matches_tuples_over_gate_points(eta, K, gap, shape):
+    # skew has complex taps: c_{+-1} = +-i/4
+    pulse = {"rect": rectangular(), "sin2": sin_squared(),
+             "skew": PulseShape.from_dict("skew", {0: 0.5, 1: 0.25j, -1: -0.25j})}[shape]
     p = GateParams(eta=eta, K=K, L=K - gap, omega_T=1.0)
     assume(validate_with_pulse(p, pulse).ok)
     for k in (2, 3):

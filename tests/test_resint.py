@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from msgate.resint import (
@@ -22,22 +23,20 @@ def val(Ns):
 
 def test_integrate_constant_zero_freq():
     g = integrate_step(OscSum.unit(), 0)
-    assert g.terms == {(1, 0, 0): (Fraction(1), Fraction(0))}  # tau
+    assert g.terms == {(1, 0, 0): Fraction(1)}  # tau
 
 
 def test_integrate_constant_nonzero_freq():
-    # (e^{i 2 pi 3 tau} - 1) / (i 2 pi 3): two terms, both pi^-1
+    # (e^{i 2 pi 3 tau} - 1) / (i 2 pi 3) = (e^{i 2 pi 3 tau} - 1) (1/6) / (i pi)
     g = integrate_step(OscSum.unit(), 3)
-    terms = {t[3:]: (t.re, t.im, t.pi_pow) for t in g.canonical_terms()}
-    assert terms[(0, 3)] == (Fraction(0), Fraction(-1, 6), 1)
-    assert terms[(0, 0)] == (Fraction(0), Fraction(1, 6), 1)
+    assert g.terms == {(0, 3, 1): Fraction(1, 6), (0, 0, 1): Fraction(-1, 6)}
 
 
 def test_integrate_cancelling_frequencies():
     # f = tau * e^{-i 2 pi tau} integrated against N = 1 gives tau^2 / 2
-    f = OscSum({(1, -1, 0): (Fraction(1), Fraction(0))})
+    f = OscSum({(1, -1, 0): Fraction(1)})
     g = integrate_step(f, 1)
-    assert g.terms == {(2, 0, 0): (Fraction(1, 2), Fraction(0))}
+    assert g.terms == {(2, 0, 0): Fraction(1, 2)}
 
 
 def test_first_order_values():
@@ -154,6 +153,28 @@ def test_order_above_five_rejected():
 
 def test_canonical_merge_drops_zero_terms():
     s = OscSum()
-    s._add(0, 1, 0, Fraction(1), Fraction(0))
-    s._add(0, 1, 0, Fraction(-1), Fraction(0))
+    s._add(0, 1, 0, Fraction(1))
+    s._add(0, 1, 0, Fraction(-1))
     assert s.terms == {}
+
+
+def test_value_is_rational_over_power_of_i_pi():
+    # I(3, -3) = i / (6 pi), held as the one rational -1/6 over (i pi)^1
+    x = resonance_integral((3, -3))
+    assert x.terms == {(0, 0, 1): Fraction(-1, 6)}
+    assert complex(x) == pytest.approx(1j / (6 * math.pi))
+
+
+@pytest.mark.parametrize("call, Ns", [
+    (resonance_integral, [1.5, -1.5]),
+    (is_resonant, [0.5]),
+    (quadrature_integral, [2, -0.5]),
+])
+def test_non_integer_beat_notes_rejected(call, Ns):
+    with pytest.raises(ValueError, match="integers"):
+        call(Ns)
+
+
+def test_integer_valued_beat_notes_accepted():
+    assert resonance_integral(np.array([3, -3])) is resonance_integral((3, -3))
+    assert is_resonant([3.0, -3.0])
