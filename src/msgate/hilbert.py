@@ -11,7 +11,6 @@ levels n >= n_dim - m_max.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,8 +24,6 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
-# A batched Hamiltonian: maps a vector of tau to one stack Q_b^H H(tau) Q_b per block.
-HamiltonianBuilder = Callable[[np.ndarray], list[np.ndarray]]
 
 
 def destroy(n_dim: int) -> np.ndarray:
@@ -176,44 +173,56 @@ def symmetry_blocks(n_dim: int) -> tuple[np.ndarray, np.ndarray]:
                  for parity in (0, 1))
 
 
-def sideband_hamiltonian(params: GateParams, pulse: PulseShape, blocks: tuple) -> HamiltonianBuilder:
-    """Batched sideband-series Hamiltonian on the isometries ``blocks`` (see
-    symmetry_blocks).  The 2 m_max + 1 operators are projected once here, so
-    each call is one GEMM per block with the phases g(tau) exp(i 2 pi m K tau).
+@dataclass(frozen=True)
+class RotatingFrame:
+    """Q_b^H H(tau) Q_b = omega_T g(tau) r_b B_b r_b^H on isometries Q_b whose columns
+    each hold one Fock level n_b: the drive g of ``drive_taps``, one constant generator
+    B_b = Q_b^H B_0 Q_b and r_b = exp(i 2 pi K tau n_b).  Called on a vector of tau it
+    returns one stack Q_b^H H(tau) Q_b per block."""
+
+    params: GateParams
+    taps: np.ndarray
+    coeffs: np.ndarray
+    generators: tuple
+    levels: tuple
+
+    def drive(self, taus: np.ndarray) -> np.ndarray:
+        return np.exp(2j * np.pi * np.outer(taus, self.taps)) @ self.coeffs
+
+    def __call__(self, taus: np.ndarray) -> list[np.ndarray]:
+        amp, K = self.params.omega_T * self.drive(taus), self.params.K
+        # entry (j, k) turns by exp(i 2 pi tau K (n_j - n_k)), from the integer difference
+        return [amp[:, None, None] * np.exp(2j * np.pi * taus[:, None, None] * (K * (n[:, None] - n))) * B
+                for B, n in zip(self.generators, self.levels)]
+
+
+def _frame(params: GateParams, blocks: tuple, taps, coeffs, generator: np.ndarray) -> RotatingFrame:
+    return RotatingFrame(params, taps, coeffs,
+                         tuple(Q.conj().T @ generator @ Q for Q in blocks),
+                         tuple(np.argmax(np.abs(Q), axis=0) % params.n_dim for Q in blocks))
+
+
+def sideband_hamiltonian(params: GateParams, pulse: PulseShape, blocks: tuple) -> RotatingFrame:
+    """The sideband series on the isometries ``blocks`` (see symmetry_blocks).  A_m
+    raises the Fock level by m, so exp(i 2 pi m K tau) J_m (x) A_m = R J_m (x) A_m R^H
+    with R = exp(i 2 pi K tau a+a), and the generator is B_0 = sum_m J_m (x) A_m.
     """
     taps, coeffs, stacked = hamiltonian_terms(params, pulse)
-    sidebands = params.K * np.arange(-params.m_max, params.m_max + 1)
-    ops = [Q.conj().T @ (params.omega_T * stacked) @ Q for Q in blocks]
-
-    def build(taus: np.ndarray) -> list[np.ndarray]:
-        drive = np.exp(2j * np.pi * np.outer(taus, taps)) @ coeffs
-        phases = drive[:, None] * np.exp(2j * np.pi * np.outer(taus, sidebands))
-        return [np.tensordot(phases, op, axes=1) for op in ops]
-
-    return build
+    return _frame(params, blocks, taps, coeffs, stacked.sum(axis=0))
 
 
-def displacement_hamiltonian(params: GateParams, pulse: PulseShape, blocks: tuple) -> HamiltonianBuilder:
+def displacement_hamiltonian(params: GateParams, pulse: PulseShape, blocks: tuple) -> RotatingFrame:
     """Like ``sideband_hamiltonian``, with the displacement exponential built exactly
     instead of the m_max-truncated series: the cross-check for the truncation.
     H = g(tau) (J+ (x) D + J- (x) D^H) / 2, where D(tau) = exp(i eta (a e^{-i theta}
-    + a+ e^{i theta})) = e^{i theta a+a} D_0 e^{-i theta a+a}, theta = 2 pi K tau, is
-    D_0 = exp(i eta (a + a+)) with entry (j, k) rotated by e^{i theta (j - k)}.
+    + a+ e^{i theta})) = R D_0 R^H, theta = 2 pi K tau, so the generator is
+    B_0 = (J+ (x) D_0 + J- (x) D_0^H) / 2 with D_0 = exp(i eta (a + a+)).
     """
     J = collective_spins()
-    taps, coeffs = drive_taps(params, pulse)
     a = destroy(params.n_dim)
     d0 = matrix_exp(1j * params.eta * (a + a.conj().T))
-    n = np.arange(params.n_dim)
-    shift = params.K * (n[:, None] - n)
-
-    def build(taus: np.ndarray) -> list[np.ndarray]:
-        disp = d0 * np.exp(2j * np.pi * taus[:, None, None] * shift)
-        amp = 0.5 * params.omega_T * np.exp(2j * np.pi * np.outer(taus, taps)) @ coeffs
-        h = amp[:, None, None] * (np.kron(J.Jplus, disp) + np.kron(J.Jminus, disp.conj().transpose(0, 2, 1)))
-        return [Q.conj().T @ h @ Q for Q in blocks]
-
-    return build
+    return _frame(params, blocks, *drive_taps(params, pulse),
+                  0.5 * (np.kron(J.Jplus, d0) + np.kron(J.Jminus, d0.conj().T)))
 
 
 def hamiltonian_at(tau: float, params: GateParams, pulse: PulseShape) -> np.ndarray:

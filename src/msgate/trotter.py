@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -11,9 +10,6 @@ import numpy as np
 from . import hilbert
 from .params import GateParams
 from .pulses import PulseShape, rectangular
-
-_CHUNK = 1024  # steps per batched Hamiltonian build and step-exponential stack
-_THETA_MAX = 0.25  # largest step norm the Taylor polynomial takes without squaring
 
 
 @dataclass(frozen=True)
@@ -29,11 +25,9 @@ class TrotterConfig:
     always rejected.
 
     The policy fixes which steps are taken, not how each is exponentiated:
-    at the default safety a step has norm ||H dtau|| ~ 0.02 and a degree-7
-    Taylor polynomial reaches unit roundoff; a step above 1/4
-    (``steps_override`` or a low ``safety``) is scaled and squared.  On the
-    midpoint grid with a real-coefficient pulse only half of the steps are
-    computed (see ``_propagate``).
+    every step is exact up to rounding at any norm (one ``eigh`` per symmetry
+    block in the rotating frame, see ``_block_propagator``), and with a
+    real-coefficient pulse only half of the midpoint steps are computed.
     """
 
     safety: float = 10.0
@@ -58,82 +52,82 @@ class TrotterConfig:
         return steps
 
 
-def _step_exponentials(a: np.ndarray) -> np.ndarray:
-    """exp(a) for a stack of small matrices by a Horner Taylor polynomial.
+def _chain(stack: np.ndarray) -> np.ndarray:
+    """stack[-1] @ ... @ stack[0] by pairwise batched products; an unpaired latest factor waits."""
+    while len(stack) > 1:
+        stack = np.concatenate([stack[1::2] @ stack[:-1:2], stack[len(stack) - len(stack) % 2:]])
+    return stack[0]
 
-    With theta the largest infinity norm in the stack, the degree d is the
-    smallest with theta^(d+1)/(d+1)! <= 2^-53 (the truncation error in that
-    norm); stacks with theta > 1/4 are scaled by 2^-s first and squared s
-    times (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31 (2009) 970).
+
+def _block_propagator(B: np.ndarray, levels: np.ndarray, K: int, amps: np.ndarray,
+                      ticks: np.ndarray, fold: bool) -> np.ndarray:
+    """Ordered product of the steps exp(-i amps_n r_n B r_n^H) in one block, latest
+    factor leftmost, on the grid tau_n = ticks_n / 2N with r_n = exp(i 2 pi K tau_n levels).
+    With B = V diag(lam) V^H, steps lo..hi-1 give r_{hi-1} V [E_{hi-1} W ... E_{lo+1} W]
+    E_lo V^H r_lo^H, with E_n = exp(-i amps_n lam) and the constant W = V^H r_{n+1}^H r_n V:
+    diagonal phases and, per two steps, one row of a GEMM with W and one 12 x 12 product.
+    ``fold`` takes the first half of the steps and mirrors it (see ``_propagate``).
     """
-    theta = float(np.abs(a).sum(axis=-1).max())
-    if not theta < math.inf:  # NaN would pass every comparison below
-        raise ValueError(f"step exponent not finite: norm {theta}")
-    squarings = math.ceil(math.log2(theta / _THETA_MAX)) if theta > _THETA_MAX else 0
-    a = a / 2 ** squarings
-    theta /= 2 ** squarings
-    degree, remainder = 1, theta ** 2 / 2
-    while remainder > 2.0 ** -53:
-        degree += 1
-        remainder *= theta / (degree + 1)
-    eye = np.eye(a.shape[-1])
-    u = eye + a / degree
-    for k in range(degree - 1, 0, -1):
-        u = eye + (a @ u) / k
-    for _ in range(squarings):
-        u = u @ u
-    return u
+    n_steps, d = len(amps), len(B)
+    lam, V = np.linalg.eigh(B)
+    # W enters every step, so its rounding compounds: build it in extended precision where the
+    # platform has it, after one Newton-Schulz step V (3 - V^H V) / 2 towards a unitary V
+    V = V.astype(np.clongdouble)
+    V = V @ (3 * np.eye(d) - V.conj().T @ V) / 2
+    phases = np.exp(-2j * np.pi * (K * levels % n_steps).astype(np.longdouble) / n_steps)
+    W, V = (V.conj().T @ (phases[:, None] * V)).astype(complex), V.astype(complex)
 
+    def run(lo: int, hi: int) -> np.ndarray:
+        if hi == lo:
+            return np.eye(d)
+        E = np.exp(-1j * np.outer(amps[lo:hi], lam))
+        # E_{2j+1} W E_{2j} by entries, then one GEMM puts W right of all factors but the first
+        pairs = len(E) // 2
+        stack = np.concatenate([E[1::2, :, None] * E[:2 * pairs:2, None, :] * W,
+                                np.eye(d) * E[2 * pairs:, None, :]])
+        stack[1:] = (stack[1:].reshape(-1, d) @ W).reshape(-1, d, d)
+        r_hi, r_lo = (np.exp(1j * np.pi * (K * levels * ticks[n] % (2 * n_steps)) / n_steps)
+                      for n in (hi - 1, lo))
+        return (r_hi[:, None] * (V @ _chain(stack) @ V.conj().T)) * r_lo.conj()
 
-def _ordered_product(build, taus: np.ndarray, n_steps: int, blocks: tuple) -> list[np.ndarray]:
-    """Per block, the product of exp(-i H_b(tau) / n_steps) over ``taus``, the
-    latest factor leftmost; the identity when ``taus`` is empty."""
-    totals = [np.eye(Q.shape[1], dtype=complex) for Q in blocks]
-    for lo in range(0, len(taus), _CHUNK):
-        h_blocks = build(taus[lo:lo + _CHUNK])
-        if lo == 0:  # the polynomial would turn a non-Hermitian H into a non-unitary step
-            scale = max(float(np.abs(h).max()) for h in h_blocks)
-            defect = max(hilbert.hermiticity_defect(h) for h in h_blocks)
-            if defect > 1e-12 * scale:
-                raise ValueError(f"Hamiltonian not Hermitian: defect {defect:.3e}, max|H| {scale:.3e}")
-        for b, h in enumerate(h_blocks):
-            u_steps = _step_exponentials(h * (-1j / n_steps))
-            totals[b] = functools.reduce(lambda acc, u: u @ acc, u_steps, totals[b])
-    return totals
+    if not fold:
+        return run(0, n_steps)
+    half, flip = n_steps // 2, (-1.0) ** levels  # D_b: the Fock parity of each column
+    first = run(0, half)
+    return (flip[:, None] * first.T * flip) @ run(half, n_steps - half) @ first
 
 
 def _propagate(builder, params: GateParams, pulse: PulseShape | None,
                config: TrotterConfig | None) -> np.ndarray:
-    """Product of exp(-i H(tau_n) dtau), latest factor leftmost, for a batched
-    Hamiltonian ``builder`` of ``hilbert``, run inside the symmetry blocks:
+    """Product of exp(-i H(tau_n) dtau), latest factor leftmost, for a ``hilbert``
+    Hamiltonian ``builder``, in its rotating frame inside the symmetry blocks:
     U = 1 + sum_b Q_b (U_b - 1) Q_b^H is the identity on the exchange singlets,
-    where H vanishes.  Deterministic for identical inputs (fixed order).
+    where H vanishes.  Deterministic for identical inputs (fixed order, no cache).
 
-    Time-reversal fold: with D = (-1)^{a+a}, D conj(H(tau)) D = H(1 - tau)
-    when every pulse coefficient is real (all beat notes are integers, and
-    conj(J_m (x) A_m) = (-1)^m J_m (x) A_m); the exact-displacement builder
-    has the same symmetry.  On the mirrored midpoint grid step N-1-n is then
-    D e_n^T D, so only the first N//2 steps are computed, giving U_1 per
-    block, and U_b = D_b U_1^T D_b e_mid U_1, where e_mid is the self-mirrored
-    step at tau = 1/2 when N is odd.  The left-endpoint rule and complex
-    coefficients take every step.
+    Time-reversal fold: with D = (-1)^{a+a}, D conj(H(tau)) D = H(1 - tau) when
+    every pulse coefficient is real (the beat notes are integers, D conj(B_0) D = B_0
+    for both builders).  On the mirrored midpoint grid step N-1-n is then D e_n^T D,
+    so the first N//2 steps give U_1 per block and U_b = D_b U_1^T D_b e_mid U_1, with
+    e_mid the step at tau = 1/2 when N is odd.  Other grids and pulses take every step.
     """
     pulse = pulse if pulse is not None else rectangular()
     config = config if config is not None else TrotterConfig()
     n_steps = config.num_steps(params, pulse)
-    taus = (np.arange(n_steps) + (0.5 if config.midpoint else 0.0)) / n_steps
+    ticks = 2 * np.arange(n_steps) + (1 if config.midpoint else 0)
     blocks = hilbert.symmetry_blocks(params.n_dim)
-    build = builder(params, pulse, blocks)
-    if config.midpoint and all(c.imag == 0 for c in pulse.coefficients.values()):
-        half = n_steps // 2
-        firsts = _ordered_product(build, taus[:half], n_steps, blocks)
-        mids = _ordered_product(build, taus[half:n_steps - half], n_steps, blocks)
-        # D_b: the Fock parity (-1)^n of each column of the real isometry Q_b
-        fock_parity = np.tile((-1.0) ** np.arange(params.n_dim), 4)
-        flips = [fock_parity @ np.abs(Q) ** 2 for Q in blocks]
-        totals = [(d[:, None] * u.T * d) @ mid @ u for d, u, mid in zip(flips, firsts, mids)]
-    else:
-        totals = _ordered_product(build, taus, n_steps, blocks)
+    frame = builder(params, pulse, blocks)
+    drive = frame.drive(ticks / (2 * n_steps))
+    defect = max(hilbert.hermiticity_defect(B) / np.abs(B).max() for B in frame.generators)
+    imaginary = np.abs(drive.imag).max() / np.abs(drive).max()
+    if defect > 1e-12 or imaginary > 1e-12:
+        raise ValueError(f"Hamiltonian not Hermitian: relative defect {defect:.3e} of the "
+                         f"generator, {imaginary:.3e} of the drive")
+    amps = params.omega_T * drive.real / n_steps
+    if not (np.isfinite(amps).all() and all(np.isfinite(B).all() for B in frame.generators)):
+        raise ValueError(f"Hamiltonian not finite: omega_T {params.omega_T}, eta {params.eta}")
+    fold = config.midpoint and all(c.imag == 0 for c in pulse.coefficients.values())
+    totals = [_block_propagator(B, n, params.K, amps, ticks, fold)
+              for B, n in zip(frame.generators, frame.levels)]
     return np.eye(params.dim) + sum(Q @ (total - np.eye(Q.shape[1])) @ Q.conj().T
                                     for Q, total in zip(blocks, totals))
 
@@ -147,10 +141,6 @@ def propagate_numeric(params: GateParams, pulse: PulseShape | None = None,
 def propagate_numeric_exact_displacement(params: GateParams,
                                          pulse: PulseShape | None = None,
                                          config: TrotterConfig | None = None) -> np.ndarray:
-    """Same product formula with the displacement exponential built exactly
-    (matrix exponential) instead of the m_max-truncated sideband series.
-
-    Quantifies how much of any discrepancy is sideband truncation rather
-    than time discretization.
-    """
+    """Same product formula with the displacement exponential built exactly instead of
+    the m_max-truncated sideband series: separates sideband truncation from time steps."""
     return _propagate(hilbert.displacement_hamiltonian, params, pulse, config)

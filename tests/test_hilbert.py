@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from msgate import hilbert
 from msgate.hilbert import (
@@ -182,6 +183,34 @@ def test_hamiltonian_matches_oracle(base_params, hamiltonian, oracle, pulse, tau
     # peaks and |cos(2 pi L tau)| = 1 (the sin^2 envelope vanishes at 0 and 1)
     p = base_params.replace(L=22, omega_T=29.93)
     scale = np.abs(oracle(p, pulse, 0.5)).max()
+    assert np.abs(hamiltonian(tau, p, pulse) - oracle(p, pulse, tau)).max() <= 1e-13 * scale
+
+
+def _drive_peak(p, pulse):
+    """The tau on a fine grid where |f(tau) cos(2 pi L tau)|, and so max|H(tau)|, is largest."""
+    return max(np.linspace(0.0, 1.0, 2001),
+               key=lambda t: abs(envelope_at(pulse, t) * np.cos(2 * np.pi * p.L * t)))
+
+
+frame_points = st.builds(
+    lambda eta, K, gap, omega_T, n_dim: GateParams(eta=eta, K=K, L=max(1, K - gap),
+                                                   omega_T=omega_T, n_dim=n_dim),
+    eta=st.floats(0.01, 0.5), K=st.integers(4, 50), gap=st.integers(1, 40),
+    omega_T=st.floats(1.0, 40.0), n_dim=st.sampled_from([5, 8]))
+
+
+@pytest.mark.parametrize("hamiltonian, oracle", [
+    (hamiltonian_at, _explicit_term_sum),
+    (hilbert.displacement_hamiltonian_at, _per_tau_displacement),
+], ids=["series", "exact_displacement"])
+@settings(max_examples=40, deadline=None)
+@given(p=frame_points, pulse=st.sampled_from(SHAPES), tau=st.floats(0.0, 1.0))
+@example(p=GateParams(eta=0.18, K=28, L=22, omega_T=29.93), pulse=SHAPES[2], tau=0.37)
+def test_rotating_frame_matches_oracle(hamiltonian, oracle, p, pulse, tau):
+    # the builders evaluate omega_T g(tau) R B_0 R^H with R = exp(i 2 pi K tau a+a); the
+    # oracles sum every beat note or exponentiate D(tau) afresh.  The phases 2 pi N tau
+    # carry rounding ~|N| eps, so K stays at or below 50, where that is below 1e-13
+    scale = np.abs(oracle(p, pulse, _drive_peak(p, pulse))).max()
     assert np.abs(hamiltonian(tau, p, pulse) - oracle(p, pulse, tau)).max() <= 1e-13 * scale
 
 

@@ -99,9 +99,11 @@ def test_exact_displacement_vs_truncated(params_omega2, rect, weights, unum_omeg
 def _dense_reference(builder, params, pulse, n_steps):
     """Midpoint product of full-space matrix exponentials, one expm per step."""
     U = np.eye(params.dim, dtype=complex)
-    hs = builder(params, pulse, (np.eye(params.dim),))((np.arange(n_steps) + 0.5) / n_steps)[0]
-    for H in hs:
-        U = scipy.linalg.expm(-1j * H / n_steps) @ U
+    build = builder(params, pulse, (np.eye(params.dim),))
+    taus = (np.arange(n_steps) + 0.5) / n_steps
+    for lo in range(0, n_steps, 500):  # a few hundred 32 x 32 step Hamiltonians at a time
+        for H in build(taus[lo:lo + 500])[0]:
+            U = scipy.linalg.expm(-1j * H / n_steps) @ U
     return U
 
 
@@ -109,22 +111,23 @@ def _dense_reference(builder, params, pulse, n_steps):
 SKEW = PulseShape.from_dict("skew", {0: 0.5, 1: 0.25j, -1: -0.25j})
 
 
-# step norms ||H_b dtau|| at these parameters: 0.26 at 400 steps (around the
-# 1/4 squaring threshold chunk by chunk), 0.053 at 2000, 1.7 at 60 (3 squarings)
+# step norms ||H_b dtau|| at these parameters: 0.26 at 400 steps, 0.053 at 2000,
+# 1.7 at 60, 0.015 at the default 6,849 (None), where the constant frame
+# rotation W of the kernel enters 3,424 times and its rounding compounds
 @pytest.mark.parametrize("pulse, n_steps", [
     (rectangular(), 400), (sin_squared(), 400), (rectangular(), 401), (SKEW, 400),
-    (sin_squared(), 60), (rectangular(), 2000),
-], ids=["rect", "sin2", "rect-401-odd", "skew-unfolded", "sin2-60-squared", "rect-2000-unscaled"])
+    (sin_squared(), 60), (rectangular(), 2000), (rectangular(), None),
+], ids=["rect", "sin2", "rect-401-odd", "skew-unfolded", "sin2-60-squared", "rect-2000-unscaled",
+        "rect-default"])
 @pytest.mark.parametrize("route, builder", [
     (trotter.propagate_numeric, hilbert.sideband_hamiltonian),
     (trotter.propagate_numeric_exact_displacement, hilbert.displacement_hamiltonian),
 ], ids=["series", "exact_displacement"])
-def test_blocked_kernel_matches_dense_reference(monkeypatch, params_omega2, pulse, n_steps,
-                                                route, builder):
-    # small chunks so the steps cross chunk boundaries, the last one partial
-    monkeypatch.setattr(trotter, "_CHUNK", 128)
-    U = route(params_omega2, pulse, TrotterConfig(steps_override=n_steps, allow_understep=True))
-    ref = _dense_reference(builder, params_omega2, pulse, n_steps)
+def test_blocked_kernel_matches_dense_reference(params_omega2, pulse, n_steps, route, builder):
+    cfg = TrotterConfig() if n_steps is None else TrotterConfig(steps_override=n_steps,
+                                                                allow_understep=True)
+    U = route(params_omega2, pulse, cfg)
+    ref = _dense_reference(builder, params_omega2, pulse, cfg.num_steps(params_omega2, pulse))
     assert np.abs(U - ref).max() <= 1e-12
     assert hilbert.unitarity_defect(U) <= 1e-12
 
@@ -143,5 +146,6 @@ def test_non_hermitian_hamiltonian_rejected(base_params, route):
 @pytest.mark.parametrize("omega_T", [float("nan"), float("inf")])
 def test_non_finite_hamiltonian_rejected(base_params, rect, omega_T):
     cfg = TrotterConfig(steps_override=200, allow_understep=True)
-    with pytest.raises(ValueError, match="not finite"):
-        trotter.propagate_numeric(base_params.replace(omega_T=omega_T), rect, cfg)
+    for route in (trotter.propagate_numeric, trotter.propagate_numeric_exact_displacement):
+        with pytest.raises(ValueError, match="not finite"):
+            route(base_params.replace(omega_T=omega_T), rect, cfg)
