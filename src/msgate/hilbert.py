@@ -168,9 +168,14 @@ def symmetry_blocks(n_dim: int) -> tuple[np.ndarray, np.ndarray]:
     s = math.sqrt(0.5)
     # exchange-symmetric qubit states with exp(i pi Jx) = -sigma_x (x) sigma_x = +1, -1
     qubits = ([(s, 0, 0, -s)], [(s, 0, 0, s), (0, s, s, 0)])
-    return tuple(np.array([np.kron(q, np.eye(n_dim)[n]) for n in range(n_dim)
-                           for q in qubits[(n + parity) % 2]], dtype=complex).T
-                 for parity in (0, 1))
+    blocks = []
+    for parity in (0, 1):
+        levels, vectors = zip(*[(n, q) for n in range(n_dim) for q in qubits[(n + parity) % 2]])
+        Q = np.zeros((4 * n_dim, len(levels)), dtype=complex)
+        # column j is its qubit vector (x) |levels_j>: entry i at row i n_dim + levels_j
+        Q[np.arange(4)[:, None] * n_dim + levels, np.arange(len(levels))] = np.array(vectors).T
+        blocks.append(Q)
+    return tuple(blocks)
 
 
 @dataclass(frozen=True)

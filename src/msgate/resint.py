@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
+
 
 @dataclass
 class OscSum:
@@ -209,6 +209,21 @@ def _cheb_values(coeffs: np.ndarray) -> np.ndarray:
     return vals + 0.5 * coeffs[0] + 0.5 * coeffs[n] * sign
 
 
+def _cheb_integral(coeffs: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients of the antiderivative in tau = (x + 1)/2 that vanishes at
+    tau = 0: with c scaled by dx/dtau = 1/2, b_k = (c_{k-1} - c_{k+1}) / 2k for k >= 1,
+    counting c_0 twice at k = 1, and b_0 = -sum_k (-1)^k b_k.  The values of
+    ``numpy.polynomial.chebyshev.chebint(coeffs, lbnd=-1, scl=0.5)``, without its Python
+    loop over the coefficients."""
+    c = 0.5 * np.concatenate([coeffs, np.zeros(2)])
+    k = np.arange(1, len(coeffs) + 1)
+    anti = np.empty(len(coeffs) + 1, dtype=c.dtype)
+    anti[1:] = (c[k - 1] - c[k + 1]) / (2 * k)
+    anti[1] += c[0] / 2
+    anti[0] = -np.sum(anti[1:] * (-1.0) ** k)  # T_k(-1) = (-1)^k
+    return anti
+
+
 def quadrature_integral(Ns: Iterable[int], n: int = 2048) -> complex:
     """Numerical value of the nested integral via spectral cumulative
     quadrature on a Chebyshev grid; independent of the symbolic path."""
@@ -218,6 +233,5 @@ def quadrature_integral(Ns: Iterable[int], n: int = 2048) -> complex:
     for N in reversed(Ns):
         vals = vals * np.exp(2j * np.pi * N * tau)
         coeffs = _cheb_coeffs(vals)
-        anti = _cheb.chebint(coeffs, lbnd=-1.0, scl=0.5)
-        vals = _cheb_values(anti[: n + 1])
+        vals = _cheb_values(_cheb_integral(coeffs)[: n + 1])
     return complex(vals[0])  # node 0 is tau = 1

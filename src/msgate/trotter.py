@@ -18,16 +18,21 @@ class TrotterConfig:
 
     The step count must resolve the fastest beat note:
     N_t >= ceil(2 * pi * safety * max|N|) with max|N| = max_harmonic
-    + m_max * K + L.  ``midpoint`` samples the Hamiltonian at the centre of
-    each step (second-order accurate); the left-endpoint rule is available
-    for comparison.  ``steps_override`` below the bound is rejected unless
-    ``allow_understep`` is set; a step count below 1 (``safety <= 0``) is
-    always rejected.
+    + m_max * K + L.  The default N_t is that bound rounded up to a multiple
+    of the drive period d (``drive_period``: L for rect, 1 for sin^2), so the
+    grid is never coarser than the bound and holds d whole periods.
+    ``midpoint`` samples the Hamiltonian at the centre of each step
+    (second-order accurate); the left-endpoint rule is available for
+    comparison.  ``steps_override`` is taken as given: below the bound it is
+    rejected unless ``allow_understep`` is set; a step count below 1
+    (``safety <= 0``) is always rejected.
 
     The policy fixes which steps are taken, not how each is exponentiated:
     every step is exact up to rounding at any norm (one ``eigh`` per symmetry
-    block in the rotating frame, see ``_block_propagator``), and with a
-    real-coefficient pulse only half of the midpoint steps are computed.
+    block in the rotating frame, see ``_block_propagator``).  When d > 1
+    divides N_t only the first period's N_t/d steps are computed and the
+    product is their power; otherwise, with a real-coefficient pulse, only
+    half of the midpoint steps are computed.
     """
 
     safety: float = 10.0
@@ -40,7 +45,8 @@ class TrotterConfig:
 
     def num_steps(self, params: GateParams, pulse: PulseShape) -> int:
         bound = math.ceil(2 * math.pi * self.safety * self.max_beat_note(params, pulse))
-        steps = bound if self.steps_override is None else self.steps_override
+        period = drive_period(hilbert.drive_taps(params, pulse)[0])
+        steps = period * -(-bound // period) if self.steps_override is None else self.steps_override
         if steps < 1:  # no step at all would return the identity as the propagator
             raise ValueError(f"step count {steps} < 1 (safety={self.safety}, "
                              f"steps_override={self.steps_override})")
@@ -52,6 +58,23 @@ class TrotterConfig:
         return steps
 
 
+def drive_period(taps: np.ndarray) -> int:
+    """d = gcd of the beat notes of ``hilbert.drive_taps``: the drive repeats d times
+    inside the gate (d = L for rect; 1 for sin^2, whose taps L and L + 1 are coprime,
+    and for a constant drive, whose taps are all 0)."""
+    return int(np.gcd.reduce(np.abs(taps))) or 1
+
+
+# pairs of steps per slice of the pair stack: a power of two, so chaining the slice
+# products takes the same pairwise products as chaining the whole stack at once
+_SLICE = 256
+
+
+def _newton_schulz(X: np.ndarray) -> np.ndarray:
+    """One step X (3 - X^H X) / 2 towards the nearest unitary."""
+    return X @ (3 * np.eye(len(X)) - X.conj().T @ X) / 2
+
+
 def _chain(stack: np.ndarray) -> np.ndarray:
     """stack[-1] @ ... @ stack[0] by pairwise batched products; an unpaired latest factor waits."""
     while len(stack) > 1:
@@ -60,36 +83,49 @@ def _chain(stack: np.ndarray) -> np.ndarray:
 
 
 def _block_propagator(B: np.ndarray, levels: np.ndarray, K: int, amps: np.ndarray,
-                      ticks: np.ndarray, fold: bool) -> np.ndarray:
+                      ticks: np.ndarray, periods: int, fold: bool) -> np.ndarray:
     """Ordered product of the steps exp(-i amps_n r_n B r_n^H) in one block, latest
-    factor leftmost, on the grid tau_n = ticks_n / 2N with r_n = exp(i 2 pi K tau_n levels).
+    factor leftmost, on the grid tau_n = ticks_n / 2N with r_n = exp(i 2 pi K tau_n levels)
+    and N = periods * len(amps).
     With B = V diag(lam) V^H, steps lo..hi-1 give r_{hi-1} V [E_{hi-1} W ... E_{lo+1} W]
     E_lo V^H r_lo^H, with E_n = exp(-i amps_n lam) and the constant W = V^H r_{n+1}^H r_n V:
     diagonal phases and, per two steps, one row of a GEMM with W and one 12 x 12 product.
-    ``fold`` takes the first half of the steps and mirrors it (see ``_propagate``).
+    With periods = d > 1, amps and ticks hold the first of d periods of n = N/d steps and
+    the product is (S P)^d (see ``_propagate``).  ``fold`` takes the first half of the
+    steps and mirrors it.
     """
-    n_steps, d = len(amps), len(B)
+    n_steps, dim = periods * len(amps), len(B)
     lam, V = np.linalg.eigh(B)
     # W enters every step, so its rounding compounds: build it in extended precision where the
-    # platform has it, after one Newton-Schulz step V (3 - V^H V) / 2 towards a unitary V
-    V = V.astype(np.clongdouble)
-    V = V @ (3 * np.eye(d) - V.conj().T @ V) / 2
+    # platform has it, after one Newton-Schulz step towards a unitary V
+    V = _newton_schulz(V.astype(np.clongdouble))
     phases = np.exp(-2j * np.pi * (K * levels % n_steps).astype(np.longdouble) / n_steps)
     W, V = (V.conj().T @ (phases[:, None] * V)).astype(complex), V.astype(complex)
 
-    def run(lo: int, hi: int) -> np.ndarray:
-        if hi == lo:
-            return np.eye(d)
-        E = np.exp(-1j * np.outer(amps[lo:hi], lam))
+    def chained_slice(lo: int, hi: int, skip: int) -> np.ndarray:
         # E_{2j+1} W E_{2j} by entries, then one GEMM puts W right of all factors but the first
+        E = np.exp(-1j * np.outer(amps[lo:hi], lam))
         pairs = len(E) // 2
         stack = np.concatenate([E[1::2, :, None] * E[:2 * pairs:2, None, :] * W,
-                                np.eye(d) * E[2 * pairs:, None, :]])
-        stack[1:] = (stack[1:].reshape(-1, d) @ W).reshape(-1, d, d)
+                                np.eye(dim) * E[2 * pairs:, None, :]])
+        stack[skip:] = (stack[skip:].reshape(-1, dim) @ W).reshape(-1, dim, dim)
+        return _chain(stack)
+
+    def run(lo: int, hi: int) -> np.ndarray:
+        if hi == lo:
+            return np.eye(dim)
+        # one slice of the pair stack at a time, so memory does not grow with the steps
+        step = 2 * _SLICE
+        total = _chain(np.stack([chained_slice(s, min(s + step, hi), int(s == lo))
+                                 for s in range(lo, hi, step)]))
         r_hi, r_lo = (np.exp(1j * np.pi * (K * levels * ticks[n] % (2 * n_steps)) / n_steps)
                       for n in (hi - 1, lo))
-        return (r_hi[:, None] * (V @ _chain(stack) @ V.conj().T)) * r_lo.conj()
+        return (r_hi[:, None] * (V @ total @ V.conj().T)) * r_lo.conj()
 
+    if periods > 1:
+        S = np.exp(-2j * np.pi * (K * levels % periods) / periods)
+        # the power multiplies the unitarity defect of S P by d: one Newton-Schulz step first
+        return np.linalg.matrix_power(_newton_schulz(S[:, None] * run(0, len(amps))), periods)
     if not fold:
         return run(0, n_steps)
     half, flip = n_steps // 2, (-1.0) ** levels  # D_b: the Fock parity of each column
@@ -104,18 +140,28 @@ def _propagate(builder, params: GateParams, pulse: PulseShape | None,
     U = 1 + sum_b Q_b (U_b - 1) Q_b^H is the identity on the exchange singlets,
     where H vanishes.  Deterministic for identical inputs (fixed order, no cache).
 
-    Time-reversal fold: with D = (-1)^{a+a}, D conj(H(tau)) D = H(1 - tau) when
-    every pulse coefficient is real (the beat notes are integers, D conj(B_0) D = B_0
-    for both builders).  On the mirrored midpoint grid step N-1-n is then D e_n^T D,
-    so the first N//2 steps give U_1 per block and U_b = D_b U_1^T D_b e_mid U_1, with
-    e_mid the step at tau = 1/2 when N is odd.  Other grids and pulses take every step.
+    Period power: when the drive period d (``drive_period``) divides N, the grid
+    has tau_{k+n} = tau_k + 1/d with n = N/d, and H(tau + 1/d) = R(1/d) H(tau) R(1/d)^H
+    for R(tau) = exp(i 2 pi K tau a+a).  Period j of the product is R(j/d) P R(j/d)^H,
+    with P the product over the first period, so U = R(1) (S P)^d with S = R(1/d)^H,
+    and R(1) = 1 for integer K.  Only the first period's n steps are evaluated.
+
+    Time-reversal fold, when d = 1 or d does not divide N: with D = (-1)^{a+a},
+    D conj(H(tau)) D = H(1 - tau) when every pulse coefficient is real (the beat notes
+    are integers, D conj(B_0) D = B_0 for both builders).  On the mirrored midpoint grid
+    step N-1-n is then D e_n^T D, so the first N//2 steps give U_1 per block and
+    U_b = D_b U_1^T D_b e_mid U_1, with e_mid the step at tau = 1/2 when N is odd.
+    Other grids and pulses take every step.
     """
     pulse = pulse if pulse is not None else rectangular()
     config = config if config is not None else TrotterConfig()
     n_steps = config.num_steps(params, pulse)
-    ticks = 2 * np.arange(n_steps) + (1 if config.midpoint else 0)
     blocks = hilbert.symmetry_blocks(params.n_dim)
     frame = builder(params, pulse, blocks)
+    period = drive_period(frame.taps)
+    periods = period if n_steps % period == 0 else 1
+    # the drive is periodic, so the guards below see all of it on the first period's ticks
+    ticks = 2 * np.arange(n_steps // periods) + (1 if config.midpoint else 0)
     drive = frame.drive(ticks / (2 * n_steps))
     defect = max(hilbert.hermiticity_defect(B) / np.abs(B).max() for B in frame.generators)
     imaginary = np.abs(drive.imag).max() / np.abs(drive).max()
@@ -126,7 +172,7 @@ def _propagate(builder, params: GateParams, pulse: PulseShape | None,
     if not (np.isfinite(amps).all() and all(np.isfinite(B).all() for B in frame.generators)):
         raise ValueError(f"Hamiltonian not finite: omega_T {params.omega_T}, eta {params.eta}")
     fold = config.midpoint and all(c.imag == 0 for c in pulse.coefficients.values())
-    totals = [_block_propagator(B, n, params.K, amps, ticks, fold)
+    totals = [_block_propagator(B, n, params.K, amps, ticks, periods, fold)
               for B, n in zip(frame.generators, frame.levels)]
     return np.eye(params.dim) + sum(Q @ (total - np.eye(Q.shape[1])) @ Q.conj().T
                                     for Q, total in zip(blocks, totals))

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from msgate import resint
 from msgate.resint import (
     OscSum,
     integrate_step,
@@ -178,3 +179,15 @@ def test_non_integer_beat_notes_rejected(call, Ns):
 def test_integer_valued_beat_notes_accepted():
     assert resonance_integral(np.array([3, -3])) is resonance_integral((3, -3))
     assert is_resonant([3.0, -3.0])
+
+
+def test_cheb_integral_matches_chebint():
+    # the vectorised recurrence inside the quadrature oracle against numpy's loop,
+    # on random complex coefficients up to the oracle's 2,048 nodes
+    rng = np.random.default_rng(11)
+    for n in (0, 1, 2, 7, 2048):
+        coeffs = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        want = np.polynomial.chebyshev.chebint(coeffs, lbnd=-1.0, scl=0.5)
+        got = resint._cheb_integral(coeffs)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()

@@ -52,6 +52,19 @@ def _assert_symmetric(H, n_dim):
     assert np.abs(rebuilt - H).max() <= 1e-13 * scale
 
 
+def test_symmetry_blocks_match_kron_construction():
+    # each column is one Fock level times a fixed qubit vector, entry for entry
+    s = np.sqrt(0.5)
+    qubits = ([(s, 0, 0, -s)], [(s, 0, 0, s), (0, s, s, 0)])
+    for n_dim in range(2, 11):
+        want = [np.array([np.kron(q, np.eye(n_dim)[n]) for n in range(n_dim)
+                          for q in qubits[(n + parity) % 2]], dtype=complex).T for parity in (0, 1)]
+        got = hilbert.symmetry_blocks(n_dim)
+        assert len(got) == 2
+        for Q, W in zip(got, want):
+            assert Q.dtype == W.dtype and np.array_equal(Q, W)
+
+
 gate_points = st.builds(
     lambda eta, K, gap, omega_T, n_dim: GateParams(eta=eta, K=K, L=max(1, K - gap),
                                                    omega_T=omega_T, n_dim=n_dim),

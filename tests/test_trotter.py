@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,11 +12,15 @@ from msgate.pulses import PulseShape, rectangular, sin_squared
 from msgate.trotter import TrotterConfig
 
 
-def test_step_count_bound(base_params, rect):
+def test_step_count_bound(base_params, rect, sin2):
     cfg = TrotterConfig()
     # max |N| = max_harmonic + m_max * K + L = 0 + 84 + 25
     assert cfg.max_beat_note(base_params, rect) == 109
-    assert cfg.num_steps(base_params, rect) == int(np.ceil(2 * np.pi * 10 * 109))
+    bound = int(np.ceil(2 * np.pi * 10 * 109))
+    # the rect drive (taps +/-L) repeats L = 25 times: the bound rounded up to a multiple of L
+    assert cfg.num_steps(base_params, rect) == 25 * -(-bound // 25) == 6850 >= bound
+    # sin2 (taps L and L +/- 1, gcd 1) takes exactly the bound
+    assert cfg.num_steps(base_params, sin2) == int(np.ceil(2 * np.pi * 10 * 110))
 
 
 def test_step_count_with_harmonics(base_params, sin2):
@@ -112,8 +121,8 @@ SKEW = PulseShape.from_dict("skew", {0: 0.5, 1: 0.25j, -1: -0.25j})
 
 
 # step norms ||H_b dtau|| at these parameters: 0.26 at 400 steps, 0.053 at 2000,
-# 1.7 at 60, 0.015 at the default 6,849 (None), where the constant frame
-# rotation W of the kernel enters 3,424 times and its rounding compounds
+# 1.7 at 60, 0.015 at the default 6,850 (None); there, and at 400 and 2000, the
+# rect product is the power of one period (25 periods of 274, 16 and 80 steps)
 @pytest.mark.parametrize("pulse, n_steps", [
     (rectangular(), 400), (sin_squared(), 400), (rectangular(), 401), (SKEW, 400),
     (sin_squared(), 60), (rectangular(), 2000), (rectangular(), None),
@@ -149,3 +158,81 @@ def test_non_finite_hamiltonian_rejected(base_params, rect, omega_T):
     for route in (trotter.propagate_numeric, trotter.propagate_numeric_exact_displacement):
         with pytest.raises(ValueError, match="not finite"):
             route(base_params.replace(omega_T=omega_T), rect, cfg)
+
+
+# real pulse with harmonics 0 and +/-5: taps +/-25, -20, 30, -30, 20 at L = 25, so the
+# drive period d = 5 differs from L
+PERIOD_5 = PulseShape.from_dict("period-5", {0: 0.5, 5: 0.25, -5: 0.25})
+
+
+def _plain_product(monkeypatch, route, params, pulse, cfg):
+    """The product over every step: with period 1 the kernel never takes the power."""
+    with monkeypatch.context() as m:
+        m.setattr(trotter, "drive_period", lambda taps: 1)
+        return route(params, pulse, cfg)
+
+
+@pytest.mark.parametrize("pulse", [rectangular(), PERIOD_5], ids=["rect-d25", "period-5"])
+@pytest.mark.parametrize("midpoint", [True, False], ids=["midpoint", "left"])
+@pytest.mark.parametrize("route", [
+    trotter.propagate_numeric, trotter.propagate_numeric_exact_displacement,
+], ids=["series", "exact_displacement"])
+def test_period_power_matches_plain_product(monkeypatch, params_omega2, pulse, midpoint, route):
+    period = trotter.drive_period(hilbert.drive_taps(params_omega2, pulse)[0])
+    assert period == (5 if pulse is PERIOD_5 else 25)
+    # 400 steps: 16 or 80 per period, step norm 0.26; 401 is no multiple of d
+    for n_steps in (400, 401):
+        cfg = TrotterConfig(steps_override=n_steps, midpoint=midpoint, allow_understep=True)
+        U = route(params_omega2, pulse, cfg)
+        plain = _plain_product(monkeypatch, route, params_omega2, pulse, cfg)
+        if n_steps % period:
+            assert np.array_equal(U, plain)
+        else:
+            assert np.abs(U - plain).max() <= 1e-12
+
+
+def test_period_power_unitarity_no_worse(monkeypatch, params_omega2, rect, unum_omega2):
+    # the default rect grid, 6,850 = 25 periods of 274 steps
+    cfg = TrotterConfig(steps_override=TrotterConfig().num_steps(params_omega2, rect))
+    plain = _plain_product(monkeypatch, trotter.propagate_numeric, params_omega2, rect, cfg)
+    assert np.abs(unum_omega2 - plain).max() <= 1e-12
+    assert hilbert.unitarity_defect(unum_omega2) <= hilbert.unitarity_defect(plain)
+
+
+@pytest.mark.parametrize("pulse", [sin_squared(), SKEW], ids=["sin2", "skew"])
+def test_aperiodic_slices_keep_the_product(monkeypatch, params_omega2, pulse):
+    # d = 1: every step is taken; slicing the pair stack must not change a bit of U,
+    # so U equals the one-slice product, the whole stack chained at once
+    assert trotter.drive_period(hilbert.drive_taps(params_omega2, pulse)[0]) == 1
+    for route in (trotter.propagate_numeric, trotter.propagate_numeric_exact_displacement):
+        U = route(params_omega2, pulse)
+        for size in (1, 4, 1 << 30):
+            with monkeypatch.context() as m:
+                m.setattr(trotter, "_SLICE", size)
+                assert np.array_equal(route(params_omega2, pulse), U)
+
+
+_RSS_SCRIPT = """
+import resource, sys
+from msgate import trotter
+from msgate.params import GateParams
+from msgate.pulses import sin_squared
+p = GateParams(eta=0.18, K=106, L=103, nbar=0.02, n_dim=8, m_max=3, k_max=4, omega_T=9.0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+trotter.propagate_numeric(p, sin_squared())
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="resource is POSIX only")
+def test_aperiodic_memory_does_not_grow_with_steps():
+    # sin2 at K = 106 takes every one of its 26,516 steps.  Peak RSS growth over the
+    # call, fresh interpreter, one BLAS thread: measured 6.2 MB; 38 MB when the whole
+    # pair stack of the folded half is held at once.  Bound: twice the measured value.
+    src = str(pathlib.Path(trotter.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _RSS_SCRIPT], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    growth_mb = int(out) / (1024 * 1024 if sys.platform == "darwin" else 1024)  # bytes / KiB
+    assert growth_mb < 12.5
