@@ -28,7 +28,7 @@ import sys
 
 import numpy as np
 
-from . import budget, fidelity, magnus, trotter
+from . import budget, fidelity, hilbert, magnus, trotter
 from .params import RULES, GateParams, validate, validate_with_pulse
 from .pulses import PulseShape, rectangular, sin_squared, validate_shape
 
@@ -240,7 +240,7 @@ def _point_params(spec: SweepSpec, value: float) -> GateParams:
     return p
 
 
-def _fill_infidelity(row: dict, name: str, U: np.ndarray,
+def _fill_infidelity(row: dict, name: str, U: tuple,
                      weights: fidelity.ThermalWeights, metric: str) -> None:
     if metric in ("average", "both"):
         row[f"infid_{name}"] = 1.0 - fidelity.average_fidelity(U, weights)
@@ -251,8 +251,8 @@ def _fill_infidelity(row: dict, name: str, U: np.ndarray,
 
 
 def _propagators(names: tuple[str, ...], p: GateParams, pulse: PulseShape,
-                 safety: float) -> dict[str, np.ndarray]:
-    """The named U2..U5 / Unum matrices at p."""
+                 safety: float) -> dict[str, tuple]:
+    """The named U2..U5 / Unum propagators at p, in block form."""
     mats = {}
     orders = [int(name[1]) for name in names if name != "Unum"]
     if orders:
@@ -385,8 +385,9 @@ def _cmd_propagate(args) -> int:
     if "omega_phys" in cfg and params.omega_T == 0:
         params = params.replace(omega_T=params.omega_T_from_physical(_value(cfg, "omega_phys")))
     which = _value(cfg, "propagator", "Unum")
-    U = _propagators((which,), params, pulse,
-                     _value(cfg, "safety", trotter.TrotterConfig.safety))[which]
+    U = hilbert.embed(_propagators((which,), params, pulse,
+                                   _value(cfg, "safety", trotter.TrotterConfig.safety))[which],
+                      params.n_dim, 1.0)
     lines = [f"# propagator {which}, dim {U.shape[0]}"]
     for r in range(U.shape[0]):
         # + 0.0 normalizes signed zeros for deterministic output

@@ -178,6 +178,16 @@ def symmetry_blocks(n_dim: int) -> tuple[np.ndarray, np.ndarray]:
     return tuple(blocks)
 
 
+def embed(blocks: tuple, n_dim: int, singlet: float) -> np.ndarray:
+    """The composite matrix of the block form ``blocks`` = (X_+, X_-) on
+    ``symmetry_blocks(n_dim)``: sum_b Q_b X_b Q_b^H plus ``singlet`` times the identity on
+    the exchange singlets.  Every P_k and Z_k (singlet 0) and propagator (singlet 1)
+    commutes with both symmetries and is held in this form; this is the one place a
+    composite matrix is formed from blocks."""
+    return singlet * np.eye(4 * n_dim) + sum(Q @ (X - singlet * np.eye(len(X))) @ Q.conj().T
+                                             for Q, X in zip(symmetry_blocks(n_dim), blocks))
+
+
 @dataclass(frozen=True)
 class RotatingFrame:
     """Q_b^H H(tau) Q_b = omega_T g(tau) r_b B_b r_b^H on isometries Q_b whose columns

@@ -37,19 +37,21 @@ from .pulses import PulseShape, rectangular
 _POWERS = 8
 
 
-def dyson_hat_terms(params: GateParams, pulse: PulseShape, up_to: int) -> list[np.ndarray]:
-    """P_k / (Omega*T)^k for k = 1..up_to, from one transfer pass; the last 8 are
-    cached, keyed by what they depend on (not omega_T, nbar or k_max)."""
+def dyson_hat_terms(params: GateParams, pulse: PulseShape, up_to: int) -> list[tuple]:
+    """P_k / (Omega*T)^k for k = 1..up_to in block form (``hilbert.embed``), from one
+    transfer pass; the last 8 are cached, keyed by what they depend on (not omega_T,
+    nbar or k_max)."""
     return _transfer_dyson(params.eta, params.K, params.L, params.n_dim, params.m_max,
                            pulse.cache_key(), up_to)
 
 
 @lru_cache(maxsize=8)
-def _transfer_dyson(eta, K, L, n_dim, m_max, coeffs, up_to) -> list[np.ndarray]:
+def _transfer_dyson(eta, K, L, n_dim, m_max, coeffs, up_to) -> list[tuple]:
     """The transfer pass inside the blocks of ``hilbert.symmetry_blocks``: every
     term operator commutes with both symmetries and annihilates the exchange
-    singlets, so P_k = sum_b Q_b P_b Q_b^H.  The state is a sorted key array
-    with one row per key, the key's block matrices flattened side by side.
+    singlets, so each P_k is the pair (P_+, P_-) and 0 on the singlets.  The state
+    is a sorted key array with one row per key, the key's block matrices flattened
+    side by side.
     """
     # H = g(tau) sum_m e^{i 2 pi m K tau} J_m (x) A_m: the taps (N_g, c_g) of g, the J_m (x) A_m
     taps, tap_c, ops_full = hilbert.hamiltonian_terms(
@@ -70,9 +72,8 @@ def _transfer_dyson(eta, K, L, n_dim, m_max, coeffs, up_to) -> list[np.ndarray]:
         new_keys, parts, boundary, at_one = _antiderivative(ikeys)
         # P_k: the integrand's antiderivative at tau = 1, weighted back onto the state
         summed = (tap_c @ at_one[tinv])[sinv] @ rows
-        p_hats.append((-1j) ** order * sum(
-            Q @ (op @ summed[:, col].reshape(-1, d, d)).sum(0) @ Q.conj().T
-            for Q, op, col, d in zip(blocks, ops, cols, dims)))
+        p_hats.append(tuple((-1j) ** order * (op @ summed[:, col].reshape(-1, d, d)).sum(0)
+                            for op, col, d in zip(ops, cols, dims)))
         if order == up_to:
             break
         sidebands = np.zeros((len(skeys), rows.shape[1]), dtype=complex)
@@ -152,7 +153,7 @@ def dyson_term(k: int, params: GateParams, pulse: PulseShape | None = None,
         raise ValueError(f"order k={k} outside [1, 5]")
     pulse = pulse if pulse is not None else rectangular()
     if method == "transfer":
-        p_hat = dyson_hat_terms(params, pulse, k)[k - 1]
+        p_hat = hilbert.embed(dyson_hat_terms(params, pulse, k)[k - 1], params.n_dim, 0.0)
     elif method == "tuples":
         p_hat = _tuple_dyson(params, pulse, k)
     else:
@@ -160,24 +161,33 @@ def dyson_term(k: int, params: GateParams, pulse: PulseShape | None = None,
     return (params.omega_T ** k) * p_hat
 
 
-def magnus_terms(params: GateParams, pulse: PulseShape | None = None,
-                 up_to: int | None = None) -> dict[int, np.ndarray]:
-    """Effective-Hamiltonian orders {k: Z_k} for k = 2..up_to."""
+def _magnus_blocks(params: GateParams, pulse: PulseShape | None,
+                   up_to: int) -> dict[int, tuple]:
+    """Effective-Hamiltonian orders {k: (Z_+, Z_-)} for k = 2..up_to in block form."""
     pulse = pulse if pulse is not None else rectangular()
-    up_to = up_to if up_to is not None else params.k_max
     if not 2 <= up_to <= 5:
         raise ValueError(f"up_to={up_to} outside [2, 5]")
-    p_hat = dyson_hat_terms(params, pulse, up_to)
     w = params.omega_T
-    P = [None] + [(w ** (i + 1)) * p_hat[i] for i in range(up_to)]
-    Z = {2: 1j * P[2]}
-    if up_to >= 3:
-        Z[3] = 1j * P[3]
-    if up_to >= 4:
-        Z[4] = 1j * (P[4] - 0.5 * (P[2] @ P[2]))
-    if up_to >= 5:
-        Z[5] = 1j * (P[5] - 0.5 * (P[2] @ P[3] + P[3] @ P[2]))
-    return Z
+    per_block = []
+    for p_hat in zip(*dyson_hat_terms(params, pulse, up_to)):
+        P = [None] + [(w ** (i + 1)) * X for i, X in enumerate(p_hat)]
+        Z = {2: 1j * P[2]}
+        if up_to >= 3:
+            Z[3] = 1j * P[3]
+        if up_to >= 4:
+            Z[4] = 1j * (P[4] - 0.5 * (P[2] @ P[2]))
+        if up_to >= 5:
+            Z[5] = 1j * (P[5] - 0.5 * (P[2] @ P[3] + P[3] @ P[2]))
+        per_block.append(Z)
+    return {k: tuple(Z[k] for Z in per_block) for k in per_block[0]}
+
+
+def magnus_terms(params: GateParams, pulse: PulseShape | None = None,
+                 up_to: int | None = None) -> dict[int, np.ndarray]:
+    """Effective-Hamiltonian orders {k: Z_k} for k = 2..up_to as composite matrices."""
+    up_to = up_to if up_to is not None else params.k_max
+    return {k: hilbert.embed(Z, params.n_dim, 0.0)
+            for k, Z in _magnus_blocks(params, pulse, up_to).items()}
 
 
 def first_order_term(params: GateParams, pulse: PulseShape | None = None) -> np.ndarray:
@@ -188,14 +198,13 @@ def first_order_term(params: GateParams, pulse: PulseShape | None = None) -> np.
 
 
 def propagators_upto(params: GateParams, pulse: PulseShape | None = None,
-                     max_order: int = 4) -> dict[int, np.ndarray]:
-    """Truncated propagators {n: U_n = exp(-i sum_{k=2}^n Z_k)} for
-    n = 2..max_order, from a single assembly."""
-    out = {}
-    gen = np.zeros((params.dim, params.dim), dtype=complex)
-    for n, Z in magnus_terms(params, pulse, up_to=max_order).items():
-        gen = gen + Z
-        out[n] = hilbert.matrix_exp(-1j * gen)
+                     max_order: int = 4) -> dict[int, tuple]:
+    """Truncated propagators {n: (U_+, U_-)} in block form, U_n = exp(-i sum_{k=2}^n Z_k)
+    for n = 2..max_order, from a single assembly and one exponential per block."""
+    out, gen = {}, (0, 0)
+    for n, Z in _magnus_blocks(params, pulse, max_order).items():
+        gen = tuple(g + z for g, z in zip(gen, Z))
+        out[n] = tuple(hilbert.matrix_exp(-1j * g) for g in gen)
     return out
 
 

@@ -134,10 +134,10 @@ def _block_propagator(B: np.ndarray, levels: np.ndarray, K: int, amps: np.ndarra
 
 
 def _propagate(builder, params: GateParams, pulse: PulseShape | None,
-               config: TrotterConfig | None) -> np.ndarray:
+               config: TrotterConfig | None) -> tuple:
     """Product of exp(-i H(tau_n) dtau), latest factor leftmost, for a ``hilbert``
-    Hamiltonian ``builder``, in its rotating frame inside the symmetry blocks:
-    U = 1 + sum_b Q_b (U_b - 1) Q_b^H is the identity on the exchange singlets,
+    Hamiltonian ``builder``, in its rotating frame inside the symmetry blocks: the
+    block form (U_+, U_-) of ``hilbert.embed``, the identity on the exchange singlets,
     where H vanishes.  Deterministic for identical inputs (fixed order, no cache).
 
     Period power: when the drive period d (``drive_period``) divides N, the grid
@@ -156,8 +156,7 @@ def _propagate(builder, params: GateParams, pulse: PulseShape | None,
     pulse = pulse if pulse is not None else rectangular()
     config = config if config is not None else TrotterConfig()
     n_steps = config.num_steps(params, pulse)
-    blocks = hilbert.symmetry_blocks(params.n_dim)
-    frame = builder(params, pulse, blocks)
+    frame = builder(params, pulse, hilbert.symmetry_blocks(params.n_dim))
     period = drive_period(frame.taps)
     periods = period if n_steps % period == 0 else 1
     # the drive is periodic, so the guards below see all of it on the first period's ticks
@@ -172,21 +171,20 @@ def _propagate(builder, params: GateParams, pulse: PulseShape | None,
     if not (np.isfinite(amps).all() and all(np.isfinite(B).all() for B in frame.generators)):
         raise ValueError(f"Hamiltonian not finite: omega_T {params.omega_T}, eta {params.eta}")
     fold = config.midpoint and all(c.imag == 0 for c in pulse.coefficients.values())
-    totals = [_block_propagator(B, n, params.K, amps, ticks, periods, fold)
-              for B, n in zip(frame.generators, frame.levels)]
-    return np.eye(params.dim) + sum(Q @ (total - np.eye(Q.shape[1])) @ Q.conj().T
-                                    for Q, total in zip(blocks, totals))
+    return tuple(_block_propagator(B, n, params.K, amps, ticks, periods, fold)
+                 for B, n in zip(frame.generators, frame.levels))
 
 
 def propagate_numeric(params: GateParams, pulse: PulseShape | None = None,
-                      config: TrotterConfig | None = None) -> np.ndarray:
-    """Product of exp(-i H(tau_n) dtau) using the sideband-truncated Hamiltonian."""
+                      config: TrotterConfig | None = None) -> tuple:
+    """Product of exp(-i H(tau_n) dtau) using the sideband-truncated Hamiltonian,
+    in block form (U_+, U_-)."""
     return _propagate(hilbert.sideband_hamiltonian, params, pulse, config)
 
 
 def propagate_numeric_exact_displacement(params: GateParams,
                                          pulse: PulseShape | None = None,
-                                         config: TrotterConfig | None = None) -> np.ndarray:
+                                         config: TrotterConfig | None = None) -> tuple:
     """Same product formula with the displacement exponential built exactly instead of
     the m_max-truncated sideband series: separates sideband truncation from time steps."""
     return _propagate(hilbert.displacement_hamiltonian, params, pulse, config)

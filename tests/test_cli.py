@@ -117,12 +117,15 @@ propagators = U2
 
 
 def test_parallel_and_serial_agree(tmp_path):
+    # both metrics of a Magnus and the numeric propagator cross the process pool
     spec = sweep_from_config(parse_config(_write(tmp_path, "s.cfg", MINI_SWEEP)))
-    spec.propagators = ("U2",)
-    serial = rows_to_csv(run_sweep(spec))
+    spec.propagators, spec.metric = ("U2", "Unum"), "both"
+    serial = rows_to_csv(run_sweep(spec), spec.metric)
     spec.workers = 2
-    parallel = rows_to_csv(run_sweep(spec))
+    parallel = rows_to_csv(run_sweep(spec), spec.metric)
     assert serial == parallel
+    assert all(row.split(",")[-1] == "ok" for row in serial.splitlines()[1:])
+    assert "bell_Unum" in serial.splitlines()[0]
 
 
 def test_nbar_sweep_reuses_propagators(tmp_path):

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
 from msgate import budget, fidelity, hilbert, magnus, resint
@@ -154,7 +155,7 @@ def test_leading_error_rows_at_small_eta(rect):
 
 def test_propagator_zero_drive(base_params, rect):
     U = magnus.propagators_upto(base_params.replace(omega_T=0.0), rect, max_order=4)[4]
-    assert np.allclose(U, np.eye(base_params.dim))
+    assert np.allclose(hilbert.embed(U, base_params.n_dim, 1.0), np.eye(base_params.dim))
 
 
 def test_propagator_rejects_bad_order(base_params, rect):
@@ -165,9 +166,26 @@ def test_propagator_rejects_bad_order(base_params, rect):
 def test_propagators_unitary(params_omega2, rect):
     props = magnus.propagators_upto(params_omega2, rect, max_order=4)
     idx = hilbert.guard_band_indices(params_omega2)
-    for n, U in props.items():
+    for n, blocks in props.items():
+        U = hilbert.embed(blocks, params_omega2.n_dim, 1.0)
         G = (U.conj().T @ U - np.eye(params_omega2.dim))[np.ix_(idx, idx)]
         assert np.abs(G).max() < 1e-8, f"U{n}"
+
+
+def test_block_propagators_match_full_space_exponential(params_omega2, rect):
+    # one expm of the composite generator leaves rounding noise (up to 1.2e-17 here) on
+    # the 128 entries that no block and no singlet reaches; in block form they are 0
+    p = params_omega2
+    terms = magnus.magnus_terms(p, rect, up_to=5)
+    singlets = np.kron(np.array([[0], [1], [-1], [0]]) / np.sqrt(2), np.eye(p.n_dim))
+    rows = [np.abs(Q).sum(axis=1) for Q in hilbert.symmetry_blocks(p.n_dim)]
+    reach = sum(np.outer(r, r) for r in rows) + np.abs(singlets) @ np.abs(singlets).T
+    assert (reach == 0).sum() == 128
+    for n, blocks in magnus.propagators_upto(p, rect, max_order=5).items():
+        full = scipy.linalg.expm(-1j * sum(terms[k] for k in range(2, n + 1)))
+        U = hilbert.embed(blocks, p.n_dim, 1.0)
+        assert np.abs(U - full).max() <= 1e-13, f"U{n}"
+        assert np.all(U[reach == 0] == 0), f"U{n}"
 
 
 def test_fifth_order_propagator_changes_little(params_omega2, rect, weights):
@@ -197,7 +215,7 @@ def test_dyson_cache_reuse(base_params, rect, monkeypatch):
     assert magnus._transfer_dyson.cache_info().currsize == size
     again = magnus.dyson_hat_terms(base_params, rect, 4)
     assert again is not a and len(builds) == size + 1
-    assert all(np.array_equal(x, y) for x, y in zip(again, a))
+    assert all(np.array_equal(x, y) for X, Y in zip(again, a) for x, y in zip(X, Y))
 
 
 def _accumulate(acc, key, mat):
@@ -249,7 +267,7 @@ def test_blocked_transfer_matches_full_space_reference(shape, eta, K, L, n_dim, 
     pulse = {"rect": rectangular(), "sin2": sin_squared()}[shape]
     p = GateParams(eta=eta, K=K, L=L, n_dim=n_dim, m_max=m_max)
     assert validate_with_pulse(p, pulse).ok
-    got = magnus.dyson_hat_terms(p, pulse, 5)
+    got = [hilbert.embed(P, n_dim, 0.0) for P in magnus.dyson_hat_terms(p, pulse, 5)]
     want = _full_space_transfer(p, pulse, 5)
     singlets = np.kron(np.array([[0], [1], [-1], [0]]) / np.sqrt(2), np.eye(n_dim))
     for k in range(2, 6):
@@ -284,4 +302,4 @@ def test_truncated_propagators_unitary(eta, K, gap, drive, shaped):
     props = magnus.propagators_upto(p.replace(omega_T=drive * budget.omega_2(p)), pulse, 5)
     assert sorted(props) == [2, 3, 4, 5]
     for n, U in props.items():
-        assert hilbert.unitarity_defect(U) <= 1e-12, f"U{n}"
+        assert hilbert.unitarity_defect(hilbert.embed(U, p.n_dim, 1.0)) <= 1e-12, f"U{n}"

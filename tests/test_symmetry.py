@@ -104,6 +104,25 @@ def test_symmetry_blocks_are_orthonormal_isometries(n_dim):
         assert np.abs(_swap(n_dim) @ Q - Q).max() == 0.0
 
 
+@pytest.mark.parametrize("n_dim", [2, 5, 8, 9])
+@pytest.mark.parametrize("singlet", [0.0, 1.0])
+def test_embed_inverts_the_block_projection(n_dim, singlet):
+    rng = np.random.default_rng(n_dim)
+    blocks = hilbert.symmetry_blocks(n_dim)
+    X = tuple(rng.normal(size=(Q.shape[1],) * 2) + 1j * rng.normal(size=(Q.shape[1],) * 2)
+              for Q in blocks)
+    U = hilbert.embed(X, n_dim, singlet)
+    assert U.shape == (4 * n_dim, 4 * n_dim)
+    # Q entries are sqrt(1/2), whose square is not 1/2 exactly: a few roundings per entry
+    tol = 8 * np.finfo(float).eps * max(np.abs(x).max() for x in X)
+    for Q, x in zip(blocks, X):
+        assert np.abs(Q.conj().T @ U @ Q - x).max() <= tol
+        assert np.abs(_singlets(n_dim).T @ U @ Q).max() <= tol
+    assert np.abs(blocks[0].conj().T @ U @ blocks[1]).max() <= tol
+    S = _singlets(n_dim)
+    assert np.abs(S.T @ U @ S - singlet * np.eye(n_dim)).max() <= tol
+
+
 def _time_reversal_defects(builder, p, pulse, tau):
     """max|D_b conj(H_b(tau)) D_b - H_b(1 - tau)| per block and on the full
     space (last entry), with D_b = Q_b^H D Q_b, and max|H| over the gate."""

@@ -12,6 +12,11 @@ from msgate.pulses import PulseShape, rectangular, sin_squared
 from msgate.trotter import TrotterConfig
 
 
+def _full(U, params):
+    """The composite matrix of a block-form propagator."""
+    return hilbert.embed(U, params.n_dim, 1.0)
+
+
 def test_step_count_bound(base_params, rect, sin2):
     cfg = TrotterConfig()
     # max |N| = max_harmonic + m_max * K + L = 0 + 84 + 25
@@ -49,20 +54,21 @@ def test_no_steps_rejected(base_params, rect, cfg):
 def test_zero_drive_is_identity(base_params, rect):
     p = base_params.replace(omega_T=0.0)
     cfg = TrotterConfig(steps_override=200, allow_understep=True)
-    assert np.allclose(trotter.propagate_numeric(p, rect, cfg), np.eye(p.dim))
-    assert np.allclose(trotter.propagate_numeric_exact_displacement(p, rect, cfg),
+    assert np.allclose(_full(trotter.propagate_numeric(p, rect, cfg), p), np.eye(p.dim))
+    assert np.allclose(_full(trotter.propagate_numeric_exact_displacement(p, rect, cfg), p),
                        np.eye(p.dim))
 
 
 def test_unitarity(params_omega2, rect, unum_omega2):
     idx = hilbert.guard_band_indices(params_omega2)
-    G = (unum_omega2.conj().T @ unum_omega2 - np.eye(params_omega2.dim))[np.ix_(idx, idx)]
+    U = _full(unum_omega2, params_omega2)
+    G = (U.conj().T @ U - np.eye(params_omega2.dim))[np.ix_(idx, idx)]
     assert np.abs(G).max() < 1e-8
 
 
 def test_deterministic(params_omega2, rect, unum_omega2):
     again = trotter.propagate_numeric(params_omega2, rect)
-    assert np.array_equal(unum_omega2, again)
+    assert all(map(np.array_equal, unum_omega2, again))
 
 
 def test_step_halving(params_omega2, rect, weights, unum_omega2):
@@ -74,7 +80,7 @@ def test_step_halving(params_omega2, rect, weights, unum_omega2):
     assert abs(i1 - i2) < 1e-6
     # entrywise drift is set by the second-order step error at the default
     # step density (measured 2.7e-5 at these parameters)
-    assert np.abs(fine - unum_omega2).max() < 1e-4
+    assert np.abs(_full(fine, params_omega2) - _full(unum_omega2, params_omega2)).max() < 1e-4
 
 
 def test_left_endpoint_rule_close(params_omega2, rect, weights, unum_omega2):
@@ -91,7 +97,7 @@ def test_exact_displacement_small_eta(rect):
     cfg = TrotterConfig(steps_override=2000, allow_understep=True)
     a = trotter.propagate_numeric(p, rect, cfg)
     b = trotter.propagate_numeric_exact_displacement(p, rect, cfg)
-    assert np.abs(a - b).max() < 1e-10
+    assert np.abs(_full(a, p) - _full(b, p)).max() < 1e-10
 
 
 def test_exact_displacement_vs_truncated(params_omega2, rect, weights, unum_omega2):
@@ -135,7 +141,7 @@ SKEW = PulseShape.from_dict("skew", {0: 0.5, 1: 0.25j, -1: -0.25j})
 def test_blocked_kernel_matches_dense_reference(params_omega2, pulse, n_steps, route, builder):
     cfg = TrotterConfig() if n_steps is None else TrotterConfig(steps_override=n_steps,
                                                                 allow_understep=True)
-    U = route(params_omega2, pulse, cfg)
+    U = _full(route(params_omega2, pulse, cfg), params_omega2)
     ref = _dense_reference(builder, params_omega2, pulse, cfg.num_steps(params_omega2, pulse))
     assert np.abs(U - ref).max() <= 1e-12
     assert hilbert.unitarity_defect(U) <= 1e-12
@@ -183,8 +189,8 @@ def test_period_power_matches_plain_product(monkeypatch, params_omega2, pulse, m
     # 400 steps: 16 or 80 per period, step norm 0.26; 401 is no multiple of d
     for n_steps in (400, 401):
         cfg = TrotterConfig(steps_override=n_steps, midpoint=midpoint, allow_understep=True)
-        U = route(params_omega2, pulse, cfg)
-        plain = _plain_product(monkeypatch, route, params_omega2, pulse, cfg)
+        U = _full(route(params_omega2, pulse, cfg), params_omega2)
+        plain = _full(_plain_product(monkeypatch, route, params_omega2, pulse, cfg), params_omega2)
         if n_steps % period:
             assert np.array_equal(U, plain)
         else:
@@ -194,9 +200,11 @@ def test_period_power_matches_plain_product(monkeypatch, params_omega2, pulse, m
 def test_period_power_unitarity_no_worse(monkeypatch, params_omega2, rect, unum_omega2):
     # the default rect grid, 6,850 = 25 periods of 274 steps
     cfg = TrotterConfig(steps_override=TrotterConfig().num_steps(params_omega2, rect))
-    plain = _plain_product(monkeypatch, trotter.propagate_numeric, params_omega2, rect, cfg)
-    assert np.abs(unum_omega2 - plain).max() <= 1e-12
-    assert hilbert.unitarity_defect(unum_omega2) <= hilbert.unitarity_defect(plain)
+    plain = _full(_plain_product(monkeypatch, trotter.propagate_numeric, params_omega2, rect, cfg),
+                  params_omega2)
+    U = _full(unum_omega2, params_omega2)
+    assert np.abs(U - plain).max() <= 1e-12
+    assert hilbert.unitarity_defect(U) <= hilbert.unitarity_defect(plain)
 
 
 @pytest.mark.parametrize("pulse", [sin_squared(), SKEW], ids=["sin2", "skew"])
@@ -209,7 +217,7 @@ def test_aperiodic_slices_keep_the_product(monkeypatch, params_omega2, pulse):
         for size in (1, 4, 1 << 30):
             with monkeypatch.context() as m:
                 m.setattr(trotter, "_SLICE", size)
-                assert np.array_equal(route(params_omega2, pulse), U)
+                assert all(map(np.array_equal, route(params_omega2, pulse), U))
 
 
 _RSS_SCRIPT = """
