@@ -42,11 +42,12 @@ def omega_ld(params: GateParams) -> float:
 
 
 def omega_2(params: GateParams) -> float:
-    """Amplitude correcting the next Lamb-Dicke and second-sideband terms (NaN if not real)."""
+    """Amplitude correcting the next Lamb-Dicke and second-sideband terms (NaN if not
+    real, and at the pole eta^2 = (4K^2 - L^2)/(5K^2 - 2L^2))."""
     K, L, eta = params.K, params.L, params.eta
     num = (K * K - L * L) * (4 * K * K - L * L)
     den = 2 * K * (eta * eta * (2 * L * L - 5 * K * K) + 4 * K * K - L * L)
-    return (math.pi / eta) * math.sqrt(num / den) if num / den >= 0 else math.nan
+    return (math.pi / eta) * math.sqrt(num / den) if den != 0 and num / den >= 0 else math.nan
 
 
 def omega_4(params: GateParams, s: float | None = None) -> float:

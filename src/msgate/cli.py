@@ -100,9 +100,11 @@ def _span(text: str) -> tuple[float, float]:
 
 
 def _pulse_coeffs(text: str) -> PulseShape:
-    """M:re:im;... with integer M, a nonzero c_M and c_-M = conj(c_M)."""
-    shape = PulseShape.from_triples([(int(M), float(re), float(im)) for M, re, im
-                                     in (item.split(":") for item in text.split(";"))])
+    """M:re:im;... with integer M, finite parts, a nonzero c_M and c_-M = conj(c_M)."""
+    triples = [(int(M), float(re), float(im)) for M, re, im in (item.split(":") for item in text.split(";"))]
+    if not all(math.isfinite(part) for _, re, im in triples for part in (re, im)):
+        raise ValueError("coefficients must be finite")
+    shape = PulseShape.from_triples(triples)
     if not shape.support:
         raise ValueError("no nonzero coefficient")
     rep = validate_shape(shape)

@@ -29,12 +29,8 @@ class ThermalWeights:
 
     @cached_property
     def weights(self) -> np.ndarray:
-        n = np.arange(self.n_dim)
-        if self.nbar == 0:
-            w = np.zeros(self.n_dim)
-            w[0] = 1.0
-            return w
-        return self.nbar ** n / (self.nbar + 1.0) ** (n + 1)
+        # (nbar/(nbar+1))^n/(nbar+1): no power of nbar itself, which overflows for nbar >~ 1e44
+        return (self.nbar / (self.nbar + 1.0)) ** np.arange(self.n_dim) / (self.nbar + 1.0)
 
     @property
     def tail_mass(self) -> float:
@@ -45,17 +41,18 @@ class ThermalWeights:
 def _average_basis(n_dim: int, angle: float) -> tuple:
     """Per block: the Fock level of each column and the target Q_b^H (U_t (x) 1) Q_b,
     U_t = exp(i angle Jy^2)."""
-    target = np.kron(hilbert.matrix_exp(1j * angle * hilbert.collective_spins().Jy2), np.eye(n_dim))
-    return tuple((np.argmax(np.abs(Q), axis=0) % n_dim, Q.conj().T @ target @ Q)
-                 for Q in hilbert.symmetry_blocks(n_dim))
+    target = hilbert.matrix_exp(1j * angle * hilbert.collective_spins().Jy2)
+    return tuple((levels, T) for (levels, _), T in zip(hilbert.block_basis(n_dim),
+                                                      hilbert.to_blocks(target, np.eye(n_dim))))
 
 
 @lru_cache(maxsize=16)
 def _bell_basis(n_dim: int, phase: float) -> tuple:
     """Per block: the columns Q_b^H (|00> (x) |n>) and Q_b^H (psi_t (x) |m>) over n, m."""
     states = np.array([[1, 1], [0, 0], [0, 0], [0, np.exp(1j * phase)]]) / [1, np.sqrt(2)]
-    return tuple(np.split(Q.conj().T @ np.kron(states, np.eye(n_dim)), 2, axis=1)
-                 for Q in hilbert.symmetry_blocks(n_dim))
+    # column j of Q_b is v_j (x) |n_j>, so row j of Q_b^H (psi (x) |m>) is (v_j^H psi) delta(n_j, m)
+    return tuple(tuple((V.conj() @ psi)[:, None] * np.eye(n_dim)[n] for psi in states.T)
+                 for n, V in hilbert.block_basis(n_dim))
 
 
 def bell_fidelity(U: tuple, weights: ThermalWeights,

@@ -31,11 +31,6 @@ def destroy(n_dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, n_dim, dtype=float)), k=1).astype(complex)
 
 
-def create(n_dim: int) -> np.ndarray:
-    """Truncated creation operator a}^dagger."""
-    return destroy(n_dim).conj().T
-
-
 def laguerre(a: int, b: int, x: float) -> float:
     """Associated Laguerre polynomial L_a^{(b)}(x) by stable three-term recurrence.
 
@@ -86,48 +81,20 @@ def collective_spin(m: int) -> np.ndarray:
     return J.Jx.copy() if m % 2 == 0 else 1j * J.Jy
 
 
-@lru_cache(maxsize=256)
-def _ladder_powers(n_dim: int, max_pow: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    a = destroy(n_dim)
-    ad = create(n_dim)
-    a_pows = [np.eye(n_dim, dtype=complex)]
-    ad_pows = [np.eye(n_dim, dtype=complex)]
-    for _ in range(max_pow):
-        a_pows.append(a @ a_pows[-1])
-        ad_pows.append(ad @ ad_pows[-1])
-    return tuple(a_pows), tuple(ad_pows)
-
-
 def sideband_operator(m: int, eta: float, n_dim: int) -> np.ndarray:
-    """m-th sideband transition operator A_m on the truncated Fock space.
-
-    Built from the Taylor series
-        A_m = exp(-eta^2/2) sum_k eta^(2k+m) i^(2k+m) (a+)^(k+m) a^k / ((m+k)! k!)
-    with k starting at max(0, -m); truncated only by the Fock cutoff.
+    """m-th sideband transition operator A_m on the truncated Fock space: the part of
+    the displacement exp(i eta (a + a+)) that raises the Fock level by m,
+        <n+m|A_m|n> = exp(-eta^2/2) (i eta)^m sqrt(n!/(n+m)!) L_n^{(m)}(eta^2)   (m >= 0),
+    and A_{-m} = (-1)^m A_m^H (Cahill & Glauber 1969).  These are the entries of the
+    untruncated operator, so the Fock cutoff is the only truncation.
     """
     if abs(m) > n_dim:
         raise ValueError(f"|m|={abs(m)} exceeds n_dim={n_dim}")
-    a_pows, ad_pows = _ladder_powers(n_dim, 2 * n_dim + abs(m))
-    out = np.zeros((n_dim, n_dim), dtype=complex)
-    for k in range(max(0, -m), n_dim + 1):
-        up = k + m
-        coeff = (eta ** (2 * k + m)) * (1j ** (2 * k + m)) / (
-            math.factorial(m + k) * math.factorial(k)
-        )
-        out += coeff * (ad_pows[up] @ a_pows[k])
-    return math.exp(-0.5 * eta * eta) * out
-
-
-def sideband_element_closed_form(m: int, eta: float, n: int) -> complex:
-    """Matrix element <n+m|A_m|n> from the Laguerre closed form (m >= 0)."""
-    if m < 0:
-        raise ValueError("closed form stated for m >= 0; use the adjoint relation")
-    return (
-        math.exp(-0.5 * eta * eta)
-        * (1j * eta) ** m
-        * math.sqrt(math.factorial(n) / math.factorial(n + m))
-        * laguerre(n, m, eta * eta)
-    )
+    k, x = abs(m), eta * eta
+    band = np.array([math.sqrt(math.factorial(n) / math.factorial(n + k)) * laguerre(n, k, x)
+                     for n in range(n_dim - k)], dtype=complex)
+    out = math.exp(-0.5 * x) * (1j * eta) ** k * np.diag(band, -k)
+    return out if m >= 0 else (-1) ** k * out.conj().T
 
 
 def matrix_exp(A: np.ndarray) -> np.ndarray:
@@ -147,19 +114,9 @@ def drive_taps(params: GateParams, pulse: PulseShape) -> tuple[np.ndarray, np.nd
     return np.array(N), np.array(c)
 
 
-def hamiltonian_terms(params: GateParams, pulse: PulseShape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The factored Hamiltonian H(tau) = g(tau) sum_m exp(i 2 pi m K tau) J_m (x) A_m
-    at unit drive: the taps (N_g, c_g) of ``drive_taps`` and the stack of the
-    operators J_m (x) A_m for m = -m_max..m_max.  The drive strength omega_T
-    is *not* included so callers can rescale.
-    """
-    return (*drive_taps(params, pulse),
-            np.stack([np.kron(collective_spin(m), sideband_operator(m, params.eta, params.n_dim))
-                      for m in range(-params.m_max, params.m_max + 1)]))
-
-
-def symmetry_blocks(n_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Isometries Q_b (4*n_dim x d_b) onto the Pi = +1 and Pi = -1 blocks of H.
+def block_basis(n_dim: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The Pi = +1 and Pi = -1 blocks of H, as (levels, vectors): block column j is the
+    qubit vector vectors[j] (x) |levels[j]>.
 
     H commutes with qubit exchange and with Pi = exp(i pi Jx) (x) (-1)^{a+a}.
     Every J annihilates the exchange singlet, so H vanishes on the n_dim
@@ -171,11 +128,26 @@ def symmetry_blocks(n_dim: int) -> tuple[np.ndarray, np.ndarray]:
     blocks = []
     for parity in (0, 1):
         levels, vectors = zip(*[(n, q) for n in range(n_dim) for q in qubits[(n + parity) % 2]])
+        blocks.append((np.array(levels), np.array(vectors, dtype=complex)))
+    return tuple(blocks)
+
+
+def symmetry_blocks(n_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Isometries Q_b (4*n_dim x d_b) onto the blocks of ``block_basis``."""
+    blocks = []
+    for levels, vectors in block_basis(n_dim):
         Q = np.zeros((4 * n_dim, len(levels)), dtype=complex)
         # column j is its qubit vector (x) |levels_j>: entry i at row i n_dim + levels_j
-        Q[np.arange(4)[:, None] * n_dim + levels, np.arange(len(levels))] = np.array(vectors).T
+        Q[np.arange(4)[:, None] * n_dim + levels, np.arange(len(levels))] = vectors.T
         blocks.append(Q)
     return tuple(blocks)
+
+
+def to_blocks(qubit_op: np.ndarray, fock_op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q_b^H (J (x) A) Q_b per block of ``block_basis``, gathered entry by entry as
+    (v_j^H J v_k) A[n_j, n_k]; J and A may be stacks of the same length."""
+    return tuple((V.conj() @ qubit_op @ V.T) * fock_op[..., n[:, None], n]
+                 for n, V in block_basis(fock_op.shape[-1]))
 
 
 def embed(blocks: tuple, n_dim: int, singlet: float) -> np.ndarray:
@@ -183,17 +155,29 @@ def embed(blocks: tuple, n_dim: int, singlet: float) -> np.ndarray:
     ``symmetry_blocks(n_dim)``: sum_b Q_b X_b Q_b^H plus ``singlet`` times the identity on
     the exchange singlets.  Every P_k and Z_k (singlet 0) and propagator (singlet 1)
     commutes with both symmetries and is held in this form; this is the one place a
-    composite matrix is formed from blocks."""
-    return singlet * np.eye(4 * n_dim) + sum(Q @ (X - singlet * np.eye(len(X))) @ Q.conj().T
+    composite matrix is formed from blocks.  The X_b may be stacks of the same length."""
+    return singlet * np.eye(4 * n_dim) + sum(Q @ (X - singlet * np.eye(X.shape[-1])) @ Q.conj().T
                                              for Q, X in zip(symmetry_blocks(n_dim), blocks))
+
+
+def hamiltonian_terms(params: GateParams, pulse: PulseShape) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The factored Hamiltonian H(tau) = g(tau) sum_m exp(i 2 pi m K tau) J_m (x) A_m
+    at unit drive: the taps (N_g, c_g) of ``drive_taps`` and, per block of
+    ``block_basis``, the stack of the J_m (x) A_m for m = -m_max..m_max.  The drive
+    strength omega_T is *not* included so callers can rescale.
+    """
+    ms = range(-params.m_max, params.m_max + 1)
+    return (*drive_taps(params, pulse),
+            to_blocks(np.stack([collective_spin(m) for m in ms]),
+                      np.stack([sideband_operator(m, params.eta, params.n_dim) for m in ms])))
 
 
 @dataclass(frozen=True)
 class RotatingFrame:
-    """Q_b^H H(tau) Q_b = omega_T g(tau) r_b B_b r_b^H on isometries Q_b whose columns
-    each hold one Fock level n_b: the drive g of ``drive_taps``, one constant generator
-    B_b = Q_b^H B_0 Q_b and r_b = exp(i 2 pi K tau n_b).  Called on a vector of tau it
-    returns one stack Q_b^H H(tau) Q_b per block."""
+    """Q_b^H H(tau) Q_b = omega_T g(tau) r_b B_b r_b^H per block of ``block_basis``, whose
+    columns each hold one Fock level n_b: the drive g of ``drive_taps``, one constant
+    generator B_b = Q_b^H B_0 Q_b and r_b = exp(i 2 pi K tau n_b).  Called on a vector
+    of tau it returns one stack Q_b^H H(tau) Q_b per block."""
 
     params: GateParams
     taps: np.ndarray
@@ -211,22 +195,21 @@ class RotatingFrame:
                 for B, n in zip(self.generators, self.levels)]
 
 
-def _frame(params: GateParams, blocks: tuple, taps, coeffs, generator: np.ndarray) -> RotatingFrame:
-    return RotatingFrame(params, taps, coeffs,
-                         tuple(Q.conj().T @ generator @ Q for Q in blocks),
-                         tuple(np.argmax(np.abs(Q), axis=0) % params.n_dim for Q in blocks))
+def _frame(params: GateParams, taps, coeffs, terms: tuple) -> RotatingFrame:
+    """The frame whose generator is, per block, the sum of the stack ``terms``."""
+    return RotatingFrame(params, taps, coeffs, tuple(X.sum(axis=0) for X in terms),
+                         tuple(n for n, _ in block_basis(params.n_dim)))
 
 
-def sideband_hamiltonian(params: GateParams, pulse: PulseShape, blocks: tuple) -> RotatingFrame:
-    """The sideband series on the isometries ``blocks`` (see symmetry_blocks).  A_m
-    raises the Fock level by m, so exp(i 2 pi m K tau) J_m (x) A_m = R J_m (x) A_m R^H
-    with R = exp(i 2 pi K tau a+a), and the generator is B_0 = sum_m J_m (x) A_m.
+def sideband_hamiltonian(params: GateParams, pulse: PulseShape) -> RotatingFrame:
+    """The sideband series in the blocks.  A_m raises the Fock level by m, so
+    exp(i 2 pi m K tau) J_m (x) A_m = R J_m (x) A_m R^H with R = exp(i 2 pi K tau a+a),
+    and the generator is B_0 = sum_m J_m (x) A_m.
     """
-    taps, coeffs, stacked = hamiltonian_terms(params, pulse)
-    return _frame(params, blocks, taps, coeffs, stacked.sum(axis=0))
+    return _frame(params, *hamiltonian_terms(params, pulse))
 
 
-def displacement_hamiltonian(params: GateParams, pulse: PulseShape, blocks: tuple) -> RotatingFrame:
+def displacement_hamiltonian(params: GateParams, pulse: PulseShape) -> RotatingFrame:
     """Like ``sideband_hamiltonian``, with the displacement exponential built exactly
     instead of the m_max-truncated series: the cross-check for the truncation.
     H = g(tau) (J+ (x) D + J- (x) D^H) / 2, where D(tau) = exp(i eta (a e^{-i theta}
@@ -236,18 +219,19 @@ def displacement_hamiltonian(params: GateParams, pulse: PulseShape, blocks: tupl
     J = collective_spins()
     a = destroy(params.n_dim)
     d0 = matrix_exp(1j * params.eta * (a + a.conj().T))
-    return _frame(params, blocks, *drive_taps(params, pulse),
-                  0.5 * (np.kron(J.Jplus, d0) + np.kron(J.Jminus, d0.conj().T)))
+    return _frame(params, *drive_taps(params, pulse),
+                  to_blocks(np.stack([J.Jplus, J.Jminus]), 0.5 * np.stack([d0, d0.conj().T])))
 
 
 def hamiltonian_at(tau: float, params: GateParams, pulse: PulseShape) -> np.ndarray:
-    """Dimensionless interaction Hamiltonian T*H(tau*T)/hbar at one instant."""
-    return sideband_hamiltonian(params, pulse, (np.eye(params.dim),))(np.array([tau]))[0][0]
+    """Dimensionless interaction Hamiltonian T*H(tau*T)/hbar at one instant, as the
+    composite matrix of its blocks."""
+    return embed([H[0] for H in sideband_hamiltonian(params, pulse)(np.array([tau]))], params.n_dim, 0.0)
 
 
 def displacement_hamiltonian_at(tau: float, params: GateParams, pulse: PulseShape) -> np.ndarray:
     """The exact-displacement Hamiltonian at one instant."""
-    return displacement_hamiltonian(params, pulse, (np.eye(params.dim),))(np.array([tau]))[0][0]
+    return embed([H[0] for H in displacement_hamiltonian(params, pulse)(np.array([tau]))], params.n_dim, 0.0)
 
 
 def guard_band_indices(params: GateParams) -> np.ndarray:

@@ -54,12 +54,10 @@ def _transfer_dyson(eta, K, L, n_dim, m_max, coeffs, up_to) -> list[tuple]:
     side by side.
     """
     # H = g(tau) sum_m e^{i 2 pi m K tau} J_m (x) A_m: the taps (N_g, c_g) of g, the J_m (x) A_m
-    taps, tap_c, ops_full = hilbert.hamiltonian_terms(
+    taps, tap_c, ops = hilbert.hamiltonian_terms(
         GateParams(eta=eta, K=K, L=L, n_dim=n_dim, m_max=m_max), PulseShape("", coeffs))
     ms = np.arange(-m_max, m_max + 1)
-    blocks = hilbert.symmetry_blocks(n_dim)
-    ops = [Q.conj().T @ ops_full @ Q for Q in blocks]
-    dims = [Q.shape[1] for Q in blocks]
+    dims = [op.shape[-1] for op in ops]
     cols = [slice(a, a + d * d) for a, d in zip(np.cumsum([0] + [d * d for d in dims]), dims)]
     keys = np.zeros(1, dtype=np.int64)
     rows = np.concatenate([np.eye(d, dtype=complex).ravel() for d in dims])[None]
@@ -120,7 +118,8 @@ def _tuple_dyson(params: GateParams, pulse: PulseShape, k: int) -> np.ndarray:
     the tuple count (labels^k), so it serves low orders and narrow pulses as a
     cross-check; the transfer route is the production path.
     """
-    taps, tap_c, ops = hilbert.hamiltonian_terms(params, pulse)
+    taps, tap_c, blocks = hilbert.hamiltonian_terms(params, pulse)
+    ops = hilbert.embed(blocks, params.n_dim, 0.0)
     # one label (N_g + m K, c_g, J_m (x) A_m) per sideband m and drive tap g
     labels = [(int(N) + m * params.K, c, op)
               for m, op in zip(range(-params.m_max, params.m_max + 1), ops) for N, c in zip(taps, tap_c)]

@@ -80,6 +80,6 @@ def validate_shape(shape: PulseShape) -> ValidationReport:
         partner = coeffs.get(-M)
         if partner is None:
             rep.add("missing conjugate", f"M={M} present, M={-M} absent")
-        elif abs(partner - c.conjugate()) > _IMAG_TOL:
+        elif not abs(partner - c.conjugate()) <= _IMAG_TOL:  # NaN fails this too
             rep.add("conjugate symmetry", f"c_{-M} != conj(c_{M})")
     return rep

@@ -21,22 +21,20 @@ class TrotterConfig:
     + m_max * K + L.  The default N_t is that bound rounded up to a multiple
     of the drive period d (``drive_period``: L for rect, 1 for sin^2), so the
     grid is never coarser than the bound and holds d whole periods.
-    ``midpoint`` samples the Hamiltonian at the centre of each step
-    (second-order accurate); the left-endpoint rule is available for
-    comparison.  ``steps_override`` is taken as given: below the bound it is
-    rejected unless ``allow_understep`` is set; a step count below 1
-    (``safety <= 0``) is always rejected.
+    Each step samples the Hamiltonian at its centre (the exponential midpoint
+    rule, second-order accurate).  ``steps_override`` is taken as given: below
+    the bound it is rejected unless ``allow_understep`` is set; a step count
+    below 1 (``safety <= 0``) is always rejected.
 
     The policy fixes which steps are taken, not how each is exponentiated:
     every step is exact up to rounding at any norm (one ``eigh`` per symmetry
     block in the rotating frame, see ``_block_propagator``).  When d > 1
     divides N_t only the first period's N_t/d steps are computed and the
     product is their power; otherwise, with a real-coefficient pulse, only
-    half of the midpoint steps are computed.
+    half of the steps are computed.
     """
 
     safety: float = 10.0
-    midpoint: bool = True
     steps_override: int | None = None
     allow_understep: bool = False
 
@@ -148,19 +146,19 @@ def _propagate(builder, params: GateParams, pulse: PulseShape | None,
 
     Time-reversal fold, when d = 1 or d does not divide N: with D = (-1)^{a+a},
     D conj(H(tau)) D = H(1 - tau) when every pulse coefficient is real (the beat notes
-    are integers, D conj(B_0) D = B_0 for both builders).  On the mirrored midpoint grid
-    step N-1-n is then D e_n^T D, so the first N//2 steps give U_1 per block and
+    are integers, D conj(B_0) D = B_0 for both builders).  The midpoint grid is its own
+    mirror, so step N-1-n is then D e_n^T D, the first N//2 steps give U_1 per block and
     U_b = D_b U_1^T D_b e_mid U_1, with e_mid the step at tau = 1/2 when N is odd.
-    Other grids and pulses take every step.
+    Other pulses take every step.
     """
     pulse = pulse if pulse is not None else rectangular()
     config = config if config is not None else TrotterConfig()
     n_steps = config.num_steps(params, pulse)
-    frame = builder(params, pulse, hilbert.symmetry_blocks(params.n_dim))
+    frame = builder(params, pulse)
     period = drive_period(frame.taps)
     periods = period if n_steps % period == 0 else 1
     # the drive is periodic, so the guards below see all of it on the first period's ticks
-    ticks = 2 * np.arange(n_steps // periods) + (1 if config.midpoint else 0)
+    ticks = 2 * np.arange(n_steps // periods) + 1
     drive = frame.drive(ticks / (2 * n_steps))
     defect = max(hilbert.hermiticity_defect(B) / np.abs(B).max() for B in frame.generators)
     imaginary = np.abs(drive.imag).max() / np.abs(drive).max()
@@ -170,7 +168,7 @@ def _propagate(builder, params: GateParams, pulse: PulseShape | None,
     amps = params.omega_T * drive.real / n_steps
     if not (np.isfinite(amps).all() and all(np.isfinite(B).all() for B in frame.generators)):
         raise ValueError(f"Hamiltonian not finite: omega_T {params.omega_T}, eta {params.eta}")
-    fold = config.midpoint and all(c.imag == 0 for c in pulse.coefficients.values())
+    fold = all(c.imag == 0 for c in pulse.coefficients.values())
     return tuple(_block_propagator(B, n, params.K, amps, ticks, periods, fold)
                  for B, n in zip(frame.generators, frame.levels))
 

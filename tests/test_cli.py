@@ -304,6 +304,9 @@ def test_figure_presets_parse():
     "pulse = rect\naxis = K\ngrid = 28\nomega_mode = fixed_phys\nomega_phys = 1e5\ntrap_freq = 0\n",
     "pulse = rect\ngrid = auto\neta = 0\n",                 # auto grid from invalid parameters
     "pulse = rect\ngrid = auto\neta = 0.99\n",              # auto grid with no real omega_2
+    "pulse = rect\ngrid = auto\neta = 0.9697677238402231\n",  # ... and at the pole of omega_2
+    "pulse = custom\npulse_coeffs = 0:nan:0\ngrid = 1,2\n",  # non-finite coefficients
+    "pulse = custom\npulse_coeffs = 0:inf:0\ngrid = 1,2\n",
 ])
 def test_malformed_input_is_config_error(tmp_path, capsys, lines):
     path = _write(tmp_path, "bad.cfg", CHECK_OK + "trap_freq = 1.0e6\naxis = omega\n"
@@ -326,6 +329,8 @@ def test_malformed_input_is_config_error(tmp_path, capsys, lines):
     "pulse = custom\n",                    # no pulse_coeffs
     "grid = auto\n",                       # auto grid off the omega axis (axis = K)
     "omega_mode = fixed_phys\n",           # no omega_phys
+    "pulse = custom\npulse_coeffs = 0:nan:0\n",  # non-finite coefficients
+    "pulse = custom\npulse_coeffs = 0:inf:0\n",
 ])
 def test_every_subcommand_rejects_malformed_values(tmp_path, capsys, command, lines):
     path = _write(tmp_path, "bad.cfg", CHECK_OK + "axis = K\ngrid = 28\npropagators = U2\n" + lines)
@@ -338,6 +343,8 @@ def test_every_subcommand_rejects_malformed_values(tmp_path, capsys, command, li
     ("axis = eta\ngrid = 0.1,1.5\n", ["ok", "skip:eta range"]),
     ("axis = eta\nomega_mode = omega4\ngrid = 0.05,0.2\n", ["skip:omega_T sign", "ok"]),
     ("axis = eta\nomega_mode = omega2\ngrid = 0.2,0.99\n", ["ok", "skip:omega_T sign"]),
+    # the pole of omega_2 at K = 28, L = 25: eta^2 = (4K^2 - L^2)/(5K^2 - 2L^2)
+    ("axis = eta\nomega_mode = omega2\ngrid = 0.2,0.9697677238402231\n", ["ok", "skip:omega_T sign"]),
 ])
 def test_points_without_real_amplitude_give_skip_rows(tmp_path, lines, statuses):
     path = _write(tmp_path, "s.cfg", CHECK_OK + "pulse = rect\npropagators = U2\n" + lines)
@@ -345,8 +352,10 @@ def test_points_without_real_amplitude_give_skip_rows(tmp_path, lines, statuses)
 
 
 def test_main_budget_without_real_omega_2(tmp_path, capsys):
-    assert cli.main(["budget", _write(tmp_path, "b.cfg", CHECK_OK + "eta = 0.99\n")]) == 0
-    assert "omega_2*T  = nan" in capsys.readouterr().out
+    # num/den < 0, and den = 0 at the pole eta^2 = (4K^2 - L^2)/(5K^2 - 2L^2)
+    for eta in ("0.99", "0.9697677238402231"):
+        assert cli.main(["budget", _write(tmp_path, "b.cfg", CHECK_OK + f"eta = {eta}\n")]) == 0
+        assert "omega_2*T  = nan" in capsys.readouterr().out
 
 
 def test_readme_documents_every_config_key():

@@ -23,6 +23,19 @@ def test_thermal_weights_formula():
     assert np.all(np.diff(w.weights) < 0)
     assert w.weights.sum() <= 1.0
     assert 0 < w.tail_mass < 1e-12
+    # the presets and benchmarks run nbar = 0.02, whose tail mass (~1e-14) the benchmark
+    # compares at 1e-9 relative: the overflow-free form keeps every bit of the plain one
+    for n_dim in (8, 10, 12):
+        n = np.arange(n_dim)
+        assert ThermalWeights(0.02, n_dim).tail_mass == float(1.0 - (0.02 ** n / 1.02 ** (n + 1)).sum())
+
+
+@pytest.mark.parametrize("nbar", [1e45, 1e300])
+def test_thermal_weights_finite_at_huge_nbar(nbar):
+    # nbar^n overflows from nbar ~ 1e44 at n_dim = 8
+    w = ThermalWeights(nbar, 8)
+    assert np.all(np.isfinite(w.weights)) and np.all(w.weights > 0)
+    assert 0.0 <= w.tail_mass <= 1.0
 
 
 def test_thermal_weights_ground_state():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -58,13 +59,31 @@ def test_sideband_adjoint_relation():
         assert np.allclose(Amin, (-1) ** m * Am.conj().T, atol=1e-14)
 
 
+def _series_sideband(m, eta, n_dim):
+    """Independent oracle: the normal-ordered Taylor series
+    exp(-eta^2/2) sum_k (i eta)^(2k+m) (a+)^(k+m) a^k / ((m+k)! k!), k >= max(0, -m),
+    with the truncated ladder operators; only the Fock cutoff truncates it."""
+    a = hilbert.destroy(n_dim)
+    return math.exp(-0.5 * eta * eta) * sum(
+        (1j * eta) ** (2 * k + m) / (math.factorial(m + k) * math.factorial(k))
+        * np.linalg.matrix_power(a.conj().T, k + m) @ np.linalg.matrix_power(a, k)
+        for k in range(max(0, -m), n_dim + 1))
+
+
 def test_sideband_matches_laguerre_closed_form():
-    eta, n_dim, m_max = 0.18, 10, 3
-    for m in range(0, m_max + 1):
-        Am = sideband_operator(m, eta, n_dim)
-        for n in range(n_dim - m_max - m):
-            want = hilbert.sideband_element_closed_form(m, eta, n)
-            assert Am[n + m, n] == pytest.approx(want, rel=1e-12)
+    for eta, n_dim in itertools.product((0.01, 0.18, 0.5, 0.9), (2, 9, 16)):
+        # every entry of every A_m on the truncated space against the series
+        for m in range(-n_dim, n_dim + 1):
+            got, want = sideband_operator(m, eta, n_dim), _series_sideband(m, eta, n_dim)
+            assert np.array_equal(got != 0, want != 0), (eta, n_dim, m)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (eta, n_dim, m)
+        # and each band against the closed form, with the explicit Laguerre series
+        for m in range(n_dim + 1):
+            got = sideband_operator(m, eta, n_dim)
+            for n in range(n_dim - m):
+                closed = (math.exp(-0.5 * eta * eta) * (1j * eta) ** m * laguerre_series(n, m, eta * eta)
+                          * math.sqrt(math.factorial(n) / math.factorial(n + m)))
+                assert got[n + m, n] == pytest.approx(closed, rel=1e-12)
 
 
 def test_sideband_rejects_large_m():

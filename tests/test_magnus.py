@@ -228,8 +228,10 @@ def _accumulate(acc, key, mat):
 def _full_space_transfer(params, pulse, up_to):
     """Oracle: the transfer pass on the full space, with its state kept as a
     (power, freq) -> matrix dict (the assembly before the symmetry blocks)."""
-    taps, tap_c, ops = hilbert.hamiltonian_terms(params, pulse)
+    taps, tap_c = hilbert.drive_taps(params, pulse)
     ms = range(-params.m_max, params.m_max + 1)
+    ops = [np.kron(hilbert.collective_spin(m), hilbert.sideband_operator(m, params.eta, params.n_dim))
+           for m in ms]
     state = {(0, 0): np.eye(params.dim, dtype=complex)}
     p_hats = []
     for order in range(1, up_to + 1):

@@ -57,6 +57,13 @@ def test_validate_shape_asymmetric():
     assert "conjugate symmetry" in validate_shape(shape).rules()
 
 
+@pytest.mark.parametrize("c", [complex(np.nan, 0), complex(np.inf, 0), complex(0.5, np.nan)])
+def test_validate_shape_flags_non_finite(c):
+    # NaN compares false with any tolerance, so the check must be written to fail on it
+    assert "conjugate symmetry" in validate_shape(PulseShape.from_dict("bad", {0: c})).rules()
+    assert "conjugate symmetry" in validate_shape(PulseShape.from_dict("bad", {1: c, -1: c})).rules()
+
+
 def test_from_triples():
     shape = PulseShape.from_triples([(0, 0.5, 0.0), (1, -0.25, 0.0), (-1, -0.25, 0.0)])
     assert shape.coefficients == sin_squared().coefficients

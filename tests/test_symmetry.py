@@ -15,7 +15,7 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, example, given, settings, strategies as st
 
-from msgate import hilbert, magnus
+from msgate import cli, fidelity, hilbert, magnus
 from msgate.params import GateParams, validate
 from msgate.pulses import PulseShape, rectangular, sin_squared
 from msgate.trotter import TrotterConfig
@@ -63,6 +63,47 @@ def test_symmetry_blocks_match_kron_construction():
         assert len(got) == 2
         for Q, W in zip(got, want):
             assert Q.dtype == W.dtype and np.array_equal(Q, W)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_dim=st.integers(2, 12), size=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_to_blocks_matches_the_projection(n_dim, size, seed):
+    # any J and A, not only symmetric ones: column j of Q_b is v_j (x) |n_j>
+    gen = np.random.default_rng(seed)
+    J, A = (gen.normal(size=s) + 1j * gen.normal(size=s) for s in ((size, 4, 4), (size, n_dim, n_dim)))
+    composite = np.stack([np.kron(j, a) for j, a in zip(J, A)])
+    # measured worst 1.4 eps max|J| max|A| over 300 random stacks
+    tol = 8 * np.finfo(float).eps * np.abs(J).max() * np.abs(A).max()
+    single = hilbert.to_blocks(J[0], A[0])
+    for Q, (levels, _), X, X0 in zip(hilbert.symmetry_blocks(n_dim), hilbert.block_basis(n_dim),
+                                     hilbert.to_blocks(J, A), single):
+        assert np.array_equal(levels, np.argmax(np.abs(Q), axis=0) % n_dim)
+        want = Q.conj().T @ composite @ Q
+        assert X.shape == want.shape and X0.shape == want.shape[1:]
+        assert np.abs(X - want).max() <= tol
+        assert np.abs(X0 - want[0]).max() <= tol
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("a composite matrix was formed")
+
+
+@pytest.mark.parametrize("pulse, propagators", [("rect", "U2,U3,U4,U5,Unum"), ("sin2", "Unum")])
+def test_sweep_point_forms_no_composite_matrix(monkeypatch, tmp_path, pulse, propagators):
+    # from the Hamiltonian to the average fidelity everything stays in the blocks
+    path = tmp_path / "point.cfg"
+    path.write_text(f"eta = 0.18\nK = 28\nL = 25\nnbar = 0.02\npulse = {pulse}\naxis = omega\n"
+                    f"grid = 30\npropagators = {propagators}\nmetric = average\n")
+    spec = cli.sweep_from_config(cli.parse_config(str(path)))
+    want = cli.run_sweep(spec)
+    hilbert.collective_spins()  # the 4 x 4 qubit operators, built with kron once per process
+    magnus._transfer_dyson.cache_clear()
+    fidelity._average_basis.cache_clear()
+    for module, name in ((np, "kron"), (hilbert, "embed"), (hilbert, "symmetry_blocks")):
+        monkeypatch.setattr(module, name, _forbidden)
+    rows = cli.run_sweep(spec)
+    assert rows == want and rows[0]["status"] == "ok"
+    assert all(0 < rows[0][f"infid_{name}"] < 1 for name in propagators.split(","))
 
 
 gate_points = st.builds(
@@ -125,15 +166,17 @@ def test_embed_inverts_the_block_projection(n_dim, singlet):
 
 def _time_reversal_defects(builder, p, pulse, tau):
     """max|D_b conj(H_b(tau)) D_b - H_b(1 - tau)| per block and on the full
-    space (last entry), with D_b = Q_b^H D Q_b, and max|H| over the gate."""
+    space (last entry, from ``embed``), with D_b = Q_b^H D Q_b, and max|H| over the gate."""
+    frame = builder(p, pulse)
+    blocks = frame(np.array([tau, 1 - tau]))
     spaces = hilbert.symmetry_blocks(p.n_dim) + (np.eye(p.dim),)
     defects = []
-    for Q, (now, mirrored) in zip(spaces, builder(p, pulse, spaces)(np.array([tau, 1 - tau]))):
+    for Q, (now, mirrored) in zip(spaces, blocks + [hilbert.embed(blocks, p.n_dim, 0.0)]):
         D = Q.conj().T @ _fock_parity(p.n_dim) @ Q
         # the propagator reads D_b off Q_b as a diagonal of signs
         assert np.abs(np.abs(D) - np.eye(len(D))).max() <= 1e-15
         defects.append(np.abs(D @ now.conj() @ D - mirrored).max())
-    return defects, np.abs(builder(p, pulse, spaces[-1:])(np.linspace(0, 1, 257))[0]).max()
+    return defects, np.abs(hilbert.embed(frame(np.linspace(0, 1, 257)), p.n_dim, 0.0)).max()
 
 
 @pytest.mark.parametrize("builder", [

@@ -83,13 +83,6 @@ def test_step_halving(params_omega2, rect, weights, unum_omega2):
     assert np.abs(_full(fine, params_omega2) - _full(unum_omega2, params_omega2)).max() < 1e-4
 
 
-def test_left_endpoint_rule_close(params_omega2, rect, weights, unum_omega2):
-    left = trotter.propagate_numeric(params_omega2, rect, TrotterConfig(midpoint=False))
-    i_mid = 1 - fidelity.average_fidelity(unum_omega2, weights)
-    i_left = 1 - fidelity.average_fidelity(left, weights)
-    assert abs(i_mid - i_left) < 5e-5
-
-
 def test_exact_displacement_small_eta(rect):
     from msgate.params import GateParams
 
@@ -114,10 +107,10 @@ def test_exact_displacement_vs_truncated(params_omega2, rect, weights, unum_omeg
 def _dense_reference(builder, params, pulse, n_steps):
     """Midpoint product of full-space matrix exponentials, one expm per step."""
     U = np.eye(params.dim, dtype=complex)
-    build = builder(params, pulse, (np.eye(params.dim),))
+    build = builder(params, pulse)
     taus = (np.arange(n_steps) + 0.5) / n_steps
     for lo in range(0, n_steps, 500):  # a few hundred 32 x 32 step Hamiltonians at a time
-        for H in build(taus[lo:lo + 500])[0]:
+        for H in hilbert.embed(build(taus[lo:lo + 500]), params.n_dim, 0.0):
             U = scipy.linalg.expm(-1j * H / n_steps) @ U
     return U
 
@@ -179,16 +172,16 @@ def _plain_product(monkeypatch, route, params, pulse, cfg):
 
 
 @pytest.mark.parametrize("pulse", [rectangular(), PERIOD_5], ids=["rect-d25", "period-5"])
-@pytest.mark.parametrize("midpoint", [True, False], ids=["midpoint", "left"])
+@pytest.mark.parametrize("rule", ["midpoint"])  # the one step rule, named in the test ids
 @pytest.mark.parametrize("route", [
     trotter.propagate_numeric, trotter.propagate_numeric_exact_displacement,
 ], ids=["series", "exact_displacement"])
-def test_period_power_matches_plain_product(monkeypatch, params_omega2, pulse, midpoint, route):
+def test_period_power_matches_plain_product(monkeypatch, params_omega2, pulse, rule, route):
     period = trotter.drive_period(hilbert.drive_taps(params_omega2, pulse)[0])
     assert period == (5 if pulse is PERIOD_5 else 25)
     # 400 steps: 16 or 80 per period, step norm 0.26; 401 is no multiple of d
     for n_steps in (400, 401):
-        cfg = TrotterConfig(steps_override=n_steps, midpoint=midpoint, allow_understep=True)
+        cfg = TrotterConfig(steps_override=n_steps, allow_understep=True)
         U = _full(route(params_omega2, pulse, cfg), params_omega2)
         plain = _full(_plain_product(monkeypatch, route, params_omega2, pulse, cfg), params_omega2)
         if n_steps % period:
