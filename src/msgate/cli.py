@@ -100,8 +100,11 @@ def _span(text: str) -> tuple[float, float]:
 
 
 def _pulse_coeffs(text: str) -> PulseShape:
-    """M:re:im;... with integer M, finite parts, a nonzero c_M and c_-M = conj(c_M)."""
+    """M:re:im;... with integer M given once, finite parts, a nonzero c_M and c_-M = conj(c_M)."""
     triples = [(int(M), float(re), float(im)) for M, re, im in (item.split(":") for item in text.split(";"))]
+    for i, (M, _, _) in enumerate(triples):
+        if any(M == N for N, _, _ in triples[:i]):
+            raise ValueError(f"harmonic M={M} given twice")
     if not all(math.isfinite(part) for _, re, im in triples for part in (re, im)):
         raise ValueError("coefficients must be finite")
     shape = PulseShape.from_triples(triples)
@@ -152,6 +155,7 @@ def _build(cls, cfg: dict[str, str], **given):
 def parse_config(path: str) -> dict[str, str]:
     """The raw ``key = value`` pairs of a config file, each checked by its parser."""
     raw: dict[str, str] = {}
+    first_on: dict[str, int] = {}
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
@@ -160,8 +164,10 @@ def parse_config(path: str) -> dict[str, str]:
                     continue
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key = value")
-                key, val = line.split("=", 1)
-                raw[key.strip()] = val.strip()
+                key, val = (part.strip() for part in line.split("=", 1))
+                if key in raw:
+                    raise ConfigError(f"{path}:{lineno}: {key} given twice (first on line {first_on[key]})")
+                raw[key], first_on[key] = val, lineno
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     unknown = sorted(raw.keys() - CONFIG_KEYS.keys())

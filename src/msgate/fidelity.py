@@ -21,6 +21,9 @@ import numpy as np
 
 from . import hilbert
 
+TARGET_ANGLE = np.pi / 2    # phi of the target gate exp(i phi Jy^2)
+TARGET_PHASE = -np.pi / 2   # the Bell target (|00> + e^{i phase}|11>)/sqrt(2)
+
 
 @dataclass(frozen=True)
 class ThermalWeights:
@@ -38,48 +41,45 @@ class ThermalWeights:
 
 
 @lru_cache(maxsize=16)
-def _average_basis(n_dim: int, angle: float) -> tuple:
+def _average_basis(n_dim: int) -> tuple:
     """Per block: the Fock level of each column and the target Q_b^H (U_t (x) 1) Q_b,
-    U_t = exp(i angle Jy^2)."""
-    target = hilbert.matrix_exp(1j * angle * hilbert.collective_spins().Jy2)
+    U_t = exp(i TARGET_ANGLE Jy^2)."""
+    target = hilbert.matrix_exp(1j * TARGET_ANGLE * hilbert.collective_spins().Jy2)
     return tuple((levels, T) for (levels, _), T in zip(hilbert.block_basis(n_dim),
                                                       hilbert.to_blocks(target, np.eye(n_dim))))
 
 
 @lru_cache(maxsize=16)
-def _bell_basis(n_dim: int, phase: float) -> tuple:
+def _bell_basis(n_dim: int) -> tuple:
     """Per block: the columns Q_b^H (|00> (x) |n>) and Q_b^H (psi_t (x) |m>) over n, m."""
-    states = np.array([[1, 1], [0, 0], [0, 0], [0, np.exp(1j * phase)]]) / [1, np.sqrt(2)]
+    states = np.array([[1, 1], [0, 0], [0, 0], [0, np.exp(1j * TARGET_PHASE)]]) / [1, np.sqrt(2)]
     # column j of Q_b is v_j (x) |n_j>, so row j of Q_b^H (psi (x) |m>) is (v_j^H psi) delta(n_j, m)
     return tuple(tuple((V.conj() @ psi)[:, None] * np.eye(n_dim)[n] for psi in states.T)
                  for n, V in hilbert.block_basis(n_dim))
 
 
-def bell_fidelity(U: tuple, weights: ThermalWeights,
-                  target_phase: float = -np.pi / 2) -> float:
-    """Overlap of the reduced qubit state with (|00> + e^{i phase}|11>)/sqrt(2)
+def bell_fidelity(U: tuple, weights: ThermalWeights) -> float:
+    """Overlap of the reduced qubit state with (|00> + e^{i TARGET_PHASE}|11>)/sqrt(2)
     after evolving |00> x thermal motional state and tracing out the motion:
     sum_n P_n sum_m |<psi_t, m|U|00, n>|^2.  Neither state touches the singlets."""
     amps = sum(out.conj().T @ X @ inp
-               for X, (inp, out) in zip(U, _bell_basis(weights.n_dim, target_phase)))
+               for X, (inp, out) in zip(U, _bell_basis(weights.n_dim)))
     return float((np.abs(amps) ** 2 @ weights.weights).sum())
 
 
-def average_fidelity(U: tuple, weights: ThermalWeights,
-                     target_angle: float = np.pi / 2) -> float:
+def average_fidelity(U: tuple, weights: ThermalWeights) -> float:
     """|Tr_qubits sum_n P_n <n| U U_target^dag |n>| / 4: per block
     sum_jk P_{n_j} U_jk conj(T_jk), plus sum_n P_n from the singlets, where U = T = 1."""
     P = weights.weights
     tr = P.sum() + sum(P[levels] @ (X * T.conj()).sum(axis=1)
-                       for X, (levels, T) in zip(U, _average_basis(weights.n_dim, target_angle)))
+                       for X, (levels, T) in zip(U, _average_basis(weights.n_dim)))
     return float(np.abs(tr)) / 4.0
 
 
-def closed_form_bell(dx_by_n, dy_by_n, weights: ThermalWeights,
-                     target_phase: float = -np.pi / 2) -> float:
+def closed_form_bell(dx_by_n, dy_by_n, weights: ThermalWeights) -> float:
     """Bell fidelity of a generator sum_n (dx_n Jx^2 + dy_n Jy^2) x |n><n|:
-    (1 - sum_n P_n sin(phase) sin(dx_n - dy_n)) / 2."""
+    (1 - sum_n P_n sin(TARGET_PHASE) sin(dx_n - dy_n)) / 2."""
     dx = np.asarray(dx_by_n, dtype=float)
     dy = np.asarray(dy_by_n, dtype=float)
     P = weights.weights[: dx.size]
-    return 0.5 * (1.0 - float(np.sum(P * np.sin(target_phase) * np.sin(dx - dy))))
+    return 0.5 * (1.0 - float(np.sum(P * np.sin(TARGET_PHASE) * np.sin(dx - dy))))

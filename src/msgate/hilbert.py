@@ -160,6 +160,14 @@ def embed(blocks: tuple, n_dim: int, singlet: float) -> np.ndarray:
                                              for Q, X in zip(symmetry_blocks(n_dim), blocks))
 
 
+def level_block(blocks: tuple, n_dim: int, row: int, col: int) -> np.ndarray:
+    """The 4x4 qubit block <row|X|col> of the block form ``blocks`` of X, indexed by Fock
+    level: sum_b V_r^T X_b[r, c] V_c^*, with V_r the qubit vectors of the block columns at
+    level ``row`` and c those at level ``col`` (``block_basis``)."""
+    return sum(V[n == row].T @ X[np.ix_(n == row, n == col)] @ V[n == col].conj()
+               for X, (n, V) in zip(blocks, block_basis(n_dim)))
+
+
 def hamiltonian_terms(params: GateParams, pulse: PulseShape) -> tuple[np.ndarray, np.ndarray, tuple]:
     """The factored Hamiltonian H(tau) = g(tau) sum_m exp(i 2 pi m K tau) J_m (x) A_m
     at unit drive: the taps (N_g, c_g) of ``drive_taps`` and, per block of
@@ -254,15 +262,3 @@ def hermiticity_defect(A: np.ndarray) -> float:
 
 def unitarity_defect(A: np.ndarray) -> float:
     return float(np.abs(A.conj().T @ A - np.eye(A.shape[0])).max())
-
-
-def fock_block(A: np.ndarray, n_dim: int, row: int, col: int) -> np.ndarray:
-    """4x4 qubit block <row|A|col> of a composite operator, indexed by Fock level."""
-    return A[row::n_dim, col::n_dim].copy()
-
-
-def partial_trace_motion(rho: np.ndarray, n_dim: int) -> np.ndarray:
-    """Trace out the Fock factor of a composite density matrix."""
-    d = rho.shape[0] // n_dim
-    r = rho.reshape(d, n_dim, d, n_dim)
-    return np.einsum("anbn->ab", r)

@@ -160,10 +160,11 @@ def dyson_term(k: int, params: GateParams, pulse: PulseShape | None = None,
     return (params.omega_T ** k) * p_hat
 
 
-def _magnus_blocks(params: GateParams, pulse: PulseShape | None,
-                   up_to: int) -> dict[int, tuple]:
+def magnus_terms(params: GateParams, pulse: PulseShape | None = None,
+                 up_to: int | None = None) -> dict[int, tuple]:
     """Effective-Hamiltonian orders {k: (Z_+, Z_-)} for k = 2..up_to in block form."""
     pulse = pulse if pulse is not None else rectangular()
+    up_to = up_to if up_to is not None else params.k_max
     if not 2 <= up_to <= 5:
         raise ValueError(f"up_to={up_to} outside [2, 5]")
     w = params.omega_T
@@ -181,27 +182,12 @@ def _magnus_blocks(params: GateParams, pulse: PulseShape | None,
     return {k: tuple(Z[k] for Z in per_block) for k in per_block[0]}
 
 
-def magnus_terms(params: GateParams, pulse: PulseShape | None = None,
-                 up_to: int | None = None) -> dict[int, np.ndarray]:
-    """Effective-Hamiltonian orders {k: Z_k} for k = 2..up_to as composite matrices."""
-    up_to = up_to if up_to is not None else params.k_max
-    return {k: hilbert.embed(Z, params.n_dim, 0.0)
-            for k, Z in _magnus_blocks(params, pulse, up_to).items()}
-
-
-def first_order_term(params: GateParams, pulse: PulseShape | None = None) -> np.ndarray:
-    """Z_1 evaluated without assuming it vanishes (it must, for integer
-    nonzero beat notes)."""
-    pulse = pulse if pulse is not None else rectangular()
-    return 1j * dyson_term(1, params, pulse)
-
-
 def propagators_upto(params: GateParams, pulse: PulseShape | None = None,
                      max_order: int = 4) -> dict[int, tuple]:
     """Truncated propagators {n: (U_+, U_-)} in block form, U_n = exp(-i sum_{k=2}^n Z_k)
     for n = 2..max_order, from a single assembly and one exponential per block."""
     out, gen = {}, (0, 0)
-    for n, Z in _magnus_blocks(params, pulse, max_order).items():
+    for n, Z in magnus_terms(params, pulse, max_order).items():
         gen = tuple(g + z for g, z in zip(gen, Z))
         out[n] = tuple(hilbert.matrix_exp(-1j * g) for g in gen)
     return out
@@ -209,7 +195,7 @@ def propagators_upto(params: GateParams, pulse: PulseShape | None = None,
 
 # ---------------------------------------------------------------------------
 # Closed-form Fock-diagonal coefficients of Z_2 (Laguerre form factors) and
-# block-coefficient extraction used to compare assemblies against them.
+# the Fock-level coefficients of an order, to compare assemblies against them.
 # ---------------------------------------------------------------------------
 
 def form_factor(params: GateParams, n: int, parity: str,
@@ -247,36 +233,14 @@ def form_factor(params: GateParams, n: int, parity: str,
     return sign * params.omega_T ** 2 / (2 * np.pi) * math.exp(-eta2) * acc
 
 
-def _pauli_diag_coeff(block: np.ndarray, sigma: np.ndarray) -> complex:
-    """Coefficient of J_alpha^2 = (1 + sigma x sigma)/2 in a 4x4 qubit block."""
-    P = np.kron(sigma, sigma)
-    return complex(np.trace(P.conj().T @ block)) / 2.0
+def level_coeff(Z: tuple, n_dim: int, row: int, col: int, qubit_op: np.ndarray) -> complex:
+    """Projection (Frobenius) of the <row| . |col> qubit block of the block form Z onto
+    qubit_op; the J_a^2 coefficient is the one of J_a^2 - 1/2 = sigma_a (x) sigma_a / 2."""
+    return complex(np.vdot(qubit_op, hilbert.level_block(Z, n_dim, row, col)) / np.vdot(qubit_op, qubit_op))
 
 
-def fock_diagonal_coeff(Z: np.ndarray, params: GateParams, n: int, which: str) -> complex:
-    """Coefficient of Jx^2/Jy^2/Jz^2/Jxy in the <n| . |n> qubit block of Z."""
-    block = hilbert.fock_block(Z, params.n_dim, n, n)
-    if which == "jx2":
-        return _pauli_diag_coeff(block, hilbert.SIGMA_X)
-    if which == "jy2":
-        return _pauli_diag_coeff(block, hilbert.SIGMA_Y)
-    if which == "jz2":
-        return _pauli_diag_coeff(block, hilbert.SIGMA_Z)
-    if which == "jxy":
-        J = hilbert.collective_spins()
-        return complex(np.trace(J.Jxy.conj().T @ block)) / 2.0
-    raise ValueError(f"unknown diagonal operator {which!r}")
-
-
-def ladder_block_coeff(Z: np.ndarray, params: GateParams, n: int, dn: int,
-                       qubit_op: np.ndarray) -> complex:
-    """Project the <n+dn| . |n> qubit block of Z onto qubit_op (Frobenius)."""
-    block = hilbert.fock_block(Z, params.n_dim, n + dn, n)
-    norm2 = np.trace(qubit_op.conj().T @ qubit_op)
-    return complex(np.trace(qubit_op.conj().T @ block) / norm2)
-
-
-def fock_offdiagonal_max(Z: np.ndarray, params: GateParams) -> float:
-    """Largest entry with a Fock-index change, on the guard-banded block."""
-    n = hilbert.guard_band_indices(params) % params.n_dim
-    return float(np.abs(hilbert.guard_block(Z, params)[n[:, None] != n]).max(initial=0.0))
+def fock_offdiagonal_max(Z: tuple, params: GateParams) -> float:
+    """Largest entry with a Fock-level change below the guard band."""
+    keep = range(params.n_dim - params.m_max)
+    return max((float(np.abs(hilbert.level_block(Z, params.n_dim, r, c)).max())
+                for r in keep for c in keep if r != c), default=0.0)

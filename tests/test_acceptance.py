@@ -269,9 +269,9 @@ def test_criterion_6_integral_oracles():
 def test_criterion_7_structural(params_omega2, rect, magnus_terms_omega2,
                                 unum_omega2):
     p = params_omega2
-    z1 = float(np.abs(magnus.first_order_term(p, rect)).max())
+    z1 = float(np.abs(1j * magnus.dyson_term(1, p, rect)).max())
     fock_off = magnus.fock_offdiagonal_max(magnus_terms_omega2[2], p)
-    herm = max(hilbert.hermiticity_defect(hilbert.guard_block(Z, p))
+    herm = max(hilbert.hermiticity_defect(hilbert.guard_block(hilbert.embed(Z, p.n_dim, 0.0), p))
                for Z in magnus_terms_omega2.values())
     idx = hilbert.guard_band_indices(p)
     eye = np.eye(p.dim)
@@ -282,12 +282,14 @@ def test_criterion_7_structural(params_omega2, rect, magnus_terms_omega2,
         U = hilbert.embed(blocks, p.n_dim, 1.0)
         unit_mag = max(unit_mag, float(np.abs((U.conj().T @ U - eye)[np.ix_(idx, idx)]).max()))
     lag_err = 0.0
+    J = hilbert.collective_spins()
+    Z2 = magnus_terms_omega2[2]
     for n in range(p.n_dim - p.m_max):
         dy = magnus.form_factor(p, n, "odd")
         dx = magnus.form_factor(p, n, "even")
         lag_err = max(lag_err,
-                      abs(magnus.fock_diagonal_coeff(magnus_terms_omega2[2], p, n, "jy2").real - dy) / abs(dy),
-                      abs(magnus.fock_diagonal_coeff(magnus_terms_omega2[2], p, n, "jx2").real - dx) / abs(dx))
+                      abs(magnus.level_coeff(Z2, p.n_dim, n, n, J.Jy2 - np.eye(4) / 2).real - dy) / abs(dy),
+                      abs(magnus.level_coeff(Z2, p.n_dim, n, n, J.Jx2 - np.eye(4) / 2).real - dx) / abs(dx))
     ok = (z1 < 1e-14 and fock_off < 1e-10 and herm <= 1e-10
           and unit_num <= 1e-8 and unit_mag <= 1e-8 and lag_err <= 1e-6)
     report(7, ok, f"|Z1| {z1:.1e}; Z2 off-diagonal {fock_off:.1e}; worst "
@@ -318,25 +320,29 @@ def _criterion_8_ratios(eta, pulse):
     p = p.replace(omega_T=budget.omega_ld(p))
     terms = magnus.magnus_terms(p, pulse, up_to=4)
     J = hilbert.collective_spins()
+    jx2, jy2, jz2 = (Ja2 - np.eye(4) / 2 for Ja2 in (J.Jx2, J.Jy2, J.Jz2))
     W = p.omega_T
 
+    def coeff(k, row, col, op):
+        return magnus.level_coeff(terms[k], p.n_dim, row, col, op).real
+
     extracted = {
-        "Gate": magnus.fock_diagonal_coeff(terms[2], p, 0, "jy2").real,
-        "Z2_m2": magnus.fock_diagonal_coeff(terms[2], p, 0, "jx2").real,
-        "Z3_m1": magnus.ladder_block_coeff(terms[3], p, 0, 1, J.Jy).real,
-        "Z4_m1_Jxy": magnus.ladder_block_coeff(terms[4], p, 0, 1, J.Jxy).real,
-        "Z4_m1_Jz2": magnus.fock_diagonal_coeff(terms[4], p, 0, "jz2").real,
-        "Z4_m1_Jy2": magnus.fock_diagonal_coeff(terms[4], p, 0, "jy2").real,
+        "Gate": coeff(2, 0, 0, jy2),
+        "Z2_m2": coeff(2, 0, 0, jx2),
+        "Z3_m1": coeff(3, 1, 0, J.Jy),
+        "Z4_m1_Jxy": coeff(4, 1, 0, J.Jxy),
+        "Z4_m1_Jz2": coeff(4, 0, 0, jz2),
+        "Z4_m1_Jy2": coeff(4, 0, 0, jy2),
     }
     # Z2_m1 row carries the thermal slope: (d_y(1) - d_y(0)) / 2
     dy0 = extracted["Gate"]
-    dy1 = magnus.fock_diagonal_coeff(terms[2], p, 1, "jy2").real
+    dy1 = coeff(2, 1, 1, jy2)
     extracted["Z2_m1"] = (dy1 - dy0) / 2
     # Z3_m2 row: project the two-phonon block onto Jx(1 - Jy^2); the printed
     # generic sign is internally inconsistent with its own omega_4 column, so
     # the magnitude is compared and the sign checked against that column
     Q = J.Jx @ (np.eye(4) - J.Jy2)
-    blk = hilbert.fock_block(terms[3], p.n_dim, 2, 0)
+    blk = hilbert.level_block(terms[3], p.n_dim, 2, 0)
     A = np.stack([Q.ravel(), Q.conj().T.ravel()]).T
     coef = np.linalg.lstsq(A, blk.ravel(), rcond=None)[0]
     extracted["Z3_m2"] = float((coef[0] / -np.sqrt(2)).real)

@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from msgate import budget, magnus
+from msgate import budget, hilbert, magnus
 from msgate.budget import (
     CONSISTENT_ROWS,
     ROW_LABELS,
@@ -24,6 +25,8 @@ from msgate.budget import (
 from msgate.params import GateParams
 from msgate.pulses import sin_squared
 
+JY2 = hilbert.collective_spins().Jy2 - np.eye(4) / 2  # sigma_y (x) sigma_y / 2
+
 
 def test_omega_ld_value(base_params):
     want = math.pi * math.sqrt(159) / (0.18 * math.sqrt(56))
@@ -40,7 +43,7 @@ def test_omega_ld_rotation(base_params, rect):
     # the assembled Jy^2 angle at omega_LD is -pi/2 up to eta^2 corrections
     p = base_params.replace(omega_T=omega_ld(base_params))
     Z2 = magnus.magnus_terms(p, rect, up_to=2)[2]
-    dy = magnus.fock_diagonal_coeff(Z2, p, 0, "jy2").real
+    dy = magnus.level_coeff(Z2, p.n_dim, 0, 0, JY2).real
     assert dy == pytest.approx(-math.pi / 2, rel=0.05)
 
 
@@ -148,7 +151,7 @@ def test_sin2_z2_matches_assembly_at_wide_gap():
     p = GateParams(eta=0.05, K=100, L=90, omega_T=1.0)
     zy, _zx = sin2_z2_coeffs(p, 1.0, 0)
     Z2 = magnus.magnus_terms(p, sin_squared(), up_to=2)[2]
-    got = magnus.fock_diagonal_coeff(Z2, p, 0, "jy2").real
+    got = magnus.level_coeff(Z2, p.n_dim, 0, 0, JY2).real
     # printed composite carries the opposite overall sign convention
     assert abs(got) / abs(zy) == pytest.approx(1.0, abs=0.1)
     assert got < 0 < zy
@@ -156,10 +159,8 @@ def test_sin2_z2_matches_assembly_at_wide_gap():
 
 def test_sin2_z3_matches_assembly_at_wide_gap():
     p = GateParams(eta=0.05, K=100, L=90, omega_T=10.0)
-    import msgate.hilbert as hilbert
-
     Z3 = magnus.magnus_terms(p, sin_squared(), up_to=3)[3]
-    got = magnus.ladder_block_coeff(Z3, p, 0, 1, hilbert.collective_spins().Jy).real
+    got = magnus.level_coeff(Z3, p.n_dim, 1, 0, hilbert.collective_spins().Jy).real
     printed = budget.sin2_z3_coeff(p, 10.0)
     assert abs(got) / abs(printed) == pytest.approx(1.0, abs=0.1)
 

@@ -45,6 +45,13 @@ def _write(tmp_path, name, text):
     return str(path)
 
 
+def _setting(base, lines):
+    """``base`` then ``lines``, without the base's lines for the keys that ``lines``
+    set: a key given twice is itself a config error."""
+    keys = {line.split("=")[0].strip() for line in lines.splitlines()}
+    return "".join(line + "\n" for line in base.splitlines() if line.split("=")[0].strip() not in keys) + lines
+
+
 def test_parse_config_roundtrip(tmp_path):
     cfg = parse_config(_write(tmp_path, "a.cfg", CHECK_OK))
     p = params_from_config(cfg)
@@ -307,10 +314,12 @@ def test_figure_presets_parse():
     "pulse = rect\ngrid = auto\neta = 0.9697677238402231\n",  # ... and at the pole of omega_2
     "pulse = custom\npulse_coeffs = 0:nan:0\ngrid = 1,2\n",  # non-finite coefficients
     "pulse = custom\npulse_coeffs = 0:inf:0\ngrid = 1,2\n",
+    "pulse = rect\ngrid = 1,2\nK = 28\nK = 40\n",             # a key given twice
+    "pulse = custom\npulse_coeffs = 0:1:0;0:0.5:0\ngrid = 1,2\n",  # a harmonic given twice
 ])
 def test_malformed_input_is_config_error(tmp_path, capsys, lines):
-    path = _write(tmp_path, "bad.cfg", CHECK_OK + "trap_freq = 1.0e6\naxis = omega\n"
-                  "propagators = U2\n" + lines)
+    path = _write(tmp_path, "bad.cfg", _setting(CHECK_OK + "trap_freq = 1.0e6\naxis = omega\n"
+                                                "propagators = U2\n", lines))
     with pytest.raises(ConfigError):
         sweep_from_config(parse_config(path))
     assert cli.main(["sweep", path]) == 1
@@ -331,9 +340,11 @@ def test_malformed_input_is_config_error(tmp_path, capsys, lines):
     "omega_mode = fixed_phys\n",           # no omega_phys
     "pulse = custom\npulse_coeffs = 0:nan:0\n",  # non-finite coefficients
     "pulse = custom\npulse_coeffs = 0:inf:0\n",
+    "K = 28\nK = 40\n",                    # a key given twice
+    "pulse = custom\npulse_coeffs = 0:1:0;0:0.5:0\n",  # a harmonic given twice
 ])
 def test_every_subcommand_rejects_malformed_values(tmp_path, capsys, command, lines):
-    path = _write(tmp_path, "bad.cfg", CHECK_OK + "axis = K\ngrid = 28\npropagators = U2\n" + lines)
+    path = _write(tmp_path, "bad.cfg", _setting(CHECK_OK + "axis = K\ngrid = 28\npropagators = U2\n", lines))
     assert cli.main([command, path]) == 1
     assert "config error" in capsys.readouterr().err
 
@@ -354,7 +365,7 @@ def test_points_without_real_amplitude_give_skip_rows(tmp_path, lines, statuses)
 def test_main_budget_without_real_omega_2(tmp_path, capsys):
     # num/den < 0, and den = 0 at the pole eta^2 = (4K^2 - L^2)/(5K^2 - 2L^2)
     for eta in ("0.99", "0.9697677238402231"):
-        assert cli.main(["budget", _write(tmp_path, "b.cfg", CHECK_OK + f"eta = {eta}\n")]) == 0
+        assert cli.main(["budget", _write(tmp_path, "b.cfg", CHECK_OK.replace("eta = 0.18", f"eta = {eta}"))]) == 0
         assert "omega_2*T  = nan" in capsys.readouterr().out
 
 

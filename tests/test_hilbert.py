@@ -14,8 +14,9 @@ from msgate.hilbert import (
     matrix_exp,
     sideband_operator,
 )
-from msgate.params import GateParams, beat_note
+from msgate.params import GateParams
 from msgate.pulses import PulseShape, envelope_at, rectangular, sin_squared
+from oracles import explicit_term_sum, per_tau_displacement
 
 
 def laguerre_series(a, b, x):
@@ -171,30 +172,11 @@ SHAPES = [rectangular(), sin_squared(),
           PulseShape.from_dict("skew", {0: 0.5, 1: 0.25j, -1: -0.25j})]
 
 
-def _explicit_term_sum(p, pulse, tau):
-    """sum_{M,m,mu} omega_T c_M e^{i 2 pi N tau} J_m (x) A_m, term by term."""
-    return sum(p.omega_T * pulse.c(M) * np.exp(2j * np.pi * beat_note(M, m, mu, p) * tau)
-               * np.kron(collective_spin(m), sideband_operator(m, p.eta, p.n_dim))
-               for M in pulse.support for m in range(-p.m_max, p.m_max + 1) for mu in (-1, 1))
-
-
-def _per_tau_displacement(p, pulse, tau):
-    """omega_T f(tau) cos(2 pi L tau) (J+ (x) D + J- (x) D^H), with D(tau) from one
-    eigh of the generator eta (a e^{-i 2 pi K tau} + a+ e^{i 2 pi K tau})."""
-    J = collective_spins()
-    a = hilbert.destroy(p.n_dim)
-    phase = np.exp(-2j * np.pi * p.K * tau)
-    gw, gv = np.linalg.eigh(p.eta * (phase * a + np.conj(phase) * a.conj().T))
-    disp = (gv * np.exp(1j * gw)) @ gv.conj().T
-    amp = p.omega_T * envelope_at(pulse, tau) * np.cos(2 * np.pi * p.L * tau)
-    return amp * (np.kron(J.Jplus, disp) + np.kron(J.Jminus, disp.conj().T))
-
-
 @pytest.mark.parametrize("pulse", SHAPES, ids=lambda s: s.name)
 @pytest.mark.parametrize("tau", [0.0, 0.37, 1.0])
 @pytest.mark.parametrize("hamiltonian, oracle", [
-    (hamiltonian_at, _explicit_term_sum),
-    (hilbert.displacement_hamiltonian_at, _per_tau_displacement),
+    (hamiltonian_at, explicit_term_sum),
+    (hilbert.displacement_hamiltonian_at, per_tau_displacement),
 ], ids=["series", "exact_displacement"])
 def test_hamiltonian_matches_oracle(base_params, hamiltonian, oracle, pulse, tau):
     # every phase is 1 at tau = 0 and 1, so tau = 0.37 carries the check; L = 22 keeps
@@ -219,8 +201,8 @@ frame_points = st.builds(
 
 
 @pytest.mark.parametrize("hamiltonian, oracle", [
-    (hamiltonian_at, _explicit_term_sum),
-    (hilbert.displacement_hamiltonian_at, _per_tau_displacement),
+    (hamiltonian_at, explicit_term_sum),
+    (hilbert.displacement_hamiltonian_at, per_tau_displacement),
 ], ids=["series", "exact_displacement"])
 @settings(max_examples=40, deadline=None)
 @given(p=frame_points, pulse=st.sampled_from(SHAPES), tau=st.floats(0.0, 1.0))
@@ -237,12 +219,3 @@ def test_guard_band_indices(base_params):
     idx = hilbert.guard_band_indices(base_params)
     assert len(idx) == 4 * (base_params.n_dim - base_params.m_max)
     assert all(i % base_params.n_dim < 5 for i in idx)
-
-
-def test_partial_trace_motion():
-    rho_q = np.array([[0.7, 0.1], [0.1, 0.3]], dtype=complex)
-    rho_m = np.diag([0.5, 0.25, 0.25]).astype(complex)
-    rho = np.kron(rho_q, rho_m)
-    # embed the 2x2 qubit factor in the helper's generic layout
-    got = hilbert.partial_trace_motion(rho, 3)
-    assert np.allclose(got, rho_q)

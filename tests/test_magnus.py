@@ -1,5 +1,4 @@
 import itertools
-import math
 import tracemalloc
 
 import numpy as np
@@ -10,15 +9,19 @@ from hypothesis import assume, given, settings, strategies as st
 from msgate import budget, fidelity, hilbert, magnus, resint
 from msgate.params import GateParams, beat_note, validate_with_pulse
 from msgate.pulses import PulseShape, rectangular, sin_squared
+from oracles import full_space_transfer
+
+J = hilbert.collective_spins()
+JX2, JY2 = J.Jx2 - np.eye(4) / 2, J.Jy2 - np.eye(4) / 2  # sigma_a (x) sigma_a / 2
 
 
 def test_first_order_vanishes(base_params, rect):
-    Z1 = magnus.first_order_term(base_params.replace(omega_T=29.93), rect)
+    Z1 = 1j * magnus.dyson_term(1, base_params.replace(omega_T=29.93), rect)
     assert np.abs(Z1).max() < 1e-14
 
 
 def test_first_order_vanishes_sin2(base_params, sin2):
-    Z1 = magnus.first_order_term(base_params.replace(omega_T=48.44), sin2)
+    Z1 = 1j * magnus.dyson_term(1, base_params.replace(omega_T=48.44), sin2)
     assert np.abs(Z1).max() < 1e-14
 
 
@@ -61,7 +64,7 @@ def test_z2_gate_coefficient(params_omega2, magnus_terms_omega2):
     # leading order: -omega_T^2 * K * eta^2 / (pi (K^2 - L^2)); the assembled
     # value carries the (1 - eta^2)-type corrections of the full form factor
     p = params_omega2
-    got = magnus.fock_diagonal_coeff(magnus_terms_omega2[2], p, 0, "jy2").real
+    got = magnus.level_coeff(magnus_terms_omega2[2], p.n_dim, 0, 0, JY2).real
     lead = -p.omega_T ** 2 * p.K * p.eta ** 2 / (np.pi * (p.K ** 2 - p.L ** 2))
     assert 0.9 < got / lead < 1.0
     assert got < 0
@@ -73,10 +76,24 @@ def test_z2_matches_laguerre_form_factors(params_omega2, magnus_terms_omega2):
     for n in range(p.n_dim - p.m_max):
         dy = magnus.form_factor(p, n, "odd")
         dx = magnus.form_factor(p, n, "even")
-        got_y = magnus.fock_diagonal_coeff(Z2, p, n, "jy2").real
-        got_x = magnus.fock_diagonal_coeff(Z2, p, n, "jx2").real
+        got_y = magnus.level_coeff(Z2, p.n_dim, n, n, JY2).real
+        got_x = magnus.level_coeff(Z2, p.n_dim, n, n, JX2).real
         assert got_y == pytest.approx(dy, rel=1e-6)
         assert got_x == pytest.approx(dx, rel=1e-6)
+
+
+def test_level_coeff_matches_the_pauli_trace(params_omega2, magnus_terms_omega2):
+    # oracle: the coefficient of J_a^2 = (1 + sigma_a (x) sigma_a)/2 in the composite
+    # slice <n|Z|n> is trace((sigma_a (x) sigma_a)^H B) / 2
+    p = params_omega2
+    for Z in magnus_terms_omega2.values():
+        composite = hilbert.embed(Z, p.n_dim, 0.0)
+        tol = 8 * np.finfo(float).eps * np.abs(composite).max()
+        for sigma, Ja2 in ((hilbert.SIGMA_X, J.Jx2), (hilbert.SIGMA_Y, J.Jy2), (hilbert.SIGMA_Z, J.Jz2)):
+            P = np.kron(sigma, sigma)
+            for n in range(p.n_dim):
+                want = np.trace(P.conj().T @ composite[n::p.n_dim, n::p.n_dim]) / 2
+                assert abs(magnus.level_coeff(Z, p.n_dim, n, n, Ja2 - np.eye(4) / 2) - want) <= tol
 
 
 def test_form_factor_rejects_beat_note_on_resonance(base_params):
@@ -89,12 +106,12 @@ def test_form_factor_rejects_beat_note_on_resonance(base_params):
 
 def test_z2_fock_diagonal(params_omega2, magnus_terms_omega2):
     off = magnus.fock_offdiagonal_max(magnus_terms_omega2[2], params_omega2)
-    assert off < 1e-12 * np.abs(magnus_terms_omega2[2]).max()
+    assert off < 1e-12 * np.abs(hilbert.embed(magnus_terms_omega2[2], params_omega2.n_dim, 0.0)).max()
 
 
 def test_magnus_terms_hermitian(params_omega2, magnus_terms_omega2):
     for k, Z in magnus_terms_omega2.items():
-        gb = hilbert.guard_block(Z, params_omega2)
+        gb = hilbert.guard_block(hilbert.embed(Z, params_omega2.n_dim, 0.0), params_omega2)
         assert hilbert.hermiticity_defect(gb) < 1e-10, f"Z{k}"
 
 
@@ -102,7 +119,7 @@ def test_z4_vanishes_without_coupling(rect):
     # with eta = 0 the Hamiltonian commutes with itself at all times, so
     # every order beyond the (vanishing) first must cancel
     p = GateParams(eta=0.0, K=28, L=25, omega_T=1.0)
-    terms = magnus.magnus_terms(p, rect, up_to=4)
+    terms = {k: hilbert.embed(Z, p.n_dim, 0.0) for k, Z in magnus.magnus_terms(p, rect, up_to=4).items()}
     assert np.abs(terms[2]).max() < 1e-14
     assert np.abs(terms[4]).max() < 1e-12
 
@@ -130,8 +147,8 @@ def test_two_photon_selection_sin2(base_params):
 def test_fifth_order_smaller_than_fourth(base_params, rect):
     p = base_params.replace(omega_T=budget.omega_ld(base_params))
     terms = magnus.magnus_terms(p, rect, up_to=5)
-    n4 = np.linalg.norm(hilbert.guard_block(terms[4], p), 2)
-    n5 = np.linalg.norm(hilbert.guard_block(terms[5], p), 2)
+    n4, n5 = (np.linalg.norm(hilbert.guard_block(hilbert.embed(terms[k], p.n_dim, 0.0), p), 2)
+              for k in (4, 5))
     assert n5 < n4
 
 
@@ -144,8 +161,8 @@ def test_leading_error_rows_at_small_eta(rect):
     p = GateParams(eta=eta, K=28, L=25, omega_T=1.0)
     Z2 = magnus.magnus_terms(p, rect, up_to=2)[2]
     for n in (0, 1):
-        dy = magnus.fock_diagonal_coeff(Z2, p, n, "jy2").real
-        dx = magnus.fock_diagonal_coeff(Z2, p, n, "jx2").real
+        dy = magnus.level_coeff(Z2, p.n_dim, n, n, JY2).real
+        dx = magnus.level_coeff(Z2, p.n_dim, n, n, JX2).real
         gate = budget.row_generic("Gate", p, 1.0, n)
         lamb_dicke = budget.row_generic("Z2_m1", p, 1.0, n)
         sideband = budget.row_generic("Z2_m2", p, 1.0, n)
@@ -182,7 +199,7 @@ def test_block_propagators_match_full_space_exponential(params_omega2, rect):
     reach = sum(np.outer(r, r) for r in rows) + np.abs(singlets) @ np.abs(singlets).T
     assert (reach == 0).sum() == 128
     for n, blocks in magnus.propagators_upto(p, rect, max_order=5).items():
-        full = scipy.linalg.expm(-1j * sum(terms[k] for k in range(2, n + 1)))
+        full = scipy.linalg.expm(-1j * sum(hilbert.embed(terms[k], p.n_dim, 0.0) for k in range(2, n + 1)))
         U = hilbert.embed(blocks, p.n_dim, 1.0)
         assert np.abs(U - full).max() <= 1e-13, f"U{n}"
         assert np.all(U[reach == 0] == 0), f"U{n}"
@@ -218,48 +235,6 @@ def test_dyson_cache_reuse(base_params, rect, monkeypatch):
     assert all(np.array_equal(x, y) for X, Y in zip(again, a) for x, y in zip(X, Y))
 
 
-def _accumulate(acc, key, mat):
-    if key in acc:
-        acc[key] += mat
-    else:
-        acc[key] = mat.copy()
-
-
-def _full_space_transfer(params, pulse, up_to):
-    """Oracle: the transfer pass on the full space, with its state kept as a
-    (power, freq) -> matrix dict (the assembly before the symmetry blocks)."""
-    taps, tap_c = hilbert.drive_taps(params, pulse)
-    ms = range(-params.m_max, params.m_max + 1)
-    ops = [np.kron(hilbert.collective_spin(m), hilbert.sideband_operator(m, params.eta, params.n_dim))
-           for m in ms]
-    state = {(0, 0): np.eye(params.dim, dtype=complex)}
-    p_hats = []
-    for order in range(1, up_to + 1):
-        stack = np.stack(list(state.values()))
-        prods = {m: np.matmul(op, stack) for m, op in zip(ms, ops)}
-        integrand = {}
-        for m in ms:
-            for N, c in zip(taps, tap_c):
-                for (p, nu), mat in zip(state, c * prods[m]):
-                    _accumulate(integrand, (p, nu + int(N) + m * params.K), mat)
-        state = {}
-        for (p, nu), mat in integrand.items():
-            if nu == 0:
-                parts = [((p + 1, 0), mat / (p + 1))]
-            else:
-                parts = []
-                for j in range(p, -1, -1):
-                    c = ((-1) ** (p - j) * math.factorial(p) / math.factorial(j)
-                         * (2j * np.pi * nu) ** (j - p - 1))
-                    parts.append(((j, nu), c * mat))
-                    if j == 0:
-                        parts.append(((0, 0), -c * mat))
-            for key, part in parts:
-                _accumulate(state, key, part)
-        p_hats.append((-1j) ** order * sum(state.values()))
-    return p_hats
-
-
 @pytest.mark.parametrize("shape", ["rect", "sin2"])
 @pytest.mark.parametrize("eta,K,L,n_dim,m_max", [
     (0.05, 28, 25, 8, 3), (0.3, 28, 25, 7, 3),   # narrow gap K - L = 3
@@ -270,7 +245,7 @@ def test_blocked_transfer_matches_full_space_reference(shape, eta, K, L, n_dim, 
     p = GateParams(eta=eta, K=K, L=L, n_dim=n_dim, m_max=m_max)
     assert validate_with_pulse(p, pulse).ok
     got = [hilbert.embed(P, n_dim, 0.0) for P in magnus.dyson_hat_terms(p, pulse, 5)]
-    want = _full_space_transfer(p, pulse, 5)
+    want = full_space_transfer(p, pulse, 5)
     singlets = np.kron(np.array([[0], [1], [-1], [0]]) / np.sqrt(2), np.eye(n_dim))
     for k in range(2, 6):
         scale = np.abs(want[k - 1]).max()

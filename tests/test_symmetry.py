@@ -19,6 +19,7 @@ from msgate import cli, fidelity, hilbert, magnus
 from msgate.params import GateParams, validate
 from msgate.pulses import PulseShape, rectangular, sin_squared
 from msgate.trotter import TrotterConfig
+from oracles import explicit_term_sum, full_space_transfer, per_tau_displacement
 
 
 def _pi(n_dim):
@@ -113,24 +114,31 @@ gate_points = st.builds(
     omega_T=st.floats(1.0, 40.0), n_dim=st.sampled_from([5, 8]))
 
 
-@pytest.mark.parametrize("hamiltonian_at", [
-    hilbert.hamiltonian_at, hilbert.displacement_hamiltonian_at], ids=["series", "exact_displacement"])
+@pytest.mark.parametrize("oracle", [explicit_term_sum, per_tau_displacement],
+                         ids=["series", "exact_displacement"])
 @settings(max_examples=40, deadline=None)
 @given(p=gate_points, tau=st.floats(0.0, 1.0), shaped=st.booleans())
-def test_hamiltonian_commutes_with_symmetries(hamiltonian_at, p, tau, shaped):
-    # away from the carrier and envelope nodes, where H = 0
+def test_hamiltonian_commutes_with_symmetries(oracle, p, tau, shaped):
+    # H from kron of the qubit factors and the Fock operators: the output of ``embed``
+    # commutes by construction.  Away from the carrier and envelope nodes, where H = 0
     assume(abs(np.cos(2 * np.pi * p.L * tau)) > 1e-3)
     assume(not shaped or np.sin(np.pi * tau) ** 2 > 1e-3)
-    _assert_symmetric(hamiltonian_at(tau, p, sin_squared() if shaped else rectangular()), p.n_dim)
+    _assert_symmetric(oracle(p, sin_squared() if shaped else rectangular(), tau), p.n_dim)
 
 
 @settings(max_examples=6, deadline=None)
 @given(eta=st.floats(0.05, 0.3), K=st.integers(12, 40), gap=st.integers(2, 6))
 def test_magnus_sum_commutes_with_symmetries(eta, K, gap):
+    # Z_2..Z_5 from the full-space transfer pass (kron, not ``embed``), whose blocks
+    # are the assembled ones
     p = GateParams(eta=eta, K=K, L=K - gap, omega_T=20.0)
     assume(validate(p).ok)
-    terms = magnus.magnus_terms(p, rectangular(), up_to=5)
-    _assert_symmetric(sum(terms.values()), p.n_dim)
+    P = [None] + [p.omega_T ** (k + 1) * X for k, X in enumerate(full_space_transfer(p, rectangular(), 5))]
+    Z = 1j * (P[2] + P[3] + P[4] - 0.5 * (P[2] @ P[2]) + P[5] - 0.5 * (P[2] @ P[3] + P[3] @ P[2]))
+    _assert_symmetric(Z, p.n_dim)
+    blocks = [sum(Zb) for Zb in zip(*magnus.magnus_terms(p, rectangular(), up_to=5).values())]
+    for Q, X in zip(hilbert.symmetry_blocks(p.n_dim), blocks):
+        assert np.abs(Q.conj().T @ Z @ Q - X).max() <= 1e-12 * np.abs(Z).max()
 
 
 @given(n_dim=st.integers(2, 12))
@@ -162,6 +170,39 @@ def test_embed_inverts_the_block_projection(n_dim, singlet):
     assert np.abs(blocks[0].conj().T @ U @ blocks[1]).max() <= tol
     S = _singlets(n_dim)
     assert np.abs(S.T @ U @ S - singlet * np.eye(n_dim)).max() <= tol
+
+
+@pytest.mark.parametrize("n_dim", [2, 5, 8, 9])
+def test_level_block_matches_the_composite_slice(n_dim):
+    # at odd n_dim the two blocks differ in size
+    rng = np.random.default_rng(n_dim)
+    X = tuple(rng.normal(size=(Q.shape[1],) * 2) + 1j * rng.normal(size=(Q.shape[1],) * 2)
+              for Q in hilbert.symmetry_blocks(n_dim))
+    U = hilbert.embed(X, n_dim, 0.0)
+    tol = 8 * np.finfo(float).eps * max(np.abs(x).max() for x in X)
+    for row in range(n_dim):
+        for col in range(n_dim):
+            got = hilbert.level_block(X, n_dim, row, col)
+            assert got.shape == (4, 4)
+            assert np.abs(got - U[row::n_dim, col::n_dim]).max() <= tol, (row, col)
+
+
+def test_level_coefficients_form_no_composite_matrix(monkeypatch):
+    # Z_k is read in its blocks, from the assembly to every Fock-level coefficient
+    p = GateParams(eta=0.18, K=28, L=25, omega_T=20.0)
+    J = hilbert.collective_spins()  # the 4 x 4 qubit operators, built with kron once per process
+
+    def read():
+        terms = magnus.magnus_terms(p, rectangular(), up_to=4)
+        return (magnus.level_coeff(terms[2], p.n_dim, 1, 1, J.Jy2 - np.eye(4) / 2),
+                magnus.level_coeff(terms[3], p.n_dim, 1, 0, J.Jy),
+                magnus.fock_offdiagonal_max(terms[2], p))
+
+    want = read()
+    magnus._transfer_dyson.cache_clear()
+    for module, name in ((np, "kron"), (hilbert, "embed"), (hilbert, "symmetry_blocks")):
+        monkeypatch.setattr(module, name, _forbidden)
+    assert read() == want
 
 
 def _time_reversal_defects(builder, p, pulse, tau):
