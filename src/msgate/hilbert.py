@@ -162,8 +162,8 @@ def embed(blocks: tuple, n_dim: int, singlet: float) -> np.ndarray:
 
 def level_block(blocks: tuple, n_dim: int, row: int, col: int) -> np.ndarray:
     """The 4x4 qubit block <row|X|col> of the block form ``blocks`` of X, indexed by Fock
-    level: sum_b V_r^T X_b[r, c] V_c^*, with V_r the qubit vectors of the block columns at
-    level ``row`` and c those at level ``col`` (``block_basis``)."""
+    level: sum_b V_r^T X_b[r, c] V_c^*, where r and c select the block columns at levels
+    ``row`` and ``col`` and V holds their qubit vectors (``block_basis``)."""
     return sum(V[n == row].T @ X[np.ix_(n == row, n == col)] @ V[n == col].conj()
                for X, (n, V) in zip(blocks, block_basis(n_dim)))
 
