@@ -9,8 +9,9 @@ Subcommands:
 Config files are plain ``key = value`` lines (``#`` comments); a key outside
 CONFIG_KEYS, or a value its parser there rejects, is a config error.  The
 gate fields use the exact names eta, K, L, omega_T, nbar, n_dim, m_max,
-k_max, trap_freq.  Exit codes: 0 success, 2 validation failure, 1 config
-error.
+k_max, trap_freq.  Exit codes: 0 success, 1 config error, 2 validation
+failure or a computation that failed (a ValueError or ArithmeticError, such as
+a drive strong enough to overflow), reported as one ``error:`` line.
 
 Unit conventions at this boundary: trap_freq is the physical nu/(2*pi) in
 Hz; omega_phys is the drive amplitude Omega in rad/s, converted through the
@@ -107,7 +108,7 @@ def _pulse_coeffs(text: str) -> PulseShape:
             raise ValueError(f"harmonic M={M} given twice")
     if not all(math.isfinite(part) for _, re, im in triples for part in (re, im)):
         raise ValueError("coefficients must be finite")
-    shape = PulseShape.from_triples(triples)
+    shape = PulseShape.from_dict("custom", {M: complex(re, im) for M, re, im in triples})
     if not shape.support:
         raise ValueError("no nonzero coefficient")
     rep = validate_shape(shape)
@@ -260,14 +261,16 @@ def _fill_infidelity(row: dict, name: str, U: tuple,
 
 def _propagators(names: tuple[str, ...], p: GateParams, pulse: PulseShape,
                  safety: float) -> dict[str, tuple]:
-    """The named U2..U5 / Unum propagators at p, in block form."""
+    """The named U2..U5 / Unum propagators at p, in block form; an overflow or an
+    invalid floating-point operation raises FloatingPointError instead of a warning."""
     mats = {}
     orders = [int(name[1]) for name in names if name != "Unum"]
-    if orders:
-        props = magnus.propagators_upto(p, pulse, max_order=max(orders))
-        mats.update((f"U{n}", props[n]) for n in orders)
-    if "Unum" in names:
-        mats["Unum"] = trotter.propagate_numeric(p, pulse, trotter.TrotterConfig(safety=safety))
+    with np.errstate(over="raise", invalid="raise"):
+        if orders:
+            props = magnus.propagators_upto(p, pulse, max_order=max(orders))
+            mats.update((f"U{n}", props[n]) for n in orders)
+        if "Unum" in names:
+            mats["Unum"] = trotter.propagate_numeric(p, pulse, trotter.TrotterConfig(safety=safety))
     return mats
 
 
@@ -434,6 +437,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except (ValueError, ArithmeticError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

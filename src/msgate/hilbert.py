@@ -242,23 +242,7 @@ def displacement_hamiltonian_at(tau: float, params: GateParams, pulse: PulseShap
     return embed([H[0] for H in displacement_hamiltonian(params, pulse)(np.array([tau]))], params.n_dim, 0.0)
 
 
-def guard_band_indices(params: GateParams) -> np.ndarray:
-    """Composite indices whose Fock level lies below the guard band."""
-    keep = params.n_dim - params.m_max
-    n = np.arange(params.dim)
-    return n[(n % params.n_dim) < keep]
-
-
-def guard_block(A: np.ndarray, params: GateParams) -> np.ndarray:
-    """Sub-matrix of A restricted to guard-banded composite indices."""
-    idx = guard_band_indices(params)
-    return A[np.ix_(idx, idx)]
-
-
 def hermiticity_defect(A: np.ndarray) -> float:
     """Largest entry of A - A^H; A may be a stack of matrices."""
     return float(np.abs(A - np.swapaxes(A, -1, -2).conj()).max())
 
-
-def unitarity_defect(A: np.ndarray) -> float:
-    return float(np.abs(A.conj().T @ A - np.eye(A.shape[0])).max())

@@ -13,11 +13,12 @@ Z_5 = i(P_5 - (P_2 P_3 + P_3 P_2)/2).
 
 Two assembly routes are provided.  The default ("transfer") performs the
 nested integration once with matrix-valued coefficients of the terms
-tau^p * e^{i 2 pi nu tau}, kept as sorted integer key arrays in the two
-exchange/parity blocks; its cost grows with the number of distinct partial
-beat-note sums instead of the raw tuple count (which exceeds 1e8 at order 5
-for a three-harmonic pulse).  The "tuples" route enumerates label tuples
-against the exact integral engine and is kept as a cross-check.
+tau^p * e^{i 2 pi nu tau}: one matrix stack per exchange/parity block over
+sorted integer keys, moved each order by sparse linear maps on the keys.  Its
+cost grows with the number of distinct partial beat-note sums instead of the
+raw tuple count (which exceeds 1e8 at order 5 for a three-harmonic pulse).
+The "tuples" route enumerates label tuples against the exact integral engine
+and is kept as a cross-check.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse
 
 from . import hilbert, resint
 from .params import GateParams, beat_note
@@ -50,65 +52,51 @@ def _transfer_dyson(eta, K, L, n_dim, m_max, coeffs, up_to) -> list[tuple]:
     """The transfer pass inside the blocks of ``hilbert.symmetry_blocks``: every
     term operator commutes with both symmetries and annihilates the exchange
     singlets, so each P_k is the pair (P_+, P_-) and 0 on the singlets.  The state
-    is a sorted key array with one row per key, the key's block matrices flattened
-    side by side.
+    is a sorted key array and, per block, one stack with one matrix per key; an
+    order moves it by two sparse maps on the keys.
     """
     # H = g(tau) sum_m e^{i 2 pi m K tau} J_m (x) A_m: the taps (N_g, c_g) of g, the J_m (x) A_m
     taps, tap_c, ops = hilbert.hamiltonian_terms(
         GateParams(eta=eta, K=K, L=L, n_dim=n_dim, m_max=m_max), PulseShape("", coeffs))
-    ms = np.arange(-m_max, m_max + 1)
-    dims = [op.shape[-1] for op in ops]
-    cols = [slice(a, a + d * d) for a, d in zip(np.cumsum([0] + [d * d for d in dims]), dims)]
     keys = np.zeros(1, dtype=np.int64)
-    rows = np.concatenate([np.eye(d, dtype=complex).ravel() for d in dims])[None]
+    stacks = [np.eye(op.shape[-1], dtype=complex)[None] for op in ops]
     p_hats = []
     for order in range(1, up_to + 1):
-        # op_m @ rows[k] lands on key keys[k] + m K, and tap g moves it on by N_g
-        skeys, sinv = np.unique(keys + _POWERS * K * ms[:, None], return_inverse=True)
+        # op_m @ X[k] lands on key keys[k] + m K (sideband), and tap g moves it on by N_g (drive)
+        skeys, sinv = np.unique(keys + _POWERS * K * np.arange(-m_max, m_max + 1)[:, None],
+                                return_inverse=True)
         ikeys, tinv = np.unique(skeys + _POWERS * taps[:, None], return_inverse=True)
-        sinv, tinv = sinv.reshape(len(ms), -1), tinv.reshape(len(taps), -1)
-        new_keys, parts, boundary, at_one = _antiderivative(ikeys)
-        # P_k: the integrand's antiderivative at tau = 1, weighted back onto the state
-        summed = (tap_c @ at_one[tinv])[sinv] @ rows
-        p_hats.append(tuple((-1j) ** order * (op @ summed[:, col].reshape(-1, d, d)).sum(0)
-                            for op, col, d in zip(ops, cols, dims)))
-        if order == up_to:
-            break
-        sidebands = np.zeros((len(skeys), rows.shape[1]), dtype=complex)
-        for op, col, d in zip(ops, cols, dims):
-            prod = op[:, None] @ rows[:, col].reshape(-1, d, d)
-            for m in range(len(ms)):
-                sidebands[sinv[m], col] += prod[m].reshape(-1, d * d)
-        integrand = np.zeros((len(ikeys), rows.shape[1]), dtype=complex)
-        for g, c in enumerate(tap_c):
-            integrand[tinv[g]] += c * sidebands
-        rows = np.zeros((len(new_keys), rows.shape[1]), dtype=complex)
-        for dst, src, c in parts:
-            rows[dst] += c[:, None] * integrand[src]
-        rows[np.searchsorted(new_keys, 0)] += boundary @ integrand
-        keys = new_keys
+        sideband = scipy.sparse.csr_array((np.ones(sinv.size), (sinv.ravel(), np.arange(sinv.size))))
+        drive = scipy.sparse.csr_array((np.repeat(tap_c, len(skeys)),
+                                         (tinv.ravel(), np.arange(tinv.size) % len(skeys))))
+        keys, parts = _antiderivative(ikeys)
+        # P_k: a term's antiderivative at tau = 1 is its column sum in parts
+        at_one = (parts.sum(axis=0) @ drive @ sideband).reshape(sinv.shape)
+        p_hats.append(tuple((-1j) ** order * (op @ np.tensordot(at_one, X, 1)).sum(0)
+                            for op, X in zip(ops, stacks)))
+        if order < up_to:
+            step = parts @ drive
+            stacks = [(step @ (sideband @ (op[:, None] @ X).reshape(sinv.size, -1)))
+                      .reshape(-1, *X.shape[1:]) for op, X in zip(ops, stacks)]
     return p_hats
 
 
 def _antiderivative(keys: np.ndarray) -> tuple:
     """Integration by parts from 0 of sum_i X_i tau^p_i e^{i 2 pi nu_i tau} as a linear
-    map of the rows X_i: the new keys, groups (dst, src, c) meaning rows[dst] +=
-    c * X[src] with distinct dst, the s = 0 boundary (rows[key 0] += boundary @ X)
-    and the value at tau = 1 per source key (every phase is 1 there)."""
+    map of the X_i: the new keys and the sparse map from the keys onto them.  The
+    s = 0 boundary is an entry on key 0 like any other, the format sums duplicates,
+    and each column sums to its term's antiderivative at tau = 1 (every phase is 1)."""
     nu, p = np.divmod(keys, _POWERS)
     flat = np.flatnonzero(nu == 0)
-    groups = [(keys[flat] + 1, flat, 1.0 / (p[flat] + 1))]
-    boundary = np.zeros(len(keys), dtype=complex)
+    entries = [(keys[flat] + 1, flat, 1.0 / (p[flat] + 1))]  # (new key, column, coefficient)
     for power in range(int(p.max()) + 1):
-        src = np.flatnonzero((nu != 0) & (p == power))
+        at = np.flatnonzero((nu != 0) & (p == power))
         for j, q, a in resint.parts_table(power):
-            groups.append((nu[src] * _POWERS + j, src, a / (2j * np.pi * nu[src]) ** q))
-        boundary[src] = -groups[-1][2]  # the table ends with j = 0
-    new_keys = np.unique(np.concatenate([[0]] + [dst for dst, _, _ in groups]))
-    at_one = boundary.copy()
-    for _, src, c in groups:
-        at_one[src] += c
-    return new_keys, [(np.searchsorted(new_keys, d), s, c) for d, s, c in groups], boundary, at_one
+            entries.append((nu[at] * _POWERS + j, at, a / (2j * np.pi * nu[at]) ** q))
+        entries.append((0 * at, at, -entries[-1][2]))  # s = 0: minus the last (j = 0) term on key 0
+    dst, src, coef = (np.concatenate(part) for part in zip(*entries))
+    new_keys, rows = np.unique(dst, return_inverse=True)
+    return new_keys, scipy.sparse.csr_array((coef, (rows, src)), shape=(len(new_keys), len(keys)))
 
 
 def _tuple_dyson(params: GateParams, pulse: PulseShape, k: int) -> np.ndarray:

@@ -26,14 +26,6 @@ class PulseShape:
         items = tuple(sorted((int(M), complex(c)) for M, c in coeffs.items()))
         return PulseShape(name, items)
 
-    @staticmethod
-    def from_triples(triples, name: str = "custom") -> "PulseShape":
-        """Build a shape from (M, re, im) triples, e.g. parsed from a config."""
-        coeffs: dict[int, complex] = {}
-        for M, re, im in triples:
-            coeffs[int(M)] = complex(float(re), float(im))
-        return PulseShape.from_dict(name, coeffs)
-
     @property
     def coefficients(self) -> dict[int, complex]:
         return dict(self._coeffs)

@@ -1,6 +1,7 @@
 """Independent full-space oracles, built with ``np.kron`` from the building blocks
 (``collective_spin``, ``sideband_operator``, the ladder operators) and never through
-the symmetry blocks or ``hilbert.embed``."""
+the symmetry blocks or ``hilbert.embed``, and the composite-index helpers the tests
+measure full-space matrices with."""
 
 import math
 
@@ -70,3 +71,20 @@ def full_space_transfer(params, pulse, up_to):
                 _accumulate(state, key, part)
         p_hats.append((-1j) ** order * sum(state.values()))
     return p_hats
+
+
+def guard_band_indices(params):
+    """Composite indices whose Fock level lies below the guard band n < n_dim - m_max,
+    where the truncated ladder operators are exact."""
+    n = np.arange(params.dim)
+    return n[(n % params.n_dim) < params.n_dim - params.m_max]
+
+
+def guard_block(A, params):
+    """Sub-matrix of A restricted to guard-banded composite indices."""
+    idx = guard_band_indices(params)
+    return A[np.ix_(idx, idx)]
+
+
+def unitarity_defect(A):
+    return float(np.abs(A.conj().T @ A - np.eye(A.shape[0])).max())

@@ -18,6 +18,7 @@ import pytest
 from msgate import budget, fidelity, hilbert, magnus, resint, trotter
 from msgate.cli import parse_config, rows_to_csv, run_sweep, sweep_from_config
 from msgate.params import GateParams
+from oracles import guard_band_indices, guard_block
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
@@ -271,9 +272,9 @@ def test_criterion_7_structural(params_omega2, rect, magnus_terms_omega2,
     p = params_omega2
     z1 = float(np.abs(1j * magnus.dyson_term(1, p, rect)).max())
     fock_off = magnus.fock_offdiagonal_max(magnus_terms_omega2[2], p)
-    herm = max(hilbert.hermiticity_defect(hilbert.guard_block(hilbert.embed(Z, p.n_dim, 0.0), p))
+    herm = max(hilbert.hermiticity_defect(guard_block(hilbert.embed(Z, p.n_dim, 0.0), p))
                for Z in magnus_terms_omega2.values())
-    idx = hilbert.guard_band_indices(p)
+    idx = guard_band_indices(p)
     eye = np.eye(p.dim)
     unum = hilbert.embed(unum_omega2, p.n_dim, 1.0)
     unit_num = float(np.abs((unum.conj().T @ unum - eye)[np.ix_(idx, idx)]).max())

@@ -349,6 +349,26 @@ def test_every_subcommand_rejects_malformed_values(tmp_path, capsys, command, li
     assert "config error" in capsys.readouterr().err
 
 
+HUGE_PULSE = "pulse = custom\npulse_coeffs = 0:1e307:0\ngrid = 100,200\n"
+
+
+@pytest.mark.parametrize("command, lines", [
+    (["sweep"], HUGE_PULSE + "propagators = Unum\n"),           # omega_T g(tau) overflows
+    (["sweep", "--workers", "2"], HUGE_PULSE + "propagators = Unum\n"),
+    (["sweep"], HUGE_PULSE + "propagators = U2\n"),             # ... and so does P_2
+    (["sweep"], "pulse = rect\ngrid = 1e300,1e306\npropagators = U2\n"),  # omega_T^2
+    (["budget"], "omega_T = 1e300\n"),                         # the budget rows
+])
+def test_overflowing_drive_is_a_clean_error(tmp_path, capfd, command, lines):
+    # every config parses and validates; the failure comes from computing, on one line
+    path = _write(tmp_path, "big.cfg", CHECK_OK + "trap_freq = 1.0e6\naxis = omega\n" + lines)
+    assert cli.main(["check", path]) == 0
+    capfd.readouterr()
+    assert cli.main([command[0], path, *command[1:]]) == 2
+    err = capfd.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("lines, statuses", [
     ("axis = eta\ngrid = 0,0.1\n", ["skip:eta range", "ok"]),
     ("axis = eta\ngrid = 0.1,1.5\n", ["ok", "skip:eta range"]),

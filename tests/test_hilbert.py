@@ -16,7 +16,8 @@ from msgate.hilbert import (
 )
 from msgate.params import GateParams
 from msgate.pulses import PulseShape, envelope_at, rectangular, sin_squared
-from oracles import explicit_term_sum, per_tau_displacement
+from oracles import (explicit_term_sum, guard_band_indices, guard_block, per_tau_displacement,
+                     unitarity_defect)
 
 
 def laguerre_series(a, b, x):
@@ -124,7 +125,7 @@ def test_matrix_exp_random_antihermitian_is_unitary(rng):
     X = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
     A = X - X.conj().T
     U = matrix_exp(A)
-    assert hilbert.unitarity_defect(U) < 1e-10
+    assert unitarity_defect(U) < 1e-10
 
 
 def test_matrix_exp_rejects_nonfinite():
@@ -162,7 +163,7 @@ def test_hamiltonian_vs_displacement_oracle(base_params, rect):
     p = base_params.replace(omega_T=1.0)
     H_series = hamiltonian_at(0.0, p, rect)
     H_exact = hilbert.displacement_hamiltonian_at(0.0, p, rect)
-    diff = np.abs(hilbert.guard_block(H_series - H_exact, p)).max()
+    diff = np.abs(guard_block(H_series - H_exact, p)).max()
     assert diff < 5 * p.eta ** (p.m_max + 1)
     assert diff > 0  # the truncation is real, the bound is not vacuous
 
@@ -216,6 +217,6 @@ def test_rotating_frame_matches_oracle(hamiltonian, oracle, p, pulse, tau):
 
 
 def test_guard_band_indices(base_params):
-    idx = hilbert.guard_band_indices(base_params)
+    idx = guard_band_indices(base_params)
     assert len(idx) == 4 * (base_params.n_dim - base_params.m_max)
     assert all(i % base_params.n_dim < 5 for i in idx)

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from msgate import budget, fidelity, hilbert, magnus, resint
 from msgate.params import GateParams, beat_note, validate_with_pulse
 from msgate.pulses import PulseShape, rectangular, sin_squared
-from oracles import full_space_transfer
+from oracles import full_space_transfer, guard_band_indices, guard_block, unitarity_defect
 
 J = hilbert.collective_spins()
 JX2, JY2 = J.Jx2 - np.eye(4) / 2, J.Jy2 - np.eye(4) / 2  # sigma_a (x) sigma_a / 2
@@ -111,7 +112,7 @@ def test_z2_fock_diagonal(params_omega2, magnus_terms_omega2):
 
 def test_magnus_terms_hermitian(params_omega2, magnus_terms_omega2):
     for k, Z in magnus_terms_omega2.items():
-        gb = hilbert.guard_block(hilbert.embed(Z, params_omega2.n_dim, 0.0), params_omega2)
+        gb = guard_block(hilbert.embed(Z, params_omega2.n_dim, 0.0), params_omega2)
         assert hilbert.hermiticity_defect(gb) < 1e-10, f"Z{k}"
 
 
@@ -147,7 +148,7 @@ def test_two_photon_selection_sin2(base_params):
 def test_fifth_order_smaller_than_fourth(base_params, rect):
     p = base_params.replace(omega_T=budget.omega_ld(base_params))
     terms = magnus.magnus_terms(p, rect, up_to=5)
-    n4, n5 = (np.linalg.norm(hilbert.guard_block(hilbert.embed(terms[k], p.n_dim, 0.0), p), 2)
+    n4, n5 = (np.linalg.norm(guard_block(hilbert.embed(terms[k], p.n_dim, 0.0), p), 2)
               for k in (4, 5))
     assert n5 < n4
 
@@ -182,7 +183,7 @@ def test_propagator_rejects_bad_order(base_params, rect):
 
 def test_propagators_unitary(params_omega2, rect):
     props = magnus.propagators_upto(params_omega2, rect, max_order=4)
-    idx = hilbert.guard_band_indices(params_omega2)
+    idx = guard_band_indices(params_omega2)
     for n, blocks in props.items():
         U = hilbert.embed(blocks, params_omega2.n_dim, 1.0)
         G = (U.conj().T @ U - np.eye(params_omega2.dim))[np.ix_(idx, idx)]
@@ -235,6 +236,25 @@ def test_dyson_cache_reuse(base_params, rect, monkeypatch):
     assert all(np.array_equal(x, y) for X, Y in zip(again, a) for x, y in zip(X, Y))
 
 
+def test_antiderivative_map_matches_the_exact_engine():
+    # column i of the map is the antiderivative from 0 of the unit term tau^p e^{i 2 pi nu tau}
+    # of key i, which the exact engine gives as rationals over (i pi)^g
+    rng = np.random.default_rng(11)
+    keys = np.union1d(rng.integers(-60, 61, 300) * magnus._POWERS + rng.integers(0, 6, 300), np.arange(6))
+    new_keys, parts = magnus._antiderivative(keys)
+    got = parts.toarray()
+    for i, key in enumerate(keys):
+        nu, p = divmod(int(key), magnus._POWERS)
+        want = {}
+        for (power, freq, g), r in resint.integrate_step(resint.OscSum({(p, nu, 0): Fraction(1)}), 0).terms.items():
+            k = freq * magnus._POWERS + power
+            want[k] = want.get(k, 0) + complex(resint.OscSum({(0, 0, g): r}))
+        assert set(new_keys[got[:, i] != 0]) == set(want), key
+        rows = np.searchsorted(new_keys, list(want))
+        exact = np.array(list(want.values()))
+        assert np.abs(got[rows, i] - exact).max() <= 1e-14 * np.abs(exact).max(), key
+
+
 @pytest.mark.parametrize("shape", ["rect", "sin2"])
 @pytest.mark.parametrize("eta,K,L,n_dim,m_max", [
     (0.05, 28, 25, 8, 3), (0.3, 28, 25, 7, 3),   # narrow gap K - L = 3
@@ -279,4 +299,4 @@ def test_truncated_propagators_unitary(eta, K, gap, drive, shaped):
     props = magnus.propagators_upto(p.replace(omega_T=drive * budget.omega_2(p)), pulse, 5)
     assert sorted(props) == [2, 3, 4, 5]
     for n, U in props.items():
-        assert hilbert.unitarity_defect(hilbert.embed(U, p.n_dim, 1.0)) <= 1e-12, f"U{n}"
+        assert unitarity_defect(hilbert.embed(U, p.n_dim, 1.0)) <= 1e-12, f"U{n}"

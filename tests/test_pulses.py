@@ -64,12 +64,6 @@ def test_validate_shape_flags_non_finite(c):
     assert "conjugate symmetry" in validate_shape(PulseShape.from_dict("bad", {1: c, -1: c})).rules()
 
 
-def test_from_triples():
-    shape = PulseShape.from_triples([(0, 0.5, 0.0), (1, -0.25, 0.0), (-1, -0.25, 0.0)])
-    assert shape.coefficients == sin_squared().coefficients
-    assert validate_shape(shape).ok
-
-
 @given(st.dictionaries(st.integers(1, 4),
                        st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False),
                        max_size=4),

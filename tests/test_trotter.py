@@ -10,6 +10,7 @@ import scipy.linalg
 from msgate import fidelity, hilbert, trotter
 from msgate.pulses import PulseShape, rectangular, sin_squared
 from msgate.trotter import TrotterConfig
+from oracles import guard_band_indices, unitarity_defect
 
 
 def _full(U, params):
@@ -60,7 +61,7 @@ def test_zero_drive_is_identity(base_params, rect):
 
 
 def test_unitarity(params_omega2, rect, unum_omega2):
-    idx = hilbert.guard_band_indices(params_omega2)
+    idx = guard_band_indices(params_omega2)
     U = _full(unum_omega2, params_omega2)
     G = (U.conj().T @ U - np.eye(params_omega2.dim))[np.ix_(idx, idx)]
     assert np.abs(G).max() < 1e-8
@@ -137,7 +138,7 @@ def test_blocked_kernel_matches_dense_reference(params_omega2, pulse, n_steps, r
     U = _full(route(params_omega2, pulse, cfg), params_omega2)
     ref = _dense_reference(builder, params_omega2, pulse, cfg.num_steps(params_omega2, pulse))
     assert np.abs(U - ref).max() <= 1e-12
-    assert hilbert.unitarity_defect(U) <= 1e-12
+    assert unitarity_defect(U) <= 1e-12
 
 
 @pytest.mark.parametrize("route", [
@@ -197,7 +198,7 @@ def test_period_power_unitarity_no_worse(monkeypatch, params_omega2, rect, unum_
                   params_omega2)
     U = _full(unum_omega2, params_omega2)
     assert np.abs(U - plain).max() <= 1e-12
-    assert hilbert.unitarity_defect(U) <= hilbert.unitarity_defect(plain)
+    assert unitarity_defect(U) <= unitarity_defect(plain)
 
 
 @pytest.mark.parametrize("pulse", [sin_squared(), SKEW], ids=["sin2", "skew"])
