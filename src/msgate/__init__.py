@@ -11,7 +11,7 @@ from .hilbert import (
     matrix_exp,
     sideband_operator,
 )
-from .resint import is_resonant, quadrature_integral, resonance_integral
+from .resint import resonance_integral
 from .magnus import dyson_term, magnus_terms, propagators_upto
 from .trotter import TrotterConfig, propagate_numeric, propagate_numeric_exact_displacement
 from .fidelity import ThermalWeights, average_fidelity, bell_fidelity, closed_form_bell

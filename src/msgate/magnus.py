@@ -99,38 +99,52 @@ def _antiderivative(keys: np.ndarray) -> tuple:
     return new_keys, scipy.sparse.csr_array((coef, (rows, src)), shape=(len(new_keys), len(keys)))
 
 
-def _tuple_dyson(params: GateParams, pulse: PulseShape, k: int) -> np.ndarray:
-    """Direct tuple enumeration against the exact integral engine.
+def _tuple_dyson(params: GateParams, pulse: PulseShape, k: int) -> tuple:
+    """Direct tuple enumeration against the exact integral engine, in block form.
 
-    Its memory is one chain of k operator products, but its time grows with
-    the tuple count (labels^k), so it serves low orders and narrow pulses as a
+    The operator product depends on the sideband sequence (m_1..m_k) alone, so the
+    taps are first summed into one weight per sequence, sum prod c_g I(N), and each
+    sequence with a nonzero weight costs one product per block.  Both sums run in
+    extended precision: at wide gaps they cancel by ~1e7.  Its time grows with the
+    tuple count (labels^k), so it serves low orders and narrow pulses as a
     cross-check; the transfer route is the production path.
     """
     taps, tap_c, blocks = hilbert.hamiltonian_terms(params, pulse)
-    ops = hilbert.embed(blocks, params.n_dim, 0.0)
-    # one label (N_g + m K, c_g, J_m (x) A_m) per sideband m and drive tap g
-    labels = [(int(N) + m * params.K, c, op)
-              for m, op in zip(range(-params.m_max, params.m_max + 1), ops) for N, c in zip(taps, tap_c)]
-    total = np.zeros((params.dim, params.dim), dtype=complex)
-    # itertools.product yields the combos sharing a prefix in a row: chain[j] is the
-    # product of the first j + 1 operators of the last combo used
-    chain: list[np.ndarray] = []
+    # label l = (sideband m = l // len(taps) - m_max, tap g = l % len(taps)): beat note N_g + m K
+    notes = (taps + params.K * np.arange(-params.m_max, params.m_max + 1)[:, None]).ravel()
+    coeffs = np.tile(tap_c.astype(complex), 2 * params.m_max + 1)
+    # One row per tuple, labels innermost first (l_k, ..., l_1) with l_k slowest, so
+    # tuples sharing an inner chain N_j..N_k come in a row and read its integral from
+    # resint's suffix cache; the weights are keyed, and inserted, in that order.  The
+    # rows are made for one l_k at a time, labels^(k-1) of them.
+    rest = np.indices((len(notes),) * (k - 1)).reshape(k - 1, len(notes) ** (k - 1)).T
+    weights: dict[tuple[int, ...], np.clongdouble] = {}
+    for l_k in range(len(notes)):
+        inner_first = np.column_stack([np.full(len(rest), l_k), rest])
+        Ns = notes[inner_first[:, ::-1]]
+        maybe = resint.may_be_resonant(Ns)
+        for row, seq, c in zip(Ns[maybe].tolist(), (inner_first[maybe] // len(taps)).tolist(),
+                               coeffs[inner_first[maybe]].prod(axis=1).tolist()):
+            val = resint.resonance_integral(row)
+            if not val.is_zero:
+                seq = tuple(seq)
+                weights[seq] = weights.get(seq, 0) + np.clongdouble(c) * val.as_complex()
+    # chain[j] = Op(m_{k-j}) ... Op(m_k) per block, shared by consecutive sequences
+    totals = [np.zeros(X.shape[1:], dtype=np.clongdouble) for X in blocks]
+    chain: list[tuple] = []
     last: tuple[int, ...] = ()
-    for combo in itertools.product(range(len(labels)), repeat=k):
-        Ns = tuple(labels[i][0] for i in combo)
-        if not resint.may_be_resonant(Ns):
+    for seq, w in weights.items():
+        if w == 0:
             continue
-        val = resint.resonance_integral(Ns)
-        if val.is_zero:
-            continue
-        keep = next((j for j, (a, b) in enumerate(zip(last, combo)) if a != b), len(chain))
+        keep = next((j for j, (a, b) in enumerate(zip(last, seq)) if a != b), len(chain))
         del chain[keep:]
-        for i in combo[keep:]:
-            chain.append(chain[-1] @ labels[i][2] if chain else labels[i][2])
-        last = combo
-        coeff = np.prod([labels[i][1] for i in combo]) * val.as_complex()
-        total += coeff * chain[-1]
-    return (-1j) ** k * total
+        for i in seq[keep:]:
+            chain.append(tuple(X[i] @ R for X, R in zip(blocks, chain[-1])) if chain
+                         else tuple(X[i] for X in blocks))
+        last = seq
+        for total, P in zip(totals, chain[-1]):
+            total += w * P
+    return tuple(((-1j) ** k * total).astype(complex) for total in totals)
 
 
 def dyson_term(k: int, params: GateParams, pulse: PulseShape | None = None,
@@ -140,12 +154,12 @@ def dyson_term(k: int, params: GateParams, pulse: PulseShape | None = None,
         raise ValueError(f"order k={k} outside [1, 5]")
     pulse = pulse if pulse is not None else rectangular()
     if method == "transfer":
-        p_hat = hilbert.embed(dyson_hat_terms(params, pulse, k)[k - 1], params.n_dim, 0.0)
+        p_hat = dyson_hat_terms(params, pulse, k)[k - 1]
     elif method == "tuples":
         p_hat = _tuple_dyson(params, pulse, k)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return (params.omega_T ** k) * p_hat
+    return (params.omega_T ** k) * hilbert.embed(p_hat, params.n_dim, 0.0)
 
 
 def magnus_terms(params: GateParams, pulse: PulseShape | None = None,

@@ -10,8 +10,9 @@ i.e. N_1 rides the *outermost* (latest) time variable.  Repeated integration
 by parts keeps every intermediate function an exact sum of terms
 r / (i pi)^g * tau^p * e^{i 2 pi nu tau} with r one rational and g an integer,
 so orders 4 and 5 do not suffer the catastrophic cancellation a
-naive floating-point evaluation would.  A spectral quadrature oracle provides
-an independent numerical cross-check.
+naive floating-point evaluation would.  The antiderivative of each inner chain
+(N_2, ..., N_k) is shared by every tuple that ends in it, and the outermost
+integral is summed at tau = 1 without being built.
 """
 
 from __future__ import annotations
@@ -45,13 +46,6 @@ class OscSum:
             self.terms.pop(key, None)
         else:
             self.terms[key] = r
-
-    def at_one(self) -> "OscSum":
-        """Evaluate at tau = 1; freqs are integers so every phase is 1."""
-        val = OscSum()
-        for (_p, _nu, g), r in self.terms.items():
-            val._add(0, 0, g, r)
-        return val
 
     @property
     def is_zero(self) -> bool:
@@ -106,12 +100,43 @@ def _integer_tuple(Ns: Iterable[int]) -> tuple[int, ...]:
     return tuple(int(N) for N in Ns)
 
 
-@lru_cache(maxsize=200_000)
+def _integrate_to_one(f: OscSum, N: int) -> OscSum:
+    """int_0^1 e^{i 2 pi N s} f(s) ds, the value at tau = 1 of ``integrate_step(f, N)``
+    without building it: every phase is 1 there, so a term's j = 0 part cancels its
+    s = 0 boundary and only the parts j >= 1 of ``parts_table`` remain."""
+    acc: dict[int, Fraction] = {}
+    for (p, nu, g), r in f.terms.items():
+        nu2 = nu + N
+        if nu2 == 0:
+            acc[g] = acc.get(g, 0) + r / (p + 1)
+            continue
+        for _j, q, a in parts_table(p)[:-1]:
+            acc[g + q] = acc.get(g + q, 0) + r * Fraction(a, (2 * nu2) ** q)
+    return OscSum({(0, 0, g): r for g, r in acc.items() if r})
+
+
+# The tuple route (magnus._tuple_dyson) varies N_k slowest, so it reads a suffix
+# again only after building every longer suffix on it: up to 1 + n + ... + n^(k-2)
+# entries for n labels at order k, 211 for rect at order 4 (n = 14) and 43 for
+# sin^2 at order 3 (n = 42).  Past the bound only the shortest suffixes, the
+# cheapest ones, are built again.
+@lru_cache(maxsize=256)
+def _suffix_antiderivative(Ns: tuple[int, ...]) -> OscSum:
+    """G(tau) = int_0^tau dt_1 e^{i 2 pi N_1 t_1} ... int_0^{t_{k-1}} dt_k e^{i 2 pi N_k t_k},
+    from the antiderivative of the next shorter suffix."""
+    if not Ns:
+        return OscSum.unit()
+    return integrate_step(_suffix_antiderivative(Ns[1:]), Ns[0])
+
+
+# A traversal asks for each tuple once, so this cache serves a caller that asks
+# again: it holds every tuple of one order-3 traversal at the base point (378 for
+# rect, 3,702 for sin^2), so a repeated P_3 there reads them all.
+@lru_cache(maxsize=4096)
 def _resonance_integral_cached(Ns: tuple[int, ...]) -> OscSum:
-    f = OscSum.unit()
-    for N in reversed(Ns):
-        f = integrate_step(f, N)
-    return f.at_one()
+    if not Ns:
+        return OscSum.unit()
+    return _integrate_to_one(_suffix_antiderivative(Ns[1:]), Ns[0])
 
 
 def resonance_integral(Ns: Iterable[int]) -> OscSum:
@@ -125,113 +150,10 @@ def resonance_integral(Ns: Iterable[int]) -> OscSum:
     return _resonance_integral_cached(Ns)
 
 
-def may_be_resonant(Ns: Iterable[int]) -> bool:
-    """Cheap necessary condition for a nonzero integral when all N_j != 0:
-    some contiguous block must sum to zero (a repeated prefix sum)."""
-    seen = {0}
-    s = 0
-    for N in Ns:
-        s += N
-        if s in seen:
-            return True
-        seen.add(s)
-    return False
-
-
-def is_resonant(Ns: Iterable[int]) -> bool:
-    """True iff the exact integral is nonzero; used to prune tuples."""
-    Ns = _integer_tuple(Ns)
-    if all(N != 0 for N in Ns) and not may_be_resonant(Ns):
-        return False
-    return not resonance_integral(Ns).is_zero
-
-
-def order2_closed_form(N1: int, N2: int) -> complex:
-    """Case table for k = 2 with integer beat notes."""
-    if N1 == 0 and N2 == 0:
-        return 0.5 + 0j
-    if N1 == 0:
-        return 1j / (2 * math.pi * N2)
-    if N2 == 0:
-        return -1j / (2 * math.pi * N1)
-    if N1 + N2 == 0:
-        return -1j / (2 * math.pi * N2)
-    return 0j
-
-def order3_closed_form(N1: int, N2: int, N3: int) -> complex:
-    """Closed form for k = 3 with nonzero integer beat notes:
-
-        (delta_{N1+N2} / N2  -  delta_{N2+N3} / N1) / (4 pi^2 N3).
-
-    The minus sign on the second branch follows from direct integration by
-    parts and is confirmed by quadrature (tabulated versions sometimes print
-    both branches positive).  Valid when no *total* cancellation
-    N1+N2+N3 = 0 occurs without one of the adjacent pairs vanishing;
-    gate-valid parameter sets never produce that case, but arbitrary tuples
-    (e.g. (1, 1, -2)) do and then the closed form is incomplete.
-    """
-    val = 0.0
-    if N1 + N2 == 0:
-        val += 1.0 / N2
-    if N2 + N3 == 0:
-        val -= 1.0 / N1
-    return val / (4 * math.pi ** 2 * N3)
-
-
-# ---------------------------------------------------------------------------
-# Spectral quadrature oracle (independent of the integration-by-parts path).
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=8)
-def _cheb_nodes_tau(n: int) -> np.ndarray:
-    x = np.cos(np.pi * np.arange(n + 1) / n)
-    return 0.5 * (x + 1.0)
-
-
-def _cheb_coeffs(values: np.ndarray) -> np.ndarray:
-    """Chebyshev coefficients of the interpolant through Lobatto-node values."""
-    n = values.size - 1
-    ext = np.concatenate([values, values[-2:0:-1]])
-    spec = np.fft.fft(ext) / n
-    coeffs = spec[: n + 1].copy()
-    coeffs[0] *= 0.5
-    coeffs[n] *= 0.5
-    return coeffs
-
-
-def _cheb_values(coeffs: np.ndarray) -> np.ndarray:
-    """Values at the Lobatto nodes of a Chebyshev coefficient array."""
-    n = coeffs.size - 1
-    ext = np.concatenate([coeffs, coeffs[-2:0:-1]])
-    vals = np.fft.ifft(ext) * n
-    vals = vals[: n + 1]
-    sign = np.where(np.arange(n + 1) % 2 == 0, 1.0, -1.0)
-    return vals + 0.5 * coeffs[0] + 0.5 * coeffs[n] * sign
-
-
-def _cheb_integral(coeffs: np.ndarray) -> np.ndarray:
-    """Chebyshev coefficients of the antiderivative in tau = (x + 1)/2 that vanishes at
-    tau = 0: with c scaled by dx/dtau = 1/2, b_k = (c_{k-1} - c_{k+1}) / 2k for k >= 1,
-    counting c_0 twice at k = 1, and b_0 = -sum_k (-1)^k b_k.  The values of
-    ``numpy.polynomial.chebyshev.chebint(coeffs, lbnd=-1, scl=0.5)``, without its Python
-    loop over the coefficients."""
-    c = 0.5 * np.concatenate([coeffs, np.zeros(2)])
-    k = np.arange(1, len(coeffs) + 1)
-    anti = np.empty(len(coeffs) + 1, dtype=c.dtype)
-    anti[1:] = (c[k - 1] - c[k + 1]) / (2 * k)
-    anti[1] += c[0] / 2
-    anti[0] = -np.sum(anti[1:] * (-1.0) ** k)  # T_k(-1) = (-1)^k
-    return anti
-
-
-def quadrature_integral(Ns: Iterable[int], n: int = 2048) -> complex:
-    """Numerical value of the nested integral via spectral cumulative
-    quadrature on a Chebyshev grid; independent of the symbolic path."""
-    Ns = _integer_tuple(Ns)
-    tau = _cheb_nodes_tau(n)
-    vals = np.ones(n + 1, dtype=complex)
-    for N in reversed(Ns):
-        vals = vals * np.exp(2j * np.pi * N * tau)
-        coeffs = _cheb_coeffs(vals)
-        vals = _cheb_values(_cheb_integral(coeffs)[: n + 1])
-    return complex(vals[0])  # node 0 is tau = 1
+def may_be_resonant(Ns) -> np.ndarray:
+    """Cheap necessary condition for a nonzero integral when all N_j != 0, for each
+    tuple along the last axis: some contiguous block must sum to zero (a repeated
+    prefix sum)."""
+    sums = np.cumsum(Ns, axis=-1)
+    sums = np.sort(np.concatenate([np.zeros_like(sums[..., :1]), sums], axis=-1), axis=-1)
+    return (np.diff(sums, axis=-1) == 0).any(axis=-1)

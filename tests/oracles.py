@@ -1,13 +1,15 @@
 """Independent full-space oracles, built with ``np.kron`` from the building blocks
 (``collective_spin``, ``sideband_operator``, the ladder operators) and never through
 the symmetry blocks or ``hilbert.embed``, and the composite-index helpers the tests
-measure full-space matrices with."""
+measure full-space matrices with, and the closed forms and spectral quadrature that
+check the exact resonance integrals of ``msgate.resint``."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from msgate import hilbert
+from msgate import hilbert, resint
 from msgate.params import beat_note
 from msgate.pulses import envelope_at
 
@@ -88,3 +90,108 @@ def guard_block(A, params):
 
 def unitarity_defect(A):
     return float(np.abs(A.conj().T @ A - np.eye(A.shape[0])).max())
+
+
+# ---------------------------------------------------------------------------
+# Resonance-integral oracles.
+# ---------------------------------------------------------------------------
+
+def is_resonant(Ns) -> bool:
+    """True iff the exact integral is nonzero."""
+    Ns = resint._integer_tuple(Ns)
+    if all(N != 0 for N in Ns) and not resint.may_be_resonant(Ns):
+        return False
+    return not resint.resonance_integral(Ns).is_zero
+
+
+def order2_closed_form(N1: int, N2: int) -> complex:
+    """Case table for k = 2 with integer beat notes."""
+    if N1 == 0 and N2 == 0:
+        return 0.5 + 0j
+    if N1 == 0:
+        return 1j / (2 * math.pi * N2)
+    if N2 == 0:
+        return -1j / (2 * math.pi * N1)
+    if N1 + N2 == 0:
+        return -1j / (2 * math.pi * N2)
+    return 0j
+
+
+def order3_closed_form(N1: int, N2: int, N3: int) -> complex:
+    """Closed form for k = 3 with nonzero integer beat notes:
+
+        (delta_{N1+N2} / N2  -  delta_{N2+N3} / N1) / (4 pi^2 N3).
+
+    The minus sign on the second branch follows from direct integration by
+    parts and is confirmed by quadrature (tabulated versions sometimes print
+    both branches positive).  Valid when no *total* cancellation
+    N1+N2+N3 = 0 occurs without one of the adjacent pairs vanishing;
+    gate-valid parameter sets never produce that case, but arbitrary tuples
+    (e.g. (1, 1, -2)) do and then the closed form is incomplete.
+    """
+    val = 0.0
+    if N1 + N2 == 0:
+        val += 1.0 / N2
+    if N2 + N3 == 0:
+        val -= 1.0 / N1
+    return val / (4 * math.pi ** 2 * N3)
+
+
+# ---------------------------------------------------------------------------
+# Spectral quadrature oracle of the nested integrals (independent of the
+# integration-by-parts path in ``msgate.resint``).
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=8)
+def _cheb_nodes_tau(n: int) -> np.ndarray:
+    x = np.cos(np.pi * np.arange(n + 1) / n)
+    return 0.5 * (x + 1.0)
+
+
+def _cheb_coeffs(values: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients of the interpolant through Lobatto-node values."""
+    n = values.size - 1
+    ext = np.concatenate([values, values[-2:0:-1]])
+    spec = np.fft.fft(ext) / n
+    coeffs = spec[: n + 1].copy()
+    coeffs[0] *= 0.5
+    coeffs[n] *= 0.5
+    return coeffs
+
+
+def _cheb_values(coeffs: np.ndarray) -> np.ndarray:
+    """Values at the Lobatto nodes of a Chebyshev coefficient array."""
+    n = coeffs.size - 1
+    ext = np.concatenate([coeffs, coeffs[-2:0:-1]])
+    vals = np.fft.ifft(ext) * n
+    vals = vals[: n + 1]
+    sign = np.where(np.arange(n + 1) % 2 == 0, 1.0, -1.0)
+    return vals + 0.5 * coeffs[0] + 0.5 * coeffs[n] * sign
+
+
+def _cheb_integral(coeffs: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients of the antiderivative in tau = (x + 1)/2 that vanishes at
+    tau = 0: with c scaled by dx/dtau = 1/2, b_k = (c_{k-1} - c_{k+1}) / 2k for k >= 1,
+    counting c_0 twice at k = 1, and b_0 = -sum_k (-1)^k b_k.  The values of
+    ``numpy.polynomial.chebyshev.chebint(coeffs, lbnd=-1, scl=0.5)``, without its Python
+    loop over the coefficients."""
+    c = 0.5 * np.concatenate([coeffs, np.zeros(2)])
+    k = np.arange(1, len(coeffs) + 1)
+    anti = np.empty(len(coeffs) + 1, dtype=c.dtype)
+    anti[1:] = (c[k - 1] - c[k + 1]) / (2 * k)
+    anti[1] += c[0] / 2
+    anti[0] = -np.sum(anti[1:] * (-1.0) ** k)  # T_k(-1) = (-1)^k
+    return anti
+
+
+def quadrature_integral(Ns, n: int = 2048) -> complex:
+    """Numerical value of the nested integral via spectral cumulative
+    quadrature on a Chebyshev grid; independent of the symbolic path."""
+    Ns = resint._integer_tuple(Ns)
+    tau = _cheb_nodes_tau(n)
+    vals = np.ones(n + 1, dtype=complex)
+    for N in reversed(Ns):
+        vals = vals * np.exp(2j * np.pi * N * tau)
+        coeffs = _cheb_coeffs(vals)
+        vals = _cheb_values(_cheb_integral(coeffs)[: n + 1])
+    return complex(vals[0])  # node 0 is tau = 1

@@ -18,7 +18,7 @@ import pytest
 from msgate import budget, fidelity, hilbert, magnus, resint, trotter
 from msgate.cli import parse_config, rows_to_csv, run_sweep, sweep_from_config
 from msgate.params import GateParams
-from oracles import guard_band_indices, guard_block
+from oracles import guard_band_indices, guard_block, order2_closed_form, order3_closed_form, quadrature_integral
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
@@ -236,7 +236,7 @@ def test_criterion_6_integral_oracles():
         for _ in range(200):
             Ns = [int(n) for n in rng.integers(1, 10, k) * rng.choice([-1, 1], k)]
             exact = complex(resint.resonance_integral(Ns))
-            quad = resint.quadrature_integral(Ns)
+            quad = quadrature_integral(Ns)
             if abs(exact) < 1e-12:
                 assert abs(quad) < 1e-11, Ns
             else:
@@ -249,7 +249,7 @@ def test_criterion_6_integral_oracles():
     for N1 in range(-6, 7):
         for N2 in range(-6, 7):
             assert complex(resint.resonance_integral((N1, N2))) == pytest.approx(
-                resint.order2_closed_form(N1, N2), abs=1e-15)
+                order2_closed_form(N1, N2), abs=1e-15)
     blind = 0
     for Ns in itertools.product([n for n in range(-6, 7) if n], repeat=3):
         N1, N2, N3 = Ns
@@ -257,7 +257,7 @@ def test_criterion_6_integral_oracles():
             blind += 1
             continue
         assert complex(resint.resonance_integral(Ns)) == pytest.approx(
-            resint.order3_closed_form(*Ns), abs=1e-15)
+            order3_closed_form(*Ns), abs=1e-15)
     report(6, True, f"800 random tuples vs quadrature, worst rel err {worst:.1e}; "
                     f"order-2/3 tables exact ({blind} total-cancellation tuples "
                     f"outside the third-order form, quadrature-verified elsewhere)")

@@ -5,17 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from msgate import resint
-from msgate.resint import (
-    OscSum,
-    integrate_step,
-    is_resonant,
-    may_be_resonant,
-    order2_closed_form,
-    order3_closed_form,
-    quadrature_integral,
-    resonance_integral,
-)
+from msgate import hilbert, magnus, resint
+from msgate.resint import OscSum, integrate_step, may_be_resonant, resonance_integral
+from oracles import _cheb_integral, is_resonant, order2_closed_form, order3_closed_form, quadrature_integral
 
 
 def val(Ns):
@@ -102,6 +94,22 @@ def test_necessary_condition_is_sound(rng):
             assert resonance_integral(Ns).is_zero
 
 
+def test_filter_matches_the_prefix_sum_loop():
+    # one call over a stack of tuples against the per-tuple loop it replaced
+    rng = np.random.default_rng(17)
+    def loop(Ns):
+        seen, s = {0}, 0
+        for N in Ns:
+            s += N
+            if s in seen:
+                return True
+            seen.add(s)
+        return False
+    for k in range(1, 6):
+        tuples = rng.integers(-7, 8, (400, k))
+        assert may_be_resonant(tuples).tolist() == [loop(Ns) for Ns in tuples.tolist()]
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_quadrature_agreement_sample(rng, k):
     # small per-order sample; the full 200-tuple suite runs in acceptance
@@ -139,6 +147,45 @@ def test_shuffle_identity(rng, la, lb):
         b = tuple(int(n) for n in rng.integers(-6, 7, lb))
         total = sum(val(c) for c in shuffles(a, b))
         assert total == pytest.approx(val(a) * val(b), abs=1e-13)
+
+
+def stepwise(Ns):
+    """Reference: the integrate_step chain from N_k out to N_1, then the value at
+    tau = 1, where every phase is 1."""
+    f = OscSum.unit()
+    for N in reversed(Ns):
+        f = integrate_step(f, N)
+    at_one = {}
+    for (_p, _nu, g), r in f.terms.items():
+        at_one[(0, 0, g)] = at_one.get((0, 0, g), 0) + r
+    return {key: r for key, r in at_one.items() if r}
+
+
+def test_shared_suffixes_give_the_stepwise_rationals():
+    # random order and lengths over -7..7 (zero beat notes and resonances included)
+    # make the suffix cache evict; every value must still be the same rationals
+    rng = np.random.default_rng(16)
+    tuples = [tuple(int(n) for n in rng.integers(-7, 8, int(rng.integers(1, 6)))) for _ in range(2000)]
+    resint._resonance_integral_cached.cache_clear()
+    resint._suffix_antiderivative.cache_clear()
+    for Ns in tuples:
+        assert resonance_integral(Ns).terms == stepwise(Ns), Ns
+    info = resint._suffix_antiderivative.cache_info()
+    assert info.misses > info.maxsize == info.currsize  # it evicted
+    assert sum(not resonance_integral(Ns).is_zero for Ns in tuples) > 500
+
+
+def test_tuple_route_reads_each_suffix_once(base_params, rect):
+    # the route varies N_k slowest, so each inner chain N_j..N_k (j >= 2) is built once
+    p = base_params.replace(omega_T=1.0)
+    resint._resonance_integral_cached.cache_clear()
+    resint._suffix_antiderivative.cache_clear()
+    magnus.dyson_term(4, p, rect, method="tuples")
+    taps, _ = hilbert.drive_taps(p, rect)
+    notes = [int(N) + m * p.K for m in range(-p.m_max, p.m_max + 1) for N in taps]
+    tuples = np.array(list(itertools.product(notes, repeat=4)))
+    suffixes = {tuple(Ns[j:]) for Ns in tuples[may_be_resonant(tuples)].tolist() for j in range(1, 5)}
+    assert resint._suffix_antiderivative.cache_info().misses <= 1.1 * len(suffixes)
 
 
 def test_memoization_returns_same_object():
@@ -188,6 +235,6 @@ def test_cheb_integral_matches_chebint():
     for n in (0, 1, 2, 7, 2048):
         coeffs = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
         want = np.polynomial.chebyshev.chebint(coeffs, lbnd=-1.0, scl=0.5)
-        got = resint._cheb_integral(coeffs)
+        got = _cheb_integral(coeffs)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
