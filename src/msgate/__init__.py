@@ -6,7 +6,6 @@ from .pulses import PulseShape, envelope_at, rectangular, sin_squared, validate_
 from .hilbert import (
     collective_spin,
     collective_spins,
-    hamiltonian_at,
     laguerre,
     matrix_exp,
     sideband_operator,
@@ -14,7 +13,7 @@ from .hilbert import (
 from .resint import resonance_integral
 from .magnus import dyson_term, magnus_terms, propagators_upto
 from .trotter import TrotterConfig, propagate_numeric, propagate_numeric_exact_displacement
-from .fidelity import ThermalWeights, average_fidelity, bell_fidelity, closed_form_bell
+from .fidelity import ThermalWeights, average_fidelity, bell_fidelity
 from .budget import AmplitudeSet, BudgetRow, amplitude_set, omega_2, omega_4, omega_ld, sin2_forms, table_rows
 
 __version__ = "0.1.0"

@@ -199,11 +199,22 @@ def pulse_from_config(cfg: dict[str, str]) -> PulseShape:
     return rectangular() if name == "rect" else sin_squared()
 
 
+def _flat_pulse_only(pulse: PulseShape, setting: str) -> None:
+    """The closed-form amplitudes and budget rows hold for the flat pulse alone."""
+    if pulse.cache_key() != rectangular().cache_key():
+        raise ConfigError(f"{setting} uses the flat-pulse closed forms, which do not hold for "
+                          f"pulse = {pulse.name}; give the drive as omega_T (omega_mode = fixed_T, "
+                          "fixed_phys or an omega grid)")
+
+
 def sweep_from_config(cfg: dict[str, str]) -> SweepSpec:
     params = params_from_config(cfg)
     spec = _build(SweepSpec, cfg, fixed=params, pulse=pulse_from_config(cfg),
                   delta_KL=params.K - params.L)
+    if spec.axis != "omega" and spec.omega_mode in ("omega2", "omega4"):
+        _flat_pulse_only(spec.pulse, f"omega_mode = {spec.omega_mode}")
     if isinstance(spec.grid, int):  # grid = auto:<n>, on the omega axis
+        _flat_pulse_only(spec.pulse, "grid = auto")
         rep = validate(params)
         if not rep.ok:
             raise ConfigError(f"grid = auto needs valid base parameters: {rep.summary()}")
@@ -357,7 +368,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_budget(args) -> int:
-    params = params_from_config(_load(args))
+    cfg = _load(args)
+    _flat_pulse_only(pulse_from_config(cfg), "msgate budget")
+    params = params_from_config(cfg)
     rep = validate(params)
     if not rep.ok:
         print(f"invalid parameters: {rep.summary()}", file=sys.stderr)

@@ -74,12 +74,3 @@ def average_fidelity(U: tuple, weights: ThermalWeights) -> float:
     tr = P.sum() + sum(P[levels] @ (X * T.conj()).sum(axis=1)
                        for X, (levels, T) in zip(U, _average_basis(weights.n_dim)))
     return float(np.abs(tr)) / 4.0
-
-
-def closed_form_bell(dx_by_n, dy_by_n, weights: ThermalWeights) -> float:
-    """Bell fidelity of a generator sum_n (dx_n Jx^2 + dy_n Jy^2) x |n><n|:
-    (1 - sum_n P_n sin(TARGET_PHASE) sin(dx_n - dy_n)) / 2."""
-    dx = np.asarray(dx_by_n, dtype=float)
-    dy = np.asarray(dy_by_n, dtype=float)
-    P = weights.weights[: dx.size]
-    return 0.5 * (1.0 - float(np.sum(P * np.sin(TARGET_PHASE) * np.sin(dx - dy))))

@@ -231,17 +231,6 @@ def displacement_hamiltonian(params: GateParams, pulse: PulseShape) -> RotatingF
                   to_blocks(np.stack([J.Jplus, J.Jminus]), 0.5 * np.stack([d0, d0.conj().T])))
 
 
-def hamiltonian_at(tau: float, params: GateParams, pulse: PulseShape) -> np.ndarray:
-    """Dimensionless interaction Hamiltonian T*H(tau*T)/hbar at one instant, as the
-    composite matrix of its blocks."""
-    return embed([H[0] for H in sideband_hamiltonian(params, pulse)(np.array([tau]))], params.n_dim, 0.0)
-
-
-def displacement_hamiltonian_at(tau: float, params: GateParams, pulse: PulseShape) -> np.ndarray:
-    """The exact-displacement Hamiltonian at one instant."""
-    return embed([H[0] for H in displacement_hamiltonian(params, pulse)(np.array([tau]))], params.n_dim, 0.0)
-
-
 def hermiticity_defect(A: np.ndarray) -> float:
     """Largest entry of A - A^H; A may be a stack of matrices."""
     return float(np.abs(A - np.swapaxes(A, -1, -2).conj()).max())

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -12,15 +13,22 @@ from .params import GateParams
 from .pulses import PulseShape, rectangular
 
 
+# the most steps a product is taken over: its grid arrays take ~40 bytes a step
+MAX_STEPS = 2 ** 24
+
+
 @dataclass(frozen=True)
 class TrotterConfig:
     """Step-count policy for the product-formula propagator.
 
-    The step count must resolve the fastest beat note:
-    N_t >= ceil(2 * pi * safety * max|N|) with max|N| = max_harmonic
-    + m_max * K + L.  The default N_t is that bound rounded up to a multiple
-    of the drive period d (``drive_period``: L for rect, 1 for sin^2), so the
-    grid is never coarser than the bound and holds d whole periods.
+    The step count must resolve the fastest beat note and the drive itself:
+    N_t >= ceil(safety * max(2 * pi * max|N|, omega_T max|g| ||B_0||)) with
+    max|N| = max_harmonic + m_max * K + L, so that no step turns a phase or the
+    state by more than 1/safety.  A bound above MAX_STEPS (a drive so strong that
+    no product can resolve it) is an error.  The default N_t is that bound
+    rounded up to a multiple of the drive period d (``drive_period``: L for rect,
+    1 for sin^2), so the grid is never coarser than the bound and holds d whole
+    periods.
     Each step samples the Hamiltonian at its centre (the exponential midpoint
     rule, second-order accurate).  ``steps_override`` is taken as given: below
     the bound it is rejected unless ``allow_understep`` is set; a step count
@@ -41,19 +49,38 @@ class TrotterConfig:
     def max_beat_note(self, params: GateParams, pulse: PulseShape) -> int:
         return pulse.max_harmonic + params.m_max * params.K + params.L
 
+    def max_drive_angle(self, params: GateParams, pulse: PulseShape) -> float:
+        """A bound on omega_T max|g| ||B_0||, the rate at which the drive turns the state:
+        |g| <= 2 sum_M |c_M| and ||B_0|| <= sum_m ||A_m|| (``_sideband_norm``).  A Python
+        float, so an overflow gives inf."""
+        return (params.omega_T * 2 * sum(map(abs, pulse.coefficients.values()))
+                * _sideband_norm(params.eta, params.n_dim, params.m_max))
+
     def num_steps(self, params: GateParams, pulse: PulseShape) -> int:
-        bound = math.ceil(2 * math.pi * self.safety * self.max_beat_note(params, pulse))
+        bound = self.safety * max(2 * math.pi * self.max_beat_note(params, pulse),
+                                  self.max_drive_angle(params, pulse))
+        if self.steps_override is None and not bound <= MAX_STEPS:
+            raise ValueError(f"resolving the drive takes {bound:.3g} steps, more than {MAX_STEPS} "
+                             f"(omega_T {params.omega_T}, pulse {pulse.name})")
         period = drive_period(hilbert.drive_taps(params, pulse)[0])
-        steps = period * -(-bound // period) if self.steps_override is None else self.steps_override
+        steps = period * -(-math.ceil(bound) // period) if self.steps_override is None else self.steps_override
         if steps < 1:  # no step at all would return the identity as the propagator
             raise ValueError(f"step count {steps} < 1 (safety={self.safety}, "
                              f"steps_override={self.steps_override})")
         if steps < bound and not self.allow_understep:
             raise ValueError(
                 f"steps_override={self.steps_override} below the resolution "
-                f"bound {bound}; set allow_understep to force"
+                f"bound {bound:.6g}; set allow_understep to force"
             )
         return steps
+
+
+@lru_cache(maxsize=64)
+def _sideband_norm(eta: float, n_dim: int, m_max: int) -> float:
+    """sum_m ||A_m|| over |m| <= m_max, which bounds ||sum_m J_m (x) A_m|| as ||J_m|| = 1:
+    A_m has one nonzero per row and column, so its norm is its largest entry."""
+    return sum(float(np.abs(hilbert.sideband_operator(m, eta, n_dim)).max())
+               for m in range(-m_max, m_max + 1))
 
 
 def drive_period(taps: np.ndarray) -> int:
@@ -73,11 +100,19 @@ def _newton_schulz(X: np.ndarray) -> np.ndarray:
     return X @ (3 * np.eye(len(X)) - X.conj().T @ X) / 2
 
 
-def _chain(stack: np.ndarray) -> np.ndarray:
-    """stack[-1] @ ... @ stack[0] by pairwise batched products; an unpaired latest factor waits."""
-    while len(stack) > 1:
-        stack = np.concatenate([stack[1::2] @ stack[:-1:2], stack[len(stack) - len(stack) % 2:]])
-    return stack[0]
+def _chain(stack: np.ndarray, spare: np.ndarray | None = None) -> np.ndarray:
+    """stack[-1] @ ... @ stack[0] by pairwise batched products; an unpaired latest factor waits.
+    Each level is written over the buffer of the level before last, starting with ``spare``
+    (at least half as long as ``stack``), so the levels allocate nothing; ``stack`` is
+    overwritten."""
+    src, dst = stack, spare if spare is not None else np.empty_like(stack[:(len(stack) + 1) // 2])
+    while len(src) > 1:
+        half, odd = divmod(len(src), 2)
+        out = dst[:half + odd]
+        np.matmul(src[1::2], src[:-1:2], out=out[:half])
+        out[half:] = src[2 * half:]
+        src, dst = out, src
+    return src[0].copy()
 
 
 def _block_propagator(B: np.ndarray, levels: np.ndarray, K: int, amps: np.ndarray,
@@ -101,13 +136,19 @@ def _block_propagator(B: np.ndarray, levels: np.ndarray, K: int, amps: np.ndarra
     W, V = (V.conj().T @ (phases[:, None] * V)).astype(complex), V.astype(complex)
 
     def chained_slice(lo: int, hi: int, skip: int) -> np.ndarray:
-        # E_{2j+1} W E_{2j} by entries, then one GEMM puts W right of all factors but the first
+        # E_{2j+1} W E_{2j} by entries, then one GEMM puts W right of all factors but the first.
+        # One buffer holds the pairs, their products with W and every level of the chain: freed
+        # one by one, these temporaries leave a heap top that glibc trims after every call and
+        # the next call faults back in (~1 MB a slice, a third of a sin^2 Unum)
         E = np.exp(-1j * np.outer(amps[lo:hi], lam))
-        pairs = len(E) // 2
-        stack = np.concatenate([E[1::2, :, None] * E[:2 * pairs:2, None, :] * W,
-                                np.eye(dim) * E[2 * pairs:, None, :]])
-        stack[skip:] = (stack[skip:].reshape(-1, dim) @ W).reshape(-1, dim, dim)
-        return _chain(stack)
+        pairs, odd = divmod(len(E), 2)
+        pair, stack = np.empty((2, pairs + odd, dim, dim), dtype=complex)
+        np.multiply(E[1::2, :, None], E[:2 * pairs:2, None, :], out=pair[:pairs])
+        pair[:pairs] *= W
+        pair[pairs:] = np.eye(dim) * E[2 * pairs:, None, :]
+        stack[:skip] = pair[:skip]
+        np.matmul(pair[skip:].reshape(-1, dim), W, out=stack[skip:].reshape(-1, dim))
+        return _chain(stack, pair)
 
     def run(lo: int, hi: int) -> np.ndarray:
         if hi == lo:

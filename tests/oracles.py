@@ -2,16 +2,40 @@
 (``collective_spin``, ``sideband_operator``, the ladder operators) and never through
 the symmetry blocks or ``hilbert.embed``, and the composite-index helpers the tests
 measure full-space matrices with, and the closed forms and spectral quadrature that
-check the exact resonance integrals of ``msgate.resint``."""
+check the exact resonance integrals of ``msgate.resint``; also the composite
+Hamiltonian at one instant and the closed-form Bell fidelity of a Fock-diagonal
+generator, which only the tests read."""
 
 import math
 from functools import lru_cache
 
 import numpy as np
 
-from msgate import hilbert, resint
+from msgate import fidelity, hilbert, resint
 from msgate.params import beat_note
 from msgate.pulses import envelope_at
+
+
+def hamiltonian_at(tau, params, pulse):
+    """Dimensionless interaction Hamiltonian T*H(tau*T)/hbar at one instant, as the
+    composite matrix of its blocks."""
+    frame = hilbert.sideband_hamiltonian(params, pulse)
+    return hilbert.embed([H[0] for H in frame(np.array([tau]))], params.n_dim, 0.0)
+
+
+def displacement_hamiltonian_at(tau, params, pulse):
+    """The exact-displacement Hamiltonian at one instant."""
+    frame = hilbert.displacement_hamiltonian(params, pulse)
+    return hilbert.embed([H[0] for H in frame(np.array([tau]))], params.n_dim, 0.0)
+
+
+def closed_form_bell(dx_by_n, dy_by_n, weights):
+    """Bell fidelity of a generator sum_n (dx_n Jx^2 + dy_n Jy^2) x |n><n|:
+    (1 - sum_n P_n sin(TARGET_PHASE) sin(dx_n - dy_n)) / 2."""
+    dx = np.asarray(dx_by_n, dtype=float)
+    dy = np.asarray(dy_by_n, dtype=float)
+    P = weights.weights[: dx.size]
+    return 0.5 * (1.0 - float(np.sum(P * np.sin(fidelity.TARGET_PHASE) * np.sin(dx - dy))))
 
 
 def explicit_term_sum(p, pulse, tau):

@@ -358,6 +358,8 @@ HUGE_PULSE = "pulse = custom\npulse_coeffs = 0:1e307:0\ngrid = 100,200\n"
     (["sweep"], HUGE_PULSE + "propagators = U2\n"),             # ... and so does P_2
     (["sweep"], "pulse = rect\ngrid = 1e300,1e306\npropagators = U2\n"),  # omega_T^2
     (["budget"], "omega_T = 1e300\n"),                         # the budget rows
+    # finite throughout, but no step count resolves a drive of 1e307
+    (["sweep"], "pulse = custom\npulse_coeffs = 0:1e307:0\ngrid = 1,2\npropagators = Unum\n"),
 ])
 def test_overflowing_drive_is_a_clean_error(tmp_path, capfd, command, lines):
     # every config parses and validates; the failure comes from computing, on one line
@@ -367,6 +369,38 @@ def test_overflowing_drive_is_a_clean_error(tmp_path, capfd, command, lines):
     assert cli.main([command[0], path, *command[1:]]) == 2
     err = capfd.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+SHAPED = {"sin2": "pulse = sin2\n",
+          "custom": "pulse = custom\npulse_coeffs = 0:0.5:0;1:-0.25:0.1;-1:-0.25:-0.1\n"}
+FLAT_SETTINGS = {  # each reads a flat-pulse closed form
+    "omega_mode = omega2": "axis = eta\ngrid = 0.1,0.2\nomega_mode = omega2\n",
+    "omega_mode = omega4": "axis = K\ngrid = 28,40\nomega_mode = omega4\n",
+    "omega_mode = omega2 (default)": "axis = nbar\ngrid = 0,0.1\n",
+    "grid = auto": "axis = omega\ngrid = auto:3\n",
+}
+
+
+@pytest.mark.parametrize("pulse", sorted(SHAPED))
+@pytest.mark.parametrize("setting", sorted(FLAT_SETTINGS))
+def test_flat_pulse_amplitudes_reject_shaped_pulses(tmp_path, capsys, pulse, setting):
+    path = _write(tmp_path, "s.cfg", CHECK_OK + "propagators = U2\n" + SHAPED[pulse] + FLAT_SETTINGS[setting])
+    assert cli.main(["sweep", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and len(err.splitlines()) == 1
+    assert f"pulse = {pulse}" in err and setting.split(" (")[0] in err
+    # the subcommands that do not read the setting still take the config
+    assert cli.main(["check", path]) == 0
+    # the same setting with the flat pulse is fine
+    rect = _write(tmp_path, "r.cfg", CHECK_OK + "propagators = U2\npulse = rect\n" + FLAT_SETTINGS[setting])
+    assert sweep_from_config(parse_config(rect)).pulse.name == "rect"
+
+
+@pytest.mark.parametrize("pulse", sorted(SHAPED))
+def test_budget_rejects_shaped_pulses(tmp_path, capsys, pulse):
+    assert cli.main(["budget", _write(tmp_path, "b.cfg", CHECK_OK + SHAPED[pulse])]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: msgate budget") and f"pulse = {pulse}" in err
 
 
 @pytest.mark.parametrize("lines, statuses", [

@@ -3,12 +3,8 @@ import pytest
 import scipy.linalg
 
 from msgate import hilbert
-from msgate.fidelity import (
-    ThermalWeights,
-    average_fidelity,
-    bell_fidelity,
-    closed_form_bell,
-)
+from msgate.fidelity import ThermalWeights, average_fidelity, bell_fidelity
+from oracles import closed_form_bell
 
 
 def target_unitary(angle=np.pi / 2):

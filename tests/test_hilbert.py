@@ -9,15 +9,14 @@ from msgate import hilbert
 from msgate.hilbert import (
     collective_spin,
     collective_spins,
-    hamiltonian_at,
     laguerre,
     matrix_exp,
     sideband_operator,
 )
 from msgate.params import GateParams
 from msgate.pulses import PulseShape, envelope_at, rectangular, sin_squared
-from oracles import (explicit_term_sum, guard_band_indices, guard_block, per_tau_displacement,
-                     unitarity_defect)
+from oracles import (displacement_hamiltonian_at, explicit_term_sum, guard_band_indices, guard_block,
+                     hamiltonian_at, per_tau_displacement, unitarity_defect)
 
 
 def laguerre_series(a, b, x):
@@ -162,7 +161,7 @@ def test_hamiltonian_vs_displacement_oracle(base_params, rect):
     # construction up to O(eta^(m_max+1)) on the guard-banded block
     p = base_params.replace(omega_T=1.0)
     H_series = hamiltonian_at(0.0, p, rect)
-    H_exact = hilbert.displacement_hamiltonian_at(0.0, p, rect)
+    H_exact = displacement_hamiltonian_at(0.0, p, rect)
     diff = np.abs(guard_block(H_series - H_exact, p)).max()
     assert diff < 5 * p.eta ** (p.m_max + 1)
     assert diff > 0  # the truncation is real, the bound is not vacuous
@@ -177,7 +176,7 @@ SHAPES = [rectangular(), sin_squared(),
 @pytest.mark.parametrize("tau", [0.0, 0.37, 1.0])
 @pytest.mark.parametrize("hamiltonian, oracle", [
     (hamiltonian_at, explicit_term_sum),
-    (hilbert.displacement_hamiltonian_at, per_tau_displacement),
+    (displacement_hamiltonian_at, per_tau_displacement),
 ], ids=["series", "exact_displacement"])
 def test_hamiltonian_matches_oracle(base_params, hamiltonian, oracle, pulse, tau):
     # every phase is 1 at tau = 0 and 1, so tau = 0.37 carries the check; L = 22 keeps
@@ -203,7 +202,7 @@ frame_points = st.builds(
 
 @pytest.mark.parametrize("hamiltonian, oracle", [
     (hamiltonian_at, explicit_term_sum),
-    (hilbert.displacement_hamiltonian_at, per_tau_displacement),
+    (displacement_hamiltonian_at, per_tau_displacement),
 ], ids=["series", "exact_displacement"])
 @settings(max_examples=40, deadline=None)
 @given(p=frame_points, pulse=st.sampled_from(SHAPES), tau=st.floats(0.0, 1.0))

@@ -236,6 +236,79 @@ def test_dyson_cache_reuse(base_params, rect, monkeypatch):
     assert all(np.array_equal(x, y) for X, Y in zip(again, a) for x, y in zip(X, Y))
 
 
+def _cold_transfer(*key):
+    magnus._transfer_dyson.cache_clear()
+    magnus._plan.cache_clear()
+    return magnus._transfer_dyson(*key)
+
+
+def test_plan_does_not_depend_on_the_first_eta():
+    # at eta = 0 every m != 0 operator vanishes; the plan built there must keep their entries
+    key = (28, 25, 8, 3, sin_squared().cache_key(), 5)
+    _cold_transfer(0.0, *key)
+    reused = magnus._transfer_dyson(0.18, *key)
+    cold = _cold_transfer(0.18, *key)
+    for P, Q in zip(reused, cold):
+        for x, y in zip(P, Q):
+            assert np.abs(x - y).max() <= 1e-15 * np.abs(y).max()
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    fn = getattr(module, name)
+
+    def counted(*args):
+        calls.append(name)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_second_eta_builds_no_plan(base_params, sin2, monkeypatch):
+    magnus._transfer_dyson.cache_clear()
+    magnus._plan.cache_clear()
+    magnus.dyson_hat_terms(base_params, sin2, 5)
+    calls = []
+    _count_calls(monkeypatch, magnus, "_antiderivative", calls)
+    _count_calls(monkeypatch, hilbert, "hamiltonian_terms", calls)
+    for eta in (0.1, 0.2, 0.1):  # two misses and one hit of the Dyson cache
+        magnus.dyson_hat_terms(base_params.replace(eta=eta), sin2, 5)
+    assert calls == ["hamiltonian_terms"] * 2
+    # a lower order reads the same plan
+    magnus.dyson_hat_terms(base_params.replace(eta=0.3), sin2, 3)
+    assert calls == ["hamiltonian_terms"] * 3
+
+
+def test_plan_extends_order_by_order(base_params, rect, monkeypatch):
+    # dyson_term(3) then dyson_term(4) at one K share one plan: four orders are planned, not
+    # seven, and the terms match a plan built at order 4
+    p = base_params.replace(omega_T=1.0)
+    magnus._transfer_dyson.cache_clear()
+    magnus._plan.cache_clear()
+    calls = []
+    with monkeypatch.context() as patch:
+        _count_calls(patch, magnus, "_antiderivative", calls)
+        low, high = magnus.dyson_term(3, p, rect), magnus.dyson_term(4, p, rect)
+    assert len(calls) == 4
+    magnus._transfer_dyson.cache_clear()
+    magnus._plan.cache_clear()
+    assert np.array_equal(magnus.dyson_term(4, p, rect), high)
+    assert np.abs(magnus.dyson_term(3, p, rect) - low).max() <= 1e-15 * np.abs(low).max()
+
+
+@pytest.mark.parametrize("n_dim", range(2, 15))
+def test_sideband_terms_are_partial_permutations_in_the_blocks(n_dim):
+    # A_m raises the Fock level by exactly m, so in the blocks each J_m (x) A_m has at most
+    # one nonzero per row and per column: a plan entry has at most one pair per sideband
+    for m in range(-min(5, n_dim), min(5, n_dim) + 1):
+        for X in hilbert.to_blocks(hilbert.collective_spin(m), hilbert.sideband_operator(m, 0.3, n_dim)):
+            assert (X != 0).sum(axis=0).max(initial=0) <= 1 and (X != 0).sum(axis=1).max(initial=0) <= 1, m
+    for m_max in range(min(5, n_dim) + 1):
+        plan = magnus._TransferPlan(28, 25, rectangular().cache_key(), n_dim, m_max)
+        for q in range(plan.size):
+            moves = plan.move_m[plan.move_ptr[q]:plan.move_ptr[q + 1]]
+            assert len(set(moves)) == len(moves), (m_max, q)
+
+
 def test_antiderivative_map_matches_the_exact_engine():
     # column i of the map is the antiderivative from 0 of the unit term tau^p e^{i 2 pi nu tau}
     # of key i, which the exact engine gives as rationals over (i pi)^g
@@ -255,13 +328,17 @@ def test_antiderivative_map_matches_the_exact_engine():
         assert np.abs(got[rows, i] - exact).max() <= 1e-14 * np.abs(exact).max(), key
 
 
-@pytest.mark.parametrize("shape", ["rect", "sin2"])
+SKEW = PulseShape.from_dict("skew", {0: 0.5, 1: 0.25j, -1: -0.25j})  # complex taps: c_{+-1} = +-i/4
+
+
+@pytest.mark.parametrize("shape", ["rect", "sin2", "skew"])
 @pytest.mark.parametrize("eta,K,L,n_dim,m_max", [
     (0.05, 28, 25, 8, 3), (0.3, 28, 25, 7, 3),   # narrow gap K - L = 3
     (0.05, 31, 20, 6, 2), (0.3, 31, 20, 7, 2),   # wide gap K - L = 11
+    (0.18, 29, 22, 5, 3),                        # odd n_dim: blocks of 7 and 8
 ])
 def test_blocked_transfer_matches_full_space_reference(shape, eta, K, L, n_dim, m_max):
-    pulse = {"rect": rectangular(), "sin2": sin_squared()}[shape]
+    pulse = {"rect": rectangular(), "sin2": sin_squared(), "skew": SKEW}[shape]
     p = GateParams(eta=eta, K=K, L=L, n_dim=n_dim, m_max=m_max)
     assert validate_with_pulse(p, pulse).ok
     got = [hilbert.embed(P, n_dim, 0.0) for P in magnus.dyson_hat_terms(p, pulse, 5)]
@@ -279,10 +356,9 @@ def test_blocked_transfer_matches_full_space_reference(shape, eta, K, L, n_dim, 
        K_gap=st.integers(12, 40).flatmap(lambda K: st.tuples(st.just(K), st.integers(2, K - 2))),
        shape=st.sampled_from(["rect", "sin2", "skew"]))
 def test_transfer_matches_tuples_over_gate_points(eta, K_gap, shape):
-    # skew has complex taps: c_{+-1} = +-i/4; a wide gap K - L makes the tuple sum cancel
+    # a wide gap K - L makes the tuple sum cancel
     K, gap = K_gap
-    pulse = {"rect": rectangular(), "sin2": sin_squared(),
-             "skew": PulseShape.from_dict("skew", {0: 0.5, 1: 0.25j, -1: -0.25j})}[shape]
+    pulse = {"rect": rectangular(), "sin2": sin_squared(), "skew": SKEW}[shape]
     p = GateParams(eta=eta, K=K, L=K - gap, omega_T=1.0)
     assume(validate_with_pulse(p, pulse).ok)
     for k in (2, 3):

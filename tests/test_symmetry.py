@@ -99,6 +99,7 @@ def test_sweep_point_forms_no_composite_matrix(monkeypatch, tmp_path, pulse, pro
     want = cli.run_sweep(spec)
     hilbert.collective_spins()  # the 4 x 4 qubit operators, built with kron once per process
     magnus._transfer_dyson.cache_clear()
+    magnus._plan.cache_clear()  # the plan is built under the patches too
     fidelity._average_basis.cache_clear()
     for module, name in ((np, "kron"), (hilbert, "embed"), (hilbert, "symmetry_blocks")):
         monkeypatch.setattr(module, name, _forbidden)
@@ -200,6 +201,7 @@ def test_level_coefficients_form_no_composite_matrix(monkeypatch):
 
     want = read()
     magnus._transfer_dyson.cache_clear()
+    magnus._plan.cache_clear()  # the plan is built under the patches too
     for module, name in ((np, "kron"), (hilbert, "embed"), (hilbert, "symmetry_blocks")):
         monkeypatch.setattr(module, name, _forbidden)
     assert read() == want

@@ -1,5 +1,6 @@
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 
@@ -27,6 +28,39 @@ def test_step_count_bound(base_params, rect, sin2):
     assert cfg.num_steps(base_params, rect) == 25 * -(-bound // 25) == 6850 >= bound
     # sin2 (taps L and L +/- 1, gcd 1) takes exactly the bound
     assert cfg.num_steps(base_params, sin2) == int(np.ceil(2 * np.pi * 10 * 110))
+
+
+@pytest.mark.parametrize("shaped", [False, True])
+def test_step_count_resolves_the_drive(base_params, shaped):
+    pulse = sin_squared() if shaped else rectangular()
+    cfg = TrotterConfig()
+    beat = 2 * np.pi * cfg.safety * cfg.max_beat_note(base_params, pulse)
+    # the bound holds: omega_T max|g| ||B_0|| from the generator and the drive on a fine grid
+    p = base_params.replace(omega_T=50.0)
+    frame = hilbert.sideband_hamiltonian(p, pulse)
+    norm = max(np.abs(np.linalg.eigvalsh(B)).max() for B in frame.generators)
+    assert p.omega_T * np.abs(frame.drive(np.linspace(0, 1, 10001))).max() * norm <= cfg.max_drive_angle(p, pulse)
+    # at a preset drive the beat notes set the step count, a 200 times stronger one sets it itself
+    assert cfg.safety * cfg.max_drive_angle(p, pulse) < beat
+    strong = p.replace(omega_T=1e4)
+    assert cfg.num_steps(strong, pulse) >= cfg.safety * cfg.max_drive_angle(strong, pulse) > beat
+    # and a drive that no product resolves is an error, unless the steps are given
+    with pytest.raises(ValueError, match="resolving the drive takes"):
+        cfg.num_steps(p.replace(omega_T=1e300), pulse)
+    assert TrotterConfig(steps_override=100, allow_understep=True).num_steps(p.replace(omega_T=1e300), pulse) == 100
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts minor page faults as Linux does")
+def test_repeated_unum_faults_no_memory_back_in(params_omega2, sin2):
+    # a slice works in one buffer, so the heap top it leaves is not trimmed after every call
+    # and faulted back in by the next (~3,900 faults per call when each temporary was freed
+    # on its own)
+    for _ in range(2):
+        trotter.propagate_numeric(params_omega2, sin2)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(3):
+        trotter.propagate_numeric(params_omega2, sin2)
+    assert (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 3 < 100
 
 
 def test_step_count_with_harmonics(base_params, sin2):
