@@ -52,7 +52,6 @@ class SweepSpec:
     metric: str = "average"        # average | bell | both
     omega_mode: str = "omega2"     # omega2 | omega4 | fixed_T | fixed_phys (unused on omega axis)
     omega_phys: float | None = None
-    delta_KL: int = 3
     safety: float = trotter.TrotterConfig.safety
     workers: int = 1
 
@@ -189,7 +188,11 @@ def parse_config(path: str) -> dict[str, str]:
 
 
 def params_from_config(cfg: dict[str, str]) -> GateParams:
-    return _build(GateParams, cfg)
+    """The gate fields, with k_max raised to the highest U_n that propagators or
+    propagator names, so that every subcommand validates at the order computed."""
+    params = _build(GateParams, cfg)
+    names = (*_value(cfg, "propagators", ()), _value(cfg, "propagator", "Unum"))
+    return params.replace(k_max=max([params.k_max] + [int(n[1]) for n in names if n != "Unum"]))
 
 
 def pulse_from_config(cfg: dict[str, str]) -> PulseShape:
@@ -209,8 +212,7 @@ def _flat_pulse_only(pulse: PulseShape, setting: str) -> None:
 
 def sweep_from_config(cfg: dict[str, str]) -> SweepSpec:
     params = params_from_config(cfg)
-    spec = _build(SweepSpec, cfg, fixed=params, pulse=pulse_from_config(cfg),
-                  delta_KL=params.K - params.L)
+    spec = _build(SweepSpec, cfg, fixed=params, pulse=pulse_from_config(cfg))
     if spec.axis != "omega" and spec.omega_mode in ("omega2", "omega4"):
         _flat_pulse_only(spec.pulse, f"omega_mode = {spec.omega_mode}")
     if isinstance(spec.grid, int):  # grid = auto:<n>, on the omega axis
@@ -240,7 +242,7 @@ def _point_params(spec: SweepSpec, value: float) -> GateParams:
     p = spec.fixed
     if spec.axis == "K":
         K = int(round(value))
-        p = p.replace(K=K, L=K - spec.delta_KL)
+        p = p.replace(K=K, L=K - (p.K - p.L))
     elif spec.axis == "eta":
         p = p.replace(eta=float(value))
     elif spec.axis == "nbar":
@@ -297,8 +299,9 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     todo = list(dict.fromkeys(k for k in keys if k is not None))
     evaluate = functools.partial(_propagators, spec.propagators, pulse=spec.pulse,
                                  safety=spec.safety)
-    if spec.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=spec.workers) as pool:
+    workers = min(spec.workers, len(todo))  # a pool starts all its processes up front
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             mats = dict(zip(todo, pool.map(evaluate, todo)))
     else:
         mats = dict(zip(todo, map(evaluate, todo)))

@@ -19,11 +19,11 @@ with the number of distinct partial beat-note sums instead of the raw tuple
 count (which exceeds 1e8 at order 5 for a three-harmonic pulse).  Only the
 operator values J_m (x) A_m depend on eta, and in the blocks each is a partial
 permutation (A_m raises the Fock level by exactly m), so the stacks are ~10%
-filled.  The pass therefore keeps, per (K, L, pulse, n_dim, m_max), a plan of
-the structurally nonzero stack entries and of the sparse maps between them,
-and each eta costs three sparse products per order.  The "tuples" route
-enumerates label tuples against the exact integral engine and is kept as a
-cross-check.
+filled.  The pass therefore keeps, per (K, L, pulse, n_dim, m_max, order), a
+plan of the structurally nonzero stack entries and of the sparse maps between
+them, built in one loop, and each eta costs three sparse products per order.
+The "tuples" route enumerates label tuples against the exact integral engine
+and is kept as a cross-check.
 """
 
 from __future__ import annotations
@@ -59,27 +59,27 @@ def _transfer_dyson(eta, K, L, n_dim, m_max, coeffs, up_to) -> list[tuple]:
     singlets, so each P_k is the pair (P_+, P_-) and 0 on the singlets.
 
     Only the operator values J_m (x) A_m depend on eta.  Everything else is the
-    cached ``_TransferPlan`` of (K, L, pulse, n_dim, m_max), so the state is one
-    vector x over the plan's entries of both block stacks and each order costs three
-    sparse products: y = A(ops) x, P_k = (-i)^k R y and x = S y.  The plan's top
+    cached ``_plan`` of (K, L, pulse, n_dim, m_max, up_to), so the state is one
+    vector x over the plan's entries of both block stacks and each lower order costs
+    three sparse products: y = A(ops) x, P_k = (-i)^k R y and x = S y.  The top
     order is read out from x in one product.
     """
-    orders = _plan(K, L, coeffs, n_dim, m_max).upto(up_to)
+    plan = _plan(K, L, coeffs, n_dim, m_max, up_to)
     # H = g(tau) sum_m e^{i 2 pi m K tau} J_m (x) A_m: the values of the J_m (x) A_m
     _, _, ops = hilbert.hamiltonian_terms(
         GateParams(eta=eta, K=K, L=L, n_dim=n_dim, m_max=m_max), PulseShape("", coeffs))
     values = np.concatenate([X.ravel() for X in ops])
     sizes = [X.shape[-1] ** 2 for X in ops]
-    x = np.ones(len(orders[0].indptr) - 1, dtype=complex)  # the identity on key 0
+    x = np.ones(len(plan[0][0]) - 1, dtype=complex)  # the identity on key 0
     p_hats = []
-    for order, o in enumerate(orders, 1):
-        if o.step is None:  # the top order
-            P = _columns(o.weights * values[o.where], o.q, o.indptr, sum(sizes)) @ x
+    for order, (indptr, where, *rest) in enumerate(plan, 1):
+        if order == up_to:
+            q, weights = rest
+            P = _columns(weights * values[where], q, indptr, sum(sizes)) @ x
         else:
-            y = _columns(values[o.where], o.rows, o.indptr, o.step.shape[1]) @ x
-            P = o.readout @ y
-            if order < up_to:
-                x = o.step @ y
+            rows, R, S = rest
+            y = _columns(values[where], rows, indptr, R.shape[1]) @ x
+            P, x = R @ y, S @ y
         p_hats.append(tuple((-1j) ** order * part.reshape(X.shape[1:])
                             for part, X in zip(np.split(P, np.cumsum(sizes)[:-1]), ops)))
     return p_hats
@@ -112,110 +112,82 @@ def _index(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=1)
-def _plan(K, L, coeffs, n_dim, m_max) -> "_TransferPlan":
-    """The last plan only: a sweep varies eta or omega_T at one key, or K without coming
-    back to a key, so no workload has more than one live plan (up to 8 MB each)."""
-    return _TransferPlan(K, L, coeffs, n_dim, m_max)
+def _plan(K, L, coeffs, n_dim, m_max, up_to) -> tuple:
+    """What the transfer pass does at every eta, from structure alone.  Only the last
+    plan is kept (up to 8 MB): a sweep varies eta or omega_T at one key, or K without
+    coming back to a key.
 
-
-class _Order:
-    """One order of a ``_TransferPlan``.  Its pairs are (input entry, sideband m) with
-    a structurally nonzero J_m (x) A_m on the entry's row, grouped by entry (column e
-    of a map holds the pairs indptr[e]..indptr[e + 1] - 1), and ``where`` reads each
-    pair's operator value from the flat op stacks of both blocks.
-
-    At the plan's top order (``step`` None) a pair keeps its skey ``s``, its output
-    stack index ``q`` and ``weights``, the antiderivative at tau = 1 of its skey.
-    Planning the next order turns these into ``rows`` (the pair's entry of y), the
-    ``readout`` map R from y onto q, and the ``step`` map S from y onto the next
-    order's entries.
-    """
-
-    def __init__(self, indptr, where, s, q, key_weights, next_keys, key_step):
-        self.indptr, self.where, self.s, self.q = indptr, where, s, q
-        self.weights = key_weights[s]
-        self.key_weights, self.next_keys, self.key_step = key_weights, next_keys, key_step
-        self.rows = self.readout = self.step = None
-
-
-class _TransferPlan:
-    """What the transfer pass does at every eta, built from structure alone.
-
-    The stacks of both blocks are one vector over entries (key, q), where q numbers
-    the (block, row, column) of a stack matrix.  Which entries can be nonzero is fixed
-    by the keys and by the pattern of J_m (x) A_m, from ``hilbert.to_blocks`` of J_m
-    and of the band of Fock levels that A_m raises by m, never from operator values,
-    so an eta at which some A_m vanishes drops no entry.  Orders are planned as a
-    pass first needs them.
-    """
-
-    def __init__(self, K, L, coeffs, n_dim, m_max):
-        taps, tap_c = hilbert.drive_taps(GateParams(eta=0.0, K=K, L=L), PulseShape("", coeffs))
-        # by beat note, so that a row of the transposed drive sums in the order of the keys
-        by_note = np.argsort(taps, kind="stable")
-        taps, self.tap_c = taps[by_note], tap_c[by_note]
-        self.sideband_shifts, self.tap_shifts = _POWERS * K * np.arange(-m_max, m_max + 1), _POWERS * taps
-        ms = range(-m_max, m_max + 1)
-        pattern = hilbert.to_blocks(np.stack([hilbert.collective_spin(m) for m in ms]),
-                                    np.stack([np.eye(n_dim, k=-m) for m in ms]))
-        # entry (row src, column c) of a block moves to (dst, c) under m, weighted by op_m[dst, src]
-        moves, identity, size, flat = [], [], 0, 0
-        for P in pattern:
-            d = P.shape[-1]
-            m, dst, src = np.nonzero(P)
-            moves.append([a.ravel() for a in (size + src[:, None] * d + np.arange(d),
-                                              size + dst[:, None] * d + np.arange(d),
-                                              np.repeat(m, d), np.repeat(flat + (m * d + dst) * d + src, d))])
-            identity.append(size + np.arange(d) * (d + 1))
-            size, flat = size + d * d, flat + P.size
-        src, dst, m, where = (np.concatenate(part).astype(np.int32) for part in zip(*moves))
-        by_src = np.argsort(src, kind="stable")
-        self.size, self.move_ptr = size, _pointers(np.bincount(src, minlength=size))
-        self.move_q, self.move_m, self.move_where = dst[by_src], m[by_src], where[by_src]
-        identity = np.concatenate(identity)
-        self.keys, self.entries = np.zeros(1, dtype=np.int64), (0 * identity, identity)
-        self.orders: list[_Order] = []
-
-    def upto(self, up_to: int) -> list[_Order]:
-        for k in range(up_to):
-            if k == len(self.orders):
-                self.orders.append(self._order())
-            if k + 1 < up_to and self.orders[k].step is None:
-                self._plan_step(self.orders[k])
-        return self.orders[:up_to]
-
-    def _order(self) -> _Order:
-        """The pairs of the next order, from its input entries, and its key maps: op_m
-        moves key nu to nu + m K (sideband), tap g on by N_g (drive), and the
-        antiderivative (``_antiderivative``) onto the next keys."""
-        (key, q), n_keys = self.entries, len(self.keys)
-        skeys, sinv = np.unique(self.keys + self.sideband_shifts[:, None], return_inverse=True)
-        ikeys, tinv = np.unique(skeys + self.tap_shifts[:, None], return_inverse=True)
-        tinv = tinv.reshape(len(self.tap_c), -1)
+    The stacks of both blocks are one vector over entries (key, q), q as in
+    ``_sideband_moves``.  An order's pairs are (input entry, sideband m) with a
+    structurally nonzero J_m (x) A_m on the entry's row, grouped by entry (column e of
+    a map holds pairs indptr[e]..indptr[e + 1] - 1); ``where`` reads each pair's
+    operator value from the flat op stacks.  A lower order is (indptr, where, rows, R,
+    S), rows the pairs' entries of y and R, S the maps from y onto P_k and onto the
+    next entries; the top order is (indptr, where, q, weights), the pairs' output q
+    and the antiderivative at tau = 1 of their keys."""
+    taps, tap_c = hilbert.drive_taps(GateParams(eta=0.0, K=K, L=L), PulseShape("", coeffs))
+    # by beat note, so that a row of the transposed drive sums in the order of the keys
+    by_note = np.argsort(taps, kind="stable")
+    taps, tap_c = taps[by_note], tap_c[by_note]
+    size, move_ptr, move_q, move_m, move_where, identity = _sideband_moves(n_dim, m_max)
+    keys, key, q = np.zeros(1, dtype=np.int64), 0 * identity, identity
+    orders = []
+    for order in range(1, up_to + 1):
+        # op_m moves key nu to nu + m K (sideband), tap g on by N_g (drive), and the
+        # antiderivative (``_antiderivative``) onto the next keys
+        skeys, sinv = np.unique(keys + _POWERS * K * np.arange(-m_max, m_max + 1)[:, None],
+                                return_inverse=True)
+        ikeys, tinv = np.unique(skeys + _POWERS * taps[:, None], return_inverse=True)
+        tinv = tinv.reshape(len(taps), -1)
         next_keys, parts = _antiderivative(ikeys)
-        # the transposed drive: row s holds c_g on the key of tap g; step^T = drive^T parts^T
-        drive_t = scipy.sparse.csr_array((np.tile(self.tap_c, len(skeys)), tinv.T.ravel(),
-                                          np.arange(0, tinv.size + 1, len(self.tap_c))),
-                                         shape=(len(skeys), len(ikeys)))
-        pos, counts = _ragged(self.move_ptr, q)
-        s = sinv.ravel()[self.move_m[pos] * n_keys + np.repeat(key, counts)]
+        pos, counts = _ragged(move_ptr, q)
+        s = sinv.ravel()[move_m[pos] * len(keys) + np.repeat(key, counts)]
+        indptr, where, q = _pointers(counts), move_where[pos], move_q[pos]
         # a term's antiderivative at tau = 1 is its column sum in parts
-        return _Order(_pointers(counts), self.move_where[pos], s, self.move_q[pos],
-                      self.tap_c @ parts.sum(axis=0)[tinv], next_keys, drive_t @ parts.T)
-
-    def _plan_step(self, o: _Order) -> None:
-        """The entries of y and of the next order, and the maps R and S onto them."""
-        codes, o.rows = _index(o.s * self.size + o.q, len(o.key_weights) * self.size)
-        skey, q = np.divmod(codes, self.size)
-        o.readout = _columns(o.key_weights[skey], q.astype(np.int32),
-                             np.arange(len(codes) + 1, dtype=np.int32), self.size)
-        step = o.key_step  # transposed: row s holds the new keys that skey s moves to
+        weights = tap_c @ parts.sum(axis=0)[tinv]
+        if order == up_to:
+            orders.append((indptr, where, q, weights[s]))
+            break
+        # the entries of y and of the next order, and the maps R and S onto them
+        codes, rows = _index(s * size + q, len(skeys) * size)
+        skey, q = np.divmod(codes, size)
+        R = _columns(weights[skey], q.astype(np.int32), np.arange(len(codes) + 1, dtype=np.int32), size)
+        # the transposed drive: row s holds c_g on the key of tap g; S^T = drive^T parts^T
+        drive_t = scipy.sparse.csr_array((np.tile(tap_c, len(skeys)), tinv.T.ravel(),
+                                          np.arange(0, tinv.size + 1, len(tap_c))),
+                                         shape=(len(skeys), len(ikeys)))
+        step = drive_t @ parts.T  # row s holds the new keys that skey s moves to
         pos, counts = _ragged(step.indptr, skey)
-        codes, rows = _index(step.indices[pos] * self.size + np.repeat(q, counts),
-                             len(o.next_keys) * self.size)
-        o.step = _columns(step.data[pos], rows, _pointers(counts), len(codes))
-        self.keys, self.entries = o.next_keys, np.divmod(codes, self.size)
-        o.s = o.q = o.weights = o.key_weights = o.next_keys = o.key_step = None
+        codes, next_rows = _index(step.indices[pos] * size + np.repeat(q, counts), len(next_keys) * size)
+        S = _columns(step.data[pos], next_rows, _pointers(counts), len(codes))
+        orders.append((indptr, where, rows, R, S))
+        keys, (key, q) = next_keys, np.divmod(codes, size)
+    return tuple(orders)
+
+
+def _sideband_moves(n_dim: int, m_max: int) -> tuple:
+    """Where J_m (x) A_m moves each entry q = (block, row, column) of the block stacks:
+    the number of q, the moves out of each q (pointers, then target q, index of m and
+    ``where`` in the flat op stacks) and the q of the identity.  The pattern comes from
+    ``hilbert.to_blocks`` of J_m and of the band of Fock levels that A_m raises by m,
+    never from operator values, so an eta at which some A_m vanishes drops no entry."""
+    ms = range(-m_max, m_max + 1)
+    pattern = hilbert.to_blocks(np.stack([hilbert.collective_spin(m) for m in ms]),
+                                np.stack([np.eye(n_dim, k=-m) for m in ms]))
+    # entry (row src, column c) of a block moves to (dst, c) under m, weighted by op_m[dst, src]
+    moves, identity, size, flat = [], [], 0, 0
+    for P in pattern:
+        d = P.shape[-1]
+        m, dst, src = np.nonzero(P)
+        moves.append([a.ravel() for a in (size + src[:, None] * d + np.arange(d),
+                                          size + dst[:, None] * d + np.arange(d),
+                                          np.repeat(m, d), np.repeat(flat + (m * d + dst) * d + src, d))])
+        identity.append(size + np.arange(d) * (d + 1))
+        size, flat = size + d * d, flat + P.size
+    src, dst, m, where = (np.concatenate(part).astype(np.int32) for part in zip(*moves))
+    by_src = np.argsort(src, kind="stable")
+    return (size, _pointers(np.bincount(src, minlength=size)), dst[by_src], m[by_src], where[by_src],
+            np.concatenate(identity))
 
 
 def _antiderivative(keys: np.ndarray) -> tuple:

@@ -11,8 +11,9 @@ by parts keeps every intermediate function an exact sum of terms
 r / (i pi)^g * tau^p * e^{i 2 pi nu tau} with r one rational and g an integer,
 so orders 4 and 5 do not suffer the catastrophic cancellation a
 naive floating-point evaluation would.  The antiderivative of each inner chain
-(N_2, ..., N_k) is shared by every tuple that ends in it, and the outermost
-integral is summed at tau = 1 without being built.
+(N_2, ..., N_k) is cached and shared by every tuple that ends in it; the
+outermost integral is summed at tau = 1 without being built, once per call,
+since a traversal asks for each whole tuple once.
 """
 
 from __future__ import annotations
@@ -129,16 +130,6 @@ def _suffix_antiderivative(Ns: tuple[int, ...]) -> OscSum:
     return integrate_step(_suffix_antiderivative(Ns[1:]), Ns[0])
 
 
-# A traversal asks for each tuple once, so this cache serves a caller that asks
-# again: it holds every tuple of one order-3 traversal at the base point (378 for
-# rect, 3,702 for sin^2), so a repeated P_3 there reads them all.
-@lru_cache(maxsize=4096)
-def _resonance_integral_cached(Ns: tuple[int, ...]) -> OscSum:
-    if not Ns:
-        return OscSum.unit()
-    return _integrate_to_one(_suffix_antiderivative(Ns[1:]), Ns[0])
-
-
 def resonance_integral(Ns: Iterable[int]) -> OscSum:
     """Exact value of the nested integral for an integer beat-note tuple.
 
@@ -147,7 +138,7 @@ def resonance_integral(Ns: Iterable[int]) -> OscSum:
     Ns = _integer_tuple(Ns)
     if len(Ns) > 5:
         raise ValueError("orders above 5 are out of scope")
-    return _resonance_integral_cached(Ns)
+    return _integrate_to_one(_suffix_antiderivative(Ns[1:]), Ns[0]) if Ns else OscSum.unit()
 
 
 def may_be_resonant(Ns) -> np.ndarray:

@@ -53,6 +53,15 @@ def unum_omega4(params_omega4, rect):
     return trotter.propagate_numeric(params_omega4, rect)
 
 
+@pytest.fixture
+def clear_transfer():
+    """Call to empty the Dyson cache and the transfer plan, so that the next pass builds both."""
+    def clear():
+        magnus._transfer_dyson.cache_clear()
+        magnus._plan.cache_clear()
+    return clear
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)

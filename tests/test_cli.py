@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,61 @@ def test_parallel_and_serial_agree(tmp_path):
     assert serial == parallel
     assert all(row.split(",")[-1] == "ok" for row in serial.splitlines()[1:])
     assert "bell_Unum" in serial.splitlines()[0]
+
+
+def test_pool_starts_no_more_processes_than_points(tmp_path, monkeypatch):
+    # a pool starts all its processes up front, so it gets one per distinct point at most
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    spec = sweep_from_config(parse_config(_write(tmp_path, "s.cfg", MINI_SWEEP.replace("28.0:32.0:5", "28,30"))))
+    serial = rows_to_csv(run_sweep(spec))
+    spec.workers = 64
+    assert rows_to_csv(run_sweep(spec)) == serial and started == [2]
+    # an nbar sweep reuses one set of propagators: no pool at all
+    spec = sweep_from_config(parse_config(_write(tmp_path, "n.cfg", NBAR_SWEEP + "grid = 0.1,0.2,0.3\n")))
+    spec.workers = 64
+    assert [r["status"] for r in run_sweep(spec)] == ["ok"] * 3 and started == [2]
+
+
+U5_POINTS = """
+eta = 0.18
+K = 25
+L = 20
+pulse = rect
+axis = omega
+grid = 20,30
+"""
+
+
+def test_points_are_validated_at_the_highest_order_computed(tmp_path, capsys):
+    # 4 K = 5 L: a jK = lL coincidence beyond the default k_max = 4 but within U5's order
+    for lines in ("propagators = U4,U5\n", "propagators = U5\nk_max = 2\n"):
+        path = _write(tmp_path, "u5.cfg", U5_POINTS + lines)
+        assert cli.main(["sweep", path]) == 0
+        assert [line.split(",")[-1] for line in capsys.readouterr().out.splitlines()[1:]] == ["skip:jK=lL"] * 2
+        assert cli.main(["check", path]) == 2
+        assert "FAIL  jK=lL  (j=4, l=5)" in capsys.readouterr().out
+    assert cli.main(["propagate", _write(tmp_path, "p.cfg", U5_POINTS + "omega_T = 20\npropagator = U5\n")]) == 2
+    assert "jK=lL" in capsys.readouterr().err
+    # up to U4 the points are valid at the given k_max
+    path = _write(tmp_path, "u4.cfg", U5_POINTS + "propagators = U4\n")
+    assert cli.main(["sweep", path]) == 0
+    assert [line.split(",")[-1] for line in capsys.readouterr().out.splitlines()[1:]] == ["ok"] * 2
+    assert cli.main(["check", path]) == 0
 
 
 def test_nbar_sweep_reuses_propagators(tmp_path):

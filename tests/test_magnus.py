@@ -236,18 +236,14 @@ def test_dyson_cache_reuse(base_params, rect, monkeypatch):
     assert all(np.array_equal(x, y) for X, Y in zip(again, a) for x, y in zip(X, Y))
 
 
-def _cold_transfer(*key):
-    magnus._transfer_dyson.cache_clear()
-    magnus._plan.cache_clear()
-    return magnus._transfer_dyson(*key)
-
-
-def test_plan_does_not_depend_on_the_first_eta():
+def test_plan_does_not_depend_on_the_first_eta(clear_transfer):
     # at eta = 0 every m != 0 operator vanishes; the plan built there must keep their entries
     key = (28, 25, 8, 3, sin_squared().cache_key(), 5)
-    _cold_transfer(0.0, *key)
+    clear_transfer()
+    magnus._transfer_dyson(0.0, *key)
     reused = magnus._transfer_dyson(0.18, *key)
-    cold = _cold_transfer(0.18, *key)
+    clear_transfer()
+    cold = magnus._transfer_dyson(0.18, *key)
     for P, Q in zip(reused, cold):
         for x, y in zip(P, Q):
             assert np.abs(x - y).max() <= 1e-15 * np.abs(y).max()
@@ -263,9 +259,8 @@ def _count_calls(monkeypatch, module, name, calls):
     monkeypatch.setattr(module, name, counted)
 
 
-def test_second_eta_builds_no_plan(base_params, sin2, monkeypatch):
-    magnus._transfer_dyson.cache_clear()
-    magnus._plan.cache_clear()
+def test_second_eta_builds_no_plan(base_params, sin2, monkeypatch, clear_transfer):
+    clear_transfer()
     magnus.dyson_hat_terms(base_params, sin2, 5)
     calls = []
     _count_calls(monkeypatch, magnus, "_antiderivative", calls)
@@ -273,24 +268,15 @@ def test_second_eta_builds_no_plan(base_params, sin2, monkeypatch):
     for eta in (0.1, 0.2, 0.1):  # two misses and one hit of the Dyson cache
         magnus.dyson_hat_terms(base_params.replace(eta=eta), sin2, 5)
     assert calls == ["hamiltonian_terms"] * 2
-    # a lower order reads the same plan
-    magnus.dyson_hat_terms(base_params.replace(eta=0.3), sin2, 3)
-    assert calls == ["hamiltonian_terms"] * 3
 
 
-def test_plan_extends_order_by_order(base_params, rect, monkeypatch):
-    # dyson_term(3) then dyson_term(4) at one K share one plan: four orders are planned, not
-    # seven, and the terms match a plan built at order 4
+def test_orders_3_then_4_match_a_cold_order_4_plan(base_params, rect, clear_transfer):
+    # dyson_term(3) then dyson_term(4) at one K, as the cross-check asks for them, give the
+    # terms of a plan built cold at order 4
     p = base_params.replace(omega_T=1.0)
-    magnus._transfer_dyson.cache_clear()
-    magnus._plan.cache_clear()
-    calls = []
-    with monkeypatch.context() as patch:
-        _count_calls(patch, magnus, "_antiderivative", calls)
-        low, high = magnus.dyson_term(3, p, rect), magnus.dyson_term(4, p, rect)
-    assert len(calls) == 4
-    magnus._transfer_dyson.cache_clear()
-    magnus._plan.cache_clear()
+    clear_transfer()
+    low, high = magnus.dyson_term(3, p, rect), magnus.dyson_term(4, p, rect)
+    clear_transfer()
     assert np.array_equal(magnus.dyson_term(4, p, rect), high)
     assert np.abs(magnus.dyson_term(3, p, rect) - low).max() <= 1e-15 * np.abs(low).max()
 
@@ -303,9 +289,9 @@ def test_sideband_terms_are_partial_permutations_in_the_blocks(n_dim):
         for X in hilbert.to_blocks(hilbert.collective_spin(m), hilbert.sideband_operator(m, 0.3, n_dim)):
             assert (X != 0).sum(axis=0).max(initial=0) <= 1 and (X != 0).sum(axis=1).max(initial=0) <= 1, m
     for m_max in range(min(5, n_dim) + 1):
-        plan = magnus._TransferPlan(28, 25, rectangular().cache_key(), n_dim, m_max)
-        for q in range(plan.size):
-            moves = plan.move_m[plan.move_ptr[q]:plan.move_ptr[q + 1]]
+        size, move_ptr, _, move_m, _, _ = magnus._sideband_moves(n_dim, m_max)
+        for q in range(size):
+            moves = move_m[move_ptr[q]:move_ptr[q + 1]]
             assert len(set(moves)) == len(moves), (m_max, q)
 
 

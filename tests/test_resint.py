@@ -166,7 +166,6 @@ def test_shared_suffixes_give_the_stepwise_rationals():
     # make the suffix cache evict; every value must still be the same rationals
     rng = np.random.default_rng(16)
     tuples = [tuple(int(n) for n in rng.integers(-7, 8, int(rng.integers(1, 6)))) for _ in range(2000)]
-    resint._resonance_integral_cached.cache_clear()
     resint._suffix_antiderivative.cache_clear()
     for Ns in tuples:
         assert resonance_integral(Ns).terms == stepwise(Ns), Ns
@@ -178,7 +177,6 @@ def test_shared_suffixes_give_the_stepwise_rationals():
 def test_tuple_route_reads_each_suffix_once(base_params, rect):
     # the route varies N_k slowest, so each inner chain N_j..N_k (j >= 2) is built once
     p = base_params.replace(omega_T=1.0)
-    resint._resonance_integral_cached.cache_clear()
     resint._suffix_antiderivative.cache_clear()
     magnus.dyson_term(4, p, rect, method="tuples")
     taps, _ = hilbert.drive_taps(p, rect)
@@ -186,12 +184,6 @@ def test_tuple_route_reads_each_suffix_once(base_params, rect):
     tuples = np.array(list(itertools.product(notes, repeat=4)))
     suffixes = {tuple(Ns[j:]) for Ns in tuples[may_be_resonant(tuples)].tolist() for j in range(1, 5)}
     assert resint._suffix_antiderivative.cache_info().misses <= 1.1 * len(suffixes)
-
-
-def test_memoization_returns_same_object():
-    x = resonance_integral((4, -4, 2))
-    y = resonance_integral((4, -4, 2))
-    assert x is y
 
 
 def test_order_above_five_rejected():
@@ -224,7 +216,7 @@ def test_non_integer_beat_notes_rejected(call, Ns):
 
 
 def test_integer_valued_beat_notes_accepted():
-    assert resonance_integral(np.array([3, -3])) is resonance_integral((3, -3))
+    assert resonance_integral(np.array([3, -3])).terms == resonance_integral((3, -3)).terms
     assert is_resonant([3.0, -3.0])
 
 

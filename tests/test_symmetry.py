@@ -90,7 +90,7 @@ def _forbidden(*args, **kwargs):
 
 
 @pytest.mark.parametrize("pulse, propagators", [("rect", "U2,U3,U4,U5,Unum"), ("sin2", "Unum")])
-def test_sweep_point_forms_no_composite_matrix(monkeypatch, tmp_path, pulse, propagators):
+def test_sweep_point_forms_no_composite_matrix(monkeypatch, tmp_path, clear_transfer, pulse, propagators):
     # from the Hamiltonian to the average fidelity everything stays in the blocks
     path = tmp_path / "point.cfg"
     path.write_text(f"eta = 0.18\nK = 28\nL = 25\nnbar = 0.02\npulse = {pulse}\naxis = omega\n"
@@ -98,8 +98,7 @@ def test_sweep_point_forms_no_composite_matrix(monkeypatch, tmp_path, pulse, pro
     spec = cli.sweep_from_config(cli.parse_config(str(path)))
     want = cli.run_sweep(spec)
     hilbert.collective_spins()  # the 4 x 4 qubit operators, built with kron once per process
-    magnus._transfer_dyson.cache_clear()
-    magnus._plan.cache_clear()  # the plan is built under the patches too
+    clear_transfer()  # the plan is built under the patches too
     fidelity._average_basis.cache_clear()
     for module, name in ((np, "kron"), (hilbert, "embed"), (hilbert, "symmetry_blocks")):
         monkeypatch.setattr(module, name, _forbidden)
@@ -188,7 +187,7 @@ def test_level_block_matches_the_composite_slice(n_dim):
             assert np.abs(got - U[row::n_dim, col::n_dim]).max() <= tol, (row, col)
 
 
-def test_level_coefficients_form_no_composite_matrix(monkeypatch):
+def test_level_coefficients_form_no_composite_matrix(monkeypatch, clear_transfer):
     # Z_k is read in its blocks, from the assembly to every Fock-level coefficient
     p = GateParams(eta=0.18, K=28, L=25, omega_T=20.0)
     J = hilbert.collective_spins()  # the 4 x 4 qubit operators, built with kron once per process
@@ -200,8 +199,7 @@ def test_level_coefficients_form_no_composite_matrix(monkeypatch):
                 magnus.fock_offdiagonal_max(terms[2], p))
 
     want = read()
-    magnus._transfer_dyson.cache_clear()
-    magnus._plan.cache_clear()  # the plan is built under the patches too
+    clear_transfer()  # the plan is built under the patches too
     for module, name in ((np, "kron"), (hilbert, "embed"), (hilbert, "symmetry_blocks")):
         monkeypatch.setattr(module, name, _forbidden)
     assert read() == want
