@@ -76,13 +76,11 @@ def combined_dy(params: GateParams, omega_T: float) -> float:
 
     Setting d_y = -pi/2 reproduces the Omega_4 quadratic.  (The sign of the
     first term is fixed by the gate rotation being negative; the source
-    expression prints it with (eta^2 - 1) instead.)
+    expression prints it with (eta^2 - 1) instead.)  It is the sum of the generic
+    column over the Jy^2 rows of the budget table.
     """
-    K, L, eta = params.K, params.L, params.eta
-    X = omega_T * omega_T
-    a = K * eta * eta / (math.pi * (K * K - L * L))
-    b = K * eta * eta / (4 * math.pi ** 3 * L * L * (K * K - L * L))
-    return -a * (1 - eta * eta) * X + b * X * X
+    return sum(row_generic(label, params, omega_T)
+               for label in ROW_LABELS if OPERATOR_TAGS[label] == "Jy^2")
 
 
 def quadratic_residual(params: GateParams, omega_T: float) -> float:

@@ -51,7 +51,6 @@ class SweepSpec:
     propagators: tuple[str, ...] = ("U2", "U3", "U4", "Unum")
     metric: str = "average"        # average | bell | both
     omega_mode: str = "omega2"     # omega2 | omega4 | fixed_T | fixed_phys (unused on omega axis)
-    omega_phys: float | None = None
     safety: float = trotter.TrotterConfig.safety
     workers: int = 1
 
@@ -178,6 +177,8 @@ def parse_config(path: str) -> dict[str, str]:
     # cross-key rules, here so that every subcommand rejects the same configs
     if "omega_phys" in raw and "trap_freq" not in raw:
         raise ConfigError("omega_phys (rad/s) needs trap_freq (Hz) for the gate time")
+    if "omega_phys" in raw and "omega_T" in raw:
+        raise ConfigError("give the drive as omega_T or as omega_phys, not both")
     if raw.get("omega_mode") == "fixed_phys" and "omega_phys" not in raw:
         raise ConfigError("omega_mode = fixed_phys requires omega_phys (rad/s)")
     if raw.get("pulse") == "custom" and "pulse_coeffs" not in raw:
@@ -188,9 +189,12 @@ def parse_config(path: str) -> dict[str, str]:
 
 
 def params_from_config(cfg: dict[str, str]) -> GateParams:
-    """The gate fields, with k_max raised to the highest U_n that propagators or
-    propagator names, so that every subcommand validates at the order computed."""
+    """The gate fields, with omega_T converted from omega_phys at the base gate time and
+    k_max raised to the highest U_n that propagators or propagator names, so that every
+    subcommand validates at the order computed."""
     params = _build(GateParams, cfg)
+    if "omega_phys" in cfg:
+        params = params.replace(omega_T=params.omega_T_from_physical(_value(cfg, "omega_phys")))
     names = (*_value(cfg, "propagators", ()), _value(cfg, "propagator", "Unum"))
     return params.replace(k_max=max([params.k_max] + [int(n[1]) for n in names if n != "Unum"]))
 
@@ -211,6 +215,8 @@ def _flat_pulse_only(pulse: PulseShape, setting: str) -> None:
 
 
 def sweep_from_config(cfg: dict[str, str]) -> SweepSpec:
+    # a sweep computes the default propagators when the config names none: validate at their order
+    cfg = {"propagators": ",".join(SweepSpec.propagators), **cfg}
     params = params_from_config(cfg)
     spec = _build(SweepSpec, cfg, fixed=params, pulse=pulse_from_config(cfg))
     if spec.axis != "omega" and spec.omega_mode in ("omega2", "omega4"):
@@ -250,11 +256,7 @@ def _point_params(spec: SweepSpec, value: float) -> GateParams:
     # drive strength
     if spec.axis == "omega":
         p = p.replace(omega_T=float(value))
-    elif spec.omega_mode == "fixed_phys":
-        # converted once at the base parameters: a fixed physical amplitude
-        # means a fixed dimensionless omega_T anchored at the base gate time
-        p = p.replace(omega_T=spec.fixed.omega_T_from_physical(spec.omega_phys))
-    elif spec.omega_mode != "fixed_T" and validate(p).ok:
+    elif spec.omega_mode in ("omega2", "omega4") and validate(p).ok:
         # the closed forms need a valid point; an amplitude with no real value
         # is NaN, which fails the omega_T sign rule
         amps = budget.amplitude_set(p)
@@ -409,8 +411,6 @@ def _cmd_propagate(args) -> int:
     if not rep.ok:
         print(f"invalid parameters: {rep.summary()}", file=sys.stderr)
         return 2
-    if "omega_phys" in cfg and params.omega_T == 0:
-        params = params.replace(omega_T=params.omega_T_from_physical(_value(cfg, "omega_phys")))
     which = _value(cfg, "propagator", "Unum")
     U = hilbert.embed(_propagators((which,), params, pulse,
                                    _value(cfg, "safety", trotter.TrotterConfig.safety))[which],

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .params import GateParams, beat_note
 from .pulses import PulseShape
@@ -98,11 +97,15 @@ def sideband_operator(m: int, eta: float, n_dim: int) -> np.ndarray:
 
 
 def matrix_exp(A: np.ndarray) -> np.ndarray:
-    """Matrix exponential exp(A) by scaling and squaring (Pade)."""
-    A = np.asarray(A, dtype=complex)
-    if not np.all(np.isfinite(A)):
+    """exp(A) of an anti-Hermitian A, or of a stack of them, as V exp(-i lam) V^H from
+    the eigh of the Hermitian generator iA (unitary to rounding at any norm)."""
+    H = 1j * np.asarray(A, dtype=complex)
+    if not np.all(np.isfinite(H)):
         raise ValueError("matrix_exp requires finite entries")
-    return scipy.linalg.expm(A)
+    if hermiticity_defect(H) > 1e-12 * np.abs(H).max():
+        raise ValueError("matrix_exp requires an anti-Hermitian argument")
+    lam, V = np.linalg.eigh(H)
+    return (V * np.exp(-1j * lam)[..., None, :]) @ np.swapaxes(V, -1, -2).conj()
 
 
 def drive_taps(params: GateParams, pulse: PulseShape) -> tuple[np.ndarray, np.ndarray]:

@@ -296,12 +296,11 @@ def magnus_terms(params: GateParams, pulse: PulseShape | None = None,
 def propagators_upto(params: GateParams, pulse: PulseShape | None = None,
                      max_order: int = 4) -> dict[int, tuple]:
     """Truncated propagators {n: (U_+, U_-)} in block form, U_n = exp(-i sum_{k=2}^n Z_k)
-    for n = 2..max_order, from a single assembly and one exponential per block."""
-    out, gen = {}, (0, 0)
-    for n, Z in magnus_terms(params, pulse, max_order).items():
-        gen = tuple(g + z for g, z in zip(gen, Z))
-        out[n] = tuple(hilbert.matrix_exp(-1j * g) for g in gen)
-    return out
+    for n = 2..max_order, from a single assembly and one exponential per block, taken
+    of the stack of its running sums over the orders."""
+    Z = magnus_terms(params, pulse, max_order)
+    U = [hilbert.matrix_exp(-1j * np.cumsum(np.stack(Zb), axis=0)) for Zb in zip(*Z.values())]
+    return {n: tuple(Ub[i] for Ub in U) for i, n in enumerate(Z)}
 
 
 # ---------------------------------------------------------------------------

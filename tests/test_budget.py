@@ -62,6 +62,18 @@ def test_omega_4_root_property(base_params):
     assert combined_dy(base_params, w4) == pytest.approx(-math.pi / 2, abs=1e-10)
 
 
+@pytest.mark.parametrize("K, L, eta", [(28, 25, 0.18), (100, 97, 0.1), (50, 46, 0.3)])
+def test_combined_dy_is_the_docstring_quadratic(K, L, eta):
+    # the sum of the three Jy^2 rows at n = 0 is the printed d_y, which is -pi/2 at omega_4
+    p = GateParams(eta=eta, K=K, L=L)
+    KK, LL = K * K, L * L
+    for W in (omega_ld(p), omega_4(p), 3.7):
+        want = (-W ** 2 * K * eta ** 2 * (1 - eta ** 2) / (math.pi * (KK - LL))
+                + W ** 4 * K * eta ** 2 / (4 * math.pi ** 3 * LL * (KK - LL)))
+        assert combined_dy(p, W) == pytest.approx(want, rel=1e-14)
+    assert combined_dy(p, omega_4(p)) == pytest.approx(-math.pi / 2, rel=1e-12)
+
+
 def test_omega_4_fixed_s_scaling(base_params):
     # at fixed s the closed form scales exactly as eta^(-1/2)
     s = budget.s_parameter(base_params)

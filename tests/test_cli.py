@@ -1,4 +1,8 @@
 import concurrent.futures
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from msgate.cli import (
     run_sweep,
     sweep_from_config,
 )
+from msgate.params import GateParams
 
 MINI_SWEEP = """
 # tiny omega sweep
@@ -192,6 +197,16 @@ def test_points_are_validated_at_the_highest_order_computed(tmp_path, capsys):
     assert cli.main(["check", path]) == 0
 
 
+def test_default_propagators_are_validated_at_their_order(tmp_path, capsys):
+    # no propagators key: the sweep computes U2, U3, U4 and Unum, and 3 K = 4 L at K = 28, L = 21
+    path = _write(tmp_path, "d.cfg", "eta = 0.18\nK = 28\nL = 21\nk_max = 2\npulse = rect\n"
+                                     "axis = omega\ngrid = 20\n")
+    assert cli.main(["sweep", path]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[-1] == "skip:jK=lL"
+    # check validates at the config's k_max, as before
+    assert cli.main(["check", path]) == 0
+
+
 def test_nbar_sweep_reuses_propagators(tmp_path):
     text = """
 eta = 0.18
@@ -268,8 +283,6 @@ def test_main_check_lists_every_rule(tmp_path, capsys):
 
 
 def test_benchmark_configs_parse():
-    import pathlib
-
     cfg_dir = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "configs"
     names = sorted(cfg_dir.glob("*.cfg"))
     assert names
@@ -301,6 +314,17 @@ def test_main_budget(tmp_path, capsys):
     assert cli.main(["budget", path, "--csv"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("label,operator,generic")
+
+
+def test_main_budget_at_physical_drive(tmp_path, capsys):
+    # omega_phys is converted once, at the gate time K / trap_freq
+    omega_T = GateParams(eta=0.18, K=28, L=25, trap_freq=1.0e6).omega_T_from_physical(1.1e6)
+    outs = []
+    for drive in ("omega_phys = 1.1e6\n", f"omega_T = {omega_T!r}\n"):
+        assert cli.main(["budget", _write(tmp_path, "b.cfg", CHECK_OK + "trap_freq = 1.0e6\n" + drive)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and "combined d_y" in outs[0]
+    assert float(outs[0].splitlines()[2].split()[2]) != 0.0  # the generic Gate cell
 
 
 def test_main_budget_invalid_params(tmp_path):
@@ -335,8 +359,6 @@ def test_overrides(tmp_path):
 
 
 def test_figure_presets_parse():
-    import pathlib
-
     cfg_dir = pathlib.Path(__file__).resolve().parents[1] / "configs"
     names = sorted(p.name for p in cfg_dir.glob("fig*.cfg"))
     assert names == ["fig2.cfg", "fig3a.cfg", "fig3b.cfg", "fig3c.cfg",
@@ -344,6 +366,20 @@ def test_figure_presets_parse():
     for name in names:
         spec = sweep_from_config(parse_config(str(cfg_dir / name)))
         assert spec.grid
+
+
+def test_sweep_imports_neither_scipy_linalg_nor_optimize():
+    # both cost start-up time; every unitary is exponentiated by eigh
+    code = ("import sys\nfrom msgate import cli\n"
+            "spec = cli.sweep_from_config(cli.parse_config(sys.argv[1]))\n"
+            "spec.grid = spec.grid[:2]\n"
+            "assert [row['status'] for row in cli.run_sweep(spec)] == ['ok'] * 2\n"
+            "print(sorted({'scipy.linalg', 'scipy.optimize'} & sys.modules.keys()))")
+    root = pathlib.Path(__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", code, str(root / "configs" / "fig2.cfg")],
+                         env={**os.environ, "PYTHONPATH": str(root / "src")},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("lines", [
@@ -395,6 +431,7 @@ def test_malformed_input_is_config_error(tmp_path, capsys, lines):
     "pulse = custom\n",                    # no pulse_coeffs
     "grid = auto\n",                       # auto grid off the omega axis (axis = K)
     "omega_mode = fixed_phys\n",           # no omega_phys
+    "omega_T = 20\nomega_phys = 1e5\ntrap_freq = 1e6\n",  # the drive given twice
     "pulse = custom\npulse_coeffs = 0:nan:0\n",  # non-finite coefficients
     "pulse = custom\npulse_coeffs = 0:inf:0\n",
     "K = 28\nK = 40\n",                    # a key given twice
@@ -481,7 +518,6 @@ def test_main_budget_without_real_omega_2(tmp_path, capsys):
 
 
 def test_readme_documents_every_config_key():
-    import pathlib
     import re
 
     readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()

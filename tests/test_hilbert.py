@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 from msgate import hilbert
@@ -132,6 +133,22 @@ def test_matrix_exp_rejects_nonfinite():
     A[0, 0] = np.nan
     with pytest.raises(ValueError):
         matrix_exp(A)
+
+
+@pytest.mark.parametrize("A", [hilbert.SIGMA_X, np.array([[0, 1], [0, 0]]),
+                               1j * hilbert.SIGMA_X + [[0, 1e-10], [0, 0]]])  # 1e-10 off
+def test_matrix_exp_rejects_non_antihermitian(A):
+    with pytest.raises(ValueError, match="anti-Hermitian"):
+        matrix_exp(A)
+
+
+def test_matrix_exp_of_a_stack_is_the_stack_of_exponentials(rng):
+    X = rng.normal(size=(3, 12, 12)) + 1j * rng.normal(size=(3, 12, 12))
+    A = X - np.swapaxes(X, -1, -2).conj()
+    got = matrix_exp(A)
+    for a, u in zip(A, got):
+        assert np.abs(u - scipy.linalg.expm(a)).max() <= 1e-13
+        assert np.abs(u - matrix_exp(a)).max() <= 1e-15
 
 
 def test_hamiltonian_zero_drive(base_params, rect):
