@@ -8,8 +8,10 @@ Omega_LD and at the fourth-order-corrected amplitude Omega_4.
 Transcription notes (kept verbatim, deliberately not "fixed"):
   * the Z3 second-sideband entry's Omega_4 column carries a leading minus
     sign although the generic column is positive, and its Omega_LD column
-    differs from direct substitution; column-consistency checks therefore
-    cover only the Gate, Z2_m1, Z2_m2 and Z4_m1_Jy2 rows;
+    differs from direct substitution;
+  * the Z4_m1_Jxy Omega_4 column has K^2 - 4L^4 for K^2 - 4L^2 in its last
+    denominator factor (its Omega_LD column is exact); the other six rows
+    equal direct substitution in both columns (CONSISTENT_ROWS);
   * the q_x denominator polynomial of the sin^2 forms is transcribed
     literally, including its first factor (4K^2 - L).
 """
@@ -54,7 +56,7 @@ def omega_4(params: GateParams, s: float | None = None) -> float:
     """Fourth-order-corrected amplitude.
 
     Omega_4^2*T^2 = sqrt(2)*pi^2*L*(s - sqrt(s^2 - (K^2-L^2))) / (sqrt(K)*eta).
-    Raises ValueError when s^2 < K^2 - L^2 (no real solution).  The optional
+    NaN when s^2 < K^2 - L^2 (no real solution), as omega_2 is.  The optional
     ``s`` argument overrides the default s(eta); at fixed s the amplitude
     scales exactly as eta^(-1/2).
     """
@@ -62,7 +64,7 @@ def omega_4(params: GateParams, s: float | None = None) -> float:
     s = s_parameter(params) if s is None else s
     disc = s * s - (K * K - L * L)
     if disc < 0:
-        raise ValueError(f"no real fourth-order amplitude: s^2={s*s:.6g} < K^2-L^2={K*K-L*L}")
+        return math.nan
     w2 = SQRT2 * math.pi ** 2 * L * (s - math.sqrt(disc)) / (math.sqrt(K) * eta)
     return math.sqrt(w2)
 
@@ -95,21 +97,12 @@ class AmplitudeSet:
     omega_4: float
     s: float
     omega_4_residual: float
-    omega_4_valid: bool
 
 
 def amplitude_set(params: GateParams) -> AmplitudeSet:
-    s = s_parameter(params)
-    try:
-        w4 = omega_4(params)
-        res = quadratic_residual(params, w4)
-        valid = True
-    except ValueError:
-        w4, res, valid = float("nan"), float("nan"), False
-    return AmplitudeSet(
-        omega_ld=omega_ld(params), omega_2=omega_2(params),
-        omega_4=w4, s=s, omega_4_residual=res, omega_4_valid=valid,
-    )
+    w4 = omega_4(params)
+    return AmplitudeSet(omega_ld=omega_ld(params), omega_2=omega_2(params), omega_4=w4,
+                        s=s_parameter(params), omega_4_residual=quadratic_residual(params, w4))
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +125,7 @@ OPERATOR_TAGS = {
 
 # Rows whose Omega_LD / Omega_4 columns equal the generic column under direct
 # substitution (checked at 1e-9 relative in the tests).
-CONSISTENT_ROWS = ("Gate", "Z2_m1", "Z2_m2", "Z4_m1_Jy2")
+CONSISTENT_ROWS = ("Gate", "Z2_m1", "Z2_m2", "Z3_m1", "Z4_m1_Jz2", "Z4_m1_Jy2")
 
 
 def row_generic(label: str, params: GateParams, omega_T: float, n: int = 0) -> float:
@@ -236,9 +229,8 @@ class BudgetRow:
     at_o4: float
 
 
-def table_rows(params: GateParams, at: AmplitudeSet | None = None, n: int = 0) -> list[BudgetRow]:
+def table_rows(params: GateParams, n: int = 0) -> list[BudgetRow]:
     """All budget rows; the generic column is evaluated at params.omega_T."""
-    at = at if at is not None else amplitude_set(params)
     rows = []
     for label in ROW_LABELS:
         rows.append(BudgetRow(

@@ -9,13 +9,15 @@ Subcommands:
 Config files are plain ``key = value`` lines (``#`` comments); a key outside
 CONFIG_KEYS, or a value its parser there rejects, is a config error.  The
 gate fields use the exact names eta, K, L, omega_T, nbar, n_dim, m_max,
-k_max, trap_freq.  Exit codes: 0 success, 1 config error, 2 validation
-failure or a computation that failed (a ValueError or ArithmeticError, such as
-a drive strong enough to overflow), reported as one ``error:`` line.
+k_max.  Exit codes: 0 success, 1 config error, 2 validation failure or a
+computation that failed (a ValueError or ArithmeticError, such as a drive
+strong enough to overflow), reported as one ``error:`` line.
 
-Unit conventions at this boundary: trap_freq is the physical nu/(2*pi) in
-Hz; omega_phys is the drive amplitude Omega in rad/s, converted through the
-gate time T = K / trap_freq.  Everything downstream is dimensionless.
+This module owns the physical units and the validated order.  trap_freq is
+nu/(2*pi) in Hz and omega_phys the drive amplitude Omega in rad/s, converted
+once to omega_T through the gate time T = K / trap_freq; each subcommand
+validates at the highest U_n it computes (check and budget: that either
+propagator key names).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import sys
 import numpy as np
 
 from . import budget, fidelity, hilbert, magnus, trotter
-from .params import RULES, GateParams, validate, validate_with_pulse
+from .params import RULES, GateParams, validate
 from .pulses import PulseShape, rectangular, sin_squared, validate_shape
 
 PROPAGATOR_NAMES = ("U2", "U3", "U4", "U5", "Unum")
@@ -188,15 +190,18 @@ def parse_config(path: str) -> dict[str, str]:
     return raw
 
 
-def params_from_config(cfg: dict[str, str]) -> GateParams:
-    """The gate fields, with omega_T converted from omega_phys at the base gate time and
-    k_max raised to the highest U_n that propagators or propagator names, so that every
-    subcommand validates at the order computed."""
+def params_from_config(cfg: dict[str, str], names: tuple[str, ...] = ()) -> GateParams:
+    """The gate fields, with omega_T = omega_phys * T at the base gate time T = K / trap_freq
+    and k_max raised to the highest U_n in ``names``, the propagators the caller computes."""
     params = _build(GateParams, cfg)
     if "omega_phys" in cfg:
-        params = params.replace(omega_T=params.omega_T_from_physical(_value(cfg, "omega_phys")))
-    names = (*_value(cfg, "propagators", ()), _value(cfg, "propagator", "Unum"))
+        params = params.replace(omega_T=_value(cfg, "omega_phys") * (params.K / _value(cfg, "trap_freq")))
     return params.replace(k_max=max([params.k_max] + [int(n[1]) for n in names if n != "Unum"]))
+
+
+def _both_names(cfg: dict[str, str]) -> tuple[str, ...]:
+    """The names under both propagator keys: check and budget validate at the highest of them."""
+    return (*_value(cfg, "propagators", ()), _value(cfg, "propagator", "Unum"))
 
 
 def pulse_from_config(cfg: dict[str, str]) -> PulseShape:
@@ -215,9 +220,7 @@ def _flat_pulse_only(pulse: PulseShape, setting: str) -> None:
 
 
 def sweep_from_config(cfg: dict[str, str]) -> SweepSpec:
-    # a sweep computes the default propagators when the config names none: validate at their order
-    cfg = {"propagators": ",".join(SweepSpec.propagators), **cfg}
-    params = params_from_config(cfg)
+    params = params_from_config(cfg, _value(cfg, "propagators", SweepSpec.propagators))
     spec = _build(SweepSpec, cfg, fixed=params, pulse=pulse_from_config(cfg))
     if spec.axis != "omega" and spec.omega_mode in ("omega2", "omega4"):
         _flat_pulse_only(spec.pulse, f"omega_mode = {spec.omega_mode}")
@@ -228,7 +231,7 @@ def sweep_from_config(cfg: dict[str, str]) -> SweepSpec:
             raise ConfigError(f"grid = auto needs valid base parameters: {rep.summary()}")
         amps = budget.amplitude_set(params)
         lo_f, hi_f = _value(cfg, "omega_span", (0.7, 1.3))
-        lo = lo_f * (amps.omega_4 if amps.omega_4_valid else amps.omega_2)
+        lo = lo_f * (amps.omega_2 if math.isnan(amps.omega_4) else amps.omega_4)
         hi = hi_f * amps.omega_2
         if not lo < hi:
             raise ConfigError(f"grid = auto spans no range: [{lo}, {hi}]")
@@ -296,7 +299,7 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     The propagators do not depend on nbar, so they are computed once per
     distinct valid p.replace(nbar=0) and reweighted per point."""
     points = [_point_params(spec, v) for v in spec.grid]
-    reports = [validate_with_pulse(p, spec.pulse) for p in points]
+    reports = [validate(p, spec.pulse) for p in points]
     keys = [p.replace(nbar=0.0) if rep.ok else None for p, rep in zip(points, reports)]
     todo = list(dict.fromkeys(k for k in keys if k is not None))
     evaluate = functools.partial(_propagators, spec.propagators, pulse=spec.pulse,
@@ -375,25 +378,24 @@ def _cmd_sweep(args) -> int:
 def _cmd_budget(args) -> int:
     cfg = _load(args)
     _flat_pulse_only(pulse_from_config(cfg), "msgate budget")
-    params = params_from_config(cfg)
+    params = params_from_config(cfg, _both_names(cfg))
     rep = validate(params)
     if not rep.ok:
         print(f"invalid parameters: {rep.summary()}", file=sys.stderr)
         return 2
-    amps = budget.amplitude_set(params)
-    rows = budget.table_rows(params, amps)
+    rows = budget.table_rows(params)
     combined = budget.combined_dy(params, params.omega_T) if params.omega_T else None
     if args.csv:
         text = budget.rows_to_csv(rows)
     else:
-        text = budget.render_table(rows, amps, combined) + "\n"
+        text = budget.render_table(rows, budget.amplitude_set(params), combined) + "\n"
     _write(text, args.out)
     return 0
 
 
 def _cmd_check(args) -> int:
     cfg = _load(args)
-    rep = validate_with_pulse(params_from_config(cfg), pulse_from_config(cfg))
+    rep = validate(params_from_config(cfg, _both_names(cfg)), pulse_from_config(cfg))
     failed = set(rep.rules())
     lines = []
     for rule in RULES:
@@ -406,12 +408,12 @@ def _cmd_check(args) -> int:
 
 def _cmd_propagate(args) -> int:
     cfg = _load(args)
-    params, pulse = params_from_config(cfg), pulse_from_config(cfg)
-    rep = validate_with_pulse(params, pulse)
+    which = _value(cfg, "propagator", "Unum")
+    params, pulse = params_from_config(cfg, (which,)), pulse_from_config(cfg)
+    rep = validate(params, pulse)
     if not rep.ok:
         print(f"invalid parameters: {rep.summary()}", file=sys.stderr)
         return 2
-    which = _value(cfg, "propagator", "Unum")
     U = hilbert.embed(_propagators((which,), params, pulse,
                                    _value(cfg, "safety", trotter.TrotterConfig.safety))[which],
                       params.n_dim, 1.0)

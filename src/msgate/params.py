@@ -3,7 +3,8 @@
 All core computations are dimensionless: time enters as tau = t/T in [0, 1],
 the trap frequency and laser detuning as the integers K = nu*T/(2*pi) and
 L = delta*T/(2*pi), and the drive strength as omega_T = Omega*T.  Physical
-units appear only at the CLI boundary via ``trap_freq``.
+units (trap_freq, omega_phys) appear only in ``cli``, which converts them to
+omega_T before a GateParams is built.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ class GateParams:
     n_dim     Fock-space truncation
     m_max     sideband truncation (|m| <= m_max)
     k_max     highest effective-Hamiltonian order computed, in [2, 5]
-    trap_freq physical nu/(2*pi) in Hz; only used for unit conversion
     """
 
     eta: float
@@ -36,7 +36,6 @@ class GateParams:
     n_dim: int = 8
     m_max: int = 3
     k_max: int = 4
-    trap_freq: float | None = None
 
     def replace(self, **changes) -> "GateParams":
         return dataclasses.replace(self, **changes)
@@ -46,19 +45,8 @@ class GateParams:
         """Dimension of the composite two-qubit x Fock space."""
         return 4 * self.n_dim
 
-    @property
-    def gate_time(self) -> float:
-        """Gate duration T in seconds (requires trap_freq)."""
-        if self.trap_freq is None:
-            raise ValueError("trap_freq must be set for unit conversion")
-        return self.K / self.trap_freq
 
-    def omega_T_from_physical(self, omega: float) -> float:
-        """Convert a drive amplitude Omega in rad/s to dimensionless Omega*T."""
-        return omega * self.gate_time
-
-
-# Every rule validate_with_pulse can report, in report order.
+# Every rule validate can report, in report order.
 RULES = ("K,L integer", "K>L>=1", "K=2L", "jK=lL", "eta range", "n_dim guard",
          "k_max range", "m_max range", "omega_T sign", "nbar sign", "N=0")
 
@@ -104,12 +92,14 @@ def beat_note(M: int, m: int, mu: int, params: GateParams) -> int:
     return M + m * params.K + mu * params.L
 
 
-def validate(params: GateParams) -> ValidationReport:
-    """Check a parameter set against all resonance-exclusion rules.
+def validate(params: GateParams, pulse=None) -> ValidationReport:
+    """Check a parameter set against all resonance-exclusion rules, at order k_max.
 
     Returns a report listing every violated rule (with the offending (j, l)
     pair for the generalized exclusion) in deterministic order.  Validation
-    is a report, not an exception, so sweeps can skip invalid points.
+    is a report, not an exception, so sweeps can skip invalid points.  No beat
+    note M + m*K +- L may vanish, over the harmonics M of ``pulse`` (M = 0, the
+    flat pulse, when None): a shaped pulse shifts the beat notes.
     """
     rep = ValidationReport()
     K, L = params.K, params.L
@@ -139,18 +129,7 @@ def validate(params: GateParams) -> ValidationReport:
         rep.add("omega_T sign", f"omega_T={params.omega_T} is not finite and >= 0")
     if not 0 <= params.nbar < math.inf:
         rep.add("nbar sign", f"nbar={params.nbar} is not finite and >= 0")
-    return rep
-
-
-def validate_with_pulse(params: GateParams, pulse) -> ValidationReport:
-    """Validate params and additionally require every beat note in the pulse
-    support to be nonzero (suppression of the first-order term).
-
-    Shaped pulses shift beat notes by the harmonic index M, so a parameter
-    set that is fine for a flat drive can put a term exactly on resonance.
-    """
-    rep = validate(params)
-    for M in pulse.support:
+    for M in pulse.support if pulse is not None else (0,):
         for m in range(-params.m_max, params.m_max + 1):
             for mu in (-1, 1):
                 if beat_note(M, m, mu, params) == 0:

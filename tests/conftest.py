@@ -9,8 +9,7 @@ from msgate.pulses import rectangular, sin_squared
 @pytest.fixture(scope="session")
 def base_params():
     """Baseline configuration used throughout the figure reproductions."""
-    return GateParams(eta=0.18, K=28, L=25, nbar=0.02, n_dim=8, m_max=3,
-                      k_max=4, trap_freq=1.0e6)
+    return GateParams(eta=0.18, K=28, L=25, nbar=0.02, n_dim=8, m_max=3, k_max=4)
 
 
 @pytest.fixture(scope="session")

@@ -84,16 +84,16 @@ def test_omega_4_fixed_s_scaling(base_params):
 
 def test_omega_4_invalid_when_discriminant_negative():
     p = GateParams(eta=0.02, K=28, L=25)  # s^2 < K^2 - L^2
-    with pytest.raises(ValueError):
-        omega_4(p)
+    assert math.isnan(omega_4(p))
     amps = amplitude_set(p)
-    assert not amps.omega_4_valid
     assert math.isnan(amps.omega_4)
+    assert math.isnan(amps.omega_4_residual)
+    assert amps.omega_ld < amps.omega_2  # the other amplitudes stay real
 
 
 def test_amplitude_set(base_params):
     amps = amplitude_set(base_params)
-    assert amps.omega_4_valid
+    assert amps.omega_4 == omega_4(base_params)
     assert amps.omega_ld < amps.omega_2 < amps.omega_4
     assert abs(amps.omega_4_residual) < 1e-10
     assert amps.s == pytest.approx(math.sqrt(56) * 25 * 0.18 * (1 - 0.18 ** 2))
@@ -130,6 +130,19 @@ def test_known_inconsistent_row_is_transcribed_not_fixed():
     sub = row_generic("Z3_m2", p, omega_4(p))
     printed = row_at_o4("Z3_m2", p)
     assert printed == pytest.approx(-sub, rel=1e-9)
+
+
+@pytest.mark.parametrize("K, L, eta", [(28, 25, 0.18), (100, 97, 0.1), (50, 46, 0.3)])
+def test_z4_jxy_row_is_exact_at_ld_and_transcribed_at_o4(K, L, eta):
+    # the Omega_LD column equals substitution; the Omega_4 column does once its
+    # transcribed last denominator factor K^2 - 4L^4 is put back to K^2 - 4L^2
+    p = GateParams(eta=eta, K=K, L=L)
+    for n in (0, 1):
+        assert row_generic("Z4_m1_Jxy", p, omega_ld(p), n) == pytest.approx(
+            row_at_ld("Z4_m1_Jxy", p, n), rel=1e-9)
+        printed = row_at_o4("Z4_m1_Jxy", p, n) * (K * K - 4 * L ** 4) / (K * K - 4 * L * L)
+        assert row_generic("Z4_m1_Jxy", p, omega_4(p), n) == pytest.approx(printed, rel=1e-9)
+    assert "Z4_m1_Jxy" not in CONSISTENT_ROWS
 
 
 def test_table_rows_structure(base_params):

@@ -1,4 +1,5 @@
 import concurrent.futures
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -207,6 +208,22 @@ def test_default_propagators_are_validated_at_their_order(tmp_path, capsys):
     assert cli.main(["check", path]) == 0
 
 
+def test_each_key_sets_the_order_of_its_own_subcommand(tmp_path, capsys):
+    # sweep reads propagators and propagate reads propagator: U5 under the other key
+    # does not make 4 K = 5 L a resonance of what is computed
+    one_point = U5_POINTS.replace("grid = 20,30", "grid = 20")
+    rows = []
+    for lines in ("propagators = U2\n", "propagators = U2\npropagator = U5\n"):
+        assert cli.main(["sweep", _write(tmp_path, "s.cfg", one_point + lines)]) == 0
+        rows.append(capsys.readouterr().out.splitlines()[1])
+    assert rows[0] == rows[1] and rows[0].endswith(",ok")
+    path = _write(tmp_path, "p.cfg", U5_POINTS + "omega_T = 20\npropagator = U2\npropagators = U5\n")
+    assert cli.main(["propagate", path]) == 0
+    assert capsys.readouterr().out.startswith("# propagator U2, dim 32")
+    # check and budget validate at the highest U_n under either key
+    assert cli.main(["check", path]) == 2 and cli.main(["budget", path]) == 2
+
+
 def test_nbar_sweep_reuses_propagators(tmp_path):
     text = """
 eta = 0.18
@@ -290,6 +307,24 @@ def test_benchmark_configs_parse():
         assert parse_config(str(path))
 
 
+def _perfbench_module(name):
+    """perfbench/<name>.py imported as it is (it is not a package)."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_entry_points_work():
+    # every function the benchmark traces exists, and every workload sets up its stored candidates
+    for module, name in _perfbench_module("tracing").LAYERS:
+        assert callable(getattr(importlib.import_module(f"msgate.{module}"), name)), (module, name)
+    bench = _perfbench_module("bench")
+    for workload in bench.WORKLOADS.values():
+        assert bench.check_candidates(bench.setup(workload), bench.load_reference(workload)) == []
+
+
 def test_main_check_exit_codes(tmp_path, capsys):
     ok = _write(tmp_path, "ok.cfg", CHECK_OK)
     bad = _write(tmp_path, "bad.cfg", CHECK_BAD)
@@ -316,9 +351,20 @@ def test_main_budget(tmp_path, capsys):
     assert out.startswith("label,operator,generic")
 
 
+def test_omega_phys_converts_at_the_base_gate_time(tmp_path):
+    # 0.173e6 rad/s at a 280 us gate (K = 28, trap_freq = 0.1 MHz) gives omega*T = 48.44
+    cfg = parse_config(_write(tmp_path, "a.cfg", CHECK_OK + "trap_freq = 0.1e6\nomega_phys = 0.173e6\n"))
+    omega_T = params_from_config(cfg).omega_T
+    assert omega_T == 0.173e6 * (28 / 0.1e6)
+    assert omega_T == pytest.approx(48.44)
+    # without omega_phys, trap_freq leaves the gate untouched
+    cfg = parse_config(_write(tmp_path, "b.cfg", CHECK_OK + "trap_freq = 0.1e6\n"))
+    assert params_from_config(cfg) == GateParams(eta=0.18, K=28, L=25)
+
+
 def test_main_budget_at_physical_drive(tmp_path, capsys):
     # omega_phys is converted once, at the gate time K / trap_freq
-    omega_T = GateParams(eta=0.18, K=28, L=25, trap_freq=1.0e6).omega_T_from_physical(1.1e6)
+    omega_T = 1.1e6 * (28 / 1.0e6)
     outs = []
     for drive in ("omega_phys = 1.1e6\n", f"omega_T = {omega_T!r}\n"):
         assert cli.main(["budget", _write(tmp_path, "b.cfg", CHECK_OK + "trap_freq = 1.0e6\n" + drive)]) == 0

@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
 from msgate import budget, fidelity, hilbert, magnus, resint
-from msgate.params import GateParams, beat_note, validate_with_pulse
+from msgate.params import GateParams, beat_note, validate
 from msgate.pulses import PulseShape, rectangular, sin_squared
 from oracles import full_space_transfer, guard_band_indices, guard_block, is_resonant, unitarity_defect
 
@@ -100,7 +100,7 @@ def test_level_coeff_matches_the_pauli_trace(params_omega2, magnus_terms_omega2)
 def test_form_factor_rejects_beat_note_on_resonance(base_params):
     # at K = 28, L = 25: M + m K + mu L = 3 - 28 + 25 = 0 (and its mirror -3 + 28 - 25)
     pulse = PulseShape.from_dict("wide", {0: 0.5, 3: 0.25, -3: 0.25})
-    assert not validate_with_pulse(base_params, pulse).ok
+    assert not validate(base_params, pulse).ok
     with pytest.raises(ValueError, match="N=0 at M=3, m=-1, mu=1"):
         magnus.form_factor(base_params, 0, "odd", pulse)
 
@@ -326,7 +326,7 @@ SKEW = PulseShape.from_dict("skew", {0: 0.5, 1: 0.25j, -1: -0.25j})  # complex t
 def test_blocked_transfer_matches_full_space_reference(shape, eta, K, L, n_dim, m_max):
     pulse = {"rect": rectangular(), "sin2": sin_squared(), "skew": SKEW}[shape]
     p = GateParams(eta=eta, K=K, L=L, n_dim=n_dim, m_max=m_max)
-    assert validate_with_pulse(p, pulse).ok
+    assert validate(p, pulse).ok
     got = [hilbert.embed(P, n_dim, 0.0) for P in magnus.dyson_hat_terms(p, pulse, 5)]
     want = full_space_transfer(p, pulse, 5)
     singlets = np.kron(np.array([[0], [1], [-1], [0]]) / np.sqrt(2), np.eye(n_dim))
@@ -346,7 +346,7 @@ def test_transfer_matches_tuples_over_gate_points(eta, K_gap, shape):
     K, gap = K_gap
     pulse = {"rect": rectangular(), "sin2": sin_squared(), "skew": SKEW}[shape]
     p = GateParams(eta=eta, K=K, L=K - gap, omega_T=1.0)
-    assume(validate_with_pulse(p, pulse).ok)
+    assume(validate(p, pulse).ok)
     for k in (2, 3):
         via_transfer = magnus.dyson_term(k, p, pulse, method="transfer")
         via_tuples = magnus.dyson_term(k, p, pulse, method="tuples")
@@ -369,7 +369,7 @@ def test_tuple_route_keeps_digits_at_a_wide_gap(k):
 def test_truncated_propagators_unitary(eta, K, gap, drive, shaped):
     pulse = sin_squared() if shaped else rectangular()
     p = GateParams(eta=eta, K=K, L=K - gap)
-    assume(validate_with_pulse(p, pulse).ok)
+    assume(validate(p, pulse).ok)
     props = magnus.propagators_upto(p.replace(omega_T=drive * budget.omega_2(p)), pulse, 5)
     assert sorted(props) == [2, 3, 4, 5]
     for n, U in props.items():

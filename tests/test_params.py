@@ -3,8 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from msgate.params import RULES, GateParams, beat_note, validate, validate_with_pulse
-from msgate.pulses import sin_squared
+from msgate.params import RULES, GateParams, beat_note, validate
+from msgate.pulses import rectangular, sin_squared
 
 
 def test_baseline_parameters_are_valid(base_params):
@@ -58,7 +58,7 @@ def test_rules_lists_every_reported_rule():
            GateParams(eta=1.5, K=28, L=14, n_dim=1, k_max=6, m_max=0, omega_T=-1, nbar=-1),
            GateParams(eta=0.2, K=2, L=1, k_max=2)]
     seen = {rule for p in bad for rule in validate(p).rules()}
-    seen |= set(validate_with_pulse(GateParams(eta=0.18, K=26, L=25), sin_squared()).rules())
+    seen |= set(validate(GateParams(eta=0.18, K=26, L=25), sin_squared()).rules())
     assert seen == set(RULES)
 
 
@@ -84,17 +84,18 @@ def test_pulse_aware_validation_flags_zero_beat_note():
     # K - L = 1 with a first-harmonic pulse puts M=-1, m=1, mu=-1 on resonance
     p = GateParams(eta=0.18, K=26, L=25)
     assert validate(p).ok
-    rep = validate_with_pulse(p, sin_squared())
+    rep = validate(p, sin_squared())
     assert "N=0" in rep.rules()
 
 
-def test_unit_conversion(base_params):
-    assert base_params.gate_time == pytest.approx(28e-6)
-    # 0.173e6 rad/s at a 280 us gate gives omega*T = 48.44
-    p = base_params.replace(trap_freq=0.1e6)
-    assert p.omega_T_from_physical(0.173e6) == pytest.approx(48.44)
 
-
-def test_gate_time_requires_trap_freq():
-    with pytest.raises(ValueError):
-        GateParams(eta=0.18, K=28, L=25).gate_time
+@pytest.mark.parametrize("K, L", [(28, 25), (28, 0), (5, 0), (28, 14), (10, 5), (25, 25), (7, 7),
+                                  (25, 20), (28, 21), (20, 25), (3, 6), (2, 1)])
+@pytest.mark.parametrize("k_max, m_max", [(2, 1), (4, 3), (5, 3)])
+def test_no_pulse_is_the_flat_pulse(K, L, k_max, m_max):
+    # the flat pulse's only harmonic is M = 0, which validate checks when given no pulse: there
+    # m K +- L = 0 needs |m| K = L; the grid holds L = 0, K = 2L, K = L, L > K and jK = lL points
+    p = GateParams(eta=0.18, K=K, L=L, k_max=k_max, m_max=m_max)
+    assert [(v.rule, v.detail) for v in validate(p)] == [
+        (v.rule, v.detail) for v in validate(p, rectangular())]
+    assert ("N=0" in validate(p).rules()) == any(m * K == L for m in range(m_max + 1))
