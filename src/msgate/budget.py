@@ -1,4 +1,4 @@
-"""Analytic error budget, corrected drive amplitudes and sin^2-pulse closed forms.
+"""Analytic error budget and corrected drive amplitudes.
 
 All drive strengths are dimensionless (Omega*T).  The budget table carries
 three coefficient columns per error term: the generic expression evaluated at
@@ -11,9 +11,7 @@ Transcription notes (kept verbatim, deliberately not "fixed"):
     differs from direct substitution;
   * the Z4_m1_Jxy Omega_4 column has K^2 - 4L^4 for K^2 - 4L^2 in its last
     denominator factor (its Omega_LD column is exact); the other six rows
-    equal direct substitution in both columns (CONSISTENT_ROWS);
-  * the q_x denominator polynomial of the sin^2 forms is transcribed
-    literally, including its first factor (4K^2 - L).
+    equal direct substitution in both columns (CONSISTENT_ROWS).
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 from .params import GateParams
-from .pulses import PulseShape
 
 SQRT2 = math.sqrt(2.0)
 
@@ -95,14 +92,13 @@ class AmplitudeSet:
     omega_ld: float
     omega_2: float
     omega_4: float
-    s: float
     omega_4_residual: float
 
 
 def amplitude_set(params: GateParams) -> AmplitudeSet:
     w4 = omega_4(params)
     return AmplitudeSet(omega_ld=omega_ld(params), omega_2=omega_2(params), omega_4=w4,
-                        s=s_parameter(params), omega_4_residual=quadratic_residual(params, w4))
+                        omega_4_residual=quadratic_residual(params, w4))
 
 
 # ---------------------------------------------------------------------------
@@ -265,80 +261,3 @@ def rows_to_csv(rows: list[BudgetRow]) -> str:
         lines.append(f"{r.label},{r.operator_tag},"
                      f"{r.generic:.12g},{r.at_ld:.12g},{r.at_o4:.12g}")
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# sin^2-pulse closed forms.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Sin2Forms:
-    p_y: float
-    q_y: float
-    p_x: float
-    q_x: float
-    p_3: float
-    q_3: float
-    omega_ld_sin2: float
-
-
-def sin2_polynomials(params: GateParams) -> tuple[float, float, float, float, float, float]:
-    K, L = params.K, params.L
-    KK, LL = K * K, L * L
-    p_y = 3 * (KK - LL) ** 2 - 4 * (5 * KK + 3 * LL - 8)
-    q_y = 8 * (KK - LL) * ((K - L) ** 2 - 4) * ((K + L) ** 2 - 4)
-    p_x = 8 * (6 * KK * KK - 3 * KK * LL - 10 * KK + 4) + 3 * (LL * LL - 4 * LL)
-    q_x = 8 * (4 * KK - L) * ((2 * K - L) ** 2 - 4) * ((2 * K + L) ** 2 - 4)
-    p_3 = (KK + 3 * LL - 4) * (3 * (KK - LL) ** 2 - 4 * (5 * KK + 3 * LL - 8))
-    q_3 = 8 * (KK - LL) ** 2 * ((K - L) ** 2 - 4) ** 2 * ((K + L) ** 2 - 4) ** 2
-    return p_y, q_y, p_x, q_x, p_3, q_3
-
-
-def sin2_forms(params: GateParams) -> Sin2Forms:
-    """Polynomial coefficients of the sin^2-pulse second/third-order closed
-    forms, plus the leading-order pi/2 amplitude for that shape."""
-    p_y, q_y, p_x, q_x, p_3, q_3 = sin2_polynomials(params)
-    w_ld = (math.pi / (params.eta * math.sqrt(2 * params.K))) * math.sqrt(q_y / p_y)
-    return Sin2Forms(p_y=p_y, q_y=q_y, p_x=p_x, q_x=q_x, p_3=p_3, q_3=q_3,
-                     omega_ld_sin2=w_ld)
-
-
-def sin2_z2_coeffs(params: GateParams, omega_T: float, n: int = 0) -> tuple[float, float]:
-    """Composite (Jy^2, Jx^2) coefficients of the sin^2 second order."""
-    f = sin2_forms(params)
-    K, eta = params.K, params.eta
-    base = K * omega_T ** 2 * eta ** 2 / math.pi
-    zy = base * (f.p_y / f.q_y) * (1 - (2 * n + 1) * eta ** 2)
-    zx = base * (f.p_x / f.q_x) * (2 * n + 1) * eta ** 2
-    return zy, zx
-
-
-def sin2_z3_coeff(params: GateParams, omega_T: float) -> float:
-    """Composite Jy(a+a+) coefficient of the sin^2 third order."""
-    f = sin2_forms(params)
-    return (params.K ** 2 * omega_T ** 3 * params.eta ** 5 / math.pi ** 2) * (f.p_3 / f.q_3)
-
-
-# ---------------------------------------------------------------------------
-# Numerical drive calibration for shapes without printed closed forms.
-# ---------------------------------------------------------------------------
-
-def calibrate_omega(params: GateParams, pulse: PulseShape, order: int = 4,
-                    bracket: tuple[float, float] | None = None,
-                    tol: float = 1e-4) -> float:
-    """Bounded minimizer of the average infidelity of U_order over omega_T; the
-    shaped-pulse replacement for the flat-pulse closed forms."""
-    from scipy.optimize import minimize_scalar  # ~0.4 s to import: only when calibrating
-
-    from . import fidelity, magnus
-
-    if bracket is None:
-        w0 = omega_ld(params)
-        bracket = (0.5 * w0, 2.5 * w0)
-    weights = fidelity.ThermalWeights(params.nbar, params.n_dim)
-
-    def infid(w: float) -> float:
-        U = magnus.propagators_upto(params.replace(omega_T=w), pulse, max_order=order)[order]
-        return 1.0 - fidelity.average_fidelity(U, weights)
-
-    return float(minimize_scalar(infid, bounds=bracket, method="bounded", options={"xatol": tol}).x)

@@ -183,6 +183,8 @@ def parse_config(path: str) -> dict[str, str]:
         raise ConfigError("give the drive as omega_T or as omega_phys, not both")
     if raw.get("omega_mode") == "fixed_phys" and "omega_phys" not in raw:
         raise ConfigError("omega_mode = fixed_phys requires omega_phys (rad/s)")
+    if raw.get("omega_mode") == "fixed_T" and not raw.keys() & {"omega_T", "omega_phys"}:
+        raise ConfigError("omega_mode = fixed_T requires omega_T (or omega_phys)")
     if raw.get("pulse") == "custom" and "pulse_coeffs" not in raw:
         raise ConfigError("pulse = custom requires pulse_coeffs = M:re:im;...")
     if isinstance(_value(raw, "grid"), int) and raw.get("axis", "omega") != "omega":

@@ -187,10 +187,8 @@ def hamiltonian_terms(params: GateParams, pulse: PulseShape) -> tuple[np.ndarray
 class RotatingFrame:
     """Q_b^H H(tau) Q_b = omega_T g(tau) r_b B_b r_b^H per block of ``block_basis``, whose
     columns each hold one Fock level n_b: the drive g of ``drive_taps``, one constant
-    generator B_b = Q_b^H B_0 Q_b and r_b = exp(i 2 pi K tau n_b).  Called on a vector
-    of tau it returns one stack Q_b^H H(tau) Q_b per block."""
+    generator B_b = Q_b^H B_0 Q_b and r_b = exp(i 2 pi K tau n_b)."""
 
-    params: GateParams
     taps: np.ndarray
     coeffs: np.ndarray
     generators: tuple
@@ -199,17 +197,11 @@ class RotatingFrame:
     def drive(self, taus: np.ndarray) -> np.ndarray:
         return np.exp(2j * np.pi * np.outer(taus, self.taps)) @ self.coeffs
 
-    def __call__(self, taus: np.ndarray) -> list[np.ndarray]:
-        amp, K = self.params.omega_T * self.drive(taus), self.params.K
-        # entry (j, k) turns by exp(i 2 pi tau K (n_j - n_k)), from the integer difference
-        return [amp[:, None, None] * np.exp(2j * np.pi * taus[:, None, None] * (K * (n[:, None] - n))) * B
-                for B, n in zip(self.generators, self.levels)]
 
-
-def _frame(params: GateParams, taps, coeffs, terms: tuple) -> RotatingFrame:
+def _frame(n_dim: int, taps, coeffs, terms: tuple) -> RotatingFrame:
     """The frame whose generator is, per block, the sum of the stack ``terms``."""
-    return RotatingFrame(params, taps, coeffs, tuple(X.sum(axis=0) for X in terms),
-                         tuple(n for n, _ in block_basis(params.n_dim)))
+    return RotatingFrame(taps, coeffs, tuple(X.sum(axis=0) for X in terms),
+                         tuple(n for n, _ in block_basis(n_dim)))
 
 
 def sideband_hamiltonian(params: GateParams, pulse: PulseShape) -> RotatingFrame:
@@ -217,7 +209,7 @@ def sideband_hamiltonian(params: GateParams, pulse: PulseShape) -> RotatingFrame
     exp(i 2 pi m K tau) J_m (x) A_m = R J_m (x) A_m R^H with R = exp(i 2 pi K tau a+a),
     and the generator is B_0 = sum_m J_m (x) A_m.
     """
-    return _frame(params, *hamiltonian_terms(params, pulse))
+    return _frame(params.n_dim, *hamiltonian_terms(params, pulse))
 
 
 def displacement_hamiltonian(params: GateParams, pulse: PulseShape) -> RotatingFrame:
@@ -230,7 +222,7 @@ def displacement_hamiltonian(params: GateParams, pulse: PulseShape) -> RotatingF
     J = collective_spins()
     a = destroy(params.n_dim)
     d0 = matrix_exp(1j * params.eta * (a + a.conj().T))
-    return _frame(params, *drive_taps(params, pulse),
+    return _frame(params.n_dim, *drive_taps(params, pulse),
                   to_blocks(np.stack([J.Jplus, J.Jminus]), 0.5 * np.stack([d0, d0.conj().T])))
 
 

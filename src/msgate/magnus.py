@@ -28,15 +28,13 @@ and is kept as a cross-check.
 
 from __future__ import annotations
 
-import itertools
-import math
 from functools import lru_cache
 
 import numpy as np
 import scipy.sparse
 
 from . import hilbert, resint
-from .params import GateParams, beat_note
+from .params import GateParams
 from .pulses import PulseShape, rectangular
 
 
@@ -304,53 +302,10 @@ def propagators_upto(params: GateParams, pulse: PulseShape | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Closed-form Fock-diagonal coefficients of Z_2 (Laguerre form factors) and
-# the Fock-level coefficients of an order, to compare assemblies against them.
+# The Fock-level coefficients of an order.
 # ---------------------------------------------------------------------------
-
-def form_factor(params: GateParams, n: int, parity: str,
-                pulse: PulseShape | None = None) -> float:
-    """Fock-level-resolved coefficient d_x^(n) ('even') or d_y^(n) ('odd') of
-    Jx^2 / Jy^2 in Z_2, from the associated-Laguerre closed form.
-
-    The sideband sum is truncated at m_max so the value is directly
-    comparable with the assembled Z_2.
-    """
-    pulse = pulse if pulse is not None else rectangular()
-    eta2 = params.eta ** 2
-    if parity == "even":
-        ms = [m for m in range(-params.m_max, params.m_max + 1) if m % 2 == 0]
-        sign = +1.0
-    elif parity == "odd":
-        ms = [m for m in range(-params.m_max, params.m_max + 1) if m % 2 != 0]
-        sign = -1.0
-    else:
-        raise ValueError("parity must be 'even' or 'odd'")
-    acc = 0.0
-    for m in ms:
-        lo = min(n, n - m)
-        if lo < 0:
-            continue
-        hi = max(n, n - m)
-        weight = ((-eta2) ** abs(m)
-                  * hilbert.laguerre(lo, abs(m), eta2) ** 2
-                  * math.factorial(lo) / math.factorial(hi))
-        for M, mu in itertools.product(pulse.support, (-1, 1)):
-            N = beat_note(M, m, mu, params)
-            if N == 0:
-                raise ValueError(f"beat note N=0 at M={M}, m={m}, mu={mu}")
-            acc += abs(pulse.c(M)) ** 2 * weight / N
-    return sign * params.omega_T ** 2 / (2 * np.pi) * math.exp(-eta2) * acc
-
 
 def level_coeff(Z: tuple, n_dim: int, row: int, col: int, qubit_op: np.ndarray) -> complex:
     """Projection (Frobenius) of the <row| . |col> qubit block of the block form Z onto
     qubit_op; the J_a^2 coefficient is the one of J_a^2 - 1/2 = sigma_a (x) sigma_a / 2."""
     return complex(np.vdot(qubit_op, hilbert.level_block(Z, n_dim, row, col)) / np.vdot(qubit_op, qubit_op))
-
-
-def fock_offdiagonal_max(Z: tuple, params: GateParams) -> float:
-    """Largest entry with a Fock-level change below the guard band."""
-    keep = range(params.n_dim - params.m_max)
-    return max((float(np.abs(hilbert.level_block(Z, params.n_dim, r, c)).max())
-                for r in keep for c in keep if r != c), default=0.0)

@@ -2,31 +2,50 @@
 (``collective_spin``, ``sideband_operator``, the ladder operators) and never through
 the symmetry blocks or ``hilbert.embed``, and the composite-index helpers the tests
 measure full-space matrices with, and the closed forms and spectral quadrature that
-check the exact resonance integrals of ``msgate.resint``; also the composite
-Hamiltonian at one instant and the closed-form Bell fidelity of a Fock-diagonal
-generator, which only the tests read."""
+check the exact resonance integrals of ``msgate.resint``.  Also what only the tests
+read of the model:
+  * ``frame_blocks``, a rotating frame's Hamiltonian blocks at a vector of instants,
+    and the composite Hamiltonian at one instant built from them;
+  * the closed-form Bell fidelity of a Fock-diagonal generator;
+  * the Laguerre form factors of Z_2 (``form_factor``) and the largest
+    Fock-off-diagonal entry of an order (``fock_offdiagonal_max``);
+  * the printed sin^2-pulse closed forms (``sin2_forms``), which track the
+    assembly only to 10-20%;
+  * ``calibrate_omega``, a bounded minimiser of the U4 infidelity over omega_T."""
 
+import itertools
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
-from msgate import fidelity, hilbert, resint
+from msgate import fidelity, hilbert, magnus, resint
 from msgate.params import beat_note
-from msgate.pulses import envelope_at
+from msgate.pulses import envelope_at, rectangular
+
+
+def frame_blocks(frame, params, taus):
+    """Q_b^H H(tau) Q_b of a ``hilbert.RotatingFrame`` at each tau of ``taus``: one
+    stack per block."""
+    amp, K = params.omega_T * frame.drive(taus), params.K
+    # entry (j, k) turns by exp(i 2 pi tau K (n_j - n_k)), from the integer difference
+    return [amp[:, None, None] * np.exp(2j * np.pi * taus[:, None, None] * (K * (n[:, None] - n))) * B
+            for B, n in zip(frame.generators, frame.levels)]
 
 
 def hamiltonian_at(tau, params, pulse):
     """Dimensionless interaction Hamiltonian T*H(tau*T)/hbar at one instant, as the
     composite matrix of its blocks."""
     frame = hilbert.sideband_hamiltonian(params, pulse)
-    return hilbert.embed([H[0] for H in frame(np.array([tau]))], params.n_dim, 0.0)
+    return hilbert.embed([H[0] for H in frame_blocks(frame, params, np.array([tau]))], params.n_dim, 0.0)
 
 
 def displacement_hamiltonian_at(tau, params, pulse):
     """The exact-displacement Hamiltonian at one instant."""
     frame = hilbert.displacement_hamiltonian(params, pulse)
-    return hilbert.embed([H[0] for H in frame(np.array([tau]))], params.n_dim, 0.0)
+    return hilbert.embed([H[0] for H in frame_blocks(frame, params, np.array([tau]))], params.n_dim, 0.0)
 
 
 def closed_form_bell(dx_by_n, dy_by_n, weights):
@@ -114,6 +133,90 @@ def guard_block(A, params):
 
 def unitarity_defect(A):
     return float(np.abs(A.conj().T @ A - np.eye(A.shape[0])).max())
+
+
+# ---------------------------------------------------------------------------
+# Closed forms and a calibration that the package does not use.
+# ---------------------------------------------------------------------------
+
+def form_factor(params, n, parity, pulse=None):
+    """Fock-level-resolved coefficient d_x^(n) ('even') or d_y^(n) ('odd') of
+    Jx^2 / Jy^2 in Z_2, from the associated-Laguerre closed form.
+
+    The sideband sum is truncated at m_max so the value is directly
+    comparable with the assembled Z_2.
+    """
+    pulse = pulse if pulse is not None else rectangular()
+    eta2 = params.eta ** 2
+    if parity == "even":
+        ms = [m for m in range(-params.m_max, params.m_max + 1) if m % 2 == 0]
+        sign = +1.0
+    elif parity == "odd":
+        ms = [m for m in range(-params.m_max, params.m_max + 1) if m % 2 != 0]
+        sign = -1.0
+    else:
+        raise ValueError("parity must be 'even' or 'odd'")
+    acc = 0.0
+    for m in ms:
+        lo = min(n, n - m)
+        if lo < 0:
+            continue
+        hi = max(n, n - m)
+        weight = ((-eta2) ** abs(m)
+                  * hilbert.laguerre(lo, abs(m), eta2) ** 2
+                  * math.factorial(lo) / math.factorial(hi))
+        for M, mu in itertools.product(pulse.support, (-1, 1)):
+            N = beat_note(M, m, mu, params)
+            if N == 0:
+                raise ValueError(f"beat note N=0 at M={M}, m={m}, mu={mu}")
+            acc += abs(pulse.c(M)) ** 2 * weight / N
+    return sign * params.omega_T ** 2 / (2 * np.pi) * math.exp(-eta2) * acc
+
+
+def fock_offdiagonal_max(Z, params):
+    """Largest entry of the block form Z with a Fock-level change below the guard band."""
+    keep = range(params.n_dim - params.m_max)
+    return max((float(np.abs(hilbert.level_block(Z, params.n_dim, r, c)).max())
+                for r in keep for c in keep if r != c), default=0.0)
+
+
+@dataclass(frozen=True)
+class Sin2Forms:
+    """The printed sin^2-pulse closed forms at params.omega_T: the polynomials of the
+    second (p_y / q_y) and third order (p_3), the leading-order pi/2 amplitude, the
+    composite Jy^2 coefficient of Z_2 at Fock level 0 and the Jy(a+a+) one of Z_3."""
+
+    p_y: int
+    q_y: int
+    p_3: int
+    omega_ld: float
+    z2_y: float
+    z3: float
+
+
+def sin2_forms(params):
+    K, L, eta, W = params.K, params.L, params.eta, params.omega_T
+    KK, LL = K * K, L * L
+    p_y = 3 * (KK - LL) ** 2 - 4 * (5 * KK + 3 * LL - 8)
+    q_y = 8 * (KK - LL) * ((K - L) ** 2 - 4) * ((K + L) ** 2 - 4)
+    p_3 = (KK + 3 * LL - 4) * (3 * (KK - LL) ** 2 - 4 * (5 * KK + 3 * LL - 8))
+    q_3 = 8 * (KK - LL) ** 2 * ((K - L) ** 2 - 4) ** 2 * ((K + L) ** 2 - 4) ** 2
+    return Sin2Forms(p_y=p_y, q_y=q_y, p_3=p_3,
+                     omega_ld=(math.pi / (eta * math.sqrt(2 * K))) * math.sqrt(q_y / p_y),
+                     z2_y=K * W ** 2 * eta ** 2 / math.pi * (p_y / q_y) * (1 - eta ** 2),
+                     z3=(KK * W ** 3 * eta ** 5 / math.pi ** 2) * (p_3 / q_3))
+
+
+def calibrate_omega(params, pulse, bracket, tol=1e-4):
+    """The omega_T in ``bracket`` that minimises the average infidelity of U4, by a
+    bounded scalar minimiser to within ``tol``."""
+    weights = fidelity.ThermalWeights(params.nbar, params.n_dim)
+
+    def infid(w):
+        U = magnus.propagators_upto(params.replace(omega_T=w), pulse, max_order=4)[4]
+        return 1.0 - fidelity.average_fidelity(U, weights)
+
+    return float(minimize_scalar(infid, bounds=bracket, method="bounded", options={"xatol": tol}).x)
 
 
 # ---------------------------------------------------------------------------

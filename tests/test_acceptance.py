@@ -18,7 +18,8 @@ import pytest
 from msgate import budget, fidelity, hilbert, magnus, resint, trotter
 from msgate.cli import parse_config, rows_to_csv, run_sweep, sweep_from_config
 from msgate.params import GateParams
-from oracles import guard_band_indices, guard_block, order2_closed_form, order3_closed_form, quadrature_integral
+from oracles import (fock_offdiagonal_max, form_factor, guard_band_indices, guard_block, order2_closed_form,
+                     order3_closed_form, quadrature_integral)
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
@@ -271,7 +272,7 @@ def test_criterion_7_structural(params_omega2, rect, magnus_terms_omega2,
                                 unum_omega2):
     p = params_omega2
     z1 = float(np.abs(1j * magnus.dyson_term(1, p, rect)).max())
-    fock_off = magnus.fock_offdiagonal_max(magnus_terms_omega2[2], p)
+    fock_off = fock_offdiagonal_max(magnus_terms_omega2[2], p)
     herm = max(hilbert.hermiticity_defect(guard_block(hilbert.embed(Z, p.n_dim, 0.0), p))
                for Z in magnus_terms_omega2.values())
     idx = guard_band_indices(p)
@@ -286,8 +287,8 @@ def test_criterion_7_structural(params_omega2, rect, magnus_terms_omega2,
     J = hilbert.collective_spins()
     Z2 = magnus_terms_omega2[2]
     for n in range(p.n_dim - p.m_max):
-        dy = magnus.form_factor(p, n, "odd")
-        dx = magnus.form_factor(p, n, "even")
+        dy = form_factor(p, n, "odd")
+        dx = form_factor(p, n, "even")
         lag_err = max(lag_err,
                       abs(magnus.level_coeff(Z2, p.n_dim, n, n, J.Jy2 - np.eye(4) / 2).real - dy) / abs(dy),
                       abs(magnus.level_coeff(Z2, p.n_dim, n, n, J.Jx2 - np.eye(4) / 2).real - dx) / abs(dx))

@@ -8,7 +8,6 @@ from msgate.budget import (
     CONSISTENT_ROWS,
     ROW_LABELS,
     amplitude_set,
-    calibrate_omega,
     combined_dy,
     omega_2,
     omega_4,
@@ -18,12 +17,11 @@ from msgate.budget import (
     row_at_o4,
     row_generic,
     rows_to_csv,
-    sin2_forms,
-    sin2_z2_coeffs,
     table_rows,
 )
 from msgate.params import GateParams
 from msgate.pulses import sin_squared
+from oracles import calibrate_omega, sin2_forms
 
 JY2 = hilbert.collective_spins().Jy2 - np.eye(4) / 2  # sigma_y (x) sigma_y / 2
 
@@ -96,7 +94,7 @@ def test_amplitude_set(base_params):
     assert amps.omega_4 == omega_4(base_params)
     assert amps.omega_ld < amps.omega_2 < amps.omega_4
     assert abs(amps.omega_4_residual) < 1e-10
-    assert amps.s == pytest.approx(math.sqrt(56) * 25 * 0.18 * (1 - 0.18 ** 2))
+    assert budget.s_parameter(base_params) == pytest.approx(math.sqrt(56) * 25 * 0.18 * (1 - 0.18 ** 2))
 
 
 def test_gate_row_at_ld_is_pi_half(base_params):
@@ -166,7 +164,7 @@ def test_sin2_polynomial_values():
     assert f.q_y == 8 * 159 * 5 * 2805
     assert f.q_y > 0  # all three factors positive here
     assert f.p_3 == (784 + 3 * 625 - 4) * f.p_y
-    assert f.omega_ld_sin2 > omega_ld(p)
+    assert f.omega_ld > omega_ld(p)
 
 
 def test_sin2_z2_matches_assembly_at_wide_gap():
@@ -174,7 +172,7 @@ def test_sin2_z2_matches_assembly_at_wide_gap():
     once the harmonic offsets are small against the beat-note gap (K - L
     large); at K - L = 3 the offset bookkeeping costs ~20%."""
     p = GateParams(eta=0.05, K=100, L=90, omega_T=1.0)
-    zy, _zx = sin2_z2_coeffs(p, 1.0, 0)
+    zy = sin2_forms(p).z2_y
     Z2 = magnus.magnus_terms(p, sin_squared(), up_to=2)[2]
     got = magnus.level_coeff(Z2, p.n_dim, 0, 0, JY2).real
     # printed composite carries the opposite overall sign convention
@@ -186,11 +184,10 @@ def test_sin2_z3_matches_assembly_at_wide_gap():
     p = GateParams(eta=0.05, K=100, L=90, omega_T=10.0)
     Z3 = magnus.magnus_terms(p, sin_squared(), up_to=3)[3]
     got = magnus.level_coeff(Z3, p.n_dim, 1, 0, hilbert.collective_spins().Jy).real
-    printed = budget.sin2_z3_coeff(p, 10.0)
+    printed = sin2_forms(p).z3
     assert abs(got) / abs(printed) == pytest.approx(1.0, abs=0.1)
 
 
 def test_calibrate_omega_finds_fourth_order_optimum(base_params, rect):
-    w = calibrate_omega(base_params, rect, order=4,
-                        bracket=(25.0, 36.0), tol=5e-3)
+    w = calibrate_omega(base_params, rect, bracket=(25.0, 36.0), tol=5e-3)
     assert w == pytest.approx(omega_4(base_params), abs=0.3)

@@ -1,3 +1,4 @@
+import ast
 import concurrent.futures
 import importlib.util
 import os
@@ -8,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import msgate
 from msgate import cli
 from msgate.cli import (
     ConfigError,
@@ -428,6 +430,26 @@ def test_sweep_imports_neither_scipy_linalg_nor_optimize():
     assert out.strip() == "[]"
 
 
+def test_package_imports_only_numpy_and_scipy_sparse():
+    # every import statement, at module level or inside a function, so that an import
+    # made only on a rarely taken path counts too; relative imports stay in the package
+    src = pathlib.Path(msgate.__file__).resolve().parent
+    third_party = set()
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            third_party.update((path.name, name) for name in names
+                               if name.split(".")[0] not in sys.stdlib_module_names | {"msgate"})
+    assert ("magnus.py", "scipy.sparse") in third_party  # the walk sees the imports
+    assert {(module, name) for module, name in third_party
+            if name != "numpy" and name != "scipy.sparse"} == set()
+
+
 @pytest.mark.parametrize("lines", [
     "pulse = custom\npulse_coeffs = 1:0.5:0\ngrid = 1,2\n",  # no conjugate partner
     "pulse = custom\npulse_coeffs = x:1:0\ngrid = 1,2\n",    # non-integer M
@@ -477,6 +499,7 @@ def test_malformed_input_is_config_error(tmp_path, capsys, lines):
     "pulse = custom\n",                    # no pulse_coeffs
     "grid = auto\n",                       # auto grid off the omega axis (axis = K)
     "omega_mode = fixed_phys\n",           # no omega_phys
+    "omega_mode = fixed_T\n",              # no omega_T or omega_phys
     "omega_T = 20\nomega_phys = 1e5\ntrap_freq = 1e6\n",  # the drive given twice
     "pulse = custom\npulse_coeffs = 0:nan:0\n",  # non-finite coefficients
     "pulse = custom\npulse_coeffs = 0:inf:0\n",

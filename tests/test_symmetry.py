@@ -19,7 +19,7 @@ from msgate import cli, fidelity, hilbert, magnus
 from msgate.params import GateParams, validate
 from msgate.pulses import PulseShape, rectangular, sin_squared
 from msgate.trotter import TrotterConfig
-from oracles import explicit_term_sum, full_space_transfer, per_tau_displacement
+from oracles import explicit_term_sum, fock_offdiagonal_max, frame_blocks, full_space_transfer, per_tau_displacement
 
 
 def _pi(n_dim):
@@ -196,7 +196,7 @@ def test_level_coefficients_form_no_composite_matrix(monkeypatch, clear_transfer
         terms = magnus.magnus_terms(p, rectangular(), up_to=4)
         return (magnus.level_coeff(terms[2], p.n_dim, 1, 1, J.Jy2 - np.eye(4) / 2),
                 magnus.level_coeff(terms[3], p.n_dim, 1, 0, J.Jy),
-                magnus.fock_offdiagonal_max(terms[2], p))
+                fock_offdiagonal_max(terms[2], p))
 
     want = read()
     clear_transfer()  # the plan is built under the patches too
@@ -209,7 +209,7 @@ def _time_reversal_defects(builder, p, pulse, tau):
     """max|D_b conj(H_b(tau)) D_b - H_b(1 - tau)| per block and on the full
     space (last entry, from ``embed``), with D_b = Q_b^H D Q_b, and max|H| over the gate."""
     frame = builder(p, pulse)
-    blocks = frame(np.array([tau, 1 - tau]))
+    blocks = frame_blocks(frame, p, np.array([tau, 1 - tau]))
     spaces = hilbert.symmetry_blocks(p.n_dim) + (np.eye(p.dim),)
     defects = []
     for Q, (now, mirrored) in zip(spaces, blocks + [hilbert.embed(blocks, p.n_dim, 0.0)]):
@@ -217,7 +217,7 @@ def _time_reversal_defects(builder, p, pulse, tau):
         # the propagator reads D_b off Q_b as a diagonal of signs
         assert np.abs(np.abs(D) - np.eye(len(D))).max() <= 1e-15
         defects.append(np.abs(D @ now.conj() @ D - mirrored).max())
-    return defects, np.abs(hilbert.embed(frame(np.linspace(0, 1, 257)), p.n_dim, 0.0)).max()
+    return defects, np.abs(hilbert.embed(frame_blocks(frame, p, np.linspace(0, 1, 257)), p.n_dim, 0.0)).max()
 
 
 @pytest.mark.parametrize("builder", [

@@ -11,7 +11,7 @@ import scipy.linalg
 from msgate import fidelity, hilbert, trotter
 from msgate.pulses import PulseShape, rectangular, sin_squared
 from msgate.trotter import TrotterConfig
-from oracles import guard_band_indices, unitarity_defect
+from oracles import frame_blocks, guard_band_indices, unitarity_defect
 
 
 def _full(U, params):
@@ -142,10 +142,10 @@ def test_exact_displacement_vs_truncated(params_omega2, rect, weights, unum_omeg
 def _dense_reference(builder, params, pulse, n_steps):
     """Midpoint product of full-space matrix exponentials, one expm per step."""
     U = np.eye(params.dim, dtype=complex)
-    build = builder(params, pulse)
+    frame = builder(params, pulse)
     taus = (np.arange(n_steps) + 0.5) / n_steps
     for lo in range(0, n_steps, 500):  # a few hundred 32 x 32 step Hamiltonians at a time
-        for H in hilbert.embed(build(taus[lo:lo + 500]), params.n_dim, 0.0):
+        for H in hilbert.embed(frame_blocks(frame, params, taus[lo:lo + 500]), params.n_dim, 0.0):
             U = scipy.linalg.expm(-1j * H / n_steps) @ U
     return U
 
