@@ -158,7 +158,7 @@ def parse_config(path: str) -> dict[str, str]:
     raw: dict[str, str] = {}
     first_on: dict[str, int] = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.split("#", 1)[0].strip()
                 if not line:
@@ -169,7 +169,7 @@ def parse_config(path: str) -> dict[str, str]:
                 if key in raw:
                     raise ConfigError(f"{path}:{lineno}: {key} given twice (first on line {first_on[key]})")
                 raw[key], first_on[key] = val, lineno
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     unknown = sorted(raw.keys() - CONFIG_KEYS.keys())
     if unknown:
@@ -356,8 +356,11 @@ def rows_to_csv(rows: list[dict], metric: str = "average") -> str:
 def _write(text: str, out: str | None) -> None:
     """Write a subcommand's output to the --out path, or to stdout."""
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

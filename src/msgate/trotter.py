@@ -36,10 +36,9 @@ class TrotterConfig:
 
     The policy fixes which steps are taken, not how each is exponentiated:
     every step is exact up to rounding at any norm (one ``eigh`` per symmetry
-    block in the rotating frame, see ``_block_propagator``).  When d > 1
-    divides N_t only the first period's N_t/d steps are computed and the
-    product is their power; otherwise, with a real-coefficient pulse, only
-    half of the steps are computed.
+    block in the rotating frame, see ``_block_propagator``).  Only the first
+    period's steps are computed when d divides N_t (else the gate is one
+    period), and only the first half of them with a real-coefficient pulse.
     """
 
     safety: float = 10.0
@@ -116,16 +115,15 @@ def _chain(stack: np.ndarray, spare: np.ndarray | None = None) -> np.ndarray:
 
 
 def _block_propagator(B: np.ndarray, levels: np.ndarray, K: int, amps: np.ndarray,
-                      ticks: np.ndarray, periods: int, fold: bool) -> np.ndarray:
-    """Ordered product of the steps exp(-i amps_n r_n B r_n^H) in one block, latest
-    factor leftmost, on the grid tau_n = ticks_n / 2N with r_n = exp(i 2 pi K tau_n levels)
-    and N = periods * len(amps).
-    With B = V diag(lam) V^H, steps lo..hi-1 give r_{hi-1} V [E_{hi-1} W ... E_{lo+1} W]
-    E_lo V^H r_lo^H, with E_n = exp(-i amps_n lam) and the constant W = V^H r_{n+1}^H r_n V:
-    diagonal phases and, per two steps, one row of a GEMM with W and one 12 x 12 product.
-    With periods = d > 1, amps and ticks hold the first of d periods of n = N/d steps and
-    the product is (S P)^d (see ``_propagate``).  ``fold`` takes the first half of the
-    steps and mirrors it.
+                      periods: int, fold: bool) -> np.ndarray:
+    """Ordered product in one block, latest factor leftmost, of the Strang steps
+    h exp(-i amps_n B) h of the rotating-frame Hamiltonian omega_T g(tau) B + 2 pi K levels,
+    with the half D-step h = exp(-i pi K levels / N) and N = periods * len(amps).
+    With B = V diag(lam) V^H, steps lo..hi-1 give h V [E_{hi-1} W ... E_{lo+1} W] E_lo V^H h,
+    with E_n = exp(-i amps_n lam) and the constant W = V^H h^2 V: diagonal phases and, per
+    two steps, one row of a GEMM with W and one 12 x 12 product.  amps holds the first of
+    d = periods periods of n = N/d steps; ``fold`` mirrors the first half of that period,
+    and d > 1 then takes its d-th power (see ``_propagate``).
     """
     n_steps, dim = periods * len(amps), len(B)
     lam, V = np.linalg.eigh(B)
@@ -134,6 +132,7 @@ def _block_propagator(B: np.ndarray, levels: np.ndarray, K: int, amps: np.ndarra
     V = _newton_schulz(V.astype(np.clongdouble))
     phases = np.exp(-2j * np.pi * (K * levels % n_steps).astype(np.longdouble) / n_steps)
     W, V = (V.conj().T @ (phases[:, None] * V)).astype(complex), V.astype(complex)
+    h = np.exp(-1j * np.pi * (K * levels % (2 * n_steps)) / n_steps)
 
     def chained_slice(lo: int, hi: int, skip: int) -> np.ndarray:
         # E_{2j+1} W E_{2j} by entries, then one GEMM puts W right of all factors but the first.
@@ -157,19 +156,16 @@ def _block_propagator(B: np.ndarray, levels: np.ndarray, K: int, amps: np.ndarra
         step = 2 * _SLICE
         total = _chain(np.stack([chained_slice(s, min(s + step, hi), int(s == lo))
                                  for s in range(lo, hi, step)]))
-        r_hi, r_lo = (np.exp(1j * np.pi * (K * levels * ticks[n] % (2 * n_steps)) / n_steps)
-                      for n in (hi - 1, lo))
-        return (r_hi[:, None] * (V @ total @ V.conj().T)) * r_lo.conj()
+        return (h[:, None] * (V @ total @ V.conj().T)) * h
 
-    if periods > 1:
-        S = np.exp(-2j * np.pi * (K * levels % periods) / periods)
-        # the power multiplies the unitarity defect of S P by d: one Newton-Schulz step first
-        return np.linalg.matrix_power(_newton_schulz(S[:, None] * run(0, len(amps))), periods)
-    if not fold:
-        return run(0, n_steps)
-    half, flip = n_steps // 2, (-1.0) ** levels  # D_b: the Fock parity of each column
-    first = run(0, half)
-    return (flip[:, None] * first.T * flip) @ run(half, n_steps - half) @ first
+    if fold:
+        half, flip = len(amps) // 2, (-1.0) ** levels  # D_b: the Fock parity of each column
+        first = run(0, half)
+        P = (flip[:, None] * first.T * flip) @ run(half, len(amps) - half) @ first
+    else:
+        P = run(0, len(amps))
+    # the power multiplies the unitarity defect of P by d: one Newton-Schulz step first
+    return np.linalg.matrix_power(_newton_schulz(P), periods) if periods > 1 else P
 
 
 def _propagate(builder, params: GateParams, pulse: PulseShape | None,
@@ -179,18 +175,20 @@ def _propagate(builder, params: GateParams, pulse: PulseShape | None,
     block form (U_+, U_-) of ``hilbert.embed``, the identity on the exchange singlets,
     where H vanishes.  Deterministic for identical inputs (fixed order, no cache).
 
-    Period power: when the drive period d (``drive_period``) divides N, the grid
-    has tau_{k+n} = tau_k + 1/d with n = N/d, and H(tau + 1/d) = R(1/d) H(tau) R(1/d)^H
-    for R(tau) = exp(i 2 pi K tau a+a).  Period j of the product is R(j/d) P R(j/d)^H,
-    with P the product over the first period, so U = R(1) (S P)^d with S = R(1/d)^H,
-    and R(1) = 1 for integer K.  Only the first period's n steps are evaluated.
+    The steps are Strang steps s_k of the frame Hamiltonian H~(tau) = omega_T g(tau) B
+    + 2 pi K a+a, and their product over the gate is U, since the frame R(tau) =
+    exp(i 2 pi K tau a+a) is the identity at tau = 0 and 1 for integer K.  Let p be
+    the drive period d (``drive_period``) when it divides N, else 1: then g(tau + 1/p)
+    = g(tau), and the first period [0, 1/p] holds n = N/p steps.  Two symmetries of
+    H~ apply in turn:
 
-    Time-reversal fold, when d = 1 or d does not divide N: with D = (-1)^{a+a},
-    D conj(H(tau)) D = H(1 - tau) when every pulse coefficient is real (the beat notes
-    are integers, D conj(B_0) D = B_0 for both builders).  The midpoint grid is its own
-    mirror, so step N-1-n is then D e_n^T D, the first N//2 steps give U_1 per block and
-    U_b = D_b U_1^T D_b e_mid U_1, with e_mid the step at tau = 1/2 when N is odd.
-    Other pulses take every step.
+    Time-reversal fold: with D = (-1)^{a+a}, D conj(H~(tau)) D = H~(1/p - tau) when
+    every pulse coefficient is real (D conj(B_0) D = B_0 for both builders).  The
+    midpoint grid is its own mirror, so step n-1-k is then D s_k^T D, the first n//2
+    steps give P_1 per block and the period P_b = D_b P_1^T D_b s_mid P_1, with s_mid
+    the middle step when n is odd.  Other pulses take every step of the period.
+
+    Period power: H~(tau + 1/p) = H~(tau) and tau_{k+n} = tau_k + 1/p, so U = P^p.
     """
     pulse = pulse if pulse is not None else rectangular()
     config = config if config is not None else TrotterConfig()
@@ -198,9 +196,8 @@ def _propagate(builder, params: GateParams, pulse: PulseShape | None,
     frame = builder(params, pulse)
     period = drive_period(frame.taps)
     periods = period if n_steps % period == 0 else 1
-    # the drive is periodic, so the guards below see all of it on the first period's ticks
-    ticks = 2 * np.arange(n_steps // periods) + 1
-    drive = frame.drive(ticks / (2 * n_steps))
+    # the drive is periodic, so the guards below see all of it on the first period's steps
+    drive = frame.drive((np.arange(n_steps // periods) + 0.5) / n_steps)
     defect = max(hilbert.hermiticity_defect(B) / np.abs(B).max() for B in frame.generators)
     imaginary = np.abs(drive.imag).max() / np.abs(drive).max()
     if defect > 1e-12 or imaginary > 1e-12:
@@ -210,7 +207,7 @@ def _propagate(builder, params: GateParams, pulse: PulseShape | None,
     if not (np.isfinite(amps).all() and all(np.isfinite(B).all() for B in frame.generators)):
         raise ValueError(f"Hamiltonian not finite: omega_T {params.omega_T}, eta {params.eta}")
     fold = all(c.imag == 0 for c in pulse.coefficients.values())
-    return tuple(_block_propagator(B, n, params.K, amps, ticks, periods, fold)
+    return tuple(_block_propagator(B, n, params.K, amps, periods, fold)
                  for B, n in zip(frame.generators, frame.levels))
 
 

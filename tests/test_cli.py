@@ -6,7 +6,6 @@ import pathlib
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 import msgate
@@ -450,6 +449,27 @@ def test_package_imports_only_numpy_and_scipy_sparse():
             if name != "numpy" and name != "scipy.sparse"} == set()
 
 
+def test_no_unused_imports():
+    # every name a module binds by an import is read somewhere in it, in src/msgate and
+    # tests/; __init__.py re-exports and ``from __future__`` bind names on purpose
+    root = pathlib.Path(__file__).resolve().parents[1]
+    unused = []
+    for path in sorted([*(root / "src" / "msgate").rglob("*.py"), *(root / "tests").rglob("*.py")]):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound.update((alias.asname or alias.name.split(".")[0], node.lineno) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.relative_to(root)}:{line}: {name}" for name, line in bound.items()
+                   if name not in read]
+    assert unused == []
+
+
 @pytest.mark.parametrize("lines", [
     "pulse = custom\npulse_coeffs = 1:0.5:0\ngrid = 1,2\n",  # no conjugate partner
     "pulse = custom\npulse_coeffs = x:1:0\ngrid = 1,2\n",    # non-integer M
@@ -510,6 +530,28 @@ def test_every_subcommand_rejects_malformed_values(tmp_path, capsys, command, li
     path = _write(tmp_path, "bad.cfg", _setting(CHECK_OK + "axis = K\ngrid = 28\npropagators = U2\n", lines))
     assert cli.main([command, path]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+OUT_OK = CHECK_OK + "axis = omega\ngrid = 28\npropagators = U2\npropagator = U2\n"
+
+
+@pytest.mark.parametrize("command", ["sweep", "check", "budget", "propagate"])
+@pytest.mark.parametrize("target", ["directory", "missing-directory"])
+def test_unwritable_out_is_config_error(tmp_path, capsys, command, target):
+    path = _write(tmp_path, "ok.cfg", OUT_OK)
+    out = tmp_path if target == "directory" else tmp_path / "missing" / "x.txt"
+    assert cli.main([command, path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out}: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "missing").exists()
+
+
+def test_config_not_utf8_is_config_error(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(CHECK_OK.encode() + b"# gr\xfc\xdfe\n")
+    assert cli.main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config {path}: ") and len(err.splitlines()) == 1
 
 
 HUGE_PULSE = "pulse = custom\npulse_coeffs = 0:1e307:0\ngrid = 100,200\n"

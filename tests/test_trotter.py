@@ -152,16 +152,23 @@ def _dense_reference(builder, params, pulse, n_steps):
 
 # conjugate-symmetric but complex: a real drive without the time-reversal fold
 SKEW = PulseShape.from_dict("skew", {0: 0.5, 1: 0.25j, -1: -0.25j})
+# real pulse with harmonics 0 and +/-5: taps +/-25, -20, 30, -30, 20 at L = 25, so the
+# drive period d = 5 differs from L
+PERIOD_5 = PulseShape.from_dict("period-5", {0: 0.5, 5: 0.25, -5: 0.25})
+# the same period with complex coefficients: the power without the fold
+SKEW_5 = PulseShape.from_dict("skew-5", {0: 0.5, 5: 0.25j, -5: -0.25j})
 
 
 # step norms ||H_b dtau|| at these parameters: 0.26 at 400 steps, 0.053 at 2000,
-# 1.7 at 60, 0.015 at the default 6,850 (None); there, and at 400 and 2000, the
-# rect product is the power of one period (25 periods of 274, 16 and 80 steps)
+# 1.7 at 60, 0.015 at the default 6,850 (None); there, and at 400, 425 and 2000, the
+# rect product is the power of one folded period (25 periods of 274, 16, 17 and 80
+# steps; at 17 the fold takes a middle step), and PERIOD_5 at 405 steps that of 81
 @pytest.mark.parametrize("pulse, n_steps", [
     (rectangular(), 400), (sin_squared(), 400), (rectangular(), 401), (SKEW, 400),
     (sin_squared(), 60), (rectangular(), 2000), (rectangular(), None),
+    (rectangular(), 425), (PERIOD_5, 405), (SKEW_5, 400),
 ], ids=["rect", "sin2", "rect-401-odd", "skew-unfolded", "sin2-60-squared", "rect-2000-unscaled",
-        "rect-default"])
+        "rect-default", "rect-425-odd-period", "period-5-405-odd-period", "skew-5-unfolded-power"])
 @pytest.mark.parametrize("route, builder", [
     (trotter.propagate_numeric, hilbert.sideband_hamiltonian),
     (trotter.propagate_numeric_exact_displacement, hilbert.displacement_hamiltonian),
@@ -192,11 +199,6 @@ def test_non_finite_hamiltonian_rejected(base_params, rect, omega_T):
     for route in (trotter.propagate_numeric, trotter.propagate_numeric_exact_displacement):
         with pytest.raises(ValueError, match="not finite"):
             route(base_params.replace(omega_T=omega_T), rect, cfg)
-
-
-# real pulse with harmonics 0 and +/-5: taps +/-25, -20, 30, -30, 20 at L = 25, so the
-# drive period d = 5 differs from L
-PERIOD_5 = PulseShape.from_dict("period-5", {0: 0.5, 5: 0.25, -5: 0.25})
 
 
 def _plain_product(monkeypatch, route, params, pulse, cfg):
