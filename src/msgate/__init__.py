@@ -6,7 +6,6 @@ from .pulses import PulseShape, envelope_at, rectangular, sin_squared, validate_
 from .hilbert import (
     collective_spin,
     collective_spins,
-    laguerre,
     matrix_exp,
     sideband_operator,
 )

@@ -76,10 +76,10 @@ def combined_dy(params: GateParams, omega_T: float) -> float:
     Setting d_y = -pi/2 reproduces the Omega_4 quadratic.  (The sign of the
     first term is fixed by the gate rotation being negative; the source
     expression prints it with (eta^2 - 1) instead.)  It is the sum of the generic
-    column over the Jy^2 rows of the budget table.
+    column over the Jy^2 rows of ``table_rows``, so params must pass ``validate``.
     """
-    return sum(row_generic(label, params, omega_T)
-               for label in ROW_LABELS if OPERATOR_TAGS[label] == "Jy^2")
+    return sum(row.generic for row in table_rows(params.replace(omega_T=omega_T))
+               if row.operator_tag == "Jy^2")
 
 
 def quadratic_residual(params: GateParams, omega_T: float) -> float:
@@ -105,115 +105,9 @@ def amplitude_set(params: GateParams) -> AmplitudeSet:
 # Error-budget table (flat-pulse closed forms).
 # ---------------------------------------------------------------------------
 
-ROW_LABELS = ("Gate", "Z2_m1", "Z2_m2", "Z3_m1", "Z3_m2",
-              "Z4_m1_Jxy", "Z4_m1_Jz2", "Z4_m1_Jy2")
-
-OPERATOR_TAGS = {
-    "Gate": "Jy^2",
-    "Z2_m1": "Jy^2",
-    "Z2_m2": "Jx^2",
-    "Z3_m1": "Jy(a+a+)",
-    "Z3_m2": "Jx(1-Jy^2)(a^2-a+^2)",
-    "Z4_m1_Jxy": "Jxy(a+a+)",
-    "Z4_m1_Jz2": "Jz^2",
-    "Z4_m1_Jy2": "Jy^2",
-}
-
 # Rows whose Omega_LD / Omega_4 columns equal the generic column under direct
 # substitution (checked at 1e-9 relative in the tests).
 CONSISTENT_ROWS = ("Gate", "Z2_m1", "Z2_m2", "Z3_m1", "Z4_m1_Jz2", "Z4_m1_Jy2")
-
-
-def row_generic(label: str, params: GateParams, omega_T: float, n: int = 0) -> float:
-    """Generic coefficient column at drive strength omega_T and Fock level n.
-
-    Every row is the leading Lamb-Dicke coefficient of its operator, i.e. the
-    eta -> 0 limit of the matching block of the assembled order divided by
-    this value; at finite eta the block carries eta^2-relative corrections,
-    which grow as the gap K - L closes (at K = 100, L = 97, eta = 0.1 the
-    Z4_m1_Jz2 / Z4_m1_Jy2 blocks are 0.43 / 1.28 of their rows).
-
-    The ``_m1`` rows are the leading share from the carrier plus the first
-    sideband only.  Second sidebands add to the same blocks at the same
-    order: with sidebands up to m_max = 3 the eta -> 0 limit of the Z3_m1
-    block is 0.990 of its row at K = 100, L = 97 (1 to 1e-8 with m_max = 1),
-    0.968 at K = 28, L = 25 and 0.884 at K = 100, L = 30.
-    """
-    K, L, eta = params.K, params.L, params.eta
-    W = omega_T
-    KK, LL = K * K, L * L
-    if label == "Gate":
-        return -K * W ** 2 * eta ** 2 / (math.pi * (KK - LL))
-    if label == "Z2_m1":
-        return K * W ** 2 * eta ** 4 * (2 * n + 1) / (math.pi * (KK - LL))
-    if label == "Z2_m2":
-        return -K * W ** 2 * eta ** 4 * (2 * n + 1) / (math.pi * (4 * KK - LL))
-    if label == "Z3_m1":
-        return -2 * KK * W ** 3 * eta ** 5 / (math.pi ** 2 * (KK - LL) ** 2)
-    if label == "Z3_m2":
-        return KK * W ** 3 * eta ** 4 / (math.pi ** 2 * (4 * KK - LL) * (KK - LL))
-    if label == "Z4_m1_Jxy":
-        return K * W ** 4 * eta ** 3 / (math.pi ** 3 * (KK - 4 * LL) * (KK - LL))
-    if label == "Z4_m1_Jz2":
-        return -K * W ** 4 * eta ** 2 / (4 * math.pi ** 3 * LL * (KK - 4 * LL))
-    if label == "Z4_m1_Jy2":
-        return K * W ** 4 * eta ** 2 / (4 * math.pi ** 3 * LL * (KK - LL))
-    raise KeyError(label)
-
-
-def row_at_ld(label: str, params: GateParams, n: int = 0) -> float:
-    """Closed-form column at Omega = Omega_LD."""
-    K, L, eta = params.K, params.L, params.eta
-    KK, LL = K * K, L * L
-    if label == "Gate":
-        return -math.pi / 2
-    if label == "Z2_m1":
-        return math.pi * eta ** 2 * (1 + 2 * n) / 2
-    if label == "Z2_m2":
-        return -math.pi * eta ** 2 * (KK - LL) * (2 * n + 1) / (2 * (4 * KK - LL))
-    if label == "Z3_m1":
-        return -math.pi * eta ** 2 * math.sqrt(K / (2 * (KK - LL)))
-    if label == "Z3_m2":
-        return (math.pi * eta / 2) * math.sqrt(K / (2 * (KK - LL) * (4 * KK - LL)))
-    if label == "Z4_m1_Jxy":
-        return math.pi * (KK - LL) / (4 * K * eta * (KK - 4 * LL))
-    if label == "Z4_m1_Jz2":
-        return -math.pi * (KK - LL) ** 2 / (16 * K * LL * eta ** 2 * (KK - 4 * LL))
-    if label == "Z4_m1_Jy2":
-        return math.pi * (KK - LL) / (16 * K * LL * eta ** 2)
-    raise KeyError(label)
-
-
-def row_at_o4(label: str, params: GateParams, n: int = 0) -> float:
-    """Closed-form column at Omega = Omega_4 (with s = s(eta))."""
-    K, L, eta = params.K, params.L, params.eta
-    KK, LL = K * K, L * L
-    s = s_parameter(params)
-    disc = s * s - (KK - LL)
-    if disc < 0:
-        return float("nan")
-    rt = math.sqrt(disc)
-    D = s - rt
-    if label == "Gate":
-        return -math.sqrt(2 * K) * math.pi * L * eta * D / (KK - LL)
-    if label == "Z2_m1":
-        return math.sqrt(2 * K) * math.pi * L * eta ** 3 * (2 * n + 1) * D / (KK - LL)
-    if label == "Z2_m2":
-        return -math.sqrt(2 * K) * math.pi * L * eta ** 3 * (2 * n + 1) * D / (4 * KK - LL)
-    if label == "Z3_m1":
-        return (-(2 ** 1.75) * math.pi * K ** 1.25 * L ** 1.5 * eta ** 3.5
-                * D ** 1.5 / (KK - LL) ** 2)
-    if label == "Z3_m2":
-        return (-(2 ** 0.75) * math.pi * K ** 1.25 * L ** 1.5 * eta ** 2.5
-                * D ** 1.5 / ((4 * KK - LL) * (KK - LL)))
-    if label == "Z4_m1_Jxy":
-        # literal transcription, including the (K^2 - 4 L^4) factor
-        return 2 * math.pi * LL * eta * D ** 2 / ((KK - LL) * (KK - 4 * L ** 4))
-    if label == "Z4_m1_Jz2":
-        return math.pi * (KK - LL - 2 * s * s + 2 * s * rt) / (2 * (KK - 4 * LL))
-    if label == "Z4_m1_Jy2":
-        return -math.pi / 2 + math.pi * s * D / (KK - LL)
-    raise KeyError(label)
 
 
 @dataclass(frozen=True)
@@ -226,17 +120,71 @@ class BudgetRow:
 
 
 def table_rows(params: GateParams, n: int = 0) -> list[BudgetRow]:
-    """All budget rows; the generic column is evaluated at params.omega_T."""
-    rows = []
-    for label in ROW_LABELS:
-        rows.append(BudgetRow(
-            label=label,
-            operator_tag=OPERATOR_TAGS[label],
-            generic=row_generic(label, params, params.omega_T, n),
-            at_ld=row_at_ld(label, params, n),
-            at_o4=row_at_o4(label, params, n),
-        ))
-    return rows
+    """The budget table at Fock level n: per row its label, its operator, the generic
+    column at drive strength params.omega_T and the closed forms at Omega_LD and at
+    Omega_4 (with s = s(eta); all NaN when s^2 < K^2 - L^2).  Divides by K^2 - 4L^2,
+    so params must pass ``validate``.
+
+    Every generic entry is the leading Lamb-Dicke coefficient of its operator: the
+    matching block of the assembled order divided by the entry tends to 1 as
+    eta -> 0; at finite eta the block carries eta^2-relative corrections, which grow
+    as the gap K - L closes (at K = 100, L = 97, eta = 0.1 the Z4_m1_Jz2 / Z4_m1_Jy2
+    blocks are 0.43 / 1.28 of their rows).
+
+    The ``_m1`` rows are the leading share from the carrier plus the first
+    sideband only.  Second sidebands add to the same blocks at the same
+    order: with sidebands up to m_max = 3 the eta -> 0 limit of the Z3_m1
+    block is 0.990 of its row at K = 100, L = 97 (1 to 1e-8 with m_max = 1),
+    0.968 at K = 28, L = 25 and 0.884 at K = 100, L = 30.
+    """
+    K, L, eta, W = params.K, params.L, params.eta, params.omega_T
+    KK, LL = K * K, L * L
+    s = s_parameter(params)
+    disc = s * s - (KK - LL)
+    rt = math.sqrt(max(disc, 0.0))
+    D = s - rt
+    pi = math.pi
+    rows = (
+        ("Gate", "Jy^2",
+         -K * W ** 2 * eta ** 2 / (pi * (KK - LL)),
+         -pi / 2,
+         lambda: -math.sqrt(2 * K) * pi * L * eta * D / (KK - LL)),
+        ("Z2_m1", "Jy^2",
+         K * W ** 2 * eta ** 4 * (2 * n + 1) / (pi * (KK - LL)),
+         pi * eta ** 2 * (1 + 2 * n) / 2,
+         lambda: math.sqrt(2 * K) * pi * L * eta ** 3 * (2 * n + 1) * D / (KK - LL)),
+        ("Z2_m2", "Jx^2",
+         -K * W ** 2 * eta ** 4 * (2 * n + 1) / (pi * (4 * KK - LL)),
+         -pi * eta ** 2 * (KK - LL) * (2 * n + 1) / (2 * (4 * KK - LL)),
+         lambda: -math.sqrt(2 * K) * pi * L * eta ** 3 * (2 * n + 1) * D / (4 * KK - LL)),
+        ("Z3_m1", "Jy(a+a+)",
+         -2 * KK * W ** 3 * eta ** 5 / (pi ** 2 * (KK - LL) ** 2),
+         -pi * eta ** 2 * math.sqrt(K / (2 * (KK - LL))),
+         lambda: -(2 ** 1.75) * pi * K ** 1.25 * L ** 1.5 * eta ** 3.5 * D ** 1.5 / (KK - LL) ** 2),
+        # both closed forms as printed (see the module docstring)
+        ("Z3_m2", "Jx(1-Jy^2)(a^2-a+^2)",
+         KK * W ** 3 * eta ** 4 / (pi ** 2 * (4 * KK - LL) * (KK - LL)),
+         (pi * eta / 2) * math.sqrt(K / (2 * (KK - LL) * (4 * KK - LL))),
+         lambda: (-(2 ** 0.75) * pi * K ** 1.25 * L ** 1.5 * eta ** 2.5 * D ** 1.5
+                  / ((4 * KK - LL) * (KK - LL)))),
+        # the Omega_4 column as printed, including its (K^2 - 4 L^4) factor
+        ("Z4_m1_Jxy", "Jxy(a+a+)",
+         K * W ** 4 * eta ** 3 / (pi ** 3 * (KK - 4 * LL) * (KK - LL)),
+         pi * (KK - LL) / (4 * K * eta * (KK - 4 * LL)),
+         lambda: 2 * pi * LL * eta * D ** 2 / ((KK - LL) * (KK - 4 * L ** 4))),
+        ("Z4_m1_Jz2", "Jz^2",
+         -K * W ** 4 * eta ** 2 / (4 * pi ** 3 * LL * (KK - 4 * LL)),
+         -pi * (KK - LL) ** 2 / (16 * K * LL * eta ** 2 * (KK - 4 * LL)),
+         lambda: pi * (KK - LL - 2 * s * s + 2 * s * rt) / (2 * (KK - 4 * LL))),
+        ("Z4_m1_Jy2", "Jy^2",
+         K * W ** 4 * eta ** 2 / (4 * pi ** 3 * LL * (KK - LL)),
+         pi * (KK - LL) / (16 * K * LL * eta ** 2),
+         lambda: -pi / 2 + pi * s * D / (KK - LL)),
+    )
+    # Omega_4 cells only where Omega_4 is real: at K = 2L^2, which validate accepts
+    # (K = 18, L = 3), the Z4_m1_Jxy cell divides by zero, and s^2 < K^2 - L^2.
+    return [BudgetRow(label, op, generic, at_ld, at_o4() if disc >= 0 else math.nan)
+            for label, op, generic, at_ld, at_o4 in rows]
 
 
 def render_table(rows: list[BudgetRow], at: AmplitudeSet, combined: float | None = None) -> str:

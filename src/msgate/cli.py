@@ -25,8 +25,10 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
+import errno
 import functools
 import math
+import os
 import sys
 
 import numpy as np
@@ -353,6 +355,17 @@ def rows_to_csv(rows: list[dict], metric: str = "average") -> str:
 # Subcommands.
 # ---------------------------------------------------------------------------
 
+def _check_out(out: str | None) -> None:
+    """Fail before any computation if the --out path is a directory, or its directory is
+    missing or not writable; ``_write`` reports what this cannot see.  Creates nothing."""
+    if out:
+        folder = os.path.dirname(out) or "."
+        code = (errno.EISDIR if os.path.isdir(out) else errno.ENOENT if not os.path.isdir(folder)
+                else errno.EACCES if not os.access(folder, os.W_OK) else 0)
+        if code:
+            raise ConfigError(f"cannot write {out}: {os.strerror(code)}")
+
+
 def _write(text: str, out: str | None) -> None:
     """Write a subcommand's output to the --out path, or to stdout."""
     if out:
@@ -456,6 +469,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -30,21 +30,6 @@ def destroy(n_dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, n_dim, dtype=float)), k=1).astype(complex)
 
 
-def laguerre(a: int, b: int, x: float) -> float:
-    """Associated Laguerre polynomial L_a^{(b)}(x) by stable three-term recurrence.
-
-    a L_a^{(b)} = (2a - 1 + b - x) L_{a-1}^{(b)} - (a - 1 + b) L_{a-2}^{(b)}
-    """
-    if a < 0 or b < 0:
-        raise ValueError("laguerre orders must be non-negative")
-    if a == 0:
-        return 1.0
-    prev, cur = 1.0, 1.0 + b - x
-    for k in range(2, a + 1):
-        prev, cur = cur, ((2 * k - 1 + b - x) * cur - (k - 1 + b) * prev) / k
-    return cur
-
-
 @dataclass(frozen=True)
 class CollectiveSpinSet:
     """Collective spin operators J_i = (1 x sigma_i + sigma_i x 1)/2 on 4 dims."""
@@ -85,14 +70,18 @@ def sideband_operator(m: int, eta: float, n_dim: int) -> np.ndarray:
     the displacement exp(i eta (a + a+)) that raises the Fock level by m,
         <n+m|A_m|n> = exp(-eta^2/2) (i eta)^m sqrt(n!/(n+m)!) L_n^{(m)}(eta^2)   (m >= 0),
     and A_{-m} = (-1)^m A_m^H (Cahill & Glauber 1969).  These are the entries of the
-    untruncated operator, so the Fock cutoff is the only truncation.
+    untruncated operator, so the Fock cutoff is the only truncation.  L_n^{(k)}(x),
+    x = eta^2, is carried along the band by the three-term recurrence
+        (n + 1) L_{n+1}^{(k)} = (2n + 1 + k - x) L_n^{(k)} - (n + k) L_{n-1}^{(k)}.
     """
     if abs(m) > n_dim:
         raise ValueError(f"|m|={abs(m)} exceeds n_dim={n_dim}")
     k, x = abs(m), eta * eta
-    band = np.array([math.sqrt(math.factorial(n) / math.factorial(n + k)) * laguerre(n, k, x)
-                     for n in range(n_dim - k)], dtype=complex)
-    out = math.exp(-0.5 * x) * (1j * eta) ** k * np.diag(band, -k)
+    band, prev, cur = [], 0.0, 1.0
+    for n in range(n_dim - k):
+        band.append(math.sqrt(math.factorial(n) / math.factorial(n + k)) * cur)
+        prev, cur = cur, ((2 * n + 1 + k - x) * cur - (n + k) * prev) / (n + 1)
+    out = math.exp(-0.5 * x) * (1j * eta) ** k * np.diag(np.array(band, dtype=complex), -k)
     return out if m >= 0 else (-1) ** k * out.conj().T
 
 

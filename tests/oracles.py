@@ -7,7 +7,8 @@ read of the model:
   * ``frame_blocks``, a rotating frame's Hamiltonian blocks at a vector of instants,
     and the composite Hamiltonian at one instant built from them;
   * the closed-form Bell fidelity of a Fock-diagonal generator;
-  * the Laguerre form factors of Z_2 (``form_factor``) and the largest
+  * the associated Laguerre polynomials from their series (``laguerre_series``),
+    the Laguerre form factors of Z_2 (``form_factor``) and the largest
     Fock-off-diagonal entry of an order (``fock_offdiagonal_max``);
   * the printed sin^2-pulse closed forms (``sin2_forms``), which track the
     assembly only to 10-20%;
@@ -139,6 +140,13 @@ def unitarity_defect(A):
 # Closed forms and a calibration that the package does not use.
 # ---------------------------------------------------------------------------
 
+def laguerre_series(a, b, x):
+    """Associated Laguerre polynomial L_a^{(b)}(x) from its explicit series
+    sum_k (-1)^k C(a+b, a-k) x^k / k!."""
+    return sum((-1) ** k * math.comb(a + b, a - k) * x ** k / math.factorial(k)
+               for k in range(a + 1))
+
+
 def form_factor(params, n, parity, pulse=None):
     """Fock-level-resolved coefficient d_x^(n) ('even') or d_y^(n) ('odd') of
     Jx^2 / Jy^2 in Z_2, from the associated-Laguerre closed form.
@@ -163,7 +171,7 @@ def form_factor(params, n, parity, pulse=None):
             continue
         hi = max(n, n - m)
         weight = ((-eta2) ** abs(m)
-                  * hilbert.laguerre(lo, abs(m), eta2) ** 2
+                  * laguerre_series(lo, abs(m), eta2) ** 2
                   * math.factorial(lo) / math.factorial(hi))
         for M, mu in itertools.product(pulse.support, (-1, 1)):
             N = beat_note(M, m, mu, params)

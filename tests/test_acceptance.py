@@ -323,7 +323,6 @@ def _criterion_8_ratios(eta, pulse):
     terms = magnus.magnus_terms(p, pulse, up_to=4)
     J = hilbert.collective_spins()
     jx2, jy2, jz2 = (Ja2 - np.eye(4) / 2 for Ja2 in (J.Jx2, J.Jy2, J.Jz2))
-    W = p.omega_T
 
     def coeff(k, row, col, op):
         return magnus.level_coeff(terms[k], p.n_dim, row, col, op).real
@@ -350,10 +349,10 @@ def _criterion_8_ratios(eta, pulse):
     extracted["Z3_m2"] = float((coef[0] / -np.sqrt(2)).real)
 
     ratios = {}
-    for label in budget.ROW_LABELS:
-        want = budget.row_generic(label, p, W, 0)
+    for row, row1 in zip(budget.table_rows(p, 0), budget.table_rows(p, 1)):
+        label, want = row.label, row.generic
         if label == "Z2_m1":
-            want = budget.row_generic(label, p, W, 1) - budget.row_generic(label, p, W, 0)
+            want = row1.generic - row.generic
             want /= 2
         got = extracted[label]
         ratios[label] = abs(got) / abs(want) if label == "Z3_m2" else got / want
@@ -389,7 +388,7 @@ def test_criterion_8_budget_vs_assembly(rect):
 
     rows = {}
     failures = []
-    for label in budget.ROW_LABELS:
+    for label in per_eta[CRITERION_8_ETAS[0]][0]:
         r = np.array([per_eta[eta][0][label] for eta in CRITERION_8_ETAS])
         limit = float(richardson @ r[-3:])
         departure = np.abs(r - limit)

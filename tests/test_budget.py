@@ -6,24 +6,26 @@ import pytest
 from msgate import budget, hilbert, magnus
 from msgate.budget import (
     CONSISTENT_ROWS,
-    ROW_LABELS,
     amplitude_set,
     combined_dy,
     omega_2,
     omega_4,
     omega_ld,
     quadratic_residual,
-    row_at_ld,
-    row_at_o4,
-    row_generic,
     rows_to_csv,
     table_rows,
 )
-from msgate.params import GateParams
+from msgate.params import GateParams, validate
 from msgate.pulses import sin_squared
 from oracles import calibrate_omega, sin2_forms
 
 JY2 = hilbert.collective_spins().Jy2 - np.eye(4) / 2  # sigma_y (x) sigma_y / 2
+LABELS = ("Gate", "Z2_m1", "Z2_m2", "Z3_m1", "Z3_m2", "Z4_m1_Jxy", "Z4_m1_Jz2", "Z4_m1_Jy2")
+
+
+def rows_at(p, W, n=0):
+    """The budget rows by label, with the generic column at drive strength W."""
+    return {r.label: r for r in table_rows(p.replace(omega_T=W), n)}
 
 
 def test_omega_ld_value(base_params):
@@ -87,6 +89,20 @@ def test_omega_4_invalid_when_discriminant_negative():
     assert math.isnan(amps.omega_4)
     assert math.isnan(amps.omega_4_residual)
     assert amps.omega_ld < amps.omega_2  # the other amplitudes stay real
+    for row in table_rows(p.replace(omega_T=3.7), 1):  # and so do all but the Omega_4 column
+        assert math.isnan(row.at_o4) and math.isfinite(row.generic) and math.isfinite(row.at_ld), row.label
+
+
+def test_budget_at_K_equal_2L_squared():
+    # K^2 - 4L^4 = 0 in the printed Z4_m1_Jxy Omega_4 cell; validate accepts the point
+    # (jK = lL needs l = 6 > k_max) and Omega_4 is not real there
+    p = GateParams(eta=0.18, K=18, L=3, omega_T=20.0)
+    assert validate(p).ok
+    amps = amplitude_set(p)
+    assert math.isnan(amps.omega_4) and math.isnan(amps.omega_4_residual)
+    assert math.isfinite(amps.omega_2)
+    for row in table_rows(p):
+        assert math.isnan(row.at_o4) and math.isfinite(row.generic) and math.isfinite(row.at_ld), row.label
 
 
 def test_amplitude_set(base_params):
@@ -98,12 +114,12 @@ def test_amplitude_set(base_params):
 
 
 def test_gate_row_at_ld_is_pi_half(base_params):
-    assert row_at_ld("Gate", base_params) == -math.pi / 2
+    assert rows_at(base_params, 0.0)["Gate"].at_ld == -math.pi / 2
 
 
 def test_z2_m1_row_at_ld(base_params):
     # pi * eta^2 / 2 at n = 0
-    assert row_at_ld("Z2_m1", base_params, 0) == pytest.approx(0.050893800988155)
+    assert rows_at(base_params, 0.0, 0)["Z2_m1"].at_ld == pytest.approx(0.050893800988155)
 
 
 def test_column_consistency():
@@ -114,10 +130,9 @@ def test_column_consistency():
     w_ld, w_4 = omega_ld(p), omega_4(p)
     for label in CONSISTENT_ROWS:
         for n in (0, 1):
-            assert row_generic(label, p, w_ld, n) == pytest.approx(
-                row_at_ld(label, p, n), rel=1e-9), (label, "LD", n)
-            assert row_generic(label, p, w_4, n) == pytest.approx(
-                row_at_o4(label, p, n), rel=1e-9), (label, "O4", n)
+            at_ld, at_4 = rows_at(p, w_ld, n)[label], rows_at(p, w_4, n)[label]
+            assert at_ld.generic == pytest.approx(at_ld.at_ld, rel=1e-9), (label, "LD", n)
+            assert at_4.generic == pytest.approx(at_4.at_o4, rel=1e-9), (label, "O4", n)
 
 
 def test_known_inconsistent_row_is_transcribed_not_fixed():
@@ -125,8 +140,8 @@ def test_known_inconsistent_row_is_transcribed_not_fixed():
     # substitution (sign at omega_4, magnitude at omega_LD); both are
     # deliberately kept as printed
     p = GateParams(eta=0.18, K=28, L=25)
-    sub = row_generic("Z3_m2", p, omega_4(p))
-    printed = row_at_o4("Z3_m2", p)
+    row = rows_at(p, omega_4(p))["Z3_m2"]
+    sub, printed = row.generic, row.at_o4
     assert printed == pytest.approx(-sub, rel=1e-9)
 
 
@@ -136,16 +151,16 @@ def test_z4_jxy_row_is_exact_at_ld_and_transcribed_at_o4(K, L, eta):
     # transcribed last denominator factor K^2 - 4L^4 is put back to K^2 - 4L^2
     p = GateParams(eta=eta, K=K, L=L)
     for n in (0, 1):
-        assert row_generic("Z4_m1_Jxy", p, omega_ld(p), n) == pytest.approx(
-            row_at_ld("Z4_m1_Jxy", p, n), rel=1e-9)
-        printed = row_at_o4("Z4_m1_Jxy", p, n) * (K * K - 4 * L ** 4) / (K * K - 4 * L * L)
-        assert row_generic("Z4_m1_Jxy", p, omega_4(p), n) == pytest.approx(printed, rel=1e-9)
+        at_ld, at_4 = rows_at(p, omega_ld(p), n)["Z4_m1_Jxy"], rows_at(p, omega_4(p), n)["Z4_m1_Jxy"]
+        assert at_ld.generic == pytest.approx(at_ld.at_ld, rel=1e-9)
+        printed = at_4.at_o4 * (K * K - 4 * L ** 4) / (K * K - 4 * L * L)
+        assert at_4.generic == pytest.approx(printed, rel=1e-9)
     assert "Z4_m1_Jxy" not in CONSISTENT_ROWS
 
 
 def test_table_rows_structure(base_params):
     rows = table_rows(base_params.replace(omega_T=omega_2(base_params)))
-    assert tuple(r.label for r in rows) == ROW_LABELS
+    assert tuple(r.label for r in rows) == LABELS
     assert rows[0].operator_tag == "Jy^2"
     csv = rows_to_csv(rows)
     assert csv.splitlines()[0] == "label,operator,generic,at_LD,at_O4"
@@ -153,8 +168,8 @@ def test_table_rows_structure(base_params):
 
 
 def test_zero_drive_zeroes_generic_rows(base_params):
-    for label in ROW_LABELS:
-        assert row_generic(label, base_params, 0.0) == 0.0
+    for label in LABELS:
+        assert rows_at(base_params, 0.0)[label].generic == 0.0
 
 
 def test_sin2_polynomial_values():

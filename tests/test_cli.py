@@ -536,14 +536,23 @@ OUT_OK = CHECK_OK + "axis = omega\ngrid = 28\npropagators = U2\npropagator = U2\
 
 
 @pytest.mark.parametrize("command", ["sweep", "check", "budget", "propagate"])
-@pytest.mark.parametrize("target", ["directory", "missing-directory"])
-def test_unwritable_out_is_config_error(tmp_path, capsys, command, target):
+@pytest.mark.parametrize("target", ["directory", "missing-directory", "read-only-directory"])
+def test_unwritable_out_is_config_error(tmp_path, capsys, monkeypatch, command, target):
+    # reported before any propagator is computed
+    def compute(*args, **kwargs):
+        raise AssertionError("computed before --out was checked")
+
+    monkeypatch.setattr(cli, "run_sweep", compute)
+    monkeypatch.setattr(cli, "_propagators", compute)
+    if target == "read-only-directory":  # root ignores permission bits, so os.access says it
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
     path = _write(tmp_path, "ok.cfg", OUT_OK)
-    out = tmp_path if target == "directory" else tmp_path / "missing" / "x.txt"
+    out = {"directory": tmp_path, "missing-directory": tmp_path / "missing" / "x.txt",
+           "read-only-directory": tmp_path / "x.txt"}[target]
     assert cli.main([command, path, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot write {out}: ") and len(err.splitlines()) == 1
-    assert not (tmp_path / "missing").exists()
+    assert not (tmp_path / "missing").exists() and not (tmp_path / "x.txt").exists()
 
 
 def test_config_not_utf8_is_config_error(tmp_path, capsys):
@@ -621,11 +630,56 @@ def test_points_without_real_amplitude_give_skip_rows(tmp_path, lines, statuses)
     assert [r["status"] for r in run_sweep(sweep_from_config(parse_config(path)))] == statuses
 
 
+def test_K_equal_2L_squared_is_a_valid_point(tmp_path, capsys):
+    # K = 18, L = 3: the printed Z4_m1_Jxy Omega_4 cell divides by K^2 - 4L^4 = 0, and
+    # Omega_4 is not real there; a K-axis sweep at K - L = 15 reaches it
+    path = _write(tmp_path, "k.cfg", "eta = 0.18\nK = 28\nL = 13\npulse = rect\naxis = K\n"
+                                     "grid = 18\nomega_mode = omega2\npropagators = U2\n")
+    out = tmp_path / "k.csv"
+    assert cli.main(["sweep", path, "--out", str(out)]) == 0
+    row = dict(zip(*[line.split(",") for line in out.read_text().splitlines()]))
+    assert row["status"] == "ok" and row["omega_4"] == "nan"
+    assert cli.main(["budget", _write(tmp_path, "b.cfg", "eta = 0.18\nK = 18\nL = 3\n")]) == 0
+    assert "omega_4*T  = nan" in capsys.readouterr().out
+
+
 def test_main_budget_without_real_omega_2(tmp_path, capsys):
     # num/den < 0, and den = 0 at the pole eta^2 = (4K^2 - L^2)/(5K^2 - 2L^2)
     for eta in ("0.99", "0.9697677238402231"):
         assert cli.main(["budget", _write(tmp_path, "b.cfg", CHECK_OK.replace("eta = 0.18", f"eta = {eta}"))]) == 0
         assert "omega_2*T  = nan" in capsys.readouterr().out
+
+
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("K, L, eta, omega_T", [(28, 25, 0.18, 30.5), (100, 97, 0.1, 54.5),
+                                                (28, 25, 0.05, 20)])  # the last has no real Omega_4
+def test_budget_csv_matches_golden(tmp_path, capsys, K, L, eta, omega_T):
+    """label and operator exact; numbers within 1e-9 relative + 1e-12, NaN only where
+    the golden table, captured before the table became one definition, has NaN."""
+    path = _write(tmp_path, "b.cfg", f"K = {K}\nL = {L}\neta = {eta}\nomega_T = {omega_T}\n")
+    assert cli.main(["budget", path, "--csv"]) == 0
+    got = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    want = [line.split(",") for line in (GOLDEN_DIR / f"budget_{K}_{L}_{eta}_{omega_T}.csv").read_text().splitlines()]
+    assert got[0] == want[0] and len(got) == len(want)
+    for g_row, w_row in zip(got[1:], want[1:]):
+        assert g_row[:2] == w_row[:2]
+        for col, g, w in zip(want[0][2:], g_row[2:], w_row[2:]):
+            assert float(g) == pytest.approx(float(w), rel=1e-9, abs=1e-12, nan_ok=True), (w_row[0], col)
+
+
+def test_readme_names_resolve():
+    # every backticked module.name (or msgate.module.name) in the README is an attribute of that module
+    import re
+
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    modules = "params|pulses|hilbert|resint|magnus|trotter|fidelity|budget|cli"
+    refs = {m.groups() for span in re.findall(r"`([^`]*)`", readme)
+            if (m := re.match(rf"(?:msgate\.)?({modules})\.(\w+)", span))}
+    assert len(refs) >= 10  # the scan sees the references
+    assert sorted(f"{module}.{name}" for module, name in refs
+                  if not hasattr(importlib.import_module(f"msgate.{module}"), name)) == []
 
 
 def test_readme_documents_every_config_key():

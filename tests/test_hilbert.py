@@ -10,35 +10,13 @@ from msgate import hilbert
 from msgate.hilbert import (
     collective_spin,
     collective_spins,
-    laguerre,
     matrix_exp,
     sideband_operator,
 )
 from msgate.params import GateParams
 from msgate.pulses import PulseShape, envelope_at, rectangular, sin_squared
 from oracles import (displacement_hamiltonian_at, explicit_term_sum, guard_band_indices, guard_block,
-                     hamiltonian_at, per_tau_displacement, unitarity_defect)
-
-
-def laguerre_series(a, b, x):
-    """Independent oracle: explicit series sum_k (-1)^k C(a+b, a-k) x^k / k!."""
-    return sum((-1) ** k * math.comb(a + b, a - k) * x ** k / math.factorial(k)
-               for k in range(a + 1))
-
-
-def test_laguerre_low_orders():
-    assert laguerre(0, 3, 0.5) == pytest.approx(1.0)
-    assert laguerre(1, 1, 0.0324) == pytest.approx(1.9676)
-
-
-@pytest.mark.parametrize("a,b,x", [(3, 2, 0.7), (5, 0, 1.3), (8, 4, 0.2), (2, 7, 2.5)])
-def test_laguerre_matches_series(a, b, x):
-    assert laguerre(a, b, x) == pytest.approx(laguerre_series(a, b, x), rel=1e-12)
-
-
-def test_laguerre_rejects_negative_orders():
-    with pytest.raises(ValueError):
-        laguerre(-1, 0, 0.1)
+                     hamiltonian_at, laguerre_series, per_tau_displacement, unitarity_defect)
 
 
 def test_sideband_zero_coupling_is_identity():
