@@ -82,23 +82,15 @@ def combined_dy(params: GateParams, omega_T: float) -> float:
                if row.operator_tag == "Jy^2")
 
 
-def quadratic_residual(params: GateParams, omega_T: float) -> float:
-    """Residual of the pi/2 condition d_y(omega_T) = -pi/2; ~0 at Omega_4."""
-    return combined_dy(params, omega_T) + math.pi / 2
-
-
 @dataclass(frozen=True)
 class AmplitudeSet:
     omega_ld: float
     omega_2: float
     omega_4: float
-    omega_4_residual: float
 
 
 def amplitude_set(params: GateParams) -> AmplitudeSet:
-    w4 = omega_4(params)
-    return AmplitudeSet(omega_ld=omega_ld(params), omega_2=omega_2(params), omega_4=w4,
-                        omega_4_residual=quadratic_residual(params, w4))
+    return AmplitudeSet(omega_ld=omega_ld(params), omega_2=omega_2(params), omega_4=omega_4(params))
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +179,10 @@ def table_rows(params: GateParams, n: int = 0) -> list[BudgetRow]:
             for label, op, generic, at_ld, at_o4 in rows]
 
 
-def render_table(rows: list[BudgetRow], at: AmplitudeSet, combined: float | None = None) -> str:
-    """Aligned plain-text rendering of the budget."""
+def render_table(params: GateParams, rows: list[BudgetRow]) -> str:
+    """Aligned plain-text rendering of the budget rows at params, with the amplitudes,
+    the residual d_y + pi/2 at Omega_4 (~0) and, when omega_T is set, d_y there."""
+    at = amplitude_set(params)
     header = f"{'term':<12}{'operator':<24}{'generic':>16}{'at_LD':>16}{'at_O4':>16}"
     lines = [header, "-" * len(header)]
     for r in rows:
@@ -197,9 +191,10 @@ def render_table(rows: list[BudgetRow], at: AmplitudeSet, combined: float | None
     lines.append("")
     lines.append(f"omega_LD*T = {at.omega_ld:.6f}")
     lines.append(f"omega_2*T  = {at.omega_2:.6f}")
-    lines.append(f"omega_4*T  = {at.omega_4:.6f} (quadratic residual {at.omega_4_residual:.3e})")
-    if combined is not None:
-        lines.append(f"combined d_y = {combined:.6e}")
+    residual = combined_dy(params, at.omega_4) + math.pi / 2
+    lines.append(f"omega_4*T  = {at.omega_4:.6f} (quadratic residual {residual:.3e})")
+    if params.omega_T:
+        lines.append(f"combined d_y = {combined_dy(params, params.omega_T):.6e}")
     return "\n".join(lines)
 
 

@@ -10,8 +10,9 @@ Config files are plain ``key = value`` lines (``#`` comments); a key outside
 CONFIG_KEYS, or a value its parser there rejects, is a config error.  The
 gate fields use the exact names eta, K, L, omega_T, nbar, n_dim, m_max,
 k_max.  Exit codes: 0 success, 1 config error, 2 validation failure or a
-computation that failed (a ValueError or ArithmeticError, such as a drive
-strong enough to overflow), reported as one ``error:`` line.
+computation that failed (a ValueError, ArithmeticError or MemoryError, such
+as a drive strong enough to overflow or a truncation too large to allocate),
+reported as one ``error:`` line.
 
 This module owns the physical units and the validated order.  trap_freq is
 nu/(2*pi) in Hz and omega_phys the drive amplitude Omega in rad/s, converted
@@ -99,6 +100,8 @@ def _grid(text: str) -> list[float] | int:
 
 def _span(text: str) -> tuple[float, float]:
     lo, hi = (float(v) for v in text.split(","))
+    if not all(math.isfinite(v) for v in (lo, hi)):
+        raise ValueError("span factors must be finite")
     return lo, hi
 
 
@@ -134,29 +137,19 @@ CONFIG_KEYS = {
 }
 
 
-def _value(cfg: dict[str, str], key: str, default=None):
-    """cfg[key] through its parser, or ``default`` when the key is absent; a
-    ValueError from the parser is a config error naming the key and value."""
-    if key not in cfg:
-        return default
-    try:
-        return CONFIG_KEYS[key](cfg[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key} = {cfg[key]!r}: {exc}") from None
-
-
-def _build(cls, cfg: dict[str, str], **given):
-    """cls from ``given`` and the parsed keys of cfg that name its other
-    fields; the absent ones take their dataclass defaults."""
+def _build(cls, cfg: dict, **given):
+    """cls from ``given`` and the keys of cfg that name its other fields; the
+    absent ones take their dataclass defaults."""
     fields = [f for f in dataclasses.fields(cls) if f.name not in given]
     missing = [f.name for f in fields if f.name not in cfg and f.default is dataclasses.MISSING]
     if missing:
         raise ConfigError(f"missing required key(s) {', '.join(missing)}")
-    return cls(**given, **{f.name: _value(cfg, f.name) for f in fields if f.name in cfg})
+    return cls(**given, **{f.name: cfg[f.name] for f in fields if f.name in cfg})
 
 
-def parse_config(path: str) -> dict[str, str]:
-    """The raw ``key = value`` pairs of a config file, each checked by its parser."""
+def parse_config(path: str) -> dict:
+    """The ``key = value`` pairs of a config file, each value parsed once by its
+    CONFIG_KEYS parser (a ValueError there is a config error naming key and value)."""
     raw: dict[str, str] = {}
     first_on: dict[str, int] = {}
     try:
@@ -176,55 +169,59 @@ def parse_config(path: str) -> dict[str, str]:
     unknown = sorted(raw.keys() - CONFIG_KEYS.keys())
     if unknown:
         raise ConfigError(f"{path}: unknown key(s) {', '.join(unknown)}")
-    for key in raw:
-        _value(raw, key)
+    cfg = {}
+    for key, text in raw.items():
+        try:
+            cfg[key] = CONFIG_KEYS[key](text)
+        except ValueError as exc:
+            raise ConfigError(f"{key} = {text!r}: {exc}") from None
     # cross-key rules, here so that every subcommand rejects the same configs
-    if "omega_phys" in raw and "trap_freq" not in raw:
+    if "omega_phys" in cfg and "trap_freq" not in cfg:
         raise ConfigError("omega_phys (rad/s) needs trap_freq (Hz) for the gate time")
-    if "omega_phys" in raw and "omega_T" in raw:
+    if "omega_phys" in cfg and "omega_T" in cfg:
         raise ConfigError("give the drive as omega_T or as omega_phys, not both")
-    if raw.get("omega_mode") == "fixed_phys" and "omega_phys" not in raw:
+    if cfg.get("omega_mode") == "fixed_phys" and "omega_phys" not in cfg:
         raise ConfigError("omega_mode = fixed_phys requires omega_phys (rad/s)")
-    if raw.get("omega_mode") == "fixed_T" and not raw.keys() & {"omega_T", "omega_phys"}:
+    if cfg.get("omega_mode") == "fixed_T" and not cfg.keys() & {"omega_T", "omega_phys"}:
         raise ConfigError("omega_mode = fixed_T requires omega_T (or omega_phys)")
-    if raw.get("pulse") == "custom" and "pulse_coeffs" not in raw:
+    if cfg.get("pulse") == "custom" and "pulse_coeffs" not in cfg:
         raise ConfigError("pulse = custom requires pulse_coeffs = M:re:im;...")
-    if isinstance(_value(raw, "grid"), int) and raw.get("axis", "omega") != "omega":
+    if isinstance(cfg.get("grid"), int) and cfg.get("axis", "omega") != "omega":
         raise ConfigError("grid = auto:<n> is only defined for the omega axis")
-    return raw
+    return cfg
 
 
-def params_from_config(cfg: dict[str, str], names: tuple[str, ...] = ()) -> GateParams:
+def params_from_config(cfg: dict, names: tuple[str, ...] = ()) -> GateParams:
     """The gate fields, with omega_T = omega_phys * T at the base gate time T = K / trap_freq
     and k_max raised to the highest U_n in ``names``, the propagators the caller computes."""
     params = _build(GateParams, cfg)
     if "omega_phys" in cfg:
-        params = params.replace(omega_T=_value(cfg, "omega_phys") * (params.K / _value(cfg, "trap_freq")))
+        params = params.replace(omega_T=cfg["omega_phys"] * (params.K / cfg["trap_freq"]))
     return params.replace(k_max=max([params.k_max] + [int(n[1]) for n in names if n != "Unum"]))
 
 
-def _both_names(cfg: dict[str, str]) -> tuple[str, ...]:
+def _both_names(cfg: dict) -> tuple[str, ...]:
     """The names under both propagator keys: check and budget validate at the highest of them."""
-    return (*_value(cfg, "propagators", ()), _value(cfg, "propagator", "Unum"))
+    return (*cfg.get("propagators", ()), cfg.get("propagator", "Unum"))
 
 
-def pulse_from_config(cfg: dict[str, str]) -> PulseShape:
-    name = _value(cfg, "pulse", "rect")
+def pulse_from_config(cfg: dict) -> PulseShape:
+    name = cfg.get("pulse", "rect")
     if name == "custom":
-        return _value(cfg, "pulse_coeffs")
+        return cfg["pulse_coeffs"]
     return rectangular() if name == "rect" else sin_squared()
 
 
 def _flat_pulse_only(pulse: PulseShape, setting: str) -> None:
-    """The closed-form amplitudes and budget rows hold for the flat pulse alone."""
-    if pulse.cache_key() != rectangular().cache_key():
+    """The closed-form amplitudes and budget rows hold for the flat pulse alone (c_0 = 1 only)."""
+    if pulse.support != (0,) or pulse.c(0) != 1:
         raise ConfigError(f"{setting} uses the flat-pulse closed forms, which do not hold for "
                           f"pulse = {pulse.name}; give the drive as omega_T (omega_mode = fixed_T, "
                           "fixed_phys or an omega grid)")
 
 
-def sweep_from_config(cfg: dict[str, str]) -> SweepSpec:
-    params = params_from_config(cfg, _value(cfg, "propagators", SweepSpec.propagators))
+def sweep_from_config(cfg: dict) -> SweepSpec:
+    params = params_from_config(cfg, cfg.get("propagators", SweepSpec.propagators))
     spec = _build(SweepSpec, cfg, fixed=params, pulse=pulse_from_config(cfg))
     if spec.axis != "omega" and spec.omega_mode in ("omega2", "omega4"):
         _flat_pulse_only(spec.pulse, f"omega_mode = {spec.omega_mode}")
@@ -234,7 +231,7 @@ def sweep_from_config(cfg: dict[str, str]) -> SweepSpec:
         if not rep.ok:
             raise ConfigError(f"grid = auto needs valid base parameters: {rep.summary()}")
         amps = budget.amplitude_set(params)
-        lo_f, hi_f = _value(cfg, "omega_span", (0.7, 1.3))
+        lo_f, hi_f = cfg.get("omega_span", (0.7, 1.3))
         lo = lo_f * (amps.omega_2 if math.isnan(amps.omega_4) else amps.omega_4)
         hi = hi_f * amps.omega_2
         if not lo < hi:
@@ -378,11 +375,11 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load(args) -> dict[str, str]:
+def _load(args) -> dict:
     """The subcommand's config, with each flag whose dest is a config key
     (--ndim, --mmax, --order) written over that key."""
     cfg = parse_config(args.config)
-    cfg.update((key, str(v)) for key, v in vars(args).items() if key in CONFIG_KEYS and v is not None)
+    cfg.update((key, v) for key, v in vars(args).items() if key in CONFIG_KEYS and v is not None)
     return cfg
 
 
@@ -402,12 +399,7 @@ def _cmd_budget(args) -> int:
         print(f"invalid parameters: {rep.summary()}", file=sys.stderr)
         return 2
     rows = budget.table_rows(params)
-    combined = budget.combined_dy(params, params.omega_T) if params.omega_T else None
-    if args.csv:
-        text = budget.rows_to_csv(rows)
-    else:
-        text = budget.render_table(rows, budget.amplitude_set(params), combined) + "\n"
-    _write(text, args.out)
+    _write(budget.rows_to_csv(rows) if args.csv else budget.render_table(params, rows) + "\n", args.out)
     return 0
 
 
@@ -426,14 +418,14 @@ def _cmd_check(args) -> int:
 
 def _cmd_propagate(args) -> int:
     cfg = _load(args)
-    which = _value(cfg, "propagator", "Unum")
+    which = cfg.get("propagator", "Unum")
     params, pulse = params_from_config(cfg, (which,)), pulse_from_config(cfg)
     rep = validate(params, pulse)
     if not rep.ok:
         print(f"invalid parameters: {rep.summary()}", file=sys.stderr)
         return 2
     U = hilbert.embed(_propagators((which,), params, pulse,
-                                   _value(cfg, "safety", trotter.TrotterConfig.safety))[which],
+                                   cfg.get("safety", trotter.TrotterConfig.safety))[which],
                       params.n_dim, 1.0)
     lines = [f"# propagator {which}, dim {U.shape[0]}"]
     for r in range(U.shape[0]):
@@ -474,7 +466,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -11,7 +11,6 @@ from msgate.budget import (
     omega_2,
     omega_4,
     omega_ld,
-    quadratic_residual,
     rows_to_csv,
     table_rows,
 )
@@ -58,7 +57,7 @@ def test_omega_2_above_omega_ld(base_params):
 
 def test_omega_4_root_property(base_params):
     w4 = omega_4(base_params)
-    assert abs(quadratic_residual(base_params, w4)) < 1e-10
+    assert abs(combined_dy(base_params, w4) + math.pi / 2) < 1e-10
     assert combined_dy(base_params, w4) == pytest.approx(-math.pi / 2, abs=1e-10)
 
 
@@ -87,7 +86,7 @@ def test_omega_4_invalid_when_discriminant_negative():
     assert math.isnan(omega_4(p))
     amps = amplitude_set(p)
     assert math.isnan(amps.omega_4)
-    assert math.isnan(amps.omega_4_residual)
+    assert math.isnan(combined_dy(p, amps.omega_4) + math.pi / 2)
     assert amps.omega_ld < amps.omega_2  # the other amplitudes stay real
     for row in table_rows(p.replace(omega_T=3.7), 1):  # and so do all but the Omega_4 column
         assert math.isnan(row.at_o4) and math.isfinite(row.generic) and math.isfinite(row.at_ld), row.label
@@ -99,7 +98,7 @@ def test_budget_at_K_equal_2L_squared():
     p = GateParams(eta=0.18, K=18, L=3, omega_T=20.0)
     assert validate(p).ok
     amps = amplitude_set(p)
-    assert math.isnan(amps.omega_4) and math.isnan(amps.omega_4_residual)
+    assert math.isnan(amps.omega_4) and math.isnan(combined_dy(p, amps.omega_4) + math.pi / 2)
     assert math.isfinite(amps.omega_2)
     for row in table_rows(p):
         assert math.isnan(row.at_o4) and math.isfinite(row.generic) and math.isfinite(row.at_ld), row.label
@@ -109,8 +108,19 @@ def test_amplitude_set(base_params):
     amps = amplitude_set(base_params)
     assert amps.omega_4 == omega_4(base_params)
     assert amps.omega_ld < amps.omega_2 < amps.omega_4
-    assert abs(amps.omega_4_residual) < 1e-10
+    assert abs(combined_dy(base_params, amps.omega_4) + math.pi / 2) < 1e-10
     assert budget.s_parameter(base_params) == pytest.approx(math.sqrt(56) * 25 * 0.18 * (1 - 0.18 ** 2))
+
+
+def test_amplitude_set_builds_no_budget_table(base_params, monkeypatch):
+    # the three closed forms alone: the pi/2 residual is computed where msgate budget prints it
+    want = amplitude_set(base_params)
+
+    def table_rows(*args, **kwargs):
+        raise AssertionError("amplitude_set built the budget table")
+
+    monkeypatch.setattr(budget, "table_rows", table_rows)
+    assert amplitude_set(base_params) == want
 
 
 def test_gate_row_at_ld_is_pi_half(base_params):

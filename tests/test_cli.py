@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import msgate
-from msgate import cli
+from msgate import budget, cli
 from msgate.cli import (
     ConfigError,
     params_from_config,
@@ -78,13 +78,62 @@ def test_parse_config_rejects_garbage(tmp_path):
 
 
 def test_pulse_from_config(tmp_path):
-    assert pulse_from_config({"pulse": "rect"}).name == "rect"
-    assert pulse_from_config({"pulse": "sin2"}).name == "sin2"
-    custom = pulse_from_config({"pulse": "custom",
-                                "pulse_coeffs": "0:0.5:0;1:-0.25:0;-1:-0.25:0"})
-    assert custom.max_harmonic == 1
+    def pulse(lines):
+        return pulse_from_config(parse_config(_write(tmp_path, "p.cfg", lines)))
+
+    assert pulse("pulse = rect\n").name == "rect"
+    assert pulse("pulse = sin2\n").name == "sin2"
+    assert pulse("pulse = custom\npulse_coeffs = 0:0.5:0;1:-0.25:0;-1:-0.25:0\n").max_harmonic == 1
     with pytest.raises(ConfigError):
-        pulse_from_config({"pulse": "triangle"})
+        pulse("pulse = triangle\n")
+
+
+PARSED_ONCE = """
+eta = 0.18
+K = 28
+L = 25
+nbar = 0.02
+n_dim = 6
+m_max = 2
+k_max = 4
+trap_freq = 1.0e6
+omega_phys = 1.1e6
+pulse = custom
+pulse_coeffs = 0:1:0
+axis = omega
+grid = auto:2
+omega_span = 0.9,1.1
+propagators = U2,U3
+metric = both
+omega_mode = fixed_phys
+safety = 2
+propagator = U2
+"""
+
+
+@pytest.mark.parametrize("command", ["sweep", "budget", "check", "propagate"])
+def test_each_config_value_is_parsed_once(tmp_path, capsys, monkeypatch, command):
+    # a parser that another parser calls (propagators -> propagator) reads no value of the
+    # file, and a flag (--ndim) is an int from argparse that no parser sees
+    calls, depth = [], [0]
+
+    def counted(key, parse):
+        def wrapper(text):
+            if not depth[0]:
+                calls.append((key, text))
+            depth[0] += 1
+            try:
+                return parse(text)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    for key, parse in list(cli.CONFIG_KEYS.items()):
+        monkeypatch.setitem(cli.CONFIG_KEYS, key, counted(key, parse))
+    assert cli.main([command, _write(tmp_path, "c.cfg", PARSED_ONCE), "--ndim", "6"]) == 0
+    assert capsys.readouterr().out
+    in_file = [tuple(part.strip() for part in line.split("=")) for line in PARSED_ONCE.strip().splitlines()]
+    assert len(in_file) >= 10 and sorted(calls) == sorted(in_file)
 
 
 def test_sweep_spec_from_config(tmp_path):
@@ -470,6 +519,48 @@ def test_no_unused_imports():
     assert unused == []
 
 
+# top-level names that no product code reads, each kept for its reason
+UNREFERENCED = {
+    "CONSISTENT_ROWS": "documents which printed budget rows equal direct substitution",
+    "level_coeff": "the pulse-aware drive amplitudes (D9 step 2) are to call it",
+}
+
+
+def test_every_top_level_name_has_a_product_reference():
+    # each function, class and constant at the top of a module of src/msgate is read by
+    # another statement of src/msgate (an __init__ export counts) or of perfbench/;
+    # tests and docstrings do not count
+    root = pathlib.Path(__file__).resolve().parents[1]
+    src = root / "src" / "msgate"
+    statements = []  # (path, top-level statement, the names it reads)
+    for path in sorted([*src.rglob("*.py"), *(root / "perfbench").rglob("*.py")]):
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            read = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    read.update(alias.name for alias in node.names)
+            statements.append((path, stmt, read))
+    unreferenced = set()
+    for path, stmt, _ in statements:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, ast.Assign):
+            names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            names = [stmt.target.id]
+        else:
+            continue
+        if path.is_relative_to(src):
+            unreferenced.update(name for name in names
+                                if not any(name in read for _, other, read in statements if other is not stmt))
+    assert "run_sweep" not in unreferenced and len(statements) > 100  # the walk sees the references
+    assert sorted(unreferenced) == sorted(UNREFERENCED)
+
+
 @pytest.mark.parametrize("lines", [
     "pulse = custom\npulse_coeffs = 1:0.5:0\ngrid = 1,2\n",  # no conjugate partner
     "pulse = custom\npulse_coeffs = x:1:0\ngrid = 1,2\n",    # non-integer M
@@ -497,6 +588,10 @@ def test_no_unused_imports():
     "pulse = custom\npulse_coeffs = 0:inf:0\ngrid = 1,2\n",
     "pulse = rect\ngrid = 1,2\nK = 28\nK = 40\n",             # a key given twice
     "pulse = custom\npulse_coeffs = 0:1:0;0:0.5:0\ngrid = 1,2\n",  # a harmonic given twice
+    "pulse = rect\ngrid = auto\nomega_span = 0.7,inf\n",   # non-finite span factors
+    "pulse = rect\ngrid = auto\nomega_span = -inf,1.3\n",
+    "pulse = rect\ngrid = 2,1\n",                           # decreasing grid
+    "pulse = rect\ngrid = 1,1\n",                           # repeated grid value
 ])
 def test_malformed_input_is_config_error(tmp_path, capsys, lines):
     path = _write(tmp_path, "bad.cfg", _setting(CHECK_OK + "trap_freq = 1.0e6\naxis = omega\n"
@@ -525,6 +620,7 @@ def test_malformed_input_is_config_error(tmp_path, capsys, lines):
     "pulse = custom\npulse_coeffs = 0:inf:0\n",
     "K = 28\nK = 40\n",                    # a key given twice
     "pulse = custom\npulse_coeffs = 0:1:0;0:0.5:0\n",  # a harmonic given twice
+    "omega_span = 0.7,inf\n",             # a non-finite span factor
 ])
 def test_every_subcommand_rejects_malformed_values(tmp_path, capsys, command, lines):
     path = _write(tmp_path, "bad.cfg", _setting(CHECK_OK + "axis = K\ngrid = 28\npropagators = U2\n", lines))
@@ -553,6 +649,23 @@ def test_unwritable_out_is_config_error(tmp_path, capsys, monkeypatch, command, 
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot write {out}: ") and len(err.splitlines()) == 1
     assert not (tmp_path / "missing").exists() and not (tmp_path / "x.txt").exists()
+
+
+def test_out_name_too_long_is_config_error(tmp_path, capsys):
+    # its folder exists and is writable, so only the write itself can fail
+    out = tmp_path / ("x" * 300)
+    assert cli.main(["check", _write(tmp_path, "c.cfg", CHECK_OK), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out}: ") and len(err.splitlines()) == 1
+
+
+def test_out_of_memory_is_a_clean_error(tmp_path, capsys, monkeypatch):
+    def run_sweep(spec):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+
+    monkeypatch.setattr(cli, "run_sweep", run_sweep)
+    assert cli.main(["sweep", _write(tmp_path, "s.cfg", MINI_SWEEP)]) == 2
+    assert capsys.readouterr().err == "error: MemoryError: Unable to allocate 74.5 GiB\n"
 
 
 def test_config_not_utf8_is_config_error(tmp_path, capsys):
@@ -615,6 +728,35 @@ def test_budget_rejects_shaped_pulses(tmp_path, capsys, pulse):
     assert cli.main(["budget", _write(tmp_path, "b.cfg", CHECK_OK + SHAPED[pulse])]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: msgate budget") and f"pulse = {pulse}" in err
+
+
+def test_flat_pulse_with_zero_harmonics_is_the_flat_pulse(tmp_path, capsys):
+    # support (0,) and c_0 = 1: the closed forms hold, and the output is that of pulse = rect
+    sweep = "axis = eta\ngrid = 0.1,0.2\nomega_mode = omega2\npropagators = U2,U4,Unum\n"
+    outs = []
+    for pulse in ("pulse = custom\npulse_coeffs = 0:1:0;1:0:0;-1:0:0\n", "pulse = rect\n"):
+        assert cli.main(["sweep", _write(tmp_path, "s.cfg", CHECK_OK + pulse + sweep)]) == 0
+        assert cli.main(["budget", _write(tmp_path, "b.cfg", CHECK_OK + pulse + "omega_T = 30.5\n")]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and outs[0].count(",ok\n") == 2
+
+
+def test_omega_span_sets_the_auto_grid_ends(tmp_path):
+    path = _write(tmp_path, "s.cfg", CHECK_OK + "pulse = rect\naxis = omega\ngrid = auto:3\nomega_span = 0.8,1.2\n")
+    spec = sweep_from_config(parse_config(path))
+    amps = budget.amplitude_set(spec.fixed)
+    assert len(spec.grid) == 3
+    assert spec.grid[0] == 0.8 * amps.omega_4 and spec.grid[-1] == 1.2 * amps.omega_2
+
+
+def test_bell_metric_fills_the_infid_cells(tmp_path):
+    def rows(metric):
+        path = _write(tmp_path, "s.cfg", MINI_SWEEP.replace("metric = average", f"metric = {metric}"))
+        return run_sweep(sweep_from_config(parse_config(path)))
+
+    for bell, both in zip(rows("bell"), rows("both"), strict=True):
+        assert {k: v for k, v in bell.items() if k.startswith("infid_")} == {
+            k.replace("bell_", "infid_"): v for k, v in both.items() if k.startswith("bell_")}
 
 
 @pytest.mark.parametrize("lines, statuses", [

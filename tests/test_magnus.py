@@ -37,6 +37,8 @@ def test_dyson_rejects_bad_order(base_params, rect):
         magnus.dyson_term(0, base_params, rect)
     with pytest.raises(ValueError):
         magnus.dyson_term(6, base_params, rect)
+    with pytest.raises(ValueError, match="unknown method 'x'"):
+        magnus.dyson_term(2, base_params, rect, method="x")
 
 
 def test_pulse_without_coefficients_rejected(base_params):

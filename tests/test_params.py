@@ -9,6 +9,7 @@ from msgate.pulses import rectangular, sin_squared
 
 def test_baseline_parameters_are_valid(base_params):
     assert validate(base_params).ok
+    assert validate(base_params).summary() == "valid"
 
 
 def test_k_equals_2l_rejected():

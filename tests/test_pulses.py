@@ -18,6 +18,12 @@ def test_rectangular_envelope():
     assert rect.max_harmonic == 0
 
 
+def test_envelope_at_rejects_a_complex_value():
+    # a lone c_1 is exp(i 2 pi tau), which is i at tau = 1/4
+    with pytest.raises(ValueError, match="not real at tau=0.25"):
+        envelope_at(PulseShape.from_dict("one-sided", {1: 1}), 0.25)
+
+
 def test_sin2_envelope_values():
     s2 = sin_squared()
     assert envelope_at(s2, 0.0) == pytest.approx(0.0, abs=1e-15)
