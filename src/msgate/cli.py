@@ -80,9 +80,9 @@ def _positive(text: str) -> float:
 
 
 def _grid(text: str) -> list[float] | int:
-    """start:stop:num or a comma list, nonempty and strictly increasing; for
-    grid = auto / auto:<n>, the point count n, which sweep_from_config spans
-    from the calibrated amplitudes."""
+    """start:stop:num with finite ends or a comma list, nonempty and strictly
+    increasing; for grid = auto / auto:<n>, the point count n, which
+    sweep_from_config spans from the calibrated amplitudes."""
     if text == "auto" or text.startswith("auto:"):
         npts = int(text[5:]) if text != "auto" else 61
         if npts < 1:
@@ -90,7 +90,10 @@ def _grid(text: str) -> list[float] | int:
         return npts
     if ":" in text:
         start, stop, num = text.split(":")
-        grid = list(np.linspace(float(start), float(stop), int(num)))
+        start, stop = float(start), float(stop)
+        if not all(math.isfinite(v) for v in (start, stop)):
+            raise ValueError("grid start and stop must be finite")
+        grid = list(np.linspace(start, stop, int(num)))
     else:
         grid = [float(v) for v in text.split(",")]
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):

@@ -10,8 +10,13 @@ i.e. N_1 rides the *outermost* (latest) time variable.  Repeated integration
 by parts keeps every intermediate function an exact sum of terms
 r / (i pi)^g * tau^p * e^{i 2 pi nu tau} with r one rational and g an integer,
 so orders 4 and 5 do not suffer the catastrophic cancellation a
-naive floating-point evaluation would.  The antiderivative of each inner chain
-(N_2, ..., N_k) is cached and shared by every tuple that ends in it; the
+naive floating-point evaluation would.  The rationals of a sum are Python ints
+over one shared denominator: a step scales every numerator by the lcm of the
+denominators it brings in and reduces the result by one gcd, instead of
+normalising a ``Fraction`` at every operation.  A value becomes a float by the
+correctly rounded int division, as ``float(Fraction)`` does, so the floats are
+those of a ``Fraction`` engine bit for bit.  The antiderivative of each inner
+chain (N_2, ..., N_k) is cached and shared by every tuple that ends in it; the
 outermost integral is summed at tau = 1 without being built, once per call,
 since a traversal asks for each whole tuple once.
 """
@@ -19,7 +24,6 @@ since a traversal asks for each whole tuple once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
@@ -27,34 +31,57 @@ from typing import Iterable
 import numpy as np
 
 
-@dataclass
 class OscSum:
     """Canonical sum of terms r / (i pi)^g * tau^p * exp(i 2 pi nu tau), one
-    rational r per key (p, nu, g).  A constant sum (keys (0, 0, g)) is an exact
-    complex number, zero iff it has no terms since pi is transcendental.
+    rational r per key (p, nu, g), held as integer numerators ``nums`` over one
+    shared positive denominator ``den``, reduced (gcd(den, *nums) = 1) and without
+    zero numerators.  ``terms`` is the exact-rational view {key: Fraction}.  A
+    constant sum (keys (0, 0, g)) is an exact complex number, zero iff it has no
+    terms since pi is transcendental.
     """
 
-    terms: dict[tuple[int, int, int], Fraction] = field(default_factory=dict)
+    __slots__ = ("nums", "den")
+
+    def __init__(self, terms: dict[tuple[int, int, int], Fraction] | None = None):
+        terms = {key: Fraction(r) for key, r in (terms or {}).items() if r}
+        self.den = math.lcm(*(r.denominator for r in terms.values()))
+        self.nums = {key: r.numerator * (self.den // r.denominator) for key, r in terms.items()}
+
+    @classmethod
+    def _over(cls, nums: dict[tuple[int, int, int], int], den: int) -> "OscSum":
+        """The sum of nums[key] / den (nonzero numerators, den > 0), reduced by one gcd."""
+        out = cls.__new__(cls)
+        common = math.gcd(den, *nums.values())
+        out.nums = {key: n // common for key, n in nums.items()} if common > 1 else nums
+        out.den = den // common
+        return out
 
     @staticmethod
     def unit() -> "OscSum":
         return OscSum({(0, 0, 0): Fraction(1)})
 
+    @property
+    def terms(self) -> dict[tuple[int, int, int], Fraction]:
+        return {key: Fraction(n, self.den) for key, n in self.nums.items()}
+
     def _add(self, power: int, freq: int, pi_pow: int, r: Fraction) -> None:
-        key = (power, freq, pi_pow)
-        r += self.terms.get(key, 0)
+        """Merge r into the key's rational; a key whose sum cancels is removed."""
+        terms, key = self.terms, (power, freq, pi_pow)
+        r += terms.get(key, 0)
         if r == 0:
-            self.terms.pop(key, None)
+            terms.pop(key, None)
         else:
-            self.terms[key] = r
+            terms[key] = r
+        self.__init__(terms)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def as_complex(self) -> complex:
         out = 0j
-        for (_p, _nu, g), r in self.terms.items():  # r / (i pi)^g = r (-i)^g / pi^g
+        for (_p, _nu, g), n in self.nums.items():  # r / (i pi)^g = r (-i)^g / pi^g
+            r = n / self.den  # int true division rounds correctly, as float(Fraction) does
             re, im = ((r, 0), (0, -r), (-r, 0), (0, r))[g % 4]
             out += complex(re, im) / math.pi ** g
         return out
@@ -76,26 +103,40 @@ def integrate_step(f: OscSum, N: int) -> OscSum:
 
     A term whose shifted frequency vanishes has its power raised; otherwise
     integration by parts (``parts_table``) produces polynomial-times-exponential
-    terms plus the boundary constant at s = 0.
+    terms plus the boundary constant at s = 0.  All of it over one denominator,
+    f.den times the lcm of each term's largest new one: p + 1 where the power is
+    raised, (2 nu2)^(p + 1) by parts.  A key whose sum cancels leaves the dict and
+    comes back at its end, so the keys keep the order of a term-by-term merge.
     """
-    out = OscSum()
-    for (p, nu, g), r in f.terms.items():
+    scale = math.lcm(*[p + 1 if nu + N == 0 else (2 * (nu + N)) ** (p + 1) for p, nu, _g in f.nums])
+    out: dict[tuple[int, int, int], int] = {}
+
+    def add(key, c):
+        c += out.get(key, 0)
+        if c:
+            out[key] = c
+        else:
+            del out[key]
+
+    for (p, nu, g), n in f.nums.items():
         nu2 = nu + N
         if nu2 == 0:
-            out._add(p + 1, 0, g, r / (p + 1))
+            add((p + 1, 0, g), n * (scale // (p + 1)))
             continue
         # a_j / (i 2 pi nu2)^q = a_j / (2 nu2)^q / (i pi)^q
         for j, q, a in parts_table(p):
-            c = r * Fraction(a, (2 * nu2) ** q)
-            out._add(j, nu2, g + q, c)
+            c = n * a * (scale // (2 * nu2) ** q)
+            add((j, nu2, g + q), c)
             if j == 0:
-                out._add(0, 0, g + q, -c)
-    return out
+                add((0, 0, g + q), -c)
+    return OscSum._over(out, f.den * scale)
 
 
 def _integer_tuple(Ns: Iterable[int]) -> tuple[int, ...]:
     """The beat notes as ints; a non-integer raises instead of being truncated."""
     Ns = tuple(Ns)
+    if all(type(N) is int for N in Ns):
+        return Ns
     if not all(float(N).is_integer() for N in Ns):
         raise ValueError(f"beat notes must be integers, got {Ns}")
     return tuple(int(N) for N in Ns)
@@ -104,16 +145,18 @@ def _integer_tuple(Ns: Iterable[int]) -> tuple[int, ...]:
 def _integrate_to_one(f: OscSum, N: int) -> OscSum:
     """int_0^1 e^{i 2 pi N s} f(s) ds, the value at tau = 1 of ``integrate_step(f, N)``
     without building it: every phase is 1 there, so a term's j = 0 part cancels its
-    s = 0 boundary and only the parts j >= 1 of ``parts_table`` remain."""
-    acc: dict[int, Fraction] = {}
-    for (p, nu, g), r in f.terms.items():
-        nu2 = nu + N
+    s = 0 boundary and only the parts j >= 1 of ``parts_table`` remain, with
+    denominators up to (2 nu2)^p; a term with p = 0 and nu2 != 0 leaves nothing."""
+    live = [(p, nu + N, g, n) for (p, nu, g), n in f.nums.items() if p or nu + N == 0]
+    scale = math.lcm(*[p + 1 if nu2 == 0 else (2 * nu2) ** p for p, nu2, _g, _n in live])
+    acc: dict[int, int] = {}
+    for p, nu2, g, n in live:
         if nu2 == 0:
-            acc[g] = acc.get(g, 0) + r / (p + 1)
+            acc[g] = acc.get(g, 0) + n * (scale // (p + 1))
             continue
         for _j, q, a in parts_table(p)[:-1]:
-            acc[g + q] = acc.get(g + q, 0) + r * Fraction(a, (2 * nu2) ** q)
-    return OscSum({(0, 0, g): r for g, r in acc.items() if r})
+            acc[g + q] = acc.get(g + q, 0) + n * a * (scale // (2 * nu2) ** q)
+    return OscSum._over({(0, 0, g): n for g, n in acc.items() if n}, f.den * scale)
 
 
 # The tuple route (magnus._tuple_dyson) varies N_k slowest, so it reads a suffix

@@ -2,7 +2,8 @@
 (``collective_spin``, ``sideband_operator``, the ladder operators) and never through
 the symmetry blocks or ``hilbert.embed``, and the composite-index helpers the tests
 measure full-space matrices with, and the closed forms and spectral quadrature that
-check the exact resonance integrals of ``msgate.resint``.  Also what only the tests
+check the exact resonance integrals of ``msgate.resint``, with the ``Fraction``
+reference of its integer engine (``fraction_integral``).  Also what only the tests
 read of the model:
   * ``frame_blocks``, a rotating frame's Hamiltonian blocks at a vector of instants,
     and the composite Hamiltonian at one instant built from them;
@@ -17,6 +18,7 @@ read of the model:
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -270,6 +272,88 @@ def order3_closed_form(N1: int, N2: int, N3: int) -> complex:
     if N2 + N3 == 0:
         val -= 1.0 / N1
     return val / (4 * math.pi ** 2 * N3)
+
+
+# ---------------------------------------------------------------------------
+# The Fraction reference of ``msgate.resint``: the same integration by parts with
+# one ``Fraction`` per term, normalised by every operation.
+# ---------------------------------------------------------------------------
+
+class FractionSum(dict):
+    """{(p, nu, g): r} for the sum of r / (i pi)^g * tau^p * exp(i 2 pi nu tau), one
+    ``Fraction`` r per key, with what the tuple route reads of a ``resint.OscSum``."""
+
+    @property
+    def terms(self) -> dict:
+        return dict(self)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self
+
+    def add(self, key, r) -> None:
+        """Merge r into key; a key whose sum cancels is removed."""
+        r += self.get(key, 0)
+        if r == 0:
+            self.pop(key, None)
+        else:
+            self[key] = r
+
+    def as_complex(self) -> complex:
+        out = 0j
+        for (_p, _nu, g), r in self.items():  # r / (i pi)^g = r (-i)^g / pi^g
+            re, im = ((r, 0), (0, -r), (-r, 0), (0, r))[g % 4]
+            out += complex(re, im) / math.pi ** g
+        return out
+
+    __complex__ = as_complex
+
+
+def fraction_step(f: FractionSum, N: int) -> FractionSum:
+    """int_0^tau e^{i 2 pi N s} f(s) ds term by term: the power raised where the
+    shifted frequency vanishes, else ``resint.parts_table`` and the s = 0 boundary."""
+    out = FractionSum()
+    for (p, nu, g), r in f.items():
+        nu2 = nu + N
+        if nu2 == 0:
+            out.add((p + 1, 0, g), r / (p + 1))
+            continue
+        for j, q, a in resint.parts_table(p):
+            c = r * Fraction(a, (2 * nu2) ** q)
+            out.add((j, nu2, g + q), c)
+            if j == 0:
+                out.add((0, 0, g + q), -c)
+    return out
+
+
+def fraction_to_one(f: FractionSum, N: int) -> FractionSum:
+    """int_0^1 e^{i 2 pi N s} f(s) ds: the parts j >= 1 of ``resint.parts_table``."""
+    acc: dict[int, Fraction] = {}
+    for (p, nu, g), r in f.items():
+        nu2 = nu + N
+        if nu2 == 0:
+            acc[g] = acc.get(g, 0) + r / (p + 1)
+            continue
+        for _j, q, a in resint.parts_table(p)[:-1]:
+            acc[g + q] = acc.get(g + q, 0) + r * Fraction(a, (2 * nu2) ** q)
+    return FractionSum({(0, 0, g): r for g, r in acc.items() if r})
+
+
+def fraction_antiderivative(Ns) -> FractionSum:
+    """The antiderivative of the nested integral over Ns, N_k innermost."""
+    f = FractionSum({(0, 0, 0): Fraction(1)})
+    for N in reversed(tuple(Ns)):
+        f = fraction_step(f, N)
+    return f
+
+
+def fraction_integral(Ns) -> FractionSum:
+    """The nested integral over an integer tuple Ns, as ``resint.resonance_integral``
+    computes it, one ``Fraction`` at a time and without caches."""
+    Ns = resint._integer_tuple(Ns)
+    if not Ns:
+        return FractionSum({(0, 0, 0): Fraction(1)})
+    return fraction_to_one(fraction_antiderivative(Ns[1:]), Ns[0])
 
 
 # ---------------------------------------------------------------------------

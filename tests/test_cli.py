@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -600,6 +601,18 @@ def test_malformed_input_is_config_error(tmp_path, capsys, lines):
         sweep_from_config(parse_config(path))
     assert cli.main(["sweep", path]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["-inf:30:3", "20:nan:3"])
+def test_non_finite_grid_end_is_config_error(tmp_path, capsys, grid):
+    # linspace would turn the end into NaN points, which pass the increasing check
+    path = _write(tmp_path, "bad.cfg", MINI_SWEEP.replace("28.0:32.0:5", grid))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["sweep", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and len(captured.err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("command", ["sweep", "check", "budget", "propagate"])

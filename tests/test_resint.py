@@ -5,9 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from msgate import hilbert, magnus, resint
+from msgate import budget, hilbert, magnus, resint
+from msgate.params import GateParams
+from msgate.pulses import rectangular
 from msgate.resint import OscSum, integrate_step, may_be_resonant, resonance_integral
-from oracles import _cheb_integral, is_resonant, order2_closed_form, order3_closed_form, quadrature_integral
+from oracles import (_cheb_integral, fraction_antiderivative, fraction_integral, fraction_to_one,
+                     is_resonant, order2_closed_form, order3_closed_form, quadrature_integral)
 
 
 def val(Ns):
@@ -184,6 +187,97 @@ def test_tuple_route_reads_each_suffix_once(base_params, rect):
     tuples = np.array(list(itertools.product(notes, repeat=4)))
     suffixes = {tuple(Ns[j:]) for Ns in tuples[may_be_resonant(tuples)].tolist() for j in range(1, 5)}
     assert resint._suffix_antiderivative.cache_info().misses <= 1.1 * len(suffixes)
+
+
+def bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+def random_tuples(seed: int, count: int, bound: int) -> list[tuple[int, ...]]:
+    """Tuples of length 1-5 over -bound..bound; every third has its last entry set so
+    that a random contiguous block sums to zero (a resonance), and every seventh has a
+    zero beat note."""
+    rng = np.random.default_rng(seed)
+    tuples = []
+    for i in range(count):
+        Ns = [int(n) for n in rng.integers(-bound, bound + 1, int(rng.integers(1, 6)))]
+        if i % 3 == 0 and len(Ns) > 1:
+            start = int(rng.integers(0, len(Ns) - 1))
+            Ns[-1] = -sum(Ns[start:-1])
+        if i % 7 == 0:
+            Ns[int(rng.integers(0, len(Ns)))] = 0
+        tuples.append(tuple(Ns))
+    return tuples
+
+
+def crosscheck_point():
+    """The flat-pulse point K = 33, L = 30 at omega_2, with the crosscheck base
+    parameters, and its order-4 tuples that pass ``may_be_resonant``."""
+    p = GateParams(eta=0.18, K=33, L=30, nbar=0.02, n_dim=8, m_max=3, k_max=4)
+    p = p.replace(omega_T=budget.omega_2(p))
+    taps, _ = hilbert.drive_taps(p, rectangular())
+    notes = [int(N) + m * p.K for m in range(-p.m_max, p.m_max + 1) for N in taps]
+    tuples = np.array(list(itertools.product(notes, repeat=4)))
+    return p, [tuple(Ns) for Ns in tuples[may_be_resonant(tuples)].tolist()]
+
+
+def assert_matches_fraction_reference(Ns):
+    """The inner chain's antiderivative and the value: the same rationals in the same
+    order (the order the value's floats are summed in) and the same complex bits."""
+    suffix = fraction_antiderivative(Ns[1:])
+    assert list(resint._suffix_antiderivative(Ns[1:]).terms.items()) == list(suffix.items()), Ns
+    got, want = resonance_integral(Ns), fraction_to_one(suffix, Ns[0])
+    assert list(got.terms.items()) == list(want.items()), Ns
+    assert bits(complex(got)) == bits(complex(want)), Ns
+    return got
+
+
+def test_integer_engine_matches_the_fraction_reference():
+    tuples = random_tuples(25, 2400, 60)
+    assert sum(0 in Ns for Ns in tuples) > 300
+    values = [assert_matches_fraction_reference(Ns) for Ns in tuples]
+    assert sum(not v.is_zero for v in values) > 800  # resonances, not only zeros
+    # wide beat notes: integers past 2^53, where only a correctly rounded num / den
+    # gives the float of the Fraction
+    values = [assert_matches_fraction_reference(Ns) for Ns in random_tuples(28, 400, 10 ** 6)]
+    assert sum(v.den > 2 ** 53 for v in values) > 20
+
+
+def test_integer_engine_matches_the_fraction_reference_on_a_crosscheck_point():
+    _, tuples = crosscheck_point()
+    assert len(tuples) > 1000
+    values = [assert_matches_fraction_reference(Ns) for Ns in tuples]
+    assert sum(not v.is_zero for v in values) > 100
+
+
+def test_tuple_route_is_bit_identical_over_the_fraction_reference(monkeypatch):
+    # the route calls resonance_integral through the module, once per tuple: patched,
+    # every call is counted and the Dyson terms keep every bit
+    p, _ = crosscheck_point()
+    want = {k: magnus.dyson_term(k, p, rectangular(), method="tuples") for k in (3, 4)}
+    calls = []
+
+    def reference(Ns):
+        calls.append(Ns)
+        return fraction_integral(Ns)
+
+    monkeypatch.setattr(resint, "resonance_integral", reference)
+    for k in (3, 4):
+        before = len(calls)
+        got = magnus.dyson_term(k, p, rectangular(), method="tuples")
+        assert len(calls) > before
+        assert got.tobytes() == want[k].tobytes(), k
+
+
+def test_mirrored_tuple_gives_the_conjugate_exactly():
+    # I(-N_1, ..., -N_k) = conj I(N_1, ..., N_k): r_g / (i pi)^g becomes (-1)^g r_g / (i pi)^g
+    for Ns in random_tuples(26, 1500, 12):
+        x, y = resonance_integral(Ns), resonance_integral(tuple(-N for N in Ns))
+        assert list(y.terms.items()) == [(key, (-1) ** key[2] * r) for key, r in x.terms.items()], Ns
+        # bit for bit, but for the sign of a zero imaginary part
+        z, w = complex(x), complex(y)
+        assert w.real.hex() == z.real.hex(), Ns
+        assert (-w.imag).hex() == z.imag.hex() or w.imag == z.imag == 0, Ns
 
 
 def test_order_above_five_rejected():
