@@ -22,12 +22,15 @@ permutation (A_m raises the Fock level by exactly m), so the stacks are ~10%
 filled.  The pass therefore keeps, per (K, L, pulse, n_dim, m_max, order), a
 plan of the structurally nonzero stack entries and of the sparse maps between
 them, built in one loop, and each eta costs three sparse products per order.
-The "tuples" route enumerates label tuples against the exact integral engine
-and is kept as a cross-check.
+The exact "tuples" route uses that H enters once per sideband m, as Op(m) times
+the drive sum_g c_g e^{i 2 pi (N_g + m K) tau}: a sideband sequence's weight, the
+sum over its label tuples above, is one nested integral of drives, which ``resint``
+computes exactly in one depth-first walk over the sequences.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -206,50 +209,49 @@ def _antiderivative(keys: np.ndarray) -> tuple:
     return new_keys, scipy.sparse.csc_array((coef, (rows, src)), shape=(len(new_keys), len(keys)))
 
 
-def _tuple_dyson(params: GateParams, pulse: PulseShape, k: int) -> tuple:
-    """Direct tuple enumeration against the exact integral engine, in block form.
+def _sequences(params: GateParams, pulse: PulseShape, k: int):
+    """Yields (the sequence as indices into m = -m_max..m_max, (re, im) of its exact
+    weight w, Op(m_1) ... Op(m_k) per block) for every sideband sequence, m_k slowest.
 
-    The operator product depends on the sideband sequence (m_1..m_k) alone, so the
-    taps are first summed into one weight per sequence, sum prod c_g I(N), and each
-    sequence with a nonzero weight costs one product per block.  Both sums run in
-    extended precision: at wide gaps they cancel by ~1e7.  Its time grows with the
-    tuple count (labels^k), so it serves low orders and narrow pulses as a
-    cross-check; the transfer route is the production path.
+    A sequence's weight is the nested integral of its drives
+    drive_m = sum_g c_g e^{i 2 pi (N_g + m K) tau}: F_{k+1} = 1,
+    F_j(tau) = int_0^tau drive_{m_j} F_{j+1} and w = F_1(1).  One depth-first walk over
+    the suffixes (m_j, ..., m_k), innermost first: a node multiplies its suffix's F by
+    its level's drive, integrates once and carries Op(m_j) ... Op(m_k) per block.  Each
+    c_g is the exact Fraction of its float; a function is held as its real and imaginary
+    parts, the imaginary one empty for a real pulse.
     """
     taps, tap_c, blocks = hilbert.hamiltonian_terms(params, pulse)
-    # label l = (sideband m = l // len(taps) - m_max, tap g = l % len(taps)): beat note N_g + m K
-    notes = (taps + params.K * np.arange(-params.m_max, params.m_max + 1)[:, None]).ravel()
-    coeffs = np.tile(tap_c.astype(complex), 2 * params.m_max + 1)
-    # One row per tuple, labels innermost first (l_k, ..., l_1) with l_k slowest, so
-    # tuples sharing an inner chain N_j..N_k come in a row and read its integral from
-    # resint's suffix cache; the weights are keyed, and inserted, in that order.  The
-    # rows are made for one l_k at a time, labels^(k-1) of them.
-    rest = np.indices((len(notes),) * (k - 1)).reshape(k - 1, len(notes) ** (k - 1)).T
-    weights: dict[tuple[int, ...], np.clongdouble] = {}
-    for l_k in range(len(notes)):
-        inner_first = np.column_stack([np.full(len(rest), l_k), rest])
-        Ns = notes[inner_first[:, ::-1]]
-        maybe = resint.may_be_resonant(Ns)
-        for row, seq, c in zip(Ns[maybe].tolist(), (inner_first[maybe] // len(taps)).tolist(),
-                               coeffs[inner_first[maybe]].prod(axis=1).tolist()):
-            val = resint.resonance_integral(row)
-            if not val.is_zero:
-                seq = tuple(seq)
-                weights[seq] = weights.get(seq, 0) + np.clongdouble(c) * val.as_complex()
-    # chain[j] = Op(m_{k-j}) ... Op(m_k) per block, shared by consecutive sequences
-    totals = [np.zeros(X.shape[1:], dtype=np.clongdouble) for X in blocks]
-    chain: list[tuple] = []
-    last: tuple[int, ...] = ()
-    for seq, w in weights.items():
-        if w == 0:
+    drives = []
+    for m in range(-params.m_max, params.m_max + 1):
+        a, b = ([(int(N) + m * params.K, Fraction(part(c))) for N, c in zip(taps, tap_c) if part(c)]
+                for part in (np.real, np.imag))
+        drives.append((a, b, [(N, -c) for N, c in b]))
+
+    def walk(re, im, chain, suffix):
+        products = tuple(X @ R for X, R in zip(blocks, chain))  # Op(m) Op(m_j) ... Op(m_k), every m
+        for i, (a, b, minus_b) in enumerate(drives):
+            # (re + i im)(a + i b) = (re a - im b) + i (re b + im a)
+            h = resint.drive_product((re, a), (im, minus_b)), resint.drive_product((re, b), (im, a))
+            ops = tuple(P[i] for P in products)
+            if len(suffix) == k - 1:
+                yield (i, *suffix), tuple(resint._integrate_to_one(part, 0) for part in h), ops
+            else:
+                yield from walk(*(resint.integrate_step(part, 0) for part in h), ops, (i, *suffix))
+
+    yield from walk(resint.OscSum.unit(), resint.OscSum(), tuple(np.eye(X.shape[-1]) for X in blocks), ())
+
+
+def _sequence_dyson(params: GateParams, pulse: PulseShape, k: int) -> tuple:
+    """P_k / (Omega*T)^k in block form from the exact sequence weights of ``_sequences``,
+    summed in extended precision; the transfer route is the production path."""
+    totals = [np.zeros((len(levels),) * 2, dtype=np.clongdouble)
+              for levels, _ in hilbert.block_basis(params.n_dim)]
+    for _seq, (re, im), ops in _sequences(params, pulse, k):
+        if re.is_zero and im.is_zero:
             continue
-        keep = next((j for j, (a, b) in enumerate(zip(last, seq)) if a != b), len(chain))
-        del chain[keep:]
-        for i in seq[keep:]:
-            chain.append(tuple(X[i] @ R for X, R in zip(blocks, chain[-1])) if chain
-                         else tuple(X[i] for X in blocks))
-        last = seq
-        for total, P in zip(totals, chain[-1]):
+        w = np.clongdouble(complex(re) + 1j * complex(im))
+        for total, P in zip(totals, ops):
             total += w * P
     return tuple(((-1j) ** k * total).astype(complex) for total in totals)
 
@@ -263,7 +265,7 @@ def dyson_term(k: int, params: GateParams, pulse: PulseShape | None = None,
     if method == "transfer":
         p_hat = dyson_hat_terms(params, pulse, k)[k - 1]
     elif method == "tuples":
-        p_hat = _tuple_dyson(params, pulse, k)
+        p_hat = _sequence_dyson(params, pulse, k)
     else:
         raise ValueError(f"unknown method {method!r}")
     return (params.omega_T ** k) * hilbert.embed(p_hat, params.n_dim, 0.0)

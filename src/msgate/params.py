@@ -111,11 +111,15 @@ def validate(params: GateParams, pulse=None) -> ValidationReport:
         rep.add("K>L>=1", f"K={K}, L={L}")
     if K == 2 * L:
         rep.add("K=2L", f"K={K}, L={L}")
-    # generalized exclusion: j*K = l*L for j <= k_max*m_max, l <= k_max
-    for j in range(1, params.k_max * params.m_max + 1):
-        for l in range(1, params.k_max + 1):
-            if j * K == l * L:
-                rep.add("jK=lL", f"j={j}, l={l}")
+    # generalized exclusion: j*K = l*L for 1 <= j <= k_max*m_max and l <= k_max, by j, then
+    # l: j = l*L/K (every j when K = L = 0).  Not checked at a k_max outside its range.
+    if 2 <= params.k_max <= 5:
+        j_max, K, L = params.k_max * params.m_max, int(K), int(L)
+        hits = [(j, l) for l in range(1, params.k_max + 1)
+                for j in (range(1, j_max + 1) if K == L == 0 else (l * L // K,) if K and l * L % K == 0 else ())
+                if 1 <= j <= j_max]
+        for j, l in sorted(hits):
+            rep.add("jK=lL", f"j={j}, l={l}")
     if not (0.0 < params.eta < 1.0):
         rep.add("eta range", f"eta={params.eta} not in (0, 1)")
     if params.n_dim < params.m_max + 2:

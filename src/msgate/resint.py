@@ -15,20 +15,20 @@ over one shared denominator: a step scales every numerator by the lcm of the
 denominators it brings in and reduces the result by one gcd, instead of
 normalising a ``Fraction`` at every operation.  A value becomes a float by the
 correctly rounded int division, as ``float(Fraction)`` does, so the floats are
-those of a ``Fraction`` engine bit for bit.  The antiderivative of each inner
-chain (N_2, ..., N_k) is cached and shared by every tuple that ends in it; the
-outermost integral is summed at tau = 1 without being built, once per call,
-since a traversal asks for each whole tuple once.
+those of a ``Fraction`` engine bit for bit.  Three steps build every value:
+``drive_product`` multiplies a sum by a drive sum_g c_g e^{i 2 pi N_g tau} with
+rational c_g, ``integrate_step`` takes the antiderivative from 0 and
+``_integrate_to_one`` the integral over [0, 1], summed at tau = 1 without being
+built.  ``magnus``'s exact Dyson route applies them to whole drives, one sideband
+at a time; ``resonance_integral`` folds ``integrate_step`` over one tuple.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable
-
-import numpy as np
+from functools import lru_cache, reduce
+from typing import Iterable, Sequence
 
 
 class OscSum:
@@ -64,16 +64,6 @@ class OscSum:
     def terms(self) -> dict[tuple[int, int, int], Fraction]:
         return {key: Fraction(n, self.den) for key, n in self.nums.items()}
 
-    def _add(self, power: int, freq: int, pi_pow: int, r: Fraction) -> None:
-        """Merge r into the key's rational; a key whose sum cancels is removed."""
-        terms, key = self.terms, (power, freq, pi_pow)
-        r += terms.get(key, 0)
-        if r == 0:
-            terms.pop(key, None)
-        else:
-            terms[key] = r
-        self.__init__(terms)
-
     @property
     def is_zero(self) -> bool:
         return not self.nums
@@ -96,6 +86,25 @@ def parts_table(p: int) -> tuple[tuple[int, int, int], ...]:
     as triples (j, q_j, a_j) = (j, p - j + 1, (-1)^(p-j) p!/j!) for j = p..0."""
     return tuple((j, p - j + 1, (-1) ** (p - j) * math.factorial(p) // math.factorial(j))
                  for j in range(p, -1, -1))
+
+
+def drive_product(*factors: tuple[OscSum, Sequence[tuple[int, Fraction]]]) -> OscSum:
+    """Exact sum over the factors (f, taps) of f(tau) sum_g c_g e^{i 2 pi N_g tau},
+    for integer N_g and nonzero rational c_g: each tap shifts every frequency by N_g,
+    over one shared denominator.  A key whose sum cancels leaves the dict."""
+    den = math.lcm(*[f.den * c.denominator for f, taps in factors for _N, c in taps])
+    out: dict[tuple[int, int, int], int] = {}
+    for f, taps in factors:
+        for N, c in taps:
+            scale = c.numerator * (den // (f.den * c.denominator))
+            for (p, nu, g), n in f.nums.items():
+                key = (p, nu + N, g)
+                n = out.get(key, 0) + n * scale
+                if n:
+                    out[key] = n
+                else:
+                    del out[key]
+    return OscSum._over(out, den)
 
 
 def integrate_step(f: OscSum, N: int) -> OscSum:
@@ -159,35 +168,15 @@ def _integrate_to_one(f: OscSum, N: int) -> OscSum:
     return OscSum._over({(0, 0, g): n for g, n in acc.items() if n}, f.den * scale)
 
 
-# The tuple route (magnus._tuple_dyson) varies N_k slowest, so it reads a suffix
-# again only after building every longer suffix on it: up to 1 + n + ... + n^(k-2)
-# entries for n labels at order k, 211 for rect at order 4 (n = 14) and 43 for
-# sin^2 at order 3 (n = 42).  Past the bound only the shortest suffixes, the
-# cheapest ones, are built again.
-@lru_cache(maxsize=256)
-def _suffix_antiderivative(Ns: tuple[int, ...]) -> OscSum:
-    """G(tau) = int_0^tau dt_1 e^{i 2 pi N_1 t_1} ... int_0^{t_{k-1}} dt_k e^{i 2 pi N_k t_k},
-    from the antiderivative of the next shorter suffix."""
-    if not Ns:
-        return OscSum.unit()
-    return integrate_step(_suffix_antiderivative(Ns[1:]), Ns[0])
-
-
 def resonance_integral(Ns: Iterable[int]) -> OscSum:
-    """Exact value of the nested integral for an integer beat-note tuple.
+    """Exact value of the nested integral for an integer beat-note tuple: the
+    antiderivative of the inner chain (N_2, ..., N_k), innermost first, then the
+    outermost integral at tau = 1.
 
     Dimensionless (T = 1); a physical result carries the extra factor T^k.
     """
     Ns = _integer_tuple(Ns)
     if len(Ns) > 5:
         raise ValueError("orders above 5 are out of scope")
-    return _integrate_to_one(_suffix_antiderivative(Ns[1:]), Ns[0]) if Ns else OscSum.unit()
-
-
-def may_be_resonant(Ns) -> np.ndarray:
-    """Cheap necessary condition for a nonzero integral when all N_j != 0, for each
-    tuple along the last axis: some contiguous block must sum to zero (a repeated
-    prefix sum)."""
-    sums = np.cumsum(Ns, axis=-1)
-    sums = np.sort(np.concatenate([np.zeros_like(sums[..., :1]), sums], axis=-1), axis=-1)
-    return (np.diff(sums, axis=-1) == 0).any(axis=-1)
+    return (_integrate_to_one(reduce(integrate_step, reversed(Ns[1:]), OscSum.unit()), Ns[0])
+            if Ns else OscSum.unit())

@@ -3,8 +3,8 @@
 the symmetry blocks or ``hilbert.embed``, and the composite-index helpers the tests
 measure full-space matrices with, and the closed forms and spectral quadrature that
 check the exact resonance integrals of ``msgate.resint``, with the ``Fraction``
-reference of its integer engine (``fraction_integral``).  Also what only the tests
-read of the model:
+reference of its integer engine (``fraction_integral``) and the prefix-sum filter
+``may_be_resonant``.  Also what only the tests read of the model:
   * ``frame_blocks``, a rotating frame's Hamiltonian blocks at a vector of instants,
     and the composite Hamiltonian at one instant built from them;
   * the closed-form Bell fidelity of a Fock-diagonal generator;
@@ -26,7 +26,10 @@ from scipy.optimize import minimize_scalar
 
 from msgate import fidelity, hilbert, magnus, resint
 from msgate.params import beat_note
-from msgate.pulses import envelope_at, rectangular
+from msgate.pulses import PulseShape, envelope_at, rectangular
+
+# a pulse with complex taps: c_{+-1} = +-i/4
+SKEW = PulseShape.from_dict("skew", {0: 0.5, 1: 0.25j, -1: -0.25j})
 
 
 def frame_blocks(frame, params, taus):
@@ -233,10 +236,19 @@ def calibrate_omega(params, pulse, bracket, tol=1e-4):
 # Resonance-integral oracles.
 # ---------------------------------------------------------------------------
 
+def may_be_resonant(Ns) -> np.ndarray:
+    """Cheap necessary condition for a nonzero integral when all N_j != 0, for each
+    tuple along the last axis: some contiguous block must sum to zero (a repeated
+    prefix sum)."""
+    sums = np.cumsum(Ns, axis=-1)
+    sums = np.sort(np.concatenate([np.zeros_like(sums[..., :1]), sums], axis=-1), axis=-1)
+    return (np.diff(sums, axis=-1) == 0).any(axis=-1)
+
+
 def is_resonant(Ns) -> bool:
     """True iff the exact integral is nonzero."""
     Ns = resint._integer_tuple(Ns)
-    if all(N != 0 for N in Ns) and not resint.may_be_resonant(Ns):
+    if all(N != 0 for N in Ns) and not may_be_resonant(Ns):
         return False
     return not resint.resonance_integral(Ns).is_zero
 

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -343,6 +344,15 @@ def test_infinite_gate_fields_give_skip_rows(tmp_path, capsys):
     assert "FAIL  omega_T sign" in out and "FAIL  nbar sign" in out
 
 
+def test_main_check_exits_at_once_on_a_huge_k_max(tmp_path, capsys):
+    # the jK = lL rule is not checked at a k_max outside [2, 5], so no k_max^2 loop runs
+    path = _write(tmp_path, "k.cfg", CHECK_OK + "k_max = 1000000\n")
+    start = time.perf_counter()
+    assert cli.main(["check", path]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "FAIL  k_max range" in capsys.readouterr().out
+
+
 def test_main_check_lists_every_rule(tmp_path, capsys):
     path = _write(tmp_path, "c.cfg", CHECK_OK + "nbar = -1\nm_max = 0\n")
     assert cli.main(["check", path]) == 2
@@ -527,24 +537,29 @@ UNREFERENCED = {
 }
 
 
+def _names_read(tree) -> set[str]:
+    """The names and attributes a statement reads, and the names it imports."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
 def test_every_top_level_name_has_a_product_reference():
-    # each function, class and constant at the top of a module of src/msgate is read by
-    # another statement of src/msgate (an __init__ export counts) or of perfbench/;
-    # tests and docstrings do not count
+    # each function, class and constant at the top of a module of src/msgate, and each
+    # method of its classes but the dunders, is read by another statement of src/msgate
+    # (an __init__ export counts; for a method, another method of its class too) or of
+    # perfbench/; tests and docstrings do not count
     root = pathlib.Path(__file__).resolve().parents[1]
     src = root / "src" / "msgate"
     statements = []  # (path, top-level statement, the names it reads)
     for path in sorted([*src.rglob("*.py"), *(root / "perfbench").rglob("*.py")]):
-        for stmt in ast.parse(path.read_text(), str(path)).body:
-            read = set()
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    read.add(node.id)
-                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    read.add(node.attr)
-                elif isinstance(node, ast.ImportFrom):
-                    read.update(alias.name for alias in node.names)
-            statements.append((path, stmt, read))
+        statements += [(path, stmt, _names_read(stmt)) for stmt in ast.parse(path.read_text(), str(path)).body]
     unreferenced = set()
     for path, stmt, _ in statements:
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
@@ -558,6 +573,13 @@ def test_every_top_level_name_has_a_product_reference():
         if path.is_relative_to(src):
             unreferenced.update(name for name in names
                                 if not any(name in read for _, other, read in statements if other is not stmt))
+        if path.is_relative_to(src) and isinstance(stmt, ast.ClassDef):
+            outside = [read for _, other, read in statements if other is not stmt]
+            for method in stmt.body:
+                if isinstance(method, ast.FunctionDef) and not method.name.startswith("__"):
+                    reads = outside + [_names_read(item) for item in stmt.body if item is not method]
+                    if not any(method.name in read for read in reads):
+                        unreferenced.add(f"{stmt.name}.{method.name}")
     assert "run_sweep" not in unreferenced and len(statements) > 100  # the walk sees the references
     assert sorted(unreferenced) == sorted(UNREFERENCED)
 

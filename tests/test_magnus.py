@@ -10,8 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 from msgate import budget, fidelity, hilbert, magnus, resint
 from msgate.params import GateParams, beat_note, validate
 from msgate.pulses import PulseShape, rectangular, sin_squared
-from oracles import (fock_offdiagonal_max, form_factor, full_space_transfer, guard_band_indices, guard_block,
-                     is_resonant, unitarity_defect)
+from oracles import (SKEW, fock_offdiagonal_max, form_factor, full_space_transfer, guard_band_indices,
+                     guard_block, is_resonant, unitarity_defect)
 
 J = hilbert.collective_spins()
 JX2, JY2 = J.Jx2 - np.eye(4) / 2, J.Jy2 - np.eye(4) / 2  # sigma_a (x) sigma_a / 2
@@ -316,9 +316,6 @@ def test_antiderivative_map_matches_the_exact_engine():
         assert np.abs(got[rows, i] - exact).max() <= 1e-14 * np.abs(exact).max(), key
 
 
-SKEW = PulseShape.from_dict("skew", {0: 0.5, 1: 0.25j, -1: -0.25j})  # complex taps: c_{+-1} = +-i/4
-
-
 @pytest.mark.parametrize("shape", ["rect", "sin2", "skew"])
 @pytest.mark.parametrize("eta,K,L,n_dim,m_max", [
     (0.05, 28, 25, 8, 3), (0.3, 28, 25, 7, 3),   # narrow gap K - L = 3
@@ -362,6 +359,26 @@ def test_tuple_route_keeps_digits_at_a_wide_gap(k):
     p = GateParams(eta=0.1, K=40, L=7, n_dim=8, m_max=3, omega_T=1.0)
     via_transfer = magnus.dyson_term(k, p, sin_squared(), method="transfer")
     via_tuples = magnus.dyson_term(k, p, sin_squared(), method="tuples")
+    assert np.abs(via_transfer - via_tuples).max() < 1e-12 * np.abs(via_transfer).max()
+
+
+CROSSCHECK_POINT = GateParams(eta=0.18, K=33, L=30, nbar=0.02, n_dim=8, m_max=3, k_max=4)
+FIG4A_POINT = GateParams(eta=0.18, K=28, L=25, nbar=0.02, n_dim=8, m_max=3, k_max=4, omega_T=50.0)
+
+
+@pytest.mark.parametrize("k,shape,p", [
+    (5, "rect", CROSSCHECK_POINT.replace(omega_T=budget.omega_2(CROSSCHECK_POINT))),
+    (4, "sin2", CROSSCHECK_POINT.replace(omega_T=budget.omega_2(CROSSCHECK_POINT))),
+    (5, "rect", FIG4A_POINT),
+    (4, "sin2", FIG4A_POINT),
+    (4, "skew", GateParams(eta=0.18, K=31, L=20, omega_T=1.0)),
+    (5, "sin2", FIG4A_POINT.replace(m_max=2)),  # ~1 s; 7 s at m_max = 3
+], ids=["crosscheck-rect-P5", "crosscheck-sin2-P4", "fig4a-rect-P5", "fig4a-sin2-P4", "skew-P4", "fig4a-m2-sin2-P5"])
+def test_sequence_route_reaches_the_high_orders(k, shape, p):
+    pulse = {"rect": rectangular(), "sin2": sin_squared(), "skew": SKEW}[shape]
+    assert validate(p, pulse).ok
+    via_transfer = magnus.dyson_term(k, p, pulse, method="transfer")
+    via_tuples = magnus.dyson_term(k, p, pulse, method="tuples")
     assert np.abs(via_transfer - via_tuples).max() < 1e-12 * np.abs(via_transfer).max()
 
 

@@ -89,6 +89,22 @@ def test_pulse_aware_validation_flags_zero_beat_note():
     assert "N=0" in rep.rules()
 
 
+def test_generalized_exclusion_matches_the_pair_loop():
+    # the direct j = l L / K against the j, l double loop it replaced, with every other
+    # rule in place: the same details in the same order, L = 0, K = 0 and negative
+    # values included; K = L = 0 matches every pair
+    for k_max in range(2, 6):
+        for m_max in range(-1, 5):
+            for K in range(-4, 31):
+                for L in range(-4, 31):
+                    rep = validate(GateParams(eta=0.18, K=K, L=L, k_max=k_max, m_max=m_max))
+                    pairs = [f"j={j}, l={l}" for j in range(1, k_max * m_max + 1)
+                             for l in range(1, k_max + 1) if j * K == l * L]
+                    assert [v.detail for v in rep if v.rule == "jK=lL"] == pairs, (K, L, k_max, m_max)
+                    order = [RULES.index(rule) for rule in rep.rules()]
+                    assert order == sorted(order)
+
+
 
 @pytest.mark.parametrize("K, L", [(28, 25), (28, 0), (5, 0), (28, 14), (10, 5), (25, 25), (7, 7),
                                   (25, 20), (28, 21), (20, 25), (3, 6), (2, 1)])

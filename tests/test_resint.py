@@ -1,16 +1,17 @@
 import itertools
 import math
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from msgate import budget, hilbert, magnus, resint
 from msgate.params import GateParams
-from msgate.pulses import rectangular
-from msgate.resint import OscSum, integrate_step, may_be_resonant, resonance_integral
-from oracles import (_cheb_integral, fraction_antiderivative, fraction_integral, fraction_to_one,
-                     is_resonant, order2_closed_form, order3_closed_form, quadrature_integral)
+from msgate.pulses import rectangular, sin_squared
+from msgate.resint import OscSum, drive_product, integrate_step, resonance_integral
+from oracles import (SKEW, _cheb_integral, fraction_antiderivative, fraction_integral, fraction_to_one,
+                     is_resonant, may_be_resonant, order2_closed_form, order3_closed_form, quadrature_integral)
 
 
 def val(Ns):
@@ -164,29 +165,29 @@ def stepwise(Ns):
     return {key: r for key, r in at_one.items() if r}
 
 
-def test_shared_suffixes_give_the_stepwise_rationals():
-    # random order and lengths over -7..7 (zero beat notes and resonances included)
-    # make the suffix cache evict; every value must still be the same rationals
+def test_values_at_one_give_the_stepwise_rationals():
+    # random lengths over -7..7, zero beat notes and resonances included: the value
+    # summed at tau = 1 without building the last antiderivative is the same rationals
     rng = np.random.default_rng(16)
     tuples = [tuple(int(n) for n in rng.integers(-7, 8, int(rng.integers(1, 6)))) for _ in range(2000)]
-    resint._suffix_antiderivative.cache_clear()
     for Ns in tuples:
         assert resonance_integral(Ns).terms == stepwise(Ns), Ns
-    info = resint._suffix_antiderivative.cache_info()
-    assert info.misses > info.maxsize == info.currsize  # it evicted
     assert sum(not resonance_integral(Ns).is_zero for Ns in tuples) > 500
 
 
-def test_tuple_route_reads_each_suffix_once(base_params, rect):
-    # the route varies N_k slowest, so each inner chain N_j..N_k (j >= 2) is built once
+def test_sequence_walk_integrates_each_suffix_once(base_params, rect, monkeypatch):
+    # one integrate_step per node and part (re, im): n + n^2 + ... + n^(k-1) suffixes
+    # for n = 2 m_max + 1 sidebands, and one value at tau = 1 per sequence and part
     p = base_params.replace(omega_T=1.0)
-    resint._suffix_antiderivative.cache_clear()
+    calls = {"integrate_step": 0, "_integrate_to_one": 0}
+    for name in calls:
+        def counted(f, N, name=name, call=getattr(resint, name)):
+            calls[name] += 1
+            return call(f, N)
+        monkeypatch.setattr(resint, name, counted)
     magnus.dyson_term(4, p, rect, method="tuples")
-    taps, _ = hilbert.drive_taps(p, rect)
-    notes = [int(N) + m * p.K for m in range(-p.m_max, p.m_max + 1) for N in taps]
-    tuples = np.array(list(itertools.product(notes, repeat=4)))
-    suffixes = {tuple(Ns[j:]) for Ns in tuples[may_be_resonant(tuples)].tolist() for j in range(1, 5)}
-    assert resint._suffix_antiderivative.cache_info().misses <= 1.1 * len(suffixes)
+    n = 2 * p.m_max + 1
+    assert calls == {"integrate_step": 2 * (n + n ** 2 + n ** 3), "_integrate_to_one": 2 * n ** 4}
 
 
 def bits(z: complex) -> tuple[str, str]:
@@ -225,7 +226,8 @@ def assert_matches_fraction_reference(Ns):
     """The inner chain's antiderivative and the value: the same rationals in the same
     order (the order the value's floats are summed in) and the same complex bits."""
     suffix = fraction_antiderivative(Ns[1:])
-    assert list(resint._suffix_antiderivative(Ns[1:]).terms.items()) == list(suffix.items()), Ns
+    inner = reduce(integrate_step, reversed(Ns[1:]), OscSum.unit())
+    assert list(inner.terms.items()) == list(suffix.items()), Ns
     got, want = resonance_integral(Ns), fraction_to_one(suffix, Ns[0])
     assert list(got.terms.items()) == list(want.items()), Ns
     assert bits(complex(got)) == bits(complex(want)), Ns
@@ -250,23 +252,57 @@ def test_integer_engine_matches_the_fraction_reference_on_a_crosscheck_point():
     assert sum(not v.is_zero for v in values) > 100
 
 
-def test_tuple_route_is_bit_identical_over_the_fraction_reference(monkeypatch):
-    # the route calls resonance_integral through the module, once per tuple: patched,
-    # every call is counted and the Dyson terms keep every bit
-    p, _ = crosscheck_point()
-    want = {k: magnus.dyson_term(k, p, rectangular(), method="tuples") for k in (3, 4)}
-    calls = []
+def complex_rationals(re: OscSum, im: OscSum) -> dict[int, tuple[Fraction, Fraction]]:
+    """A constant sum held as its real and imaginary parts, as {g: (Re, Im)} of the
+    complex rational over (i pi)^g; that form is unique since pi is transcendental."""
+    out = {}
+    for part, s in enumerate((re, im)):
+        for (p, nu, g), r in s.terms.items():
+            assert p == nu == 0
+            out.setdefault(g, [Fraction(0), Fraction(0)])[part] += r
+    return {g: tuple(r) for g, r in out.items() if any(r)}
 
-    def reference(Ns):
-        calls.append(Ns)
-        return fraction_integral(Ns)
 
-    monkeypatch.setattr(resint, "resonance_integral", reference)
-    for k in (3, 4):
-        before = len(calls)
-        got = magnus.dyson_term(k, p, rectangular(), method="tuples")
-        assert len(calls) > before
-        assert got.tobytes() == want[k].tobytes(), k
+@pytest.mark.parametrize("shape", ["rect", "sin2", "skew"])
+def test_order3_sequence_weights_are_the_fraction_tuple_sums(shape):
+    # each sequence weight is, as a complex rational, the sum over its tap tuples of
+    # prod c_g times the Fraction oracle's integral (the tuples without a resonance vanish)
+    pulse = {"rect": rectangular(), "sin2": sin_squared(), "skew": SKEW}[shape]
+    p = GateParams(eta=0.18, K=28, L=25, n_dim=5, m_max=3 if shape == "rect" else 2)
+    taps, tap_c = hilbert.drive_taps(p, pulse)
+    ms = range(-p.m_max, p.m_max + 1)
+    count = 0
+    for seq, (re, im), _ops in magnus._sequences(p, pulse, 3):
+        want: dict[int, list[Fraction]] = {}
+        for gs in itertools.product(range(len(taps)), repeat=3):
+            Ns = [int(taps[g]) + ms[i] * p.K for g, i in zip(gs, seq)]
+            if 0 not in Ns and not may_be_resonant(Ns):
+                continue
+            c_re, c_im = Fraction(1), Fraction(0)  # prod c_g as exact real and imaginary parts
+            for g in gs:
+                a, b = Fraction(tap_c[g].real), Fraction(tap_c[g].imag)
+                c_re, c_im = c_re * a - c_im * b, c_re * b + c_im * a
+            for (_p, _nu, g), r in fraction_integral(Ns).items():
+                acc = want.setdefault(g, [Fraction(0), Fraction(0)])
+                acc[0] += r * c_re
+                acc[1] += r * c_im
+        assert complex_rationals(re, im) == {g: tuple(r) for g, r in want.items() if any(r)}, seq
+        count += not (re.is_zero and im.is_zero)
+    assert count > 20
+
+
+@pytest.mark.parametrize("shape", ["rect", "sin2"])
+def test_mirrored_sequence_gives_the_conjugate_weight_exactly(shape):
+    # a real pulse with c_M = c_-M has drive_-m = conj drive_m, so w(-m) = conj w(m):
+    # r_g / (i pi)^g becomes (-1)^g r_g / (i pi)^g, and no imaginary part appears
+    pulse = rectangular() if shape == "rect" else sin_squared()
+    p = GateParams(eta=0.18, K=28, L=25, n_dim=5, m_max=2)
+    weights = {seq: w for seq, w, _ops in magnus._sequences(p, pulse, 4)}
+    for seq, (re, im) in weights.items():
+        mirror_re, mirror_im = weights[tuple(2 * p.m_max - i for i in seq)]
+        assert im.is_zero and mirror_im.is_zero
+        assert mirror_re.terms == {key: (-1) ** key[2] * r for key, r in re.terms.items()}, seq
+    assert sum(not re.is_zero for re, _im in weights.values()) > 100
 
 
 def test_mirrored_tuple_gives_the_conjugate_exactly():
@@ -285,11 +321,13 @@ def test_order_above_five_rejected():
         resonance_integral([1, -1, 2, -2, 3, -3])
 
 
-def test_canonical_merge_drops_zero_terms():
-    s = OscSum()
-    s._add(0, 1, 0, Fraction(1))
-    s._add(0, 1, 0, Fraction(-1))
-    assert s.terms == {}
+def test_drive_product_drops_cancelling_keys():
+    # (1 + e^{i 2 pi tau}) (e^{i 2 pi tau} - 1) = e^{i 4 pi tau} - 1: the tau-frequency 1 cancels
+    f = OscSum({(0, 0, 0): Fraction(1), (0, 1, 0): Fraction(1)})
+    got = drive_product((f, [(1, Fraction(1)), (0, Fraction(-1))]))
+    assert got.terms == {(0, 2, 0): Fraction(1), (0, 0, 0): Fraction(-1)}
+    # across factors too: f e^{i 4 pi tau} / 2 - f e^{i 4 pi tau} / 2 leaves nothing
+    assert drive_product((f, [(2, Fraction(1, 2))]), (f, [(2, Fraction(-1, 2))])).is_zero
 
 
 def test_value_is_rational_over_power_of_i_pi():

@@ -11,7 +11,7 @@ import scipy.linalg
 from msgate import fidelity, hilbert, trotter
 from msgate.pulses import PulseShape, rectangular, sin_squared
 from msgate.trotter import TrotterConfig
-from oracles import frame_blocks, guard_band_indices, unitarity_defect
+from oracles import SKEW, frame_blocks, guard_band_indices, unitarity_defect
 
 
 def _full(U, params):
@@ -150,9 +150,8 @@ def _dense_reference(builder, params, pulse, n_steps):
     return U
 
 
-# conjugate-symmetric but complex: a real drive without the time-reversal fold
-SKEW = PulseShape.from_dict("skew", {0: 0.5, 1: 0.25j, -1: -0.25j})
-# real pulse with harmonics 0 and +/-5: taps +/-25, -20, 30, -30, 20 at L = 25, so the
+# SKEW is conjugate-symmetric but complex: a real drive without the time-reversal fold.
+# A real pulse with harmonics 0 and +/-5: taps +/-25, -20, 30, -30, 20 at L = 25, so the
 # drive period d = 5 differs from L
 PERIOD_5 = PulseShape.from_dict("period-5", {0: 0.5, 5: 0.25, -5: 0.25})
 # the same period with complex coefficients: the power without the fold
