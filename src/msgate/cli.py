@@ -439,6 +439,13 @@ def _cmd_propagate(args) -> int:
     return 0
 
 
+def _worker_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive worker count")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="msgate",
@@ -453,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, key in (("--ndim", "n_dim"), ("--mmax", "m_max"), ("--order", "k_max")):
             p.add_argument(flag, dest=key, type=int)
         if name == "sweep":
-            p.add_argument("--workers", type=int, default=1)
+            p.add_argument("--workers", type=_worker_count, default=1)
         if name == "budget":
             p.add_argument("--csv", action="store_true")
         p.set_defaults(func=fn)

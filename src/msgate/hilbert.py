@@ -160,48 +160,28 @@ def level_block(blocks: tuple, n_dim: int, row: int, col: int) -> np.ndarray:
                for X, (n, V) in zip(blocks, block_basis(n_dim)))
 
 
-def hamiltonian_terms(params: GateParams, pulse: PulseShape) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """The factored Hamiltonian H(tau) = g(tau) sum_m exp(i 2 pi m K tau) J_m (x) A_m
-    at unit drive: the taps (N_g, c_g) of ``drive_taps`` and, per block of
-    ``block_basis``, the stack of the J_m (x) A_m for m = -m_max..m_max.  The drive
-    strength omega_T is *not* included so callers can rescale.
+def hamiltonian_terms(params: GateParams) -> tuple:
+    """The sideband factor of the Hamiltonian H(tau) = g(tau) sum_m exp(i 2 pi m K tau)
+    J_m (x) A_m at unit drive: per block of ``block_basis``, the stack of the J_m (x) A_m
+    for m = -m_max..m_max.  The drive g is ``drive_taps``'s, and the drive strength
+    omega_T is *not* included so callers can rescale.
     """
     ms = range(-params.m_max, params.m_max + 1)
-    return (*drive_taps(params, pulse),
-            to_blocks(np.stack([collective_spin(m) for m in ms]),
-                      np.stack([sideband_operator(m, params.eta, params.n_dim) for m in ms])))
+    return to_blocks(np.stack([collective_spin(m) for m in ms]),
+                     np.stack([sideband_operator(m, params.eta, params.n_dim) for m in ms]))
 
 
-@dataclass(frozen=True)
-class RotatingFrame:
-    """Q_b^H H(tau) Q_b = omega_T g(tau) r_b B_b r_b^H per block of ``block_basis``, whose
-    columns each hold one Fock level n_b: the drive g of ``drive_taps``, one constant
-    generator B_b = Q_b^H B_0 Q_b and r_b = exp(i 2 pi K tau n_b)."""
-
-    taps: np.ndarray
-    coeffs: np.ndarray
-    generators: tuple
-    levels: tuple
-
-    def drive(self, taus: np.ndarray) -> np.ndarray:
-        return np.exp(2j * np.pi * np.outer(taus, self.taps)) @ self.coeffs
-
-
-def _frame(n_dim: int, taps, coeffs, terms: tuple) -> RotatingFrame:
-    """The frame whose generator is, per block, the sum of the stack ``terms``."""
-    return RotatingFrame(taps, coeffs, tuple(X.sum(axis=0) for X in terms),
-                         tuple(n for n, _ in block_basis(n_dim)))
-
-
-def sideband_hamiltonian(params: GateParams, pulse: PulseShape) -> RotatingFrame:
-    """The sideband series in the blocks.  A_m raises the Fock level by m, so
+def sideband_hamiltonian(params: GateParams) -> tuple:
+    """The generator pair (B_+, B_-) of the sideband series: per block of ``block_basis``,
+    whose columns each hold one Fock level n_b, Q_b^H H(tau) Q_b = omega_T g(tau) r_b B_b
+    r_b^H with r_b = exp(i 2 pi K tau n_b).  A_m raises the Fock level by m, so
     exp(i 2 pi m K tau) J_m (x) A_m = R J_m (x) A_m R^H with R = exp(i 2 pi K tau a+a),
-    and the generator is B_0 = sum_m J_m (x) A_m.
+    and B_b = Q_b^H B_0 Q_b with B_0 = sum_m J_m (x) A_m.
     """
-    return _frame(params.n_dim, *hamiltonian_terms(params, pulse))
+    return tuple(X.sum(axis=0) for X in hamiltonian_terms(params))
 
 
-def displacement_hamiltonian(params: GateParams, pulse: PulseShape) -> RotatingFrame:
+def displacement_hamiltonian(params: GateParams) -> tuple:
     """Like ``sideband_hamiltonian``, with the displacement exponential built exactly
     instead of the m_max-truncated series: the cross-check for the truncation.
     H = g(tau) (J+ (x) D + J- (x) D^H) / 2, where D(tau) = exp(i eta (a e^{-i theta}
@@ -211,8 +191,8 @@ def displacement_hamiltonian(params: GateParams, pulse: PulseShape) -> RotatingF
     J = collective_spins()
     a = destroy(params.n_dim)
     d0 = matrix_exp(1j * params.eta * (a + a.conj().T))
-    return _frame(params.n_dim, *drive_taps(params, pulse),
-                  to_blocks(np.stack([J.Jplus, J.Jminus]), 0.5 * np.stack([d0, d0.conj().T])))
+    return tuple(X.sum(axis=0) for X in to_blocks(np.stack([J.Jplus, J.Jminus]),
+                                                  0.5 * np.stack([d0, d0.conj().T])))
 
 
 def hermiticity_defect(A: np.ndarray) -> float:

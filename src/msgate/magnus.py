@@ -67,8 +67,7 @@ def _transfer_dyson(eta, K, L, n_dim, m_max, coeffs, up_to) -> list[tuple]:
     """
     plan = _plan(K, L, coeffs, n_dim, m_max, up_to)
     # H = g(tau) sum_m e^{i 2 pi m K tau} J_m (x) A_m: the values of the J_m (x) A_m
-    _, _, ops = hilbert.hamiltonian_terms(
-        GateParams(eta=eta, K=K, L=L, n_dim=n_dim, m_max=m_max), PulseShape("", coeffs))
+    ops = hilbert.hamiltonian_terms(GateParams(eta=eta, K=K, L=L, n_dim=n_dim, m_max=m_max))
     values = np.concatenate([X.ravel() for X in ops])
     sizes = [X.shape[-1] ** 2 for X in ops]
     x = np.ones(len(plan[0][0]) - 1, dtype=complex)  # the identity on key 0
@@ -127,6 +126,11 @@ def _plan(K, L, coeffs, n_dim, m_max, up_to) -> tuple:
     next entries; the top order is (indptr, where, q, weights), the pairs' output q
     and the antiderivative at tau = 1 of their keys."""
     taps, tap_c = hilbert.drive_taps(GateParams(eta=0.0, K=K, L=L), PulseShape("", coeffs))
+    # the keys of order up_to reach |nu| <= up_to (max|N_g| + m_max K), and all must be int64
+    reach = up_to * (max(abs(int(N)) for N in taps) + m_max * K)
+    if (reach + 1) * _POWERS > np.iinfo(np.int64).max:
+        raise ValueError(f"beat-note sums up to {reach} at order {up_to} do not fit the int64 "
+                         f"keys nu * {_POWERS} + p of the transfer pass")
     # by beat note, so that a row of the transposed drive sums in the order of the keys
     by_note = np.argsort(taps, kind="stable")
     taps, tap_c = taps[by_note], tap_c[by_note]
@@ -221,7 +225,7 @@ def _sequences(params: GateParams, pulse: PulseShape, k: int):
     c_g is the exact Fraction of its float; a function is held as its real and imaginary
     parts, the imaginary one empty for a real pulse.
     """
-    taps, tap_c, blocks = hilbert.hamiltonian_terms(params, pulse)
+    (taps, tap_c), blocks = hilbert.drive_taps(params, pulse), hilbert.hamiltonian_terms(params)
     drives = []
     for m in range(-params.m_max, params.m_max + 1):
         a, b = ([(int(N) + m * params.K, Fraction(part(c))) for N, c in zip(taps, tap_c) if part(c)]

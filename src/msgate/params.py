@@ -40,11 +40,6 @@ class GateParams:
     def replace(self, **changes) -> "GateParams":
         return dataclasses.replace(self, **changes)
 
-    @property
-    def dim(self) -> int:
-        """Dimension of the composite two-qubit x Fock space."""
-        return 4 * self.n_dim
-
 
 # Every rule validate can report, in report order.
 RULES = ("K,L integer", "K>L>=1", "K=2L", "jK=lL", "eta range", "n_dim guard",

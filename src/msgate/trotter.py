@@ -176,39 +176,42 @@ def _propagate(builder, params: GateParams, pulse: PulseShape | None,
     where H vanishes.  Deterministic for identical inputs (fixed order, no cache).
 
     The steps are Strang steps s_k of the frame Hamiltonian H~(tau) = omega_T g(tau) B
-    + 2 pi K a+a, and their product over the gate is U, since the frame R(tau) =
-    exp(i 2 pi K tau a+a) is the identity at tau = 0 and 1 for integer K.  Let p be
-    the drive period d (``drive_period``) when it divides N, else 1: then g(tau + 1/p)
-    = g(tau), and the first period [0, 1/p] holds n = N/p steps.  Two symmetries of
-    H~ apply in turn:
+    + 2 pi K a+a: B per block from ``builder(params)``, g from ``hilbert.drive_taps`` and
+    the Fock levels of the block columns from ``hilbert.block_basis``.  Their product over
+    the gate is U, since the frame R(tau) = exp(i 2 pi K tau a+a) is the identity at
+    tau = 0 and 1 for integer K.  Let p be the drive period d (``drive_period``) when it
+    divides N, else 1: then g(tau + 1/p) = g(tau), and the first period [0, 1/p] holds
+    n = N/p steps.  Two symmetries of H~ apply in turn:
 
     Time-reversal fold: with D = (-1)^{a+a}, D conj(H~(tau)) D = H~(1/p - tau) when
-    every pulse coefficient is real (D conj(B_0) D = B_0 for both builders).  The
-    midpoint grid is its own mirror, so step n-1-k is then D s_k^T D, the first n//2
-    steps give P_1 per block and the period P_b = D_b P_1^T D_b s_mid P_1, with s_mid
-    the middle step when n is odd.  Other pulses take every step of the period.
+    every c_g is real (D conj(B_0) D = B_0 for both builders).  The midpoint grid is its
+    own mirror, so step n-1-k is then D s_k^T D, the first n//2 steps give P_1 per block
+    and the period P_b = D_b P_1^T D_b s_mid P_1, with s_mid the middle step when n is
+    odd.  Other pulses take every step of the period.
 
     Period power: H~(tau + 1/p) = H~(tau) and tau_{k+n} = tau_k + 1/p, so U = P^p.
     """
     pulse = pulse if pulse is not None else rectangular()
     config = config if config is not None else TrotterConfig()
     n_steps = config.num_steps(params, pulse)
-    frame = builder(params, pulse)
-    period = drive_period(frame.taps)
+    generators = builder(params)
+    taps, coeffs = hilbert.drive_taps(params, pulse)
+    period = drive_period(taps)
     periods = period if n_steps % period == 0 else 1
     # the drive is periodic, so the guards below see all of it on the first period's steps
-    drive = frame.drive((np.arange(n_steps // periods) + 0.5) / n_steps)
-    defect = max(hilbert.hermiticity_defect(B) / np.abs(B).max() for B in frame.generators)
+    taus = (np.arange(n_steps // periods) + 0.5) / n_steps
+    drive = np.exp(2j * np.pi * np.outer(taus, taps)) @ coeffs
+    defect = max(hilbert.hermiticity_defect(B) / np.abs(B).max() for B in generators)
     imaginary = np.abs(drive.imag).max() / np.abs(drive).max()
     if defect > 1e-12 or imaginary > 1e-12:
         raise ValueError(f"Hamiltonian not Hermitian: relative defect {defect:.3e} of the "
                          f"generator, {imaginary:.3e} of the drive")
     amps = params.omega_T * drive.real / n_steps
-    if not (np.isfinite(amps).all() and all(np.isfinite(B).all() for B in frame.generators)):
+    if not (np.isfinite(amps).all() and all(np.isfinite(B).all() for B in generators)):
         raise ValueError(f"Hamiltonian not finite: omega_T {params.omega_T}, eta {params.eta}")
-    fold = all(c.imag == 0 for c in pulse.coefficients.values())
+    fold = not coeffs.imag.any()
     return tuple(_block_propagator(B, n, params.K, amps, periods, fold)
-                 for B, n in zip(frame.generators, frame.levels))
+                 for B, (n, _) in zip(generators, hilbert.block_basis(params.n_dim)))
 
 
 def propagate_numeric(params: GateParams, pulse: PulseShape | None = None,

@@ -5,8 +5,9 @@ measure full-space matrices with, and the closed forms and spectral quadrature t
 check the exact resonance integrals of ``msgate.resint``, with the ``Fraction``
 reference of its integer engine (``fraction_integral``) and the prefix-sum filter
 ``may_be_resonant``.  Also what only the tests read of the model:
-  * ``frame_blocks``, a rotating frame's Hamiltonian blocks at a vector of instants,
-    and the composite Hamiltonian at one instant built from them;
+  * ``frame_blocks``, the Hamiltonian blocks at a vector of instants from a builder's
+    generator pair and the pulse's drive, and the composite Hamiltonian at one
+    instant built from them;
   * the closed-form Bell fidelity of a Fock-diagonal generator;
   * the associated Laguerre polynomials from their series (``laguerre_series``),
     the Laguerre form factors of Z_2 (``form_factor``) and the largest
@@ -32,26 +33,28 @@ from msgate.pulses import PulseShape, envelope_at, rectangular
 SKEW = PulseShape.from_dict("skew", {0: 0.5, 1: 0.25j, -1: -0.25j})
 
 
-def frame_blocks(frame, params, taus):
-    """Q_b^H H(tau) Q_b of a ``hilbert.RotatingFrame`` at each tau of ``taus``: one
-    stack per block."""
-    amp, K = params.omega_T * frame.drive(taus), params.K
+def frame_blocks(generators, params, pulse, taus):
+    """Q_b^H H(tau) Q_b = omega_T g(tau) r_b B_b r_b^H at each tau of ``taus``, from the
+    generator pair (B_+, B_-) of a ``hilbert`` builder and the drive g of
+    ``hilbert.drive_taps``: one stack per block."""
+    taps, coeffs = hilbert.drive_taps(params, pulse)
+    amp, K = params.omega_T * (np.exp(2j * np.pi * np.outer(taus, taps)) @ coeffs), params.K
     # entry (j, k) turns by exp(i 2 pi tau K (n_j - n_k)), from the integer difference
     return [amp[:, None, None] * np.exp(2j * np.pi * taus[:, None, None] * (K * (n[:, None] - n))) * B
-            for B, n in zip(frame.generators, frame.levels)]
+            for B, (n, _) in zip(generators, hilbert.block_basis(params.n_dim))]
 
 
 def hamiltonian_at(tau, params, pulse):
     """Dimensionless interaction Hamiltonian T*H(tau*T)/hbar at one instant, as the
     composite matrix of its blocks."""
-    frame = hilbert.sideband_hamiltonian(params, pulse)
-    return hilbert.embed([H[0] for H in frame_blocks(frame, params, np.array([tau]))], params.n_dim, 0.0)
+    blocks = frame_blocks(hilbert.sideband_hamiltonian(params), params, pulse, np.array([tau]))
+    return hilbert.embed([H[0] for H in blocks], params.n_dim, 0.0)
 
 
 def displacement_hamiltonian_at(tau, params, pulse):
     """The exact-displacement Hamiltonian at one instant."""
-    frame = hilbert.displacement_hamiltonian(params, pulse)
-    return hilbert.embed([H[0] for H in frame_blocks(frame, params, np.array([tau]))], params.n_dim, 0.0)
+    blocks = frame_blocks(hilbert.displacement_hamiltonian(params), params, pulse, np.array([tau]))
+    return hilbert.embed([H[0] for H in blocks], params.n_dim, 0.0)
 
 
 def closed_form_bell(dx_by_n, dy_by_n, weights):
@@ -96,7 +99,7 @@ def full_space_transfer(params, pulse, up_to):
     ms = range(-params.m_max, params.m_max + 1)
     ops = [np.kron(hilbert.collective_spin(m), hilbert.sideband_operator(m, params.eta, params.n_dim))
            for m in ms]
-    state = {(0, 0): np.eye(params.dim, dtype=complex)}
+    state = {(0, 0): np.eye(4 * params.n_dim, dtype=complex)}
     p_hats = []
     for order in range(1, up_to + 1):
         stack = np.stack(list(state.values()))
@@ -127,7 +130,7 @@ def full_space_transfer(params, pulse, up_to):
 def guard_band_indices(params):
     """Composite indices whose Fock level lies below the guard band n < n_dim - m_max,
     where the truncated ladder operators are exact."""
-    n = np.arange(params.dim)
+    n = np.arange(4 * params.n_dim)
     return n[(n % params.n_dim) < params.n_dim - params.m_max]
 
 

@@ -276,7 +276,7 @@ def test_criterion_7_structural(params_omega2, rect, magnus_terms_omega2,
     herm = max(hilbert.hermiticity_defect(guard_block(hilbert.embed(Z, p.n_dim, 0.0), p))
                for Z in magnus_terms_omega2.values())
     idx = guard_band_indices(p)
-    eye = np.eye(p.dim)
+    eye = np.eye(4 * p.n_dim)
     unum = hilbert.embed(unum_omega2, p.n_dim, 1.0)
     unit_num = float(np.abs((unum.conj().T @ unum - eye)[np.ix_(idx, idx)]).max())
     unit_mag = 0.0

@@ -534,6 +534,7 @@ def test_no_unused_imports():
 UNREFERENCED = {
     "CONSISTENT_ROWS": "documents which printed budget rows equal direct substitution",
     "level_coeff": "the pulse-aware drive amplitudes (D9 step 2) are to call it",
+    "OscSum.terms": "the exact-rational view that the resint tests compare with the Fraction oracle",
 }
 
 
@@ -550,11 +551,19 @@ def _names_read(tree) -> set[str]:
     return read
 
 
+def _attributes_read(tree) -> set[str]:
+    """The attributes a statement reads (x.name)."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
 def test_every_top_level_name_has_a_product_reference():
-    # each function, class and constant at the top of a module of src/msgate, and each
-    # method of its classes but the dunders, is read by another statement of src/msgate
-    # (an __init__ export counts; for a method, another method of its class too) or of
-    # perfbench/; tests and docstrings do not count
+    # each function, class and constant at the top of a module of src/msgate is read by
+    # another statement of src/msgate (an __init__ export counts) or of perfbench/; each
+    # method of its classes but the dunders by an attribute load there (x.name, also in
+    # another method of its class) or by a bare name in a class-level statement of its
+    # class (__complex__ = as_complex): a local or parameter of that name is no reader.
+    # Tests and docstrings do not count
     root = pathlib.Path(__file__).resolve().parents[1]
     src = root / "src" / "msgate"
     statements = []  # (path, top-level statement, the names it reads)
@@ -574,11 +583,14 @@ def test_every_top_level_name_has_a_product_reference():
             unreferenced.update(name for name in names
                                 if not any(name in read for _, other, read in statements if other is not stmt))
         if path.is_relative_to(src) and isinstance(stmt, ast.ClassDef):
-            outside = [read for _, other, read in statements if other is not stmt]
+            outside = set().union(*(_attributes_read(other) for _, other, _ in statements if other is not stmt))
+            class_level = set().union(*(_names_read(item) for item in stmt.body
+                                        if not isinstance(item, ast.FunctionDef)))
             for method in stmt.body:
                 if isinstance(method, ast.FunctionDef) and not method.name.startswith("__"):
-                    reads = outside + [_names_read(item) for item in stmt.body if item is not method]
-                    if not any(method.name in read for read in reads):
+                    reads = outside | class_level | set().union(
+                        *(_attributes_read(item) for item in stmt.body if item is not method))
+                    if method.name not in reads:
                         unreferenced.add(f"{stmt.name}.{method.name}")
     assert "run_sweep" not in unreferenced and len(statements) > 100  # the walk sees the references
     assert sorted(unreferenced) == sorted(UNREFERENCED)
@@ -722,6 +734,9 @@ HUGE_PULSE = "pulse = custom\npulse_coeffs = 0:1e307:0\ngrid = 100,200\n"
     (["budget"], "omega_T = 1e300\n"),                         # the budget rows
     # finite throughout, but no step count resolves a drive of 1e307
     (["sweep"], "pulse = custom\npulse_coeffs = 0:1e307:0\ngrid = 1,2\npropagators = Unum\n"),
+    # beat notes past int64, and past the int64 keys nu * 8 + p of the transfer pass
+    *((["sweep"], f"pulse = custom\npulse_coeffs = 0:1:0;{M}:0.1:0;-{M}:0.1:0\n"
+                  "propagators = U2\ngrid = 20,30\n") for M in ("100000000000000000000", "4000000000000000000")),
 ])
 def test_overflowing_drive_is_a_clean_error(tmp_path, capfd, command, lines):
     # every config parses and validates; the failure comes from computing, on one line
@@ -731,6 +746,17 @@ def test_overflowing_drive_is_a_clean_error(tmp_path, capfd, command, lines):
     assert cli.main([command[0], path, *command[1:]]) == 2
     err = capfd.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch, workers):
+    sweeps = []
+    monkeypatch.setattr(cli, "run_sweep", sweeps.append)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", _write(tmp_path, "s.cfg", MINI_SWEEP), "--workers", workers])
+    assert exc.value.code == 2 and sweeps == []
+    err = capsys.readouterr().err
+    assert f"--workers: {workers} is not a positive worker count" in err and "Traceback" not in err
 
 
 SHAPED = {"sin2": "pulse = sin2\n",

@@ -175,7 +175,7 @@ def test_leading_error_rows_at_small_eta(rect):
 
 def test_propagator_zero_drive(base_params, rect):
     U = magnus.propagators_upto(base_params.replace(omega_T=0.0), rect, max_order=4)[4]
-    assert np.allclose(hilbert.embed(U, base_params.n_dim, 1.0), np.eye(base_params.dim))
+    assert np.allclose(hilbert.embed(U, base_params.n_dim, 1.0), np.eye(4 * base_params.n_dim))
 
 
 def test_propagator_rejects_bad_order(base_params, rect):
@@ -188,7 +188,7 @@ def test_propagators_unitary(params_omega2, rect):
     idx = guard_band_indices(params_omega2)
     for n, blocks in props.items():
         U = hilbert.embed(blocks, params_omega2.n_dim, 1.0)
-        G = (U.conj().T @ U - np.eye(params_omega2.dim))[np.ix_(idx, idx)]
+        G = (U.conj().T @ U - np.eye(4 * params_omega2.n_dim))[np.ix_(idx, idx)]
         assert np.abs(G).max() < 1e-8, f"U{n}"
 
 

@@ -208,16 +208,17 @@ def test_level_coefficients_form_no_composite_matrix(monkeypatch, clear_transfer
 def _time_reversal_defects(builder, p, pulse, tau):
     """max|D_b conj(H_b(tau)) D_b - H_b(1 - tau)| per block and on the full
     space (last entry, from ``embed``), with D_b = Q_b^H D Q_b, and max|H| over the gate."""
-    frame = builder(p, pulse)
-    blocks = frame_blocks(frame, p, np.array([tau, 1 - tau]))
-    spaces = hilbert.symmetry_blocks(p.n_dim) + (np.eye(p.dim),)
+    generators = builder(p)
+    blocks = frame_blocks(generators, p, pulse, np.array([tau, 1 - tau]))
+    spaces = hilbert.symmetry_blocks(p.n_dim) + (np.eye(4 * p.n_dim),)
     defects = []
     for Q, (now, mirrored) in zip(spaces, blocks + [hilbert.embed(blocks, p.n_dim, 0.0)]):
         D = Q.conj().T @ _fock_parity(p.n_dim) @ Q
         # the propagator reads D_b off Q_b as a diagonal of signs
         assert np.abs(np.abs(D) - np.eye(len(D))).max() <= 1e-15
         defects.append(np.abs(D @ now.conj() @ D - mirrored).max())
-    return defects, np.abs(hilbert.embed(frame_blocks(frame, p, np.linspace(0, 1, 257)), p.n_dim, 0.0)).max()
+    gate = frame_blocks(generators, p, pulse, np.linspace(0, 1, 257))
+    return defects, np.abs(hilbert.embed(gate, p.n_dim, 0.0)).max()
 
 
 @pytest.mark.parametrize("builder", [

@@ -37,9 +37,10 @@ def test_step_count_resolves_the_drive(base_params, shaped):
     beat = 2 * np.pi * cfg.safety * cfg.max_beat_note(base_params, pulse)
     # the bound holds: omega_T max|g| ||B_0|| from the generator and the drive on a fine grid
     p = base_params.replace(omega_T=50.0)
-    frame = hilbert.sideband_hamiltonian(p, pulse)
-    norm = max(np.abs(np.linalg.eigvalsh(B)).max() for B in frame.generators)
-    assert p.omega_T * np.abs(frame.drive(np.linspace(0, 1, 10001))).max() * norm <= cfg.max_drive_angle(p, pulse)
+    norm = max(np.abs(np.linalg.eigvalsh(B)).max() for B in hilbert.sideband_hamiltonian(p))
+    taps, coeffs = hilbert.drive_taps(p, pulse)
+    drive = np.exp(2j * np.pi * np.outer(np.linspace(0, 1, 10001), taps)) @ coeffs
+    assert p.omega_T * np.abs(drive).max() * norm <= cfg.max_drive_angle(p, pulse)
     # at a preset drive the beat notes set the step count, a 200 times stronger one sets it itself
     assert cfg.safety * cfg.max_drive_angle(p, pulse) < beat
     strong = p.replace(omega_T=1e4)
@@ -89,15 +90,15 @@ def test_no_steps_rejected(base_params, rect, cfg):
 def test_zero_drive_is_identity(base_params, rect):
     p = base_params.replace(omega_T=0.0)
     cfg = TrotterConfig(steps_override=200, allow_understep=True)
-    assert np.allclose(_full(trotter.propagate_numeric(p, rect, cfg), p), np.eye(p.dim))
+    assert np.allclose(_full(trotter.propagate_numeric(p, rect, cfg), p), np.eye(4 * p.n_dim))
     assert np.allclose(_full(trotter.propagate_numeric_exact_displacement(p, rect, cfg), p),
-                       np.eye(p.dim))
+                       np.eye(4 * p.n_dim))
 
 
 def test_unitarity(params_omega2, rect, unum_omega2):
     idx = guard_band_indices(params_omega2)
     U = _full(unum_omega2, params_omega2)
-    G = (U.conj().T @ U - np.eye(params_omega2.dim))[np.ix_(idx, idx)]
+    G = (U.conj().T @ U - np.eye(4 * params_omega2.n_dim))[np.ix_(idx, idx)]
     assert np.abs(G).max() < 1e-8
 
 
@@ -141,11 +142,11 @@ def test_exact_displacement_vs_truncated(params_omega2, rect, weights, unum_omeg
 
 def _dense_reference(builder, params, pulse, n_steps):
     """Midpoint product of full-space matrix exponentials, one expm per step."""
-    U = np.eye(params.dim, dtype=complex)
-    frame = builder(params, pulse)
+    U = np.eye(4 * params.n_dim, dtype=complex)
+    generators = builder(params)
     taus = (np.arange(n_steps) + 0.5) / n_steps
     for lo in range(0, n_steps, 500):  # a few hundred 32 x 32 step Hamiltonians at a time
-        for H in hilbert.embed(frame_blocks(frame, params, taus[lo:lo + 500]), params.n_dim, 0.0):
+        for H in hilbert.embed(frame_blocks(generators, params, pulse, taus[lo:lo + 500]), params.n_dim, 0.0):
             U = scipy.linalg.expm(-1j * H / n_steps) @ U
     return U
 
