@@ -421,6 +421,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_propagate(args) -> int:
     cfg = _load(args)
+    if not cfg.keys() & {"omega_T", "omega_phys"}:
+        raise ConfigError("propagate needs the drive: give omega_T or omega_phys")
     which = cfg.get("propagator", "Unum")
     params, pulse = params_from_config(cfg, (which,)), pulse_from_config(cfg)
     rep = validate(params, pulse)

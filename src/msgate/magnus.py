@@ -214,50 +214,75 @@ def _antiderivative(keys: np.ndarray) -> tuple:
 
 
 def _sequences(params: GateParams, pulse: PulseShape, k: int):
-    """Yields (the sequence as indices into m = -m_max..m_max, (re, im) of its exact
-    weight w, Op(m_1) ... Op(m_k) per block) for every sideband sequence, m_k slowest.
+    """Yields (the sequence as indices into m = -m_max..m_max, re, im) with the exact
+    weight w = re + i im of one sideband sequence of each mirror pair, m_k slowest.
 
     A sequence's weight is the nested integral of its drives
     drive_m = sum_g c_g e^{i 2 pi (N_g + m K) tau}: F_{k+1} = 1,
     F_j(tau) = int_0^tau drive_{m_j} F_{j+1} and w = F_1(1).  One depth-first walk over
     the suffixes (m_j, ..., m_k), innermost first: a node multiplies its suffix's F by
-    its level's drive, integrates once and carries Op(m_j) ... Op(m_k) per block.  Each
-    c_g is the exact Fraction of its float; a function is held as its real and imaginary
-    parts, the imaginary one empty for a real pulse.
+    its level's drive and integrates once, and a leaf reads w without building either.
+    Each c_g is the exact Fraction of its float and a function is held as its real and
+    imaginary parts; a part whose factors are all empty (the imaginary one of a real
+    drive) is neither multiplied nor integrated.  With c_-M = conj c_M exactly,
+    drive_-m = conj drive_m and w(-m) = conj w(m), so the walk takes only m >= 0 while
+    its suffix is all zeros: the first nonzero m from the inside is positive.
     """
-    (taps, tap_c), blocks = hilbert.drive_taps(params, pulse), hilbert.hamiltonian_terms(params)
+    off = [abs(M) for M in pulse.support if pulse.c(-M) != pulse.c(M).conjugate()]  # == on floats is exact
+    if off:
+        raise ValueError(f"the exact route needs c_-M = conj(c_M) exactly, which fails at M = {off[0]}")
+    taps, tap_c = hilbert.drive_taps(params, pulse)
     drives = []
     for m in range(-params.m_max, params.m_max + 1):
         a, b = ([(int(N) + m * params.K, Fraction(part(c))) for N, c in zip(taps, tap_c) if part(c)]
                 for part in (np.real, np.imag))
         drives.append((a, b, [(N, -c) for N, c in b]))
 
-    def walk(re, im, chain, suffix):
-        products = tuple(X @ R for X, R in zip(blocks, chain))  # Op(m) Op(m_j) ... Op(m_k), every m
-        for i, (a, b, minus_b) in enumerate(drives):
-            # (re + i im)(a + i b) = (re a - im b) + i (re b + im a)
-            h = resint.drive_product((re, a), (im, minus_b)), resint.drive_product((re, b), (im, a))
-            ops = tuple(P[i] for P in products)
-            if len(suffix) == k - 1:
-                yield (i, *suffix), tuple(resint._integrate_to_one(part, 0) for part in h), ops
-            else:
-                yield from walk(*(resint.integrate_step(part, 0) for part in h), ops, (i, *suffix))
+    empty = resint.OscSum()
 
-    yield from walk(resint.OscSum.unit(), resint.OscSum(), tuple(np.eye(X.shape[-1]) for X in blocks), ())
+    def walk(re, im, suffix):
+        zeros = all(i == params.m_max for i in suffix)
+        for i in range(params.m_max if zeros else 0, len(drives)):
+            a, b, minus_b = drives[i]
+            # (re + i im)(a + i b) = (re a - im b) + i (re b + im a), without the empty factors
+            parts = [[(f, taps) for f, taps in factors if taps and not f.is_zero]
+                     for factors in (((re, a), (im, minus_b)), ((re, b), (im, a)))]
+            if len(suffix) == k - 1:
+                yield (i, *suffix), *(resint.integrate_product_to_one(*part) if part else empty for part in parts)
+            else:
+                yield from walk(*(resint.integrate_step(resint.drive_product(*part), 0) if part else empty
+                                  for part in parts), (i, *suffix))
+
+    yield from walk(resint.OscSum.unit(), empty, ())
+
+
+def _sequence_weights(params: GateParams, pulse: PulseShape, k: int) -> np.ndarray:
+    """The weights of all sideband sequences as one complex array W[m_1, ..., m_k] (indices
+    into m = -m_max..m_max): each walked w and its mirror conj w."""
+    n = 2 * params.m_max + 1
+    W = np.zeros((n,) * k, dtype=complex)
+    for seq, re, im in _sequences(params, pulse, k):
+        w = complex(re) + 1j * complex(im)
+        W[tuple(n - 1 - i for i in seq)] = w.conjugate()
+        W[seq] = w
+    return W
 
 
 def _sequence_dyson(params: GateParams, pulse: PulseShape, k: int) -> tuple:
-    """P_k / (Omega*T)^k in block form from the exact sequence weights of ``_sequences``,
-    summed in extended precision; the transfer route is the production path."""
-    totals = [np.zeros((len(levels),) * 2, dtype=np.clongdouble)
-              for levels, _ in hilbert.block_basis(params.n_dim)]
-    for _seq, (re, im), ops in _sequences(params, pulse, k):
-        if re.is_zero and im.is_zero:
-            continue
-        w = np.clongdouble(complex(re) + 1j * complex(im))
-        for total, P in zip(totals, ops):
-            total += w * P
-    return tuple(((-1j) ** k * total).astype(complex) for total in totals)
+    """P_k / (Omega*T)^k = (-i)^k sum_m W[m] Op(m_1) ... Op(m_k) in block form, from the
+    exact weights of ``_sequence_weights``; the transfer route is the production path.
+    Per block, k contractions: W with the stacked Op over m_k, then each m_j, innermost
+    first, with the row [Op(-m_max) | ... | Op(m_max)]."""
+    W = _sequence_weights(params, pulse, k)
+    p_hat = []
+    for ops in hilbert.hamiltonian_terms(params):
+        n, d, _ = ops.shape
+        T = W.reshape(-1, n) @ ops.reshape(n, d * d)  # T[m_1..m_{k-1}] = sum_{m_k} W Op(m_k)
+        row = ops.transpose(1, 0, 2).reshape(d, n * d)
+        for _ in range(k - 1):
+            T = row @ T.reshape(-1, n * d, d)  # sum_{m_j} Op(m_j) T[..., m_j]
+        p_hat.append((-1j) ** k * T.reshape(d, d))
+    return tuple(p_hat)
 
 
 def dyson_term(k: int, params: GateParams, pulse: PulseShape | None = None,

@@ -18,9 +18,11 @@ correctly rounded int division, as ``float(Fraction)`` does, so the floats are
 those of a ``Fraction`` engine bit for bit.  Three steps build every value:
 ``drive_product`` multiplies a sum by a drive sum_g c_g e^{i 2 pi N_g tau} with
 rational c_g, ``integrate_step`` takes the antiderivative from 0 and
-``_integrate_to_one`` the integral over [0, 1], summed at tau = 1 without being
-built.  ``magnus``'s exact Dyson route applies them to whole drives, one sideband
-at a time; ``resonance_integral`` folds ``integrate_step`` over one tuple.
+``integrate_product_to_one`` the integral over [0, 1] of a sum times a drive,
+summed at tau = 1 without building the product or the antiderivative.
+``magnus``'s exact Dyson route applies them to whole drives, one sideband at a
+time; ``resonance_integral`` folds ``integrate_step`` over one tuple and takes
+the value at one with the single tap (N_1, 1).
 """
 
 from __future__ import annotations
@@ -151,12 +153,19 @@ def _integer_tuple(Ns: Iterable[int]) -> tuple[int, ...]:
     return tuple(int(N) for N in Ns)
 
 
-def _integrate_to_one(f: OscSum, N: int) -> OscSum:
-    """int_0^1 e^{i 2 pi N s} f(s) ds, the value at tau = 1 of ``integrate_step(f, N)``
-    without building it: every phase is 1 there, so a term's j = 0 part cancels its
-    s = 0 boundary and only the parts j >= 1 of ``parts_table`` remain, with
-    denominators up to (2 nu2)^p; a term with p = 0 and nu2 != 0 leaves nothing."""
-    live = [(p, nu + N, g, n) for (p, nu, g), n in f.nums.items() if p or nu + N == 0]
+def integrate_product_to_one(*factors: tuple[OscSum, Sequence[tuple[int, Fraction]]]) -> OscSum:
+    """int_0^1 of the sum over the factors (f, taps) of f(s) sum_g c_g e^{i 2 pi N_g s} ds,
+    the value at tau = 1 of ``integrate_step(drive_product(*factors), 0)`` without building
+    either: every phase is 1 there, so a term's j = 0 part cancels its s = 0 boundary and
+    only the parts j >= 1 of ``parts_table`` remain, with denominators up to (2 nu2)^p.  One
+    loop over the (tap, term) pairs keeps those that survive, p > 0 or nu2 = nu + N_g = 0,
+    over one lcm scale; a pair with p = 0 and nu2 != 0 leaves nothing."""
+    den = math.lcm(*[f.den * c.denominator for f, taps in factors for _N, c in taps])
+    live = []
+    for f, taps in factors:
+        for N, c in taps:
+            tap = c.numerator * (den // (f.den * c.denominator))
+            live += [(p, nu + N, g, n * tap) for (p, nu, g), n in f.nums.items() if p or nu + N == 0]
     scale = math.lcm(*[p + 1 if nu2 == 0 else (2 * nu2) ** p for p, nu2, _g, _n in live])
     acc: dict[int, int] = {}
     for p, nu2, g, n in live:
@@ -165,7 +174,7 @@ def _integrate_to_one(f: OscSum, N: int) -> OscSum:
             continue
         for _j, q, a in parts_table(p)[:-1]:
             acc[g + q] = acc.get(g + q, 0) + n * a * (scale // (2 * nu2) ** q)
-    return OscSum._over({(0, 0, g): n for g, n in acc.items() if n}, f.den * scale)
+    return OscSum._over({(0, 0, g): n for g, n in acc.items() if n}, den * scale)
 
 
 def resonance_integral(Ns: Iterable[int]) -> OscSum:
@@ -178,5 +187,5 @@ def resonance_integral(Ns: Iterable[int]) -> OscSum:
     Ns = _integer_tuple(Ns)
     if len(Ns) > 5:
         raise ValueError("orders above 5 are out of scope")
-    return (_integrate_to_one(reduce(integrate_step, reversed(Ns[1:]), OscSum.unit()), Ns[0])
+    return (integrate_product_to_one((reduce(integrate_step, reversed(Ns[1:]), OscSum.unit()), [(Ns[0], 1)]))
             if Ns else OscSum.unit())

@@ -3,8 +3,9 @@
 the symmetry blocks or ``hilbert.embed``, and the composite-index helpers the tests
 measure full-space matrices with, and the closed forms and spectral quadrature that
 check the exact resonance integrals of ``msgate.resint``, with the ``Fraction``
-reference of its integer engine (``fraction_integral``) and the prefix-sum filter
-``may_be_resonant``.  Also what only the tests read of the model:
+reference of its integer engine (``fraction_integral``), the prefix-sum filter
+``may_be_resonant`` and the full sequence walk of the exact Dyson route
+(``sequence_weights``).  Also what only the tests read of the model:
   * ``frame_blocks``, the Hamiltonian blocks at a vector of instants from a builder's
     generator pair and the pulse's drive, and the composite Hamiltonian at one
     instant built from them;
@@ -369,6 +370,31 @@ def fraction_integral(Ns) -> FractionSum:
     if not Ns:
         return FractionSum({(0, 0, 0): Fraction(1)})
     return fraction_to_one(fraction_antiderivative(Ns[1:]), Ns[0])
+
+
+def sequence_weights(params, pulse, k):
+    """Yields (the sequence as indices into m = -m_max..m_max, (re, im)) with the exact
+    weight of every sideband sequence, m_k slowest: the depth-first walk of
+    ``magnus._sequences`` over all n^k sequences, which multiplies, integrates and
+    evaluates both parts at every node and uses no mirror identity.  A leaf builds the
+    product and takes its value at one as ``integrate_product_to_one`` with the single
+    tap (0, 1)."""
+    taps, tap_c = hilbert.drive_taps(params, pulse)
+    drives = []
+    for m in range(-params.m_max, params.m_max + 1):
+        a, b = ([(int(N) + m * params.K, Fraction(part(c))) for N, c in zip(taps, tap_c) if part(c)]
+                for part in (np.real, np.imag))
+        drives.append((a, b, [(N, -c) for N, c in b]))
+
+    def walk(re, im, suffix):
+        for i, (a, b, minus_b) in enumerate(drives):
+            h = resint.drive_product((re, a), (im, minus_b)), resint.drive_product((re, b), (im, a))
+            if len(suffix) == k - 1:
+                yield (i, *suffix), tuple(resint.integrate_product_to_one((part, [(0, 1)])) for part in h)
+            else:
+                yield from walk(*(resint.integrate_step(part, 0) for part in h), (i, *suffix))
+
+    yield from walk(resint.OscSum.unit(), resint.OscSum(), ())
 
 
 # ---------------------------------------------------------------------------

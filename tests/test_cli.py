@@ -449,6 +449,16 @@ def test_main_propagate_identity(tmp_path, capsys):
     assert len(first_row) == 32
 
 
+@pytest.mark.parametrize("mode", ["", "omega_mode = omega2\n", "omega_mode = omega4\n"])
+def test_main_propagate_without_a_drive_is_config_error(tmp_path, capsys, mode):
+    # GateParams' default omega_T = 0 would print the identity; only an explicit 0 does
+    path = _write(tmp_path, "p.cfg", CHECK_OK + mode + "propagator = U4\n")
+    assert cli.main(["propagate", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and len(captured.err.splitlines()) == 1
+
+
 def test_main_sweep_writes_file(tmp_path):
     cfg = _write(tmp_path, "s.cfg", MINI_SWEEP)
     out = tmp_path / "out.csv"

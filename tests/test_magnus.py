@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from msgate import budget, fidelity, hilbert, magnus, resint
 from msgate.params import GateParams, beat_note, validate
-from msgate.pulses import PulseShape, rectangular, sin_squared
+from msgate.pulses import PulseShape, rectangular, sin_squared, validate_shape
 from oracles import (SKEW, fock_offdiagonal_max, form_factor, full_space_transfer, guard_band_indices,
                      guard_block, is_resonant, unitarity_defect)
 
@@ -46,6 +46,16 @@ def test_pulse_without_coefficients_rejected(base_params):
     for method in ("transfer", "tuples"):
         with pytest.raises(ValueError, match="no nonzero"):
             magnus.dyson_term(2, base_params, empty, method=method)
+
+
+def test_exact_route_rejects_a_pulse_one_ulp_off_the_mirror(base_params):
+    # within validate_shape's 1e-14, but a weight derived as the mirror's conjugate would
+    # not be exact
+    c = np.nextafter(0.25, 1.0)
+    pulse = PulseShape.from_dict("off", {0: 0.5, 1: 0.25j, -1: -1j * c})
+    assert validate_shape(pulse).ok and validate(base_params, pulse).ok
+    with pytest.raises(ValueError, match="c_-M = conj\\(c_M\\) exactly, which fails at M = 1"):
+        magnus.dyson_term(3, base_params, pulse, method="tuples")
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -372,8 +382,8 @@ FIG4A_POINT = GateParams(eta=0.18, K=28, L=25, nbar=0.02, n_dim=8, m_max=3, k_ma
     (5, "rect", FIG4A_POINT),
     (4, "sin2", FIG4A_POINT),
     (4, "skew", GateParams(eta=0.18, K=31, L=20, omega_T=1.0)),
-    (5, "sin2", FIG4A_POINT.replace(m_max=2)),  # ~1 s; 7 s at m_max = 3
-], ids=["crosscheck-rect-P5", "crosscheck-sin2-P4", "fig4a-rect-P5", "fig4a-sin2-P4", "skew-P4", "fig4a-m2-sin2-P5"])
+    (5, "sin2", FIG4A_POINT),
+], ids=["crosscheck-rect-P5", "crosscheck-sin2-P4", "fig4a-rect-P5", "fig4a-sin2-P4", "skew-P4", "fig4a-sin2-P5"])
 def test_sequence_route_reaches_the_high_orders(k, shape, p):
     pulse = {"rect": rectangular(), "sin2": sin_squared(), "skew": SKEW}[shape]
     assert validate(p, pulse).ok

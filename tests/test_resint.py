@@ -11,7 +11,8 @@ from msgate.params import GateParams
 from msgate.pulses import rectangular, sin_squared
 from msgate.resint import OscSum, drive_product, integrate_step, resonance_integral
 from oracles import (SKEW, _cheb_integral, fraction_antiderivative, fraction_integral, fraction_to_one,
-                     is_resonant, may_be_resonant, order2_closed_form, order3_closed_form, quadrature_integral)
+                     is_resonant, may_be_resonant, order2_closed_form, order3_closed_form, quadrature_integral,
+                     sequence_weights)
 
 
 def val(Ns):
@@ -176,18 +177,21 @@ def test_values_at_one_give_the_stepwise_rationals():
 
 
 def test_sequence_walk_integrates_each_suffix_once(base_params, rect, monkeypatch):
-    # one integrate_step per node and part (re, im): n + n^2 + ... + n^(k-1) suffixes
-    # for n = 2 m_max + 1 sidebands, and one value at tau = 1 per sequence and part
+    # a real pulse walks one sequence of each mirror pair and only the real part:
+    # (n^j + 1) / 2 of the n^j suffixes of length j for n = 2 m_max + 1 sidebands, one
+    # integrate_step per suffix shorter than k and one value at tau = 1 per walked
+    # sequence; at n = 7, k = 4 that is 4 + 25 + 172 = 201 and 1,201 calls
     p = base_params.replace(omega_T=1.0)
-    calls = {"integrate_step": 0, "_integrate_to_one": 0}
+    calls = {"integrate_step": 0, "integrate_product_to_one": 0}
     for name in calls:
-        def counted(f, N, name=name, call=getattr(resint, name)):
+        def counted(*args, name=name, call=getattr(resint, name)):
             calls[name] += 1
-            return call(f, N)
+            return call(*args)
         monkeypatch.setattr(resint, name, counted)
     magnus.dyson_term(4, p, rect, method="tuples")
     n = 2 * p.m_max + 1
-    assert calls == {"integrate_step": 2 * (n + n ** 2 + n ** 3), "_integrate_to_one": 2 * n ** 4}
+    assert calls == {"integrate_step": sum((n ** j + 1) // 2 for j in (1, 2, 3)),
+                     "integrate_product_to_one": (n ** 4 + 1) // 2}
 
 
 def bits(z: complex) -> tuple[str, str]:
@@ -272,7 +276,7 @@ def test_order3_sequence_weights_are_the_fraction_tuple_sums(shape):
     taps, tap_c = hilbert.drive_taps(p, pulse)
     ms = range(-p.m_max, p.m_max + 1)
     count = 0
-    for seq, (re, im), _ops in magnus._sequences(p, pulse, 3):
+    for seq, re, im in magnus._sequences(p, pulse, 3):
         want: dict[int, list[Fraction]] = {}
         for gs in itertools.product(range(len(taps)), repeat=3):
             Ns = [int(taps[g]) + ms[i] * p.K for g, i in zip(gs, seq)]
@@ -294,15 +298,33 @@ def test_order3_sequence_weights_are_the_fraction_tuple_sums(shape):
 @pytest.mark.parametrize("shape", ["rect", "sin2"])
 def test_mirrored_sequence_gives_the_conjugate_weight_exactly(shape):
     # a real pulse with c_M = c_-M has drive_-m = conj drive_m, so w(-m) = conj w(m):
-    # r_g / (i pi)^g becomes (-1)^g r_g / (i pi)^g, and no imaginary part appears
+    # r_g / (i pi)^g becomes (-1)^g r_g / (i pi)^g, and no imaginary part appears; the
+    # full walk of the oracle computes both sequences of every pair
     pulse = rectangular() if shape == "rect" else sin_squared()
     p = GateParams(eta=0.18, K=28, L=25, n_dim=5, m_max=2)
-    weights = {seq: w for seq, w, _ops in magnus._sequences(p, pulse, 4)}
+    weights = dict(sequence_weights(p, pulse, 4))
     for seq, (re, im) in weights.items():
         mirror_re, mirror_im = weights[tuple(2 * p.m_max - i for i in seq)]
         assert im.is_zero and mirror_im.is_zero
         assert mirror_re.terms == {key: (-1) ** key[2] * r for key, r in re.terms.items()}, seq
     assert sum(not re.is_zero for re, _im in weights.values()) > 100
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("shape", ["rect", "sin2", "skew"])
+def test_walked_weights_are_the_full_walk_bit_for_bit(shape, k):
+    # every entry of W, the walked half and its mirrors, is the float of the oracle's full
+    # walk, but for the sign of a zero imaginary part
+    pulse = {"rect": rectangular(), "sin2": sin_squared(), "skew": SKEW}[shape]
+    p = GateParams(eta=0.18, K=28, L=25, n_dim=5, m_max=3 if shape == "rect" else 2)
+    W = magnus._sequence_weights(p, pulse, k)
+    want = dict(sequence_weights(p, pulse, k))
+    assert W.shape == (2 * p.m_max + 1,) * k and len(want) == W.size
+    for seq, (re, im) in want.items():
+        w, got = complex(re) + 1j * complex(im), complex(W[seq])
+        assert got.real.hex() == w.real.hex(), seq
+        assert got.imag.hex() == w.imag.hex() or got.imag == w.imag == 0, seq
+    assert np.count_nonzero(W) >= 50
 
 
 def test_mirrored_tuple_gives_the_conjugate_exactly():
