@@ -8,8 +8,8 @@ The k-th Dyson term is assembled as
 where Op(j) = J_{m_j} (x) A_{m_j}, N_1 rides the outermost (latest) time and
 its operator stands leftmost.  With every first-order beat note a nonzero
 integer the first order vanishes and the effective-Hamiltonian orders follow
-from the Dyson ones as Z_2 = i P_2, Z_3 = i P_3, Z_4 = i(P_4 - P_2^2/2),
-Z_5 = i(P_5 - (P_2 P_3 + P_3 P_2)/2).
+from the Dyson ones by one rule, Z_k = i(P_k - sum_{a=2}^{k-2} P_a P_{k-a} / 2):
+Z_2 = i P_2, Z_3 = i P_3, Z_4 = i(P_4 - P_2^2/2), Z_5 = i(P_5 - (P_2 P_3 + P_3 P_2)/2).
 
 Two assembly routes are provided.  The default ("transfer") performs the
 nested integration once with matrix-valued coefficients of the terms
@@ -220,13 +220,14 @@ def _sequences(params: GateParams, pulse: PulseShape, k: int):
     A sequence's weight is the nested integral of its drives
     drive_m = sum_g c_g e^{i 2 pi (N_g + m K) tau}: F_{k+1} = 1,
     F_j(tau) = int_0^tau drive_{m_j} F_{j+1} and w = F_1(1).  One depth-first walk over
-    the suffixes (m_j, ..., m_k), innermost first: a node multiplies its suffix's F by
-    its level's drive and integrates once, and a leaf reads w without building either.
-    Each c_g is the exact Fraction of its float and a function is held as its real and
-    imaginary parts; a part whose factors are all empty (the imaginary one of a real
-    drive) is neither multiplied nor integrated.  With c_-M = conj c_M exactly,
-    drive_-m = conj drive_m and w(-m) = conj w(m), so the walk takes only m >= 0 while
-    its suffix is all zeros: the first nonzero m from the inside is positive.
+    the suffixes (m_j, ..., m_k), innermost first: a node takes F_j of each part in one
+    ``resint.integrate_product`` of the factors (F_{j+1} part, drive part), and a leaf
+    reads w with ``resint.integrate_product_to_one`` of the same factors.  Each c_g is
+    the exact Fraction of its float and a function is held as its real and imaginary
+    parts; a part whose factors are all empty (the imaginary one of a real drive) is
+    not integrated.  With c_-M = conj c_M exactly, drive_-m = conj drive_m and
+    w(-m) = conj w(m), so the walk takes only m >= 0 while its suffix is all zeros: the
+    first nonzero m from the inside is positive.
     """
     off = [abs(M) for M in pulse.support if pulse.c(-M) != pulse.c(M).conjugate()]  # == on floats is exact
     if off:
@@ -250,8 +251,8 @@ def _sequences(params: GateParams, pulse: PulseShape, k: int):
             if len(suffix) == k - 1:
                 yield (i, *suffix), *(resint.integrate_product_to_one(*part) if part else empty for part in parts)
             else:
-                yield from walk(*(resint.integrate_step(resint.drive_product(*part), 0) if part else empty
-                                  for part in parts), (i, *suffix))
+                yield from walk(*(resint.integrate_product(*part) if part else empty for part in parts),
+                                (i, *suffix))
 
     yield from walk(resint.OscSum.unit(), empty, ())
 
@@ -311,14 +312,9 @@ def magnus_terms(params: GateParams, pulse: PulseShape | None = None,
     per_block = []
     for p_hat in zip(*dyson_hat_terms(params, pulse, up_to)):
         P = [None] + [(w ** (i + 1)) * X for i, X in enumerate(p_hat)]
-        Z = {2: 1j * P[2]}
-        if up_to >= 3:
-            Z[3] = 1j * P[3]
-        if up_to >= 4:
-            Z[4] = 1j * (P[4] - 0.5 * (P[2] @ P[2]))
-        if up_to >= 5:
-            Z[5] = 1j * (P[5] - 0.5 * (P[2] @ P[3] + P[3] @ P[2]))
-        per_block.append(Z)
+        # the log of the Dyson series through order 5 (its cubic term P_2^3 / 3 enters at 6)
+        per_block.append({k: 1j * (P[k] - 0.5 * np.sum([P[a] @ P[k - a] for a in range(2, k - 1)], axis=0))
+                          for k in range(2, up_to + 1)})
     return {k: tuple(Z[k] for Z in per_block) for k in per_block[0]}
 
 

@@ -15,14 +15,13 @@ over one shared denominator: a step scales every numerator by the lcm of the
 denominators it brings in and reduces the result by one gcd, instead of
 normalising a ``Fraction`` at every operation.  A value becomes a float by the
 correctly rounded int division, as ``float(Fraction)`` does, so the floats are
-those of a ``Fraction`` engine bit for bit.  Three steps build every value:
-``drive_product`` multiplies a sum by a drive sum_g c_g e^{i 2 pi N_g tau} with
-rational c_g, ``integrate_step`` takes the antiderivative from 0 and
-``integrate_product_to_one`` the integral over [0, 1] of a sum times a drive,
-summed at tau = 1 without building the product or the antiderivative.
+those of a ``Fraction`` engine bit for bit.  Two steps build every value:
+``integrate_product`` takes the antiderivative from 0 of a sum times a drive
+sum_g c_g e^{i 2 pi N_g tau} with rational c_g, and ``integrate_product_to_one``
+its value at tau = 1, summed without building the product or the antiderivative.
 ``magnus``'s exact Dyson route applies them to whole drives, one sideband at a
-time; ``resonance_integral`` folds ``integrate_step`` over one tuple and takes
-the value at one with the single tap (N_1, 1).
+time; ``resonance_integral`` folds ``integrate_product`` with the single tap
+(N, 1) over one tuple's inner chain and takes the value at one with (N_1, 1).
 """
 
 from __future__ import annotations
@@ -44,23 +43,16 @@ class OscSum:
 
     __slots__ = ("nums", "den")
 
-    def __init__(self, terms: dict[tuple[int, int, int], Fraction] | None = None):
-        terms = {key: Fraction(r) for key, r in (terms or {}).items() if r}
-        self.den = math.lcm(*(r.denominator for r in terms.values()))
-        self.nums = {key: r.numerator * (self.den // r.denominator) for key, r in terms.items()}
-
-    @classmethod
-    def _over(cls, nums: dict[tuple[int, int, int], int], den: int) -> "OscSum":
+    def __init__(self, nums: dict[tuple[int, int, int], int] | None = None, den: int = 1):
         """The sum of nums[key] / den (nonzero numerators, den > 0), reduced by one gcd."""
-        out = cls.__new__(cls)
+        nums = nums or {}
         common = math.gcd(den, *nums.values())
-        out.nums = {key: n // common for key, n in nums.items()} if common > 1 else nums
-        out.den = den // common
-        return out
+        self.nums = {key: n // common for key, n in nums.items()} if common > 1 else nums
+        self.den = den // common
 
     @staticmethod
     def unit() -> "OscSum":
-        return OscSum({(0, 0, 0): Fraction(1)})
+        return OscSum({(0, 0, 0): 1})
 
     @property
     def terms(self) -> dict[tuple[int, int, int], Fraction]:
@@ -90,57 +82,48 @@ def parts_table(p: int) -> tuple[tuple[int, int, int], ...]:
                  for j in range(p, -1, -1))
 
 
-def drive_product(*factors: tuple[OscSum, Sequence[tuple[int, Fraction]]]) -> OscSum:
-    """Exact sum over the factors (f, taps) of f(tau) sum_g c_g e^{i 2 pi N_g tau},
-    for integer N_g and nonzero rational c_g: each tap shifts every frequency by N_g,
-    over one shared denominator.  A key whose sum cancels leaves the dict."""
+def _add(out: dict[tuple[int, int, int], int], key: tuple[int, int, int], n: int) -> None:
+    """Merge n into key; a key whose sum cancels leaves the dict and comes back at its
+    end, so the keys keep the order of a term-by-term merge."""
+    n += out.get(key, 0)
+    if n:
+        out[key] = n
+    else:
+        del out[key]
+
+
+def integrate_product(*factors: tuple[OscSum, Sequence[tuple[int, Fraction]]]) -> OscSum:
+    """Exact antiderivative G(tau) = int_0^tau of the sum over the factors (f, taps) of
+    f(s) sum_g c_g e^{i 2 pi N_g s} ds, for integer N_g and nonzero rational c_g.
+
+    First the product: each tap shifts every frequency of f by N_g, over one shared
+    denominator.  Then its antiderivative term by term: a term of frequency 0 has its
+    power raised; otherwise integration by parts (``parts_table``) produces
+    polynomial-times-exponential terms plus the boundary constant at s = 0.  The
+    antiderivative's denominator is the product's times the lcm of each term's largest
+    new one, p + 1 where the power is raised and (2 nu)^(p + 1) by parts, and one gcd
+    reduces the result.
+    """
     den = math.lcm(*[f.den * c.denominator for f, taps in factors for _N, c in taps])
-    out: dict[tuple[int, int, int], int] = {}
+    product: dict[tuple[int, int, int], int] = {}
     for f, taps in factors:
         for N, c in taps:
-            scale = c.numerator * (den // (f.den * c.denominator))
+            tap = c.numerator * (den // (f.den * c.denominator))
             for (p, nu, g), n in f.nums.items():
-                key = (p, nu + N, g)
-                n = out.get(key, 0) + n * scale
-                if n:
-                    out[key] = n
-                else:
-                    del out[key]
-    return OscSum._over(out, den)
-
-
-def integrate_step(f: OscSum, N: int) -> OscSum:
-    """Exact antiderivative G(tau) = int_0^tau e^{i 2 pi N s} f(s) ds.
-
-    A term whose shifted frequency vanishes has its power raised; otherwise
-    integration by parts (``parts_table``) produces polynomial-times-exponential
-    terms plus the boundary constant at s = 0.  All of it over one denominator,
-    f.den times the lcm of each term's largest new one: p + 1 where the power is
-    raised, (2 nu2)^(p + 1) by parts.  A key whose sum cancels leaves the dict and
-    comes back at its end, so the keys keep the order of a term-by-term merge.
-    """
-    scale = math.lcm(*[p + 1 if nu + N == 0 else (2 * (nu + N)) ** (p + 1) for p, nu, _g in f.nums])
+                _add(product, (p, nu + N, g), n * tap)
+    scale = math.lcm(*[p + 1 if nu == 0 else (2 * nu) ** (p + 1) for p, nu, _g in product])
     out: dict[tuple[int, int, int], int] = {}
-
-    def add(key, c):
-        c += out.get(key, 0)
-        if c:
-            out[key] = c
-        else:
-            del out[key]
-
-    for (p, nu, g), n in f.nums.items():
-        nu2 = nu + N
-        if nu2 == 0:
-            add((p + 1, 0, g), n * (scale // (p + 1)))
+    for (p, nu, g), n in product.items():
+        if nu == 0:
+            _add(out, (p + 1, 0, g), n * (scale // (p + 1)))
             continue
-        # a_j / (i 2 pi nu2)^q = a_j / (2 nu2)^q / (i pi)^q
+        # a_j / (i 2 pi nu)^q = a_j / (2 nu)^q / (i pi)^q
         for j, q, a in parts_table(p):
-            c = n * a * (scale // (2 * nu2) ** q)
-            add((j, nu2, g + q), c)
+            c = n * a * (scale // (2 * nu) ** q)
+            _add(out, (j, nu, g + q), c)
             if j == 0:
-                add((0, 0, g + q), -c)
-    return OscSum._over(out, f.den * scale)
+                _add(out, (0, 0, g + q), -c)
+    return OscSum(out, den * scale)
 
 
 def _integer_tuple(Ns: Iterable[int]) -> tuple[int, ...]:
@@ -155,8 +138,8 @@ def _integer_tuple(Ns: Iterable[int]) -> tuple[int, ...]:
 
 def integrate_product_to_one(*factors: tuple[OscSum, Sequence[tuple[int, Fraction]]]) -> OscSum:
     """int_0^1 of the sum over the factors (f, taps) of f(s) sum_g c_g e^{i 2 pi N_g s} ds,
-    the value at tau = 1 of ``integrate_step(drive_product(*factors), 0)`` without building
-    either: every phase is 1 there, so a term's j = 0 part cancels its s = 0 boundary and
+    the value at tau = 1 of ``integrate_product(*factors)`` without building the product or
+    the antiderivative: every phase is 1 there, so a term's j = 0 part cancels its s = 0 boundary and
     only the parts j >= 1 of ``parts_table`` remain, with denominators up to (2 nu2)^p.  One
     loop over the (tap, term) pairs keeps those that survive, p > 0 or nu2 = nu + N_g = 0,
     over one lcm scale; a pair with p = 0 and nu2 != 0 leaves nothing."""
@@ -174,7 +157,7 @@ def integrate_product_to_one(*factors: tuple[OscSum, Sequence[tuple[int, Fractio
             continue
         for _j, q, a in parts_table(p)[:-1]:
             acc[g + q] = acc.get(g + q, 0) + n * a * (scale // (2 * nu2) ** q)
-    return OscSum._over({(0, 0, g): n for g, n in acc.items() if n}, den * scale)
+    return OscSum({(0, 0, g): n for g, n in acc.items() if n}, den * scale)
 
 
 def resonance_integral(Ns: Iterable[int]) -> OscSum:
@@ -187,5 +170,5 @@ def resonance_integral(Ns: Iterable[int]) -> OscSum:
     Ns = _integer_tuple(Ns)
     if len(Ns) > 5:
         raise ValueError("orders above 5 are out of scope")
-    return (integrate_product_to_one((reduce(integrate_step, reversed(Ns[1:]), OscSum.unit()), [(Ns[0], 1)]))
-            if Ns else OscSum.unit())
+    inner = reduce(lambda f, N: integrate_product((f, [(N, 1)])), reversed(Ns[1:]), OscSum.unit())
+    return integrate_product_to_one((inner, [(Ns[0], 1)])) if Ns else OscSum.unit()

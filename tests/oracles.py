@@ -375,10 +375,8 @@ def fraction_integral(Ns) -> FractionSum:
 def sequence_weights(params, pulse, k):
     """Yields (the sequence as indices into m = -m_max..m_max, (re, im)) with the exact
     weight of every sideband sequence, m_k slowest: the depth-first walk of
-    ``magnus._sequences`` over all n^k sequences, which multiplies, integrates and
-    evaluates both parts at every node and uses no mirror identity.  A leaf builds the
-    product and takes its value at one as ``integrate_product_to_one`` with the single
-    tap (0, 1)."""
+    ``magnus._sequences`` over all n^k sequences, which integrates and evaluates both
+    parts at every node, empty or not, and uses no mirror identity."""
     taps, tap_c = hilbert.drive_taps(params, pulse)
     drives = []
     for m in range(-params.m_max, params.m_max + 1):
@@ -388,11 +386,11 @@ def sequence_weights(params, pulse, k):
 
     def walk(re, im, suffix):
         for i, (a, b, minus_b) in enumerate(drives):
-            h = resint.drive_product((re, a), (im, minus_b)), resint.drive_product((re, b), (im, a))
+            parts = ((re, a), (im, minus_b)), ((re, b), (im, a))
             if len(suffix) == k - 1:
-                yield (i, *suffix), tuple(resint.integrate_product_to_one((part, [(0, 1)])) for part in h)
+                yield (i, *suffix), tuple(resint.integrate_product_to_one(*part) for part in parts)
             else:
-                yield from walk(*(resint.integrate_step(part, 0) for part in h), (i, *suffix))
+                yield from walk(*(resint.integrate_product(*part) for part in parts), (i, *suffix))
 
     yield from walk(resint.OscSum.unit(), resint.OscSum(), ())
 

@@ -9,31 +9,36 @@ import pytest
 from msgate import budget, hilbert, magnus, resint
 from msgate.params import GateParams
 from msgate.pulses import rectangular, sin_squared
-from msgate.resint import OscSum, drive_product, integrate_step, resonance_integral
-from oracles import (SKEW, _cheb_integral, fraction_antiderivative, fraction_integral, fraction_to_one,
-                     is_resonant, may_be_resonant, order2_closed_form, order3_closed_form, quadrature_integral,
-                     sequence_weights)
+from msgate.resint import OscSum, integrate_product, integrate_product_to_one, resonance_integral
+from oracles import (SKEW, FractionSum, _cheb_integral, fraction_antiderivative, fraction_integral, fraction_step,
+                     fraction_to_one, is_resonant, may_be_resonant, order2_closed_form, order3_closed_form,
+                     quadrature_integral, sequence_weights)
 
 
 def val(Ns):
     return complex(resonance_integral(Ns))
 
 
+def step(f: OscSum, N: int) -> OscSum:
+    """int_0^tau e^{i 2 pi N s} f(s) ds: the product with the single tap (N, 1), integrated."""
+    return integrate_product((f, [(N, 1)]))
+
+
 def test_integrate_constant_zero_freq():
-    g = integrate_step(OscSum.unit(), 0)
+    g = step(OscSum.unit(), 0)
     assert g.terms == {(1, 0, 0): Fraction(1)}  # tau
 
 
 def test_integrate_constant_nonzero_freq():
     # (e^{i 2 pi 3 tau} - 1) / (i 2 pi 3) = (e^{i 2 pi 3 tau} - 1) (1/6) / (i pi)
-    g = integrate_step(OscSum.unit(), 3)
+    g = step(OscSum.unit(), 3)
     assert g.terms == {(0, 3, 1): Fraction(1, 6), (0, 0, 1): Fraction(-1, 6)}
 
 
 def test_integrate_cancelling_frequencies():
     # f = tau * e^{-i 2 pi tau} integrated against N = 1 gives tau^2 / 2
-    f = OscSum({(1, -1, 0): Fraction(1)})
-    g = integrate_step(f, 1)
+    f = OscSum({(1, -1, 0): 1})
+    g = step(f, 1)
     assert g.terms == {(2, 0, 0): Fraction(1, 2)}
 
 
@@ -155,15 +160,18 @@ def test_shuffle_identity(rng, la, lb):
 
 
 def stepwise(Ns):
-    """Reference: the integrate_step chain from N_k out to N_1, then the value at
-    tau = 1, where every phase is 1."""
-    f = OscSum.unit()
-    for N in reversed(Ns):
-        f = integrate_step(f, N)
-    at_one = {}
-    for (_p, _nu, g), r in f.terms.items():
-        at_one[(0, 0, g)] = at_one.get((0, 0, g), 0) + r
-    return {key: r for key, r in at_one.items() if r}
+    """Reference: the single-tap antiderivative chain from N_k out to N_1, then the
+    value at tau = 1."""
+    return at_one(reduce(step, reversed(Ns), OscSum.unit()).terms)
+
+
+def at_one(terms: dict) -> dict:
+    """The value at tau = 1 of exact terms, where every phase is 1: the keys collapsed
+    onto (0, 0, g)."""
+    out = {}
+    for (_p, _nu, g), r in terms.items():
+        out[(0, 0, g)] = out.get((0, 0, g), 0) + r
+    return {key: r for key, r in out.items() if r}
 
 
 def test_values_at_one_give_the_stepwise_rationals():
@@ -179,10 +187,10 @@ def test_values_at_one_give_the_stepwise_rationals():
 def test_sequence_walk_integrates_each_suffix_once(base_params, rect, monkeypatch):
     # a real pulse walks one sequence of each mirror pair and only the real part:
     # (n^j + 1) / 2 of the n^j suffixes of length j for n = 2 m_max + 1 sidebands, one
-    # integrate_step per suffix shorter than k and one value at tau = 1 per walked
+    # integrate_product per suffix shorter than k and one value at tau = 1 per walked
     # sequence; at n = 7, k = 4 that is 4 + 25 + 172 = 201 and 1,201 calls
     p = base_params.replace(omega_T=1.0)
-    calls = {"integrate_step": 0, "integrate_product_to_one": 0}
+    calls = {"integrate_product": 0, "integrate_product_to_one": 0}
     for name in calls:
         def counted(*args, name=name, call=getattr(resint, name)):
             calls[name] += 1
@@ -190,7 +198,7 @@ def test_sequence_walk_integrates_each_suffix_once(base_params, rect, monkeypatc
         monkeypatch.setattr(resint, name, counted)
     magnus.dyson_term(4, p, rect, method="tuples")
     n = 2 * p.m_max + 1
-    assert calls == {"integrate_step": sum((n ** j + 1) // 2 for j in (1, 2, 3)),
+    assert calls == {"integrate_product": sum((n ** j + 1) // 2 for j in (1, 2, 3)),
                      "integrate_product_to_one": (n ** 4 + 1) // 2}
 
 
@@ -230,7 +238,7 @@ def assert_matches_fraction_reference(Ns):
     """The inner chain's antiderivative and the value: the same rationals in the same
     order (the order the value's floats are summed in) and the same complex bits."""
     suffix = fraction_antiderivative(Ns[1:])
-    inner = reduce(integrate_step, reversed(Ns[1:]), OscSum.unit())
+    inner = reduce(step, reversed(Ns[1:]), OscSum.unit())
     assert list(inner.terms.items()) == list(suffix.items()), Ns
     got, want = resonance_integral(Ns), fraction_to_one(suffix, Ns[0])
     assert list(got.terms.items()) == list(want.items()), Ns
@@ -343,13 +351,69 @@ def test_order_above_five_rejected():
         resonance_integral([1, -1, 2, -2, 3, -3])
 
 
-def test_drive_product_drops_cancelling_keys():
-    # (1 + e^{i 2 pi tau}) (e^{i 2 pi tau} - 1) = e^{i 4 pi tau} - 1: the tau-frequency 1 cancels
-    f = OscSum({(0, 0, 0): Fraction(1), (0, 1, 0): Fraction(1)})
-    got = drive_product((f, [(1, Fraction(1)), (0, Fraction(-1))]))
-    assert got.terms == {(0, 2, 0): Fraction(1), (0, 0, 0): Fraction(-1)}
+def test_integrate_product_drops_cancelling_keys():
+    # (1 + e^{i 2 pi tau}) (e^{i 2 pi tau} - 1) = e^{i 4 pi tau} - 1: the tau-frequency 1
+    # cancels, and the antiderivative is (e^{i 4 pi tau} - 1) (1/4) / (i pi) - tau
+    f = OscSum({(0, 0, 0): 1, (0, 1, 0): 1})
+    got = integrate_product((f, [(1, Fraction(1)), (0, Fraction(-1))]))
+    assert got.terms == {(0, 2, 1): Fraction(1, 4), (0, 0, 1): Fraction(-1, 4), (1, 0, 0): Fraction(-1)}
+    assert got.terms == step(OscSum({(0, 2, 0): 1, (0, 0, 0): -1}), 0).terms
     # across factors too: f e^{i 4 pi tau} / 2 - f e^{i 4 pi tau} / 2 leaves nothing
-    assert drive_product((f, [(2, Fraction(1, 2))]), (f, [(2, Fraction(-1, 2))])).is_zero
+    assert integrate_product((f, [(2, Fraction(1, 2))]), (f, [(2, Fraction(-1, 2))])).is_zero
+
+
+def over_one_den(terms: dict) -> OscSum:
+    """The OscSum of nonzero exact rational terms, over the lcm of their denominators."""
+    den = math.lcm(*(r.denominator for r in terms.values()))
+    return OscSum({key: r.numerator * (den // r.denominator) for key, r in terms.items()}, den)
+
+
+def random_complex_factors(rng) -> tuple[tuple, tuple]:
+    """The two parts of (re + i im)(a + i b), as the exact walk builds them: factors
+    ((re, a), (im, -b)) and ((re, b), (im, a)) of random sums over tau^p (p <= 3) and
+    multi-tap drives with random rationals.  im repeats some terms of re and b some
+    taps of a, so that keys cancel across the factors."""
+    def rational():
+        return Fraction(int(rng.integers(1, 40)) * int(rng.choice([-1, 1])), int(rng.integers(1, 30)))
+
+    def taps(count):
+        return [(int(N), rational()) for N in rng.choice(np.arange(-6, 7), count, replace=False)]
+
+    keys = [tuple(int(x) for x in key) for key in
+            zip(rng.integers(0, 4, 6), rng.integers(-6, 7, 6), rng.integers(0, 3, 6))]
+    re = over_one_den({key: rational() for key in keys[:int(rng.integers(0, 6))]})
+    shared = dict(itertools.islice(re.terms.items(), int(rng.integers(0, 3))))
+    im = over_one_den({**{key: rational() for key in keys[int(rng.integers(3, 7)):]}, **shared})
+    a = taps(int(rng.integers(1, 4)))
+    b = a[:int(rng.integers(0, 3))] + taps(int(rng.integers(0, 3)))
+    return ((re, a), (im, [(N, -c) for N, c in b])), ((re, b), (im, a))
+
+
+def test_multi_tap_products_match_the_fraction_steps():
+    # random complex factors with several taps each, resonances nu + N_g = 0, powers p > 0
+    # and keys that cancel: the antiderivative is, as exact rationals, the sum over the
+    # taps of c times the Fraction oracle's step at N_g, and its value at tau = 1 is
+    # integrate_product_to_one of the same factors
+    rng = np.random.default_rng(29)
+    resonant = powered = cancelled = nonzero = 0
+    for _ in range(400):
+        for factors in random_complex_factors(rng):
+            want, product = FractionSum(), FractionSum()
+            for f, taps in factors:
+                for N, c in taps:
+                    for key, r in fraction_step(FractionSum(f.terms), N).items():
+                        want.add(key, c * r)
+                    for (p, nu, g), r in f.terms.items():
+                        product.add((p, nu + N, g), c * r)
+                        resonant += nu + N == 0
+                        powered += p > 0
+            cancelled += len({(p, nu + N, g) for f, taps in factors for N, _c in taps
+                              for p, nu, g in f.nums}) - len(product)
+            got = integrate_product(*factors)
+            assert got.terms == want.terms
+            assert at_one(got.terms) == integrate_product_to_one(*factors).terms
+            nonzero += not got.is_zero
+    assert min(resonant, powered, cancelled) > 100 and nonzero > 500
 
 
 def test_value_is_rational_over_power_of_i_pi():
