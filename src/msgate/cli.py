@@ -237,6 +237,8 @@ def sweep_from_config(cfg: dict) -> SweepSpec:
         lo_f, hi_f = cfg.get("omega_span", (0.7, 1.3))
         lo = lo_f * (amps.omega_2 if math.isnan(amps.omega_4) else amps.omega_4)
         hi = hi_f * amps.omega_2
+        if not all(math.isfinite(v) for v in (lo, hi)):
+            raise ConfigError(f"grid = auto span ends must be finite: [{lo}, {hi}]")
         if not lo < hi:
             raise ConfigError(f"grid = auto spans no range: [{lo}, {hi}]")
         spec.grid = list(np.linspace(lo, hi, spec.grid))

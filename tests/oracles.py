@@ -375,8 +375,9 @@ def fraction_integral(Ns) -> FractionSum:
 def sequence_weights(params, pulse, k):
     """Yields (the sequence as indices into m = -m_max..m_max, (re, im)) with the exact
     weight of every sideband sequence, m_k slowest: the depth-first walk of
-    ``magnus._sequences`` over all n^k sequences, which integrates and evaluates both
-    parts at every node, empty or not, and uses no mirror identity."""
+    ``magnus._sequences`` over all n^k sequences, one sideband at a time: each child's
+    drive carries the taps N_g + m K at the single shift 0, both parts are integrated
+    and evaluated at every node, empty or not, and no mirror identity is used."""
     taps, tap_c = hilbert.drive_taps(params, pulse)
     drives = []
     for m in range(-params.m_max, params.m_max + 1):
@@ -388,9 +389,9 @@ def sequence_weights(params, pulse, k):
         for i, (a, b, minus_b) in enumerate(drives):
             parts = ((re, a), (im, minus_b)), ((re, b), (im, a))
             if len(suffix) == k - 1:
-                yield (i, *suffix), tuple(resint.integrate_product_to_one(*part) for part in parts)
+                yield (i, *suffix), tuple(resint.integrate_product_to_one(part, [0])[0] for part in parts)
             else:
-                yield from walk(*(resint.integrate_product(*part) for part in parts), (i, *suffix))
+                yield from walk(*(resint.integrate_product(part, [0])[0] for part in parts), (i, *suffix))
 
     yield from walk(resint.OscSum.unit(), resint.OscSum(), ())
 

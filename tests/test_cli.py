@@ -635,6 +635,7 @@ def test_every_top_level_name_has_a_product_reference():
     "pulse = custom\npulse_coeffs = 0:1:0;0:0.5:0\ngrid = 1,2\n",  # a harmonic given twice
     "pulse = rect\ngrid = auto\nomega_span = 0.7,inf\n",   # non-finite span factors
     "pulse = rect\ngrid = auto\nomega_span = -inf,1.3\n",
+    "pulse = rect\ngrid = auto\nomega_span = 1,1e308\n",    # finite factors, an overflowing end
     "pulse = rect\ngrid = 2,1\n",                           # decreasing grid
     "pulse = rect\ngrid = 1,1\n",                           # repeated grid value
 ])

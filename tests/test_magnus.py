@@ -317,7 +317,7 @@ def test_antiderivative_map_matches_the_exact_engine():
         nu, p = divmod(int(key), magnus._POWERS)
         want = {}
         unit_term = resint.OscSum({(p, nu, 0): 1})
-        for (power, freq, g), r in resint.integrate_product((unit_term, [(0, 1)])).terms.items():
+        for (power, freq, g), r in resint.integrate_product([(unit_term, [(0, 1)])], [0])[0].terms.items():
             k = freq * magnus._POWERS + power
             want[k] = want.get(k, 0) + complex(resint.OscSum({(0, 0, g): r.numerator}, r.denominator))
         assert set(new_keys[got[:, i] != 0]) == set(want), key
@@ -383,7 +383,9 @@ FIG4A_POINT = GateParams(eta=0.18, K=28, L=25, nbar=0.02, n_dim=8, m_max=3, k_ma
     (4, "sin2", FIG4A_POINT),
     (4, "skew", GateParams(eta=0.18, K=31, L=20, omega_T=1.0)),
     (5, "sin2", FIG4A_POINT),
-], ids=["crosscheck-rect-P5", "crosscheck-sin2-P4", "fig4a-rect-P5", "fig4a-sin2-P4", "skew-P4", "fig4a-sin2-P5"])
+    (5, "skew", GateParams(eta=0.18, K=31, L=20, m_max=2, omega_T=1.0)),
+], ids=["crosscheck-rect-P5", "crosscheck-sin2-P4", "fig4a-rect-P5", "fig4a-sin2-P4", "skew-P4", "fig4a-sin2-P5",
+        "skew-P5"])
 def test_sequence_route_reaches_the_high_orders(k, shape, p):
     pulse = {"rect": rectangular(), "sin2": sin_squared(), "skew": SKEW}[shape]
     assert validate(p, pulse).ok

@@ -21,7 +21,7 @@ def val(Ns):
 
 def step(f: OscSum, N: int) -> OscSum:
     """int_0^tau e^{i 2 pi N s} f(s) ds: the product with the single tap (N, 1), integrated."""
-    return integrate_product((f, [(N, 1)]))
+    return integrate_product([(f, [(N, 1)])], [0])[0]
 
 
 def test_integrate_constant_zero_freq():
@@ -186,20 +186,25 @@ def test_values_at_one_give_the_stepwise_rationals():
 
 def test_sequence_walk_integrates_each_suffix_once(base_params, rect, monkeypatch):
     # a real pulse walks one sequence of each mirror pair and only the real part:
-    # (n^j + 1) / 2 of the n^j suffixes of length j for n = 2 m_max + 1 sidebands, one
-    # integrate_product per suffix shorter than k and one value at tau = 1 per walked
-    # sequence; at n = 7, k = 4 that is 4 + 25 + 172 = 201 and 1,201 calls
+    # (n^j + 1) / 2 of the n^j suffixes of length j for n = 2 m_max + 1 sidebands.  Each
+    # walked suffix is a parent whose children, the suffixes one sideband longer, come
+    # from one sibling step: integrate_product for a suffix shorter than k - 1 and
+    # integrate_product_to_one for one of length k - 1, with one shift per child.  At
+    # n = 7, k = 4 that is 1 + 4 + 25 = 30 and 172 calls, for 201 antiderivatives and
+    # 1,201 values at tau = 1
     p = base_params.replace(omega_T=1.0)
-    calls = {"integrate_product": 0, "integrate_product_to_one": 0}
+    calls = {"integrate_product": [], "integrate_product_to_one": []}
     for name in calls:
-        def counted(*args, name=name, call=getattr(resint, name)):
-            calls[name] += 1
-            return call(*args)
+        def counted(factors, shifts, name=name, call=getattr(resint, name)):
+            calls[name].append(len(shifts))
+            return call(factors, shifts)
         monkeypatch.setattr(resint, name, counted)
     magnus.dyson_term(4, p, rect, method="tuples")
     n = 2 * p.m_max + 1
-    assert calls == {"integrate_product": sum((n ** j + 1) // 2 for j in (1, 2, 3)),
-                     "integrate_product_to_one": (n ** 4 + 1) // 2}
+    assert {name: len(shifts) for name, shifts in calls.items()} == {
+        "integrate_product": sum((n ** j + 1) // 2 for j in (0, 1, 2)), "integrate_product_to_one": (n ** 3 + 1) // 2}
+    assert {name: sum(shifts) for name, shifts in calls.items()} == {
+        "integrate_product": sum((n ** j + 1) // 2 for j in (1, 2, 3)), "integrate_product_to_one": (n ** 4 + 1) // 2}
 
 
 def bits(z: complex) -> tuple[str, str]:
@@ -318,13 +323,13 @@ def test_mirrored_sequence_gives_the_conjugate_weight_exactly(shape):
     assert sum(not re.is_zero for re, _im in weights.values()) > 100
 
 
-@pytest.mark.parametrize("k", [3, 4])
-@pytest.mark.parametrize("shape", ["rect", "sin2", "skew"])
+@pytest.mark.parametrize("shape,k", [(shape, k) for shape in ("rect", "sin2", "skew") for k in (3, 4)]
+                         + [("rect", 5)])
 def test_walked_weights_are_the_full_walk_bit_for_bit(shape, k):
     # every entry of W, the walked half and its mirrors, is the float of the oracle's full
     # walk, but for the sign of a zero imaginary part
     pulse = {"rect": rectangular(), "sin2": sin_squared(), "skew": SKEW}[shape]
-    p = GateParams(eta=0.18, K=28, L=25, n_dim=5, m_max=3 if shape == "rect" else 2)
+    p = GateParams(eta=0.18, K=28, L=25, n_dim=5, m_max=3 if shape == "rect" and k < 5 else 2)
     W = magnus._sequence_weights(p, pulse, k)
     want = dict(sequence_weights(p, pulse, k))
     assert W.shape == (2 * p.m_max + 1,) * k and len(want) == W.size
@@ -355,11 +360,11 @@ def test_integrate_product_drops_cancelling_keys():
     # (1 + e^{i 2 pi tau}) (e^{i 2 pi tau} - 1) = e^{i 4 pi tau} - 1: the tau-frequency 1
     # cancels, and the antiderivative is (e^{i 4 pi tau} - 1) (1/4) / (i pi) - tau
     f = OscSum({(0, 0, 0): 1, (0, 1, 0): 1})
-    got = integrate_product((f, [(1, Fraction(1)), (0, Fraction(-1))]))
+    [got] = integrate_product([(f, [(1, Fraction(1)), (0, Fraction(-1))])], [0])
     assert got.terms == {(0, 2, 1): Fraction(1, 4), (0, 0, 1): Fraction(-1, 4), (1, 0, 0): Fraction(-1)}
     assert got.terms == step(OscSum({(0, 2, 0): 1, (0, 0, 0): -1}), 0).terms
     # across factors too: f e^{i 4 pi tau} / 2 - f e^{i 4 pi tau} / 2 leaves nothing
-    assert integrate_product((f, [(2, Fraction(1, 2))]), (f, [(2, Fraction(-1, 2))])).is_zero
+    assert integrate_product([(f, [(2, Fraction(1, 2))]), (f, [(2, Fraction(-1, 2))])], [0])[0].is_zero
 
 
 def over_one_den(terms: dict) -> OscSum:
@@ -409,11 +414,45 @@ def test_multi_tap_products_match_the_fraction_steps():
                         powered += p > 0
             cancelled += len({(p, nu + N, g) for f, taps in factors for N, _c in taps
                               for p, nu, g in f.nums}) - len(product)
-            got = integrate_product(*factors)
+            [got] = integrate_product(factors, [0])
             assert got.terms == want.terms
-            assert at_one(got.terms) == integrate_product_to_one(*factors).terms
+            assert at_one(got.terms) == integrate_product_to_one(factors, [0])[0].terms
             nonzero += not got.is_zero
     assert min(resonant, powered, cancelled) > 100 and nonzero > 500
+
+
+def test_sibling_steps_are_the_single_shift_steps():
+    # one call with a shift list gives each child what a call with its shift alone gives
+    # (numerators, denominator and key order) and, as exact rationals, the sum over the
+    # taps of c times the Fraction oracle's step at N_g + s; likewise the values at tau = 1.
+    # The lists are m K for m >= 0 or for every m, in any order, with shifts
+    # -(nu + N_g) mixed in that make a p = 0 term resonant
+    rng = np.random.default_rng(30)
+    resonant = children = zeros = 0
+    for _ in range(100):
+        for factors in random_complex_factors(rng):
+            K, m_max = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+            shifts = [m * K for m in range(-m_max * int(rng.integers(0, 2)), m_max + 1)]
+            flat = {-(nu + N) for f, taps in factors for N, _c in taps for p, nu, _g in f.nums if not p}
+            shifts += [s for s in rng.permutation(sorted(flat))[:3].tolist() if s not in shifts]
+            rng.shuffle(shifts)
+            steps, values = integrate_product(factors, shifts), integrate_product_to_one(factors, shifts)
+            assert len(steps) == len(values) == len(shifts)
+            for shift, got, value in zip(shifts, steps, values):
+                [alone], [value_alone] = integrate_product(factors, [shift]), integrate_product_to_one(factors, [shift])
+                assert (list(got.nums.items()), got.den) == (list(alone.nums.items()), alone.den), shift
+                assert (list(value.nums.items()), value.den) == (list(value_alone.nums.items()), value_alone.den)
+                want = FractionSum()
+                for f, taps in factors:
+                    for N, c in taps:
+                        for key, r in fraction_step(FractionSum(f.terms), N + shift).items():
+                            want.add(key, c * r)
+                        resonant += any(not p and nu + N + shift == 0 for p, nu, _g in f.nums)
+                assert got.terms == want.terms, shift
+                assert value.terms == at_one(want.terms), shift
+                children += 1
+                zeros += value.is_zero
+    assert resonant > 200 and children > 800 and 30 < zeros < children - 500
 
 
 def test_value_is_rational_over_power_of_i_pi():
