@@ -6,9 +6,14 @@ a given Omega*T, and the closed forms at the leading-order amplitude
 Omega_LD and at the fourth-order-corrected amplitude Omega_4.
 
 Transcription notes (kept verbatim, deliberately not "fixed"):
-  * the Z3 second-sideband entry's Omega_4 column carries a leading minus
-    sign although the generic column is positive, and its Omega_LD column
-    differs from direct substitution;
+  * the Z3 second-sideband entry (Z3_m2): its generic column's + sign is the
+    misprint.  Its exact eta -> 0 coefficient, expanded in exact arithmetic over
+    the sideband sequences, is -K^2 W^3 eta^4 / (pi^2 (4K^2 - L^2)(K^2 - L^2)):
+    the generic magnitude with a minus sign.  The Omega_4 column's minus sign is
+    right (the column is that coefficient at Omega_4), and the Omega_LD column is
+    -sqrt(4K^2 - L^2) / (K^2 - L^2) times its value at Omega_LD.  Criterion 8
+    (``z3_m2_sign_ok`` in the acceptance tests) already requires the assembled
+    third order to carry the negative sign;
   * the Z4_m1_Jxy Omega_4 column has K^2 - 4L^4 for K^2 - 4L^2 in its last
     denominator factor (its Omega_LD column is exact); the other six rows
     equal direct substitution in both columns (CONSISTENT_ROWS).

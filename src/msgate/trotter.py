@@ -36,7 +36,7 @@ class TrotterConfig:
 
     The policy fixes which steps are taken, not how each is exponentiated:
     every step is exact up to rounding at any norm (one ``eigh`` per symmetry
-    block in the rotating frame, see ``_block_propagator``).  Only the first
+    block in the rotating frame, see ``_frame``).  Only the first
     period's steps are computed when d divides N_t (else the gate is one
     period), and only the first half of them with a real-coefficient pulse.
     """
@@ -114,25 +114,47 @@ def _chain(stack: np.ndarray, spare: np.ndarray | None = None) -> np.ndarray:
     return src[0].copy()
 
 
-def _block_propagator(B: np.ndarray, levels: np.ndarray, K: int, amps: np.ndarray,
-                      periods: int, fold: bool) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _frame(builder, eta: float, K: int, n_dim: int, m_max: int, n_steps: int) -> tuple:
+    """What ``_block_propagator`` takes besides the drive: (levels, lam, V, W, h) per block of
+    ``hilbert.block_basis``, B = V diag(lam) V^H from ``builder``.  None of it depends on
+    omega_T or the pulse; the last 8 are kept, read-only.  A non-Hermitian or non-finite
+    generator raises here, on every call (an exception is not cached)."""
+    # the builders read eta, n_dim and m_max only
+    generators = builder(GateParams(eta=eta, K=K, L=0, n_dim=n_dim, m_max=m_max))
+    defect = max(hilbert.hermiticity_defect(B) / np.abs(B).max() for B in generators)
+    if defect > 1e-12:
+        raise ValueError(f"Hamiltonian not Hermitian: relative defect {defect:.3e} of the generator")
+    if not all(np.isfinite(B).all() for B in generators):
+        raise ValueError(f"Hamiltonian not finite: eta {eta}")
+    frame = []
+    for B, (levels, _) in zip(generators, hilbert.block_basis(n_dim)):
+        lam, V = np.linalg.eigh(B)
+        # W enters every step, so its rounding compounds: build it in extended precision where
+        # the platform has it, after one Newton-Schulz step towards a unitary V
+        V = _newton_schulz(V.astype(np.clongdouble))
+        phases = np.exp(-2j * np.pi * (K * levels % n_steps).astype(np.longdouble) / n_steps)
+        W, V = (V.conj().T @ (phases[:, None] * V)).astype(complex), V.astype(complex)
+        h = np.exp(-1j * np.pi * (K * levels % (2 * n_steps)) / n_steps)
+        for a in (levels, lam, V, W, h):
+            a.flags.writeable = False
+        frame.append((levels, lam, V, W, h))
+    return tuple(frame)
+
+
+def _block_propagator(frame: tuple, amps: np.ndarray, periods: int, fold: bool) -> np.ndarray:
     """Ordered product in one block, latest factor leftmost, of the Strang steps
     h exp(-i amps_n B) h of the rotating-frame Hamiltonian omega_T g(tau) B + 2 pi K levels,
     with the half D-step h = exp(-i pi K levels / N) and N = periods * len(amps).
     With B = V diag(lam) V^H, steps lo..hi-1 give h V [E_{hi-1} W ... E_{lo+1} W] E_lo V^H h,
     with E_n = exp(-i amps_n lam) and the constant W = V^H h^2 V: diagonal phases and, per
-    two steps, one row of a GEMM with W and one 12 x 12 product.  amps holds the first of
-    d = periods periods of n = N/d steps; ``fold`` mirrors the first half of that period,
-    and d > 1 then takes its d-th power (see ``_propagate``).
+    two steps, one row of a GEMM with W and one 12 x 12 product.  ``frame`` is the block's
+    (levels, lam, V, W, h) from ``_frame``.  amps holds the first of d = periods periods of
+    n = N/d steps; ``fold`` mirrors the first half of that period, and d > 1 then takes its
+    d-th power (see ``_propagate``).
     """
-    n_steps, dim = periods * len(amps), len(B)
-    lam, V = np.linalg.eigh(B)
-    # W enters every step, so its rounding compounds: build it in extended precision where the
-    # platform has it, after one Newton-Schulz step towards a unitary V
-    V = _newton_schulz(V.astype(np.clongdouble))
-    phases = np.exp(-2j * np.pi * (K * levels % n_steps).astype(np.longdouble) / n_steps)
-    W, V = (V.conj().T @ (phases[:, None] * V)).astype(complex), V.astype(complex)
-    h = np.exp(-1j * np.pi * (K * levels % (2 * n_steps)) / n_steps)
+    levels, lam, V, W, h = frame
+    dim = len(lam)
 
     def chained_slice(lo: int, hi: int, skip: int) -> np.ndarray:
         # E_{2j+1} W E_{2j} by entries, then one GEMM puts W right of all factors but the first.
@@ -173,7 +195,9 @@ def _propagate(builder, params: GateParams, pulse: PulseShape | None,
     """Product of exp(-i H(tau_n) dtau), latest factor leftmost, for a ``hilbert``
     Hamiltonian ``builder``, in its rotating frame inside the symmetry blocks: the
     block form (U_+, U_-) of ``hilbert.embed``, the identity on the exchange singlets,
-    where H vanishes.  Deterministic for identical inputs (fixed order, no cache).
+    where H vanishes.  Deterministic for identical inputs: the order is fixed, and the
+    drive-free part of each block (``_frame``: B's eigenbasis, W and h) is cached by
+    (builder, eta, K, n_dim, m_max, N), so a hit returns the arrays a cold call builds.
 
     The steps are Strang steps s_k of the frame Hamiltonian H~(tau) = omega_T g(tau) B
     + 2 pi K a+a: B per block from ``builder(params)``, g from ``hilbert.drive_taps`` and
@@ -194,24 +218,25 @@ def _propagate(builder, params: GateParams, pulse: PulseShape | None,
     pulse = pulse if pulse is not None else rectangular()
     config = config if config is not None else TrotterConfig()
     n_steps = config.num_steps(params, pulse)
-    generators = builder(params)
+    frame = _frame(builder, params.eta, params.K, params.n_dim, params.m_max, n_steps)
     taps, coeffs = hilbert.drive_taps(params, pulse)
     period = drive_period(taps)
     periods = period if n_steps % period == 0 else 1
     # the drive is periodic, so the guards below see all of it on the first period's steps
     taus = (np.arange(n_steps // periods) + 0.5) / n_steps
-    drive = np.exp(2j * np.pi * np.outer(taus, taps)) @ coeffs
-    defect = max(hilbert.hermiticity_defect(B) / np.abs(B).max() for B in generators)
+    # exp in place, its buffer freed before the slices: the heap top a call leaves then stays
+    # below glibc's trim threshold, and the next call faults no memory back in
+    phases = 2j * np.pi * np.outer(taus, taps)
+    drive = np.exp(phases, out=phases) @ coeffs
+    del phases
     imaginary = np.abs(drive.imag).max() / np.abs(drive).max()
-    if defect > 1e-12 or imaginary > 1e-12:
-        raise ValueError(f"Hamiltonian not Hermitian: relative defect {defect:.3e} of the "
-                         f"generator, {imaginary:.3e} of the drive")
+    if imaginary > 1e-12:
+        raise ValueError(f"Hamiltonian not Hermitian: relative defect {imaginary:.3e} of the drive")
     amps = params.omega_T * drive.real / n_steps
-    if not (np.isfinite(amps).all() and all(np.isfinite(B).all() for B in generators)):
+    if not np.isfinite(amps).all():
         raise ValueError(f"Hamiltonian not finite: omega_T {params.omega_T}, eta {params.eta}")
     fold = not coeffs.imag.any()
-    return tuple(_block_propagator(B, n, params.K, amps, periods, fold)
-                 for B, (n, _) in zip(generators, hilbert.block_basis(params.n_dim)))
+    return tuple(_block_propagator(block, amps, periods, fold) for block in frame)
 
 
 def propagate_numeric(params: GateParams, pulse: PulseShape | None = None,

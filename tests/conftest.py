@@ -54,10 +54,12 @@ def unum_omega4(params_omega4, rect):
 
 @pytest.fixture
 def clear_transfer():
-    """Call to empty the Dyson cache and the transfer plan, so that the next pass builds both."""
+    """Call to empty the Dyson cache, the transfer plan and the drive-free ``Unum`` frames
+    (``trotter._frame``), so that the next pass or propagator builds each."""
     def clear():
         magnus._transfer_dyson.cache_clear()
         magnus._plan.cache_clear()
+        trotter._frame.cache_clear()
     return clear
 
 

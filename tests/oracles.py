@@ -212,6 +212,12 @@ class Sin2Forms:
 
 
 def sin2_forms(params):
+    """The printed sin^2 forms at params.  They describe the two-lobe pulse sin^2(2 pi tau)
+    = {0: 1/2, +/-2: -1/4}: at eta = 1e-3, z2_y / (1 - eta^2) is -1 times that pulse's
+    leading Jy^2 coefficient of Z_2 at level 0, to 1e-6 relative at (K, L) = (28, 25),
+    (100, 97), (41, 7) and (50, 13).  msgate's ``sin_squared`` is sin^2(pi tau), with the
+    harmonics +/-1, and the Z2 form misses it by 17% at (28, 25) (ratio -0.830) and by
+    less than 0.1% at (41, 7) and (50, 13)."""
     K, L, eta, W = params.K, params.L, params.eta, params.omega_T
     KK, LL = K * K, L * L
     p_y = 3 * (KK - LL) ** 2 - 4 * (5 * KK + 3 * LL - 8)

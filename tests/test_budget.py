@@ -15,7 +15,7 @@ from msgate.budget import (
     table_rows,
 )
 from msgate.params import GateParams, validate
-from msgate.pulses import sin_squared
+from msgate.pulses import PulseShape, sin_squared
 from oracles import calibrate_omega, sin2_forms
 
 JY2 = hilbert.collective_spins().Jy2 - np.eye(4) / 2  # sigma_y (x) sigma_y / 2
@@ -203,6 +203,26 @@ def test_sin2_z2_matches_assembly_at_wide_gap():
     # printed composite carries the opposite overall sign convention
     assert abs(got) / abs(zy) == pytest.approx(1.0, abs=0.1)
     assert got < 0 < zy
+
+
+# sin^2(2 pi tau): two lobes in the gate, harmonics 0 and +/-2
+TWO_LOBE = PulseShape.from_dict("two-lobe", {0: 0.5, 2: -0.25, -2: -0.25})
+
+
+def test_printed_sin2_z2_form_is_the_two_lobe_pulse():
+    """The printed sin^2 Z2 form, without its (1 - eta^2) factor, is the leading Jy^2
+    coefficient of Z_2 at level 0 for the two-lobe pulse (with the opposite overall sign,
+    as above), not for msgate's sin^2(pi tau)."""
+    def ratio(pulse, K, L):
+        p = GateParams(eta=1e-3, K=K, L=L, omega_T=1.0)
+        got = magnus.level_coeff(magnus.magnus_terms(p, pulse, up_to=2)[2], p.n_dim, 0, 0, JY2).real
+        return got / (sin2_forms(p).z2_y / (1 - p.eta ** 2))
+
+    for K, L in ((28, 25), (100, 97), (41, 7), (50, 13)):
+        assert ratio(TWO_LOBE, K, L) == pytest.approx(-1.0, rel=1e-5)
+    # msgate's sin^2 has the harmonics +/-1: more than 10% off at K - L = 3
+    assert ratio(sin_squared(), 28, 25) == pytest.approx(-0.830, abs=1e-3)
+    assert abs(ratio(sin_squared(), 100, 97) + 1) > 0.1
 
 
 def test_sin2_z3_matches_assembly_at_wide_gap():

@@ -1,8 +1,10 @@
 import ast
 import concurrent.futures
 import importlib.util
+import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -917,3 +919,63 @@ def test_unum_csv_identical_across_runs_and_workers(tmp_path):
             for line in serial.splitlines()[1:]]
     assert len(rows) == 3
     assert all(r["status"] == "ok" and float(r["infid_Unum"]) > 0 for r in rows)
+
+
+# A valid config for every subcommand: two omega points, n_dim <= 8, one worker
+FUZZ_BASE = {
+    "eta": "0.18", "K": "28", "L": "25", "nbar": "0.02", "n_dim": "6", "m_max": "2",
+    "k_max": "4", "trap_freq": "1.0e6", "omega_T": "30", "pulse": "rect", "axis": "omega",
+    "grid": "28,32", "propagators": "U2,U4,Unum", "metric": "average", "propagator": "Unum",
+}
+# per key, values a user might write, valid or not; None drops the key
+FUZZ_VALUES = {
+    "eta": ["0.05", "0.35", "0", "-0.1", "1", "nan", "inf", "1e-300", "x", None],
+    "K": ["25", "50", "2", "0", "-28", "28.5", "1e3", None],
+    "L": ["7", "14", "24", "28", "0", "-1", None],
+    "omega_T": ["0", "50", "1e3", "-1", "nan", "inf", "1e300", None],
+    "nbar": ["0", "1", "-0.1", "nan", "inf"],
+    "n_dim": ["1", "3", "8", "0", "-2", "x"],
+    "m_max": ["0", "1", "3", "7", "-1"],
+    "k_max": ["2", "3", "5", "6", "0", "1000000000"],
+    "trap_freq": ["2e6", "0", "-1", "nan", None],
+    "pulse": ["sin2", "custom", "square"],
+    "pulse_coeffs": ["0:1:0", "0:0.5:0;1:-0.25:0;-1:-0.25:0", "1:0.5:0", "0:0:0", "0:1e307:0",
+                     "0:1:0;0:1:0", "x"],
+    "axis": ["K", "eta", "nbar", "time"],
+    "grid": ["25,50", "0.05,0.3", "32,28", "auto:2", "auto:0", "1,nan", "-inf:30:2", "28:32:2", ""],
+    "omega_span": ["0.7,1.3", "1,nan", "2"],
+    "propagators": ["U2", "U3,U5", "Unum", "U7", ""],
+    "metric": ["bell", "both", "worst"],
+    "omega_mode": ["omega4", "fixed_T", "fixed_phys", "auto"],
+    "omega_phys": ["1e5", "-1", "nan"],
+    "safety": ["0.5", "20", "0", "ten"],
+    "propagator": ["U2", "U5", "U9"],
+}
+
+
+@pytest.mark.filterwarnings("error")
+def test_perturbed_configs_keep_the_input_contract(tmp_path, capsys):
+    # a seeded property test: the valid base with one to three keys perturbed, through every
+    # subcommand, exits 0, 1 or 2 with at most one stderr line, and an ok row is finite
+    rng = random.Random(20261019)
+    path = tmp_path / "fuzz.cfg"
+    for case in range(100):
+        cfg = dict(FUZZ_BASE)
+        for key in rng.sample(sorted(FUZZ_VALUES), rng.randint(1, 3)):
+            value = rng.choice(FUZZ_VALUES[key])
+            if value is None:
+                cfg.pop(key, None)
+            else:
+                cfg[key] = value
+        text = "".join(f"{key} = {value}\n" for key, value in cfg.items())
+        path.write_text(text)
+        for command in ("sweep", "check", "budget", "propagate"):
+            code = cli.main([command, str(path)])
+            out, err = capsys.readouterr()
+            where = f"case {case}, msgate {command} on\n{text}stderr: {err}"
+            assert code in (0, 1, 2) and len(err.splitlines()) <= 1, where
+            if command == "sweep" and code == 0:
+                header, *rows = (line.split(",") for line in out.splitlines())
+                for row in rows:
+                    if row[-1] == "ok":
+                        assert all(math.isfinite(float(cell)) for cell in row[:-1] if cell), where

@@ -201,6 +201,80 @@ def test_non_finite_hamiltonian_rejected(base_params, rect, omega_T):
             route(base_params.replace(omega_T=omega_T), rect, cfg)
 
 
+@pytest.mark.parametrize("route", [
+    trotter.propagate_numeric, trotter.propagate_numeric_exact_displacement,
+], ids=["series", "exact_displacement"])
+def test_frame_cache_hit_is_bit_identical(clear_transfer, params_omega2, rect, route):
+    clear_transfer()
+    cold = route(params_omega2, rect)
+    hit = route(params_omega2, rect)
+    info = trotter._frame.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    assert all(map(np.array_equal, cold, hit))
+
+
+def test_routes_never_share_a_frame(clear_transfer, params_omega2, rect):
+    clear_transfer()
+    series = trotter.propagate_numeric(params_omega2, rect)
+    exact = trotter.propagate_numeric_exact_displacement(params_omega2, rect)
+    info = trotter._frame.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
+    assert not np.array_equal(series[0], exact[0])
+    # each route reads back its own entry
+    assert all(map(np.array_equal, trotter.propagate_numeric(params_omega2, rect), series))
+    assert all(map(np.array_equal, trotter.propagate_numeric_exact_displacement(params_omega2, rect), exact))
+    assert trotter._frame.cache_info().hits == 2
+
+
+def test_omega_sweep_builds_the_generator_once(clear_transfer, base_params, rect):
+    clear_transfer()
+    cfg = TrotterConfig()
+    points = [base_params.replace(omega_T=w) for w in np.linspace(25.0, 45.0, 5)]
+    # the beat notes set N at every point of the sweep
+    (n_steps,) = {cfg.num_steps(p, rect) for p in points}
+    for p in points:
+        trotter.propagate_numeric(p, rect)
+    info = trotter._frame.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (4, 1, 1)
+    # a drive strong enough to raise N gets its own entry
+    strong = base_params.replace(omega_T=1e3)
+    assert cfg.num_steps(strong, rect) > n_steps
+    trotter.propagate_numeric(strong, rect)
+    info = trotter._frame.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+
+
+def _non_hermitian(params):
+    return tuple(B + np.triu(np.ones_like(B), 1) for B in hilbert.sideband_hamiltonian(params))
+
+
+def _non_finite(params):
+    return tuple(B * np.where(np.eye(len(B)), np.nan, 1.0) for B in hilbert.sideband_hamiltonian(params))
+
+
+@pytest.mark.parametrize("builder, match", [(_non_hermitian, "not Hermitian"), (_non_finite, "not finite")],
+                         ids=["non-hermitian", "non-finite"])
+def test_bad_generator_raises_on_every_call(clear_transfer, base_params, rect, builder, match):
+    # the generator guards run in the cached frame builder; an exception is not cached
+    clear_transfer()
+    cfg = TrotterConfig(steps_override=200, allow_understep=True)
+    for _ in range(3):
+        with pytest.raises(ValueError, match=match):
+            trotter._propagate(builder, base_params.replace(omega_T=10.0), rect, cfg)
+    info = trotter._frame.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 3, 0)
+
+
+def test_frame_arrays_are_read_only(params_omega2, rect):
+    p = params_omega2
+    frame = trotter._frame(hilbert.sideband_hamiltonian, p.eta, p.K, p.n_dim, p.m_max,
+                           TrotterConfig().num_steps(p, rect))
+    arrays = [a for block in frame for a in block]  # (levels, lam, V, W, h) per block
+    assert len(arrays) == 10 and not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        arrays[3][0, 0] = 0
+
+
 def _plain_product(monkeypatch, route, params, pulse, cfg):
     """The product over every step: with period 1 the kernel never takes the power."""
     with monkeypatch.context() as m:
