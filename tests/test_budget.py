@@ -225,6 +225,20 @@ def test_printed_sin2_z2_form_is_the_two_lobe_pulse():
     assert abs(ratio(sin_squared(), 100, 97) + 1) > 0.1
 
 
+def test_msgate_sin2_z2_closed_form():
+    """The leading Jy^2 coefficient of Z_2 at level 0 for msgate's sin^2(pi tau) is the
+    printed form with offset 1 in place of 2:
+    -K (3(K^2 - L^2)^2 - 5K^2 - 3L^2 + 2) / (8 pi (K^2 - L^2)(K^2 - (L+1)^2)(K^2 - (L-1)^2)) eta^2.
+    Order 2 is also the lowest plan whose top order is pruned."""
+    for K, L in ((28, 25), (100, 97), (41, 7), (50, 13), (33, 20), (60, 51)):
+        p = GateParams(eta=1e-3, K=K, L=L, omega_T=1.0)
+        got = magnus.level_coeff(magnus.magnus_terms(p, sin_squared(), up_to=2)[2], p.n_dim, 0, 0, JY2).real
+        d = K ** 2 - L ** 2
+        form = (-K * (3 * d ** 2 - 5 * K ** 2 - 3 * L ** 2 + 2)
+                / (8 * math.pi * d * (K ** 2 - (L + 1) ** 2) * (K ** 2 - (L - 1) ** 2)) * p.eta ** 2)
+        assert got == pytest.approx(form, rel=1e-5), (K, L)
+
+
 def test_sin2_z3_matches_assembly_at_wide_gap():
     p = GateParams(eta=0.05, K=100, L=90, omega_T=10.0)
     Z3 = magnus.magnus_terms(p, sin_squared(), up_to=3)[3]

@@ -292,6 +292,25 @@ def test_orders_3_then_4_match_a_cold_order_4_plan(base_params, rect, clear_tran
     assert np.abs(magnus.dyson_term(3, p, rect) - low).max() <= 1e-15 * np.abs(low).max()
 
 
+@pytest.mark.parametrize("up_to", range(2, 6))
+@pytest.mark.parametrize("pulse", [rectangular(), sin_squared(), SKEW], ids=["rect", "sin2", "skew"])
+def test_top_order_is_minimal(base_params, pulse, up_to):
+    # int_0^1 e^{i 2 pi nu tau} dtau = 0 at every integer nu != 0: the top order keeps only
+    # its pairs of nonzero weight, and the order below builds only the entries they read
+    p = base_params
+    indptr, _, _, weights = magnus._plan(p.K, p.L, pulse.cache_key(), p.n_dim, p.m_max, up_to)[-1]
+    assert np.all(weights != 0)
+    assert np.all(np.diff(indptr) > 0)
+
+
+def test_first_order_is_an_empty_top_order(base_params):
+    p = base_params.replace(omega_T=29.93)
+    for pulse in (rectangular(), sin_squared(), SKEW):
+        _, where, _, _ = magnus._plan(p.K, p.L, pulse.cache_key(), p.n_dim, p.m_max, 1)[-1]
+        assert len(where) == 0
+        assert not magnus.dyson_term(1, p, pulse).any()
+
+
 @pytest.mark.parametrize("n_dim", range(2, 15))
 def test_sideband_terms_are_partial_permutations_in_the_blocks(n_dim):
     # A_m raises the Fock level by exactly m, so in the blocks each J_m (x) A_m has at most
@@ -300,7 +319,7 @@ def test_sideband_terms_are_partial_permutations_in_the_blocks(n_dim):
         for X in hilbert.to_blocks(hilbert.collective_spin(m), hilbert.sideband_operator(m, 0.3, n_dim)):
             assert (X != 0).sum(axis=0).max(initial=0) <= 1 and (X != 0).sum(axis=1).max(initial=0) <= 1, m
     for m_max in range(min(5, n_dim) + 1):
-        size, move_ptr, _, move_m, _, _ = magnus._sideband_moves(n_dim, m_max)
+        size, move_ptr, _, move_m, _, _, _ = magnus._sideband_moves(n_dim, m_max)
         for q in range(size):
             moves = move_m[move_ptr[q]:move_ptr[q + 1]]
             assert len(set(moves)) == len(moves), (m_max, q)
