@@ -2,7 +2,7 @@
 entangling gates on a shared motional mode."""
 
 from .params import GateParams, ValidationReport, beat_note, validate
-from .pulses import PulseShape, envelope_at, rectangular, sin_squared, validate_shape
+from .pulses import PulseShape, envelope_at, rectangular, sin_squared
 from .hilbert import (
     collective_spin,
     collective_spins,

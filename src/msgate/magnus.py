@@ -32,8 +32,7 @@ sum over its label tuples above, is one nested integral of drives, which ``resin
 computes exactly in one depth-first walk over the sequences.  The 2 m_max + 1 drives
 differ only by the shift m K, so a node takes all its children in one ``resint``
 step per part: at K = L + 3, orders 3 and 4 by both routes cost ~19 ms a point, of
-which ~10 ms is the walk (~30 and ~19 ms with one step per child; mean over
-K = 16..51, best of 3 on a 2-core host).
+which ~10 ms is the walk (mean over K = 16..51, best of 3 on a 2-core host).
 """
 
 from __future__ import annotations
@@ -281,13 +280,10 @@ def _sequences(params: GateParams, pulse: PulseShape, k: int):
     antiderivatives and 172 leaf steps for 1,201 weights, 776 of them exactly zero.
     Each c_g is the exact Fraction of its float and a function is held as its real and
     imaginary parts; a part whose factors are all empty (the imaginary one of a real
-    drive) is not integrated.  With c_-M = conj c_M exactly, drive_-m = conj drive_m and
-    w(-m) = conj w(m), so the walk takes only m >= 0 while its suffix is all zeros: the
-    first nonzero m from the inside is positive.
+    drive) is not integrated.  Every ``PulseShape`` has c_-M = conj c_M exactly, so
+    drive_-m = conj drive_m and w(-m) = conj w(m), and the walk takes only m >= 0 while
+    its suffix is all zeros: the first nonzero m from the inside is positive.
     """
-    off = [abs(M) for M in pulse.support if pulse.c(-M) != pulse.c(M).conjugate()]  # == on floats is exact
-    if off:
-        raise ValueError(f"the exact route needs c_-M = conj(c_M) exactly, which fails at M = {off[0]}")
     notes, coeffs = hilbert.drive_taps(params, pulse)
     a, b = ([(int(N), Fraction(part(c))) for N, c in zip(notes, coeffs) if part(c)] for part in (np.real, np.imag))
     minus_b = [(N, -c) for N, c in b]

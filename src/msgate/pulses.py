@@ -7,24 +7,35 @@ real.  Outside [0, 1] the pulse is implicitly zero.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
-
-from .params import ValidationReport
-
-_IMAG_TOL = 1e-14
 
 
 @dataclass(frozen=True)
 class PulseShape:
-    """Truncated Fourier series for the drive envelope."""
+    """Truncated Fourier series for the drive envelope: its nonzero coefficients, by M.
+
+    A real drive by construction: building one raises ValueError unless it has a
+    nonzero coefficient, every coefficient is finite and c_-M == conj(c_M) holds
+    exactly, so that every route can take the drive as real without a check."""
 
     name: str
     _coeffs: tuple[tuple[int, complex], ...]
 
+    def __post_init__(self):
+        coeffs = {int(M): complex(c) for M, c in self._coeffs if c != 0}
+        if not coeffs:
+            raise ValueError("no nonzero coefficient")
+        if not all(map(cmath.isfinite, coeffs.values())):
+            raise ValueError("coefficients must be finite")
+        off = [abs(M) for M, c in coeffs.items() if coeffs.get(-M) != c.conjugate()]  # == on floats is exact
+        if off:
+            raise ValueError(f"c_-M = conj(c_M) must hold exactly, which fails at M = {min(off)}")
+        object.__setattr__(self, "_coeffs", tuple(sorted(coeffs.items())))
+
     @staticmethod
     def from_dict(name: str, coeffs: dict[int, complex]) -> "PulseShape":
-        items = tuple(sorted((int(M), complex(c)) for M, c in coeffs.items()))
-        return PulseShape(name, items)
+        return PulseShape(name, tuple(coeffs.items()))
 
     @property
     def coefficients(self) -> dict[int, complex]:
@@ -32,11 +43,11 @@ class PulseShape:
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(M for M, c in self._coeffs if c != 0)
+        return tuple(M for M, _ in self._coeffs)
 
     @property
     def max_harmonic(self) -> int:
-        return max((abs(M) for M in self.support), default=0)
+        return max(abs(M) for M in self.support)
 
     def c(self, M: int) -> complex:
         return dict(self._coeffs).get(M, 0j)
@@ -55,23 +66,5 @@ def sin_squared() -> PulseShape:
 
 
 def envelope_at(shape: PulseShape, tau: float) -> float:
-    """Evaluate the envelope at tau; the imaginary residue must be tiny."""
-    import cmath
-
-    val = sum(c * cmath.exp(2j * cmath.pi * M * tau) for M, c in shape._coeffs)
-    if abs(val.imag) > _IMAG_TOL * max(1.0, abs(val.real)):
-        raise ValueError(f"envelope not real at tau={tau}: {val}")
-    return val.real
-
-
-def validate_shape(shape: PulseShape) -> ValidationReport:
-    """Check conjugate symmetry c_{-M} = conj(c_M) of the coefficient map."""
-    rep = ValidationReport()
-    coeffs = shape.coefficients
-    for M, c in coeffs.items():
-        partner = coeffs.get(-M)
-        if partner is None:
-            rep.add("missing conjugate", f"M={M} present, M={-M} absent")
-        elif not abs(partner - c.conjugate()) <= _IMAG_TOL:  # NaN fails this too
-            rep.add("conjugate symmetry", f"c_{-M} != conj(c_{M})")
-    return rep
+    """Evaluate the envelope at tau: the real part of its Fourier sum."""
+    return sum(c * cmath.exp(2j * cmath.pi * M * tau) for M, c in shape._coeffs).real

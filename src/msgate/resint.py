@@ -23,9 +23,8 @@ with rational c_g, merging the product once for every shift, and
 product or the antiderivatives, in one pass that hands each shift only the terms
 that survive there.  ``magnus``'s exact Dyson route takes the 2 m_max + 1 sideband
 drives of a walk node as the shifts m K of one drive: for rect P_4 at K = 28 its
-172 calls at the leaves visit 3,228 (factor, tap, term) triples, where one call
-per sideband made 22,572 visits to keep 1,366, and its 1,201 weights take ~10 ms
-against ~19 ms (best of 5 on a 2-core host).  ``resonance_integral`` folds
+172 calls at the leaves visit 3,228 (factor, tap, term) triples, and its 1,201
+weights take ~10 ms (best of 5 on a 2-core host).  ``resonance_integral`` folds
 ``integrate_product`` with the single tap (N, 1) and the single shift 0 over one
 tuple's inner chain and takes the value at one with (N_1, 1).
 """

@@ -640,6 +640,9 @@ def test_every_top_level_name_has_a_product_reference():
     "pulse = rect\ngrid = auto\nomega_span = 1,1e308\n",    # finite factors, an overflowing end
     "pulse = rect\ngrid = 2,1\n",                           # decreasing grid
     "pulse = rect\ngrid = 1,1\n",                           # repeated grid value
+    "pulse = custom\npulse_coeffs = 1:0.25:0.1;-1:0.25:0.1\ngrid = 1,2\n",  # partner not the conjugate
+    # a partner one ulp off the conjugate: c_-1 = -0.25000000000000006 j
+    "pulse = custom\npulse_coeffs = 0:0.5:0;1:0:0.25;-1:0:-0.25000000000000006\ngrid = 1,2\n",
 ])
 def test_malformed_input_is_config_error(tmp_path, capsys, lines):
     path = _write(tmp_path, "bad.cfg", _setting(CHECK_OK + "trap_freq = 1.0e6\naxis = omega\n"
@@ -647,7 +650,9 @@ def test_malformed_input_is_config_error(tmp_path, capsys, lines):
     with pytest.raises(ConfigError):
         sweep_from_config(parse_config(path))
     assert cli.main(["sweep", path]) == 1
-    assert "config error" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and len(captured.err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("grid", ["-inf:30:3", "20:nan:3"])
@@ -681,6 +686,8 @@ def test_non_finite_grid_end_is_config_error(tmp_path, capsys, grid):
     "K = 28\nK = 40\n",                    # a key given twice
     "pulse = custom\npulse_coeffs = 0:1:0;0:0.5:0\n",  # a harmonic given twice
     "omega_span = 0.7,inf\n",             # a non-finite span factor
+    "pulse_coeffs = 0:0.5:0;1:-0.25:0;-1:-0.25:0\n",  # coefficients without pulse = custom
+    "omega_span = 0.9,1.1\n",             # a span without grid = auto
 ])
 def test_every_subcommand_rejects_malformed_values(tmp_path, capsys, command, lines):
     path = _write(tmp_path, "bad.cfg", _setting(CHECK_OK + "axis = K\ngrid = 28\npropagators = U2\n", lines))

@@ -7,7 +7,6 @@ from msgate.pulses import (
     envelope_at,
     rectangular,
     sin_squared,
-    validate_shape,
 )
 
 
@@ -16,12 +15,6 @@ def test_rectangular_envelope():
     for tau in (0.0, 0.3, 0.77, 1.0):
         assert envelope_at(rect, tau) == pytest.approx(1.0)
     assert rect.max_harmonic == 0
-
-
-def test_envelope_at_rejects_a_complex_value():
-    # a lone c_1 is exp(i 2 pi tau), which is i at tau = 1/4
-    with pytest.raises(ValueError, match="not real at tau=0.25"):
-        envelope_at(PulseShape.from_dict("one-sided", {1: 1}), 0.25)
 
 
 def test_sin2_envelope_values():
@@ -48,37 +41,63 @@ def test_sin2_mean_is_half():
     assert s2.c(0) == pytest.approx(0.5)
 
 
-def test_validate_shape_sin2():
-    assert validate_shape(sin_squared()).ok
+@pytest.mark.parametrize("coeffs", [
+    {0: 1.0},                                # rect
+    {0: 0.5, 1: -0.25, -1: -0.25},           # sin^2
+    {0: 0.5, 1: 0.25j, -1: -0.25j},          # skew: complex taps
+    {0: 0.5, 2: -0.25, -2: -0.25},           # two lobes
+    {0: 0.5, 5: 0.25, -5: 0.25},             # period 5
+    {0: 0.5, 5: 0.25j, -5: -0.25j},          # skew, period 5
+])
+def test_real_drives_keep_their_coefficients(coeffs):
+    for shape in (PulseShape.from_dict("real", coeffs), PulseShape("real", tuple(coeffs.items()))):
+        assert shape.coefficients == coeffs and shape.support == tuple(sorted(coeffs))
+    assert rectangular().coefficients == {0: 1} and sin_squared().coefficients == {0: 0.5, 1: -0.25, -1: -0.25}
 
 
-def test_validate_shape_missing_partner():
-    shape = PulseShape.from_dict("broken", {0: 0.5, 1: -0.25})
-    rep = validate_shape(shape)
-    assert "missing conjugate" in rep.rules()
+NON_FINITE = [complex(np.nan, 0), complex(np.inf, 0), complex(0.5, np.nan)]
 
 
-def test_validate_shape_asymmetric():
-    shape = PulseShape.from_dict("broken", {1: 0.25j, -1: 0.25j})
-    assert "conjugate symmetry" in validate_shape(shape).rules()
+@pytest.mark.parametrize("coeffs, match", [
+    ({0: 0.5, 1: -0.25}, "fails at M = 1"),                                  # missing partner
+    ({1: 0.25j, -1: 0.25j}, "fails at M = 1"),                               # asymmetric partner
+    # one ulp off the mirror: a weight derived as the mirror's conjugate would not be exact
+    ({0: 0.5, 1: 0.25j, -1: -1j * np.nextafter(0.25, 1.0)}, "fails at M = 1"),
+    ({1: 0.5}, "fails at M = 1"),        # a lone c_1 is exp(i 2 pi tau), i at tau = 1/4
+    ({1: 1}, "fails at M = 1"),
+    ({0: 0.5 + 0.1j}, "fails at M = 0"),                                     # complex c_0
+    ({0: 0}, "no nonzero coefficient"),
+    *(({0: c}, "must be finite") for c in NON_FINITE),
+    *(({1: c, -1: c}, "must be finite") for c in NON_FINITE),
+], ids=["missing-partner", "asymmetric", "one-ulp-mirror", "lone-c1", "lone-unit-c1", "complex-c0", "empty",
+        "nan", "inf", "nan-imag", "nan-pair", "inf-pair", "nan-imag-pair"])
+def test_construction_rejects_a_drive_that_is_not_real(coeffs, match):
+    with pytest.raises(ValueError, match=match):
+        PulseShape.from_dict("bad", coeffs)
+    with pytest.raises(ValueError, match=match):
+        PulseShape("bad", tuple(coeffs.items()))
 
 
-@pytest.mark.parametrize("c", [complex(np.nan, 0), complex(np.inf, 0), complex(0.5, np.nan)])
-def test_validate_shape_flags_non_finite(c):
-    # NaN compares false with any tolerance, so the check must be written to fail on it
-    assert "conjugate symmetry" in validate_shape(PulseShape.from_dict("bad", {0: c})).rules()
-    assert "conjugate symmetry" in validate_shape(PulseShape.from_dict("bad", {1: c, -1: c})).rules()
+finite = st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False)
 
 
-@given(st.dictionaries(st.integers(1, 4),
-                       st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False),
-                       max_size=4),
+@given(st.dictionaries(st.integers(1, 4), st.one_of(st.just(0j), finite), max_size=4),
+       st.one_of(st.just(0.0), st.floats(-2, 2)),
+       st.dictionaries(st.integers(-4, 4), st.one_of(st.just(0j), finite), max_size=2),
        st.floats(0, 1))
-def test_symmetric_maps_are_real(half, tau):
-    coeffs = {0: 1.0 + 0j}
+def test_a_finite_map_is_accepted_iff_conjugate_symmetric(half, c0, edits, tau):
+    # a conjugate-symmetric map, then a few entries overwritten, which mostly breaks it
+    coeffs = {0: complex(c0)}
     for M, c in half.items():
-        coeffs[M] = c
-        coeffs[-M] = c.conjugate()
+        coeffs[M], coeffs[-M] = c, c.conjugate()
+    coeffs.update(edits)
+    nonzero = {M: c for M, c in coeffs.items() if c != 0}
+    if not nonzero or any(nonzero.get(-M, 0) != c.conjugate() for M, c in nonzero.items()):
+        with pytest.raises(ValueError):
+            PulseShape.from_dict("random", coeffs)
+        return
     shape = PulseShape.from_dict("random", coeffs)
-    assert validate_shape(shape).ok
-    envelope_at(shape, tau)  # raises if the imaginary residue is not tiny
+    assert shape.coefficients == nonzero  # zero entries are dropped
+    f = sum(c * np.exp(2j * np.pi * M * tau) for M, c in nonzero.items())
+    assert abs(f.imag) <= 1e-14 * max(1.0, abs(f))
+    assert envelope_at(shape, tau) == pytest.approx(f.real, rel=1e-14, abs=1e-14)

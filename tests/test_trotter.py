@@ -187,17 +187,6 @@ def test_blocked_kernel_matches_dense_reference(params_omega2, pulse, n_steps, r
     assert unitarity_defect(U) <= 1e-12
 
 
-@pytest.mark.parametrize("route", [
-    trotter.propagate_numeric, trotter.propagate_numeric_exact_displacement,
-], ids=["series", "exact_displacement"])
-def test_non_hermitian_hamiltonian_rejected(base_params, route):
-    # c_1 without its conjugate partner c_-1 makes H(tau) non-Hermitian
-    bad = PulseShape.from_dict("bad", {1: 0.5})
-    cfg = TrotterConfig(steps_override=200, allow_understep=True)
-    with pytest.raises(ValueError, match="not Hermitian"):
-        route(base_params.replace(omega_T=10.0), bad, cfg)
-
-
 @pytest.mark.parametrize("omega_T", [float("nan"), float("inf")])
 def test_non_finite_hamiltonian_rejected(base_params, rect, omega_T):
     cfg = TrotterConfig(steps_override=200, allow_understep=True)
