@@ -54,16 +54,14 @@ def omega_2(params: GateParams) -> float:
     return (math.pi / eta) * math.sqrt(num / den) if den != 0 and num / den >= 0 else math.nan
 
 
-def omega_4(params: GateParams, s: float | None = None) -> float:
+def omega_4(params: GateParams) -> float:
     """Fourth-order-corrected amplitude.
 
-    Omega_4^2*T^2 = sqrt(2)*pi^2*L*(s - sqrt(s^2 - (K^2-L^2))) / (sqrt(K)*eta).
-    NaN when s^2 < K^2 - L^2 (no real solution), as omega_2 is.  The optional
-    ``s`` argument overrides the default s(eta); at fixed s the amplitude
-    scales exactly as eta^(-1/2).
+    Omega_4^2*T^2 = sqrt(2)*pi^2*L*(s - sqrt(s^2 - (K^2-L^2))) / (sqrt(K)*eta),
+    s = ``s_parameter``.  NaN when s^2 < K^2 - L^2 (no real solution), as omega_2 is.
     """
     K, L, eta = params.K, params.L, params.eta
-    s = s_parameter(params) if s is None else s
+    s = s_parameter(params)
     disc = s * s - (K * K - L * L)
     if disc < 0:
         return math.nan

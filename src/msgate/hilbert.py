@@ -99,7 +99,8 @@ def matrix_exp(A: np.ndarray) -> np.ndarray:
 
 def drive_taps(params: GateParams, pulse: PulseShape) -> tuple[np.ndarray, np.ndarray]:
     """Beat notes N_g = M -/+ L and weights c_g = c_M of the scalar drive
-    g(tau) = f(tau) 2 cos(2 pi L tau) = sum_g c_g exp(i 2 pi N_g tau), by M, then mu."""
+    g(tau) = f(tau) 2 cos(2 pi L tau) = sum_g c_g exp(i 2 pi N_g tau), by M, then mu:
+    the one form in which ``magnus`` and ``trotter`` read the pulse."""
     N, c = zip(*[(beat_note(M, 0, mu, params), pulse.c(M)) for M in pulse.support for mu in (-1, 1)])
     return np.array(N), np.array(c)
 

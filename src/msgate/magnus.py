@@ -19,7 +19,7 @@ with the number of distinct partial beat-note sums instead of the raw tuple
 count (which exceeds 1e8 at order 5 for a three-harmonic pulse).  Only the
 operator values J_m (x) A_m depend on eta, and in the blocks each is a partial
 permutation (A_m raises the Fock level by exactly m), so the stacks are ~10%
-filled.  The pass therefore keeps, per (K, L, pulse, n_dim, m_max, order), a
+filled.  The pass therefore keeps, per (K, drive taps, n_dim, m_max, order), a
 plan of the structurally nonzero stack entries and of the sparse maps between
 them, built in one loop, and each eta costs three sparse products per order.
 The top order is only read out at tau = 1, where int_0^1 e^{i 2 pi nu tau} dtau
@@ -45,7 +45,7 @@ import scipy.sparse
 
 from . import hilbert, resint
 from .params import GateParams
-from .pulses import PulseShape, rectangular
+from .pulses import PulseShape
 
 
 # The transfer pass keys tau^p e^{i 2 pi nu tau} as nu * _POWERS + p (p <= 5).
@@ -55,26 +55,28 @@ _POWERS = 8
 def dyson_hat_terms(params: GateParams, pulse: PulseShape, up_to: int) -> list[tuple]:
     """P_k / (Omega*T)^k for k = 1..up_to in block form (``hilbert.embed``), from one
     transfer pass; the last 8 are cached, keyed by what they depend on (not omega_T,
-    nbar or k_max)."""
-    return _transfer_dyson(params.eta, params.K, params.L, params.n_dim, params.m_max,
-                           pulse.cache_key(), up_to)
+    nbar or k_max): the pulse and L by the taps of ``hilbert.drive_taps``."""
+    taps, tap_c = hilbert.drive_taps(params, pulse)
+    return _transfer_dyson(params.eta, params.K, tuple(taps.tolist()), tuple(tap_c.tolist()),
+                           params.n_dim, params.m_max, up_to)
 
 
 @lru_cache(maxsize=8)
-def _transfer_dyson(eta, K, L, n_dim, m_max, coeffs, up_to) -> list[tuple]:
+def _transfer_dyson(eta, K, taps, tap_c, n_dim, m_max, up_to) -> list[tuple]:
     """The transfer pass inside the blocks of ``hilbert.symmetry_blocks``: every
     term operator commutes with both symmetries and annihilates the exchange
     singlets, so each P_k is the pair (P_+, P_-) and 0 on the singlets.
 
     Only the operator values J_m (x) A_m depend on eta.  Everything else is the
-    cached ``_plan`` of (K, L, pulse, n_dim, m_max, up_to), so the state is one
+    cached ``_plan`` of (K, taps, n_dim, m_max, up_to), so the state is one
     vector x over the plan's entries of both block stacks and each lower order costs
     three sparse products: y = A(ops) x, P_k = (-i)^k R y and x = S y.  The top
     order is read out from x in one product.
     """
-    plan = _plan(K, L, coeffs, n_dim, m_max, up_to)
-    # H = g(tau) sum_m e^{i 2 pi m K tau} J_m (x) A_m: the values of the J_m (x) A_m
-    ops = hilbert.hamiltonian_terms(GateParams(eta=eta, K=K, L=L, n_dim=n_dim, m_max=m_max))
+    plan = _plan(K, taps, tap_c, n_dim, m_max, up_to)
+    # H = g(tau) sum_m e^{i 2 pi m K tau} J_m (x) A_m: the values of the J_m (x) A_m, which
+    # read eta, n_dim and m_max only
+    ops = hilbert.hamiltonian_terms(GateParams(eta=eta, K=K, L=0, n_dim=n_dim, m_max=m_max))
     values = np.concatenate([X.ravel() for X in ops])
     sizes = [X.shape[-1] ** 2 for X in ops]
     x = np.ones(len(plan[0][0]) - 1, dtype=complex)  # the identity on key 0
@@ -145,7 +147,7 @@ def _index(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=1)
-def _plan(K, L, coeffs, n_dim, m_max, up_to) -> tuple:
+def _plan(K, taps, tap_c, n_dim, m_max, up_to) -> tuple:
     """What the transfer pass does at every eta, from structure alone.  Only the last
     plan is kept (2.8 MB for sin^2 at order 5, n_dim 8, m_max 3): a sweep varies eta or
     omega_T at one key, or K without coming back to a key.
@@ -161,15 +163,14 @@ def _plan(K, L, coeffs, n_dim, m_max, up_to) -> tuple:
     kept: R holds the nonzero weights, the top order the pairs of nonzero weight, and
     the last S builds only the entries (key, q) that such a pair reads, those where a
     sideband out of q moves the key onto a nonzero weight."""
-    taps, tap_c = hilbert.drive_taps(GateParams(eta=0.0, K=K, L=L), PulseShape("", coeffs))
     # the keys of order up_to reach |nu| <= up_to (max|N_g| + m_max K), and all must be int64
-    reach = up_to * (max(abs(int(N)) for N in taps) + m_max * K)
+    reach = up_to * (max(map(abs, taps)) + m_max * K)
     if (reach + 1) * _POWERS > np.iinfo(np.int64).max:
         raise ValueError(f"beat-note sums up to {reach} at order {up_to} do not fit the int64 "
                          f"keys nu * {_POWERS} + p of the transfer pass")
     # by beat note, so that a row of the transposed drive sums in the order of the keys
     by_note = np.argsort(taps, kind="stable")
-    taps, tap_c = taps[by_note], tap_c[by_note]
+    taps, tap_c = np.array(taps)[by_note], np.array(tap_c)[by_note]
     size, move_ptr, move_q, move_m, move_where, identity, q_bits = _sideband_moves(n_dim, m_max)
     keys, key, q = np.zeros(1, dtype=np.int64), 0 * identity, identity
     stage, orders = _key_step(keys, K, m_max, taps, tap_c), []
@@ -339,12 +340,10 @@ def _sequence_dyson(params: GateParams, pulse: PulseShape, k: int) -> tuple:
     return tuple(p_hat)
 
 
-def dyson_term(k: int, params: GateParams, pulse: PulseShape | None = None,
-               method: str = "transfer") -> np.ndarray:
+def dyson_term(k: int, params: GateParams, pulse: PulseShape, method: str = "transfer") -> np.ndarray:
     """k-th Dyson term P_k, including the (-i)^k and (Omega*T)^k factors."""
     if not 1 <= k <= 5:
         raise ValueError(f"order k={k} outside [1, 5]")
-    pulse = pulse if pulse is not None else rectangular()
     if method == "transfer":
         p_hat = dyson_hat_terms(params, pulse, k)[k - 1]
     elif method == "tuples":
@@ -354,11 +353,8 @@ def dyson_term(k: int, params: GateParams, pulse: PulseShape | None = None,
     return (params.omega_T ** k) * hilbert.embed(p_hat, params.n_dim, 0.0)
 
 
-def magnus_terms(params: GateParams, pulse: PulseShape | None = None,
-                 up_to: int | None = None) -> dict[int, tuple]:
+def magnus_terms(params: GateParams, pulse: PulseShape, up_to: int) -> dict[int, tuple]:
     """Effective-Hamiltonian orders {k: (Z_+, Z_-)} for k = 2..up_to in block form."""
-    pulse = pulse if pulse is not None else rectangular()
-    up_to = up_to if up_to is not None else params.k_max
     if not 2 <= up_to <= 5:
         raise ValueError(f"up_to={up_to} outside [2, 5]")
     w = params.omega_T
@@ -371,8 +367,7 @@ def magnus_terms(params: GateParams, pulse: PulseShape | None = None,
     return {k: tuple(Z[k] for Z in per_block) for k in per_block[0]}
 
 
-def propagators_upto(params: GateParams, pulse: PulseShape | None = None,
-                     max_order: int = 4) -> dict[int, tuple]:
+def propagators_upto(params: GateParams, pulse: PulseShape, max_order: int) -> dict[int, tuple]:
     """Truncated propagators {n: (U_+, U_-)} in block form, U_n = exp(-i sum_{k=2}^n Z_k)
     for n = 2..max_order, from a single assembly and one exponential per block, taken
     of the stack of its running sums over the orders."""

@@ -38,22 +38,11 @@ class PulseShape:
         return PulseShape(name, tuple(coeffs.items()))
 
     @property
-    def coefficients(self) -> dict[int, complex]:
-        return dict(self._coeffs)
-
-    @property
     def support(self) -> tuple[int, ...]:
         return tuple(M for M, _ in self._coeffs)
 
-    @property
-    def max_harmonic(self) -> int:
-        return max(abs(M) for M in self.support)
-
     def c(self, M: int) -> complex:
         return dict(self._coeffs).get(M, 0j)
-
-    def cache_key(self) -> tuple:
-        return self._coeffs
 
 
 def rectangular() -> PulseShape:

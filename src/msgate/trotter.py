@@ -10,7 +10,7 @@ import numpy as np
 
 from . import hilbert
 from .params import GateParams
-from .pulses import PulseShape, rectangular
+from .pulses import PulseShape
 
 
 # the most steps a product is taken over: its grid arrays take ~40 bytes a step
@@ -22,17 +22,16 @@ class TrotterConfig:
     """Step-count policy for the product-formula propagator.
 
     The step count must resolve the fastest beat note and the drive itself:
-    N_t >= ceil(safety * max(2 * pi * max|N|, omega_T max|g| ||B_0||)) with
-    max|N| = max_harmonic + m_max * K + L, so that no step turns a phase or the
-    state by more than 1/safety.  A bound above MAX_STEPS (a drive so strong that
+    N_t >= ceil(safety * max(2 * pi * max|N_g + m K|, omega_T max|g| ||B_0||)) over the
+    taps N_g of ``hilbert.drive_taps`` and |m| <= m_max, so that no step turns a phase or
+    the state by more than 1/safety.  A bound above MAX_STEPS (a drive so strong that
     no product can resolve it) is an error.  The default N_t is that bound
     rounded up to a multiple of the drive period d (``drive_period``: L for rect,
     1 for sin^2), so the grid is never coarser than the bound and holds d whole
     periods.
     Each step samples the Hamiltonian at its centre (the exponential midpoint
-    rule, second-order accurate).  ``steps_override`` is taken as given: below
-    the bound it is rejected unless ``allow_understep`` is set; a step count
-    below 1 (``safety <= 0``) is always rejected.
+    rule, second-order accurate).  ``steps_override`` is taken as given; a step
+    count below 1 (``safety <= 0``) is rejected.
 
     The policy fixes which steps are taken, not how each is exponentiated:
     every step is exact up to rounding at any norm (one ``eigh`` per symmetry
@@ -43,34 +42,26 @@ class TrotterConfig:
 
     safety: float = 10.0
     steps_override: int | None = None
-    allow_understep: bool = False
-
-    def max_beat_note(self, params: GateParams, pulse: PulseShape) -> int:
-        return pulse.max_harmonic + params.m_max * params.K + params.L
-
-    def max_drive_angle(self, params: GateParams, pulse: PulseShape) -> float:
-        """A bound on omega_T max|g| ||B_0||, the rate at which the drive turns the state:
-        |g| <= 2 sum_M |c_M| and ||B_0|| <= sum_m ||A_m|| (``_sideband_norm``).  A Python
-        float, so an overflow gives inf."""
-        return (params.omega_T * 2 * sum(map(abs, pulse.coefficients.values()))
-                * _sideband_norm(params.eta, params.n_dim, params.m_max))
 
     def num_steps(self, params: GateParams, pulse: PulseShape) -> int:
-        bound = self.safety * max(2 * math.pi * self.max_beat_note(params, pulse),
-                                  self.max_drive_angle(params, pulse))
-        if self.steps_override is None and not bound <= MAX_STEPS:
-            raise ValueError(f"resolving the drive takes {bound:.3g} steps, more than {MAX_STEPS} "
-                             f"(omega_T {params.omega_T}, pulse {pulse.name})")
-        period = drive_period(hilbert.drive_taps(params, pulse)[0])
-        steps = period * -(-math.ceil(bound) // period) if self.steps_override is None else self.steps_override
+        steps = self.steps_override
+        if steps is None:
+            taps, coeffs = hilbert.drive_taps(params, pulse)
+            # max|N_g + m K| in ints, and a bound on omega_T max|g| ||B_0||, the rate at which
+            # the drive turns the state: |g| <= 2 sum_M |c_M| and ||B_0|| <= sum_m ||A_m||
+            # (``_sideband_norm``), in Python floats, so an overflow gives inf
+            beat = max(abs(int(N)) for N in taps) + params.m_max * params.K
+            drive = (params.omega_T * 2 * sum(map(abs, coeffs[::2].tolist()))
+                     * _sideband_norm(params.eta, params.n_dim, params.m_max))
+            bound = self.safety * max(2 * math.pi * beat, drive)
+            if not bound <= MAX_STEPS:
+                raise ValueError(f"resolving the drive takes {bound:.3g} steps, more than {MAX_STEPS} "
+                                 f"(omega_T {params.omega_T}, pulse {pulse.name})")
+            period = drive_period(taps)
+            steps = period * -(-math.ceil(bound) // period)
         if steps < 1:  # no step at all would return the identity as the propagator
             raise ValueError(f"step count {steps} < 1 (safety={self.safety}, "
                              f"steps_override={self.steps_override})")
-        if steps < bound and not self.allow_understep:
-            raise ValueError(
-                f"steps_override={self.steps_override} below the resolution "
-                f"bound {bound:.6g}; set allow_understep to force"
-            )
         return steps
 
 
@@ -190,8 +181,7 @@ def _block_propagator(frame: tuple, amps: np.ndarray, periods: int, fold: bool) 
     return np.linalg.matrix_power(_newton_schulz(P), periods) if periods > 1 else P
 
 
-def _propagate(builder, params: GateParams, pulse: PulseShape | None,
-               config: TrotterConfig | None) -> tuple:
+def _propagate(builder, params: GateParams, pulse: PulseShape, config: TrotterConfig) -> tuple:
     """Product of exp(-i H(tau_n) dtau), latest factor leftmost, for a ``hilbert``
     Hamiltonian ``builder``, in its rotating frame inside the symmetry blocks: the
     block form (U_+, U_-) of ``hilbert.embed``, the identity on the exchange singlets,
@@ -215,8 +205,6 @@ def _propagate(builder, params: GateParams, pulse: PulseShape | None,
 
     Period power: H~(tau + 1/p) = H~(tau) and tau_{k+n} = tau_k + 1/p, so U = P^p.
     """
-    pulse = pulse if pulse is not None else rectangular()
-    config = config if config is not None else TrotterConfig()
     n_steps = config.num_steps(params, pulse)
     frame = _frame(builder, params.eta, params.K, params.n_dim, params.m_max, n_steps)
     taps, coeffs = hilbert.drive_taps(params, pulse)
@@ -236,16 +224,15 @@ def _propagate(builder, params: GateParams, pulse: PulseShape | None,
     return tuple(_block_propagator(block, amps, periods, fold) for block in frame)
 
 
-def propagate_numeric(params: GateParams, pulse: PulseShape | None = None,
-                      config: TrotterConfig | None = None) -> tuple:
+def propagate_numeric(params: GateParams, pulse: PulseShape,
+                      config: TrotterConfig = TrotterConfig()) -> tuple:
     """Product of exp(-i H(tau_n) dtau) using the sideband-truncated Hamiltonian,
     in block form (U_+, U_-)."""
     return _propagate(hilbert.sideband_hamiltonian, params, pulse, config)
 
 
-def propagate_numeric_exact_displacement(params: GateParams,
-                                         pulse: PulseShape | None = None,
-                                         config: TrotterConfig | None = None) -> tuple:
+def propagate_numeric_exact_displacement(params: GateParams, pulse: PulseShape,
+                                         config: TrotterConfig = TrotterConfig()) -> tuple:
     """Same product formula with the displacement exponential built exactly instead of
     the m_max-truncated sideband series: separates sideband truncation from time steps."""
     return _propagate(hilbert.displacement_hamiltonian, params, pulse, config)

@@ -73,14 +73,6 @@ def test_combined_dy_is_the_docstring_quadratic(K, L, eta):
     assert combined_dy(p, omega_4(p)) == pytest.approx(-math.pi / 2, rel=1e-12)
 
 
-def test_omega_4_fixed_s_scaling(base_params):
-    # at fixed s the closed form scales exactly as eta^(-1/2)
-    s = budget.s_parameter(base_params)
-    a = omega_4(base_params.replace(eta=0.1), s=s)
-    b = omega_4(base_params.replace(eta=0.4), s=s)
-    assert b / a == pytest.approx(0.5, rel=1e-12)
-
-
 def test_omega_4_invalid_when_discriminant_negative():
     p = GateParams(eta=0.02, K=28, L=25)  # s^2 < K^2 - L^2
     assert math.isnan(omega_4(p))

@@ -87,7 +87,7 @@ def test_pulse_from_config(tmp_path):
 
     assert pulse("pulse = rect\n").name == "rect"
     assert pulse("pulse = sin2\n").name == "sin2"
-    assert pulse("pulse = custom\npulse_coeffs = 0:0.5:0;1:-0.25:0;-1:-0.25:0\n").max_harmonic == 1
+    assert pulse("pulse = custom\npulse_coeffs = 0:0.5:0;1:-0.25:0;-1:-0.25:0\n").support == (-1, 0, 1)
     with pytest.raises(ConfigError):
         pulse("pulse = triangle\n")
 
@@ -606,6 +606,56 @@ def test_every_top_level_name_has_a_product_reference():
                         unreferenced.add(f"{stmt.name}.{method.name}")
     assert "run_sweep" not in unreferenced and len(statements) > 100  # the walk sees the references
     assert sorted(unreferenced) == sorted(UNREFERENCED)
+
+
+# defaulted parameters that no call in src/ or perfbench/ passes, each kept for its reason
+UNPASSED_DEFAULTS = {
+    "table_rows.n": "the printed budget is the Fock-level-0 table; tests read the rows at other levels",
+    "propagate_numeric_exact_displacement.config": "tests set the steps of the sideband-truncation cross-check",
+    "main.argv": "the console script passes none, so argparse reads sys.argv; tests pass the arguments",
+}
+
+
+def test_every_default_is_passed_by_a_product_call():
+    # each defaulted parameter of a top-level function or method of src/msgate is passed, by
+    # keyword or by position, at some call in src/msgate or perfbench/ (f(...) or x.f(...);
+    # a class name calls its __init__; a *args or **kwargs argument passes every parameter):
+    # a default that every call takes is a constant, and one that only tests pass is a knob
+    # for tests.  Tests do not count
+    root = pathlib.Path(__file__).resolve().parents[1]
+    src = root / "src" / "msgate"
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in sorted([*src.rglob("*.py"), *(root / "perfbench").rglob("*.py")])}
+    calls = {}  # called name -> [(number of positional arguments, keywords)]
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+                calls.setdefault(name, []).append((math.inf if starred else len(node.args),
+                                                   {kw.arg for kw in node.keywords}))
+    unpassed, defaults = set(), 0
+    for path, tree in trees.items():
+        if not path.is_relative_to(src):
+            continue
+        functions = []  # (label, called name, definition, leading parameters the call does not pass)
+        for stmt in tree.body:
+            if isinstance(stmt, ast.FunctionDef):
+                functions.append((stmt.name, stmt.name, stmt, 0))
+            elif isinstance(stmt, ast.ClassDef):
+                functions += [(f"{stmt.name}.{fn.name}", stmt.name if fn.name == "__init__" else fn.name, fn,
+                               0 if any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list) else 1)
+                              for fn in stmt.body if isinstance(fn, ast.FunctionDef)]
+        for label, name, fn, skip in functions:
+            positional = [*fn.args.posonlyargs, *fn.args.args]
+            first = len(positional) - len(fn.args.defaults)
+            defaulted = [(arg.arg, i - skip) for i, arg in enumerate(positional) if i >= first]
+            defaulted += [(arg.arg, math.inf) for arg, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d]
+            defaults += len(defaulted)
+            unpassed.update(f"{label}.{param}" for param, index in defaulted
+                            if not any(param in kws or None in kws or n > index for n, kws in calls.get(name, [])))
+    assert defaults > len(UNPASSED_DEFAULTS) and "run_sweep" in calls  # the walk sees the definitions
+    assert sorted(unpassed) == sorted(UNPASSED_DEFAULTS)
 
 
 @pytest.mark.parametrize("lines", [

@@ -231,9 +231,30 @@ def test_dyson_cache_reuse(base_params, rect, monkeypatch):
     assert all(np.array_equal(x, y) for X, Y in zip(again, a) for x, y in zip(X, Y))
 
 
-def test_plan_does_not_depend_on_the_first_eta(clear_transfer):
+def _taps(p, pulse):
+    """The drive taps of ``hilbert.drive_taps`` as the Dyson cache and the plan key them."""
+    taps, tap_c = hilbert.drive_taps(p, pulse)
+    return tuple(taps.tolist()), tuple(tap_c.tolist())
+
+
+def test_dyson_cache_is_keyed_by_the_taps(base_params, rect, clear_transfer):
+    # a custom 0:1:0 pulse has the flat pulse's taps, so it reads the same entry, and a
+    # five-point omega sweep of either misses once
+    custom = PulseShape.from_dict("custom", {0: 1.0})
+    clear_transfer()
+    first = magnus.dyson_hat_terms(base_params, rect, 4)
+    assert magnus.dyson_hat_terms(base_params, custom, 4) is first
+    for w in np.linspace(20.0, 40.0, 5):
+        assert magnus.dyson_hat_terms(base_params.replace(omega_T=w), custom, 4) is first
+    info = magnus._transfer_dyson.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 6, 1)
+    assert magnus._plan.cache_info().misses == 1
+
+
+def test_plan_does_not_depend_on_the_first_eta(base_params, sin2, clear_transfer):
     # at eta = 0 every m != 0 operator vanishes; the plan built there must keep their entries
-    key = (28, 25, 8, 3, sin_squared().cache_key(), 5)
+    p = base_params
+    key = (p.K, *_taps(p, sin2), p.n_dim, p.m_max, 5)
     clear_transfer()
     magnus._transfer_dyson(0.0, *key)
     reused = magnus._transfer_dyson(0.18, *key)
@@ -282,7 +303,7 @@ def test_top_order_is_minimal(base_params, pulse, up_to):
     # int_0^1 e^{i 2 pi nu tau} dtau = 0 at every integer nu != 0: the top order keeps only
     # its pairs of nonzero weight, and the order below builds only the entries they read
     p = base_params
-    indptr, _, _, weights = magnus._plan(p.K, p.L, pulse.cache_key(), p.n_dim, p.m_max, up_to)[-1]
+    indptr, _, _, weights = magnus._plan(p.K, *_taps(p, pulse), p.n_dim, p.m_max, up_to)[-1]
     assert np.all(weights != 0)
     assert np.all(np.diff(indptr) > 0)
 
@@ -290,7 +311,7 @@ def test_top_order_is_minimal(base_params, pulse, up_to):
 def test_first_order_is_an_empty_top_order(base_params):
     p = base_params.replace(omega_T=29.93)
     for pulse in (rectangular(), sin_squared(), SKEW):
-        _, where, _, _ = magnus._plan(p.K, p.L, pulse.cache_key(), p.n_dim, p.m_max, 1)[-1]
+        _, where, _, _ = magnus._plan(p.K, *_taps(p, pulse), p.n_dim, p.m_max, 1)[-1]
         assert len(where) == 0
         assert not magnus.dyson_term(1, p, pulse).any()
 

@@ -18,7 +18,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from msgate import cli, fidelity, hilbert, magnus
 from msgate.params import GateParams, validate
 from msgate.pulses import PulseShape, rectangular, sin_squared
-from msgate.trotter import TrotterConfig
 from oracles import explicit_term_sum, fock_offdiagonal_max, frame_blocks, full_space_transfer, per_tau_displacement
 
 
@@ -233,7 +232,7 @@ def test_time_reversal_maps_tau_to_one_minus_tau(builder, p, tau, shaped):
     # each of the phases 2 pi N tau and 2 pi N (1 - tau) is rounded by up to
     # 2 pi |N| eps (measured worst: 3.5 |N| eps over 1,500 random points);
     # relative to max|H(tau)| itself the defect is unbounded near the carrier nodes
-    max_n = TrotterConfig().max_beat_note(p, pulse)
+    max_n = max(abs(N) for N in hilbert.drive_taps(p, pulse)[0]) + p.m_max * p.K
     assert max(defects) <= 4 * np.pi * max_n * np.finfo(float).eps * scale
 
 

@@ -6,8 +6,10 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings, strategies as st
 
 from msgate import fidelity, hilbert, trotter
+from msgate.params import GateParams
 from msgate.pulses import PulseShape, rectangular, sin_squared
 from msgate.trotter import TrotterConfig
 from oracles import SKEW, frame_blocks, guard_band_indices, unitarity_defect
@@ -20,34 +22,52 @@ def _full(U, params):
 
 def test_step_count_bound(base_params, rect, sin2):
     cfg = TrotterConfig()
-    # max |N| = max_harmonic + m_max * K + L = 0 + 84 + 25
-    assert cfg.max_beat_note(base_params, rect) == 109
+    # max |N_g + m K| = L + m_max K = 25 + 84 for rect (taps +/-L)
     bound = int(np.ceil(2 * np.pi * 10 * 109))
     # the rect drive (taps +/-L) repeats L = 25 times: the bound rounded up to a multiple of L
     assert cfg.num_steps(base_params, rect) == 25 * -(-bound // 25) == 6850 >= bound
-    # sin2 (taps L and L +/- 1, gcd 1) takes exactly the bound
+    # sin2 (taps L and L +/- 1, gcd 1) takes exactly the bound, one harmonic higher
     assert cfg.num_steps(base_params, sin2) == int(np.ceil(2 * np.pi * 10 * 110))
+    # a drive that no product resolves is an error, unless the steps are given
+    for pulse in (rect, sin2):
+        strong = base_params.replace(omega_T=1e300)
+        with pytest.raises(ValueError, match="resolving the drive takes"):
+            cfg.num_steps(strong, pulse)
+        assert TrotterConfig(steps_override=100).num_steps(strong, pulse) == 100
 
 
-@pytest.mark.parametrize("shaped", [False, True])
-def test_step_count_resolves_the_drive(base_params, shaped):
-    pulse = sin_squared() if shaped else rectangular()
-    cfg = TrotterConfig()
-    beat = 2 * np.pi * cfg.safety * cfg.max_beat_note(base_params, pulse)
-    # the bound holds: omega_T max|g| ||B_0|| from the generator and the drive on a fine grid
-    p = base_params.replace(omega_T=50.0)
-    norm = max(np.abs(np.linalg.eigvalsh(B)).max() for B in hilbert.sideband_hamiltonian(p))
+@st.composite
+def real_drives(draw):
+    """A conjugate-symmetric pulse with harmonics up to 6 and complex coefficients."""
+    half = draw(st.dictionaries(st.integers(1, 6), st.complex_numbers(max_magnitude=1, allow_nan=False,
+                                                                      allow_infinity=False), max_size=4))
+    coeffs = {0: complex(draw(st.floats(-1, 1))), **half, **{-M: c.conjugate() for M, c in half.items()}}
+    assume(any(coeffs.values()))
+    return PulseShape.from_dict("random", coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pulse=real_drives(), L=st.integers(1, 40), dK=st.integers(1, 40), eta=st.floats(0.01, 0.6),
+       m_max=st.integers(1, 4), extra_dim=st.integers(0, 6), omega_T=st.floats(0, 300),
+       safety=st.floats(0.5, 20))
+def test_step_count_resolves_the_drive(pulse, L, dK, eta, m_max, extra_dim, omega_T, safety):
+    p = GateParams(eta=eta, K=L + dK, L=L, omega_T=omega_T, n_dim=m_max + 2 + extra_dim, m_max=m_max)
+    n_steps = TrotterConfig(safety=safety).num_steps(p, pulse)
     taps, coeffs = hilbert.drive_taps(p, pulse)
-    drive = np.exp(2j * np.pi * np.outer(np.linspace(0, 1, 10001), taps)) @ coeffs
-    assert p.omega_T * np.abs(drive).max() * norm <= cfg.max_drive_angle(p, pulse)
-    # at a preset drive the beat notes set the step count, a 200 times stronger one sets it itself
-    assert cfg.safety * cfg.max_drive_angle(p, pulse) < beat
-    strong = p.replace(omega_T=1e4)
-    assert cfg.num_steps(strong, pulse) >= cfg.safety * cfg.max_drive_angle(strong, pulse) > beat
-    # and a drive that no product resolves is an error, unless the steps are given
-    with pytest.raises(ValueError, match="resolving the drive takes"):
-        cfg.num_steps(p.replace(omega_T=1e300), pulse)
-    assert TrotterConfig(steps_override=100, allow_understep=True).num_steps(p.replace(omega_T=1e300), pulse) == 100
+    # no step turns a beat note by more than 2 pi / safety ...
+    beat = max(abs(N + m * p.K) for N in taps for m in range(-m_max, m_max + 1))
+    assert n_steps >= safety * 2 * np.pi * beat
+    # ... nor the state by more than 1 / safety: omega_T max|g| ||B_b||, with g on a fine grid
+    norm = max(np.abs(np.linalg.eigvalsh(B)).max() for B in hilbert.sideband_hamiltonian(p))
+    drive = np.exp(2j * np.pi * np.outer(np.linspace(0, 1, 4001), taps)) @ coeffs
+    assert n_steps >= safety * omega_T * np.abs(drive).max() * norm
+    # the grid holds whole drive periods and is less than one period above the bound,
+    # whose drive term is omega_T 2 sum_M |c_M| sum_m ||A_m||
+    period = trotter.drive_period(taps)
+    drive_bound = omega_T * 2 * sum(abs(pulse.c(M)) for M in pulse.support) * sum(
+        np.abs(hilbert.sideband_operator(m, eta, p.n_dim)).max() for m in range(-m_max, m_max + 1))
+    assert n_steps % period == 0
+    assert n_steps < safety * max(2 * np.pi * beat, drive_bound) * (1 + 1e-12) + period
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts minor page faults as Linux does")
@@ -69,20 +89,15 @@ def test_repeated_unum_faults_no_memory_back_in(params_omega2):
     assert float(out) < 100
 
 
-def test_step_count_with_harmonics(base_params, sin2):
-    assert TrotterConfig().max_beat_note(base_params, sin2) == 110
-
-
-def test_understep_rejected(base_params, rect):
-    with pytest.raises(ValueError):
-        TrotterConfig(steps_override=100).num_steps(base_params, rect)
-    cfg = TrotterConfig(steps_override=100, allow_understep=True)
-    assert cfg.num_steps(base_params, rect) == 100
+def test_steps_override_is_taken_as_given(base_params, rect):
+    # below the resolution bound (6,850 steps) as well as above it
+    for n_steps in (100, 6849, 20000):
+        assert TrotterConfig(steps_override=n_steps).num_steps(base_params, rect) == n_steps
 
 
 @pytest.mark.parametrize("cfg", [
     TrotterConfig(safety=0.0), TrotterConfig(safety=-3.0),
-    TrotterConfig(steps_override=0, allow_understep=True),
+    TrotterConfig(steps_override=0),
 ], ids=["safety-0", "safety-negative", "override-0"])
 def test_no_steps_rejected(base_params, rect, cfg):
     # zero steps would return the identity as the propagator
@@ -94,7 +109,7 @@ def test_no_steps_rejected(base_params, rect, cfg):
 
 def test_zero_drive_is_identity(base_params, rect):
     p = base_params.replace(omega_T=0.0)
-    cfg = TrotterConfig(steps_override=200, allow_understep=True)
+    cfg = TrotterConfig(steps_override=200)
     assert np.allclose(_full(trotter.propagate_numeric(p, rect, cfg), p), np.eye(4 * p.n_dim))
     assert np.allclose(_full(trotter.propagate_numeric_exact_displacement(p, rect, cfg), p),
                        np.eye(4 * p.n_dim))
@@ -125,10 +140,8 @@ def test_step_halving(params_omega2, rect, weights, unum_omega2):
 
 
 def test_exact_displacement_small_eta(rect):
-    from msgate.params import GateParams
-
     p = GateParams(eta=1e-9, K=28, L=25, omega_T=10.0)
-    cfg = TrotterConfig(steps_override=2000, allow_understep=True)
+    cfg = TrotterConfig(steps_override=2000)
     a = trotter.propagate_numeric(p, rect, cfg)
     b = trotter.propagate_numeric_exact_displacement(p, rect, cfg)
     assert np.abs(_full(a, p) - _full(b, p)).max() < 1e-10
@@ -164,6 +177,16 @@ PERIOD_5 = PulseShape.from_dict("period-5", {0: 0.5, 5: 0.25, -5: 0.25})
 SKEW_5 = PulseShape.from_dict("skew-5", {0: 0.5, 5: 0.25j, -5: -0.25j})
 
 
+# step counts read off before the bound was computed from the drive taps: the beat notes
+# set PERIOD_5's (rounded up to a multiple of d = 5), a strong drive sets the other three
+@pytest.mark.parametrize("pulse, omega_T, safety, n_steps", [
+    (PERIOD_5, 0.0, 10.0, 7165), (SKEW, 1e4, 10.0, 410978),
+    (rectangular(), 1e4, 3.7, 152075), (PERIOD_5, 2e3, 10.0, 82200),
+], ids=["period-5", "skew-strong", "rect-strong", "period-5-strong"])
+def test_step_count_keeps_its_values(base_params, pulse, omega_T, safety, n_steps):
+    assert TrotterConfig(safety=safety).num_steps(base_params.replace(omega_T=omega_T), pulse) == n_steps
+
+
 # step norms ||H_b dtau|| at these parameters: 0.26 at 400 steps, 0.053 at 2000,
 # 1.7 at 60, 0.015 at the default 6,850 (None); there, and at 400, 425 and 2000, the
 # rect product is the power of one folded period (25 periods of 274, 16, 17 and 80
@@ -179,8 +202,7 @@ SKEW_5 = PulseShape.from_dict("skew-5", {0: 0.5, 5: 0.25j, -5: -0.25j})
     (trotter.propagate_numeric_exact_displacement, hilbert.displacement_hamiltonian),
 ], ids=["series", "exact_displacement"])
 def test_blocked_kernel_matches_dense_reference(params_omega2, pulse, n_steps, route, builder):
-    cfg = TrotterConfig() if n_steps is None else TrotterConfig(steps_override=n_steps,
-                                                                allow_understep=True)
+    cfg = TrotterConfig() if n_steps is None else TrotterConfig(steps_override=n_steps)
     U = _full(route(params_omega2, pulse, cfg), params_omega2)
     ref = _dense_reference(builder, params_omega2, pulse, cfg.num_steps(params_omega2, pulse))
     assert np.abs(U - ref).max() <= 1e-12
@@ -189,7 +211,7 @@ def test_blocked_kernel_matches_dense_reference(params_omega2, pulse, n_steps, r
 
 @pytest.mark.parametrize("omega_T", [float("nan"), float("inf")])
 def test_non_finite_hamiltonian_rejected(base_params, rect, omega_T):
-    cfg = TrotterConfig(steps_override=200, allow_understep=True)
+    cfg = TrotterConfig(steps_override=200)
     for route in (trotter.propagate_numeric, trotter.propagate_numeric_exact_displacement):
         with pytest.raises(ValueError, match="not finite"):
             route(base_params.replace(omega_T=omega_T), rect, cfg)
@@ -251,7 +273,7 @@ def _non_finite(params):
 def test_bad_generator_raises_on_every_call(clear_transfer, base_params, rect, builder, match):
     # the generator guards run in the cached frame builder; an exception is not cached
     clear_transfer()
-    cfg = TrotterConfig(steps_override=200, allow_understep=True)
+    cfg = TrotterConfig(steps_override=200)
     for _ in range(3):
         with pytest.raises(ValueError, match=match):
             trotter._propagate(builder, base_params.replace(omega_T=10.0), rect, cfg)
@@ -286,7 +308,7 @@ def test_period_power_matches_plain_product(monkeypatch, params_omega2, pulse, r
     assert period == (5 if pulse is PERIOD_5 else 25)
     # 400 steps: 16 or 80 per period, step norm 0.26; 401 is no multiple of d
     for n_steps in (400, 401):
-        cfg = TrotterConfig(steps_override=n_steps, allow_understep=True)
+        cfg = TrotterConfig(steps_override=n_steps)
         U = _full(route(params_omega2, pulse, cfg), params_omega2)
         plain = _full(_plain_product(monkeypatch, route, params_omega2, pulse, cfg), params_omega2)
         if n_steps % period:
