@@ -159,37 +159,37 @@ def level_block(blocks: tuple, n_dim: int, row: int, col: int) -> np.ndarray:
                for X, (n, V) in zip(blocks, block_basis(n_dim)))
 
 
-def hamiltonian_terms(params: GateParams) -> tuple:
+def hamiltonian_terms(eta: float, n_dim: int, m_max: int) -> tuple:
     """The sideband factor of the Hamiltonian H(tau) = g(tau) sum_m exp(i 2 pi m K tau)
     J_m (x) A_m at unit drive: per block of ``block_basis``, the stack of the J_m (x) A_m
     for m = -m_max..m_max.  The drive g is ``drive_taps``'s, and the drive strength
-    omega_T is *not* included so callers can rescale.
-    """
-    ms = range(-params.m_max, params.m_max + 1)
+    omega_T is *not* included so callers can rescale.  Like every builder here, it takes
+    only what its operators depend on: (eta, n_dim, m_max)."""
+    ms = range(-m_max, m_max + 1)
     return to_blocks(np.stack([collective_spin(m) for m in ms]),
-                     np.stack([sideband_operator(m, params.eta, params.n_dim) for m in ms]))
+                     np.stack([sideband_operator(m, eta, n_dim) for m in ms]))
 
 
-def sideband_hamiltonian(params: GateParams) -> tuple:
+def sideband_hamiltonian(eta: float, n_dim: int, m_max: int) -> tuple:
     """The generator pair (B_+, B_-) of the sideband series: per block of ``block_basis``,
     whose columns each hold one Fock level n_b, Q_b^H H(tau) Q_b = omega_T g(tau) r_b B_b
     r_b^H with r_b = exp(i 2 pi K tau n_b).  A_m raises the Fock level by m, so
     exp(i 2 pi m K tau) J_m (x) A_m = R J_m (x) A_m R^H with R = exp(i 2 pi K tau a+a),
     and B_b = Q_b^H B_0 Q_b with B_0 = sum_m J_m (x) A_m.
     """
-    return tuple(X.sum(axis=0) for X in hamiltonian_terms(params))
+    return tuple(X.sum(axis=0) for X in hamiltonian_terms(eta, n_dim, m_max))
 
 
-def displacement_hamiltonian(params: GateParams) -> tuple:
+def displacement_hamiltonian(eta: float, n_dim: int, m_max: int) -> tuple:
     """Like ``sideband_hamiltonian``, with the displacement exponential built exactly
     instead of the m_max-truncated series: the cross-check for the truncation.
     H = g(tau) (J+ (x) D + J- (x) D^H) / 2, where D(tau) = exp(i eta (a e^{-i theta}
     + a+ e^{i theta})) = R D_0 R^H, theta = 2 pi K tau, so the generator is
-    B_0 = (J+ (x) D_0 + J- (x) D_0^H) / 2 with D_0 = exp(i eta (a + a+)).
-    """
+    B_0 = (J+ (x) D_0 + J- (x) D_0^H) / 2 with D_0 = exp(i eta (a + a+)).  Untruncated,
+    it ignores m_max, which it takes only to share the builders' signature."""
     J = collective_spins()
-    a = destroy(params.n_dim)
-    d0 = matrix_exp(1j * params.eta * (a + a.conj().T))
+    a = destroy(n_dim)
+    d0 = matrix_exp(1j * eta * (a + a.conj().T))
     return tuple(X.sum(axis=0) for X in to_blocks(np.stack([J.Jplus, J.Jminus]),
                                                   0.5 * np.stack([d0, d0.conj().T])))
 

@@ -74,9 +74,7 @@ def _transfer_dyson(eta, K, taps, tap_c, n_dim, m_max, up_to) -> list[tuple]:
     order is read out from x in one product.
     """
     plan = _plan(K, taps, tap_c, n_dim, m_max, up_to)
-    # H = g(tau) sum_m e^{i 2 pi m K tau} J_m (x) A_m: the values of the J_m (x) A_m, which
-    # read eta, n_dim and m_max only
-    ops = hilbert.hamiltonian_terms(GateParams(eta=eta, K=K, L=0, n_dim=n_dim, m_max=m_max))
+    ops = hilbert.hamiltonian_terms(eta, n_dim, m_max)
     values = np.concatenate([X.ravel() for X in ops])
     sizes = [X.shape[-1] ** 2 for X in ops]
     x = np.ones(len(plan[0][0]) - 1, dtype=complex)  # the identity on key 0
@@ -330,7 +328,7 @@ def _sequence_dyson(params: GateParams, pulse: PulseShape, k: int) -> tuple:
     first, with the row [Op(-m_max) | ... | Op(m_max)]."""
     W = _sequence_weights(params, pulse, k)
     p_hat = []
-    for ops in hilbert.hamiltonian_terms(params):
+    for ops in hilbert.hamiltonian_terms(params.eta, params.n_dim, params.m_max):
         n, d, _ = ops.shape
         T = W.reshape(-1, n) @ ops.reshape(n, d * d)  # T[m_1..m_{k-1}] = sum_{m_k} W Op(m_k)
         row = ops.transpose(1, 0, 2).reshape(d, n * d)

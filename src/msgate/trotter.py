@@ -22,16 +22,16 @@ class TrotterConfig:
     """Step-count policy for the product-formula propagator.
 
     The step count must resolve the fastest beat note and the drive itself:
-    N_t >= ceil(safety * max(2 * pi * max|N_g + m K|, omega_T max|g| ||B_0||)) over the
+    N_t >= ceil(safety * max(2 * pi * max|N_g + m K|, |omega_T| max|g| ||B_0||)) over the
     taps N_g of ``hilbert.drive_taps`` and |m| <= m_max, so that no step turns a phase or
     the state by more than 1/safety.  A bound above MAX_STEPS (a drive so strong that
-    no product can resolve it) is an error.  The default N_t is that bound
-    rounded up to a multiple of the drive period d (``drive_period``: L for rect,
-    1 for sin^2), so the grid is never coarser than the bound and holds d whole
-    periods.
-    Each step samples the Hamiltonian at its centre (the exponential midpoint
-    rule, second-order accurate).  ``steps_override`` is taken as given; a step
-    count below 1 (``safety <= 0``) is rejected.
+    no product can resolve it) is an error.  The default N_t is that bound rounded up
+    to a multiple of the drive period d (``drive_period``: L for rect, 1 for sin^2), and
+    at least d, so the grid is never coarser than the bound and holds d whole periods.
+    Each step samples the Hamiltonian at its centre (the exponential midpoint rule,
+    second-order accurate).  A config is a valid policy when built, else a ValueError:
+    ``safety`` is positive and finite, and ``steps_override``, taken as given, is None
+    or an integer >= 1 (numpy's too).
 
     The policy fixes which steps are taken, not how each is exponentiated:
     every step is exact up to rounding at any norm (one ``eigh`` per symmetry
@@ -43,26 +43,29 @@ class TrotterConfig:
     safety: float = 10.0
     steps_override: int | None = None
 
-    def num_steps(self, params: GateParams, pulse: PulseShape) -> int:
+    def __post_init__(self):
+        if not 0 < self.safety < math.inf:  # NaN fails too
+            raise ValueError(f"safety {self.safety} is not a positive finite number")
         steps = self.steps_override
-        if steps is None:
-            taps, coeffs = hilbert.drive_taps(params, pulse)
-            # max|N_g + m K| in ints, and a bound on omega_T max|g| ||B_0||, the rate at which
-            # the drive turns the state: |g| <= 2 sum_M |c_M| and ||B_0|| <= sum_m ||A_m||
-            # (``_sideband_norm``), in Python floats, so an overflow gives inf
-            beat = max(abs(int(N)) for N in taps) + params.m_max * params.K
-            drive = (params.omega_T * 2 * sum(map(abs, coeffs[::2].tolist()))
-                     * _sideband_norm(params.eta, params.n_dim, params.m_max))
-            bound = self.safety * max(2 * math.pi * beat, drive)
-            if not bound <= MAX_STEPS:
-                raise ValueError(f"resolving the drive takes {bound:.3g} steps, more than {MAX_STEPS} "
-                                 f"(omega_T {params.omega_T}, pulse {pulse.name})")
-            period = drive_period(taps)
-            steps = period * -(-math.ceil(bound) // period)
-        if steps < 1:  # no step at all would return the identity as the propagator
-            raise ValueError(f"step count {steps} < 1 (safety={self.safety}, "
-                             f"steps_override={self.steps_override})")
-        return steps
+        if steps is not None and not (isinstance(steps, (int, np.integer)) and steps >= 1):
+            raise ValueError(f"steps_override {steps!r} is not an integer >= 1")
+
+    def num_steps(self, params: GateParams, pulse: PulseShape) -> int:
+        if self.steps_override is not None:
+            return self.steps_override
+        taps, coeffs = hilbert.drive_taps(params, pulse)
+        # max|N_g + m K| in ints, and the rate |omega_T| max|g| ||B_0|| at which the drive turns the
+        # state by |g| <= sum_g |c_g| and ``_sideband_norm``, in Python floats: an overflow gives inf
+        beat = max(abs(int(N)) for N in taps) + params.m_max * params.K
+        drive = (abs(params.omega_T) * sum(map(abs, coeffs.tolist()))
+                 * _sideband_norm(params.eta, params.n_dim, params.m_max))
+        bound = self.safety * max(2 * math.pi * beat, drive)
+        if not bound <= MAX_STEPS:
+            raise ValueError(f"resolving the drive takes {bound:.3g} steps, more than {MAX_STEPS} "
+                             f"(omega_T {params.omega_T}, pulse {pulse.name})")
+        # at least one period: the bound is 0 only with no drive and no beat note, where U = I
+        period = drive_period(taps)
+        return period * max(1, -(-math.ceil(bound) // period))
 
 
 @lru_cache(maxsize=64)
@@ -111,8 +114,7 @@ def _frame(builder, eta: float, K: int, n_dim: int, m_max: int, n_steps: int) ->
     ``hilbert.block_basis``, B = V diag(lam) V^H from ``builder``.  None of it depends on
     omega_T or the pulse; the last 8 are kept, read-only.  A non-Hermitian or non-finite
     generator raises here, on every call (an exception is not cached)."""
-    # the builders read eta, n_dim and m_max only
-    generators = builder(GateParams(eta=eta, K=K, L=0, n_dim=n_dim, m_max=m_max))
+    generators = builder(eta, n_dim, m_max)
     defect = max(hilbert.hermiticity_defect(B) / np.abs(B).max() for B in generators)
     if defect > 1e-12:
         raise ValueError(f"Hamiltonian not Hermitian: relative defect {defect:.3e} of the generator")
@@ -190,8 +192,8 @@ def _propagate(builder, params: GateParams, pulse: PulseShape, config: TrotterCo
     (builder, eta, K, n_dim, m_max, N), so a hit returns the arrays a cold call builds.
 
     The steps are Strang steps s_k of the frame Hamiltonian H~(tau) = omega_T g(tau) B
-    + 2 pi K a+a: B per block from ``builder(params)``, g from ``hilbert.drive_taps`` and
-    the Fock levels of the block columns from ``hilbert.block_basis``.  Their product over
+    + 2 pi K a+a: B per block from ``builder(eta, n_dim, m_max)``, g from ``hilbert.drive_taps``
+    and the Fock levels of the block columns from ``hilbert.block_basis``.  Their product over
     the gate is U, since the frame R(tau) = exp(i 2 pi K tau a+a) is the identity at
     tau = 0 and 1 for integer K.  Let p be the drive period d (``drive_period``) when it
     divides N, else 1: then g(tau + 1/p) = g(tau), and the first period [0, 1/p] holds

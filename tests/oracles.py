@@ -48,13 +48,15 @@ def frame_blocks(generators, params, pulse, taus):
 def hamiltonian_at(tau, params, pulse):
     """Dimensionless interaction Hamiltonian T*H(tau*T)/hbar at one instant, as the
     composite matrix of its blocks."""
-    blocks = frame_blocks(hilbert.sideband_hamiltonian(params), params, pulse, np.array([tau]))
+    generators = hilbert.sideband_hamiltonian(params.eta, params.n_dim, params.m_max)
+    blocks = frame_blocks(generators, params, pulse, np.array([tau]))
     return hilbert.embed([H[0] for H in blocks], params.n_dim, 0.0)
 
 
 def displacement_hamiltonian_at(tau, params, pulse):
     """The exact-displacement Hamiltonian at one instant."""
-    blocks = frame_blocks(hilbert.displacement_hamiltonian(params), params, pulse, np.array([tau]))
+    generators = hilbert.displacement_hamiltonian(params.eta, params.n_dim, params.m_max)
+    blocks = frame_blocks(generators, params, pulse, np.array([tau]))
     return hilbert.embed([H[0] for H in blocks], params.n_dim, 0.0)
 
 
@@ -217,7 +219,9 @@ def sin2_forms(params):
     leading Jy^2 coefficient of Z_2 at level 0, to 1e-6 relative at (K, L) = (28, 25),
     (100, 97), (41, 7) and (50, 13).  msgate's ``sin_squared`` is sin^2(pi tau), with the
     harmonics +/-1, and the Z2 form misses it by 17% at (28, 25) (ratio -0.830) and by
-    less than 0.1% at (41, 7) and (50, 13)."""
+    less than 0.1% at (41, 7) and (50, 13).  z3 is 1/4 of the two-lobe pulse's Jy
+    coefficient of Z_3 on <1|.|0> with m_max = 1: at eta = 3e-3, n_dim = 6 and the same four
+    (K, L), that coefficient over z3 reads 4 to 2e-5 relative."""
     K, L, eta, W = params.K, params.L, params.eta, params.omega_T
     KK, LL = K * K, L * L
     p_y = 3 * (KK - LL) ** 2 - 4 * (5 * KK + 3 * LL - 8)

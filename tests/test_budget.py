@@ -217,6 +217,17 @@ def test_printed_sin2_z2_form_is_the_two_lobe_pulse():
     assert abs(ratio(sin_squared(), 100, 97) + 1) > 0.1
 
 
+def test_printed_sin2_z3_form_is_a_quarter_of_the_two_lobe_pulse():
+    """The printed sin^2 Z3 form is 1/4 of the two-lobe pulse's Jy coefficient of Z_3 on
+    <1|.|0> with the carrier and first sideband (m_max = 1): the ratio reads 4 (measured
+    3.99993-3.99994 at eta = 3e-3, where eta^2 corrections remain)."""
+    Jy = hilbert.collective_spins().Jy
+    for K, L in ((28, 25), (100, 97), (41, 7), (50, 13)):
+        p = GateParams(eta=3e-3, K=K, L=L, omega_T=1.0, n_dim=6, m_max=1)
+        got = magnus.level_coeff(magnus.magnus_terms(p, TWO_LOBE, up_to=3)[3], p.n_dim, 1, 0, Jy)
+        assert got / sin2_forms(p).z3 == pytest.approx(4.0, rel=1e-4), (K, L)
+
+
 def test_msgate_sin2_z2_closed_form():
     """The leading Jy^2 coefficient of Z_2 at level 0 for msgate's sin^2(pi tau) is the
     printed form with offset 1 in place of 2:

@@ -521,6 +521,23 @@ def test_package_imports_only_numpy_and_scipy_sparse():
             if name != "numpy" and name != "scipy.sparse"} == set()
 
 
+def test_no_module_builds_a_gate_params():
+    # a GateParams comes from a config, by ``cli._build(GateParams, cfg)``, or from ``.replace``
+    # on one the caller holds: a kernel takes the fields it reads, never a stand-in GateParams
+    src = pathlib.Path(msgate.__file__).resolve().parent
+    built, passed_to = [], set()
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            if "GateParams" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                built.append(f"{path.name}:{node.lineno}")
+            if any(getattr(arg, "id", None) == "GateParams" for arg in node.args):
+                passed_to.add(getattr(node.func, "id", None))
+    assert built == []
+    assert passed_to == {"_build"}  # the walk sees the one construction
+
+
 def test_no_unused_imports():
     # every name a module binds by an import is read somewhere in it, in src/msgate and
     # tests/; __init__.py re-exports and ``from __future__`` bind names on purpose

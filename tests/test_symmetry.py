@@ -207,7 +207,7 @@ def test_level_coefficients_form_no_composite_matrix(monkeypatch, clear_transfer
 def _time_reversal_defects(builder, p, pulse, tau):
     """max|D_b conj(H_b(tau)) D_b - H_b(1 - tau)| per block and on the full
     space (last entry, from ``embed``), with D_b = Q_b^H D Q_b, and max|H| over the gate."""
-    generators = builder(p)
+    generators = builder(p.eta, p.n_dim, p.m_max)
     blocks = frame_blocks(generators, p, pulse, np.array([tau, 1 - tau]))
     spaces = hilbert.symmetry_blocks(p.n_dim) + (np.eye(4 * p.n_dim),)
     defects = []

@@ -28,12 +28,17 @@ def test_step_count_bound(base_params, rect, sin2):
     assert cfg.num_steps(base_params, rect) == 25 * -(-bound // 25) == 6850 >= bound
     # sin2 (taps L and L +/- 1, gcd 1) takes exactly the bound, one harmonic higher
     assert cfg.num_steps(base_params, sin2) == int(np.ceil(2 * np.pi * 10 * 110))
+    # the drive term reads |omega_T|: the sign of the drive does not halve its resolution
+    for pulse in (rect, sin2):
+        strong = cfg.num_steps(base_params.replace(omega_T=3e3), pulse)
+        assert cfg.num_steps(base_params.replace(omega_T=-3e3), pulse) == strong > 6850
     # a drive that no product resolves is an error, unless the steps are given
     for pulse in (rect, sin2):
-        strong = base_params.replace(omega_T=1e300)
-        with pytest.raises(ValueError, match="resolving the drive takes"):
-            cfg.num_steps(strong, pulse)
-        assert TrotterConfig(steps_override=100).num_steps(strong, pulse) == 100
+        for omega_T in (1e300, float("inf")):
+            strong = base_params.replace(omega_T=omega_T)
+            with pytest.raises(ValueError, match="resolving the drive takes"):
+                cfg.num_steps(strong, pulse)
+            assert TrotterConfig(steps_override=100).num_steps(strong, pulse) == 100
 
 
 @st.composite
@@ -58,7 +63,7 @@ def test_step_count_resolves_the_drive(pulse, L, dK, eta, m_max, extra_dim, omeg
     beat = max(abs(N + m * p.K) for N in taps for m in range(-m_max, m_max + 1))
     assert n_steps >= safety * 2 * np.pi * beat
     # ... nor the state by more than 1 / safety: omega_T max|g| ||B_b||, with g on a fine grid
-    norm = max(np.abs(np.linalg.eigvalsh(B)).max() for B in hilbert.sideband_hamiltonian(p))
+    norm = max(np.abs(np.linalg.eigvalsh(B)).max() for B in hilbert.sideband_hamiltonian(eta, p.n_dim, m_max))
     drive = np.exp(2j * np.pi * np.outer(np.linspace(0, 1, 4001), taps)) @ coeffs
     assert n_steps >= safety * omega_T * np.abs(drive).max() * norm
     # the grid holds whole drive periods and is less than one period above the bound,
@@ -90,21 +95,27 @@ def test_repeated_unum_faults_no_memory_back_in(params_omega2):
 
 
 def test_steps_override_is_taken_as_given(base_params, rect):
-    # below the resolution bound (6,850 steps) as well as above it
-    for n_steps in (100, 6849, 20000):
+    # below the resolution bound (6,850 steps) as well as above it, a numpy integer too
+    for n_steps in (100, 6849, 20000, np.int64(4)):
         assert TrotterConfig(steps_override=n_steps).num_steps(base_params, rect) == n_steps
 
 
-@pytest.mark.parametrize("cfg", [
-    TrotterConfig(safety=0.0), TrotterConfig(safety=-3.0),
-    TrotterConfig(steps_override=0),
-], ids=["safety-0", "safety-negative", "override-0"])
-def test_no_steps_rejected(base_params, rect, cfg):
-    # zero steps would return the identity as the propagator
-    with pytest.raises(ValueError, match="step count"):
-        cfg.num_steps(base_params, rect)
-    with pytest.raises(ValueError, match="step count"):
-        trotter.propagate_numeric(base_params.replace(omega_T=10.0), rect, cfg)
+@pytest.mark.parametrize("field, value", [
+    ("safety", -1.0), ("safety", 0.0), ("safety", float("nan")), ("safety", float("inf")),
+    ("steps_override", 2.5), ("steps_override", 0),
+], ids=["safety-negative", "safety-0", "safety-nan", "safety-inf", "override-fraction", "override-0"])
+def test_bad_step_policy_rejected_when_built(field, value):
+    # a step policy is valid when built: zero steps would return the identity as the
+    # propagator, and 2.5 steps would run 2 on a grid of 2.5
+    with pytest.raises(ValueError, match=field):
+        TrotterConfig(**{field: value})
+
+
+def test_zero_bound_takes_one_period():
+    # no drive and no beat note (K = L = 0): the bound is 0, and any grid gives U = I
+    p = GateParams(eta=0.18, K=0, L=0)
+    assert TrotterConfig().num_steps(p, rectangular()) == 1
+    assert np.abs(_full(trotter.propagate_numeric(p, rectangular()), p) - np.eye(4 * p.n_dim)).max() <= 1e-14
 
 
 def test_zero_drive_is_identity(base_params, rect):
@@ -161,7 +172,7 @@ def test_exact_displacement_vs_truncated(params_omega2, rect, weights, unum_omeg
 def _dense_reference(builder, params, pulse, n_steps):
     """Midpoint product of full-space matrix exponentials, one expm per step."""
     U = np.eye(4 * params.n_dim, dtype=complex)
-    generators = builder(params)
+    generators = builder(params.eta, params.n_dim, params.m_max)
     taus = (np.arange(n_steps) + 0.5) / n_steps
     for lo in range(0, n_steps, 500):  # a few hundred 32 x 32 step Hamiltonians at a time
         for H in hilbert.embed(frame_blocks(generators, params, pulse, taus[lo:lo + 500]), params.n_dim, 0.0):
@@ -260,12 +271,13 @@ def test_omega_sweep_builds_the_generator_once(clear_transfer, base_params, rect
     assert (info.misses, info.currsize) == (2, 2)
 
 
-def _non_hermitian(params):
-    return tuple(B + np.triu(np.ones_like(B), 1) for B in hilbert.sideband_hamiltonian(params))
+def _non_hermitian(eta, n_dim, m_max):
+    return tuple(B + np.triu(np.ones_like(B), 1) for B in hilbert.sideband_hamiltonian(eta, n_dim, m_max))
 
 
-def _non_finite(params):
-    return tuple(B * np.where(np.eye(len(B)), np.nan, 1.0) for B in hilbert.sideband_hamiltonian(params))
+def _non_finite(eta, n_dim, m_max):
+    return tuple(B * np.where(np.eye(len(B)), np.nan, 1.0)
+                 for B in hilbert.sideband_hamiltonian(eta, n_dim, m_max))
 
 
 @pytest.mark.parametrize("builder, match", [(_non_hermitian, "not Hermitian"), (_non_finite, "not finite")],
