@@ -72,6 +72,17 @@ def _choice(*allowed: str):
     return parse
 
 
+# K and L enter every beat note and step count as floats, which hold each integer up to 2**53
+_EXACT_INT = 2 ** 53
+
+
+def _exact_int(text: str) -> int:
+    value = int(text)
+    if abs(value) > _EXACT_INT:
+        raise ValueError("exceeds 2**53 in magnitude, beyond which a float does not hold every integer")
+    return value
+
+
 def _positive(text: str) -> float:
     value = float(text)
     if not 0 < value < math.inf:
@@ -119,7 +130,7 @@ def _pulse_coeffs(text: str) -> PulseShape:
 
 # every key a subcommand reads: gate fields, pulse, sweep, then propagate
 CONFIG_KEYS = {
-    "eta": float, "K": int, "L": int, "omega_T": float, "nbar": float,
+    "eta": float, "K": _exact_int, "L": _exact_int, "omega_T": float, "nbar": float,
     "n_dim": int, "m_max": int, "k_max": int, "trap_freq": _positive,
     "pulse": _choice("rect", "sin2", "custom"), "pulse_coeffs": _pulse_coeffs,
     "axis": _choice("omega", "K", "eta", "nbar"), "grid": _grid, "omega_span": _span,
@@ -239,8 +250,8 @@ def sweep_from_config(cfg: dict) -> SweepSpec:
             raise ConfigError(f"grid = auto spans no range: [{lo}, {hi}]")
         spec.grid = list(np.linspace(lo, hi, spec.grid))
     elif spec.axis == "K":
-        if not all(math.isfinite(v) and abs(v - round(v)) <= 1e-9 for v in spec.grid):
-            raise ConfigError("K grid values must be finite integers")
+        if not all(math.isfinite(v) and abs(v - round(v)) <= 1e-9 and abs(v) <= _EXACT_INT for v in spec.grid):
+            raise ConfigError("K grid values must be finite integers of at most 2**53 in magnitude")
         spec.grid = [float(round(v)) for v in spec.grid]
     return spec
 

@@ -14,14 +14,15 @@ Z_2 = i P_2, Z_3 = i P_3, Z_4 = i(P_4 - P_2^2/2), Z_5 = i(P_5 - (P_2 P_3 + P_3 P
 Two assembly routes are provided.  The default ("transfer") performs the
 nested integration once with matrix-valued coefficients of the terms
 tau^p * e^{i 2 pi nu tau}: one matrix stack per exchange/parity block over
-sorted integer keys, moved each order by sparse linear maps.  Its cost grows
-with the number of distinct partial beat-note sums instead of the raw tuple
-count (which exceeds 1e8 at order 5 for a three-harmonic pulse).  Only the
-operator values J_m (x) A_m depend on eta, and in the blocks each is a partial
-permutation (A_m raises the Fock level by exactly m), so the stacks are ~10%
-filled.  The pass therefore keeps, per (K, drive taps, n_dim, m_max, order), a
-plan of the structurally nonzero stack entries and of the sparse maps between
-them, built in one loop, and each eta costs three sparse products per order.
+sorted integer keys, moved each order by linear maps.  Its cost grows with the
+number of distinct partial beat-note sums instead of the raw tuple count (which
+exceeds 1e8 at order 5 for a three-harmonic pulse).  Only the operator values
+J_m (x) A_m depend on eta, and in the blocks each is a partial permutation (A_m
+raises the Fock level by exactly m), so the stacks are ~10% filled.  The pass
+therefore keeps, per (K, drive taps, n_dim, m_max, order), a plan of the
+structurally nonzero stack entries and of the maps between them as numpy entry
+lists, built in one loop, and each eta costs three products per order: a gather
+and one ``np.add.at`` each, which adds in the entry order of a CSC product.
 The top order is only read out at tau = 1, where int_0^1 e^{i 2 pi nu tau} dtau
 vanishes at every integer nu != 0: the plan keeps its pairs of nonzero weight
 and builds only the entries they read (for sin^2 at order 5, 17,586 of 97,500
@@ -41,7 +42,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse
 
 from . import hilbert, resint
 from .params import GateParams
@@ -70,35 +70,37 @@ def _transfer_dyson(eta, K, taps, tap_c, n_dim, m_max, up_to) -> list[tuple]:
     Only the operator values J_m (x) A_m depend on eta.  Everything else is the
     cached ``_plan`` of (K, taps, n_dim, m_max, up_to), so the state is one
     vector x over the plan's entries of both block stacks and each lower order costs
-    three sparse products: y = A(ops) x, P_k = (-i)^k R y and x = S y.  The top
+    three products (``_matvec``): y = A(ops) x, P_k = (-i)^k R y and x = S y.  The top
     order is read out from x in one product.
     """
     plan = _plan(K, taps, tap_c, n_dim, m_max, up_to)
     ops = hilbert.hamiltonian_terms(eta, n_dim, m_max)
     values = np.concatenate([X.ravel() for X in ops])
     sizes = [X.shape[-1] ** 2 for X in ops]
-    x = np.ones(len(plan[0][0]) - 1, dtype=complex)  # the identity on key 0
+    x = np.ones(sum(X.shape[-1] for X in ops), dtype=complex)  # the identity on key 0
     p_hats = []
-    for order, (indptr, where, *rest) in enumerate(plan, 1):
+    for order, ((rows, cols, where, n), *maps) in enumerate(plan, 1):
         if order == up_to:
-            q, weights = rest
-            P = _columns(weights * values[where], q, indptr, sum(sizes)) @ x
+            (weights,) = maps
+            P = _matvec(x, rows, cols, weights * values[where], n)
         else:
-            rows, R, S = rest
-            y = _columns(values[where], rows, indptr, R.shape[1]) @ x
-            P, x = R @ y, S @ y
+            y = _matvec(x, rows, cols, values[where], n)
+            P, x = (_matvec(y, *M) for M in maps)
         p_hats.append(tuple((-1j) ** order * part.reshape(X.shape[1:])
                             for part, X in zip(np.split(P, np.cumsum(sizes)[:-1]), ops)))
     return p_hats
 
 
-def _columns(data, rows, indptr, n_rows: int):
-    """The sparse matrix whose column e holds data[indptr[e]:indptr[e + 1]] on those rows."""
-    return scipy.sparse.csc_array((data, rows, indptr), shape=(n_rows, len(indptr) - 1))
+def _matvec(x: np.ndarray, rows: np.ndarray, cols: np.ndarray, data: np.ndarray, n: int) -> np.ndarray:
+    """M x for the map M onto n rows with the entries (rows, cols, data), added in entry
+    order: a map's entries run column by column, so each sum rounds as in a CSC product."""
+    y = np.zeros(n, dtype=complex)
+    np.add.at(y, rows, data * x[cols])
+    return y
 
 
 def _pointers(counts: np.ndarray) -> np.ndarray:
-    return np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+    return np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
 
 
 def _ragged(ptr: np.ndarray, sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -121,7 +123,8 @@ def _key_step(keys: np.ndarray, K: int, m_max: int, taps: np.ndarray, tap_c: np.
     next_keys, parts = _antiderivative(ikeys)
     # a term's antiderivative at tau = 1 is its column sum in parts: exactly 0 unless
     # p > 0 or nu = 0, as int_0^1 e^{i 2 pi nu tau} dtau = 0 at every integer nu != 0
-    weights = tap_c @ parts.sum(axis=0)[tinv]
+    ptr, _, coef = parts  # every column is nonempty; reduceat sums it as a CSC column sum does
+    weights = tap_c @ np.add.reduceat(coef, ptr[:-1])[tinv]
     read = np.bitwise_or.reduce(np.where(weights[sinv] != 0, _sideband_bits(np.arange(len(sinv)))[:, None],
                                          np.uint64(0)), axis=0)
     return skeys, sinv, ikeys, tinv, next_keys, parts, weights, read
@@ -139,60 +142,55 @@ def _index(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     mark = np.zeros(size, dtype=bool)
     mark[codes] = True
     distinct = np.flatnonzero(mark)
-    rank = np.empty(size, dtype=np.int32)
-    rank[distinct] = np.arange(len(distinct), dtype=np.int32)
+    rank = np.empty(size, dtype=np.intp)
+    rank[distinct] = np.arange(len(distinct))
     return distinct, rank[codes]
 
 
 @lru_cache(maxsize=1)
 def _plan(K, taps, tap_c, n_dim, m_max, up_to) -> tuple:
     """What the transfer pass does at every eta, from structure alone.  Only the last
-    plan is kept (2.8 MB for sin^2 at order 5, n_dim 8, m_max 3): a sweep varies eta or
+    plan is kept (4.4 MB for sin^2 at order 5, n_dim 8, m_max 3): a sweep varies eta or
     omega_T at one key, or K without coming back to a key.
 
     The stacks of both blocks are one vector over entries (key, q), q as in
-    ``_sideband_moves``.  An order's pairs are (input entry, sideband m) with a
-    structurally nonzero J_m (x) A_m on the entry's row, grouped by entry (column e of
-    a map holds pairs indptr[e]..indptr[e + 1] - 1); ``where`` reads each pair's
-    operator value from the flat op stacks.  A lower order is (indptr, where, rows, R,
-    S), rows the pairs' entries of y and R, S the maps from y onto P_k and onto the
-    next entries; the top order is (indptr, where, q, weights), the pairs' output q
-    and the antiderivative at tau = 1 of their keys.  Only what is not exactly zero is
-    kept: R holds the nonzero weights, the top order the pairs of nonzero weight, and
-    the last S builds only the entries (key, q) that such a pair reads, those where a
-    sideband out of q moves the key onto a nonzero weight."""
+    ``_sideband_moves``.  Each map is its entries (rows, cols, data) and its number of
+    rows, ordered by column, for ``_matvec``.  An order's pairs are (input entry, sideband
+    m) with a structurally nonzero J_m (x) A_m on the entry's row, as the map
+    (rows, cols, where, n) whose ``where`` reads each pair's operator value from the
+    flat op stacks.  A lower order is (pairs, R, S), the rows of the pairs the entries
+    of y and R, S the maps from y onto P_k and onto the next entries; the top order is
+    (pairs, weights), the rows of its pairs their output q and weights the
+    antiderivative at tau = 1 of their keys.  Only what is not exactly zero is kept: R
+    holds the nonzero weights, the top order the pairs of nonzero weight, and the last
+    S builds only the entries (key, q) that such a pair reads, those where a sideband
+    out of q moves the key onto a nonzero weight."""
     # the keys of order up_to reach |nu| <= up_to (max|N_g| + m_max K), and all must be int64
     reach = up_to * (max(map(abs, taps)) + m_max * K)
     if (reach + 1) * _POWERS > np.iinfo(np.int64).max:
         raise ValueError(f"beat-note sums up to {reach} at order {up_to} do not fit the int64 "
                          f"keys nu * {_POWERS} + p of the transfer pass")
-    # by beat note, so that a row of the transposed drive sums in the order of the keys
+    # by beat note, so that the drive of a sideband key sums in the order of the keys
     by_note = np.argsort(taps, kind="stable")
     taps, tap_c = np.array(taps)[by_note], np.array(tap_c)[by_note]
     size, move_ptr, move_q, move_m, move_where, identity, q_bits = _sideband_moves(n_dim, m_max)
     keys, key, q = np.zeros(1, dtype=np.int64), 0 * identity, identity
     stage, orders = _key_step(keys, K, m_max, taps, tap_c), []
     for order in range(1, up_to + 1):
-        skeys, sinv, ikeys, tinv, next_keys, parts, weights, _ = stage
+        skeys, sinv, _, tinv, next_keys, parts, weights, _ = stage
         pos, counts = _ragged(move_ptr, q)
         s = sinv[move_m[pos], np.repeat(key, counts)]
-        indptr, where, q = _pointers(counts), move_where[pos], move_q[pos]
+        cols, where, q = np.repeat(np.arange(len(counts)), counts), move_where[pos], move_q[pos]
         if order == up_to:
-            # only the pairs of nonzero weight; _pointers(read)[indptr] skips the others
-            read = weights[s] != 0
-            orders.append((_pointers(read)[indptr], where[read], q[read], weights[s][read]))
+            read = weights[s] != 0  # only the pairs of nonzero weight
+            orders.append(((q[read], cols[read], where[read], size), weights[s][read]))
             break
         # the entries of y and of the next order, and the maps R and S onto them
         codes, rows = _index(s * size + q, len(skeys) * size)
         skey, q = np.divmod(codes, size)
-        read = weights[skey] != 0
-        R = _columns(weights[skey][read], q[read].astype(np.int32), _pointers(read), size)
-        # the transposed drive: row s holds c_g on the key of tap g; S^T = drive^T parts^T
-        drive_t = scipy.sparse.csr_array((np.tile(tap_c, len(skeys)), tinv.T.ravel(),
-                                          np.arange(0, tinv.size + 1, len(tap_c))),
-                                         shape=(len(skeys), len(ikeys)))
-        step = drive_t @ parts.T  # row s holds the new keys that skey s moves to
-        ptr, new_key, data = step.indptr, step.indices, step.data
+        read = np.flatnonzero(weights[skey] != 0)
+        R = (q[read], read, weights[skey][read], size)
+        ptr, new_key, data = _drive_step(parts, tinv, tap_c, len(next_keys))
         stage = _key_step(next_keys, K, m_max, taps, tap_c)
         if order == up_to - 1:
             # S builds only the entries (key, q) that the top order reads, those where a
@@ -202,15 +200,30 @@ def _plan(K, taps, tap_c, n_dim, m_max, up_to) -> tuple:
             on = live[new_key] != 0
             ptr, new_key, data = _pointers(on)[ptr], new_key[on], data[on]
         pos, counts = _ragged(ptr, skey)
-        to_key, to_q, to_ptr = new_key[pos], np.repeat(q, counts), _pointers(counts)
+        to_key, to_q, to_col = new_key[pos], np.repeat(q, counts), np.repeat(np.arange(len(skey)), counts)
         if order == up_to - 1:
             read = (live[to_key] & q_bits[to_q]) != 0
-            pos, to_key, to_q, to_ptr = pos[read], to_key[read], to_q[read], _pointers(read)[to_ptr]
-        codes, next_rows = _index(to_key * size + to_q, len(next_keys) * size)
-        S = _columns(data[pos], next_rows, to_ptr, len(codes))
-        orders.append((indptr, where, rows, R, S))
-        keys, (key, q) = next_keys, np.divmod(codes, size)
+            pos, to_key, to_q, to_col = pos[read], to_key[read], to_q[read], to_col[read]
+        next_codes, next_rows = _index(to_key * size + to_q, len(next_keys) * size)
+        orders.append(((rows, cols, where, len(codes)), R, (next_rows, to_col, data[pos], len(next_codes))))
+        keys, (key, q) = next_keys, np.divmod(next_codes, size)
     return tuple(orders)
+
+
+def _drive_step(parts: tuple, tinv: np.ndarray, tap_c: np.ndarray, n_keys: int) -> tuple:
+    """Row s of S^T = drive^T parts^T, the new keys that sideband key s moves to: the sum
+    over the taps g of c_g times column tinv[g, s] of parts, as row pointers, then keys and
+    values.  The sums add in (s, g, entry) order, as a CSR product does, and an exactly
+    zero sum is dropped, as there; a row holds each new key once, so its order is not read."""
+    ptr, rows, coef = parts
+    pos, counts = _ragged(ptr, tinv.T.ravel())
+    s, g = np.divmod(np.repeat(np.arange(tinv.size), counts), len(tap_c))
+    codes, at = np.unique(s * n_keys + rows[pos], return_inverse=True)
+    sums = np.zeros(len(codes), dtype=complex)
+    np.add.at(sums, at, tap_c[g] * coef[pos])
+    kept = sums != 0
+    s, new_key = np.divmod(codes[kept], n_keys)
+    return _pointers(np.bincount(s, minlength=tinv.shape[1])), new_key, sums[kept]
 
 
 @lru_cache(maxsize=8)
@@ -234,7 +247,7 @@ def _sideband_moves(n_dim: int, m_max: int) -> tuple:
                                           np.repeat(m, d), np.repeat(flat + (m * d + dst) * d + src, d))])
         identity.append(size + np.arange(d) * (d + 1))
         size, flat = size + d * d, flat + P.size
-    src, dst, m, where = (np.concatenate(part).astype(np.int32) for part in zip(*moves))
+    src, dst, m, where = (np.concatenate(part).astype(np.intp) for part in zip(*moves))
     q_bits = np.zeros(size, dtype=np.uint64)
     np.bitwise_or.at(q_bits, src, _sideband_bits(m))
     by_src = np.argsort(src, kind="stable")
@@ -247,8 +260,9 @@ def _sideband_moves(n_dim: int, m_max: int) -> tuple:
 
 def _antiderivative(keys: np.ndarray) -> tuple:
     """Integration by parts from 0 of sum_i X_i tau^p_i e^{i 2 pi nu_i tau} as a linear
-    map of the X_i: the new keys and the sparse map from the keys onto them.  The
-    s = 0 boundary is an entry on key 0 like any other, the format sums duplicates,
+    map of the X_i: the new keys and the map from the keys onto them, as column pointers,
+    rows and coefficients, each column by row.  The s = 0 boundary is an entry on key 0
+    like any other, no column holds a key twice (nu P + j for j <= p, and key 0 once),
     and each column sums to its term's antiderivative at tau = 1 (every phase is 1)."""
     nu, p = np.divmod(keys, _POWERS)
     flat = np.flatnonzero(nu == 0)
@@ -260,7 +274,8 @@ def _antiderivative(keys: np.ndarray) -> tuple:
         entries.append((0 * at, at, -entries[-1][2]))  # s = 0: minus the last (j = 0) term on key 0
     dst, src, coef = (np.concatenate(part) for part in zip(*entries))
     new_keys, rows = np.unique(dst, return_inverse=True)
-    return new_keys, scipy.sparse.csc_array((coef, (rows, src)), shape=(len(new_keys), len(keys)))
+    by_column = np.lexsort((rows, src))
+    return new_keys, (_pointers(np.bincount(src, minlength=len(keys))), rows[by_column], coef[by_column])
 
 
 def _sequences(params: GateParams, pulse: PulseShape, k: int):

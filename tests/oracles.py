@@ -15,7 +15,10 @@ reference of its integer engine (``fraction_integral``), the prefix-sum filter
     Fock-off-diagonal entry of an order (``fock_offdiagonal_max``);
   * the printed sin^2-pulse closed forms (``sin2_forms``), which track the
     assembly only to 10-20%;
-  * ``calibrate_omega``, a bounded minimiser of the U4 infidelity over omega_T."""
+  * ``calibrate_omega``, a bounded minimiser of the U4 infidelity over omega_T;
+  * the ``scipy.sparse`` forms of the transfer plan's maps (``csc_map``) and of its
+    drive step (``sparse_drive_step``), which pin the order in which the numpy pass
+    rounds its sums."""
 
 import itertools
 import math
@@ -24,6 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse
 from scipy.optimize import minimize_scalar
 
 from msgate import fidelity, hilbert, magnus, resint
@@ -464,3 +468,28 @@ def quadrature_integral(Ns, n: int = 2048) -> complex:
         coeffs = _cheb_coeffs(vals)
         vals = _cheb_values(_cheb_integral(coeffs)[: n + 1])
     return complex(vals[0])  # node 0 is tau = 1
+
+
+# ---------------------------------------------------------------------------
+# The sparse-matrix forms of the transfer pass (``magnus._plan``), whose products
+# round each sum in the order that the numpy pass adds in.
+# ---------------------------------------------------------------------------
+
+def csc_map(rows, cols, data, n, n_cols):
+    """A map of ``magnus._plan`` as the ``scipy.sparse.csc_array`` that holds its entries in
+    their order (a map's entries run column by column): its product adds in that order."""
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n_cols))])
+    return scipy.sparse.csc_array((data, rows, indptr), shape=(n, n_cols))
+
+
+def sparse_drive_step(parts, tinv, tap_c, n_keys):
+    """``magnus._drive_step`` as the CSR product of the transposed drive (row s holds c_g
+    on column tinv[g, s]) and parts^T, parts the CSC array of ``magnus._antiderivative``'s
+    entries: (row pointers, new keys, values), each row by key."""
+    ptr, rows, coef = parts
+    n_s = tinv.shape[1]
+    drive_t = scipy.sparse.csr_array((np.tile(tap_c, n_s), tinv.T.ravel(), np.arange(0, tinv.size + 1, len(tap_c))),
+                                     shape=(n_s, len(ptr) - 1))
+    step = drive_t @ scipy.sparse.csc_array((coef, rows, ptr), shape=(n_keys, len(ptr) - 1)).T
+    step.sort_indices()
+    return step.indptr, step.indices, step.data

@@ -5,6 +5,7 @@ import math
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import time
@@ -487,21 +488,23 @@ def test_figure_presets_parse():
         assert spec.grid
 
 
-def test_sweep_imports_neither_scipy_linalg_nor_optimize():
-    # both cost start-up time; every unitary is exponentiated by eigh
+@pytest.mark.parametrize("preset", ["fig2", "fig4a"])
+def test_sweep_imports_no_scipy_module(preset):
+    # msgate's runtime is numpy alone: scipy costs start-up time, and every unitary is
+    # exponentiated by eigh; a flat-pulse and a sin^2 sweep, each in a fresh interpreter
     code = ("import sys\nfrom msgate import cli\n"
             "spec = cli.sweep_from_config(cli.parse_config(sys.argv[1]))\n"
             "spec.grid = spec.grid[:2]\n"
             "assert [row['status'] for row in cli.run_sweep(spec)] == ['ok'] * 2\n"
-            "print(sorted({'scipy.linalg', 'scipy.optimize'} & sys.modules.keys()))")
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))")
     root = pathlib.Path(__file__).resolve().parents[1]
-    out = subprocess.run([sys.executable, "-c", code, str(root / "configs" / "fig2.cfg")],
+    out = subprocess.run([sys.executable, "-c", code, str(root / "configs" / f"{preset}.cfg")],
                          env={**os.environ, "PYTHONPATH": str(root / "src")},
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
 
 
-def test_package_imports_only_numpy_and_scipy_sparse():
+def test_package_imports_only_numpy():
     # every import statement, at module level or inside a function, so that an import
     # made only on a rarely taken path counts too; relative imports stay in the package
     src = pathlib.Path(msgate.__file__).resolve().parent
@@ -516,9 +519,18 @@ def test_package_imports_only_numpy_and_scipy_sparse():
                 continue
             third_party.update((path.name, name) for name in names
                                if name.split(".")[0] not in sys.stdlib_module_names | {"msgate"})
-    assert ("magnus.py", "scipy.sparse") in third_party  # the walk sees the imports
-    assert {(module, name) for module, name in third_party
-            if name != "numpy" and name != "scipy.sparse"} == set()
+    assert ("magnus.py", "numpy") in third_party  # the walk sees the imports
+    assert {(module, name) for module, name in third_party if name != "numpy"} == set()
+
+
+def test_runtime_depends_on_numpy_alone():
+    # scipy is a test dependency only: tests/oracles.py and the dense references use it
+    tomllib = pytest.importorskip("tomllib")
+    root = pathlib.Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    runtime, test = ([re.match(r"[\w.-]+", r).group() for r in requirements]
+                     for requirements in (project["dependencies"], project["optional-dependencies"]["test"]))
+    assert runtime == ["numpy"] and "scipy" in test
 
 
 def test_no_module_builds_a_gate_params():
@@ -720,6 +732,28 @@ def test_malformed_input_is_config_error(tmp_path, capsys, lines):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("config error: ") and len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("propagators", ["Unum", "U2,U3,U4"])
+@pytest.mark.parametrize("lines,key", [
+    # used to exit 2 with an OverflowError (Unum) or the transfer pass's int64-key error
+    pytest.param(f"K = {10 ** 400}\n", "K = ", id="K=10**400"),
+    pytest.param(f"K = {2 ** 53 + 1}\n", "K = ", id="K=2**53+1"),  # the first integer a float does not hold
+    pytest.param(f"L = {-2 ** 53 - 1}\n", "L = ", id="L=-2**53-1"),
+    pytest.param("axis = K\ngrid = 28,1e300\n", "K grid values", id="K-grid=1e300"),
+    pytest.param(f"axis = K\ngrid = 28,{2 ** 53 + 2}\n", "K grid values", id="K-grid=2**53+2"),
+])
+def test_integer_beyond_float_range_is_config_error(tmp_path, capsys, lines, key, propagators):
+    # K and L enter the beat notes and the step count as floats, exact up to 2**53
+    path = _write(tmp_path, "big.cfg", _setting(MINI_SWEEP, lines + f"propagators = {propagators}\n"))
+    assert cli.main(["sweep", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {key}") and len(captured.err.splitlines()) == 1
+
+
+def test_integers_up_to_two_to_the_53_are_parsed():
+    assert [cli.CONFIG_KEYS["K"](str(v)) for v in (2 ** 53, -2 ** 53, 28)] == [2 ** 53, -2 ** 53, 28]
 
 
 @pytest.mark.parametrize("grid", ["-inf:30:3", "20:nan:3"])

@@ -4,13 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import assume, given, settings, strategies as st
 
 from msgate import budget, fidelity, hilbert, magnus, resint
 from msgate.params import GateParams, beat_note, validate
 from msgate.pulses import PulseShape, rectangular, sin_squared
-from oracles import (SKEW, fock_offdiagonal_max, form_factor, full_space_transfer, guard_band_indices,
-                     guard_block, is_resonant, unitarity_defect)
+from oracles import (SKEW, csc_map, fock_offdiagonal_max, form_factor, full_space_transfer, guard_band_indices,
+                     guard_block, is_resonant, sparse_drive_step, unitarity_defect)
 
 J = hilbert.collective_spins()
 JX2, JY2 = J.Jx2 - np.eye(4) / 2, J.Jy2 - np.eye(4) / 2  # sigma_a (x) sigma_a / 2
@@ -303,17 +304,78 @@ def test_top_order_is_minimal(base_params, pulse, up_to):
     # int_0^1 e^{i 2 pi nu tau} dtau = 0 at every integer nu != 0: the top order keeps only
     # its pairs of nonzero weight, and the order below builds only the entries they read
     p = base_params
-    indptr, _, _, weights = magnus._plan(p.K, *_taps(p, pulse), p.n_dim, p.m_max, up_to)[-1]
+    plan = magnus._plan(p.K, *_taps(p, pulse), p.n_dim, p.m_max, up_to)
+    (_, cols, _, _), weights = plan[-1]
+    n_in = plan[-2][-1][-1]  # the entries that the order below builds
     assert np.all(weights != 0)
-    assert np.all(np.diff(indptr) > 0)
+    assert np.all(np.diff(cols) >= 0) and np.all(np.bincount(cols, minlength=n_in) > 0)
 
 
 def test_first_order_is_an_empty_top_order(base_params):
     p = base_params.replace(omega_T=29.93)
     for pulse in (rectangular(), sin_squared(), SKEW):
-        _, where, _, _ = magnus._plan(p.K, *_taps(p, pulse), p.n_dim, p.m_max, 1)[-1]
+        (_, _, where, _), _ = magnus._plan(p.K, *_taps(p, pulse), p.n_dim, p.m_max, 1)[-1]
         assert len(where) == 0
         assert not magnus.dyson_term(1, p, pulse).any()
+
+
+def _rounding_check(pulse):
+    """Bit-equal for a pulse with real taps; with complex taps numpy's complex product may
+    fuse its multiply-add where the sparse kernel does not, so each sum may move in its
+    last bit."""
+    if pulse is SKEW:
+        return lambda got, want: np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    return np.array_equal
+
+
+@pytest.mark.parametrize("K,L", [(28, 25), (31, 20)])
+@pytest.mark.parametrize("pulse", [rectangular(), sin_squared(), SKEW], ids=["rect", "sin2", "skew"])
+def test_transfer_products_round_as_the_sparse_products(base_params, pulse, K, L):
+    # each product of the warm pass adds in entry order, which is the order of the CSC
+    # matvec of the same entries; each product is fed the pass's own input, so one
+    # product's rounding is checked at a time
+    p = base_params.replace(K=K, L=L)
+    same = _rounding_check(pulse)
+    ops = hilbert.hamiltonian_terms(p.eta, p.n_dim, p.m_max)
+    values = np.concatenate([X.ravel() for X in ops])
+    for up_to in range(1, 6):
+        x = np.ones(sum(X.shape[-1] for X in ops), dtype=complex)
+        for order, ((rows, cols, where, n), *maps) in enumerate(magnus._plan(K, *_taps(p, pulse), p.n_dim,
+                                                                            p.m_max, up_to), 1):
+            data = maps[0] * values[where] if order == up_to else values[where]
+            y = magnus._matvec(x, rows, cols, data, n)
+            assert same(y, csc_map(rows, cols, data, n, len(x)) @ x), (up_to, order)
+            if order < up_to:
+                for M in maps:
+                    assert same(magnus._matvec(y, *M), csc_map(*M, len(y)) @ y), (up_to, order)
+                x = magnus._matvec(y, *maps[1])
+
+
+@pytest.mark.parametrize("K,L", [(28, 25), (31, 20)])
+@pytest.mark.parametrize("pulse", [rectangular(), sin_squared(), SKEW], ids=["rect", "sin2", "skew"])
+def test_drive_step_rounds_as_the_sparse_product(base_params, pulse, K, L):
+    # the cold plan: parts in the canonical CSC order, its column sums as the CSC sum and
+    # the drive step as the CSR product, its exact-zero sums dropped, over the four drive
+    # steps of an order-5 plan
+    p = base_params.replace(K=K, L=L)
+    taps, tap_c = hilbert.drive_taps(p, pulse)
+    by_note = np.argsort(taps, kind="stable")
+    taps, tap_c = taps[by_note], tap_c[by_note]
+    keys = np.zeros(1, dtype=np.int64)
+    for order in range(1, 5):
+        _, _, ikeys, tinv, next_keys, parts, weights, _ = magnus._key_step(keys, K, p.m_max, taps, tap_c)
+        ptr, rows, coef = parts
+        shape = (len(next_keys), len(ikeys))
+        cols = np.repeat(np.arange(len(ikeys)), np.diff(ptr))
+        canonical = scipy.sparse.csc_array((coef[::-1], (rows[::-1], cols[::-1])), shape=shape)
+        assert np.array_equal(canonical.indptr, ptr) and np.array_equal(canonical.indices, rows)
+        assert np.array_equal(canonical.data, coef)
+        assert np.array_equal(weights, tap_c @ canonical.sum(axis=0)[tinv])
+        got = magnus._drive_step(parts, tinv, tap_c, len(next_keys))
+        for a, b in zip(got, sparse_drive_step(parts, tinv, tap_c, len(next_keys))):
+            assert np.array_equal(a, b), order
+        assert np.all(got[2] != 0)
+        keys = next_keys
 
 
 @pytest.mark.parametrize("n_dim", range(2, 15))
@@ -335,8 +397,11 @@ def test_antiderivative_map_matches_the_exact_engine():
     # of key i, which the exact engine gives as rationals over (i pi)^g
     rng = np.random.default_rng(11)
     keys = np.union1d(rng.integers(-60, 61, 300) * magnus._POWERS + rng.integers(0, 6, 300), np.arange(6))
-    new_keys, parts = magnus._antiderivative(keys)
-    got = parts.toarray()
+    new_keys, (ptr, rows, coef) = magnus._antiderivative(keys)
+    cols = np.repeat(np.arange(len(keys)), np.diff(ptr))
+    assert len(set(zip(rows.tolist(), cols.tolist()))) == len(rows)  # no column holds a key twice
+    got = np.zeros((len(new_keys), len(keys)), dtype=complex)
+    got[rows, cols] = coef
     for i, key in enumerate(keys):
         nu, p = divmod(int(key), magnus._POWERS)
         want = {}
