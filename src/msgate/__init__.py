@@ -1,7 +1,7 @@
 """Simulation and calibration toolkit for strongly driven two-qubit
 entangling gates on a shared motional mode."""
 
-from .params import GateParams, ValidationReport, beat_note, validate
+from .params import GateParams, beat_note, validate
 from .pulses import PulseShape, envelope_at, rectangular, sin_squared
 from .hilbert import (
     collective_spin,

@@ -31,11 +31,12 @@ import functools
 import math
 import os
 import sys
+from decimal import Context, Decimal, Inexact, localcontext
 
 import numpy as np
 
 from . import budget, fidelity, hilbert, magnus, trotter
-from .params import RULES, GateParams, validate
+from .params import RULES, GateParams, Violation, validate
 from .pulses import PulseShape, rectangular, sin_squared
 
 PROPAGATOR_NAMES = ("U2", "U3", "U4", "U5", "Unum")
@@ -81,6 +82,20 @@ def _exact_int(text: str) -> int:
     if abs(value) > _EXACT_INT:
         raise ValueError("exceeds 2**53 in magnitude, beyond which a float does not hold every integer")
     return value
+
+
+def _k_grid(text: str) -> list[int]:
+    """A K-axis grid, whose form ``_grid`` has checked, as the integers written: start:stop:num
+    is spaced in exact decimal arithmetic, and each value must pass ``_exact_int``'s bound."""
+    with localcontext(Context(traps=[])) as ctx:
+        values = [Decimal(v) for v in text.split(":" if ":" in text else ",")]
+        if ":" in text:
+            a, b, n = values
+            values = [a + (b - a) * i / (n - 1) for i in range(int(n))] if n > 1 else [a]
+        if not ctx.flags[Inexact] and all(v == v.to_integral_value() and -_EXACT_INT <= v <= _EXACT_INT
+                                          for v in values):
+            return [int(v) for v in values]
+    raise ConfigError("K grid values must be finite integers of at most 2**53 in magnitude")
 
 
 def _positive(text: str) -> float:
@@ -198,7 +213,14 @@ def parse_config(path: str) -> dict:
         raise ConfigError("omega_span is only read with grid = auto[:n]")
     if isinstance(cfg.get("grid"), int) and cfg.get("axis", "omega") != "omega":
         raise ConfigError("grid = auto:<n> is only defined for the omega axis")
+    if cfg.get("axis") == "K" and "grid" in cfg:
+        cfg["grid"] = _k_grid(raw["grid"])
     return cfg
+
+
+def _orders(names: tuple[str, ...]) -> list[int]:
+    """The orders n of the U_n among the propagator ``names`` (Unum has none)."""
+    return [int(name[1:]) for name in names if name != "Unum"]
 
 
 def params_from_config(cfg: dict, names: tuple[str, ...] = ()) -> GateParams:
@@ -207,7 +229,7 @@ def params_from_config(cfg: dict, names: tuple[str, ...] = ()) -> GateParams:
     params = _build(GateParams, cfg)
     if "omega_phys" in cfg:
         params = params.replace(omega_T=cfg["omega_phys"] * (params.K / cfg["trap_freq"]))
-    return params.replace(k_max=max([params.k_max] + [int(n[1]) for n in names if n != "Unum"]))
+    return params.replace(k_max=max([params.k_max, *_orders(names)]))
 
 
 def _both_names(cfg: dict) -> tuple[str, ...]:
@@ -230,6 +252,11 @@ def _flat_pulse_only(pulse: PulseShape, setting: str) -> None:
                           "fixed_phys or an omega grid)")
 
 
+def _joined(violations: tuple[Violation, ...]) -> str:
+    """The violations of an invalid point on one line, as the error messages give them."""
+    return "; ".join(f"{v.rule}: {v.detail}" for v in violations)
+
+
 def sweep_from_config(cfg: dict) -> SweepSpec:
     params = params_from_config(cfg, cfg.get("propagators", SweepSpec.propagators))
     spec = _build(SweepSpec, cfg, fixed=params, pulse=pulse_from_config(cfg))
@@ -237,9 +264,8 @@ def sweep_from_config(cfg: dict) -> SweepSpec:
         _flat_pulse_only(spec.pulse, f"omega_mode = {spec.omega_mode}")
     if isinstance(spec.grid, int):  # grid = auto:<n>, on the omega axis
         _flat_pulse_only(spec.pulse, "grid = auto")
-        rep = validate(params)
-        if not rep.ok:
-            raise ConfigError(f"grid = auto needs valid base parameters: {rep.summary()}")
+        if violations := validate(params, spec.pulse):
+            raise ConfigError(f"grid = auto needs valid base parameters: {_joined(violations)}")
         amps = budget.amplitude_set(params)
         lo_f, hi_f = cfg.get("omega_span", (0.7, 1.3))
         lo = lo_f * (amps.omega_2 if math.isnan(amps.omega_4) else amps.omega_4)
@@ -249,10 +275,6 @@ def sweep_from_config(cfg: dict) -> SweepSpec:
         if not lo < hi:
             raise ConfigError(f"grid = auto spans no range: [{lo}, {hi}]")
         spec.grid = list(np.linspace(lo, hi, spec.grid))
-    elif spec.axis == "K":
-        if not all(math.isfinite(v) and abs(v - round(v)) <= 1e-9 and abs(v) <= _EXACT_INT for v in spec.grid):
-            raise ConfigError("K grid values must be finite integers of at most 2**53 in magnitude")
-        spec.grid = [float(round(v)) for v in spec.grid]
     return spec
 
 
@@ -263,8 +285,7 @@ def sweep_from_config(cfg: dict) -> SweepSpec:
 def _point_params(spec: SweepSpec, value: float) -> GateParams:
     p = spec.fixed
     if spec.axis == "K":
-        K = int(round(value))
-        p = p.replace(K=K, L=K - (p.K - p.L))
+        p = p.replace(K=int(value), L=int(value) - (p.K - p.L))
     elif spec.axis == "eta":
         p = p.replace(eta=float(value))
     elif spec.axis == "nbar":
@@ -272,7 +293,7 @@ def _point_params(spec: SweepSpec, value: float) -> GateParams:
     # drive strength
     if spec.axis == "omega":
         p = p.replace(omega_T=float(value))
-    elif spec.omega_mode in ("omega2", "omega4") and validate(p).ok:
+    elif spec.omega_mode in ("omega2", "omega4") and not validate(p, spec.pulse):
         # the closed forms need a valid point; an amplitude with no real value
         # is NaN, which fails the omega_T sign rule
         amps = budget.amplitude_set(p)
@@ -295,7 +316,7 @@ def _propagators(names: tuple[str, ...], p: GateParams, pulse: PulseShape,
     """The named U2..U5 / Unum propagators at p, in block form; an overflow or an
     invalid floating-point operation raises FloatingPointError instead of a warning."""
     mats = {}
-    orders = [int(name[1]) for name in names if name != "Unum"]
+    orders = _orders(names)
     with np.errstate(over="raise", invalid="raise"):
         if orders:
             props = magnus.propagators_upto(p, pulse, max_order=max(orders))
@@ -312,9 +333,8 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     The propagators do not depend on nbar, so they are computed once per
     distinct valid p.replace(nbar=0) and reweighted per point."""
     points = [_point_params(spec, v) for v in spec.grid]
-    reports = [validate(p, spec.pulse) for p in points]
-    keys = [p.replace(nbar=0.0) if rep.ok else None for p, rep in zip(points, reports)]
-    todo = list(dict.fromkeys(k for k in keys if k is not None))
+    verdicts = [validate(p, spec.pulse) for p in points]
+    todo = list(dict.fromkeys(p.replace(nbar=0.0) for p, violations in zip(points, verdicts) if not violations))
     evaluate = functools.partial(_propagators, spec.propagators, pulse=spec.pulse,
                                  safety=spec.safety)
     workers = min(spec.workers, len(todo))  # a pool starts all its processes up front
@@ -324,9 +344,9 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     else:
         mats = dict(zip(todo, map(evaluate, todo)))
     rows = []
-    for value, p, rep, key in zip(spec.grid, points, reports, keys):
-        if key is None:
-            rows.append({"axis": value, "status": "skip:" + ";".join(rep.rules())})
+    for value, p, violations in zip(spec.grid, points, verdicts):
+        if violations:
+            rows.append({"axis": value, "status": "skip:" + ";".join(v.rule for v in violations)})
             continue
         weights = fidelity.ThermalWeights(p.nbar, p.n_dim)
         row: dict = {"axis": value, "omega_T": p.omega_T, "status": "ok",
@@ -334,7 +354,7 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
         if spec.axis != "omega":
             amps = budget.amplitude_set(p)
             row.update(omega_LD=amps.omega_ld, omega_2=amps.omega_2, omega_4=amps.omega_4)
-        for name, U in mats[key].items():
+        for name, U in mats[p.replace(nbar=0.0)].items():
             _fill_infidelity(row, name, U, weights, spec.metric)
         rows.append(row)
     return rows
@@ -404,11 +424,11 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_budget(args) -> int:
     cfg = _load(args)
-    _flat_pulse_only(pulse_from_config(cfg), "msgate budget")
+    pulse = pulse_from_config(cfg)
+    _flat_pulse_only(pulse, "msgate budget")
     params = params_from_config(cfg, _both_names(cfg))
-    rep = validate(params)
-    if not rep.ok:
-        print(f"invalid parameters: {rep.summary()}", file=sys.stderr)
+    if violations := validate(params, pulse):
+        print(f"invalid parameters: {_joined(violations)}", file=sys.stderr)
         return 2
     rows = budget.table_rows(params)
     _write(budget.rows_to_csv(rows) if args.csv else budget.render_table(params, rows) + "\n", args.out)
@@ -417,15 +437,11 @@ def _cmd_budget(args) -> int:
 
 def _cmd_check(args) -> int:
     cfg = _load(args)
-    rep = validate(params_from_config(cfg, _both_names(cfg)), pulse_from_config(cfg))
-    failed = set(rep.rules())
-    lines = []
-    for rule in RULES:
-        status = "FAIL" if rule in failed else "pass"
-        details = "; ".join(v.detail for v in rep if v.rule == rule)
-        lines.append(f"{status}  {rule}" + (f"  ({details})" if details else ""))
-    _write("\n".join(lines) + "\n", args.out)
-    return 0 if rep.ok else 2
+    violations = validate(params_from_config(cfg, _both_names(cfg)), pulse_from_config(cfg))
+    # every violation has a detail, so a rule fails exactly when it has some
+    details = ["; ".join(v.detail for v in violations if v.rule == rule) for rule in RULES]
+    _write("".join(f"FAIL  {r}  ({d})\n" if d else f"pass  {r}\n" for r, d in zip(RULES, details)), args.out)
+    return 2 if violations else 0
 
 
 def _cmd_propagate(args) -> int:
@@ -434,9 +450,8 @@ def _cmd_propagate(args) -> int:
         raise ConfigError("propagate needs the drive: give omega_T or omega_phys")
     which = cfg.get("propagator", "Unum")
     params, pulse = params_from_config(cfg, (which,)), pulse_from_config(cfg)
-    rep = validate(params, pulse)
-    if not rep.ok:
-        print(f"invalid parameters: {rep.summary()}", file=sys.stderr)
+    if violations := validate(params, pulse):
+        print(f"invalid parameters: {_joined(violations)}", file=sys.stderr)
         return 2
     U = hilbert.embed(_propagators((which,), params, pulse,
                                    cfg.get("safety", trotter.TrotterConfig.safety))[which],

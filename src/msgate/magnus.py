@@ -44,11 +44,11 @@ from functools import lru_cache
 import numpy as np
 
 from . import hilbert, resint
-from .params import GateParams
+from .params import MAX_ORDER, GateParams
 from .pulses import PulseShape
 
 
-# The transfer pass keys tau^p e^{i 2 pi nu tau} as nu * _POWERS + p (p <= 5).
+# The transfer pass keys tau^p e^{i 2 pi nu tau} as nu * _POWERS + p, p <= MAX_ORDER < _POWERS.
 _POWERS = 8
 
 
@@ -355,8 +355,8 @@ def _sequence_dyson(params: GateParams, pulse: PulseShape, k: int) -> tuple:
 
 def dyson_term(k: int, params: GateParams, pulse: PulseShape, method: str = "transfer") -> np.ndarray:
     """k-th Dyson term P_k, including the (-i)^k and (Omega*T)^k factors."""
-    if not 1 <= k <= 5:
-        raise ValueError(f"order k={k} outside [1, 5]")
+    if not 1 <= k <= MAX_ORDER:
+        raise ValueError(f"order k={k} outside [1, {MAX_ORDER}]")
     if method == "transfer":
         p_hat = dyson_hat_terms(params, pulse, k)[k - 1]
     elif method == "tuples":
@@ -368,13 +368,13 @@ def dyson_term(k: int, params: GateParams, pulse: PulseShape, method: str = "tra
 
 def magnus_terms(params: GateParams, pulse: PulseShape, up_to: int) -> dict[int, tuple]:
     """Effective-Hamiltonian orders {k: (Z_+, Z_-)} for k = 2..up_to in block form."""
-    if not 2 <= up_to <= 5:
-        raise ValueError(f"up_to={up_to} outside [2, 5]")
+    if not 2 <= up_to <= MAX_ORDER:
+        raise ValueError(f"up_to={up_to} outside [2, {MAX_ORDER}]")
     w = params.omega_T
     per_block = []
     for p_hat in zip(*dyson_hat_terms(params, pulse, up_to)):
         P = [None] + [(w ** (i + 1)) * X for i, X in enumerate(p_hat)]
-        # the log of the Dyson series through order 5 (its cubic term P_2^3 / 3 enters at 6)
+        # the log of the Dyson series through MAX_ORDER = 5 (its cubic term P_2^3 / 3 enters at 6)
         per_block.append({k: 1j * (P[k] - 0.5 * np.sum([P[a] @ P[k - a] for a in range(2, k - 1)], axis=0))
                           for k in range(2, up_to + 1)})
     return {k: tuple(Z[k] for Z in per_block) for k in per_block[0]}

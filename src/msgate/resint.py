@@ -36,6 +36,8 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
+from .params import MAX_ORDER
+
 
 class OscSum:
     """Canonical sum of terms r / (i pi)^g * tau^p * exp(i 2 pi nu tau), one
@@ -196,7 +198,7 @@ def resonance_integral(Ns: Iterable[int]) -> OscSum:
     Dimensionless (T = 1); a physical result carries the extra factor T^k.
     """
     Ns = _integer_tuple(Ns)
-    if len(Ns) > 5:
-        raise ValueError("orders above 5 are out of scope")
+    if len(Ns) > MAX_ORDER:
+        raise ValueError(f"orders above {MAX_ORDER} are out of scope")
     inner = reduce(lambda f, N: integrate_product([(f, [(N, 1)])], [0])[0], reversed(Ns[1:]), OscSum.unit())
     return integrate_product_to_one([(inner, [(Ns[0], 1)])], [0])[0] if Ns else OscSum.unit()

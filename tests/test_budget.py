@@ -15,7 +15,7 @@ from msgate.budget import (
     table_rows,
 )
 from msgate.params import GateParams, validate
-from msgate.pulses import PulseShape, sin_squared
+from msgate.pulses import PulseShape, rectangular, sin_squared
 from oracles import calibrate_omega, sin2_forms
 
 JY2 = hilbert.collective_spins().Jy2 - np.eye(4) / 2  # sigma_y (x) sigma_y / 2
@@ -88,7 +88,7 @@ def test_budget_at_K_equal_2L_squared():
     # K^2 - 4L^4 = 0 in the printed Z4_m1_Jxy Omega_4 cell; validate accepts the point
     # (jK = lL needs l = 6 > k_max) and Omega_4 is not real there
     p = GateParams(eta=0.18, K=18, L=3, omega_T=20.0)
-    assert validate(p).ok
+    assert validate(p, rectangular()) == ()
     amps = amplitude_set(p)
     assert math.isnan(amps.omega_4) and math.isnan(combined_dy(p, amps.omega_4) + math.pi / 2)
     assert math.isfinite(amps.omega_2)

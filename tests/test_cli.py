@@ -705,6 +705,9 @@ def test_every_default_is_passed_by_a_product_call():
     "pulse = rect\ngrid = auto5\n",                         # neither auto nor auto:<n>
     "pulse = rect\naxis = K\ngrid = 28,nan\n",               # non-finite K
     "pulse = rect\naxis = K\ngrid = 28,inf\n",
+    "pulse = rect\naxis = K\ngrid = 10:20:4\n",             # K values read exactly: 13.33 is not one
+    "pulse = rect\naxis = K\ngrid = 28,31.0000000001\n",     # no tolerance
+    "pulse = rect\naxis = K\ngrid = -1,1e-999999999\n",      # no exponent expanded into digits
     "pulse = rect\ngrid = 1,2\ntrap_freq = inf\n",           # no gate time in seconds
     "pulse = rect\naxis = K\ngrid = 28\nomega_mode = fixed_phys\nomega_phys = 1e5\ntrap_freq = 0\n",
     "pulse = rect\ngrid = auto\neta = 0\n",                 # auto grid from invalid parameters
@@ -742,6 +745,8 @@ def test_malformed_input_is_config_error(tmp_path, capsys, lines):
     pytest.param(f"L = {-2 ** 53 - 1}\n", "L = ", id="L=-2**53-1"),
     pytest.param("axis = K\ngrid = 28,1e300\n", "K grid values", id="K-grid=1e300"),
     pytest.param(f"axis = K\ngrid = 28,{2 ** 53 + 2}\n", "K grid values", id="K-grid=2**53+2"),
+    # rounds onto 2**53 as a float, and used to run there
+    pytest.param(f"axis = K\ngrid = 28,{2 ** 53 + 1}\n", "K grid values", id="K-grid=2**53+1"),
 ])
 def test_integer_beyond_float_range_is_config_error(tmp_path, capsys, lines, key, propagators):
     # K and L enter the beat notes and the step count as floats, exact up to 2**53
@@ -754,6 +759,18 @@ def test_integer_beyond_float_range_is_config_error(tmp_path, capsys, lines, key
 
 def test_integers_up_to_two_to_the_53_are_parsed():
     assert [cli.CONFIG_KEYS["K"](str(v)) for v in (2 ** 53, -2 ** 53, 28)] == [2 ** 53, -2 ** 53, 28]
+
+
+@pytest.mark.parametrize("grid, values", [
+    ("10:106:13", list(range(10, 107, 8))),      # the fig3b and fig4b grid
+    ("28.0,3e1, 31", [28, 30, 31]),
+    ("28:40.5:1", [28]),                         # a one-point grid is its start
+    (f"28,{2 ** 53}", [28, 2 ** 53]),
+    (f"{2 ** 53 - 2}:{2 ** 53}:3", [2 ** 53 - 2, 2 ** 53 - 1, 2 ** 53]),
+])
+def test_k_grid_values_are_the_integers_written(tmp_path, grid, values):
+    cfg = parse_config(_write(tmp_path, "k.cfg", f"axis = K\ngrid = {grid}\n"))
+    assert cfg["grid"] == values and all(type(v) is int for v in cfg["grid"])
 
 
 @pytest.mark.parametrize("grid", ["-inf:30:3", "20:nan:3"])
@@ -789,6 +806,10 @@ def test_non_finite_grid_end_is_config_error(tmp_path, capsys, grid):
     "omega_span = 0.7,inf\n",             # a non-finite span factor
     "pulse_coeffs = 0:0.5:0;1:-0.25:0;-1:-0.25:0\n",  # coefficients without pulse = custom
     "omega_span = 0.9,1.1\n",             # a span without grid = auto
+    # K grid values beyond 2**53 (axis = K), also where a float rounds them onto it; with
+    # the drive, which propagate needs before it reaches them
+    "omega_T = 20\ngrid = 28,1e300\n",
+    f"omega_T = 20\ngrid = 28,{2 ** 53 + 1}\n",
 ])
 def test_every_subcommand_rejects_malformed_values(tmp_path, capsys, command, lines):
     path = _write(tmp_path, "bad.cfg", _setting(CHECK_OK + "axis = K\ngrid = 28\npropagators = U2\n", lines))
