@@ -200,10 +200,3 @@ def render_table(params: GateParams, rows: list[BudgetRow]) -> str:
         lines.append(f"combined d_y = {combined_dy(params, params.omega_T):.6e}")
     return "\n".join(lines)
 
-
-def rows_to_csv(rows: list[BudgetRow]) -> str:
-    lines = ["label,operator,generic,at_LD,at_O4"]
-    for r in rows:
-        lines.append(f"{r.label},{r.operator_tag},"
-                     f"{r.generic:.12g},{r.at_ld:.12g},{r.at_o4:.12g}")
-    return "\n".join(lines) + "\n"

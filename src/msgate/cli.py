@@ -360,24 +360,30 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     return rows
 
 
+def _cell(value) -> str:
+    """One CSV cell, the one format of every table msgate writes: None is empty, a string
+    stays as it is, an integer is written exactly, a complex number as re+imj (+ 0.0
+    normalizes signed zeros) and any other number to 12 significant digits."""
+    if value is None or isinstance(value, str):
+        return value or ""
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, complex):
+        return f"{value.real + 0.0:.12g}{value.imag + 0.0:+.12g}j"
+    return f"{value:.12g}"
+
+
+def _csv(lines) -> str:
+    """The lines of values as CSV, each value written by ``_cell``."""
+    return "".join(",".join(map(_cell, line)) + "\n" for line in lines)
+
+
 def rows_to_csv(rows: list[dict], metric: str = "average") -> str:
-    """Deterministic CSV (12 significant digits, fixed column order)."""
+    """Deterministic CSV (``_cell``'s format, fixed column order)."""
     columns = list(CSV_COLUMNS)
     if metric == "both":
         columns = columns[:-1] + [f"bell_{n}" for n in PROPAGATOR_NAMES] + [columns[-1]]
-    lines = [",".join(columns)]
-    for row in rows:
-        cells = []
-        for col in columns:
-            val = row.get(col)
-            if val is None:
-                cells.append("")
-            elif isinstance(val, str):
-                cells.append(val)
-            else:
-                cells.append(f"{val:.12g}")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return _csv([columns, *([row.get(col) for col in columns] for row in rows)])
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +437,9 @@ def _cmd_budget(args) -> int:
         print(f"invalid parameters: {_joined(violations)}", file=sys.stderr)
         return 2
     rows = budget.table_rows(params)
-    _write(budget.rows_to_csv(rows) if args.csv else budget.render_table(params, rows) + "\n", args.out)
+    # a BudgetRow's fields are in the order of the CSV header
+    _write(_csv([("label", "operator", "generic", "at_LD", "at_O4"), *map(dataclasses.astuple, rows)])
+           if args.csv else budget.render_table(params, rows) + "\n", args.out)
     return 0
 
 
@@ -456,12 +464,7 @@ def _cmd_propagate(args) -> int:
     U = hilbert.embed(_propagators((which,), params, pulse,
                                    cfg.get("safety", trotter.TrotterConfig.safety))[which],
                       params.n_dim, 1.0)
-    lines = [f"# propagator {which}, dim {U.shape[0]}"]
-    for r in range(U.shape[0]):
-        # + 0.0 normalizes signed zeros for deterministic output
-        lines.append(",".join(f"{U[r, c].real + 0.0:.12g}{U[r, c].imag + 0.0:+.12g}j"
-                              for c in range(U.shape[1])))
-    _write("\n".join(lines) + "\n", args.out)
+    _write(_csv([[f"# propagator {which}, dim {U.shape[0]}"], *U.tolist()]), args.out)
     return 0
 
 

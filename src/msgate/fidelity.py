@@ -9,7 +9,8 @@ the fidelity).
 
 Both take the propagator in block form (U_+, U_-) on
 ``hilbert.symmetry_blocks(n_dim)`` (see ``hilbert.embed``).  The target, the Bell
-states and the Fock level of each block column are projected once per n_dim.
+states and the Fock level of each block column are projected once per n_dim
+and kept as read-only arrays.
 """
 
 from __future__ import annotations
@@ -43,18 +44,19 @@ class ThermalWeights:
 @lru_cache(maxsize=16)
 def _average_basis(n_dim: int) -> tuple:
     """Per block: the Fock level of each column and the target Q_b^H (U_t (x) 1) Q_b,
-    U_t = exp(i TARGET_ANGLE Jy^2)."""
+    U_t = exp(i TARGET_ANGLE Jy^2), read-only."""
     target = hilbert.matrix_exp(1j * TARGET_ANGLE * hilbert.collective_spins().Jy2)
-    return tuple((levels, T) for (levels, _), T in zip(hilbert.block_basis(n_dim),
-                                                      hilbert.to_blocks(target, np.eye(n_dim))))
+    return tuple(hilbert.read_only(levels, T) for (levels, _), T in zip(hilbert.block_basis(n_dim),
+                                                                        hilbert.to_blocks(target, np.eye(n_dim))))
 
 
 @lru_cache(maxsize=16)
 def _bell_basis(n_dim: int) -> tuple:
-    """Per block: the columns Q_b^H (|00> (x) |n>) and Q_b^H (psi_t (x) |m>) over n, m."""
+    """Per block: the columns Q_b^H (|00> (x) |n>) and Q_b^H (psi_t (x) |m>) over n, m,
+    read-only."""
     states = np.array([[1, 1], [0, 0], [0, 0], [0, np.exp(1j * TARGET_PHASE)]]) / [1, np.sqrt(2)]
     # column j of Q_b is v_j (x) |n_j>, so row j of Q_b^H (psi (x) |m>) is (v_j^H psi) delta(n_j, m)
-    return tuple(tuple((V.conj() @ psi)[:, None] * np.eye(n_dim)[n] for psi in states.T)
+    return tuple(hilbert.read_only(*((V.conj() @ psi)[:, None] * np.eye(n_dim)[n] for psi in states.T))
                  for n, V in hilbert.block_basis(n_dim))
 
 

@@ -25,6 +25,13 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
 
+def read_only(*arrays: np.ndarray) -> tuple:
+    """The arrays, set read-only: a cached value is shared by every later caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def destroy(n_dim: int) -> np.ndarray:
     """Truncated annihilation operator a."""
     return np.diag(np.sqrt(np.arange(1, n_dim, dtype=float)), k=1).astype(complex)
@@ -47,16 +54,14 @@ class CollectiveSpinSet:
 
 @lru_cache(maxsize=1)
 def collective_spins() -> CollectiveSpinSet:
+    """The one cached set, of read-only arrays."""
     def coll(sigma):
         return 0.5 * (np.kron(IDENTITY_2, sigma) + np.kron(sigma, IDENTITY_2))
 
     Jx, Jy, Jz = coll(SIGMA_X), coll(SIGMA_Y), coll(SIGMA_Z)
     Jxy = 0.5 * (np.kron(SIGMA_X, SIGMA_Y) + np.kron(SIGMA_Y, SIGMA_X))
-    return CollectiveSpinSet(
-        Jx=Jx, Jy=Jy, Jz=Jz,
-        Jplus=Jx + 1j * Jy, Jminus=Jx - 1j * Jy,
-        Jxy=Jxy, Jx2=Jx @ Jx, Jy2=Jy @ Jy, Jz2=Jz @ Jz,
-    )
+    return CollectiveSpinSet(*read_only(Jx, Jy, Jz, Jx + 1j * Jy, Jx - 1j * Jy,  # Jplus, Jminus
+                                        Jxy, Jx @ Jx, Jy @ Jy, Jz @ Jz))
 
 
 def collective_spin(m: int) -> np.ndarray:

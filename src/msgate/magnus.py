@@ -52,17 +52,17 @@ from .pulses import PulseShape
 _POWERS = 8
 
 
-def dyson_hat_terms(params: GateParams, pulse: PulseShape, up_to: int) -> list[tuple]:
+def dyson_hat_terms(params: GateParams, pulse: PulseShape, up_to: int) -> tuple[tuple, ...]:
     """P_k / (Omega*T)^k for k = 1..up_to in block form (``hilbert.embed``), from one
-    transfer pass; the last 8 are cached, keyed by what they depend on (not omega_T,
-    nbar or k_max): the pulse and L by the taps of ``hilbert.drive_taps``."""
+    transfer pass; the last 8 are cached, as read-only arrays, keyed by what they depend on
+    (not omega_T, nbar or k_max): the pulse and L by the taps of ``hilbert.drive_taps``."""
     taps, tap_c = hilbert.drive_taps(params, pulse)
     return _transfer_dyson(params.eta, params.K, tuple(taps.tolist()), tuple(tap_c.tolist()),
                            params.n_dim, params.m_max, up_to)
 
 
 @lru_cache(maxsize=8)
-def _transfer_dyson(eta, K, taps, tap_c, n_dim, m_max, up_to) -> list[tuple]:
+def _transfer_dyson(eta, K, taps, tap_c, n_dim, m_max, up_to) -> tuple[tuple, ...]:
     """The transfer pass inside the blocks of ``hilbert.symmetry_blocks``: every
     term operator commutes with both symmetries and annihilates the exchange
     singlets, so each P_k is the pair (P_+, P_-) and 0 on the singlets.
@@ -86,9 +86,9 @@ def _transfer_dyson(eta, K, taps, tap_c, n_dim, m_max, up_to) -> list[tuple]:
         else:
             y = _matvec(x, rows, cols, values[where], n)
             P, x = (_matvec(y, *M) for M in maps)
-        p_hats.append(tuple((-1j) ** order * part.reshape(X.shape[1:])
-                            for part, X in zip(np.split(P, np.cumsum(sizes)[:-1]), ops)))
-    return p_hats
+        p_hats.append(hilbert.read_only(*((-1j) ** order * part.reshape(X.shape[1:])
+                                          for part, X in zip(np.split(P, np.cumsum(sizes)[:-1]), ops))))
+    return tuple(p_hats)
 
 
 def _matvec(x: np.ndarray, rows: np.ndarray, cols: np.ndarray, data: np.ndarray, n: int) -> np.ndarray:
@@ -251,11 +251,8 @@ def _sideband_moves(n_dim: int, m_max: int) -> tuple:
     q_bits = np.zeros(size, dtype=np.uint64)
     np.bitwise_or.at(q_bits, src, _sideband_bits(m))
     by_src = np.argsort(src, kind="stable")
-    out = (_pointers(np.bincount(src, minlength=size)), dst[by_src], m[by_src], where[by_src],
-           np.concatenate(identity), q_bits)
-    for a in out:
-        a.setflags(write=False)
-    return (size, *out)
+    return (size, *hilbert.read_only(_pointers(np.bincount(src, minlength=size)), dst[by_src], m[by_src],
+                                     where[by_src], np.concatenate(identity), q_bits))
 
 
 def _antiderivative(keys: np.ndarray) -> tuple:

@@ -129,9 +129,7 @@ def _frame(builder, eta: float, K: int, n_dim: int, m_max: int, n_steps: int) ->
         phases = np.exp(-2j * np.pi * (K * levels % n_steps).astype(np.longdouble) / n_steps)
         W, V = (V.conj().T @ (phases[:, None] * V)).astype(complex), V.astype(complex)
         h = np.exp(-1j * np.pi * (K * levels % (2 * n_steps)) / n_steps)
-        for a in (levels, lam, V, W, h):
-            a.flags.writeable = False
-        frame.append((levels, lam, V, W, h))
+        frame.append(hilbert.read_only(levels, lam, V, W, h))
     return tuple(frame)
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from msgate import budget, hilbert, magnus
+from msgate import budget, cli, hilbert, magnus
 from msgate.budget import (
     CONSISTENT_ROWS,
     amplitude_set,
@@ -11,7 +11,6 @@ from msgate.budget import (
     omega_2,
     omega_4,
     omega_ld,
-    rows_to_csv,
     table_rows,
 )
 from msgate.params import GateParams, validate
@@ -160,13 +159,22 @@ def test_z4_jxy_row_is_exact_at_ld_and_transcribed_at_o4(K, L, eta):
     assert "Z4_m1_Jxy" not in CONSISTENT_ROWS
 
 
-def test_table_rows_structure(base_params):
-    rows = table_rows(base_params.replace(omega_T=omega_2(base_params)))
+def test_table_rows_structure(base_params, tmp_path, capsys):
+    p = base_params.replace(omega_T=omega_2(base_params))
+    rows = table_rows(p)
     assert tuple(r.label for r in rows) == LABELS
     assert rows[0].operator_tag == "Jy^2"
-    csv = rows_to_csv(rows)
+    # msgate budget --csv writes the rows, one line each, in the header's column order
+    cfg = tmp_path / "budget.cfg"
+    cfg.write_text("".join(f"{key} = {value!r}\n" for key, value in vars(p).items()))
+    assert cli.main(["budget", "--csv", str(cfg)]) == 0
+    csv = capsys.readouterr().out
     assert csv.splitlines()[0] == "label,operator,generic,at_LD,at_O4"
     assert len(csv.splitlines()) == 9
+    for line, r in zip(csv.splitlines()[1:], rows):
+        label, op, *numbers = line.split(",")
+        assert (label, op) == (r.label, r.operator_tag)
+        assert np.allclose([float(x) for x in numbers], [r.generic, r.at_ld, r.at_o4], rtol=1e-11, atol=0)
 
 
 def test_zero_drive_zeroes_generic_rows(base_params):

@@ -11,6 +11,7 @@ import sys
 import time
 import warnings
 
+import numpy as np
 import pytest
 
 import msgate
@@ -184,6 +185,41 @@ propagators = U2
     assert status[14] == "ok"
     csv = rows_to_csv(rows)
     assert "skip:" in csv
+
+
+@pytest.mark.parametrize("value, cell", [
+    (None, ""),
+    ("", ""),
+    ("skip:K>L>=1", "skip:K>L>=1"),
+    (2 ** 53, "9007199254740992"),            # an integer exactly, beyond 12 digits
+    (-(10 ** 12) - 1, "-1000000000001"),
+    (0.1 + 0.2, "0.3"),                        # any other number to 12 significant digits
+    (1 / 3, "0.333333333333"),
+    (np.float64(2.0 ** 53), "9.00719925474e+15"),
+    (-0.0, "-0"),                              # a real zero keeps its sign
+    (math.nan, "nan"),
+    (complex(-0.0, -0.0), "0+0j"),             # a complex one does not: + 0.0 drops it
+    (complex(1.5, -0.0), "1.5+0j"),
+    (complex(-0.0, -2.0), "0-2j"),
+    (np.complex128(1 / 3 - 1e-20j), "0.333333333333-1e-20j"),
+])
+def test_cell_is_the_one_csv_format(value, cell):
+    assert cli._cell(value) == cell
+
+
+def test_csv_joins_cells_into_lines():
+    assert cli._csv([]) == ""
+    # a line of one string is written as it is: propagate's header comment is one
+    assert cli._csv([("# U2, dim 32",), [None, 2 ** 60, 0.5, 1j]]) == f"# U2, dim 32\n,{2 ** 60},0.5,0+1j\n"
+
+
+@pytest.mark.parametrize("grid", [(10 ** 12, 10 ** 12 + 1), (2 ** 53 - 1, 2 ** 53)])
+def test_k_axis_cells_are_the_integers_swept(tmp_path, capsys, grid):
+    # 12 significant digits would print both values of each grid as the same cell
+    path = _write(tmp_path, "k.cfg", CHECK_OK + f"axis = K\ngrid = {grid[0]},{grid[1]}\npropagators = U2\n")
+    assert cli.main(["sweep", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == [str(K) for K in grid]
 
 
 def test_parallel_and_serial_agree(tmp_path):
@@ -814,7 +850,9 @@ def test_non_finite_grid_end_is_config_error(tmp_path, capsys, grid):
 def test_every_subcommand_rejects_malformed_values(tmp_path, capsys, command, lines):
     path = _write(tmp_path, "bad.cfg", _setting(CHECK_OK + "axis = K\ngrid = 28\npropagators = U2\n", lines))
     assert cli.main([command, path]) == 1
-    assert "config error" in capsys.readouterr().err
+    # the base config has no drive: the value itself, not the missing drive, must stop propagate
+    err = capsys.readouterr().err
+    assert "config error" in err and "propagate needs the drive" not in err
 
 
 OUT_OK = CHECK_OK + "axis = omega\ngrid = 28\npropagators = U2\npropagator = U2\n"

@@ -232,6 +232,26 @@ def test_dyson_cache_reuse(base_params, rect, monkeypatch):
     assert all(np.array_equal(x, y) for X, Y in zip(again, a) for x, y in zip(X, Y))
 
 
+def test_cached_values_are_read_only(base_params, rect):
+    # each cache hands the same arrays to every later caller: a write into one would move
+    # every later result read from it
+    cached = {
+        "_transfer_dyson": [X for P in magnus.dyson_hat_terms(base_params, rect, 3) for X in P],
+        "_sideband_moves": list(magnus._sideband_moves(base_params.n_dim, base_params.m_max)[1:]),
+        "collective_spins": list(vars(hilbert.collective_spins()).values()),
+        "_average_basis": [a for block in fidelity._average_basis(base_params.n_dim) for a in block],
+        "_bell_basis": [a for block in fidelity._bell_basis(base_params.n_dim) for a in block],
+    }
+    assert isinstance(magnus.dyson_hat_terms(base_params, rect, 3), tuple)
+    for name, arrays in cached.items():
+        assert arrays, name
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 0
+    Z = magnus.magnus_terms(base_params.replace(omega_T=30.0), rect, 3)
+    assert Z[2][0].flags.writeable  # the orders are new arrays, which a caller may write
+
+
 def _taps(p, pulse):
     """The drive taps of ``hilbert.drive_taps`` as the Dyson cache and the plan key them."""
     taps, tap_c = hilbert.drive_taps(p, pulse)
