@@ -3,7 +3,8 @@
 All drive strengths are dimensionless (Omega*T).  The budget table carries
 three coefficient columns per error term: the generic expression evaluated at
 a given Omega*T, and the closed forms at the leading-order amplitude
-Omega_LD and at the fourth-order-corrected amplitude Omega_4.
+Omega_LD and at the fourth-order-corrected amplitude Omega_4.  Omega_4 and that column
+are written without cancellation (``_o4_gap``, and the Z4 cells with D^2 = 2 s D - (K^2 - L^2)).
 
 Transcription notes (kept verbatim, deliberately not "fixed"):
   * the Z3 second-sideband entry (Z3_m2): its generic column's + sign is the
@@ -55,18 +56,20 @@ def omega_2(params: GateParams) -> float:
 
 
 def omega_4(params: GateParams) -> float:
-    """Fourth-order-corrected amplitude.
+    """Fourth-order-corrected amplitude: Omega_4^2*T^2 = sqrt(2)*pi^2*L*D / (sqrt(K)*eta),
+    D = ``_o4_gap``.  NaN when s^2 < K^2 - L^2 (no real solution), as omega_2 is."""
+    D = _o4_gap(params)  # NaN when Omega_4 is not real, before any division by eta
+    return D if math.isnan(D) else math.sqrt(SQRT2 * math.pi ** 2 * params.L * D / (math.sqrt(params.K) * params.eta))
 
-    Omega_4^2*T^2 = sqrt(2)*pi^2*L*(s - sqrt(s^2 - (K^2-L^2))) / (sqrt(K)*eta),
-    s = ``s_parameter``.  NaN when s^2 < K^2 - L^2 (no real solution), as omega_2 is.
-    """
-    K, L, eta = params.K, params.L, params.eta
+
+def _o4_gap(params: GateParams) -> float:
+    """D = s - sqrt(disc), disc = s^2 - (K^2 - L^2), as (K^2 - L^2) / (s + sqrt(disc)): at large
+    K the difference loses its digits (Omega_4 read 0 at K = 10^12, L = K - 3, eta = 0.18).
+    s = ``s_parameter``; NaN when disc < 0."""
+    K, L = params.K, params.L
     s = s_parameter(params)
     disc = s * s - (K * K - L * L)
-    if disc < 0:
-        return math.nan
-    w2 = SQRT2 * math.pi ** 2 * L * (s - math.sqrt(disc)) / (math.sqrt(K) * eta)
-    return math.sqrt(w2)
+    return (K * K - L * L) / (s + math.sqrt(disc)) if disc >= 0 else math.nan
 
 
 def combined_dy(params: GateParams, omega_T: float) -> float:
@@ -134,10 +137,7 @@ def table_rows(params: GateParams, n: int = 0) -> list[BudgetRow]:
     """
     K, L, eta, W = params.K, params.L, params.eta, params.omega_T
     KK, LL = K * K, L * L
-    s = s_parameter(params)
-    disc = s * s - (KK - LL)
-    rt = math.sqrt(max(disc, 0.0))
-    D = s - rt
+    D = _o4_gap(params)
     pi = math.pi
     rows = (
         ("Gate", "Jy^2",
@@ -170,15 +170,15 @@ def table_rows(params: GateParams, n: int = 0) -> list[BudgetRow]:
         ("Z4_m1_Jz2", "Jz^2",
          -K * W ** 4 * eta ** 2 / (4 * pi ** 3 * LL * (KK - 4 * LL)),
          -pi * (KK - LL) ** 2 / (16 * K * LL * eta ** 2 * (KK - 4 * LL)),
-         lambda: pi * (KK - LL - 2 * s * s + 2 * s * rt) / (2 * (KK - 4 * LL))),
+         lambda: -pi * D ** 2 / (2 * (KK - 4 * LL))),
         ("Z4_m1_Jy2", "Jy^2",
          K * W ** 4 * eta ** 2 / (4 * pi ** 3 * LL * (KK - LL)),
          pi * (KK - LL) / (16 * K * LL * eta ** 2),
-         lambda: -pi / 2 + pi * s * D / (KK - LL)),
+         lambda: pi * D ** 2 / (2 * (KK - LL))),
     )
     # Omega_4 cells only where Omega_4 is real: at K = 2L^2, which validate accepts
     # (K = 18, L = 3), the Z4_m1_Jxy cell divides by zero, and s^2 < K^2 - L^2.
-    return [BudgetRow(label, op, generic, at_ld, at_o4() if disc >= 0 else math.nan)
+    return [BudgetRow(label, op, generic, at_ld, math.nan if math.isnan(D) else at_o4())
             for label, op, generic, at_ld, at_o4 in rows]
 
 

@@ -112,10 +112,10 @@ def _ragged(ptr: np.ndarray, sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _key_step(keys: np.ndarray, K: int, m_max: int, taps: np.ndarray, tap_c: np.ndarray) -> tuple:
     """An order on the keys alone: op_m moves key nu to nu + m K (sideband), tap g on by N_g
     (drive), and the antiderivative (``_antiderivative``) onto the next keys.  Returns the
-    sideband keys with the index sinv[m, key] of each, the drive keys with the index
-    tinv[g, sideband key] of each, the next keys, the parts map, per sideband key its
-    weight (the antiderivative at tau = 1 of the driven term) and per key the bits
-    (``_sideband_bits``) of the sidebands that move it onto a nonzero weight."""
+    sideband keys with the index sinv[m, key] of each, the index tinv[g, sideband key] of
+    each drive key, the next keys, the parts map, per sideband key its weight (the
+    antiderivative at tau = 1 of the driven term) and per key whether a sideband moves it
+    onto a nonzero weight."""
     skeys, sinv = np.unique(keys + _POWERS * K * np.arange(-m_max, m_max + 1)[:, None], return_inverse=True)
     sinv = sinv.reshape(2 * m_max + 1, -1)
     ikeys, tinv = np.unique(skeys + _POWERS * taps[:, None], return_inverse=True)
@@ -125,15 +125,7 @@ def _key_step(keys: np.ndarray, K: int, m_max: int, taps: np.ndarray, tap_c: np.
     # p > 0 or nu = 0, as int_0^1 e^{i 2 pi nu tau} dtau = 0 at every integer nu != 0
     ptr, _, coef = parts  # every column is nonempty; reduceat sums it as a CSC column sum does
     weights = tap_c @ np.add.reduceat(coef, ptr[:-1])[tinv]
-    read = np.bitwise_or.reduce(np.where(weights[sinv] != 0, _sideband_bits(np.arange(len(sinv)))[:, None],
-                                         np.uint64(0)), axis=0)
-    return skeys, sinv, ikeys, tinv, next_keys, parts, weights, read
-
-
-def _sideband_bits(m: np.ndarray) -> np.ndarray:
-    """One bit per index m of a sideband; beyond 64 sidebands bits are shared, which only
-    keeps more entries."""
-    return np.uint64(1) << (m % 64).astype(np.uint64)
+    return skeys, sinv, tinv, next_keys, parts, weights, (weights[sinv] != 0).any(axis=0)
 
 
 def _index(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -149,9 +141,9 @@ def _index(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=1)
 def _plan(K, taps, tap_c, n_dim, m_max, up_to) -> tuple:
-    """What the transfer pass does at every eta, from structure alone.  Only the last
-    plan is kept (4.4 MB for sin^2 at order 5, n_dim 8, m_max 3): a sweep varies eta or
-    omega_T at one key, or K without coming back to a key.
+    """What the transfer pass does at every eta, from structure alone, as read-only arrays.
+    Only the last plan is kept (4.4 MB for sin^2 at order 5, n_dim 8, m_max 3): a sweep
+    varies eta or omega_T at one key, or K without coming back to a key.
 
     The stacks of both blocks are one vector over entries (key, q), q as in
     ``_sideband_moves``.  Each map is its entries (rows, cols, data) and its number of
@@ -161,10 +153,9 @@ def _plan(K, taps, tap_c, n_dim, m_max, up_to) -> tuple:
     flat op stacks.  A lower order is (pairs, R, S), the rows of the pairs the entries
     of y and R, S the maps from y onto P_k and onto the next entries; the top order is
     (pairs, weights), the rows of its pairs their output q and weights the
-    antiderivative at tau = 1 of their keys.  Only what is not exactly zero is kept: R
-    holds the nonzero weights, the top order the pairs of nonzero weight, and the last
-    S builds only the entries (key, q) that such a pair reads, those where a sideband
-    out of q moves the key onto a nonzero weight."""
+    antiderivative at tau = 1 of their keys.  Only what is not exactly zero is kept, by
+    one rule: R holds the nonzero weights, the top order the pairs of nonzero weight, and
+    the last S builds only the entries that such a pair reads."""
     # the keys of order up_to reach |nu| <= up_to (max|N_g| + m_max K), and all must be int64
     reach = up_to * (max(map(abs, taps)) + m_max * K)
     if (reach + 1) * _POWERS > np.iinfo(np.int64).max:
@@ -173,41 +164,48 @@ def _plan(K, taps, tap_c, n_dim, m_max, up_to) -> tuple:
     # by beat note, so that the drive of a sideband key sums in the order of the keys
     by_note = np.argsort(taps, kind="stable")
     taps, tap_c = np.array(taps)[by_note], np.array(tap_c)[by_note]
-    size, move_ptr, move_q, move_m, move_where, identity, q_bits = _sideband_moves(n_dim, m_max)
-    keys, key, q = np.zeros(1, dtype=np.int64), 0 * identity, identity
-    stage, orders = _key_step(keys, K, m_max, taps, tap_c), []
+    size, move_ptr, move_q, move_m, move_where, identity = _sideband_moves(n_dim, m_max)
+    key, q = 0 * identity, identity
+    stage, orders = _key_step(np.zeros(1, dtype=np.int64), K, m_max, taps, tap_c), []
     for order in range(1, up_to + 1):
-        skeys, sinv, _, tinv, next_keys, parts, weights, _ = stage
+        skeys, sinv, tinv, next_keys, parts, weights, _ = stage
         pos, counts = _ragged(move_ptr, q)
         s = sinv[move_m[pos], np.repeat(key, counts)]
-        cols, where, q = np.repeat(np.arange(len(counts)), counts), move_where[pos], move_q[pos]
+        cols = np.repeat(np.arange(len(counts)), counts)
         if order == up_to:
-            read = weights[s] != 0  # only the pairs of nonzero weight
-            orders.append(((q[read], cols[read], where[read], size), weights[s][read]))
+            read = np.flatnonzero(weights[s] != 0)  # only the pairs of nonzero weight
+            pos, s, cols = pos[read], s[read], cols[read]
+            if orders:
+                # the entries that they read, renumbered, and the last S onto those alone
+                # (every entry is a row of S, so both renumberings agree)
+                kept, cols = _index(cols, len(counts))
+                *lower, (rows, to_col, data, _) = orders.pop()
+                on = np.isin(rows, kept)
+                _, rows = _index(rows[on], len(counts))
+                orders.append((*lower, _entries(rows, to_col[on], data[on], len(kept))))
+            orders.append((_entries(move_q[pos], cols, move_where[pos], size), *hilbert.read_only(weights[s])))
             break
+        where, q = move_where[pos], move_q[pos]
         # the entries of y and of the next order, and the maps R and S onto them
         codes, rows = _index(s * size + q, len(skeys) * size)
         skey, q = np.divmod(codes, size)
         read = np.flatnonzero(weights[skey] != 0)
-        R = (q[read], read, weights[skey][read], size)
         ptr, new_key, data = _drive_step(parts, tinv, tap_c, len(next_keys))
         stage = _key_step(next_keys, K, m_max, taps, tap_c)
-        if order == up_to - 1:
-            # S builds only the entries (key, q) that the top order reads, those where a
-            # sideband out of q moves the key onto a nonzero weight: first drop the keys
-            # that no sideband moves there, then the q that none of the key's leaves
-            live = stage[-1]
-            on = live[new_key] != 0
+        if order == up_to - 1:  # drop the keys that no sideband moves onto a nonzero weight
+            on = stage[-1][new_key]
             ptr, new_key, data = _pointers(on)[ptr], new_key[on], data[on]
         pos, counts = _ragged(ptr, skey)
-        to_key, to_q, to_col = new_key[pos], np.repeat(q, counts), np.repeat(np.arange(len(skey)), counts)
-        if order == up_to - 1:
-            read = (live[to_key] & q_bits[to_q]) != 0
-            pos, to_key, to_q, to_col = pos[read], to_key[read], to_q[read], to_col[read]
-        next_codes, next_rows = _index(to_key * size + to_q, len(next_keys) * size)
-        orders.append(((rows, cols, where, len(codes)), R, (next_rows, to_col, data[pos], len(next_codes))))
-        keys, (key, q) = next_keys, np.divmod(next_codes, size)
+        next_codes, next_rows = _index(new_key[pos] * size + np.repeat(q, counts), len(next_keys) * size)
+        orders.append((_entries(rows, cols, where, len(codes)), _entries(q[read], read, weights[skey][read], size),
+                       _entries(next_rows, np.repeat(np.arange(len(skey)), counts), data[pos], len(next_codes))))
+        key, q = np.divmod(next_codes, size)
     return tuple(orders)
+
+
+def _entries(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, n: int) -> tuple:
+    """A map of the plan, which every later caller shares: its entry lists read-only."""
+    return (*hilbert.read_only(rows, cols, data), n)
 
 
 def _drive_step(parts: tuple, tinv: np.ndarray, tap_c: np.ndarray, n_keys: int) -> tuple:
@@ -230,10 +228,10 @@ def _drive_step(parts: tuple, tinv: np.ndarray, tap_c: np.ndarray, n_keys: int) 
 def _sideband_moves(n_dim: int, m_max: int) -> tuple:
     """Where J_m (x) A_m moves each entry q = (block, row, column) of the block stacks:
     the number of q, the moves out of each q (pointers, then target q, index of m and
-    ``where`` in the flat op stacks), the q of the identity and per q the bits
-    (``_sideband_bits``) of the sidebands that move it, as read-only arrays.  The pattern
-    comes from ``hilbert.to_blocks`` of J_m and of the band of Fock levels that A_m raises
-    by m, never from operator values, so an eta at which some A_m vanishes drops no entry."""
+    ``where`` in the flat op stacks) and the q of the identity, as read-only arrays.  The
+    pattern comes from ``hilbert.to_blocks`` of J_m and of the band of Fock levels that A_m
+    raises by m, never from operator values, so an eta at which some A_m vanishes drops no
+    entry."""
     ms = range(-m_max, m_max + 1)
     pattern = hilbert.to_blocks(np.stack([hilbert.collective_spin(m) for m in ms]),
                                 np.stack([np.eye(n_dim, k=-m) for m in ms]))
@@ -248,11 +246,9 @@ def _sideband_moves(n_dim: int, m_max: int) -> tuple:
         identity.append(size + np.arange(d) * (d + 1))
         size, flat = size + d * d, flat + P.size
     src, dst, m, where = (np.concatenate(part).astype(np.intp) for part in zip(*moves))
-    q_bits = np.zeros(size, dtype=np.uint64)
-    np.bitwise_or.at(q_bits, src, _sideband_bits(m))
     by_src = np.argsort(src, kind="stable")
     return (size, *hilbert.read_only(_pointers(np.bincount(src, minlength=size)), dst[by_src], m[by_src],
-                                     where[by_src], np.concatenate(identity), q_bits))
+                                     where[by_src], np.concatenate(identity)))
 
 
 def _antiderivative(keys: np.ndarray) -> tuple:

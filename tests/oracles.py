@@ -16,6 +16,8 @@ reference of its integer engine (``fraction_integral``), the prefix-sum filter
   * the printed sin^2-pulse closed forms (``sin2_forms``), which track the
     assembly only to 10-20%;
   * ``calibrate_omega``, a bounded minimiser of the U4 infidelity over omega_T;
+  * ``budget_at_o4_decimal``, Omega_4 and the Omega_4 column of the budget table from
+    their printed forms in 80-digit ``Decimal`` arithmetic;
   * the ``scipy.sparse`` forms of the transfer plan's maps (``csc_map``) and of its
     drive step (``sparse_drive_step``), which pin the order in which the numpy pass
     rounds its sums."""
@@ -23,6 +25,7 @@ reference of its integer engine (``fraction_integral``), the prefix-sum filter
 import itertools
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
@@ -248,6 +251,50 @@ def calibrate_omega(params, pulse, bracket, tol=1e-4):
         return 1.0 - fidelity.average_fidelity(U, weights)
 
     return float(minimize_scalar(infid, bounds=bracket, method="bounded", options={"xatol": tol}).x)
+
+
+def _decimal_pi() -> Decimal:
+    """pi to the precision of the current context (the series of the ``decimal`` docs)."""
+    with localcontext() as ctx:
+        ctx.prec += 2
+        last, t, s, n, na, d, da = 0, Decimal(3), Decimal(3), 1, 0, 0, 24
+        while s != last:
+            last = s
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = (t * n) / d
+            s += t
+    return +s
+
+
+def budget_at_o4_decimal(K: int, L: int, eta: float, n: int = 0) -> tuple[float, dict[str, float]]:
+    """Omega_4 and the Omega_4 column of ``budget.table_rows`` at Fock level n, from the
+    printed forms, subtractions included, in 80-digit arithmetic at the exact eta of the
+    float, by row label; NaN and no cells when s^2 < K^2 - L^2."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        pi, e, KK, LL, m = _decimal_pi(), Decimal(eta), Decimal(K * K), Decimal(L * L), 2 * n + 1
+        s = (2 * Decimal(K)).sqrt() * L * e * (1 - e * e)
+        disc = s * s - (KK - LL)
+        if disc < 0:
+            return math.nan, {}
+        rt = disc.sqrt()
+        D = s - rt
+        r2K, K125, L15 = (2 * Decimal(K)).sqrt(), Decimal(K) ** Decimal("1.25"), Decimal(L) ** Decimal("1.5")
+        omega4 = (2 ** Decimal("0.5") * pi ** 2 * L * D / (Decimal(K).sqrt() * e)).sqrt()
+        cells = {
+            "Gate": -r2K * pi * L * e * D / (KK - LL),
+            "Z2_m1": r2K * pi * L * e ** 3 * m * D / (KK - LL),
+            "Z2_m2": -r2K * pi * L * e ** 3 * m * D / (4 * KK - LL),
+            "Z3_m1": -(2 ** Decimal("1.75")) * pi * K125 * L15 * e ** Decimal("3.5") * D ** Decimal("1.5")
+                     / (KK - LL) ** 2,
+            "Z3_m2": -(2 ** Decimal("0.75")) * pi * K125 * L15 * e ** Decimal("2.5") * D ** Decimal("1.5")
+                     / ((4 * KK - LL) * (KK - LL)),
+            "Z4_m1_Jxy": 2 * pi * LL * e * D ** 2 / ((KK - LL) * (KK - 4 * Decimal(L) ** 4)),
+            "Z4_m1_Jz2": pi * (KK - LL - 2 * s * s + 2 * s * rt) / (2 * (KK - 4 * LL)),
+            "Z4_m1_Jy2": -pi / 2 + pi * s * D / (KK - LL),
+        }
+        return float(omega4), {label: float(v) for label, v in cells.items()}
 
 
 # ---------------------------------------------------------------------------

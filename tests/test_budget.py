@@ -15,7 +15,7 @@ from msgate.budget import (
 )
 from msgate.params import GateParams, validate
 from msgate.pulses import PulseShape, rectangular, sin_squared
-from oracles import calibrate_omega, sin2_forms
+from oracles import budget_at_o4_decimal, calibrate_omega, sin2_forms
 
 JY2 = hilbert.collective_spins().Jy2 - np.eye(4) / 2  # sigma_y (x) sigma_y / 2
 LABELS = ("Gate", "Z2_m1", "Z2_m2", "Z3_m1", "Z3_m2", "Z4_m1_Jxy", "Z4_m1_Jz2", "Z4_m1_Jy2")
@@ -81,6 +81,25 @@ def test_omega_4_invalid_when_discriminant_negative():
     assert amps.omega_ld < amps.omega_2  # the other amplitudes stay real
     for row in table_rows(p.replace(omega_T=3.7), 1):  # and so do all but the Omega_4 column
         assert math.isnan(row.at_o4) and math.isfinite(row.generic) and math.isfinite(row.at_ld), row.label
+
+
+@pytest.mark.parametrize("eta", [0.05, 0.18, 0.3])
+@pytest.mark.parametrize("K", [28, 40, 10 ** 4, 10 ** 6, 10 ** 9, 10 ** 12, 2 ** 53])
+def test_omega_4_column_keeps_its_digits_at_large_K(K, eta):
+    # s^2 lies far above K^2 - L^2 at large K: s - sqrt(s^2 - (K^2 - L^2)) and the two
+    # Z4 cells that subtract near-equal terms would lose their digits (Omega_4 read 0 at
+    # K = 10^12, eta = 0.18)
+    p = GateParams(eta=eta, K=K, L=K - 3)
+    for n in (0, 2):
+        want_w4, want = budget_at_o4_decimal(K, K - 3, eta, n)
+        rows = table_rows(p, n)
+        if math.isnan(want_w4):
+            assert K == 28 and eta == 0.05  # the one point of the grid without a real Omega_4
+            assert math.isnan(omega_4(p)) and all(math.isnan(r.at_o4) for r in rows)
+            continue
+        assert omega_4(p) == pytest.approx(want_w4, rel=1e-14, abs=0)
+        for r in rows:
+            assert r.at_o4 == pytest.approx(want[r.label], rel=1e-14, abs=0), (r.label, n)
 
 
 def test_budget_at_K_equal_2L_squared():

@@ -222,6 +222,17 @@ def test_k_axis_cells_are_the_integers_swept(tmp_path, capsys, grid):
     assert [line.split(",")[0] for line in lines[1:]] == [str(K) for K in grid]
 
 
+def test_k_axis_sweep_drives_at_omega_4_at_large_K(tmp_path, capsys):
+    # Omega_4 at K = 10^12 (L = K - 3, eta = 0.18) is 30.7319..., close to Omega_2
+    path = _write(tmp_path, "k.cfg", CHECK_OK + "axis = K\ngrid = 1000000000000\nomega_mode = omega4\n"
+                                               "propagators = U2\n")
+    assert cli.main(["sweep", path]) == 0
+    header, row = (line.split(",") for line in capsys.readouterr().out.splitlines())
+    cells = dict(zip(header, row))
+    assert float(cells["omega_T"]) == pytest.approx(30.7319463, rel=1e-8)
+    assert float(cells["omega_T"]) == float(cells["omega_4"]) and cells["status"] == "ok"
+
+
 def test_parallel_and_serial_agree(tmp_path):
     # both metrics of a Magnus and the numeric propagator cross the process pool
     spec = sweep_from_config(parse_config(_write(tmp_path, "s.cfg", MINI_SWEEP)))

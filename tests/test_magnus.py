@@ -235,8 +235,12 @@ def test_dyson_cache_reuse(base_params, rect, monkeypatch):
 def test_cached_values_are_read_only(base_params, rect):
     # each cache hands the same arrays to every later caller: a write into one would move
     # every later result read from it
+    p = base_params
     cached = {
         "_transfer_dyson": [X for P in magnus.dyson_hat_terms(base_params, rect, 3) for X in P],
+        "_plan": [a for order in magnus._plan(p.K, *_taps(p, rect), p.n_dim, p.m_max, 3)
+                  for part in order for a in (part if isinstance(part, tuple) else (part,))
+                  if isinstance(a, np.ndarray)],
         "_sideband_moves": list(magnus._sideband_moves(base_params.n_dim, base_params.m_max)[1:]),
         "collective_spins": list(vars(hilbert.collective_spins()).values()),
         "_average_basis": [a for block in fidelity._average_basis(base_params.n_dim) for a in block],
@@ -383,10 +387,10 @@ def test_drive_step_rounds_as_the_sparse_product(base_params, pulse, K, L):
     taps, tap_c = taps[by_note], tap_c[by_note]
     keys = np.zeros(1, dtype=np.int64)
     for order in range(1, 5):
-        _, _, ikeys, tinv, next_keys, parts, weights, _ = magnus._key_step(keys, K, p.m_max, taps, tap_c)
+        _, _, tinv, next_keys, parts, weights, _ = magnus._key_step(keys, K, p.m_max, taps, tap_c)
         ptr, rows, coef = parts
-        shape = (len(next_keys), len(ikeys))
-        cols = np.repeat(np.arange(len(ikeys)), np.diff(ptr))
+        shape = (len(next_keys), len(ptr) - 1)  # a column per drive key
+        cols = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
         canonical = scipy.sparse.csc_array((coef[::-1], (rows[::-1], cols[::-1])), shape=shape)
         assert np.array_equal(canonical.indptr, ptr) and np.array_equal(canonical.indices, rows)
         assert np.array_equal(canonical.data, coef)
@@ -406,7 +410,7 @@ def test_sideband_terms_are_partial_permutations_in_the_blocks(n_dim):
         for X in hilbert.to_blocks(hilbert.collective_spin(m), hilbert.sideband_operator(m, 0.3, n_dim)):
             assert (X != 0).sum(axis=0).max(initial=0) <= 1 and (X != 0).sum(axis=1).max(initial=0) <= 1, m
     for m_max in range(min(5, n_dim) + 1):
-        size, move_ptr, _, move_m, _, _, _ = magnus._sideband_moves(n_dim, m_max)
+        size, move_ptr, _, move_m, _, _ = magnus._sideband_moves(n_dim, m_max)
         for q in range(size):
             moves = move_m[move_ptr[q]:move_ptr[q + 1]]
             assert len(set(moves)) == len(moves), (m_max, q)
