@@ -110,9 +110,10 @@ def drive_taps(params: GateParams, pulse: PulseShape) -> tuple[np.ndarray, np.nd
     return np.array(N), np.array(c)
 
 
+@lru_cache(maxsize=16)
 def block_basis(n_dim: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """The Pi = +1 and Pi = -1 blocks of H, as (levels, vectors): block column j is the
-    qubit vector vectors[j] (x) |levels[j]>.
+    qubit vector vectors[j] (x) |levels[j]>.  Built once per n_dim, read-only.
 
     H commutes with qubit exchange and with Pi = exp(i pi Jx) (x) (-1)^{a+a}.
     Every J annihilates the exchange singlet, so H vanishes on the n_dim
@@ -124,7 +125,7 @@ def block_basis(n_dim: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     blocks = []
     for parity in (0, 1):
         levels, vectors = zip(*[(n, q) for n in range(n_dim) for q in qubits[(n + parity) % 2]])
-        blocks.append((np.array(levels), np.array(vectors, dtype=complex)))
+        blocks.append(read_only(np.array(levels), np.array(vectors, dtype=complex)))
     return tuple(blocks)
 
 
@@ -169,10 +170,19 @@ def hamiltonian_terms(eta: float, n_dim: int, m_max: int) -> tuple:
     J_m (x) A_m at unit drive: per block of ``block_basis``, the stack of the J_m (x) A_m
     for m = -m_max..m_max.  The drive g is ``drive_taps``'s, and the drive strength
     omega_T is *not* included so callers can rescale.  Like every builder here, it takes
-    only what its operators depend on: (eta, n_dim, m_max)."""
-    ms = range(-m_max, m_max + 1)
-    return to_blocks(np.stack([collective_spin(m) for m in ms]),
-                     np.stack([sideband_operator(m, eta, n_dim) for m in ms]))
+    only what its operators depend on: (eta, n_dim, m_max).  The qubit factors are
+    eta-free (``_qubit_blocks``), so an eta costs the 2 m_max + 1 bands A_m and, per
+    block, their gather times those factors: ``to_blocks``' own expression."""
+    A = np.stack([sideband_operator(m, eta, n_dim) for m in range(-m_max, m_max + 1)])
+    return tuple(J * A[..., n[:, None], n] for J, (n, _) in zip(_qubit_blocks(n_dim, m_max), block_basis(n_dim)))
+
+
+@lru_cache(maxsize=16)
+def _qubit_blocks(n_dim: int, m_max: int) -> tuple:
+    """Per block of ``block_basis``, the stack of the v_j^H J_m v_k for m = -m_max..m_max,
+    read-only: the factor of ``to_blocks`` that J_m (x) A_m takes from J_m."""
+    J = np.stack([collective_spin(m) for m in range(-m_max, m_max + 1)])
+    return read_only(*(V.conj() @ J @ V.T for _, V in block_basis(n_dim)))
 
 
 def sideband_hamiltonian(eta: float, n_dim: int, m_max: int) -> tuple:

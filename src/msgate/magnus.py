@@ -39,7 +39,8 @@ which ~10 ms is the walk (mean over K = 16..51, best of 3 on a 2-core host).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -71,24 +72,27 @@ def _transfer_dyson(eta, K, taps, tap_c, n_dim, m_max, up_to) -> tuple[tuple, ..
     cached ``_plan`` of (K, taps, n_dim, m_max, up_to), so the state is one
     vector x over the plan's entries of both block stacks and each lower order costs
     three products (``_matvec``): y = A(ops) x, P_k = (-i)^k R y and x = S y.  The top
-    order is read out from x in one product.
+    order is read out from x in one product.  The flat P_k of all orders are scaled by
+    their (-i)^k and split into the blocks once: each block is one read-only stack over
+    the orders, and each P_k pair is a view of those two stacks.
     """
     plan = _plan(K, taps, tap_c, n_dim, m_max, up_to)
     ops = hilbert.hamiltonian_terms(eta, n_dim, m_max)
     values = np.concatenate([X.ravel() for X in ops])
-    sizes = [X.shape[-1] ** 2 for X in ops]
     x = np.ones(sum(X.shape[-1] for X in ops), dtype=complex)  # the identity on key 0
-    p_hats = []
+    flat = []
     for order, ((rows, cols, where, n), *maps) in enumerate(plan, 1):
         if order == up_to:
             (weights,) = maps
-            P = _matvec(x, rows, cols, weights * values[where], n)
+            flat.append(_matvec(x, rows, cols, weights * values[where], n))
         else:
             y = _matvec(x, rows, cols, values[where], n)
-            P, x = (_matvec(y, *M) for M in maps)
-        p_hats.append(hilbert.read_only(*((-1j) ** order * part.reshape(X.shape[1:])
-                                          for part, X in zip(np.split(P, np.cumsum(sizes)[:-1]), ops))))
-    return tuple(p_hats)
+            R, S = maps
+            flat.append(_matvec(y, *R))
+            x = _matvec(y, *S)
+    P = np.array([(-1j) ** k for k in range(1, up_to + 1)])[:, None] * np.array(flat)
+    blocks = np.split(P, np.cumsum([X.shape[-1] ** 2 for X in ops])[:-1], axis=1)
+    return tuple(zip(*hilbert.read_only(*(part.reshape(up_to, *X.shape[1:]) for part, X in zip(blocks, ops)))))
 
 
 def _matvec(x: np.ndarray, rows: np.ndarray, cols: np.ndarray, data: np.ndarray, n: int) -> np.ndarray:
@@ -170,7 +174,7 @@ def _plan(K, taps, tap_c, n_dim, m_max, up_to) -> tuple:
     for order in range(1, up_to + 1):
         skeys, sinv, tinv, next_keys, parts, weights, _ = stage
         pos, counts = _ragged(move_ptr, q)
-        s = sinv[move_m[pos], np.repeat(key, counts)]
+        s = sinv.ravel()[move_m[pos] * sinv.shape[1] + np.repeat(key, counts)]
         cols = np.repeat(np.arange(len(counts)), counts)
         if order == up_to:
             read = np.flatnonzero(weights[s] != 0)  # only the pairs of nonzero weight
@@ -367,18 +371,20 @@ def magnus_terms(params: GateParams, pulse: PulseShape, up_to: int) -> dict[int,
     per_block = []
     for p_hat in zip(*dyson_hat_terms(params, pulse, up_to)):
         P = [None] + [(w ** (i + 1)) * X for i, X in enumerate(p_hat)]
-        # the log of the Dyson series through MAX_ORDER = 5 (its cubic term P_2^3 / 3 enters at 6)
-        per_block.append({k: 1j * (P[k] - 0.5 * np.sum([P[a] @ P[k - a] for a in range(2, k - 1)], axis=0))
-                          for k in range(2, up_to + 1)})
+        # the log of the Dyson series through MAX_ORDER = 5 (its cubic term P_2^3 / 3 enters at 6),
+        # its cross products summed left to right; Z_k = i P_k where there are none
+        cross = {k: [P[a] @ P[k - a] for a in range(2, k - 1)] for k in range(2, up_to + 1)}
+        per_block.append({k: 1j * (P[k] - 0.5 * reduce(np.add, c)) if c else 1j * P[k] for k, c in cross.items()})
     return {k: tuple(Z[k] for Z in per_block) for k in per_block[0]}
 
 
 def propagators_upto(params: GateParams, pulse: PulseShape, max_order: int) -> dict[int, tuple]:
     """Truncated propagators {n: (U_+, U_-)} in block form, U_n = exp(-i sum_{k=2}^n Z_k)
-    for n = 2..max_order, from a single assembly and one exponential per block, taken
-    of the stack of its running sums over the orders."""
+    for n = 2..max_order, from a single assembly (the cached P-hat_k, so an omega costs
+    only the products of ``magnus_terms``) and one exponential per block, taken of the
+    stack of its running sums over the orders, added in order as ``np.cumsum`` adds them."""
     Z = magnus_terms(params, pulse, max_order)
-    U = [hilbert.matrix_exp(-1j * np.cumsum(np.stack(Zb), axis=0)) for Zb in zip(*Z.values())]
+    U = [hilbert.matrix_exp(-1j * np.stack(list(accumulate(Zb)))) for Zb in zip(*Z.values())]
     return {n: tuple(Ub[i] for Ub in U) for i, n in enumerate(Z)}
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -55,8 +56,10 @@ class TrotterConfig:
             return self.steps_override
         taps, coeffs = hilbert.drive_taps(params, pulse)
         # max|N_g + m K| in ints, and the rate |omega_T| max|g| ||B_0|| at which the drive turns the
-        # state by |g| <= sum_g |c_g| and ``_sideband_norm``, in Python floats: an overflow gives inf
+        # state by |g| <= sum_g |c_g| and ``_sideband_norm``, in Python floats: an overflow gives inf,
+        # and so does a beat note beyond float range
         beat = max(abs(int(N)) for N in taps) + params.m_max * params.K
+        beat = float(beat) if beat <= sys.float_info.max else math.inf
         drive = (abs(params.omega_T) * sum(map(abs, coeffs.tolist()))
                  * _sideband_norm(params.eta, params.n_dim, params.m_max))
         bound = self.safety * max(2 * math.pi * beat, drive)

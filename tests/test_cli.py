@@ -1050,12 +1050,15 @@ GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 @pytest.mark.parametrize("K, L, eta, omega_T", [(28, 25, 0.18, 30.5), (100, 97, 0.1, 54.5),
                                                 (28, 25, 0.05, 20)])  # the last has no real Omega_4
 def test_budget_csv_matches_golden(tmp_path, capsys, K, L, eta, omega_T):
-    """label and operator exact; numbers within 1e-9 relative + 1e-12, NaN only where
-    the golden table, captured before the table became one definition, has NaN."""
+    """The table byte for byte; and, read as numbers, label and operator exact and numbers
+    within 1e-9 relative + 1e-12, NaN only where the golden table, captured before the
+    table became one definition, has NaN."""
     path = _write(tmp_path, "b.cfg", f"K = {K}\nL = {L}\neta = {eta}\nomega_T = {omega_T}\n")
     assert cli.main(["budget", path, "--csv"]) == 0
-    got = [line.split(",") for line in capsys.readouterr().out.splitlines()]
-    want = [line.split(",") for line in (GOLDEN_DIR / f"budget_{K}_{L}_{eta}_{omega_T}.csv").read_text().splitlines()]
+    out, golden = capsys.readouterr().out, (GOLDEN_DIR / f"budget_{K}_{L}_{eta}_{omega_T}.csv").read_text()
+    assert out == golden
+    got = [line.split(",") for line in out.splitlines()]
+    want = [line.split(",") for line in golden.splitlines()]
     assert got[0] == want[0] and len(got) == len(want)
     for g_row, w_row in zip(got[1:], want[1:]):
         assert g_row[:2] == w_row[:2]

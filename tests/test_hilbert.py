@@ -162,6 +162,22 @@ def test_hamiltonian_vs_displacement_oracle(base_params, rect):
     assert diff > 0  # the truncation is real, the bound is not vacuous
 
 
+def _same_bits(a, b):
+    """Equal arrays, sign bits of zeros included."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n_dim, m_max", [(8, 3), (7, 2), (12, 5), (4, 2)])
+@pytest.mark.parametrize("eta", [0.01, 0.18, 0.35, 0.7])
+def test_hamiltonian_terms_are_to_blocks_of_the_stacks(eta, n_dim, m_max):
+    # the cached qubit factors times the gather of the bands: to_blocks of the stacks, bit for bit
+    ms = range(-m_max, m_max + 1)
+    want = hilbert.to_blocks(np.stack([collective_spin(m) for m in ms]),
+                             np.stack([sideband_operator(m, eta, n_dim) for m in ms]))
+    got = hilbert.hamiltonian_terms(eta, n_dim, m_max)
+    assert len(got) == 2 and all(map(_same_bits, got, want))
+
+
 SHAPES = [rectangular(), sin_squared(),
           # conjugate-symmetric with complex coefficients: f(1 - tau) != f(tau)
           PulseShape.from_dict("skew", {0: 0.5, 1: 0.25j, -1: -0.25j})]

@@ -243,6 +243,8 @@ def test_cached_values_are_read_only(base_params, rect):
                   if isinstance(a, np.ndarray)],
         "_sideband_moves": list(magnus._sideband_moves(base_params.n_dim, base_params.m_max)[1:]),
         "collective_spins": list(vars(hilbert.collective_spins()).values()),
+        "block_basis": [a for block in hilbert.block_basis(base_params.n_dim) for a in block],
+        "_qubit_blocks": list(hilbert._qubit_blocks(base_params.n_dim, base_params.m_max)),
         "_average_basis": [a for block in fidelity._average_basis(base_params.n_dim) for a in block],
         "_bell_basis": [a for block in fidelity._bell_basis(base_params.n_dim) for a in block],
     }
@@ -254,6 +256,22 @@ def test_cached_values_are_read_only(base_params, rect):
                 a[(0,) * a.ndim] = 0
     Z = magnus.magnus_terms(base_params.replace(omega_T=30.0), rect, 3)
     assert Z[2][0].flags.writeable  # the orders are new arrays, which a caller may write
+
+
+@pytest.mark.parametrize("up_to", [2, 3, 4, 5])
+@pytest.mark.parametrize("pulse", [rectangular(), sin_squared(), SKEW], ids=["rect", "sin2", "skew"])
+def test_orders_and_propagators_sum_as_numpy_reductions(base_params, pulse, up_to):
+    # Z_k and the running sums of U_n, bit for bit (zero sign bits included), as the
+    # np.sum over the list of cross products and the np.cumsum over the stacked orders add them
+    p = base_params.replace(omega_T=31.7)
+    Z, U = magnus.magnus_terms(p, pulse, up_to), magnus.propagators_upto(p, pulse, up_to)
+    for b, p_hat in enumerate(zip(*magnus.dyson_hat_terms(p, pulse, up_to))):
+        P = [None] + [(p.omega_T ** (i + 1)) * X for i, X in enumerate(p_hat)]
+        want = [1j * (P[k] - 0.5 * np.sum([P[a] @ P[k - a] for a in range(2, k - 1)], axis=0))
+                for k in range(2, up_to + 1)]
+        assert [Z[k][b].tobytes() for k in Z] == [X.tobytes() for X in want]
+        sums = hilbert.matrix_exp(-1j * np.cumsum(np.stack(want), axis=0))
+        assert [U[n][b].tobytes() for n in U] == [X.tobytes() for X in sums]
 
 
 def _taps(p, pulse):

@@ -1,5 +1,6 @@
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -39,6 +40,10 @@ def test_step_count_bound(base_params, rect, sin2):
             with pytest.raises(ValueError, match="resolving the drive takes"):
                 cfg.num_steps(strong, pulse)
             assert TrotterConfig(steps_override=100).num_steps(strong, pulse) == 100
+    # so is a beat note that no product resolves, also one beyond float range (taken as inf)
+    for K, steps in ((10 ** 300, "1.88e+302"), (10 ** 400, "inf")):
+        with pytest.raises(ValueError, match=re.escape(f"resolving the drive takes {steps} steps")):
+            cfg.num_steps(GateParams(eta=0.18, K=K, L=25), rect)
 
 
 @st.composite
