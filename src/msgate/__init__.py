@@ -5,7 +5,6 @@ from .params import GateParams, beat_note, validate
 from .pulses import PulseShape, envelope_at, rectangular, sin_squared
 from .hilbert import (
     collective_spin,
-    collective_spins,
     matrix_exp,
     sideband_operator,
 )

@@ -170,7 +170,8 @@ def _build(cls, cfg: dict, **given):
 
 def parse_config(path: str) -> dict:
     """The ``key = value`` pairs of a config file, each value parsed once by its
-    CONFIG_KEYS parser (a ValueError there is a config error naming key and value)."""
+    CONFIG_KEYS parser (a ValueError there is a config error naming key and value), and
+    an axis = K grid read once more, from its raw text, by ``_k_grid``."""
     raw: dict[str, str] = {}
     first_on: dict[str, int] = {}
     try:

@@ -45,7 +45,7 @@ class ThermalWeights:
 def _average_basis(n_dim: int) -> tuple:
     """Per block: the Fock level of each column and the target Q_b^H (U_t (x) 1) Q_b,
     U_t = exp(i TARGET_ANGLE Jy^2), read-only."""
-    target = hilbert.matrix_exp(1j * TARGET_ANGLE * hilbert.collective_spins().Jy2)
+    target = hilbert.matrix_exp(1j * TARGET_ANGLE * hilbert.JY2)
     return tuple(hilbert.read_only(levels, T) for (levels, _), T in zip(hilbert.block_basis(n_dim),
                                                                         hilbert.to_blocks(target, np.eye(n_dim))))
 

@@ -11,18 +11,12 @@ levels n >= n_dim - m_max.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .params import GateParams, beat_note
 from .pulses import PulseShape
-
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
 
 
 def read_only(*arrays: np.ndarray) -> tuple:
@@ -37,37 +31,18 @@ def destroy(n_dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, n_dim, dtype=float)), k=1).astype(complex)
 
 
-@dataclass(frozen=True)
-class CollectiveSpinSet:
-    """Collective spin operators J_i = (1 x sigma_i + sigma_i x 1)/2 on 4 dims."""
-
-    Jx: np.ndarray
-    Jy: np.ndarray
-    Jz: np.ndarray
-    Jplus: np.ndarray
-    Jminus: np.ndarray
-    Jxy: np.ndarray
-    Jx2: np.ndarray
-    Jy2: np.ndarray
-    Jz2: np.ndarray
-
-
-@lru_cache(maxsize=1)
-def collective_spins() -> CollectiveSpinSet:
-    """The one cached set, of read-only arrays."""
-    def coll(sigma):
-        return 0.5 * (np.kron(IDENTITY_2, sigma) + np.kron(sigma, IDENTITY_2))
-
-    Jx, Jy, Jz = coll(SIGMA_X), coll(SIGMA_Y), coll(SIGMA_Z)
-    Jxy = 0.5 * (np.kron(SIGMA_X, SIGMA_Y) + np.kron(SIGMA_Y, SIGMA_X))
-    return CollectiveSpinSet(*read_only(Jx, Jy, Jz, Jx + 1j * Jy, Jx - 1j * Jy,  # Jplus, Jminus
-                                        Jxy, Jx @ Jx, Jy @ Jy, Jz @ Jz))
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+# the collective spins J_i = (1 x sigma_i + sigma_i x 1)/2 on the qubit pair, J+- = Jx +- i Jy
+# and Jy^2, read-only: the qubit operators the Hamiltonians and the target gate are built from
+JX, JY = read_only(*(0.5 * (np.kron(np.eye(2, dtype=complex), s) + np.kron(s, np.eye(2, dtype=complex)))
+                     for s in (SIGMA_X, SIGMA_Y)))
+JPLUS, JMINUS, JY2 = read_only(JX + 1j * JY, JX - 1j * JY, JY @ JY)
 
 
 def collective_spin(m: int) -> np.ndarray:
     """Qubit factor of the m-th sideband term: Jx for even m, i*Jy for odd m."""
-    J = collective_spins()
-    return J.Jx.copy() if m % 2 == 0 else 1j * J.Jy
+    return JX.copy() if m % 2 == 0 else 1j * JY
 
 
 def sideband_operator(m: int, eta: float, n_dim: int) -> np.ndarray:
@@ -90,15 +65,21 @@ def sideband_operator(m: int, eta: float, n_dim: int) -> np.ndarray:
     return out if m >= 0 else (-1) ** k * out.conj().T
 
 
+def hermitian_eigh(H: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh of a Hermitian H, or of a stack of them: the one eigendecomposition in
+    ``msgate``, behind the one check of its argument.  Non-finite entries, or a defect
+    max|H - H^H| above 1e-12 max|H|, raise ValueError naming ``what``."""
+    if not np.all(np.isfinite(H)):
+        raise ValueError(f"{what} is not finite")
+    if (defect := hermiticity_defect(H)) > 1e-12 * np.abs(H).max():
+        raise ValueError(f"{what} is not Hermitian: defect {defect:.3e}")
+    return np.linalg.eigh(H)
+
+
 def matrix_exp(A: np.ndarray) -> np.ndarray:
     """exp(A) of an anti-Hermitian A, or of a stack of them, as V exp(-i lam) V^H from
     the eigh of the Hermitian generator iA (unitary to rounding at any norm)."""
-    H = 1j * np.asarray(A, dtype=complex)
-    if not np.all(np.isfinite(H)):
-        raise ValueError("matrix_exp requires finite entries")
-    if hermiticity_defect(H) > 1e-12 * np.abs(H).max():
-        raise ValueError("matrix_exp requires an anti-Hermitian argument")
-    lam, V = np.linalg.eigh(H)
+    lam, V = hermitian_eigh(1j * np.asarray(A, dtype=complex), "i A in matrix_exp (A must be anti-Hermitian)")
     return (V * np.exp(-1j * lam)[..., None, :]) @ np.swapaxes(V, -1, -2).conj()
 
 
@@ -202,10 +183,9 @@ def displacement_hamiltonian(eta: float, n_dim: int, m_max: int) -> tuple:
     + a+ e^{i theta})) = R D_0 R^H, theta = 2 pi K tau, so the generator is
     B_0 = (J+ (x) D_0 + J- (x) D_0^H) / 2 with D_0 = exp(i eta (a + a+)).  Untruncated,
     it ignores m_max, which it takes only to share the builders' signature."""
-    J = collective_spins()
     a = destroy(n_dim)
     d0 = matrix_exp(1j * eta * (a + a.conj().T))
-    return tuple(X.sum(axis=0) for X in to_blocks(np.stack([J.Jplus, J.Jminus]),
+    return tuple(X.sum(axis=0) for X in to_blocks(np.stack([JPLUS, JMINUS]),
                                                   0.5 * np.stack([d0, d0.conj().T])))
 
 

@@ -116,16 +116,10 @@ def _frame(builder, eta: float, K: int, n_dim: int, m_max: int, n_steps: int) ->
     """What ``_block_propagator`` takes besides the drive: (levels, lam, V, W, h) per block of
     ``hilbert.block_basis``, B = V diag(lam) V^H from ``builder``.  None of it depends on
     omega_T or the pulse; the last 8 are kept, read-only.  A non-Hermitian or non-finite
-    generator raises here, on every call (an exception is not cached)."""
-    generators = builder(eta, n_dim, m_max)
-    defect = max(hilbert.hermiticity_defect(B) / np.abs(B).max() for B in generators)
-    if defect > 1e-12:
-        raise ValueError(f"Hamiltonian not Hermitian: relative defect {defect:.3e} of the generator")
-    if not all(np.isfinite(B).all() for B in generators):
-        raise ValueError(f"Hamiltonian not finite: eta {eta}")
+    generator raises here (``hilbert.hermitian_eigh``), on every call (an exception is not cached)."""
     frame = []
-    for B, (levels, _) in zip(generators, hilbert.block_basis(n_dim)):
-        lam, V = np.linalg.eigh(B)
+    for B, (levels, _) in zip(builder(eta, n_dim, m_max), hilbert.block_basis(n_dim)):
+        lam, V = hilbert.hermitian_eigh(B, f"Hamiltonian generator at eta {eta}")
         # W enters every step, so its rounding compounds: build it in extended precision where
         # the platform has it, after one Newton-Schulz step towards a unitary V
         V = _newton_schulz(V.astype(np.clongdouble))

@@ -37,6 +37,14 @@ from msgate import fidelity, hilbert, magnus, resint
 from msgate.params import beat_note
 from msgate.pulses import PulseShape, envelope_at, rectangular
 
+# the qubit operators only the tests project onto, next to ``hilbert``'s SIGMA_X, SIGMA_Y, JX, JY
+# and JY2: sigma_z, Jz, the symmetrised Jxy = (sigma_x (x) sigma_y + sigma_y (x) sigma_x)/2,
+# Jx^2 and Jz^2
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+JZ = 0.5 * (np.kron(np.eye(2, dtype=complex), SIGMA_Z) + np.kron(SIGMA_Z, np.eye(2, dtype=complex)))
+JXY = 0.5 * (np.kron(hilbert.SIGMA_X, hilbert.SIGMA_Y) + np.kron(hilbert.SIGMA_Y, hilbert.SIGMA_X))
+JX2, JZ2 = hilbert.JX @ hilbert.JX, JZ @ JZ
+
 # a pulse with complex taps: c_{+-1} = +-i/4
 SKEW = PulseShape.from_dict("skew", {0: 0.5, 1: 0.25j, -1: -0.25j})
 
@@ -86,13 +94,12 @@ def explicit_term_sum(p, pulse, tau):
 def per_tau_displacement(p, pulse, tau):
     """omega_T f(tau) cos(2 pi L tau) (J+ (x) D + J- (x) D^H), with D(tau) from one
     eigh of the generator eta (a e^{-i 2 pi K tau} + a+ e^{i 2 pi K tau})."""
-    J = hilbert.collective_spins()
     a = hilbert.destroy(p.n_dim)
     phase = np.exp(-2j * np.pi * p.K * tau)
     gw, gv = np.linalg.eigh(p.eta * (phase * a + np.conj(phase) * a.conj().T))
     disp = (gv * np.exp(1j * gw)) @ gv.conj().T
     amp = p.omega_T * envelope_at(pulse, tau) * np.cos(2 * np.pi * p.L * tau)
-    return amp * (np.kron(J.Jplus, disp) + np.kron(J.Jminus, disp.conj().T))
+    return amp * (np.kron(hilbert.JPLUS, disp) + np.kron(hilbert.JMINUS, disp.conj().T))
 
 
 def _accumulate(acc, key, mat):

@@ -4,39 +4,24 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 report.  The heavyweight sweeps reuse the shipped figure presets in
 ``configs/`` (restricted to the propagators each criterion needs).  Each
 preset runs once per module, and ``test_golden_rows`` compares its rows with
-``tests/golden/<preset>.csv``, the ``rows_to_csv`` output of the same sweep
-captured before the sweep path was refactored.
+``tests/golden/<preset>.csv`` (``golden_rows``).
 """
 
 import itertools
-import pathlib
 import time
 
 import numpy as np
 import pytest
 
 from msgate import budget, fidelity, hilbert, magnus, resint, trotter
-from msgate.cli import parse_config, rows_to_csv, run_sweep, sweep_from_config
 from msgate.params import GateParams
-from oracles import (fock_offdiagonal_max, form_factor, guard_band_indices, guard_block, order2_closed_form,
-                     order3_closed_form, quadrature_integral)
-
-CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
-GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
-# preset -> propagators its criteria need (None: the preset's own list)
-SWEEPS = {"fig2": None, "fig3c": ("U2", "Unum"), "fig3a": ("Unum",),
-          "fig3b": ("Unum",), "fig4b": ("Unum",), "fig4a": ("Unum",)}
+from golden_rows import SWEEPS, mismatches, run_preset
+from oracles import (JX2, JXY, JZ2, fock_offdiagonal_max, form_factor, guard_band_indices, guard_block,
+                     order2_closed_form, order3_closed_form, quadrature_integral)
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
     print(f"\nACCEPTANCE criterion {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
-
-
-def _preset(name: str, propagators=None):
-    spec = sweep_from_config(parse_config(str(CONFIG_DIR / name)))
-    if propagators is not None:
-        spec.propagators = propagators
-    return spec
 
 
 def _column(rows, key):
@@ -50,7 +35,7 @@ def sweep_rows():
 
     def rows(name):
         if name not in done:
-            done[name] = run_sweep(_preset(f"{name}.cfg", propagators=SWEEPS[name]))
+            done[name] = run_preset(name)
         return done[name]
     return rows
 
@@ -58,16 +43,7 @@ def sweep_rows():
 @pytest.mark.parametrize("name", SWEEPS)
 def test_golden_rows(sweep_rows, name):
     """axis and status cells exact; numbers within 1e-9 relative + 1e-12."""
-    got = [line.split(",") for line in rows_to_csv(sweep_rows(name)).splitlines()]
-    want = [line.split(",") for line in (GOLDEN_DIR / f"{name}.csv").read_text().splitlines()]
-    assert got[0] == want[0] and len(got) == len(want)
-    for g_row, w_row in zip(got[1:], want[1:]):
-        for col, g, w in zip(want[0], g_row, w_row):
-            if col in ("axis", "status") or not g or not w:
-                assert g == w, (name, col, w_row[0])
-            else:
-                assert float(g) == pytest.approx(float(w), rel=1e-9, abs=1e-12,
-                                                 nan_ok=True), (name, col, w_row[0])
+    assert mismatches(name, sweep_rows(name)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +260,13 @@ def test_criterion_7_structural(params_omega2, rect, magnus_terms_omega2,
         U = hilbert.embed(blocks, p.n_dim, 1.0)
         unit_mag = max(unit_mag, float(np.abs((U.conj().T @ U - eye)[np.ix_(idx, idx)]).max()))
     lag_err = 0.0
-    J = hilbert.collective_spins()
     Z2 = magnus_terms_omega2[2]
     for n in range(p.n_dim - p.m_max):
         dy = form_factor(p, n, "odd")
         dx = form_factor(p, n, "even")
         lag_err = max(lag_err,
-                      abs(magnus.level_coeff(Z2, p.n_dim, n, n, J.Jy2 - np.eye(4) / 2).real - dy) / abs(dy),
-                      abs(magnus.level_coeff(Z2, p.n_dim, n, n, J.Jx2 - np.eye(4) / 2).real - dx) / abs(dx))
+                      abs(magnus.level_coeff(Z2, p.n_dim, n, n, hilbert.JY2 - np.eye(4) / 2).real - dy) / abs(dy),
+                      abs(magnus.level_coeff(Z2, p.n_dim, n, n, JX2 - np.eye(4) / 2).real - dx) / abs(dx))
     ok = (z1 < 1e-14 and fock_off < 1e-10 and herm <= 1e-10
           and unit_num <= 1e-8 and unit_mag <= 1e-8 and lag_err <= 1e-6)
     report(7, ok, f"|Z1| {z1:.1e}; Z2 off-diagonal {fock_off:.1e}; worst "
@@ -321,8 +296,7 @@ def _criterion_8_ratios(eta, pulse):
     p = GateParams(eta=eta, K=100, L=97, n_dim=8, m_max=3)
     p = p.replace(omega_T=budget.omega_ld(p))
     terms = magnus.magnus_terms(p, pulse, up_to=4)
-    J = hilbert.collective_spins()
-    jx2, jy2, jz2 = (Ja2 - np.eye(4) / 2 for Ja2 in (J.Jx2, J.Jy2, J.Jz2))
+    jx2, jy2, jz2 = (Ja2 - np.eye(4) / 2 for Ja2 in (JX2, hilbert.JY2, JZ2))
 
     def coeff(k, row, col, op):
         return magnus.level_coeff(terms[k], p.n_dim, row, col, op).real
@@ -330,8 +304,8 @@ def _criterion_8_ratios(eta, pulse):
     extracted = {
         "Gate": coeff(2, 0, 0, jy2),
         "Z2_m2": coeff(2, 0, 0, jx2),
-        "Z3_m1": coeff(3, 1, 0, J.Jy),
-        "Z4_m1_Jxy": coeff(4, 1, 0, J.Jxy),
+        "Z3_m1": coeff(3, 1, 0, hilbert.JY),
+        "Z4_m1_Jxy": coeff(4, 1, 0, JXY),
         "Z4_m1_Jz2": coeff(4, 0, 0, jz2),
         "Z4_m1_Jy2": coeff(4, 0, 0, jy2),
     }
@@ -342,7 +316,7 @@ def _criterion_8_ratios(eta, pulse):
     # Z3_m2 row: project the two-phonon block onto Jx(1 - Jy^2); the printed
     # generic sign is internally inconsistent with its own omega_4 column, so
     # the magnitude is compared and the sign checked against that column
-    Q = J.Jx @ (np.eye(4) - J.Jy2)
+    Q = hilbert.JX @ (np.eye(4) - hilbert.JY2)
     blk = hilbert.level_block(terms[3], p.n_dim, 2, 0)
     A = np.stack([Q.ravel(), Q.conj().T.ravel()]).T
     coef = np.linalg.lstsq(A, blk.ravel(), rcond=None)[0]

@@ -17,7 +17,7 @@ from msgate.params import GateParams, validate
 from msgate.pulses import PulseShape, rectangular, sin_squared
 from oracles import budget_at_o4_decimal, calibrate_omega, sin2_forms
 
-JY2 = hilbert.collective_spins().Jy2 - np.eye(4) / 2  # sigma_y (x) sigma_y / 2
+JY2 = hilbert.JY2 - np.eye(4) / 2  # sigma_y (x) sigma_y / 2
 LABELS = ("Gate", "Z2_m1", "Z2_m2", "Z3_m1", "Z3_m2", "Z4_m1_Jxy", "Z4_m1_Jz2", "Z4_m1_Jy2")
 
 
@@ -248,7 +248,7 @@ def test_printed_sin2_z3_form_is_a_quarter_of_the_two_lobe_pulse():
     """The printed sin^2 Z3 form is 1/4 of the two-lobe pulse's Jy coefficient of Z_3 on
     <1|.|0> with the carrier and first sideband (m_max = 1): the ratio reads 4 (measured
     3.99993-3.99994 at eta = 3e-3, where eta^2 corrections remain)."""
-    Jy = hilbert.collective_spins().Jy
+    Jy = hilbert.JY
     for K, L in ((28, 25), (100, 97), (41, 7), (50, 13)):
         p = GateParams(eta=3e-3, K=K, L=L, omega_T=1.0, n_dim=6, m_max=1)
         got = magnus.level_coeff(magnus.magnus_terms(p, TWO_LOBE, up_to=3)[3], p.n_dim, 1, 0, Jy)
@@ -272,7 +272,7 @@ def test_msgate_sin2_z2_closed_form():
 def test_sin2_z3_matches_assembly_at_wide_gap():
     p = GateParams(eta=0.05, K=100, L=90, omega_T=10.0)
     Z3 = magnus.magnus_terms(p, sin_squared(), up_to=3)[3]
-    got = magnus.level_coeff(Z3, p.n_dim, 1, 0, hilbert.collective_spins().Jy).real
+    got = magnus.level_coeff(Z3, p.n_dim, 1, 0, hilbert.JY).real
     printed = sin2_forms(p).z3
     assert abs(got) / abs(printed) == pytest.approx(1.0, abs=0.1)
 

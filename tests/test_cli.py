@@ -115,13 +115,36 @@ omega_mode = fixed_phys
 safety = 2
 propagator = U2
 """
+# the K axis: the grid text is parsed by _grid and then read once more, as exact integers,
+# by _k_grid
+PARSED_ONCE_K = """
+eta = 0.18
+K = 28
+L = 25
+nbar = 0.02
+n_dim = 6
+m_max = 2
+k_max = 4
+trap_freq = 1.0e6
+omega_phys = 1.1e6
+pulse = rect
+axis = K
+grid = 28:30:2
+propagators = U2
+metric = average
+omega_mode = fixed_phys
+propagator = U2
+"""
 
 
+@pytest.mark.parametrize("config", [PARSED_ONCE, PARSED_ONCE_K], ids=["omega-axis", "K-axis"])
 @pytest.mark.parametrize("command", ["sweep", "budget", "check", "propagate"])
-def test_each_config_value_is_parsed_once(tmp_path, capsys, monkeypatch, command):
+def test_each_config_value_is_parsed_once(tmp_path, capsys, monkeypatch, command, config):
     # a parser that another parser calls (propagators -> propagator) reads no value of the
     # file, and a flag (--ndim) is an int from argparse that no parser sees
     calls, depth = [], [0]
+    k_reads = []
+    monkeypatch.setattr(cli, "_k_grid", lambda text, read=cli._k_grid: k_reads.append(text) or read(text))
 
     def counted(key, parse):
         def wrapper(text):
@@ -136,10 +159,11 @@ def test_each_config_value_is_parsed_once(tmp_path, capsys, monkeypatch, command
 
     for key, parse in list(cli.CONFIG_KEYS.items()):
         monkeypatch.setitem(cli.CONFIG_KEYS, key, counted(key, parse))
-    assert cli.main([command, _write(tmp_path, "c.cfg", PARSED_ONCE), "--ndim", "6"]) == 0
+    assert cli.main([command, _write(tmp_path, "c.cfg", config), "--ndim", "6"]) == 0
     assert capsys.readouterr().out
-    in_file = [tuple(part.strip() for part in line.split("=")) for line in PARSED_ONCE.strip().splitlines()]
+    in_file = [tuple(part.strip() for part in line.split("=")) for line in config.strip().splitlines()]
     assert len(in_file) >= 10 and sorted(calls) == sorted(in_file)
+    assert k_reads == (["28:30:2"] if config is PARSED_ONCE_K else [])
 
 
 def test_sweep_spec_from_config(tmp_path):
@@ -554,9 +578,10 @@ def test_sweep_imports_no_scipy_module(preset):
 def test_package_imports_only_numpy():
     # every import statement, at module level or inside a function, so that an import
     # made only on a rarely taken path counts too; relative imports stay in the package
+    # tests/golden_rows.py as well: the scipy-free CI job runs its comparison
     src = pathlib.Path(msgate.__file__).resolve().parent
     third_party = set()
-    for path in sorted(src.rglob("*.py")):
+    for path in sorted([*src.rglob("*.py"), pathlib.Path(__file__).resolve().parent / "golden_rows.py"]):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]

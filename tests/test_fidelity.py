@@ -4,12 +4,12 @@ import scipy.linalg
 
 from msgate import hilbert
 from msgate.fidelity import ThermalWeights, average_fidelity, bell_fidelity
-from oracles import closed_form_bell
+from oracles import JX2, closed_form_bell
 
 
 def target_unitary(angle=np.pi / 2):
     """The qubit target exp(i angle Jy^2)."""
-    return scipy.linalg.expm(1j * angle * hilbert.collective_spins().Jy2)
+    return scipy.linalg.expm(1j * angle * hilbert.JY2)
 
 
 def test_thermal_weights_formula():
@@ -115,8 +115,7 @@ def test_block_form_matches_composite_oracle(n_dim, nbar):
 def test_bell_fidelity_perfect_gate():
     # exp(-i * (-pi/2) * Jy^2) maps |00> onto the phase -pi/2 Bell state
     n_dim = 8
-    J = hilbert.collective_spins()
-    U = _project(np.kron(hilbert.matrix_exp(1j * (np.pi / 2) * J.Jy2), np.eye(n_dim)), n_dim)
+    U = _project(np.kron(hilbert.matrix_exp(1j * (np.pi / 2) * hilbert.JY2), np.eye(n_dim)), n_dim)
     w = ThermalWeights(0.02, n_dim)
     assert bell_fidelity(U, w) == pytest.approx(1.0, abs=1e-12)
 
@@ -164,14 +163,13 @@ def test_closed_form_matches_operator_fidelity(rng):
     # nbar is small enough that the dropped thermal tail (which enters the
     # two expressions differently) sits far below the comparison tolerance.
     n_dim = 8
-    J = hilbert.collective_spins()
     w = ThermalWeights(0.02, n_dim)
     for _ in range(5):
         dx = rng.uniform(-0.4, 0.4, n_dim)
         dy = rng.uniform(-2.0, 0.5, n_dim)
         U = np.zeros((4 * n_dim, 4 * n_dim), dtype=complex)
         for n in range(n_dim):
-            block = hilbert.matrix_exp(-1j * (dx[n] * J.Jx2 + dy[n] * J.Jy2))
+            block = hilbert.matrix_exp(-1j * (dx[n] * JX2 + dy[n] * hilbert.JY2))
             for a in range(4):
                 for b in range(4):
                     U[a * n_dim + n, b * n_dim + n] = block[a, b]

@@ -1,5 +1,7 @@
+import ast
 import itertools
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -9,14 +11,13 @@ from hypothesis import example, given, settings, strategies as st
 from msgate import hilbert
 from msgate.hilbert import (
     collective_spin,
-    collective_spins,
     matrix_exp,
     sideband_operator,
 )
 from msgate.params import GateParams
 from msgate.pulses import PulseShape, envelope_at, rectangular, sin_squared
-from oracles import (displacement_hamiltonian_at, explicit_term_sum, guard_band_indices, guard_block,
-                     hamiltonian_at, laguerre_series, per_tau_displacement, unitarity_defect)
+from oracles import (JX2, JXY, JZ, SIGMA_Z, displacement_hamiltonian_at, explicit_term_sum, guard_band_indices,
+                     guard_block, hamiltonian_at, laguerre_series, per_tau_displacement, unitarity_defect)
 
 
 def test_sideband_zero_coupling_is_identity():
@@ -72,28 +73,26 @@ def test_sideband_rejects_large_m():
 
 
 def test_collective_spin_parity():
-    J = collective_spins()
-    assert np.allclose(collective_spin(2), J.Jx)
-    assert np.allclose(collective_spin(0), J.Jx)
-    assert np.allclose(collective_spin(-3), 1j * J.Jy)
+    assert np.allclose(collective_spin(2), hilbert.JX)
+    assert np.allclose(collective_spin(0), hilbert.JX)
+    assert np.allclose(collective_spin(-3), 1j * hilbert.JY)
     for m in range(-3, 4):
         assert np.allclose(collective_spin(m), collective_spin(m + 2))
 
 
 def test_collective_spin_algebra():
-    J = collective_spins()
-    assert np.allclose(J.Jx @ J.Jy - J.Jy @ J.Jx, 1j * J.Jz, atol=1e-14)
+    assert np.allclose(hilbert.JX @ hilbert.JY - hilbert.JY @ hilbert.JX, 1j * JZ, atol=1e-14)
     # J_m J_{-m}: -Jy^2 for odd m, Jx^2 for even m
-    assert np.allclose(collective_spin(1) @ collective_spin(-1), -J.Jy2)
-    assert np.allclose(collective_spin(2) @ collective_spin(-2), J.Jx2)
-    assert np.allclose(J.Jxy, 0.5 * (np.kron(hilbert.SIGMA_X, hilbert.SIGMA_Y)
+    assert np.allclose(collective_spin(1) @ collective_spin(-1), -hilbert.JY2)
+    assert np.allclose(collective_spin(2) @ collective_spin(-2), JX2)
+    assert np.allclose(JXY, 0.5 * (np.kron(hilbert.SIGMA_X, hilbert.SIGMA_Y)
                                      + np.kron(hilbert.SIGMA_Y, hilbert.SIGMA_X)))
 
 
 def test_matrix_exp_identity_and_phases():
     assert np.allclose(matrix_exp(np.zeros((6, 6))), np.eye(6))
     theta = 0.731
-    gen = 1j * theta * np.kron(hilbert.SIGMA_Z / 2, np.eye(3))
+    gen = 1j * theta * np.kron(SIGMA_Z / 2, np.eye(3))
     got = matrix_exp(gen)
     want = np.kron(np.diag([np.exp(1j * theta / 2), np.exp(-1j * theta / 2)]), np.eye(3))
     assert np.allclose(got, want, atol=1e-13)
@@ -120,6 +119,21 @@ def test_matrix_exp_rejects_non_antihermitian(A):
         matrix_exp(A)
 
 
+def test_one_guarded_eigh_in_msgate():
+    # np.linalg.eigh is called at one place in src/msgate, behind the check of
+    # hilbert.hermitian_eigh, and both exponentiations reach it: matrix_exp and the Unum frame
+    src = pathlib.Path(hilbert.__file__).resolve().parent
+    callers = {}  # called name -> the top-level statements that call it, as module.name
+    for path in sorted(src.rglob("*.py")):
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                    callers.setdefault(name, []).append(f"{path.stem}.{getattr(stmt, 'name', '<module>')}")
+    assert callers["eigh"] == ["hilbert.hermitian_eigh"]
+    assert sorted(callers["hermitian_eigh"]) == ["hilbert.matrix_exp", "trotter._frame"]
+
+
 def test_matrix_exp_of_a_stack_is_the_stack_of_exponentials(rng):
     X = rng.normal(size=(3, 12, 12)) + 1j * rng.normal(size=(3, 12, 12))
     A = X - np.swapaxes(X, -1, -2).conj()
@@ -144,10 +158,9 @@ def test_hamiltonian_hermitian(base_params, rect, rng):
 def test_hamiltonian_small_eta_limit(rect):
     # eta -> 0 leaves only the carrier: 2 * omega_T * cos(2 pi L tau) * Jx x 1
     p = GateParams(eta=1e-9, K=28, L=25, omega_T=3.1)
-    J = collective_spins()
     for tau in (0.0, 0.21, 0.64):
         H = hamiltonian_at(tau, p, rect)
-        want = 2 * 3.1 * np.cos(2 * np.pi * 25 * tau) * np.kron(J.Jx, np.eye(8))
+        want = 2 * 3.1 * np.cos(2 * np.pi * 25 * tau) * np.kron(hilbert.JX, np.eye(8))
         assert np.abs(H - want).max() < 1e-7
 
 

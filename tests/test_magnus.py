@@ -10,11 +10,10 @@ from hypothesis import assume, given, settings, strategies as st
 from msgate import budget, fidelity, hilbert, magnus, resint
 from msgate.params import GateParams, beat_note, validate
 from msgate.pulses import PulseShape, rectangular, sin_squared
-from oracles import (SKEW, csc_map, fock_offdiagonal_max, form_factor, full_space_transfer, guard_band_indices,
-                     guard_block, is_resonant, sparse_drive_step, unitarity_defect)
+from oracles import (JX2, JZ2, SIGMA_Z, SKEW, csc_map, fock_offdiagonal_max, form_factor, full_space_transfer,
+                     guard_band_indices, guard_block, is_resonant, sparse_drive_step, unitarity_defect)
 
-J = hilbert.collective_spins()
-JX2, JY2 = J.Jx2 - np.eye(4) / 2, J.Jy2 - np.eye(4) / 2  # sigma_a (x) sigma_a / 2
+XX, YY = JX2 - np.eye(4) / 2, hilbert.JY2 - np.eye(4) / 2  # sigma_a (x) sigma_a / 2
 
 
 def test_first_order_vanishes(base_params, rect):
@@ -61,7 +60,7 @@ def test_z2_gate_coefficient(params_omega2, magnus_terms_omega2):
     # leading order: -omega_T^2 * K * eta^2 / (pi (K^2 - L^2)); the assembled
     # value carries the (1 - eta^2)-type corrections of the full form factor
     p = params_omega2
-    got = magnus.level_coeff(magnus_terms_omega2[2], p.n_dim, 0, 0, JY2).real
+    got = magnus.level_coeff(magnus_terms_omega2[2], p.n_dim, 0, 0, YY).real
     lead = -p.omega_T ** 2 * p.K * p.eta ** 2 / (np.pi * (p.K ** 2 - p.L ** 2))
     assert 0.9 < got / lead < 1.0
     assert got < 0
@@ -73,8 +72,8 @@ def test_z2_matches_laguerre_form_factors(params_omega2, magnus_terms_omega2):
     for n in range(p.n_dim - p.m_max):
         dy = form_factor(p, n, "odd")
         dx = form_factor(p, n, "even")
-        got_y = magnus.level_coeff(Z2, p.n_dim, n, n, JY2).real
-        got_x = magnus.level_coeff(Z2, p.n_dim, n, n, JX2).real
+        got_y = magnus.level_coeff(Z2, p.n_dim, n, n, YY).real
+        got_x = magnus.level_coeff(Z2, p.n_dim, n, n, XX).real
         assert got_y == pytest.approx(dy, rel=1e-6)
         assert got_x == pytest.approx(dx, rel=1e-6)
 
@@ -86,7 +85,7 @@ def test_level_coeff_matches_the_pauli_trace(params_omega2, magnus_terms_omega2)
     for Z in magnus_terms_omega2.values():
         composite = hilbert.embed(Z, p.n_dim, 0.0)
         tol = 8 * np.finfo(float).eps * np.abs(composite).max()
-        for sigma, Ja2 in ((hilbert.SIGMA_X, J.Jx2), (hilbert.SIGMA_Y, J.Jy2), (hilbert.SIGMA_Z, J.Jz2)):
+        for sigma, Ja2 in ((hilbert.SIGMA_X, JX2), (hilbert.SIGMA_Y, hilbert.JY2), (SIGMA_Z, JZ2)):
             P = np.kron(sigma, sigma)
             for n in range(p.n_dim):
                 want = np.trace(P.conj().T @ composite[n::p.n_dim, n::p.n_dim]) / 2
@@ -159,8 +158,8 @@ def test_leading_error_rows_at_small_eta(rect):
     p = GateParams(eta=eta, K=28, L=25, omega_T=1.0)
     Z2 = magnus.magnus_terms(p, rect, up_to=2)[2]
     for n in (0, 1):
-        dy = magnus.level_coeff(Z2, p.n_dim, n, n, JY2).real
-        dx = magnus.level_coeff(Z2, p.n_dim, n, n, JX2).real
+        dy = magnus.level_coeff(Z2, p.n_dim, n, n, YY).real
+        dx = magnus.level_coeff(Z2, p.n_dim, n, n, XX).real
         generic = {row.label: row.generic for row in budget.table_rows(p, n)}
         gate, lamb_dicke, sideband = generic["Gate"], generic["Z2_m1"], generic["Z2_m2"]
         assert (dy - gate) / lamb_dicke == pytest.approx(1.0, rel=5e-6)
@@ -242,7 +241,7 @@ def test_cached_values_are_read_only(base_params, rect):
                   for part in order for a in (part if isinstance(part, tuple) else (part,))
                   if isinstance(a, np.ndarray)],
         "_sideband_moves": list(magnus._sideband_moves(base_params.n_dim, base_params.m_max)[1:]),
-        "collective_spins": list(vars(hilbert.collective_spins()).values()),
+        "spin constants": [hilbert.JX, hilbert.JY, hilbert.JPLUS, hilbert.JMINUS, hilbert.JY2],
         "block_basis": [a for block in hilbert.block_basis(base_params.n_dim) for a in block],
         "_qubit_blocks": list(hilbert._qubit_blocks(base_params.n_dim, base_params.m_max)),
         "_average_basis": [a for block in fidelity._average_basis(base_params.n_dim) for a in block],

@@ -22,8 +22,7 @@ from oracles import explicit_term_sum, fock_offdiagonal_max, frame_blocks, full_
 
 
 def _pi(n_dim):
-    J = hilbert.collective_spins()
-    return np.kron(scipy.linalg.expm(1j * np.pi * J.Jx), np.diag((-1.0) ** np.arange(n_dim)))
+    return np.kron(scipy.linalg.expm(1j * np.pi * hilbert.JX), np.diag((-1.0) ** np.arange(n_dim)))
 
 
 def _swap(n_dim):
@@ -96,7 +95,6 @@ def test_sweep_point_forms_no_composite_matrix(monkeypatch, tmp_path, clear_tran
                     f"grid = 30\npropagators = {propagators}\nmetric = average\n")
     spec = cli.sweep_from_config(cli.parse_config(str(path)))
     want = cli.run_sweep(spec)
-    hilbert.collective_spins()  # the 4 x 4 qubit operators, built with kron once per process
     clear_transfer()  # the plan is built under the patches too
     fidelity._average_basis.cache_clear()
     for module, name in ((np, "kron"), (hilbert, "embed"), (hilbert, "symmetry_blocks")):
@@ -189,12 +187,11 @@ def test_level_block_matches_the_composite_slice(n_dim):
 def test_level_coefficients_form_no_composite_matrix(monkeypatch, clear_transfer):
     # Z_k is read in its blocks, from the assembly to every Fock-level coefficient
     p = GateParams(eta=0.18, K=28, L=25, omega_T=20.0)
-    J = hilbert.collective_spins()  # the 4 x 4 qubit operators, built with kron once per process
 
     def read():
         terms = magnus.magnus_terms(p, rectangular(), up_to=4)
-        return (magnus.level_coeff(terms[2], p.n_dim, 1, 1, J.Jy2 - np.eye(4) / 2),
-                magnus.level_coeff(terms[3], p.n_dim, 1, 0, J.Jy),
+        return (magnus.level_coeff(terms[2], p.n_dim, 1, 1, hilbert.JY2 - np.eye(4) / 2),
+                magnus.level_coeff(terms[3], p.n_dim, 1, 0, hilbert.JY),
                 fock_offdiagonal_max(terms[2], p))
 
     want = read()
