@@ -113,7 +113,7 @@ def _chain(stack: np.ndarray, spare: np.ndarray | None = None) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _frame(builder, eta: float, K: int, n_dim: int, m_max: int, n_steps: int) -> tuple:
-    """What ``_block_propagator`` takes besides the drive: (levels, lam, V, W, h) per block of
+    """What ``_steps`` takes besides the drive: (levels, lam, V, W, h) per block of
     ``hilbert.block_basis``, B = V diag(lam) V^H from ``builder``.  None of it depends on
     omega_T or the pulse; the last 8 are kept, read-only.  A non-Hermitian or non-finite
     generator raises here (``hilbert.hermitian_eigh``), on every call (an exception is not cached)."""
@@ -130,52 +130,37 @@ def _frame(builder, eta: float, K: int, n_dim: int, m_max: int, n_steps: int) ->
     return tuple(frame)
 
 
-def _block_propagator(frame: tuple, amps: np.ndarray, periods: int, fold: bool) -> np.ndarray:
-    """Ordered product in one block, latest factor leftmost, of the Strang steps
-    h exp(-i amps_n B) h of the rotating-frame Hamiltonian omega_T g(tau) B + 2 pi K levels,
-    with the half D-step h = exp(-i pi K levels / N) and N = periods * len(amps).
-    With B = V diag(lam) V^H, steps lo..hi-1 give h V [E_{hi-1} W ... E_{lo+1} W] E_lo V^H h,
-    with E_n = exp(-i amps_n lam) and the constant W = V^H h^2 V: diagonal phases and, per
-    two steps, one row of a GEMM with W and one 12 x 12 product.  ``frame`` is the block's
-    (levels, lam, V, W, h) from ``_frame``.  amps holds the first of d = periods periods of
-    n = N/d steps; ``fold`` mirrors the first half of that period, and d > 1 then takes its
-    d-th power (see ``_propagate``).
-    """
-    levels, lam, V, W, h = frame
+def _slice(lam: np.ndarray, W: np.ndarray, amps: np.ndarray, skip: int) -> np.ndarray:
+    """[E_{k-1} W ... E_1 W] E_0 W over the k steps ``amps`` of a slice, without its rightmost W if ``skip``."""
+    # E_{2j+1} W E_{2j} by entries, then one GEMM puts W right of all factors but the first.
+    # One buffer holds the pairs, their products with W and every level of the chain: freed
+    # one by one, these temporaries leave a heap top that glibc trims after every call and
+    # the next call faults back in (~1 MB a slice, a third of a sin^2 Unum)
     dim = len(lam)
+    E = np.exp(-1j * np.outer(amps, lam))
+    pairs, odd = divmod(len(E), 2)
+    pair, stack = np.empty((2, pairs + odd, dim, dim), dtype=complex)
+    np.multiply(E[1::2, :, None], E[:2 * pairs:2, None, :], out=pair[:pairs])
+    pair[:pairs] *= W
+    pair[pairs:] = np.eye(dim) * E[2 * pairs:, None, :]
+    stack[:skip] = pair[:skip]
+    np.matmul(pair[skip:].reshape(-1, dim), W, out=stack[skip:].reshape(-1, dim))
+    return _chain(stack, pair)
 
-    def chained_slice(lo: int, hi: int, skip: int) -> np.ndarray:
-        # E_{2j+1} W E_{2j} by entries, then one GEMM puts W right of all factors but the first.
-        # One buffer holds the pairs, their products with W and every level of the chain: freed
-        # one by one, these temporaries leave a heap top that glibc trims after every call and
-        # the next call faults back in (~1 MB a slice, a third of a sin^2 Unum)
-        E = np.exp(-1j * np.outer(amps[lo:hi], lam))
-        pairs, odd = divmod(len(E), 2)
-        pair, stack = np.empty((2, pairs + odd, dim, dim), dtype=complex)
-        np.multiply(E[1::2, :, None], E[:2 * pairs:2, None, :], out=pair[:pairs])
-        pair[:pairs] *= W
-        pair[pairs:] = np.eye(dim) * E[2 * pairs:, None, :]
-        stack[:skip] = pair[:skip]
-        np.matmul(pair[skip:].reshape(-1, dim), W, out=stack[skip:].reshape(-1, dim))
-        return _chain(stack, pair)
 
-    def run(lo: int, hi: int) -> np.ndarray:
-        if hi == lo:
-            return np.eye(dim)
-        # one slice of the pair stack at a time, so memory does not grow with the steps
-        step = 2 * _SLICE
-        total = _chain(np.stack([chained_slice(s, min(s + step, hi), int(s == lo))
-                                 for s in range(lo, hi, step)]))
-        return (h[:, None] * (V @ total @ V.conj().T)) * h
-
-    if fold:
-        half, flip = len(amps) // 2, (-1.0) ** levels  # D_b: the Fock parity of each column
-        first = run(0, half)
-        P = (flip[:, None] * first.T * flip) @ run(half, len(amps) - half) @ first
-    else:
-        P = run(0, len(amps))
-    # the power multiplies the unitarity defect of P by d: one Newton-Schulz step first
-    return np.linalg.matrix_power(_newton_schulz(P), periods) if periods > 1 else P
+def _steps(frame: tuple, amps: np.ndarray) -> np.ndarray:
+    """Ordered product in one block, latest factor leftmost, of the Strang steps h exp(-i amps_n B) h
+    of the frame Hamiltonian omega_T g(tau) B + 2 pi K levels over N steps, h = exp(-i pi K levels / N):
+    with B = V diag(lam) V^H, h V [E_{k-1} W ... E_1 W] E_0 V^H h over the k = len(amps) steps given
+    (the identity for none), E_n = exp(-i amps_n lam) and W = V^H h^2 V: diagonal phases and, per two
+    steps, one row of a GEMM with W and one 12 x 12 product.  ``frame`` is (levels, lam, V, W, h)."""
+    _, lam, V, W, h = frame
+    if not len(amps):
+        return np.eye(len(lam))
+    # one slice of the pair stack at a time, each freed on return, so memory does not grow with the steps
+    step = 2 * _SLICE
+    total = _chain(np.stack([_slice(lam, W, amps[s:s + step], int(s == 0)) for s in range(0, len(amps), step)]))
+    return (h[:, None] * (V @ total @ V.conj().T)) * h
 
 
 def _propagate(builder, params: GateParams, pulse: PulseShape, config: TrotterConfig) -> tuple:
@@ -207,8 +192,11 @@ def _propagate(builder, params: GateParams, pulse: PulseShape, config: TrotterCo
     taps, coeffs = hilbert.drive_taps(params, pulse)
     period = drive_period(taps)
     periods = period if n_steps % period == 0 else 1
-    # the drive is periodic, so the guard below sees all of it on the first period's steps
-    taus = (np.arange(n_steps // periods) + 0.5) / n_steps
+    n, fold = n_steps // periods, not coeffs.imag.any()
+    # the steps the products below multiply: the first half and the middle step of a folded
+    # period, all n of another.  The drive repeats every period and a real-coefficient drive
+    # is mirror-symmetric on it, g(1/p - tau) = g(tau), so the guard sees every drive value
+    taus = (np.arange(n - n // 2 if fold else n) + 0.5) / n_steps
     # exp in place, its buffer freed before the slices: the heap top a call leaves then stays
     # below glibc's trim threshold, and the next call faults no memory back in
     phases = 2j * np.pi * np.outer(taus, taps)
@@ -217,8 +205,17 @@ def _propagate(builder, params: GateParams, pulse: PulseShape, config: TrotterCo
     amps = params.omega_T * drive.real / n_steps
     if not np.isfinite(amps).all():
         raise ValueError(f"Hamiltonian not finite: omega_T {params.omega_T}, eta {params.eta}")
-    fold = not coeffs.imag.any()
-    return tuple(_block_propagator(block, amps, periods, fold) for block in frame)
+    blocks = []
+    for block in frame:
+        if fold:
+            flip = (-1.0) ** block[0]  # D_b: the Fock parity of each column
+            first = _steps(block, amps[:n // 2])
+            P = (flip[:, None] * first.T * flip) @ _steps(block, amps[n // 2:]) @ first
+        else:
+            P = _steps(block, amps)
+        # the power multiplies the unitarity defect of P by d: one Newton-Schulz step first
+        blocks.append(np.linalg.matrix_power(_newton_schulz(P), periods) if periods > 1 else P)
+    return tuple(blocks)
 
 
 def propagate_numeric(params: GateParams, pulse: PulseShape,

@@ -6,7 +6,7 @@ cells exactly and every other cell within max(1e-9 |want|, 1e-12), with NaN equa
 NaN.  ``test_acceptance.test_golden_rows`` calls it, and so does the scipy-free CI job,
 so this module imports numpy and msgate alone:
 
-    PYTHONPATH=tests python -m golden_rows fig3c fig4a
+    PYTHONPATH=tests python -m golden_rows fig3c fig4a fig4c
 """
 
 import math
@@ -18,7 +18,7 @@ from msgate.cli import parse_config, rows_to_csv, run_sweep, sweep_from_config
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 # preset -> propagators its criteria need (None: the preset's own list)
 SWEEPS = {"fig2": None, "fig3c": ("U2", "Unum"), "fig3a": ("Unum",),
-          "fig3b": ("Unum",), "fig4b": ("Unum",), "fig4a": ("Unum",)}
+          "fig3b": ("Unum",), "fig4b": ("Unum",), "fig4a": ("Unum",), "fig4c": None}
 
 
 def run_preset(name: str) -> list:

@@ -81,14 +81,18 @@ def test_step_count_resolves_the_drive(pulse, L, dK, eta, m_max, extra_dim, omeg
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts minor page faults as Linux does")
-def test_repeated_unum_faults_no_memory_back_in(params_omega2):
+@pytest.mark.parametrize("K", [28, 106], ids=["K28", "fig4b-K106"])
+def test_repeated_unum_faults_no_memory_back_in(params_omega2, K):
     # a slice works in one buffer, so the heap top it leaves is not trimmed after every call
     # and faulted back in by the next (~3,900 faults per call when each temporary was freed
     # on its own).  In a fresh interpreter: the heap that earlier tests leave sets glibc's
-    # trim threshold, and with it whether a call's heap top is trimmed at all.
+    # trim threshold, and with it whether a call's heap top is trimmed at all.  At fig4b's
+    # largest point the drive samples alone cross that threshold unless exp runs in place
+    # and its buffer is freed before the slices (652 faults per call measured without either)
+    p = params_omega2 if K == 28 else params_omega2.replace(K=106, L=103, omega_T=48.44)
     code = ("import resource\nfrom msgate import trotter\nfrom msgate.params import GateParams\n"
             "from msgate.pulses import sin_squared\n"
-            f"p = {params_omega2!r}\n"
+            f"p = {p!r}\n"
             "for _ in range(2):\n    trotter.propagate_numeric(p, sin_squared())\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
             "for _ in range(3):\n    trotter.propagate_numeric(p, sin_squared())\n"
@@ -342,6 +346,24 @@ def test_period_power_unitarity_no_worse(monkeypatch, params_omega2, rect, unum_
     U = _full(unum_omega2, params_omega2)
     assert np.abs(U - plain).max() <= 1e-12
     assert unitarity_defect(U) <= unitarity_defect(plain)
+
+
+@pytest.mark.parametrize("pulse", [rectangular(), sin_squared(), PERIOD_5, SKEW, SKEW_5],
+                         ids=["rect", "sin2", "period-5", "skew", "skew-5"])
+def test_real_coefficient_drive_is_mirror_symmetric_on_its_period(params_omega2, pulse):
+    # the fold multiplies only the first half and the middle step of a period, and the
+    # finiteness guard sees only the drive there: both rest on g(1/p - tau) = g(tau) on the
+    # midpoint grid of the first period, which holds exactly when every c_g is real
+    n_steps = TrotterConfig().num_steps(params_omega2, pulse)
+    taps, coeffs = hilbert.drive_taps(params_omega2, pulse)
+    period = trotter.drive_period(taps)
+    n = n_steps // (period if n_steps % period == 0 else 1)
+    g = np.exp(2j * np.pi * np.outer((np.arange(n) + 0.5) / n_steps, taps)) @ coeffs
+    gap = np.abs(g - g[::-1]).max() / np.abs(g).max()
+    if coeffs.imag.any():
+        assert gap > 0.5  # measured ~1
+    else:
+        assert gap <= 1e-12  # measured <= 2.3e-14
 
 
 @pytest.mark.parametrize("pulse", [sin_squared(), SKEW], ids=["sin2", "skew"])
