@@ -3,11 +3,7 @@ entangling gates on a shared motional mode."""
 
 from .params import GateParams, beat_note, validate
 from .pulses import PulseShape, envelope_at, rectangular, sin_squared
-from .hilbert import (
-    collective_spin,
-    matrix_exp,
-    sideband_operator,
-)
+from .hilbert import collective_spin, matrix_exp
 from .resint import resonance_integral
 from .magnus import dyson_term, magnus_terms, propagators_upto
 from .trotter import TrotterConfig, propagate_numeric, propagate_numeric_exact_displacement

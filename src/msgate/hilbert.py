@@ -45,24 +45,31 @@ def collective_spin(m: int) -> np.ndarray:
     return JX.copy() if m % 2 == 0 else 1j * JY
 
 
-def sideband_operator(m: int, eta: float, n_dim: int) -> np.ndarray:
-    """m-th sideband transition operator A_m on the truncated Fock space: the part of
-    the displacement exp(i eta (a + a+)) that raises the Fock level by m,
+@lru_cache(maxsize=16)
+def sideband_operators(eta: float, n_dim: int, m_max: int) -> np.ndarray:
+    """The sideband transition operators A_m, m = -m_max..m_max, on the truncated Fock
+    space, as one read-only stack: A_m is the part of the displacement exp(i eta (a + a+))
+    that raises the Fock level by m,
         <n+m|A_m|n> = exp(-eta^2/2) (i eta)^m sqrt(n!/(n+m)!) L_n^{(m)}(eta^2)   (m >= 0),
     and A_{-m} = (-1)^m A_m^H (Cahill & Glauber 1969).  These are the entries of the
     untruncated operator, so the Fock cutoff is the only truncation.  L_n^{(k)}(x),
-    x = eta^2, is carried along the band by the three-term recurrence
+    x = eta^2, is carried along each band k = |m| once by the three-term recurrence
         (n + 1) L_{n+1}^{(k)} = (2n + 1 + k - x) L_n^{(k)} - (n + k) L_{n-1}^{(k)}.
     """
-    if abs(m) > n_dim:
-        raise ValueError(f"|m|={abs(m)} exceeds n_dim={n_dim}")
-    k, x = abs(m), eta * eta
-    band, prev, cur = [], 0.0, 1.0
-    for n in range(n_dim - k):
-        band.append(math.sqrt(math.factorial(n) / math.factorial(n + k)) * cur)
-        prev, cur = cur, ((2 * n + 1 + k - x) * cur - (n + k) * prev) / (n + 1)
-    out = math.exp(-0.5 * x) * (1j * eta) ** k * np.diag(np.array(band, dtype=complex), -k)
-    return out if m >= 0 else (-1) ** k * out.conj().T
+    if m_max > n_dim:
+        raise ValueError(f"m_max={m_max} exceeds n_dim={n_dim}")
+    x = eta * eta
+    A = np.empty((2 * m_max + 1, n_dim, n_dim), dtype=complex)
+    for k in range(m_max + 1):
+        band, prev, cur = [], 0.0, 1.0
+        for n in range(n_dim - k):
+            band.append(math.sqrt(math.factorial(n) / math.factorial(n + k)) * cur)
+            prev, cur = cur, ((2 * n + 1 + k - x) * cur - (n + k) * prev) / (n + 1)
+        A[m_max + k] = math.exp(-0.5 * x) * (1j * eta) ** k * np.diag(np.array(band, dtype=complex), -k)
+        # not at k = 0: conjugating A_0 would turn its +0.0 imaginary parts into -0.0
+        if k:
+            A[m_max - k] = (-1) ** k * A[m_max + k].conj().T
+    return read_only(A)[0]
 
 
 def hermitian_eigh(H: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -152,9 +159,9 @@ def hamiltonian_terms(eta: float, n_dim: int, m_max: int) -> tuple:
     for m = -m_max..m_max.  The drive g is ``drive_taps``'s, and the drive strength
     omega_T is *not* included so callers can rescale.  Like every builder here, it takes
     only what its operators depend on: (eta, n_dim, m_max).  The qubit factors are
-    eta-free (``_qubit_blocks``), so an eta costs the 2 m_max + 1 bands A_m and, per
-    block, their gather times those factors: ``to_blocks``' own expression."""
-    A = np.stack([sideband_operator(m, eta, n_dim) for m in range(-m_max, m_max + 1)])
+    eta-free (``_qubit_blocks``), so an eta costs the bands A_m (``sideband_operators``)
+    and, per block, their gather times those factors: ``to_blocks``' own expression."""
+    A = sideband_operators(eta, n_dim, m_max)
     return tuple(J * A[..., n[:, None], n] for J, (n, _) in zip(_qubit_blocks(n_dim, m_max), block_basis(n_dim)))
 
 

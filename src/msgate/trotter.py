@@ -56,12 +56,13 @@ class TrotterConfig:
             return self.steps_override
         taps, coeffs = hilbert.drive_taps(params, pulse)
         # max|N_g + m K| in ints, and the rate |omega_T| max|g| ||B_0|| at which the drive turns the
-        # state by |g| <= sum_g |c_g| and ``_sideband_norm``, in Python floats: an overflow gives inf,
-        # and so does a beat note beyond float range
+        # state by |g| <= sum_g |c_g| and ||B_0|| <= sum_m ||A_m||, as ||J_m|| = 1, in Python floats:
+        # an overflow gives inf, and so does a beat note beyond float range.  A_m has one nonzero
+        # per row and column, so its norm is its largest entry
         beat = max(abs(int(N)) for N in taps) + params.m_max * params.K
         beat = float(beat) if beat <= sys.float_info.max else math.inf
-        drive = (abs(params.omega_T) * sum(map(abs, coeffs.tolist()))
-                 * _sideband_norm(params.eta, params.n_dim, params.m_max))
+        A = hilbert.sideband_operators(params.eta, params.n_dim, params.m_max)
+        drive = abs(params.omega_T) * sum(map(abs, coeffs.tolist())) * sum(np.abs(A).max(axis=(1, 2)).tolist())
         bound = self.safety * max(2 * math.pi * beat, drive)
         if not bound <= MAX_STEPS:
             raise ValueError(f"resolving the drive takes {bound:.3g} steps, more than {MAX_STEPS} "
@@ -69,14 +70,6 @@ class TrotterConfig:
         # at least one period: the bound is 0 only with no drive and no beat note, where U = I
         period = drive_period(taps)
         return period * max(1, -(-math.ceil(bound) // period))
-
-
-@lru_cache(maxsize=64)
-def _sideband_norm(eta: float, n_dim: int, m_max: int) -> float:
-    """sum_m ||A_m|| over |m| <= m_max, which bounds ||sum_m J_m (x) A_m|| as ||J_m|| = 1:
-    A_m has one nonzero per row and column, so its norm is its largest entry."""
-    return sum(float(np.abs(hilbert.sideband_operator(m, eta, n_dim)).max())
-               for m in range(-m_max, m_max + 1))
 
 
 def drive_period(taps: np.ndarray) -> int:

@@ -4,9 +4,10 @@
 before the sweep path was refactored.  The comparison takes the ``axis`` and ``status``
 cells exactly and every other cell within max(1e-9 |want|, 1e-12), with NaN equal to
 NaN.  ``test_acceptance.test_golden_rows`` calls it, and so does the scipy-free CI job,
-so this module imports numpy and msgate alone:
+so this module imports numpy and msgate alone.  It checks the presets it is given, or
+every preset of ``SWEEPS``:
 
-    PYTHONPATH=tests python -m golden_rows fig3c fig4a fig4c
+    PYTHONPATH=tests python -m golden_rows [fig2 fig3a ...]
 """
 
 import math
@@ -52,7 +53,7 @@ def mismatches(name: str, rows: list) -> list[str]:
 
 if __name__ == "__main__":
     failed = False
-    for name in sys.argv[1:]:
+    for name in sys.argv[1:] or SWEEPS:
         off = mismatches(name, run_preset(name))
         print("\n".join(off) or f"{name}: every row matches tests/golden/{name}.csv")
         failed = failed or bool(off)

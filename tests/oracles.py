@@ -1,7 +1,7 @@
 """Independent full-space oracles, built with ``np.kron`` from the building blocks
-(``collective_spin``, ``sideband_operator``, the ladder operators) and never through
-the symmetry blocks or ``hilbert.embed``, and the composite-index helpers the tests
-measure full-space matrices with, and the closed forms and spectral quadrature that
+(``collective_spin``, the stack of ``sideband_operators``, the ladder operators) and
+never through the symmetry blocks or ``hilbert.embed``, and the composite-index
+helpers the tests measure full-space matrices with, and the closed forms and spectral quadrature that
 check the exact resonance integrals of ``msgate.resint``, with the ``Fraction``
 reference of its integer engine (``fraction_integral``), the prefix-sum filter
 ``may_be_resonant`` and the full sequence walk of the exact Dyson route
@@ -20,7 +20,9 @@ reference of its integer engine (``fraction_integral``), the prefix-sum filter
     their printed forms in 80-digit ``Decimal`` arithmetic;
   * the ``scipy.sparse`` forms of the transfer plan's maps (``csc_map``) and of its
     drive step (``sparse_drive_step``), which pin the order in which the numpy pass
-    rounds its sums."""
+    rounds its sums;
+  * ``piecewise_magnus``, a second numeric route to ``Unum`` in block form: the Magnus
+    integrator with its step integrals in closed form (``magnus_psi``)."""
 
 import itertools
 import math
@@ -86,8 +88,9 @@ def closed_form_bell(dx_by_n, dy_by_n, weights):
 
 def explicit_term_sum(p, pulse, tau):
     """sum_{M,m,mu} omega_T c_M e^{i 2 pi N tau} J_m (x) A_m, term by term."""
+    A = hilbert.sideband_operators(p.eta, p.n_dim, p.m_max)
     return sum(p.omega_T * pulse.c(M) * np.exp(2j * np.pi * beat_note(M, m, mu, p) * tau)
-               * np.kron(hilbert.collective_spin(m), hilbert.sideband_operator(m, p.eta, p.n_dim))
+               * np.kron(hilbert.collective_spin(m), A[m + p.m_max])
                for M in pulse.support for m in range(-p.m_max, p.m_max + 1) for mu in (-1, 1))
 
 
@@ -114,8 +117,8 @@ def full_space_transfer(params, pulse, up_to):
     (power, freq) -> matrix dict (the assembly before the symmetry blocks)."""
     taps, tap_c = hilbert.drive_taps(params, pulse)
     ms = range(-params.m_max, params.m_max + 1)
-    ops = [np.kron(hilbert.collective_spin(m), hilbert.sideband_operator(m, params.eta, params.n_dim))
-           for m in ms]
+    ops = [np.kron(hilbert.collective_spin(m), A)
+           for m, A in zip(ms, hilbert.sideband_operators(params.eta, params.n_dim, params.m_max))]
     state = {(0, 0): np.eye(4 * params.n_dim, dtype=complex)}
     p_hats = []
     for order in range(1, up_to + 1):
@@ -547,3 +550,82 @@ def sparse_drive_step(parts, tinv, tap_c, n_keys):
     step = drive_t @ scipy.sparse.csc_array((coef, rows, ptr), shape=(n_keys, len(ptr) - 1)).T
     step.sort_indices()
     return step.indptr, step.indices, step.data
+
+
+# ---------------------------------------------------------------------------
+# A second numeric route to ``Unum``: piecewise Magnus with exact oscillatory
+# integrals, which takes no rotating frame, fold, period power or splitting.
+# ---------------------------------------------------------------------------
+
+def _phi1(x):
+    """phi_1(x) = int_0^1 e^{i 2 pi x s} ds = (e^{i 2 pi x} - 1)/(i 2 pi x), as e^{i pi x} sinc(x):
+    no cancellation as x -> 0, and 1 at x = 0."""
+    return np.exp(1j * np.pi * x) * np.sinc(x)
+
+
+def _moments(x, top):
+    """M_j(x) = int_0^1 s^j e^{i 2 pi x s} ds for j = 0..top, stacked on a new first axis: by the
+    power series sum_n z^n / (n! (j + n + 1)), z = i 2 pi x, where |z| <= top + 1, else upward by
+    parts, M_j = (e^z - j M_{j-1}) / z, which shrinks its rounding there (j < |z|)."""
+    z = 2j * np.pi * np.asarray(x, dtype=float)
+    M = np.empty((top + 1,) + z.shape, dtype=complex)
+    small = np.abs(z) <= top + 1
+    n = np.arange(64)[:, None]
+    terms = z[small] ** n / np.array([float(math.factorial(k)) for k in range(64)])[:, None]
+    zb = z[~small]
+    ez = np.exp(zb)
+    for j in range(top + 1):
+        M[j][small] = (terms / (j + n + 1)).sum(axis=0)
+        M[j][~small] = (ez - (j * M[j - 1][~small] if j else 1)) / zb
+    return M
+
+
+def magnus_psi(x, y):
+    """psi(x, y) = int_0^1 ds int_0^s dt e^{i 2 pi (x s + y t)} = (phi_1(x + y) - phi_1(x)) / (i 2 pi y),
+    elementwise.  That difference cancels as y -> 0, so where |y| < 1e-2 psi is its Taylor series
+    in y, sum_k (i 2 pi y)^k M_{k+1}(x) / (k + 1)!, to k = 8 (the next term is below 1e-17)."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    out = np.empty(x.shape, dtype=complex)
+    near = np.abs(y) < 1e-2
+    xf, yf = x[~near], y[~near]
+    out[~near] = (_phi1(xf + yf) - _phi1(xf)) / (2j * np.pi * yf)
+    M, w = _moments(x[near], 9), 2j * np.pi * y[near]
+    out[near] = sum(w ** k * M[k + 1] / math.factorial(k + 1) for k in range(9))
+    return out
+
+
+def piecewise_magnus(params, pulse, S):
+    """U in block form (U_+, U_-) from S equal steps of the Magnus integrator with exact
+    quadrature (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).  H(tau) =
+    omega_T sum_{g,m} c_g e^{i 2 pi nu tau} Op_m, nu = N_g + m K, is a finite trigonometric sum
+    of the taps (N_g, c_g) of ``hilbert.drive_taps`` and the blocks Op_m of J_m (x) A_m
+    (``hilbert.hamiltonian_terms``), so on the step [a, a + h], h = 1/S, the first two Magnus
+    terms integrate in closed form:
+        Omega_1 = -i omega_T sum_m alpha_m Op_m,  alpha_m = h sum_g c_g e^{i 2 pi nu a} phi_1(nu h),
+        Omega_2 = -omega_T^2 / 2 sum_{m,m'} beta_mm' Op_m Op_m',
+        beta_mm' = h^2 sum_{g,g'} c_g c_g' e^{i 2 pi (nu + nu') a} (psi(nu h, nu' h) - psi(nu' h, nu h)),
+    and U = exp(Omega_{S-1}) ... exp(Omega_0), fourth order in h.  It reads nothing of
+    ``trotter``: no rotating frame, fold, period power or splitting."""
+    taps, coeffs = hilbert.drive_taps(params, pulse)
+    n_m = 2 * params.m_max + 1
+    nu = (np.array([int(N) for N in taps])[:, None] + np.arange(-params.m_max, params.m_max + 1) * params.K).ravel()
+    # c_g e^{i 2 pi nu a} at a = k/S, its phase reduced mod 1 in integers; columns (g, m), g slowest
+    u = np.repeat(coeffs, n_m) * np.exp(2j * np.pi * (np.outer(np.arange(S), nu) % S) / S)
+    x = nu / S
+    alpha = (u * _phi1(x)).reshape(S, -1, n_m).sum(axis=1) / S
+    psi = magnus_psi(x[:, None], x[None, :])
+    pairs = (psi - psi.T).reshape(len(taps), n_m, len(taps), n_m)
+    u = u.reshape(S, -1, n_m)
+    beta = np.einsum("sgm,gmkn,skn->smn", u, pairs, u, optimize=True) / S ** 2
+    blocks = []
+    for ops in hilbert.hamiltonian_terms(params.eta, params.n_dim, params.m_max):
+        d = ops.shape[-1]
+        # the Hermitian i Omega of every step: omega_T alpha.Op - (i/2) omega_T^2 beta.Op Op
+        gen = (params.omega_T * alpha @ ops.reshape(n_m, -1)
+               - 0.5j * params.omega_T ** 2 * beta.reshape(S, -1) @ (ops[:, None] @ ops[None]).reshape(n_m ** 2, -1))
+        lam, V = np.linalg.eigh(gen.reshape(S, d, d))
+        U = np.eye(d, dtype=complex)
+        for step in (V * np.exp(-1j * lam)[:, None, :]) @ np.swapaxes(V, -1, -2).conj():
+            U = step @ U
+        blocks.append(U)
+    return tuple(blocks)

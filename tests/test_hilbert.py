@@ -9,11 +9,7 @@ import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 from msgate import hilbert
-from msgate.hilbert import (
-    collective_spin,
-    matrix_exp,
-    sideband_operator,
-)
+from msgate.hilbert import collective_spin, matrix_exp, sideband_operators
 from msgate.params import GateParams
 from msgate.pulses import PulseShape, envelope_at, rectangular, sin_squared
 from oracles import (JX2, JXY, JZ, SIGMA_Z, displacement_hamiltonian_at, explicit_term_sum, guard_band_indices,
@@ -21,23 +17,21 @@ from oracles import (JX2, JXY, JZ, SIGMA_Z, displacement_hamiltonian_at, explici
 
 
 def test_sideband_zero_coupling_is_identity():
-    assert np.allclose(sideband_operator(0, 0.0, 8), np.eye(8))
+    assert np.allclose(sideband_operators(0.0, 8, 3)[3], np.eye(8))
 
 
 def test_sideband_vacuum_elements():
     eta = 0.18
-    A0 = sideband_operator(0, eta, 8)
+    _, A0, A1 = sideband_operators(eta, 8, 1)
     assert A0[0, 0] == pytest.approx(math.exp(-0.0162))
-    A1 = sideband_operator(1, eta, 8)
     assert A1[1, 0] == pytest.approx(1j * eta * math.exp(-eta ** 2 / 2))
 
 
 def test_sideband_adjoint_relation():
-    # A_{-m} = (-1)^m A_m^dagger holds exactly even on the truncated space
+    # A_{-m} = (-1)^m A_m^dagger holds exactly even on the truncated space, bit for bit
+    A = sideband_operators(0.21, 9, 3)
     for m in (1, 2, 3):
-        Am = sideband_operator(m, 0.21, 9)
-        Amin = sideband_operator(-m, 0.21, 9)
-        assert np.allclose(Amin, (-1) ** m * Am.conj().T, atol=1e-14)
+        assert _same_bits(A[3 - m], (-1) ** m * A[3 + m].conj().T), m
 
 
 def _series_sideband(m, eta, n_dim):
@@ -54,13 +48,14 @@ def _series_sideband(m, eta, n_dim):
 def test_sideband_matches_laguerre_closed_form():
     for eta, n_dim in itertools.product((0.01, 0.18, 0.5, 0.9), (2, 9, 16)):
         # every entry of every A_m on the truncated space against the series
+        A = sideband_operators(eta, n_dim, n_dim)
         for m in range(-n_dim, n_dim + 1):
-            got, want = sideband_operator(m, eta, n_dim), _series_sideband(m, eta, n_dim)
+            got, want = A[n_dim + m], _series_sideband(m, eta, n_dim)
             assert np.array_equal(got != 0, want != 0), (eta, n_dim, m)
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (eta, n_dim, m)
         # and each band against the closed form, with the explicit Laguerre series
         for m in range(n_dim + 1):
-            got = sideband_operator(m, eta, n_dim)
+            got = A[n_dim + m]
             for n in range(n_dim - m):
                 closed = (math.exp(-0.5 * eta * eta) * (1j * eta) ** m * laguerre_series(n, m, eta * eta)
                           * math.sqrt(math.factorial(n) / math.factorial(n + m)))
@@ -69,7 +64,7 @@ def test_sideband_matches_laguerre_closed_form():
 
 def test_sideband_rejects_large_m():
     with pytest.raises(ValueError):
-        sideband_operator(9, 0.1, 8)
+        sideband_operators(0.1, 8, 9)
 
 
 def test_collective_spin_parity():
@@ -119,19 +114,37 @@ def test_matrix_exp_rejects_non_antihermitian(A):
         matrix_exp(A)
 
 
+def _callers():
+    """Called name -> the functions of src/msgate that call it, as module.name (module.Class.name for
+    a method, module.<module> outside any function)."""
+    src = pathlib.Path(hilbert.__file__).resolve().parent
+    callers = {}
+    for path in sorted(src.rglob("*.py")):
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            scopes = ([(f"{stmt.name}.{getattr(f, 'name', '<class>')}", f) for f in stmt.body]
+                      if isinstance(stmt, ast.ClassDef) else [(getattr(stmt, "name", "<module>"), stmt)])
+            for name, scope in scopes:
+                for node in ast.walk(scope):
+                    if isinstance(node, ast.Call):
+                        called = getattr(node.func, "attr", getattr(node.func, "id", None))
+                        callers.setdefault(called, []).append(f"{path.stem}.{name}")
+    return callers
+
+
 def test_one_guarded_eigh_in_msgate():
     # np.linalg.eigh is called at one place in src/msgate, behind the check of
     # hilbert.hermitian_eigh, and both exponentiations reach it: matrix_exp and the Unum frame
-    src = pathlib.Path(hilbert.__file__).resolve().parent
-    callers = {}  # called name -> the top-level statements that call it, as module.name
-    for path in sorted(src.rglob("*.py")):
-        for stmt in ast.parse(path.read_text(), str(path)).body:
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Call):
-                    name = getattr(node.func, "attr", getattr(node.func, "id", None))
-                    callers.setdefault(name, []).append(f"{path.stem}.{getattr(stmt, 'name', '<module>')}")
+    callers = _callers()
     assert callers["eigh"] == ["hilbert.hermitian_eigh"]
     assert sorted(callers["hermitian_eigh"]) == ["hilbert.matrix_exp", "trotter._frame"]
+
+
+def test_one_sideband_builder_in_msgate():
+    # the bands A_m are built in one place, once per eta, and read from its cached stack by the
+    # Hamiltonian terms and the step bound alone
+    callers = _callers()
+    assert sorted(callers["sideband_operators"]) == ["hilbert.hamiltonian_terms", "trotter.TrotterConfig.num_steps"]
+    assert "sideband_operator" not in callers
 
 
 def test_matrix_exp_of_a_stack_is_the_stack_of_exponentials(rng):
@@ -186,7 +199,7 @@ def test_hamiltonian_terms_are_to_blocks_of_the_stacks(eta, n_dim, m_max):
     # the cached qubit factors times the gather of the bands: to_blocks of the stacks, bit for bit
     ms = range(-m_max, m_max + 1)
     want = hilbert.to_blocks(np.stack([collective_spin(m) for m in ms]),
-                             np.stack([sideband_operator(m, eta, n_dim) for m in ms]))
+                             sideband_operators(eta, n_dim, m_max))
     got = hilbert.hamiltonian_terms(eta, n_dim, m_max)
     assert len(got) == 2 and all(map(_same_bits, got, want))
 

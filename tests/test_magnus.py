@@ -244,6 +244,7 @@ def test_cached_values_are_read_only(base_params, rect):
         "spin constants": [hilbert.JX, hilbert.JY, hilbert.JPLUS, hilbert.JMINUS, hilbert.JY2],
         "block_basis": [a for block in hilbert.block_basis(base_params.n_dim) for a in block],
         "_qubit_blocks": list(hilbert._qubit_blocks(base_params.n_dim, base_params.m_max)),
+        "sideband_operators": [hilbert.sideband_operators(base_params.eta, base_params.n_dim, base_params.m_max)],
         "_average_basis": [a for block in fidelity._average_basis(base_params.n_dim) for a in block],
         "_bell_basis": [a for block in fidelity._bell_basis(base_params.n_dim) for a in block],
     }
@@ -423,8 +424,9 @@ def test_drive_step_rounds_as_the_sparse_product(base_params, pulse, K, L):
 def test_sideband_terms_are_partial_permutations_in_the_blocks(n_dim):
     # A_m raises the Fock level by exactly m, so in the blocks each J_m (x) A_m has at most
     # one nonzero per row and per column: a plan entry has at most one pair per sideband
-    for m in range(-min(5, n_dim), min(5, n_dim) + 1):
-        for X in hilbert.to_blocks(hilbert.collective_spin(m), hilbert.sideband_operator(m, 0.3, n_dim)):
+    top = min(5, n_dim)
+    for m, A in zip(range(-top, top + 1), hilbert.sideband_operators(0.3, n_dim, top)):
+        for X in hilbert.to_blocks(hilbert.collective_spin(m), A):
             assert (X != 0).sum(axis=0).max(initial=0) <= 1 and (X != 0).sum(axis=1).max(initial=0) <= 1, m
     for m_max in range(min(5, n_dim) + 1):
         size, move_ptr, _, move_m, _, _ = magnus._sideband_moves(n_dim, m_max)

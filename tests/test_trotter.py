@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
@@ -13,7 +14,7 @@ from msgate import fidelity, hilbert, trotter
 from msgate.params import GateParams
 from msgate.pulses import PulseShape, rectangular, sin_squared
 from msgate.trotter import TrotterConfig
-from oracles import SKEW, frame_blocks, guard_band_indices, unitarity_defect
+from oracles import SKEW, frame_blocks, guard_band_indices, magnus_psi, piecewise_magnus, unitarity_defect
 
 
 def _full(U, params):
@@ -75,7 +76,7 @@ def test_step_count_resolves_the_drive(pulse, L, dK, eta, m_max, extra_dim, omeg
     # whose drive term is omega_T 2 sum_M |c_M| sum_m ||A_m||
     period = trotter.drive_period(taps)
     drive_bound = omega_T * 2 * sum(abs(pulse.c(M)) for M in pulse.support) * sum(
-        np.abs(hilbert.sideband_operator(m, eta, p.n_dim)).max() for m in range(-m_max, m_max + 1))
+        np.abs(A).max() for A in hilbert.sideband_operators(eta, p.n_dim, m_max))
     assert n_steps % period == 0
     assert n_steps < safety * max(2 * np.pi * beat, drive_bound) * (1 + 1e-12) + period
 
@@ -377,6 +378,71 @@ def test_aperiodic_slices_keep_the_product(monkeypatch, params_omega2, pulse):
             with monkeypatch.context() as m:
                 m.setattr(trotter, "_SLICE", size)
                 assert all(map(np.array_equal, route(params_omega2, pulse), U))
+
+
+@pytest.fixture(scope="module")
+def magnus_route():
+    """``piecewise_magnus``, each result kept per (params, pulse name, S) for this module's tests."""
+    kept = {}
+
+    def route(params, pulse, S):
+        if (key := (params, pulse.name, S)) not in kept:
+            kept[key] = piecewise_magnus(params, pulse, S)
+        return kept[key]
+    return route
+
+
+def _gap(U, V):
+    return max(np.abs(a - b).max() for a, b in zip(U, V))
+
+
+@pytest.mark.parametrize("x, y", [(0.0, 0.0), (0.3, 0.0), (0.3, 1e-3), (0.3, 0.02), (5.7, -0.004), (12.1, 0.009),
+                                  (-3.0, 3.0), (2.0, -2.0), (0.0, 1e-12)])
+def test_magnus_double_integral_matches_quadrature(x, y):
+    # both branches of magnus_psi, the closed form and its series near y = 0, against adaptive quadrature
+    parts = [scipy.integrate.dblquad(lambda t, s: f(2 * np.pi * (x * s + y * t)), 0, 1, 0, lambda s: s,
+                                     epsabs=1e-14, epsrel=1e-13)[0] for f in (np.cos, np.sin)]
+    assert abs(magnus_psi(x, y) - complex(*parts)) <= 1e-15
+
+
+# two golden points: fig2 (rect) at its row nearest omega_2, fig4a (sin^2) at omega_T = 50
+GOLDEN_POINTS = [(rectangular(), 30.4207194527), (sin_squared(), 50.0)]
+
+
+@pytest.mark.parametrize("pulse, omega_T", GOLDEN_POINTS, ids=["fig2-rect", "fig4a-sin2"])
+def test_piecewise_magnus_converges_at_fourth_order(magnus_route, base_params, pulse, omega_T):
+    # the oracle's step error falls 16x per doubling of S (measured 15.5 and 15.6 here)
+    p = base_params.replace(omega_T=omega_T)
+    U = [magnus_route(p, pulse, S) for S in (400, 800, 1600)]
+    assert 14 <= _gap(U[0], U[1]) / _gap(U[1], U[2]) <= 17
+
+
+def _assert_unum_within_its_step_error(magnus_route, p, pulse):
+    """``Unum`` at its step count N (rounded up to an even number of drive periods, so that
+    N/2 keeps the period power) against the oracle at S = 1,600 steps, whose error there is
+    below 1e-3 of the kernel's.  Their gap is the kernel's step error: within 1% of its
+    Richardson estimate |U(N) - U(N/2)|/3 (measured within 0.1%), and the Richardson-extrapolated
+    kernel U(N) + (U(N) - U(N/2))/3 lies within 2% of that estimate from the oracle (measured <= 0.6%)."""
+    period = 2 * trotter.drive_period(hilbert.drive_taps(p, pulse)[0])
+    n_steps = period * -(-TrotterConfig().num_steps(p, pulse) // period)
+    U, U_half = (trotter.propagate_numeric(p, pulse, TrotterConfig(steps_override=n))
+                 for n in (n_steps, n_steps // 2))
+    step_error = _gap(U, U_half) / 3
+    ref = magnus_route(p, pulse, 1600)
+    assert _gap(U, ref) <= 1.01 * step_error
+    assert _gap([u + (u - h) / 3 for u, h in zip(U, U_half)], ref) <= 0.02 * step_error
+
+
+@pytest.mark.parametrize("pulse, omega_T", GOLDEN_POINTS, ids=["fig2-rect", "fig4a-sin2"])
+def test_unum_matches_piecewise_magnus_at_golden_points(magnus_route, base_params, pulse, omega_T):
+    _assert_unum_within_its_step_error(magnus_route, base_params.replace(omega_T=omega_T), pulse)
+
+
+@pytest.mark.parametrize("pulse", [PERIOD_5, SKEW, sin_squared()], ids=["period-5", "skew", "sin2"])
+def test_fold_and_period_power_match_piecewise_magnus(magnus_route, params_omega2, pulse):
+    # the oracle takes neither: PERIOD_5's product is the 5th power of a folded period, sin^2
+    # folds its one period, and SKEW (complex coefficients) takes every step
+    _assert_unum_within_its_step_error(magnus_route, params_omega2, pulse)
 
 
 _RSS_SCRIPT = """
