@@ -1,23 +1,26 @@
 """Write BENCH_<pr>.json at the repository root: the benchmark's end-to-end metrics over
 repeated runs, and what the benchmark itself does not measure.
 
-    python3 tools/record_bench.py --pr N [--runs 5] [--seconds 34]
+    python3 tools/record_bench.py --pr N
 
 It changes no file under perfbench/.  Each workload run is ``perfbench/run.py --trace 0`` in a
 subprocess; the script imports perfbench's ``run`` (source facts), ``worker`` (provenance and
 the module map) and ``tracing`` (per-stage spans).  Every timed command runs with one BLAS
 thread.  It records:
   * workloads: ``norm_points_per_s``, ``setup_s`` and ``peak_rss_mb`` of each workload, as
-    median and quartiles over ``--runs`` runs (seeds 4101, 4102, ...), the workload order
-    rotated from run to run;
+    median and quartiles over ``RUNS`` runs (seeds 4101, 4102, ...) of the benchmark's own run
+    length (``run_seconds`` in BENCHMARK.json), the workload order rotated from run to run;
   * presets: for each ``configs/*.cfg``, the wall time of ``msgate sweep --workers 1``
-    (median of 3) and the in-process compute of its sweep (best of 3), each in a fresh
-    interpreter so that every cache starts empty, with the time inside
-    ``trotter.propagate_numeric`` (Unum) and ``magnus.propagators_upto`` (Magnus) apart;
+    (median of 3) and the in-process compute of its sweep (best of 3, untraced), each in a
+    fresh interpreter so that every cache starts empty, and from three more runs under
+    perfbench's tracer the time inside ``trotter.propagate_numeric`` (Unum) and
+    ``magnus.propagators_upto`` (Magnus), with the traced compute they are a share of;
   * imports: ``import numpy``, then ``import msgate.cli``, timed inside fresh interpreters
     (median of 7), and whether bytecode caches are written and present;
   * tier1: the wall time of the Tier-1 suite, its summary line and its ``--durations=10``;
-  * ``src_lines``, a byte check of ``--workers 1`` against ``2`` on fig3a, and the provenance.
+  * ``src_lines``, a byte check of ``--workers 1`` against ``2`` on fig3a, and the provenance,
+    with ``git status --porcelain`` beside ``git_commit``: a non-empty list means the measured
+    tree differs from that commit.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ import run  # noqa: E402  (perfbench/run.py)
 os.environ.update(run.THREAD_ENV)  # before numpy loads, here and in every subprocess
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
 PRESETS = sorted(p.stem for p in (ROOT / "configs").glob("*.cfg"))
+RUNS = 5
+SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 METRICS = ("norm_points_per_s", "setup_s", "peak_rss_mb")
 NOT_MEASURED = [
     "The K-sweep presets (fig3b, fig4b) have no benchmark workload: they are timed here end to end "
@@ -50,6 +55,8 @@ NOT_MEASURED = [
     "by perfbench's speed probe.",
     "No per-layer spans of the workloads (perfbench/run.py --trace 1) and no --workers 2 timing.",
     "The --workers byte check covers one preset (fig3a), not all seven.",
+    "unum_s and magnus_s are timed under perfbench's tracer, whose wrappers add to them; compare "
+    "them with traced_compute_s, not with the untraced compute_s.",
 ]
 
 
@@ -63,33 +70,37 @@ def _spread(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
-def workloads(runs: int, seconds: float) -> dict:
+def workloads() -> dict:
     samples = {w: [] for w in run.WORKLOADS}
-    for i in range(runs):
-        for w in run.WORKLOADS[i % 3:] + run.WORKLOADS[:i % 3]:
+    for i in range(RUNS):
+        k = i % len(run.WORKLOADS)
+        for w in run.WORKLOADS[k:] + run.WORKLOADS[:k]:
             out = _python("perfbench/run.py", "--workload", w, "--seed", str(4101 + i),
-                          "--seconds", str(seconds), "--trace", "0")
+                          "--seconds", str(SECONDS), "--trace", "0")
             samples[w].append(json.loads(out.stdout.strip().splitlines()[-1]))
-    return {w: {"seeds": [4101 + i for i in range(runs)],
+    return {w: {"seeds": [4101 + i for i in range(RUNS)],
                 "failed": sum(r["failed"] for r in rs),
                 **{m: _spread([r["metrics"][m]["value"] for r in rs]) for m in METRICS}}
             for w, rs in samples.items()}
 
 
-def compute(preset: str) -> dict:
-    """One sweep of ``preset`` in this (fresh) interpreter, with perfbench's spans installed."""
+def compute(preset: str, traced: bool) -> dict:
+    """One sweep of ``preset`` in this (fresh) interpreter; ``traced`` installs perfbench's spans."""
     import tracing
     import worker
     from msgate import cli
     tracer = tracing.Tracer(f"record-{preset}")
-    tracer.install(worker.MODULES)
+    if traced:
+        tracer.install(worker.MODULES)
     spec = cli.sweep_from_config(cli.parse_config(str(ROOT / "configs" / f"{preset}.cfg")))
     spec.workers = 1
     start = time.perf_counter()
     cli.run_sweep(spec)
     total = time.perf_counter() - start
+    if not traced:
+        return {"compute_s": total}
     layers = tracer.summary()
-    return {"compute_s": total, "unum_s": layers["trotter.propagate_numeric"]["total_s"],
+    return {"traced_compute_s": total, "unum_s": layers["trotter.propagate_numeric"]["total_s"],
             "magnus_s": layers["magnus.propagators_upto"]["total_s"]}
 
 
@@ -103,9 +114,12 @@ def presets() -> dict:
                 _python("-m", "msgate.cli", "sweep", f"configs/{preset}.cfg", "--workers", "1",
                         "--out", os.path.join(tmp, f"{preset}.csv"))
                 walls.append(time.perf_counter() - start)
-            runs = [json.loads(_python(__file__, "--compute", preset).stdout) for _ in range(3)]
+            plain = [json.loads(_python(__file__, "--compute", preset).stdout) for _ in range(3)]
+            traced = [json.loads(_python(__file__, "--compute", preset, "--traced").stdout)
+                      for _ in range(3)]
             out[preset] = {"sweep_wall_s": statistics.median(walls), "sweep_wall_samples_s": walls,
-                           **min(runs, key=lambda r: r["compute_s"])}
+                           **min(plain, key=lambda r: r["compute_s"]),
+                           **min(traced, key=lambda r: r["traced_compute_s"])}
     return out
 
 
@@ -143,28 +157,30 @@ def workers_byte_check(preset: str = "fig3a") -> dict:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pr", type=int, help="the number in BENCH_<pr>.json")
-    ap.add_argument("--runs", type=int, default=5)
-    ap.add_argument("--seconds", type=float, default=34.0)
     ap.add_argument("--compute", metavar="PRESET", help=argparse.SUPPRESS)
+    ap.add_argument("--traced", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.compute:
-        print(json.dumps(compute(args.compute)))
+        print(json.dumps(compute(args.compute, args.traced)))
         return 0
-    if args.pr is None or args.runs < 1:
-        ap.error("--pr is required and --runs must be at least 1")
+    if args.pr is None:
+        ap.error("--pr is required")
     import worker
     facts = run.source_facts()
+    status = subprocess.run(["git", "status", "--porcelain"], cwd=ROOT, text=True,
+                            stdout=subprocess.PIPE, check=True).stdout.splitlines()
     record = {
         "pr": args.pr,
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "command": " ".join(["python3", "tools/record_bench.py", *sys.argv[1:]]),
         "src_lines": facts["src_lines"],
-        "workloads": workloads(args.runs, args.seconds),
+        "workloads": workloads(),
         "presets": presets(),
         "imports": imports(),
         "tier1": tier1(),
         "workers_byte_check": workers_byte_check(),
-        "provenance": dict(facts, **worker.provenance()),
+        "provenance": {"git_commit": facts["git_commit"], "git_status": status, **facts,
+                       **worker.provenance()},
         "not_measured": NOT_MEASURED,
     }
     path = ROOT / f"BENCH_{args.pr}.json"
