@@ -99,6 +99,9 @@ def _matvec(x: np.ndarray, rows: np.ndarray, cols: np.ndarray, data: np.ndarray,
     """M x for the map M onto n rows with the entries (rows, cols, data), added in entry
     order: a map's entries run column by column, so each sum rounds as in a CSC product."""
     y = np.zeros(n, dtype=complex)
+    # the product is data * x[k] below 16,384 entries, but above that numpy's temporary
+    # elision computes it as x[k] * data in the gathered buffer, and a complex product is
+    # not bitwise commutative: the last bits of P-hat follow that numpy heuristic
     np.add.at(y, rows, data * x[cols])
     return y
 
@@ -120,9 +123,9 @@ def _key_step(keys: np.ndarray, K: int, m_max: int, taps: np.ndarray, tap_c: np.
     each drive key, the next keys, the parts map, per sideband key its weight (the
     antiderivative at tau = 1 of the driven term) and per key whether a sideband moves it
     onto a nonzero weight."""
-    skeys, sinv = np.unique(keys + _POWERS * K * np.arange(-m_max, m_max + 1)[:, None], return_inverse=True)
+    skeys, sinv = _unique(keys + _POWERS * K * np.arange(-m_max, m_max + 1)[:, None])
     sinv = sinv.reshape(2 * m_max + 1, -1)
-    ikeys, tinv = np.unique(skeys + _POWERS * taps[:, None], return_inverse=True)
+    ikeys, tinv = _unique(skeys + _POWERS * taps[:, None])
     tinv = tinv.reshape(len(taps), -1)
     next_keys, parts = _antiderivative(ikeys)
     # a term's antiderivative at tau = 1 is its column sum in parts: exactly 0 unless
@@ -132,22 +135,36 @@ def _key_step(keys: np.ndarray, K: int, m_max: int, taps: np.ndarray, tap_c: np.
     return skeys, sinv, tinv, next_keys, parts, weights, (weights[sinv] != 0).any(axis=0)
 
 
+def _unique(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True)`` of int64 keys: by ``_index`` from the
+    smallest key on where the keys span at most 8 codes each, else (a large K) by a sort,
+    which is then the faster and the smaller."""
+    low = keys.min()
+    span = int(keys.max()) - int(low) + 1
+    if span > 8 * keys.size:
+        return np.unique(keys, return_inverse=True)
+    distinct, inverse = _index((keys - low).ravel(), span)
+    return distinct + low, inverse
+
+
 def _index(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct codes (each below size) in order and the position of every code
-    among them, from a dense marker array instead of a sort."""
+    among them, from a dense marker array instead of a sort; the dense ranks are int32,
+    as there are fewer codes than 2^31, and the positions intp, as every gather reads them."""
     mark = np.zeros(size, dtype=bool)
     mark[codes] = True
     distinct = np.flatnonzero(mark)
-    rank = np.empty(size, dtype=np.intp)
-    rank[distinct] = np.arange(len(distinct))
-    return distinct, rank[codes]
+    del mark
+    rank = np.empty(size, dtype=np.int32)
+    rank[distinct] = np.arange(len(distinct), dtype=np.int32)
+    return distinct, rank[codes].astype(np.intp)
 
 
 @lru_cache(maxsize=1)
 def _plan(K, taps, tap_c, n_dim, m_max, up_to) -> tuple:
     """What the transfer pass does at every eta, from structure alone, as read-only arrays.
-    Only the last plan is kept (4.4 MB for sin^2 at order 5, n_dim 8, m_max 3): a sweep
-    varies eta or omega_T at one key, or K without coming back to a key.
+    Only the last plan is kept (3.8 MB for sin^2 at order 5, n_dim 8, m_max 3: 123,140 map
+    entries): a sweep varies eta or omega_T at one key, or K without coming back to a key.
 
     The stacks of both blocks are one vector over entries (key, q), q as in
     ``_sideband_moves``.  Each map is its entries (rows, cols, data) and its number of
@@ -159,7 +176,16 @@ def _plan(K, taps, tap_c, n_dim, m_max, up_to) -> tuple:
     (pairs, weights), the rows of its pairs their output q and weights the
     antiderivative at tau = 1 of their keys.  Only what is not exactly zero is kept, by
     one rule: R holds the nonzero weights, the top order the pairs of nonzero weight, and
-    the last S builds only the entries that such a pair reads."""
+    every lower order only the entries from which some such weight is reached (``_keep``).
+    Forward prunings save building what that rule drops: the top order's zero-weight pairs,
+    and in the order below it the next keys that no sideband moves onto a nonzero weight
+    and the pairs onto sideband keys that then reach nothing."""
+    return _keep(_orders(K, taps, tap_c, n_dim, m_max, up_to))
+
+
+def _orders(K, taps, tap_c, n_dim, m_max, up_to) -> list:
+    """The orders of ``_plan``, built forward, before ``_keep``; each order's pair side is
+    dropped before its S side is built."""
     # the keys of order up_to reach |nu| <= up_to (max|N_g| + m_max K), and all must be int64
     reach = up_to * (max(map(abs, taps)) + m_max * K)
     if (reach + 1) * _POWERS > np.iinfo(np.int64).max:
@@ -177,34 +203,83 @@ def _plan(K, taps, tap_c, n_dim, m_max, up_to) -> tuple:
         s = sinv.ravel()[move_m[pos] * sinv.shape[1] + np.repeat(key, counts)]
         cols = np.repeat(np.arange(len(counts)), counts)
         if order == up_to:
-            read = np.flatnonzero(weights[s] != 0)  # only the pairs of nonzero weight
-            pos, s, cols = pos[read], s[read], cols[read]
-            if orders:
-                # the entries that they read, renumbered, and the last S onto those alone
-                # (every entry is a row of S, so both renumberings agree)
-                kept, cols = _index(cols, len(counts))
-                *lower, (rows, to_col, data, _) = orders.pop()
-                on = np.isin(rows, kept)
-                _, rows = _index(rows[on], len(counts))
-                orders.append((*lower, _entries(rows, to_col[on], data[on], len(kept))))
-            orders.append((_entries(move_q[pos], cols, move_where[pos], size), *hilbert.read_only(weights[s])))
-            break
-        where, q = move_where[pos], move_q[pos]
-        # the entries of y and of the next order, and the maps R and S onto them
-        codes, rows = _index(s * size + q, len(skeys) * size)
-        skey, q = np.divmod(codes, size)
-        read = np.flatnonzero(weights[skey] != 0)
+            read = np.flatnonzero((weights != 0)[s])  # only the pairs of nonzero weight
+            pos = pos[read]
+            orders.append((_entries(move_q[pos], cols[read], move_where[pos], size), *hilbert.read_only(weights[s[read]])))
+            return orders
         ptr, new_key, data = _drive_step(parts, tinv, tap_c, len(next_keys))
         stage = _key_step(next_keys, K, m_max, taps, tap_c)
-        if order == up_to - 1:  # drop the keys that no sideband moves onto a nonzero weight
+        if order == up_to - 1:
+            # drop the next keys that no sideband moves onto a nonzero weight, and then the
+            # pairs onto a sideband key of zero weight that moves onto none of the rest
             on = stage[-1][new_key]
             ptr, new_key, data = _pointers(on)[ptr], new_key[on], data[on]
+            on = np.flatnonzero(((weights != 0) | (ptr[1:] > ptr[:-1]))[s])
+            pos, s, cols = pos[on], s[on], cols[on]
+        # the entries of y and the pairs onto them, then the maps R and S from y onto P_k
+        # and onto the next entries; the pair side is dropped before the S side is built
+        codes, rows = _index(s * size + move_q[pos], len(skeys) * size)
+        pairs = _entries(rows, cols, move_where[pos], len(codes))
+        del pos, s, cols, rows
+        skey, q = np.divmod(codes, size)
+        del codes
+        read = np.flatnonzero(weights[skey] != 0)
+        R = _entries(q[read], read, weights[skey][read], size)
         pos, counts = _ragged(ptr, skey)
-        next_codes, next_rows = _index(new_key[pos] * size + np.repeat(q, counts), len(next_keys) * size)
-        orders.append((_entries(rows, cols, where, len(codes)), _entries(q[read], read, weights[skey][read], size),
-                       _entries(next_rows, np.repeat(np.arange(len(skey)), counts), data[pos], len(next_codes))))
-        key, q = np.divmod(next_codes, size)
+        codes, rows = _index(new_key[pos] * size + np.repeat(q, counts), len(next_keys) * size)
+        orders.append((pairs, R, _entries(rows, np.repeat(np.arange(len(skey)), counts), data[pos], len(codes))))
+        key, q = np.divmod(codes, size)
+        del pos, counts, codes, rows, skey
+
+
+def _keep(orders: list) -> tuple:
+    """The plan with only the entries from which some read weight is reached, by one pass
+    from the top order down: the entries of y that R or the kept S reads, the pairs onto
+    them, the input entries that those pairs read and the rows of the order below's S
+    onto those.  Each order is pruned in place, so its unpruned and pruned maps are never
+    both held.  Every map keeps its entries in their order and each renumbering keeps the
+    order of what it numbers, so every sum that is read adds the same products in the same
+    order; the input of order 1, the identity, is never renumbered."""
+    for k in range(len(orders) - 1, -1, -1):
+        (rows, cols, where, n), *maps = orders[k]
+        orders[k] = None
+        if k < len(orders) - 1:
+            R, (s_rows, s_cols, s_data, _) = maps
+            if not need.all():
+                on = need[s_rows]
+                s_rows = _ranks(need)[s_rows[on]]
+                s_cols = s_cols[on]
+                s_data = s_data[on]
+            live = _marks(n, R[1], s_cols)
+            if not live.all():
+                at = _ranks(live)
+                R, s_cols = _entries(R[0], at[R[1]], *R[2:]), at[s_cols]
+                on = live[rows]
+                rows = at[rows[on]]
+                cols = cols[on]
+                where = where[on]
+                n = int(np.count_nonzero(live))
+            maps = R, _entries(s_rows, s_cols, s_data, int(np.count_nonzero(need)))
+            del s_rows, s_cols, s_data
+        if k:
+            need = _marks(orders[k - 1][2][3], cols)
+            if not need.all():
+                cols = _ranks(need)[cols]
+        orders[k] = (_entries(rows, cols, where, n), *maps)
     return tuple(orders)
+
+
+def _marks(n: int, *used: np.ndarray) -> np.ndarray:
+    """Which of n entries some array of ``used`` names."""
+    mark = np.zeros(n, dtype=bool)
+    for u in used:
+        mark[u] = True
+    return mark
+
+
+def _ranks(mark: np.ndarray) -> np.ndarray:
+    """The new number of each marked entry, when only the marked ones are counted, in order."""
+    return np.cumsum(mark) - 1
 
 
 def _entries(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, n: int) -> tuple:

@@ -353,6 +353,47 @@ def test_top_order_is_minimal(base_params, pulse, up_to):
     assert np.all(np.diff(cols) >= 0) and np.all(np.bincount(cols, minlength=n_in) > 0)
 
 
+@pytest.mark.parametrize("pulse,up_to", [(sin_squared(), 5), (rectangular(), 4)], ids=["sin2-5", "rect-4"])
+def test_every_plan_entry_reaches_a_read_weight(base_params, pulse, up_to):
+    # the keep rule as an invariant: walking down from the top order, every input entry is
+    # read by some kept pair, and every entry of y by R or by S onto a kept entry
+    p = base_params
+    plan = magnus._plan(p.K, *_taps(p, pulse), p.n_dim, p.m_max, up_to)
+    (_, cols, _, _), weights = plan[-1]
+    assert np.all(weights != 0)
+    reached = np.zeros(plan[-2][2][3], dtype=bool)
+    reached[cols] = True
+    for order in range(up_to - 1, 0, -1):
+        (rows, cols, _, n), (_, r_cols, _, _), (s_rows, s_cols, _, _) = plan[order - 1]
+        assert reached.all(), order
+        assert np.array_equal(np.unique(s_rows), np.arange(len(reached))), order
+        y = np.zeros(n, dtype=bool)
+        y[r_cols] = True
+        y[s_cols] = True
+        assert y.all() and np.array_equal(np.unique(rows), np.arange(n)), order
+        if order > 1:
+            reached = np.zeros(plan[order - 2][2][3], dtype=bool)
+            reached[cols] = True
+
+
+def test_sin2_order_5_plan_and_one_pass_stay_small(base_params, sin2, clear_transfer):
+    # the traced peak of building the plan (3.8 MB held) and one warm pass over it, with the
+    # sideband moves and operators warm: 5.8 MB here, where a plan built without the keep
+    # rule and with intp dense ranks peaked at 7.6 MB
+    p = base_params
+    key = (p.K, *_taps(p, sin2), p.n_dim, p.m_max, 5)
+    magnus._sideband_moves(p.n_dim, p.m_max)
+    hilbert.hamiltonian_terms(p.eta, p.n_dim, p.m_max)
+    clear_transfer()
+    tracemalloc.start()
+    try:
+        magnus._transfer_dyson(p.eta, *key)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.2e6
+
+
 def test_first_order_is_an_empty_top_order(base_params):
     p = base_params.replace(omega_T=29.93)
     for pulse in (rectangular(), sin_squared(), SKEW):
