@@ -217,7 +217,8 @@ def _orders(K, taps, tap_c, n_dim, m_max, up_to) -> list:
             on = np.flatnonzero(((weights != 0) | (ptr[1:] > ptr[:-1]))[s])
             pos, s, cols = pos[on], s[on], cols[on]
         # the entries of y and the pairs onto them, then the maps R and S from y onto P_k
-        # and onto the next entries; the pair side is dropped before the S side is built
+        # and onto the next entries; the pair side is dropped before the S side is built,
+        # and the S side before the next order
         codes, rows = _index(s * size + move_q[pos], len(skeys) * size)
         pairs = _entries(rows, cols, move_where[pos], len(codes))
         del pos, s, cols, rows
@@ -260,7 +261,6 @@ def _keep(orders: list) -> tuple:
                 where = where[on]
                 n = int(np.count_nonzero(live))
             maps = R, _entries(s_rows, s_cols, s_data, int(np.count_nonzero(need)))
-            del s_rows, s_cols, s_data
         if k:
             need = _marks(orders[k - 1][2][3], cols)
             if not need.all():
