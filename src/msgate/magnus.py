@@ -99,10 +99,9 @@ def _matvec(x: np.ndarray, rows: np.ndarray, cols: np.ndarray, data: np.ndarray,
     """M x for the map M onto n rows with the entries (rows, cols, data), added in entry
     order: a map's entries run column by column, so each sum rounds as in a CSC product."""
     y = np.zeros(n, dtype=complex)
-    # the product is data * x[k] below 16,384 entries, but above that numpy's temporary
-    # elision computes it as x[k] * data in the gathered buffer, and a complex product is
-    # not bitwise commutative: the last bits of P-hat follow that numpy heuristic
-    np.add.at(y, rows, data * x[cols])
+    # data times x in that order at every size: a complex product is not bitwise commutative
+    products = x[cols]
+    np.add.at(y, rows, np.multiply(data, products, out=products))
     return y
 
 
@@ -111,40 +110,28 @@ def _pointers(counts: np.ndarray) -> np.ndarray:
 
 
 def _ragged(ptr: np.ndarray, sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The positions ptr[s]..ptr[s + 1] - 1 of every s in sel, in a row, and their counts."""
+    """The positions ptr[s]..ptr[s + 1] - 1 of every s in sel, in a row, and the owner of
+    each, the index in sel of the row it belongs to."""
     counts = ptr[sel + 1] - ptr[sel]
-    return np.arange(counts.sum()) + np.repeat(ptr[sel] - np.cumsum(counts) + counts, counts), counts
+    owner = np.repeat(np.arange(len(sel)), counts)
+    return np.arange(len(owner)) + (ptr[sel] - np.cumsum(counts) + counts)[owner], owner
 
 
 def _key_step(keys: np.ndarray, K: int, m_max: int, taps: np.ndarray, tap_c: np.ndarray) -> tuple:
     """An order on the keys alone: op_m moves key nu to nu + m K (sideband), tap g on by N_g
     (drive), and the antiderivative (``_antiderivative``) onto the next keys.  Returns the
     sideband keys with the index sinv[m, key] of each, the index tinv[g, sideband key] of
-    each drive key, the next keys, the parts map, per sideband key its weight (the
-    antiderivative at tau = 1 of the driven term) and per key whether a sideband moves it
-    onto a nonzero weight."""
-    skeys, sinv = _unique(keys + _POWERS * K * np.arange(-m_max, m_max + 1)[:, None])
+    each drive key, the next keys, the parts map and per sideband key its weight (the
+    antiderivative at tau = 1 of the driven term)."""
+    skeys, sinv = np.unique(keys + _POWERS * K * np.arange(-m_max, m_max + 1)[:, None], return_inverse=True)
     sinv = sinv.reshape(2 * m_max + 1, -1)
-    ikeys, tinv = _unique(skeys + _POWERS * taps[:, None])
+    ikeys, tinv = np.unique(skeys + _POWERS * taps[:, None], return_inverse=True)
     tinv = tinv.reshape(len(taps), -1)
     next_keys, parts = _antiderivative(ikeys)
     # a term's antiderivative at tau = 1 is its column sum in parts: exactly 0 unless
     # p > 0 or nu = 0, as int_0^1 e^{i 2 pi nu tau} dtau = 0 at every integer nu != 0
     ptr, _, coef = parts  # every column is nonempty; reduceat sums it as a CSC column sum does
-    weights = tap_c @ np.add.reduceat(coef, ptr[:-1])[tinv]
-    return skeys, sinv, tinv, next_keys, parts, weights, (weights[sinv] != 0).any(axis=0)
-
-
-def _unique(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(keys, return_inverse=True)`` of int64 keys: by ``_index`` from the
-    smallest key on where the keys span at most 8 codes each, else (a large K) by a sort,
-    which is then the faster and the smaller."""
-    low = keys.min()
-    span = int(keys.max()) - int(low) + 1
-    if span > 8 * keys.size:
-        return np.unique(keys, return_inverse=True)
-    distinct, inverse = _index((keys - low).ravel(), span)
-    return distinct + low, inverse
+    return skeys, sinv, tinv, next_keys, parts, tap_c @ np.add.reduceat(coef, ptr[:-1])[tinv]
 
 
 def _index(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -167,19 +154,20 @@ def _plan(K, taps, tap_c, n_dim, m_max, up_to) -> tuple:
     entries): a sweep varies eta or omega_T at one key, or K without coming back to a key.
 
     The stacks of both blocks are one vector over entries (key, q), q as in
-    ``_sideband_moves``.  Each map is its entries (rows, cols, data) and its number of
-    rows, ordered by column, for ``_matvec``.  An order's pairs are (input entry, sideband
-    m) with a structurally nonzero J_m (x) A_m on the entry's row, as the map
-    (rows, cols, where, n) whose ``where`` reads each pair's operator value from the
-    flat op stacks.  A lower order is (pairs, R, S), the rows of the pairs the entries
-    of y and R, S the maps from y onto P_k and onto the next entries; the top order is
-    (pairs, weights), the rows of its pairs their output q and weights the
-    antiderivative at tau = 1 of their keys.  Only what is not exactly zero is kept, by
-    one rule: R holds the nonzero weights, the top order the pairs of nonzero weight, and
-    every lower order only the entries from which some such weight is reached (``_keep``).
-    Forward prunings save building what that rule drops: the top order's zero-weight pairs,
-    and in the order below it the next keys that no sideband moves onto a nonzero weight
-    and the pairs onto sideband keys that then reach nothing."""
+    ``_sideband_moves``: an order numbers its keys by a sort (``_key_step``) and its entries
+    by their dense codes key * size + q (``_index``).  Each map is its entries (rows, cols,
+    data) and its number of rows, ordered by column, for ``_matvec``.  An order's pairs are
+    (input entry, sideband m) with a structurally nonzero J_m (x) A_m on the entry's row, as
+    the map (rows, cols, where, n) whose ``where`` reads each pair's operator value from the
+    flat op stacks.  A lower order is (pairs, R, S), the rows of the pairs the entries of y
+    and R, S the maps from y onto P_k and onto the next entries; the top order is (pairs,
+    weights), the rows of its pairs their output q and weights the antiderivative at tau = 1
+    of their keys.  Only what is not exactly zero is kept, by one rule: R holds the nonzero
+    weights, the top order the pairs of nonzero weight, and every lower order only the
+    entries from which some such weight is reached (``_keep``).  Forward prunings save
+    building what that rule drops: the top order's zero-weight pairs, and in the order below
+    it the next keys that no sideband moves onto a nonzero weight of the top order and the
+    pairs onto sideband keys that then reach nothing."""
     return _keep(_orders(K, taps, tap_c, n_dim, m_max, up_to))
 
 
@@ -198,10 +186,9 @@ def _orders(K, taps, tap_c, n_dim, m_max, up_to) -> list:
     key, q = 0 * identity, identity
     stage, orders = _key_step(np.zeros(1, dtype=np.int64), K, m_max, taps, tap_c), []
     for order in range(1, up_to + 1):
-        skeys, sinv, tinv, next_keys, parts, weights, _ = stage
-        pos, counts = _ragged(move_ptr, q)
-        s = sinv.ravel()[move_m[pos] * sinv.shape[1] + np.repeat(key, counts)]
-        cols = np.repeat(np.arange(len(counts)), counts)
+        skeys, sinv, tinv, next_keys, parts, weights = stage
+        pos, cols = _ragged(move_ptr, q)
+        s = sinv.ravel()[move_m[pos] * sinv.shape[1] + key[cols]]
         if order == up_to:
             read = np.flatnonzero((weights != 0)[s])  # only the pairs of nonzero weight
             pos = pos[read]
@@ -212,7 +199,8 @@ def _orders(K, taps, tap_c, n_dim, m_max, up_to) -> list:
         if order == up_to - 1:
             # drop the next keys that no sideband moves onto a nonzero weight, and then the
             # pairs onto a sideband key of zero weight that moves onto none of the rest
-            on = stage[-1][new_key]
+            _, next_sinv, *_, next_weights = stage
+            on = (next_weights[next_sinv] != 0).any(axis=0)[new_key]
             ptr, new_key, data = _pointers(on)[ptr], new_key[on], data[on]
             on = np.flatnonzero(((weights != 0) | (ptr[1:] > ptr[:-1]))[s])
             pos, s, cols = pos[on], s[on], cols[on]
@@ -226,11 +214,11 @@ def _orders(K, taps, tap_c, n_dim, m_max, up_to) -> list:
         del codes
         read = np.flatnonzero(weights[skey] != 0)
         R = _entries(q[read], read, weights[skey][read], size)
-        pos, counts = _ragged(ptr, skey)
-        codes, rows = _index(new_key[pos] * size + np.repeat(q, counts), len(next_keys) * size)
-        orders.append((pairs, R, _entries(rows, np.repeat(np.arange(len(skey)), counts), data[pos], len(codes))))
+        pos, owner = _ragged(ptr, skey)
+        codes, rows = _index(new_key[pos] * size + q[owner], len(next_keys) * size)
+        orders.append((pairs, R, _entries(rows, owner, data[pos], len(codes))))
         key, q = np.divmod(codes, size)
-        del pos, counts, codes, rows, skey
+        del pos, owner, codes, rows, skey
 
 
 def _keep(orders: list) -> tuple:
@@ -293,8 +281,8 @@ def _drive_step(parts: tuple, tinv: np.ndarray, tap_c: np.ndarray, n_keys: int) 
     values.  The sums add in (s, g, entry) order, as a CSR product does, and an exactly
     zero sum is dropped, as there; a row holds each new key once, so its order is not read."""
     ptr, rows, coef = parts
-    pos, counts = _ragged(ptr, tinv.T.ravel())
-    s, g = np.divmod(np.repeat(np.arange(tinv.size), counts), len(tap_c))
+    pos, owner = _ragged(ptr, tinv.T.ravel())
+    s, g = np.divmod(owner, len(tap_c))
     codes, at = np.unique(s * n_keys + rows[pos], return_inverse=True)
     sums = np.zeros(len(codes), dtype=complex)
     np.add.at(sums, at, tap_c[g] * coef[pos])

@@ -10,7 +10,7 @@ import scipy.integrate
 import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
-from msgate import fidelity, hilbert, trotter
+from msgate import budget, fidelity, hilbert, magnus, trotter
 from msgate.params import GateParams
 from msgate.pulses import PulseShape, rectangular, sin_squared
 from msgate.trotter import TrotterConfig
@@ -339,14 +339,21 @@ def test_period_power_matches_plain_product(monkeypatch, params_omega2, pulse, r
             assert np.abs(U - plain).max() <= 1e-12
 
 
-def test_period_power_unitarity_no_worse(monkeypatch, params_omega2, rect, unum_omega2):
-    # the default rect grid, 6,850 = 25 periods of 274 steps
-    cfg = TrotterConfig(steps_override=TrotterConfig().num_steps(params_omega2, rect))
-    plain = _full(_plain_product(monkeypatch, trotter.propagate_numeric, params_omega2, rect, cfg),
-                  params_omega2)
-    U = _full(unum_omega2, params_omega2)
+@pytest.mark.parametrize("K", [28, 106])
+def test_period_power_unitarity_no_worse(monkeypatch, base_params, rect, K):
+    # the default rect grid at omega_2: 6,850 = 25 periods of 274 steps at K = 28, 26,471 =
+    # 103 periods of 257 at fig3b's K = 106.  The power multiplies P's unitarity defect by
+    # d, so the Newton-Schulz step before it is what keeps U's defect at the level of one
+    # period's (measured 5.8e-15 and 1.8e-14, against 2.6e-13 and 2.3e-12 for the plain
+    # product; 2.3e-13 and 2.2e-12 without that step)
+    p = base_params.replace(K=K, L=K - 3)
+    p = p.replace(omega_T=budget.omega_2(p))
+    cfg = TrotterConfig(steps_override=TrotterConfig().num_steps(p, rect))
+    plain = _full(_plain_product(monkeypatch, trotter.propagate_numeric, p, rect, cfg), p)
+    U = _full(trotter.propagate_numeric(p, rect), p)
     assert np.abs(U - plain).max() <= 1e-12
     assert unitarity_defect(U) <= unitarity_defect(plain)
+    assert 10 * unitarity_defect(U) <= unitarity_defect(plain)
 
 
 @pytest.mark.parametrize("pulse", [rectangular(), sin_squared(), PERIOD_5, SKEW, SKEW_5],
@@ -443,6 +450,30 @@ def test_fold_and_period_power_match_piecewise_magnus(magnus_route, params_omega
     # the oracle takes neither: PERIOD_5's product is the 5th power of a folded period, sin^2
     # folds its one period, and SKEW (complex coefficients) takes every step
     _assert_unum_within_its_step_error(magnus_route, params_omega2, pulse)
+
+
+@pytest.mark.parametrize("pulse", [rectangular(), sin_squared()], ids=["rect", "sin2"])
+def test_each_magnus_order_falls_at_its_slope(magnus_route, base_params, pulse):
+    # H is linear in omega, so U_n - U = O(omega^(n+1)): doubling omega_T from 2 to 4 must
+    # multiply each gap to the oracle by 2^(n+1).  Measured slopes log2 gap(4)/gap(2) for
+    # U2..U5: rect 2.97, 3.98, 4.98, 5.98; sin^2 3.99, 3.99, 4.97, 5.98, where Z_3 moves the
+    # gap by under 1%, so U2 already falls as omega^4.  A wrong coefficient that keeps Z_k
+    # Hermitian moves a slope: Z_4 x 1.01 or Z_5 x 1.1 takes U5's below 5.6
+    S = 1600
+    gaps = []
+    for omega_T in (2.0, 4.0):
+        p = base_params.replace(omega_T=omega_T)
+        ref = magnus_route(p, pulse, 2 * S)
+        U = magnus.propagators_upto(p, pulse, 5)
+        gaps.append({n: _gap(U[n], ref) for n in U})
+        # the oracle's own error, |U(S) - U(2S)|/15 at fourth order, is far below every gap
+        assert 100 * _gap(magnus_route(p, pulse, S), ref) / 15 <= min(gaps[-1].values())
+    for n in range(2, 6):
+        slope = np.log2(gaps[1][n] / gaps[0][n])
+        if pulse.name == "sin2" and n == 2:
+            assert slope >= n + 1 - 0.15
+        else:
+            assert abs(slope - (n + 1)) <= 0.15, n
 
 
 _RSS_SCRIPT = """

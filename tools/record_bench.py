@@ -18,7 +18,7 @@ thread.  It records:
   * imports: ``import numpy``, then ``import msgate.cli``, timed inside fresh interpreters
     (median of 7), and whether bytecode caches are written and present;
   * tier1: the wall time of the Tier-1 suite, its summary line and its ``--durations=10``;
-  * ``src_lines``, a byte check of ``--workers 1`` against ``2`` on fig3a, and the provenance,
+  * ``src_lines``, a byte check of ``--workers 1`` against ``2`` on every preset, and the provenance,
     with ``git status --porcelain`` beside ``git_commit``: a non-empty list means the measured
     tree differs from that commit.
 """
@@ -54,7 +54,6 @@ NOT_MEASURED = [
     "Preset and import times are wall-clock on a shared host; only norm_points_per_s is normalised "
     "by perfbench's speed probe.",
     "No per-layer spans of the workloads (perfbench/run.py --trace 1) and no --workers 2 timing.",
-    "The --workers byte check covers one preset (fig3a), not all seven.",
     "unum_s and magnus_s are timed under perfbench's tracer, whose wrappers add to them; compare "
     "them with traced_compute_s, not with the untraced compute_s.",
 ]
@@ -145,13 +144,16 @@ def tier1() -> dict:
             "durations": [line for line in lines if re.match(r"\d+\.\d+s (call|setup|teardown) ", line)]}
 
 
-def workers_byte_check(preset: str = "fig3a") -> dict:
+def workers_byte_check() -> dict:
+    out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        paths = [os.path.join(tmp, f"w{n}.csv") for n in (1, 2)]
-        for n, path in zip((1, 2), paths):
-            _python("-m", "msgate.cli", "sweep", f"configs/{preset}.cfg", "--workers", str(n), "--out", path)
-        one, two = (pathlib.Path(p).read_bytes() for p in paths)
-    return {"preset": preset, "identical": one == two, "bytes": len(one)}
+        for preset in PRESETS:
+            paths = [os.path.join(tmp, f"{preset}-w{n}.csv") for n in (1, 2)]
+            for n, path in zip((1, 2), paths):
+                _python("-m", "msgate.cli", "sweep", f"configs/{preset}.cfg", "--workers", str(n), "--out", path)
+            one, two = (pathlib.Path(p).read_bytes() for p in paths)
+            out[preset] = {"identical": one == two, "bytes": len(one)}
+    return out
 
 
 def main() -> int:
