@@ -27,18 +27,11 @@ The top order is only read out at tau = 1, where int_0^1 e^{i 2 pi nu tau} dtau
 vanishes at every integer nu != 0: the plan keeps its pairs of nonzero weight
 and builds only the entries they read (for sin^2 at order 5, 17,586 of 97,500
 pairs on 7,248 of 28,976 entries), and each readout only its nonzero weights.
-The exact "tuples" route uses that H enters once per sideband m, as Op(m) times
-the drive sum_g c_g e^{i 2 pi (N_g + m K) tau}: a sideband sequence's weight, the
-sum over its label tuples above, is one nested integral of drives, which ``resint``
-computes exactly in one depth-first walk over the sequences.  The 2 m_max + 1 drives
-differ only by the shift m K, so a node takes all its children in one ``resint``
-step per part: at K = L + 3, orders 3 and 4 by both routes cost ~19 ms a point, of
-which ~10 ms is the walk (mean over K = 16..51, best of 3 on a 2-core host).
+The exact "tuples" route is ``resint.sequence_dyson``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate
 
@@ -234,25 +227,22 @@ def _keep(orders: list) -> tuple:
         orders[k] = None
         if k < len(orders) - 1:
             R, (s_rows, s_cols, s_data, _) = maps
-            if not need.all():
-                on = need[s_rows]
-                s_rows = _ranks(need)[s_rows[on]]
-                s_cols = s_cols[on]
-                s_data = s_data[on]
+            on = need[s_rows]
+            s_rows = _ranks(need)[s_rows[on]]
+            s_cols = s_cols[on]
+            s_data = s_data[on]
             live = _marks(n, R[1], s_cols)
-            if not live.all():
-                at = _ranks(live)
-                R, s_cols = _entries(R[0], at[R[1]], *R[2:]), at[s_cols]
-                on = live[rows]
-                rows = at[rows[on]]
-                cols = cols[on]
-                where = where[on]
-                n = int(np.count_nonzero(live))
+            at = _ranks(live)
+            R, s_cols = _entries(R[0], at[R[1]], *R[2:]), at[s_cols]
+            on = live[rows]
+            rows = at[rows[on]]
+            cols = cols[on]
+            where = where[on]
+            n = int(np.count_nonzero(live))
             maps = R, _entries(s_rows, s_cols, s_data, int(np.count_nonzero(need)))
         if k:
             need = _marks(orders[k - 1][2][3], cols)
-            if not need.all():
-                cols = _ranks(need)[cols]
+            cols = _ranks(need)[cols]
         orders[k] = (_entries(rows, cols, where, n), *maps)
     return tuple(orders)
 
@@ -338,81 +328,6 @@ def _antiderivative(keys: np.ndarray) -> tuple:
     return new_keys, (_pointers(np.bincount(src, minlength=len(keys))), rows[by_column], coef[by_column])
 
 
-def _sequences(params: GateParams, pulse: PulseShape, k: int):
-    """Yields (the sequence as indices into m = -m_max..m_max, re, im) with the exact
-    weight w = re + i im of one sideband sequence of each mirror pair, m_k slowest.
-
-    A sequence's weight is the nested integral of its drives
-    drive_m = sum_g c_g e^{i 2 pi (N_g + m K) tau}: F_{k+1} = 1,
-    F_j(tau) = int_0^tau drive_{m_j} F_{j+1} and w = F_1(1).  One depth-first walk over
-    the suffixes (m_j, ..., m_k), innermost first.  The children (m_{j-1}, m_j, ...) of
-    a node share its F_j and their drives are the drive at m = 0 shifted by m K, so one
-    sibling step per part gives them all: ``resint.integrate_product`` of the factors
-    (F_j part, drive part) with the children's shifts, and at the leaves
-    ``resint.integrate_product_to_one``, which hands a term with p = 0 only to the child
-    it is resonant in.  For rect P_4 at K = 28 that is 30 node steps for 201
-    antiderivatives and 172 leaf steps for 1,201 weights, 776 of them exactly zero.
-    Each c_g is the exact Fraction of its float and a function is held as its real and
-    imaginary parts; a part whose factors are all empty (the imaginary one of a real
-    drive) is not integrated.  Every ``PulseShape`` has c_-M = conj c_M exactly, so
-    drive_-m = conj drive_m and w(-m) = conj w(m), and the walk takes only m >= 0 while
-    its suffix is all zeros: the first nonzero m from the inside is positive.
-    """
-    notes, coeffs = hilbert.drive_taps(params, pulse)
-    a, b = ([(int(N), Fraction(part(c))) for N, c in zip(notes, coeffs) if part(c)] for part in (np.real, np.imag))
-    minus_b = [(N, -c) for N, c in b]
-    shifts = [m * params.K for m in range(-params.m_max, params.m_max + 1)]
-    empty = resint.OscSum()
-
-    def walk(re, im, suffix):
-        first = params.m_max if all(i == params.m_max for i in suffix) else 0
-        leaf = len(suffix) == k - 1
-        step = resint.integrate_product_to_one if leaf else resint.integrate_product
-        # (re + i im)(a + i b) = (re a - im b) + i (re b + im a), without the empty factors
-        parts = [[(f, taps) for f, taps in factors if taps and not f.is_zero]
-                 for factors in (((re, a), (im, minus_b)), ((re, b), (im, a)))]
-        children = [step(part, shifts[first:]) if part else [empty] * (len(shifts) - first) for part in parts]
-        for i, re_i, im_i in zip(range(first, len(shifts)), *children):
-            if leaf:
-                yield (i, *suffix), re_i, im_i
-            else:
-                yield from walk(re_i, im_i, (i, *suffix))
-
-    yield from walk(resint.OscSum.unit(), empty, ())
-
-
-def _sequence_weights(params: GateParams, pulse: PulseShape, k: int) -> np.ndarray:
-    """The weights of all sideband sequences as one complex array W[m_1, ..., m_k] (indices
-    into m = -m_max..m_max): each walked w and its mirror conj w; an exactly zero w is
-    neither rounded nor written, and leaves +0 at both."""
-    n = 2 * params.m_max + 1
-    W = np.zeros((n,) * k, dtype=complex)
-    for seq, re, im in _sequences(params, pulse, k):
-        if re.is_zero and im.is_zero:
-            continue
-        w = complex(re) + 1j * complex(im)
-        W[tuple(n - 1 - i for i in seq)] = w.conjugate()
-        W[seq] = w
-    return W
-
-
-def _sequence_dyson(params: GateParams, pulse: PulseShape, k: int) -> tuple:
-    """P_k / (Omega*T)^k = (-i)^k sum_m W[m] Op(m_1) ... Op(m_k) in block form, from the
-    exact weights of ``_sequence_weights``; the transfer route is the production path.
-    Per block, k contractions: W with the stacked Op over m_k, then each m_j, innermost
-    first, with the row [Op(-m_max) | ... | Op(m_max)]."""
-    W = _sequence_weights(params, pulse, k)
-    p_hat = []
-    for ops in hilbert.hamiltonian_terms(params.eta, params.n_dim, params.m_max):
-        n, d, _ = ops.shape
-        T = W.reshape(-1, n) @ ops.reshape(n, d * d)  # T[m_1..m_{k-1}] = sum_{m_k} W Op(m_k)
-        row = ops.transpose(1, 0, 2).reshape(d, n * d)
-        for _ in range(k - 1):
-            T = row @ T.reshape(-1, n * d, d)  # sum_{m_j} Op(m_j) T[..., m_j]
-        p_hat.append((-1j) ** k * T.reshape(d, d))
-    return tuple(p_hat)
-
-
 def dyson_term(k: int, params: GateParams, pulse: PulseShape, method: str = "transfer") -> np.ndarray:
     """k-th Dyson term P_k, including the (-i)^k and (Omega*T)^k factors."""
     if not 1 <= k <= MAX_ORDER:
@@ -420,7 +335,7 @@ def dyson_term(k: int, params: GateParams, pulse: PulseShape, method: str = "tra
     if method == "transfer":
         p_hat = dyson_hat_terms(params, pulse, k)[k - 1]
     elif method == "tuples":
-        p_hat = _sequence_dyson(params, pulse, k)
+        p_hat = resint.sequence_dyson(params, pulse, k)
     else:
         raise ValueError(f"unknown method {method!r}")
     return (params.omega_T ** k) * hilbert.embed(p_hat, params.n_dim, 0.0)

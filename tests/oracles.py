@@ -446,7 +446,7 @@ def fraction_integral(Ns) -> FractionSum:
 def sequence_weights(params, pulse, k):
     """Yields (the sequence as indices into m = -m_max..m_max, (re, im)) with the exact
     weight of every sideband sequence, m_k slowest: the depth-first walk of
-    ``magnus._sequences`` over all n^k sequences, one sideband at a time: each child's
+    ``resint._sequences`` over all n^k sequences, one sideband at a time: each child's
     drive carries the taps N_g + m K at the single shift 0, both parts are integrated
     and evaluated at every node, empty or not, and no mirror identity is used."""
     taps, tap_c = hilbert.drive_taps(params, pulse)

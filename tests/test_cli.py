@@ -792,6 +792,7 @@ def test_every_default_is_passed_by_a_product_call():
     "pulse = rect\ngrid = auto\nomega_span = 0.7,inf\n",   # non-finite span factors
     "pulse = rect\ngrid = auto\nomega_span = -inf,1.3\n",
     "pulse = rect\ngrid = auto\nomega_span = 1,1e308\n",    # finite factors, an overflowing end
+    "pulse = rect\ngrid = auto:5\nomega_span = 1.3,0.7\n",  # finite ends, the low one above the high one
     "pulse = rect\ngrid = 2,1\n",                           # decreasing grid
     "pulse = rect\ngrid = 1,1\n",                           # repeated grid value
     "pulse = custom\npulse_coeffs = 1:0.25:0.1;-1:0.25:0.1\ngrid = 1,2\n",  # partner not the conjugate

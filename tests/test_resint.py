@@ -289,7 +289,7 @@ def test_order3_sequence_weights_are_the_fraction_tuple_sums(shape):
     taps, tap_c = hilbert.drive_taps(p, pulse)
     ms = range(-p.m_max, p.m_max + 1)
     count = 0
-    for seq, re, im in magnus._sequences(p, pulse, 3):
+    for seq, re, im in resint._sequences(p, pulse, 3):
         want: dict[int, list[Fraction]] = {}
         for gs in itertools.product(range(len(taps)), repeat=3):
             Ns = [int(taps[g]) + ms[i] * p.K for g, i in zip(gs, seq)]
@@ -330,7 +330,7 @@ def test_walked_weights_are_the_full_walk_bit_for_bit(shape, k):
     # walk, but for the sign of a zero imaginary part
     pulse = {"rect": rectangular(), "sin2": sin_squared(), "skew": SKEW}[shape]
     p = GateParams(eta=0.18, K=28, L=25, n_dim=5, m_max=3 if shape == "rect" and k < 5 else 2)
-    W = magnus._sequence_weights(p, pulse, k)
+    W = resint._sequence_weights(p, pulse, k)
     want = dict(sequence_weights(p, pulse, k))
     assert W.shape == (2 * p.m_max + 1,) * k and len(want) == W.size
     for seq, (re, im) in want.items():
