@@ -392,12 +392,13 @@ def rows_to_csv(rows: list[dict], metric: str = "average") -> str:
 # ---------------------------------------------------------------------------
 
 def _check_out(out: str | None) -> None:
-    """Fail before any computation if the --out path is a directory, or its directory is
-    missing or not writable; ``_write`` reports what this cannot see.  Creates nothing."""
+    """Fail before any computation if the --out path is a directory, its directory is
+    missing, or it is not writable: the file if it exists, else its directory.  ``_write``
+    reports what this cannot see.  Creates nothing."""
     if out:
         folder = os.path.dirname(out) or "."
         code = (errno.EISDIR if os.path.isdir(out) else errno.ENOENT if not os.path.isdir(folder)
-                else errno.EACCES if not os.access(folder, os.W_OK) else 0)
+                else errno.EACCES if not os.access(out if os.path.exists(out) else folder, os.W_OK) else 0)
         if code:
             raise ConfigError(f"cannot write {out}: {os.strerror(code)}")
 

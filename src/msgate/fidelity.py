@@ -42,22 +42,15 @@ class ThermalWeights:
 
 
 @lru_cache(maxsize=16)
-def _average_basis(n_dim: int) -> tuple:
-    """Per block: the Fock level of each column and the target Q_b^H (U_t (x) 1) Q_b,
-    U_t = exp(i TARGET_ANGLE Jy^2), read-only."""
+def _targets(n_dim: int) -> tuple:
+    """Per block, read-only: the Fock level of each column, the target Q_b^H (U_t (x) 1) Q_b,
+    U_t = exp(i TARGET_ANGLE Jy^2), and the columns Q_b^H (|00> (x) |n>) and
+    Q_b^H (psi_t (x) |m>) over n, m."""
     target = hilbert.matrix_exp(1j * TARGET_ANGLE * hilbert.JY2)
-    return tuple(hilbert.read_only(levels, T) for (levels, _), T in zip(hilbert.block_basis(n_dim),
-                                                                        hilbert.to_blocks(target, np.eye(n_dim))))
-
-
-@lru_cache(maxsize=16)
-def _bell_basis(n_dim: int) -> tuple:
-    """Per block: the columns Q_b^H (|00> (x) |n>) and Q_b^H (psi_t (x) |m>) over n, m,
-    read-only."""
     states = np.array([[1, 1], [0, 0], [0, 0], [0, np.exp(1j * TARGET_PHASE)]]) / [1, np.sqrt(2)]
     # column j of Q_b is v_j (x) |n_j>, so row j of Q_b^H (psi (x) |m>) is (v_j^H psi) delta(n_j, m)
-    return tuple(hilbert.read_only(*((V.conj() @ psi)[:, None] * np.eye(n_dim)[n] for psi in states.T))
-                 for n, V in hilbert.block_basis(n_dim))
+    return tuple(hilbert.read_only(n, T, *((V.conj() @ psi)[:, None] * np.eye(n_dim)[n] for psi in states.T))
+                 for (n, V), T in zip(hilbert.block_basis(n_dim), hilbert.to_blocks(target, np.eye(n_dim))))
 
 
 def bell_fidelity(U: tuple, weights: ThermalWeights) -> float:
@@ -65,7 +58,7 @@ def bell_fidelity(U: tuple, weights: ThermalWeights) -> float:
     after evolving |00> x thermal motional state and tracing out the motion:
     sum_n P_n sum_m |<psi_t, m|U|00, n>|^2.  Neither state touches the singlets."""
     amps = sum(out.conj().T @ X @ inp
-               for X, (inp, out) in zip(U, _bell_basis(weights.n_dim)))
+               for X, (_, _, inp, out) in zip(U, _targets(weights.n_dim)))
     return float((np.abs(amps) ** 2 @ weights.weights).sum())
 
 
@@ -74,5 +67,5 @@ def average_fidelity(U: tuple, weights: ThermalWeights) -> float:
     sum_jk P_{n_j} U_jk conj(T_jk), plus sum_n P_n from the singlets, where U = T = 1."""
     P = weights.weights
     tr = P.sum() + sum(P[levels] @ (X * T.conj()).sum(axis=1)
-                       for X, (levels, T) in zip(U, _average_basis(weights.n_dim)))
+                       for X, (levels, T, _, _) in zip(U, _targets(weights.n_dim)))
     return float(np.abs(tr)) / 4.0

@@ -156,21 +156,12 @@ def level_block(blocks: tuple, n_dim: int, row: int, col: int) -> np.ndarray:
 def hamiltonian_terms(eta: float, n_dim: int, m_max: int) -> tuple:
     """The sideband factor of the Hamiltonian H(tau) = g(tau) sum_m exp(i 2 pi m K tau)
     J_m (x) A_m at unit drive: per block of ``block_basis``, the stack of the J_m (x) A_m
-    for m = -m_max..m_max.  The drive g is ``drive_taps``'s, and the drive strength
-    omega_T is *not* included so callers can rescale.  Like every builder here, it takes
-    only what its operators depend on: (eta, n_dim, m_max).  The qubit factors are
-    eta-free (``_qubit_blocks``), so an eta costs the bands A_m (``sideband_operators``)
-    and, per block, their gather times those factors: ``to_blocks``' own expression."""
-    A = sideband_operators(eta, n_dim, m_max)
-    return tuple(J * A[..., n[:, None], n] for J, (n, _) in zip(_qubit_blocks(n_dim, m_max), block_basis(n_dim)))
-
-
-@lru_cache(maxsize=16)
-def _qubit_blocks(n_dim: int, m_max: int) -> tuple:
-    """Per block of ``block_basis``, the stack of the v_j^H J_m v_k for m = -m_max..m_max,
-    read-only: the factor of ``to_blocks`` that J_m (x) A_m takes from J_m."""
-    J = np.stack([collective_spin(m) for m in range(-m_max, m_max + 1)])
-    return read_only(*(V.conj() @ J @ V.T for _, V in block_basis(n_dim)))
+    for m = -m_max..m_max, as ``to_blocks`` projects them.  The drive g is
+    ``drive_taps``'s, and the drive strength omega_T is *not* included so callers can
+    rescale.  Like every builder here, it takes only what its operators depend on:
+    (eta, n_dim, m_max)."""
+    return to_blocks(np.stack([collective_spin(m) for m in range(-m_max, m_max + 1)]),
+                     sideband_operators(eta, n_dim, m_max))
 
 
 def sideband_hamiltonian(eta: float, n_dim: int, m_max: int) -> tuple:

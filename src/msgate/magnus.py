@@ -204,7 +204,6 @@ def _orders(K, taps, tap_c, n_dim, m_max, up_to) -> list:
         pairs = _entries(rows, cols, move_where[pos], len(codes))
         del pos, s, cols, rows
         skey, q = np.divmod(codes, size)
-        del codes
         read = np.flatnonzero(weights[skey] != 0)
         R = _entries(q[read], read, weights[skey][read], size)
         pos, owner = _ragged(ptr, skey)

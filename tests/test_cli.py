@@ -651,6 +651,29 @@ UNREFERENCED = {
 }
 
 
+# the lru_cache functions of src/msgate, each with the traffic it serves per benchmark point
+CACHES = {
+    "fidelity._targets": "the projected target and Bell columns: 4 hits per sweep point",
+    "hilbert.block_basis": "the block columns: 8 hits per crosscheck point",
+    "hilbert.sideband_operators": "the bands A_m: 1 hit per omega_rect point, from num_steps",
+    "magnus._sideband_moves": "2 hits per crosscheck point, at 0.3-0.4 ms per cold rect plan",
+    "resint.parts_table": "the compositions of an order: ~2,500 hits per crosscheck point",
+    "magnus._transfer_dyson": "the P-hat_k of an eta: a hit on every omega point",
+    "trotter._frame": "the drive-free frame of the step exponentials: a hit on every omega point",
+    "magnus._plan": "the transfer plan: a hit on every eta point",
+}
+
+
+def test_every_cache_is_listed():
+    # a new cache states the traffic it serves before it lands
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "msgate"
+    cached = {f"{path.stem}.{node.name}" for path in src.rglob("*.py")
+              for node in ast.walk(ast.parse(path.read_text(), str(path))) if isinstance(node, ast.FunctionDef)
+              if any(re.fullmatch(r"(functools\.)?(lru_cache|cache)(\(.*\))?", ast.unparse(d))
+                     for d in node.decorator_list)}
+    assert sorted(cached) == sorted(CACHES)
+
+
 def _names_read(tree) -> set[str]:
     """The names and attributes a statement reads, and the names it imports."""
     read = set()
@@ -896,7 +919,7 @@ OUT_OK = CHECK_OK + "axis = omega\ngrid = 28\npropagators = U2\npropagator = U2\
 
 
 @pytest.mark.parametrize("command", ["sweep", "check", "budget", "propagate"])
-@pytest.mark.parametrize("target", ["directory", "missing-directory", "read-only-directory"])
+@pytest.mark.parametrize("target", ["directory", "missing-directory", "read-only-directory", "read-only-file"])
 def test_unwritable_out_is_config_error(tmp_path, capsys, monkeypatch, command, target):
     # reported before any propagator is computed
     def compute(*args, **kwargs):
@@ -904,15 +927,29 @@ def test_unwritable_out_is_config_error(tmp_path, capsys, monkeypatch, command, 
 
     monkeypatch.setattr(cli, "run_sweep", compute)
     monkeypatch.setattr(cli, "_propagators", compute)
-    if target == "read-only-directory":  # root ignores permission bits, so os.access says it
-        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
     path = _write(tmp_path, "ok.cfg", OUT_OK)
     out = {"directory": tmp_path, "missing-directory": tmp_path / "missing" / "x.txt",
-           "read-only-directory": tmp_path / "x.txt"}[target]
+           "read-only-directory": tmp_path / "x.txt", "read-only-file": tmp_path / "kept.txt"}[target]
+    if target == "read-only-file":  # an existing file in a writable folder
+        out.write_text("kept")
+    denied = {"read-only-directory": tmp_path, "read-only-file": out}.get(target)
+    if denied:  # root ignores permission bits, so os.access says it
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: pathlib.Path(path) != denied)
     assert cli.main([command, path, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot write {out}: ") and len(err.splitlines()) == 1
     assert not (tmp_path / "missing").exists() and not (tmp_path / "x.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "check", "budget", "propagate"])
+def test_writable_out_in_read_only_folder_is_written(tmp_path, monkeypatch, command):
+    # /dev/null for a non-root user: the folder is not writable, the existing file is
+    out = tmp_path / "x.txt"
+    out.write_text("")
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: pathlib.Path(path) == out)
+    config = OUT_OK + ("omega_T = 20\n" if command == "propagate" else "")  # propagate needs the drive
+    assert cli.main([command, _write(tmp_path, "ok.cfg", config), "--out", str(out)]) == 0
+    assert out.read_text()
 
 
 def test_out_name_too_long_is_config_error(tmp_path, capsys):

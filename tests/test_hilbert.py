@@ -196,7 +196,7 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("n_dim, m_max", [(8, 3), (7, 2), (12, 5), (4, 2)])
 @pytest.mark.parametrize("eta", [0.01, 0.18, 0.35, 0.7])
 def test_hamiltonian_terms_are_to_blocks_of_the_stacks(eta, n_dim, m_max):
-    # the cached qubit factors times the gather of the bands: to_blocks of the stacks, bit for bit
+    # hamiltonian_terms is to_blocks of the stacks of J_m and A_m, bit for bit: its one projection
     ms = range(-m_max, m_max + 1)
     want = hilbert.to_blocks(np.stack([collective_spin(m) for m in ms]),
                              sideband_operators(eta, n_dim, m_max))

@@ -243,10 +243,8 @@ def test_cached_values_are_read_only(base_params, rect):
         "_sideband_moves": list(magnus._sideband_moves(base_params.n_dim, base_params.m_max)[1:]),
         "spin constants": [hilbert.JX, hilbert.JY, hilbert.JPLUS, hilbert.JMINUS, hilbert.JY2],
         "block_basis": [a for block in hilbert.block_basis(base_params.n_dim) for a in block],
-        "_qubit_blocks": list(hilbert._qubit_blocks(base_params.n_dim, base_params.m_max)),
         "sideband_operators": [hilbert.sideband_operators(base_params.eta, base_params.n_dim, base_params.m_max)],
-        "_average_basis": [a for block in fidelity._average_basis(base_params.n_dim) for a in block],
-        "_bell_basis": [a for block in fidelity._bell_basis(base_params.n_dim) for a in block],
+        "_targets": [a for block in fidelity._targets(base_params.n_dim) for a in block],
     }
     assert isinstance(magnus.dyson_hat_terms(base_params, rect, 3), tuple)
     for name, arrays in cached.items():

@@ -96,7 +96,7 @@ def test_sweep_point_forms_no_composite_matrix(monkeypatch, tmp_path, clear_tran
     spec = cli.sweep_from_config(cli.parse_config(str(path)))
     want = cli.run_sweep(spec)
     clear_transfer()  # the plan is built under the patches too
-    fidelity._average_basis.cache_clear()
+    fidelity._targets.cache_clear()
     for module, name in ((np, "kron"), (hilbert, "embed"), (hilbert, "symmetry_blocks")):
         monkeypatch.setattr(module, name, _forbidden)
     rows = cli.run_sweep(spec)
