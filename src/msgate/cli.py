@@ -180,9 +180,9 @@ def parse_config(path: str) -> dict:
                 line = line.split("#", 1)[0].strip()
                 if not line:
                     continue
-                if "=" not in line:
+                key, eq, val = (part.strip() for part in line.partition("="))
+                if not (key and eq):
                     raise ConfigError(f"{path}:{lineno}: expected key = value")
-                key, val = (part.strip() for part in line.split("=", 1))
                 if key in raw:
                     raise ConfigError(f"{path}:{lineno}: {key} given twice (first on line {first_on[key]})")
                 raw[key], first_on[key] = val, lineno

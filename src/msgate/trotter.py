@@ -20,15 +20,16 @@ MAX_STEPS = 2 ** 24
 
 @dataclass(frozen=True)
 class TrotterConfig:
-    """Step-count policy for the product-formula propagator.
+    """Step-grid policy for the product-formula propagator, decided by ``step_grid``.
 
     The step count must resolve the fastest beat note and the drive itself:
-    N_t >= ceil(safety * max(2 * pi * max|N_g + m K|, |omega_T| max|g| ||B_0||)) over the
+    N >= ceil(safety * max(2 * pi * max|N_g + m K|, |omega_T| max|g| ||B_0||)) over the
     taps N_g of ``hilbert.drive_taps`` and |m| <= m_max, so that no step turns a phase or
     the state by more than 1/safety.  A bound above MAX_STEPS (a drive so strong that
-    no product can resolve it) is an error.  The default N_t is that bound rounded up
-    to a multiple of the drive period d (``drive_period``: L for rect, 1 for sin^2), and
-    at least d, so the grid is never coarser than the bound and holds d whole periods.
+    no product can resolve it) is an error.  The default N is that bound rounded up to a
+    multiple of the drive period d = gcd of the taps (L for rect; 1 for sin^2, whose taps
+    L and L + 1 are coprime, and for a constant drive, whose taps are all 0), and at
+    least d, so the grid is never coarser than the bound and holds d whole periods.
     Each step samples the Hamiltonian at its centre (the exponential midpoint rule,
     second-order accurate).  A config is a valid policy when built, else a ValueError:
     ``safety`` is positive and finite, and ``steps_override``, taken as given, is None
@@ -36,9 +37,7 @@ class TrotterConfig:
 
     The policy fixes which steps are taken, not how each is exponentiated:
     every step is exact up to rounding at any norm (one ``eigh`` per symmetry
-    block in the rotating frame, see ``_frame``).  Only the first
-    period's steps are computed when d divides N_t (else the gate is one
-    period), and only the first half of them with a real-coefficient pulse.
+    block in the rotating frame, see ``_frame``).
     """
 
     safety: float = 10.0
@@ -51,32 +50,32 @@ class TrotterConfig:
         if steps is not None and not (isinstance(steps, (int, np.integer)) and steps >= 1):
             raise ValueError(f"steps_override {steps!r} is not an integer >= 1")
 
-    def num_steps(self, params: GateParams, pulse: PulseShape) -> int:
-        if self.steps_override is not None:
-            return self.steps_override
+    def step_grid(self, params: GateParams, pulse: PulseShape) -> tuple[int, int, bool]:
+        """(N, p, fold), the grid ``_propagate`` takes: the step count, the period power (d when
+        d divides N, else 1; only the first of p periods is computed) and whether that period
+        folds (every c_g real; only its first half is computed)."""
         taps, coeffs = hilbert.drive_taps(params, pulse)
-        # max|N_g + m K| in ints, and the rate |omega_T| max|g| ||B_0|| at which the drive turns the
-        # state by |g| <= sum_g |c_g| and ||B_0|| <= sum_m ||A_m||, as ||J_m|| = 1, in Python floats:
-        # an overflow gives inf, and so does a beat note beyond float range.  A_m has one nonzero
-        # per row and column, so its norm is its largest entry
-        beat = max(abs(int(N)) for N in taps) + params.m_max * params.K
-        beat = float(beat) if beat <= sys.float_info.max else math.inf
-        A = hilbert.sideband_operators(params.eta, params.n_dim, params.m_max)
-        drive = abs(params.omega_T) * sum(map(abs, coeffs.tolist())) * sum(np.abs(A).max(axis=(1, 2)).tolist())
-        bound = self.safety * max(2 * math.pi * beat, drive)
-        if not bound <= MAX_STEPS:
-            raise ValueError(f"resolving the drive takes {bound:.3g} steps, more than {MAX_STEPS} "
-                             f"(omega_T {params.omega_T}, pulse {pulse.name})")
-        # at least one period: the bound is 0 only with no drive and no beat note, where U = I
-        period = drive_period(taps)
-        return period * max(1, -(-math.ceil(bound) // period))
+        period = int(np.gcd.reduce(np.abs(taps))) or 1
+        n_steps = self.steps_override
+        if n_steps is None:
+            # max|N_g + m K| in ints, and the rate |omega_T| max|g| ||B_0|| at which the drive turns the
+            # state by |g| <= sum_g |c_g| and ||B_0|| <= sum_m ||A_m||, as ||J_m|| = 1, in Python floats:
+            # an overflow gives inf, and so does a beat note beyond float range.  A_m has one nonzero
+            # per row and column, so its norm is its largest entry
+            beat = max(abs(int(N)) for N in taps) + params.m_max * params.K
+            beat = float(beat) if beat <= sys.float_info.max else math.inf
+            A = hilbert.sideband_operators(params.eta, params.n_dim, params.m_max)
+            drive = abs(params.omega_T) * sum(map(abs, coeffs.tolist())) * sum(np.abs(A).max(axis=(1, 2)).tolist())
+            bound = self.safety * max(2 * math.pi * beat, drive)
+            if not bound <= MAX_STEPS:
+                raise ValueError(f"resolving the drive takes {bound:.3g} steps, more than {MAX_STEPS} "
+                                 f"(omega_T {params.omega_T}, pulse {pulse.name})")
+            # at least one period: the bound is 0 only with no drive and no beat note, where U = I
+            n_steps = period * max(1, -(-math.ceil(bound) // period))
+        return n_steps, period if n_steps % period == 0 else 1, not coeffs.imag.any()
 
-
-def drive_period(taps: np.ndarray) -> int:
-    """d = gcd of the beat notes of ``hilbert.drive_taps``: the drive repeats d times
-    inside the gate (d = L for rect; 1 for sin^2, whose taps L and L + 1 are coprime,
-    and for a constant drive, whose taps are all 0)."""
-    return int(np.gcd.reduce(np.abs(taps))) or 1
+    def num_steps(self, params: GateParams, pulse: PulseShape) -> int:
+        return self.step_grid(params, pulse)[0]
 
 
 # pairs of steps per slice of the pair stack: a power of two, so chaining the slice
@@ -168,9 +167,9 @@ def _propagate(builder, params: GateParams, pulse: PulseShape, config: TrotterCo
     + 2 pi K a+a: B per block from ``builder(eta, n_dim, m_max)``, g from ``hilbert.drive_taps``
     and the Fock levels of the block columns from ``hilbert.block_basis``.  Their product over
     the gate is U, since the frame R(tau) = exp(i 2 pi K tau a+a) is the identity at
-    tau = 0 and 1 for integer K.  Let p be the drive period d (``drive_period``) when it
-    divides N, else 1: then g(tau + 1/p) = g(tau), and the first period [0, 1/p] holds
-    n = N/p steps.  Two symmetries of H~ apply in turn:
+    tau = 0 and 1 for integer K.  ``config.step_grid`` gives N, the period power p (the
+    drive period d when it divides N, else 1) and the fold: g(tau + 1/p) = g(tau), and
+    the first period [0, 1/p] holds n = N/p steps.  Two symmetries of H~ apply in turn:
 
     Time-reversal fold: with D = (-1)^{a+a}, D conj(H~(tau)) D = H~(1/p - tau) when
     every c_g is real (D conj(B_0) D = B_0 for both builders).  The midpoint grid is its
@@ -180,12 +179,10 @@ def _propagate(builder, params: GateParams, pulse: PulseShape, config: TrotterCo
 
     Period power: H~(tau + 1/p) = H~(tau) and tau_{k+n} = tau_k + 1/p, so U = P^p.
     """
-    n_steps = config.num_steps(params, pulse)
+    n_steps, periods, fold = config.step_grid(params, pulse)
     frame = _frame(builder, params.eta, params.K, params.n_dim, params.m_max, n_steps)
     taps, coeffs = hilbert.drive_taps(params, pulse)
-    period = drive_period(taps)
-    periods = period if n_steps % period == 0 else 1
-    n, fold = n_steps // periods, not coeffs.imag.any()
+    n = n_steps // periods
     # the steps the products below multiply: the first half and the middle step of a folded
     # period, all n of another.  The drive repeats every period and a real-coefficient drive
     # is mirror-symmetric on it, g(1/p - tau) = g(tau), so the guard sees every drive value

@@ -1,11 +1,11 @@
-"""The golden rows of the acceptance sweeps: which propagators each preset runs
-(``SWEEPS``), the sweep itself and the one comparison of its CSV with
-``tests/golden/<preset>.csv``, the ``rows_to_csv`` output of the same sweep captured
-before the sweep path was refactored.  The comparison takes the ``axis`` and ``status``
+"""The golden rows of the acceptance sweeps: the presets (``PRESETS``, every
+``configs/*.cfg``), the sweep of each with its own propagators, as ``msgate sweep``
+writes it, and the one comparison of its CSV with ``tests/golden/<preset>.csv``, the
+``rows_to_csv`` output of the same sweep.  The comparison takes the ``axis`` and ``status``
 cells exactly and every other cell within max(1e-9 |want|, 1e-12), with NaN equal to
 NaN.  ``test_acceptance.test_golden_rows`` calls it, and so does the scipy-free CI job,
 so this module imports numpy and msgate alone.  It checks the presets it is given, or
-every preset of ``SWEEPS``:
+every preset of ``PRESETS``:
 
     PYTHONPATH=tests python -m golden_rows [fig2 fig3a ...]
 """
@@ -17,17 +17,12 @@ import sys
 from msgate.cli import parse_config, rows_to_csv, run_sweep, sweep_from_config
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-# preset -> propagators its criteria need (None: the preset's own list)
-SWEEPS = {"fig2": None, "fig3c": ("U2", "Unum"), "fig3a": ("Unum",),
-          "fig3b": ("Unum",), "fig4b": ("Unum",), "fig4a": ("Unum",), "fig4c": None}
+PRESETS = sorted(path.stem for path in (ROOT / "configs").glob("*.cfg"))
 
 
 def run_preset(name: str) -> list:
-    """The rows of preset ``name`` run with its ``SWEEPS`` propagators."""
-    spec = sweep_from_config(parse_config(str(ROOT / "configs" / f"{name}.cfg")))
-    if SWEEPS[name] is not None:
-        spec.propagators = SWEEPS[name]
-    return run_sweep(spec)
+    """The rows of preset ``name``, with the propagators its config lists."""
+    return run_sweep(sweep_from_config(parse_config(str(ROOT / "configs" / f"{name}.cfg"))))
 
 
 def _cell_matches(col: str, got: str, want: str) -> bool:
@@ -53,7 +48,7 @@ def mismatches(name: str, rows: list) -> list[str]:
 
 if __name__ == "__main__":
     failed = False
-    for name in sys.argv[1:] or SWEEPS:
+    for name in sys.argv[1:] or PRESETS:
         off = mismatches(name, run_preset(name))
         print("\n".join(off) or f"{name}: every row matches tests/golden/{name}.csv")
         failed = failed or bool(off)

@@ -2,8 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 report.  The heavyweight sweeps reuse the shipped figure presets in
-``configs/`` (restricted to the propagators each criterion needs).  Each
-preset runs once per module, and ``test_golden_rows`` compares its rows with
+``configs/``, each with its own propagators.  Each preset runs once per module, and ``test_golden_rows`` compares its rows with
 ``tests/golden/<preset>.csv`` (``golden_rows``).
 """
 
@@ -15,7 +14,7 @@ import pytest
 
 from msgate import budget, fidelity, hilbert, magnus, resint, trotter
 from msgate.params import GateParams
-from golden_rows import SWEEPS, mismatches, run_preset
+from golden_rows import PRESETS, mismatches, run_preset
 from oracles import (JX2, JXY, JZ2, fock_offdiagonal_max, form_factor, guard_band_indices, guard_block,
                      order2_closed_form, order3_closed_form, quadrature_integral)
 
@@ -30,7 +29,7 @@ def _column(rows, key):
 
 @pytest.fixture(scope="module")
 def sweep_rows():
-    """rows(preset): the rows of one SWEEPS entry, each run at most once."""
+    """rows(preset): the rows of one preset, each run at most once."""
     done = {}
 
     def rows(name):
@@ -40,7 +39,7 @@ def sweep_rows():
     return rows
 
 
-@pytest.mark.parametrize("name", SWEEPS)
+@pytest.mark.parametrize("name", PRESETS)
 def test_golden_rows(sweep_rows, name):
     """axis and status cells exact; numbers within 1e-9 relative + 1e-12."""
     assert mismatches(name, sweep_rows(name)) == []

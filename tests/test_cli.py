@@ -655,7 +655,7 @@ UNREFERENCED = {
 CACHES = {
     "fidelity._targets": "the projected target and Bell columns: 4 hits per sweep point",
     "hilbert.block_basis": "the block columns: 8 hits per crosscheck point",
-    "hilbert.sideband_operators": "the bands A_m: 1 hit per omega_rect point, from num_steps",
+    "hilbert.sideband_operators": "the bands A_m: 1 hit per omega_rect point, from TrotterConfig.step_grid",
     "magnus._sideband_moves": "2 hits per crosscheck point, at 0.3-0.4 ms per cold rect plan",
     "resint.parts_table": "the compositions of an order: ~2,500 hits per crosscheck point",
     "magnus._transfer_dyson": "the P-hat_k of an eta: a hit on every omega point",
@@ -797,6 +797,7 @@ def test_every_default_is_passed_by_a_product_call():
     "pulse = custom\npulse_coeffs = 0:0:0\ngrid = 1,2\n",    # pulse with empty support
     "pulse = rect\ngrid = 1,2\nomgea_mode = fixed_T\n",     # misspelled key
     "pulse = rect\ngrid = 1,2\nworkres = 2\n",              # key no subcommand reads
+    "pulse = rect\ngrid = 1,2\n= 5\n",                      # a value without a key
     "pulse = rect\ngrid = auto5\n",                         # neither auto nor auto:<n>
     "pulse = rect\naxis = K\ngrid = 28,nan\n",               # non-finite K
     "pulse = rect\naxis = K\ngrid = 28,inf\n",
@@ -831,6 +832,14 @@ def test_malformed_input_is_config_error(tmp_path, capsys, lines):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("config error: ") and len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("line", ["= 5", " = ", "K 28"], ids=["no-key", "no-key-or-value", "no-equals"])
+def test_line_that_is_no_key_value_pair_names_its_line(tmp_path, capsys, line):
+    # a line with an empty key is named like one without "=", not as an unknown key ""
+    path = _write(tmp_path, "bad.cfg", f"eta = 0.18\n{line}\nL = 25\n")
+    assert cli.main(["check", path]) == 1
+    assert capsys.readouterr().err == f"config error: {path}:2: expected key = value\n"
 
 
 @pytest.mark.parametrize("propagators", ["Unum", "U2,U3,U4"])

@@ -143,7 +143,7 @@ def test_one_sideband_builder_in_msgate():
     # the bands A_m are built in one place, once per eta, and read from its cached stack by the
     # Hamiltonian terms and the step bound alone
     callers = _callers()
-    assert sorted(callers["sideband_operators"]) == ["hilbert.hamiltonian_terms", "trotter.TrotterConfig.num_steps"]
+    assert sorted(callers["sideband_operators"]) == ["hilbert.hamiltonian_terms", "trotter.TrotterConfig.step_grid"]
     assert "sideband_operator" not in callers
 
 

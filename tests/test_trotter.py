@@ -72,9 +72,10 @@ def test_step_count_resolves_the_drive(pulse, L, dK, eta, m_max, extra_dim, omeg
     norm = max(np.abs(np.linalg.eigvalsh(B)).max() for B in hilbert.sideband_hamiltonian(eta, p.n_dim, m_max))
     drive = np.exp(2j * np.pi * np.outer(np.linspace(0, 1, 4001), taps)) @ coeffs
     assert n_steps >= safety * omega_T * np.abs(drive).max() * norm
-    # the grid holds whole drive periods and is less than one period above the bound,
-    # whose drive term is omega_T 2 sum_M |c_M| sum_m ||A_m||
-    period = trotter.drive_period(taps)
+    # the grid holds whole drive periods, d = gcd of the taps, takes their power, and is
+    # less than one period above the bound, whose drive term is omega_T 2 sum_M |c_M| sum_m ||A_m||
+    period = int(np.gcd.reduce(np.abs(taps))) or 1
+    assert TrotterConfig(safety=safety).step_grid(p, pulse)[:2] == (n_steps, period)
     drive_bound = omega_T * 2 * sum(abs(pulse.c(M)) for M in pulse.support) * sum(
         np.abs(A).max() for A in hilbert.sideband_operators(eta, p.n_dim, m_max))
     assert n_steps % period == 0
@@ -136,11 +137,22 @@ def test_zero_drive_is_identity(base_params, rect):
                        np.eye(4 * p.n_dim))
 
 
-def test_unitarity(params_omega2, rect, unum_omega2):
-    idx = guard_band_indices(params_omega2)
-    U = _full(unum_omega2, params_omega2)
-    G = (U.conj().T @ U - np.eye(4 * params_omega2.n_dim))[np.ix_(idx, idx)]
+# max over blocks of |U^H U - I|, measured 8.2e-15 for rect at omega_2, and 4.75e-13 and
+# 2.19e-12 for sin^2 at fig4a's omega_T = 50 and fig4b's K = 106; without the Newton-Schulz
+# step on V in ``_frame`` the sin^2 defects read 1.67e-11 and 6.39e-11, above their bounds
+@pytest.mark.parametrize("pulse, changes, bound", [
+    (rectangular(), {}, 1e-13),
+    (sin_squared(), {"omega_T": 50.0}, 5e-12),
+    (sin_squared(), {"K": 106, "L": 103, "omega_T": 48.44}, 2e-11),
+], ids=["rect-omega2", "fig4a-sin2-omega50", "fig4b-sin2-K106"])
+def test_unitarity(params_omega2, pulse, changes, bound):
+    p = params_omega2.replace(**changes)
+    blocks = trotter.propagate_numeric(p, pulse)
+    idx = guard_band_indices(p)
+    U = _full(blocks, p)
+    G = (U.conj().T @ U - np.eye(4 * p.n_dim))[np.ix_(idx, idx)]
     assert np.abs(G).max() < 1e-8
+    assert max(np.abs(u.conj().T @ u - np.eye(len(u))).max() for u in blocks) <= bound
 
 
 def test_deterministic(params_omega2, rect, unum_omega2):
@@ -314,10 +326,32 @@ def test_frame_arrays_are_read_only(params_omega2, rect):
 
 
 def _plain_product(monkeypatch, route, params, pulse, cfg):
-    """The product over every step: with period 1 the kernel never takes the power."""
+    """The product over every step: on a grid of one period the kernel never takes the power."""
+    n_steps, _periods, fold = cfg.step_grid(params, pulse)
     with monkeypatch.context() as m:
-        m.setattr(trotter, "drive_period", lambda taps: 1)
+        m.setattr(TrotterConfig, "step_grid", lambda self, p, pulse: (n_steps, 1, fold))
         return route(params, pulse, cfg)
+
+
+@pytest.mark.parametrize("pulse, n_steps, periods, fold", [
+    (rectangular(), None, 25, True), (sin_squared(), None, 1, True), (SKEW_5, None, 5, False),
+    (rectangular(), 401, 1, True),
+], ids=["rect-d25-folded", "sin2-d1-folded", "skew-5-d5-unfolded", "rect-401-d-does-not-divide"])
+def test_step_grid_is_the_grid_the_kernel_multiplies(monkeypatch, params_omega2, pulse, n_steps, periods, fold):
+    # each block multiplies the first n - n//2 steps of a folded period of n = N/p steps,
+    # and all n of another: no more, and no other grid than the one step_grid decides
+    cfg = TrotterConfig(steps_override=n_steps)
+    N, p, folds = cfg.step_grid(params_omega2, pulse)
+    assert (p, folds) == (periods, fold)
+    given, steps = {}, trotter._steps
+
+    def counted(frame, amps):
+        given[id(frame)] = given.get(id(frame), 0) + len(amps)
+        return steps(frame, amps)
+    monkeypatch.setattr(trotter, "_steps", counted)
+    trotter.propagate_numeric(params_omega2, pulse, cfg)
+    n = N // p
+    assert list(given.values()) == [n - n // 2 if fold else n] * 2  # one count per block
 
 
 @pytest.mark.parametrize("pulse", [rectangular(), PERIOD_5], ids=["rect-d25", "period-5"])
@@ -326,7 +360,7 @@ def _plain_product(monkeypatch, route, params, pulse, cfg):
     trotter.propagate_numeric, trotter.propagate_numeric_exact_displacement,
 ], ids=["series", "exact_displacement"])
 def test_period_power_matches_plain_product(monkeypatch, params_omega2, pulse, rule, route):
-    period = trotter.drive_period(hilbert.drive_taps(params_omega2, pulse)[0])
+    period = TrotterConfig().step_grid(params_omega2, pulse)[1]  # the default grid holds d periods
     assert period == (5 if pulse is PERIOD_5 else 25)
     # 400 steps: 16 or 80 per period, step norm 0.26; 401 is no multiple of d
     for n_steps in (400, 401):
@@ -366,10 +400,9 @@ def test_real_coefficient_drive_is_mirror_symmetric_on_its_period(params_omega2,
     # the fold multiplies only the first half and the middle step of a period, and the
     # finiteness guard sees only the drive there: both rest on g(1/p - tau) = g(tau) on the
     # midpoint grid of the first period, which holds exactly when every c_g is real
-    n_steps = TrotterConfig().num_steps(params_omega2, pulse)
+    n_steps, periods, _fold = TrotterConfig().step_grid(params_omega2, pulse)
     taps, coeffs = hilbert.drive_taps(params_omega2, pulse)
-    period = trotter.drive_period(taps)
-    n = n_steps // (period if n_steps % period == 0 else 1)
+    n = n_steps // periods
     g = np.exp(2j * np.pi * np.outer((np.arange(n) + 0.5) / n_steps, taps)) @ coeffs
     gap = np.abs(g - g[::-1]).max() / np.abs(g).max()
     if coeffs.imag.any():
@@ -382,7 +415,7 @@ def test_real_coefficient_drive_is_mirror_symmetric_on_its_period(params_omega2,
 def test_aperiodic_slices_keep_the_product(monkeypatch, params_omega2, pulse):
     # d = 1: every step is taken; slicing the pair stack must not change a bit of U,
     # so U equals the one-slice product, the whole stack chained at once
-    assert trotter.drive_period(hilbert.drive_taps(params_omega2, pulse)[0]) == 1
+    assert TrotterConfig().step_grid(params_omega2, pulse)[1] == 1
     for route in (trotter.propagate_numeric, trotter.propagate_numeric_exact_displacement):
         U = route(params_omega2, pulse)
         for size in (1, 4, 1 << 30):
@@ -434,8 +467,9 @@ def _assert_unum_within_its_step_error(magnus_route, p, pulse):
     below 1e-3 of the kernel's.  Their gap is the kernel's step error: within 1% of its
     Richardson estimate |U(N) - U(N/2)|/3 (measured within 0.1%), and the Richardson-extrapolated
     kernel U(N) + (U(N) - U(N/2))/3 lies within 2% of that estimate from the oracle (measured <= 0.6%)."""
-    period = 2 * trotter.drive_period(hilbert.drive_taps(p, pulse)[0])
-    n_steps = period * -(-TrotterConfig().num_steps(p, pulse) // period)
+    n_steps, d, _fold = TrotterConfig().step_grid(p, pulse)
+    period = 2 * d
+    n_steps = period * -(-n_steps // period)
     U, U_half = (trotter.propagate_numeric(p, pulse, TrotterConfig(steps_override=n))
                  for n in (n_steps, n_steps // 2))
     step_error = _gap(U, U_half) / 3
@@ -486,9 +520,9 @@ RANDOM_POINTS = _random_points(seed=0, count=6)
 def test_random_points_reach_the_fold_free_and_period_power_paths():
     # the draw holds a complex-coefficient pulse, which takes every step of its period, and
     # drives that repeat d > 1 times, which take the period power (d = 22, 6 and 2)
-    taps = [hilbert.drive_taps(p, pulse) for p, pulse in RANDOM_POINTS]
-    assert any(c.imag.any() for _N, c in taps)
-    assert max(trotter.drive_period(N) for N, _c in taps) > 1
+    grids = [TrotterConfig().step_grid(p, pulse) for p, pulse in RANDOM_POINTS]
+    assert not all(fold for _n, _p, fold in grids)
+    assert max(periods for _n, periods, _f in grids) > 1
 
 
 @pytest.mark.parametrize("p, pulse", RANDOM_POINTS, ids=[pulse.name for _p, pulse in RANDOM_POINTS])

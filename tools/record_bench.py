@@ -14,7 +14,10 @@ thread.  It records:
     (median of 3) and the in-process compute of its sweep (best of 3, untraced), each in a
     fresh interpreter so that every cache starts empty, and from three more runs under
     perfbench's tracer the time inside ``trotter.propagate_numeric`` (Unum) and
-    ``magnus.propagators_upto`` (Magnus), with the traced compute they are a share of;
+    ``magnus.propagators_upto`` (Magnus), with the traced compute they are a share of, and
+    the steps of the sweep's Unum calls: the summed step count N of their grids
+    (``TrotterConfig.step_grid``) and the steps the kernel multiplies (``trotter._steps``,
+    summed over its calls in both symmetry blocks), which the fold and the period power cut;
   * imports: ``import numpy``, then ``import msgate.cli``, timed inside fresh interpreters
     (median of 7), and whether bytecode caches are written and present;
   * tier1: the wall time of the Tier-1 suite, its summary line and its ``--durations=10``;
@@ -84,13 +87,26 @@ def workloads() -> dict:
 
 
 def compute(preset: str, traced: bool) -> dict:
-    """One sweep of ``preset`` in this (fresh) interpreter; ``traced`` installs perfbench's spans."""
+    """One sweep of ``preset`` in this (fresh) interpreter; ``traced`` installs perfbench's spans
+    and counts the steps of the Unum grids and of the kernel."""
     import tracing
     import worker
-    from msgate import cli
+    from msgate import cli, trotter
     tracer = tracing.Tracer(f"record-{preset}")
+    steps = {"unum_grid_steps": 0, "unum_kernel_steps": 0}
     if traced:
         tracer.install(worker.MODULES)
+        grid, kernel = trotter.TrotterConfig.step_grid, trotter._steps
+
+        def counted_grid(config, params, pulse):
+            out = grid(config, params, pulse)
+            steps["unum_grid_steps"] += int(out[0])
+            return out
+
+        def counted_kernel(frame, amps):
+            steps["unum_kernel_steps"] += len(amps)
+            return kernel(frame, amps)
+        trotter.TrotterConfig.step_grid, trotter._steps = counted_grid, counted_kernel
     spec = cli.sweep_from_config(cli.parse_config(str(ROOT / "configs" / f"{preset}.cfg")))
     spec.workers = 1
     start = time.perf_counter()
@@ -100,7 +116,7 @@ def compute(preset: str, traced: bool) -> dict:
         return {"compute_s": total}
     layers = tracer.summary()
     return {"traced_compute_s": total, "unum_s": layers["trotter.propagate_numeric"]["total_s"],
-            "magnus_s": layers["magnus.propagators_upto"]["total_s"]}
+            "magnus_s": layers["magnus.propagators_upto"]["total_s"], **steps}
 
 
 def presets() -> dict:
